@@ -25,6 +25,13 @@ is reported.
 Kernels containing ``ncl.rand`` are skipped: if-conversion legitimately
 changes how many draws execute, so their behavior is not a function of
 the input vector alone.
+
+3. After the last pass, one more step named ``pyexec`` runs the *final*
+   IR on :class:`repro.ir.compiled.KernelEngine` — what devices execute —
+   and on the interpreter over the same vectors.  Both run the same IR,
+   so here nothing may differ: outcomes, fields, memory snapshots and the
+   trap index must be equal, with no refinement slack (and ``ncl.rand``
+   kernels are included: both draw from equally seeded generators).
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.absint import RangeAnalysis
+from repro.ir.compiled import KernelEngine
 from repro.ir.instructions import Constant, ICmp, Intrinsic
 from repro.ir.interp import GlobalState, InterpError, IRInterpreter, KernelMessage
 from repro.ir.module import Function, Module
@@ -168,13 +176,16 @@ class BehaviorCapture:
 
     ``runs[i]`` is ``(outcome kind, outcome target, message fields,
     memory snapshot)`` after processing vector ``i``; ``trap_index`` is
-    the vector on which the interpreter raised (runs stop there).
+    the vector on which the interpreter raised (runs stop there);
+    ``interpreted`` counts the runs a :class:`KernelEngine` executor
+    handed back to the interpreter (0 = every run was generated code).
     """
 
     runs: List[Tuple[str, Optional[int], Dict[str, object], dict]] = field(
         default_factory=list
     )
     trap_index: Optional[int] = None
+    interpreted: int = 0
 
 
 def _uses_rand(fn: Function) -> bool:
@@ -189,10 +200,12 @@ def capture_behavior(
     vectors: List[Dict[str, object]],
     *,
     device_id: int = 1,
+    executor: type[IRInterpreter] = IRInterpreter,
 ) -> BehaviorCapture:
-    """Run ``fn`` over ``vectors`` against one fresh shared state."""
+    """Run ``fn`` over ``vectors`` against one fresh shared state, on the
+    reference interpreter or on the ``executor`` under test."""
     state = GlobalState()
-    interp = IRInterpreter(module, state, device_id=device_id)
+    interp = executor(module, state, device_id=device_id)
     cap = BehaviorCapture()
     for i, vec in enumerate(vectors):
         msg = KernelMessage(
@@ -214,11 +227,16 @@ def capture_behavior(
                 state.snapshot(),
             )
         )
+    if isinstance(interp, KernelEngine):
+        cap.interpreted = interp.interpreted
     return cap
 
 
-def _diff_captures(ref: BehaviorCapture, cur: BehaviorCapture) -> Optional[Tuple[int, str]]:
-    """First observable divergence, or None when ``cur`` refines ``ref``."""
+def _diff_captures(
+    ref: BehaviorCapture, cur: BehaviorCapture, *, exact_traps: bool = False
+) -> Optional[Tuple[int, str]]:
+    """First observable divergence, or None when ``cur`` refines ``ref``
+    (with ``exact_traps``: when it traps on exactly the same vector)."""
     n = min(len(ref.runs), len(cur.runs))
     for i in range(n):
         r, c = ref.runs[i], cur.runs[i]
@@ -236,6 +254,13 @@ def _diff_captures(ref: BehaviorCapture, cur: BehaviorCapture) -> Optional[Tuple
             )
         if r[3] != c[3]:
             return i, "global memory diverged"
+    if exact_traps:
+        if cur.trap_index != ref.trap_index:
+            return n, (
+                f"trap diverged: reference traps at vector {ref.trap_index}, "
+                f"optimized at {cur.trap_index}"
+            )
+        return None
     # Trap refinement: the optimized kernel may drop a reference trap
     # (DCE of an unused trapping op) but must never introduce an earlier one.
     if cur.trap_index is not None and (
@@ -273,6 +298,9 @@ class PassValidator:
         self._vectors: Dict[str, List[Dict[str, object]]] = {}
         self._reference: Dict[str, BehaviorCapture] = {}
         self._skipped: Dict[str, str] = {}
+        #: kernels whose ``pyexec`` step compared the interpreter with
+        #: itself because the engine could not run them as generated code
+        self.pyexec_interpreted: List[str] = []
         #: (pass name, function, vectors compared) per successful check
         self.checks: List[Tuple[str, str, int]] = []
 
@@ -316,12 +344,35 @@ class PassValidator:
         for fn in functions:
             self.check(pass_name, fn)
 
+    def check_engine(self, fn: Function) -> None:
+        """The ``pyexec`` step: the compiled engine against the
+        interpreter on the final IR of ``fn``, compared exactly."""
+        vectors = self._vectors.get(fn.name)
+        if vectors is None:  # skipped by prepare(): uses ncl.rand
+            vectors = generate_vectors(fn, n_random=self.n_random)
+        ref, cur = (
+            capture_behavior(
+                self.module, fn, vectors, device_id=self.device_id, executor=executor
+            )
+            for executor in (IRInterpreter, KernelEngine)
+        )
+        diff = _diff_captures(ref, cur, exact_traps=True)
+        if diff is not None:
+            index, detail = diff
+            raise TranslationValidationError(
+                "pyexec", fn.name, index, vectors[index], detail
+            )
+        if cur.interpreted:
+            self.pyexec_interpreted.append(fn.name)
+        self.checks.append(("pyexec", fn.name, len(ref.runs)))
+
     # -- reporting ---------------------------------------------------------------
     def report(self) -> Dict[str, object]:
         return {
             "device_id": self.device_id,
             "kernels": sorted(self._reference),
             "skipped": dict(sorted(self._skipped.items())),
+            "pyexec_interpreted": sorted(self.pyexec_interpreted),
             "vectors": {k: len(v) for k, v in sorted(self._vectors.items())},
             "checks": [
                 {"pass": p, "function": f, "vectors_compared": n}

@@ -1,0 +1,700 @@
+"""Compiled kernel engine: what devices run.
+
+:class:`~repro.ir.interp.IRInterpreter` is the reference semantics of a
+kernel and walks the IR one instruction at a time.  After the pipeline a
+kernel is a small loop-free DAG, so :class:`KernelEngine` lowers it once
+to straight-line Python — a third backend beside ``tna`` and ``v1model``
+— and runs that instead:
+
+* SSA values become Python locals; a width mask is emitted only where the
+  operand is not already known to fit, and constants are folded into it;
+* constant indices are bounds-checked here, dynamic ones by a generated
+  ``if`` that raises the interpreter's own :class:`InterpError` message;
+* blocks are emitted in topological order behind an ``if _b == n:``
+  dispatch, so side effects happen in the interpreter's order;
+* register arrays, the lookup method and the delegates below are bound
+  per :class:`GlobalState` by calling the generated ``_bind`` factory;
+* ``sdiv``/``udiv``/``rem``/shifts, intrinsics (hence the device ``rng``)
+  and table lookup call the interpreter's ``_binop`` / ``_intrinsic`` /
+  :meth:`GlobalState.lookup`, so those semantics exist once.
+
+Whatever cannot be translated (a cycle, ``Phi``, ``Call``, malformed
+access shapes), cannot be bound (register memory the state has not
+declared or declares with another layout) or arrives with an unexpected
+message shape runs on the inherited interpreter, which keeps behaviour
+exact in every corner.  The engine is entered through the inherited
+:meth:`IRInterpreter.run_kernel`; only ``_exec`` is overridden.
+
+Contract: a ``Function`` handed to an engine is frozen — its code is
+generated on first dispatch and kept for the engine's lifetime and for
+every engine :meth:`~KernelEngine.rebound` from it.
+"""
+
+from __future__ import annotations
+
+import functools
+import linecache
+import random
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
+
+import numpy as np
+
+from repro.ir.blocks import BasicBlock
+from repro.ir.instructions import (
+    Alloca,
+    AtomicOp,
+    AtomicRMW,
+    BinOp,
+    BinOpKind,
+    Br,
+    Cast,
+    CastKind,
+    Constant,
+    ICmp,
+    ICmpPred,
+    Instruction,
+    Intrinsic,
+    Jmp,
+    Load,
+    LoadGlobal,
+    LoadMsg,
+    Lookup,
+    LookupVal,
+    Ret,
+    Select,
+    Store,
+    StoreGlobal,
+    StoreMsg,
+    Terminator,
+    Undef,
+    Value,
+)
+from repro.ir.interp import (
+    ActionOutcome,
+    GlobalState,
+    InterpError,
+    IRInterpreter,
+    KernelMessage,
+    _dtype_for,
+)
+from repro.ir.module import Argument, Function, GlobalVar, Module
+from repro.ir.types import IntType
+
+#: binary operators that commute with truncation (``(a op b) & m`` equals
+#: the interpreter's ``((a & m) op (b & m)) & m``); every other kind is
+#: delegated to ``IRInterpreter._binop``.
+_MODULAR_OPS = {
+    BinOpKind.ADD: "+",
+    BinOpKind.SUB: "-",
+    BinOpKind.MUL: "*",
+    BinOpKind.AND: "&",
+    BinOpKind.OR: "|",
+    BinOpKind.XOR: "^",
+}
+
+_UNSIGNED_PREDS = {
+    ICmpPred.EQ: "==",
+    ICmpPred.NE: "!=",
+    ICmpPred.ULT: "<",
+    ICmpPred.ULE: "<=",
+    ICmpPred.UGT: ">",
+    ICmpPred.UGE: ">=",
+}
+
+#: signed order is unsigned order with the sign bit flipped on both sides
+_SIGNED_PREDS = {
+    ICmpPred.SLT: "<",
+    ICmpPred.SLE: "<=",
+    ICmpPred.SGT: ">",
+    ICmpPred.SGE: ">=",
+}
+
+#: result of a generated kernel that touched nothing because the message's
+#: fields are not shaped as the kernel's arguments say
+_INTERPRET = object()
+
+
+class _Untranslatable(Exception):
+    """The function stays on the interpreter (the reason is the message)."""
+
+
+class _Op(NamedTuple):
+    """An operand as Python text plus what is known about its value."""
+
+    atom: str  #: a local name or an integer literal
+    bits: Optional[int]  #: value is known to lie in [0, 2**bits); None = unknown
+    const: Optional[int] = None  #: the value itself when it is a literal
+
+
+@dataclass(frozen=True)
+class KernelCode:
+    """One kernel lowered to Python, not yet bound to any device state."""
+
+    source: str
+    #: the generated ``_bind(E, AO, BIN, INTR, LK, INTERPRET, K, R)``
+    factory: Callable
+    #: IR objects the code refers to as ``K0..Kn`` (instructions it
+    #: delegates, lookup globals, action kinds)
+    consts: tuple
+    #: register globals the code indexes as ``R0..Rn``
+    registers: tuple[GlobalVar, ...]
+
+
+def _lit(value: int) -> str:
+    return str(value) if value >= 0 else f"({value})"
+
+
+_mask_of = IRInterpreter._mask
+
+
+@functools.lru_cache(maxsize=256)
+def _compile(source: str, filename: str):
+    """``compile()`` is two thirds of generation, and a fabric's racks or a
+    service's tenants keep presenting the same kernel text."""
+    return compile(source, filename, "exec")
+
+
+def _topological(fn: Function) -> list[BasicBlock]:
+    """Blocks reachable from the entry, predecessors first."""
+    order: list[BasicBlock] = []
+    done: dict[int, bool] = {id(fn.entry): False}
+    stack = [(fn.entry, iter(fn.entry.successors()))]
+    while stack:
+        bb, succs = stack[-1]
+        for succ in succs:
+            finished = done.get(id(succ))
+            if finished is False:
+                raise _Untranslatable(f"cycle through block {succ.name}")
+            if finished is None:
+                done[id(succ)] = False
+                stack.append((succ, iter(succ.successors())))
+                break
+        else:
+            done[id(bb)] = True
+            order.append(bb)
+            stack.pop()
+    order.reverse()
+    return order
+
+
+class _Generator:
+    """Translates one kernel; :meth:`code` returns the result."""
+
+    def __init__(self, fn: Function, max_steps: int) -> None:
+        if not fn.is_kernel:
+            raise _Untranslatable("not a kernel")
+        self.fn = fn
+        self.blocks = _topological(fn)
+        if sum(len(b.instructions) for b in self.blocks) > max_steps:
+            raise _Untranslatable("longer than the interpreter's step limit")
+        self.number = {id(b): i for i, b in enumerate(self.blocks)}
+        self.args = {a.name: a for a in fn.args}
+        self.body: list[str] = []
+        self.indent = "        "
+        self.ops: dict[int, _Op] = {}  # every value defined on some path
+        self.defined: set[int] = set()  # ... and on every path to here
+        self.consts: list[object] = []
+        self.registers: list[GlobalVar] = []
+        self.slots: dict[int, tuple[str, Alloca]] = {}
+        self.arg_locals: dict[str, str] = {}
+        self.scalar_fields: set[str] = set()
+        self.array_fields: dict[str, str] = {}  # field -> local holding its list
+        self.temps = 0
+        #: (index, dimension) pairs already checked earlier in this block
+        self.checked: set[tuple[str, int]] = set()
+
+    # -- text ----------------------------------------------------------------
+    def emit(self, line: str) -> None:
+        self.body.append(self.indent + line)
+
+    def temp(self, prefix: str) -> str:
+        self.temps += 1
+        return f"{prefix}{self.temps}"
+
+    def const(self, obj: object) -> str:
+        for i, seen in enumerate(self.consts):
+            if seen is obj:
+                return f"K{i}"
+        self.consts.append(obj)
+        return f"K{len(self.consts) - 1}"
+
+    def trap(self, message: str) -> str:
+        return f"raise E({message!r})"
+
+    # -- operands ------------------------------------------------------------
+    def op(self, v: Value) -> _Op:
+        if isinstance(v, Constant):
+            return _Op(_lit(v.value), v.value.bit_length() if v.value >= 0 else None, v.value)
+        if isinstance(v, Undef):
+            return _Op("0", 0, 0)
+        if isinstance(v, Argument):
+            # what run_kernel / run_netfn put into env
+            if self.args.get(v.name) is not v or v.byref or v.is_array:
+                raise _Untranslatable(f"use of unevaluated value {v.short()}")
+            return _Op(self.arg_locals.setdefault(v.name, f"a{len(self.arg_locals)}"), None)
+        if id(v) in self.defined:
+            return self.ops[id(v)]
+        raise _Untranslatable(f"use of unevaluated value {v.short()}")
+
+    def masked(self, v: Value, width: int) -> _Op:
+        """``_val(v) & mask(width)``, with the mask folded where possible."""
+        o = self.op(v)
+        mask = (1 << width) - 1
+        if o.const is not None:
+            c = o.const & mask
+            return _Op(_lit(c), c.bit_length(), c)
+        if o.bits is not None and o.bits <= width:
+            return o
+        return _Op(f"({o.atom} & {mask:#x})", width)
+
+    def define(self, inst: Instruction, expr: str, bits: Optional[int]) -> str:
+        name = self.temp("v")
+        self.emit(f"{name} = {expr}")
+        self.alias(inst, _Op(name, bits))
+        return name
+
+    def alias(self, inst: Instruction, o: _Op) -> None:
+        self.ops[id(inst)] = o
+        self.defined.add(id(inst))
+
+    # -- the function --------------------------------------------------------
+    def code(self) -> KernelCode:
+        preds: dict[int, list[BasicBlock]] = {id(b): [] for b in self.blocks}
+        for bb in self.blocks:
+            for succ in set(bb.successors()):
+                preds[id(succ)].append(bb)
+        defined_out: dict[int, set[int]] = {}
+        for n, bb in enumerate(self.blocks):
+            ins = [defined_out[id(p)] for p in preds[id(bb)]]
+            self.defined = set.intersection(*ins) if ins else set()
+            if n:
+                self.emit(f"if _b == {n}:")
+                self.indent += "    "
+            self.block(bb)
+            if n:
+                self.indent = self.indent[:-4]
+            defined_out[id(bb)] = self.defined
+
+        prologue = self.prologue()
+        lines = ["def _bind(E, AO, BIN, INTR, LK, INTERPRET, K, R):"]
+        for prefix, items in (("K", self.consts), ("R", self.registers)):
+            if items:
+                names = ", ".join(f"{prefix}{i}" for i in range(len(items)))
+                lines.append(f"    {names}, = {prefix}")
+        lines.append("    def kernel(F, env):")
+        lines += ["        " + line for line in prologue]
+        lines += self.body
+        lines.append("    return kernel")
+        source = "\n".join(lines) + "\n"
+        filename = f"<kernel {self.fn.name}>"
+        namespace: dict = {}
+        exec(_compile(source, filename), namespace)
+        # So a traceback through generated code shows the generated line.
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        # pop: the function's globals must not point back at the function,
+        # or every generated kernel is a reference cycle only the GC frees
+        return KernelCode(
+            source,
+            namespace.pop("_bind"),
+            tuple(self.consts),
+            tuple(self.registers),
+        )
+
+    def prologue(self) -> list[str]:
+        """Message-shape guard, then by-value arguments and local slots."""
+        lines: list[str] = []
+        wrong: list[str] = []
+        for name, local in self.array_fields.items():
+            lines.append(f"{local} = F.get({name!r})")
+            wrong.append(
+                f"type({local}) is not list or len({local}) != {self.args[name].spec}"
+            )
+        for name in sorted(self.scalar_fields):
+            arg = self.args.get(name)
+            if arg is None or arg.byref:  # run_kernel already read the others
+                wrong.append(f"isinstance(F.get({name!r}), list)")
+        if wrong:
+            lines.append(f"if {' or '.join(wrong)}:")
+            lines.append("    return INTERPRET")
+        for name, local in self.arg_locals.items():
+            lines.append(f"{local} = env[{self.const(id(self.args[name]))}]")
+        for local, slot in self.slots.values():
+            zero = "0" if slot.is_scalar else f"[0] * {slot.shape.num_elements}"
+            lines.append(f"{local} = {zero}")
+        return lines
+
+    def block(self, bb: BasicBlock) -> None:
+        self.checked.clear()
+        for inst in bb.instructions:
+            if isinstance(inst, Terminator):
+                self.terminator(inst)
+                return
+            self.instruction(inst)
+        self.emit(self.trap(f"block {bb.name} fell through without terminator"))
+
+    def terminator(self, inst: Terminator) -> None:
+        if isinstance(inst, Jmp):
+            self.emit(f"_b = {self.number[id(inst.target)]}")
+        elif isinstance(inst, Br):
+            then_, else_ = self.number[id(inst.then_)], self.number[id(inst.else_)]
+            self.emit(f"_b = {then_} if {self.op(inst.cond).atom} else {else_}")
+        elif isinstance(inst, Ret):
+            if inst.action is not None:
+                target = inst.action.target
+                arg = self.op(target).atom if target is not None else "None"
+                self.emit(f"return AO({self.const(inst.action.kind)}, {arg})")
+            elif inst.value is not None:
+                self.emit(f"return {self.op(inst.value).atom}")
+            else:
+                self.emit("return None")
+        else:
+            raise _Untranslatable(f"unhandled terminator {inst!r}")
+
+    # -- one instruction -----------------------------------------------------
+    def instruction(self, inst: Instruction) -> None:
+        if isinstance(inst, BinOp):
+            self.binop(inst)
+        elif isinstance(inst, ICmp):
+            self.icmp(inst)
+        elif isinstance(inst, Select):
+            c, t, f = self.op(inst.cond), self.op(inst.t), self.op(inst.f)
+            bits = None if t.bits is None or f.bits is None else max(t.bits, f.bits)
+            self.define(inst, f"{t.atom} if {c.atom} else {f.atom}", bits)
+        elif isinstance(inst, Cast):
+            self.cast(inst)
+        elif isinstance(inst, Alloca):
+            pass  # slots start at zero in the prologue
+        elif isinstance(inst, Load):
+            local, index = self.local_access(inst.slot, inst.indices)
+            self.define(inst, local + index, inst.slot.elem.width)
+        elif isinstance(inst, Store):
+            value = self.masked(inst.value, inst.slot.elem.width)
+            local, index = self.local_access(inst.slot, inst.indices)
+            self.emit(f"{local}{index} = {value.atom}")
+        elif isinstance(inst, LoadMsg):
+            width = _mask_of(inst.type).bit_length()
+            place = self.field_access(inst.field, inst.index)
+            self.define(inst, f"{place} & {_mask_of(inst.type):#x}", width)
+        elif isinstance(inst, StoreMsg):
+            value = self.masked(inst.value, _mask_of(inst.value.type).bit_length())
+            self.emit(f"{self.field_access(inst.field, inst.index)} = {value.atom}")
+        elif isinstance(inst, LoadGlobal):
+            reg, flat = self.global_access(inst.gv, inst.indices)
+            self.define(inst, f"{reg}.item({flat})", self.storage_bits(inst.gv))
+        elif isinstance(inst, StoreGlobal):
+            reg, flat = self.global_access(inst.gv, inst.indices)
+            self.emit(f"{reg}[{flat}] = {self.masked(inst.value, inst.gv.elem.width).atom}")
+        elif isinstance(inst, AtomicRMW):
+            self.atomic(inst)
+        elif isinstance(inst, Lookup):
+            key = self.op(inst.key).atom
+            self.define(inst, f"1 if LK({self.const(inst.gv)}, {key})[0] else 0", 1)
+        elif isinstance(inst, LookupVal):
+            key, miss = self.op(inst.key), self.op(inst.default)
+            hit, value = self.temp("h"), self.temp("t")
+            self.emit(f"{hit}, {value} = LK({self.const(inst.gv)}, {key.atom})")
+            mask = _mask_of(inst.type)
+            bits = None if miss.bits is None else max(miss.bits, mask.bit_length())
+            self.define(
+                inst,
+                f"{value} & {mask:#x} if {hit} and {value} is not None else {miss.atom}",
+                bits,
+            )
+        elif isinstance(inst, Intrinsic):
+            args = "".join(f", {self.op(a).atom}" for a in inst.args)
+            self.define(inst, f"INTR({self.const(inst)}{args})", None)
+        else:  # Phi, Call, anything new
+            raise _Untranslatable(f"{type(inst).__name__} instruction")
+
+    def binop(self, inst: BinOp) -> None:
+        ty = inst.type
+        if not isinstance(ty, IntType):
+            raise _Untranslatable("binop on a non-integer type")
+        w, mask = ty.width, ty.mask
+        symbol = _MODULAR_OPS.get(inst.kind)
+        if symbol is not None:
+            a, b = self.op(inst.a), self.op(inst.b)
+            fits = [o.bits is not None and o.bits <= w for o in (a, b)]
+            expr = f"{a.atom} {symbol} {b.atom}"
+            if symbol in "|^" and all(fits) or symbol == "&" and any(fits):
+                self.define(inst, expr, w)
+            else:
+                self.define(inst, f"({expr}) & {mask:#x}", w)
+        elif inst.kind == BinOpKind.SADDU:
+            a, b = self.masked(inst.a, w), self.masked(inst.b, w)
+            self.define(inst, f"min({a.atom} + {b.atom}, {mask:#x})", w)
+        elif inst.kind == BinOpKind.SSUBU:
+            a, b = self.masked(inst.a, w), self.masked(inst.b, w)
+            self.define(inst, f"max({a.atom} - {b.atom}, 0)", w)
+        else:
+            a, b = self.op(inst.a), self.op(inst.b)
+            self.define(inst, f"BIN({self.const(inst)}, {a.atom}, {b.atom})", w)
+
+    def icmp(self, inst: ICmp) -> None:
+        ty = inst.a.type
+        if not isinstance(ty, IntType):
+            raise _Untranslatable("icmp on a non-integer type")
+        a, b = self.masked(inst.a, ty.width), self.masked(inst.b, ty.width)
+        symbol = _UNSIGNED_PREDS.get(inst.pred)
+        if symbol is None:
+            symbol = _SIGNED_PREDS[inst.pred]
+            sign = 1 << (ty.width - 1)
+            a, b = (
+                _Op(_lit(o.const ^ sign), None) if o.const is not None
+                else _Op(f"({o.atom} ^ {sign:#x})", None)
+                for o in (a, b)
+            )
+        self.define(inst, f"1 if {a.atom} {symbol} {b.atom} else 0", 1)
+
+    def cast(self, inst: Cast) -> None:
+        src, dst = inst.value.type, inst.type
+        if not isinstance(src, IntType) or not isinstance(dst, IntType):
+            raise _Untranslatable("cast on a non-integer type")
+        if inst.kind == CastKind.SEXT:
+            v = self.atomize(self.masked(inst.value, src.width).atom)
+            expr = f"{v} | {dst.mask & ~src.mask:#x} if {v} >> {src.width - 1} else {v}"
+            if dst.width < src.width:
+                expr = f"({expr}) & {dst.mask:#x}"
+            self.define(inst, expr, dst.width)
+        else:  # ZEXT keeps the source bits; TRUNC and BITCAST the common ones
+            width = src.width if inst.kind == CastKind.ZEXT else min(src.width, dst.width)
+            o = self.masked(inst.value, width)
+            self.alias(inst, o._replace(atom=self.atomize(o.atom)))
+
+    # -- memory --------------------------------------------------------------
+    def atomize(self, expr: str) -> str:
+        """``expr`` as a name or literal (anything compound gets a temp)."""
+        if expr.isidentifier() or expr.isdigit():
+            return expr
+        name = self.temp("t")
+        self.emit(f"{name} = {expr}")
+        return name
+
+    def index_checks(self, indices, dims, message: Callable[[int], str]) -> str:
+        """Emit the interpreter's bounds checks; returns the flat index.
+
+        ``message(dim)`` is the trap text with ``%d`` for the index.
+        """
+        if len(indices) != len(dims):
+            raise _Untranslatable("index count differs from the array's rank")
+        strides = [1]
+        for dim in reversed(dims[1:]):
+            strides.insert(0, strides[0] * dim)
+        offset = 0
+        terms: list[str] = []
+        for iv, dim, stride in zip(indices, dims, strides):
+            o = self.op(iv)
+            if o.const is not None:
+                if not 0 <= o.const < dim:
+                    self.emit(self.trap(message(dim) % o.const))
+                offset += o.const * stride
+                continue
+            unproven = o.bits is None or (1 << o.bits) > dim
+            if unproven and (o.atom, dim) not in self.checked:
+                self.checked.add((o.atom, dim))
+                test = f"not 0 <= {o.atom} < {dim}" if o.bits is None else f"{o.atom} >= {dim}"
+                self.emit(f"if {test}:")
+                self.emit(f"    raise E({message(dim)!r} % {o.atom})")
+            terms.append(o.atom if stride == 1 else f"{o.atom} * {stride}")
+        if offset or not terms:
+            terms.append(str(offset))
+        return " + ".join(terms)
+
+    def local_access(self, slot: Alloca, indices) -> tuple[str, str]:
+        local, _ = self.slots.setdefault(id(slot), (f"s{len(self.slots)}", slot))
+        if slot.is_scalar != (not indices):
+            raise _Untranslatable("local slot accessed against its shape")
+        if slot.is_scalar:
+            return local, ""
+        name = slot.name.replace("%", "%%")
+        flat = self.index_checks(
+            indices, slot.shape.dims, lambda dim: f"local {name}: index %d out of [0,{dim})"
+        )
+        return local, f"[{flat}]"
+
+    def field_access(self, name: str, index: Optional[Value]) -> str:
+        arg = self.args.get(name)
+        if (arg is not None and arg.is_array) != (index is not None):
+            raise _Untranslatable(f"field {name} accessed against its shape")
+        if index is None:
+            self.scalar_fields.add(name)
+            return f"F[{name!r}]"
+        local = self.array_fields.setdefault(name, f"f{len(self.array_fields)}")
+        text = f"field {name.replace('%', '%%')}: index %d out of range"
+        flat = self.index_checks([index], (arg.spec,), lambda dim: text)
+        return f"{local}[{flat}]"
+
+    @staticmethod
+    def storage_bits(gv: GlobalVar) -> int:
+        return np.dtype(_dtype_for(gv.elem.width)).itemsize * 8
+
+    def global_access(self, gv: GlobalVar, indices) -> tuple[str, str]:
+        """Bounds-check one register access; returns (array, flat index)."""
+        for k, seen in enumerate(self.registers):
+            if seen is gv:
+                break
+        else:
+            k = len(self.registers)
+            self.registers.append(gv)
+        base = GlobalState._base_name(gv.name).replace("%", "%%")
+        flat = self.index_checks(
+            indices, gv.shape.dims, lambda dim: f"{base}: index %d out of range [0,{dim})"
+        )
+        fixed = getattr(gv, "fixed_outer", None)
+        if fixed:  # KernelEngine._storage checks it against the outer dimension
+            offset = fixed * gv.shape.num_elements
+            flat = str(int(flat) + offset) if flat.isdigit() else f"{flat} + {offset}"
+        return f"R{k}", flat
+
+    def atomic(self, inst: AtomicRMW) -> None:
+        reg, flat = self.global_access(inst.gv, inst.indices)
+        flat = self.atomize(flat)
+        w = inst.gv.elem.width
+        mask = inst.gv.elem.mask
+        op = inst.op
+        old = self.define(inst, f"{reg}.item({flat})", self.storage_bits(inst.gv))
+        if op == AtomicOp.READ:
+            return
+        if op == AtomicOp.CAS:
+            if inst.compare is None:
+                self.emit(self.trap("CAS requires a compare operand"))
+                return
+            new = self.masked(inst.operand, w).atom if inst.operand is not None else "0"
+            self.emit(f"if {old} == {self.masked(inst.compare, w).atom}:")
+            self.emit(f"    {reg}[{flat}] = {new}")
+            return
+        if inst.operand is None:
+            self.emit(self.trap(f"atomic {op.value} requires an operand"))
+            return
+        arg = self.masked(inst.operand, w).atom
+        if op == AtomicOp.ADD:
+            new = f"({old} + {arg}) & {mask:#x}"
+            if inst.saturating:
+                new = f"min({old} + {arg}, {mask:#x})"
+        elif op == AtomicOp.SUB:
+            new = f"({old} - {arg}) & {mask:#x}"
+            if inst.saturating:
+                new = f"max({old} - {arg}, 0)"
+        elif op in (AtomicOp.EXCH, AtomicOp.WRITE):
+            new = arg
+        else:
+            new = {
+                AtomicOp.AND: f"{old} & {arg}",
+                AtomicOp.OR: f"{old} | {arg}",
+                AtomicOp.XOR: f"{old} ^ {arg}",
+                AtomicOp.MIN: f"min({old}, {arg})",
+                AtomicOp.MAX: f"max({old}, {arg})",
+            }[op]
+        if inst.cond is not None:
+            self.emit(f"if {self.op(inst.cond).atom}:")
+            self.indent += "    "
+        if inst.return_new:
+            self.emit(f"{old} = {new}")
+            self.emit(f"{reg}[{flat}] = {old}")
+        else:
+            self.emit(f"{reg}[{flat}] = {new}")
+        if inst.cond is not None:
+            self.indent = self.indent[:-4]
+
+
+def generate(fn: Function, max_steps: int = 200_000) -> Optional[KernelCode]:
+    """Lower ``fn`` to Python, or None when it must stay on the interpreter."""
+    try:
+        return _Generator(fn, max_steps).code()
+    except _Untranslatable:
+        return None
+
+
+class KernelEngine(IRInterpreter):
+    """An :class:`IRInterpreter` whose kernels run as generated Python.
+
+    Same constructor, same ``run_kernel`` / ``run_netfn``; ``interpreted``
+    counts the executions that took the interpreter instead.
+    """
+
+    def __init__(
+        self,
+        module: Module,
+        state: GlobalState,
+        *,
+        device_id: int = 0,
+        rng: Optional[random.Random] = None,
+        max_steps: int = 200_000,
+    ) -> None:
+        super().__init__(module, state, device_id=device_id, rng=rng, max_steps=max_steps)
+        self._code: dict[Function, Optional[KernelCode]] = {}
+        self._bound: dict[Function, Optional[Callable]] = {}
+        self.interpreted = 0
+
+    def rebound(self, state: GlobalState, rng: random.Random) -> "KernelEngine":
+        """A fresh engine over ``state`` (a device reboot) that keeps this
+        one's generated code and only binds it again."""
+        engine = KernelEngine(
+            self.module, state, device_id=self.device_id, rng=rng, max_steps=self.max_steps
+        )
+        engine._code = self._code
+        return engine
+
+    def kernel_code(self, fn: Function) -> Optional[KernelCode]:
+        """The generated code of ``fn`` (None: it runs on the interpreter)."""
+        if fn not in self._code:
+            self._code[fn] = generate(fn, self.max_steps)
+        return self._code[fn]
+
+    # -- binding -------------------------------------------------------------
+    def _storage(self, gv: GlobalVar):
+        """The state's array behind ``gv`` if it is laid out as the
+        generated code assumes, else None."""
+        state = self.state
+        base = state._base_name(gv.name)
+        meta = state._meta.get(base)
+        if meta is None or meta.space.is_lookup or meta.name != base:
+            return None
+        if meta.elem.mask != gv.elem.mask:
+            return None
+        dims = meta.shape.dims
+        fixed = getattr(gv, "fixed_outer", None)
+        if fixed is None:
+            ok = dims == gv.shape.dims
+        else:
+            ok = dims[1:] == gv.shape.dims and bool(dims) and 0 <= fixed < dims[0]
+        return state._registers[base] if ok else None
+
+    def _bind(self, fn: Function) -> Optional[Callable]:
+        code = self.kernel_code(fn)
+        run = None
+        if code is not None:
+            arrays = [self._storage(gv) for gv in code.registers]
+            if all(a is not None for a in arrays):
+                run = code.factory(
+                    InterpError,
+                    ActionOutcome,
+                    self._delegated_binop,
+                    self._delegated_intrinsic,
+                    self.state.lookup,
+                    _INTERPRET,
+                    code.consts,
+                    arrays,
+                )
+        self._bound[fn] = run
+        return run
+
+    def _delegated_binop(self, inst: BinOp, a: int, b: int) -> int:
+        return self._binop(inst, {id(inst.a): a, id(inst.b): b})
+
+    def _delegated_intrinsic(self, inst: Intrinsic, *args: int) -> int:
+        return self._intrinsic(inst, dict(zip(map(id, inst.args), args)))
+
+    # -- execution -----------------------------------------------------------
+    def _exec(self, fn: Function, env, locals_, msg: KernelMessage):
+        try:
+            run = self._bound[fn]
+        except KeyError:
+            run = self._bind(fn)
+        if run is not None:
+            result = run(msg.fields, env)
+            if result is not _INTERPRET:
+                return result
+        self.interpreted += 1
+        return super()._exec(fn, env, locals_, msg)

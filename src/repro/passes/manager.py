@@ -24,6 +24,7 @@ from repro.passes.intrinsics import convert_intrinsic_patterns
 from repro.passes.memcheck import DEFAULT_DISTANCE_THRESHOLD, check_memory_constraints
 from repro.passes.memopt import duplicate_lookups, partition_memory
 from repro.passes.mem2reg import mem2reg
+from repro.passes.phielim import eliminate_phis
 from repro.passes.simplify import simplify_function
 from repro.passes.sroa import scalarize_local_arrays
 from repro.telemetry.profile import NULL_PROFILER, Profiler
@@ -95,7 +96,9 @@ class PassManager:
     captures each kernel's behavior before the pipeline and differential
     execution re-checks it after every transforming pass; a divergence
     raises :class:`~repro.analysis.tvalid.TranslationValidationError`
-    naming the pass and a counterexample input vector.
+    naming the pass and a counterexample input vector; a last step named
+    ``pyexec`` holds the compiled kernel engine to the interpreter on the
+    final IR.
     """
 
     def __init__(
@@ -185,10 +188,21 @@ class PassManager:
             self.run_function_pass("simplify2", fn, simplify_function)
             self.run_function_pass("dagcheck", fn, lambda f: (check_dag(f), 0)[1])
 
-        if not opts.is_tofino:
-            return
+        if opts.is_tofino:
+            self._run_tofino_stage(module, kernels)
 
-        # Stage 2: Tofino specifics.
+        if self.validator is not None:
+            # "pyexec": the compiled engine (repro.ir.compiled) against the
+            # interpreter on the IR devices will run, which is φ-free: code
+            # generation eliminates φs, idempotently, so doing it here only
+            # moves it earlier (and under validation like any other pass).
+            for fn in kernels:
+                self.run_function_pass("phi-elim", fn, eliminate_phis)
+                self.validator.check_engine(fn)
+
+    def _run_tofino_stage(self, module: Module, kernels: list[Function]) -> None:
+        """Stage 2: Tofino specifics."""
+        opts = self.options
         if opts.memory_partitioning:
             self.run_module_pass("partition-memory", module, partition_memory)
         if opts.lookup_duplication:

@@ -23,11 +23,18 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
+from repro.ir.compiled import KernelEngine
 from repro.ir.instructions import ActionKind
-from repro.ir.interp import ActionOutcome, GlobalState, IRInterpreter, KernelMessage
+from repro.ir.interp import ActionOutcome, GlobalState, KernelMessage
 from repro.ir.module import Function, Module
 from repro.runtime.message import ACT_CODES, KernelSpec, NetCLPacket, NO_DEVICE
 from repro.telemetry import MetricRegistry
+
+
+#: one (name, count, bytes per element, mask, tail) per message field of a
+#: computation: what the codec would otherwise derive from the KernelSpec
+#: again for every packet
+_Codec = tuple[tuple[str, int, int, int, bool], ...]
 
 
 class ForwardKind(str, Enum):
@@ -66,12 +73,13 @@ class NetCLDevice:
         self.metrics = metrics or MetricRegistry()
         self._seed = seed
         self.state = GlobalState()
-        self.interp = IRInterpreter(
+        self.interp = KernelEngine(
             module, self.state, device_id=device_id, rng=random.Random(seed)
         )
         self.max_repeats = max_repeats
         self.kernels: dict[int, Function] = {}
         self.specs: dict[int, KernelSpec] = {}
+        self._codecs: dict[int, _Codec] = {}
         for fn in kernels:
             if fn.computation is None:
                 continue
@@ -83,7 +91,11 @@ class NetCLDevice:
                     f"{device_id} (placement validity, Eq. 1)"
                 )
             self.kernels[fn.computation] = fn
-            self.specs[fn.computation] = KernelSpec.from_kernel(fn)
+            spec = self.specs[fn.computation] = KernelSpec.from_kernel(fn)
+            self._codecs[fn.computation] = tuple(
+                (f.name, f.count, f.bytes_per_element, (1 << f.width_bits) - 1, f.tail)
+                for f in spec.fields
+            )
         self._seen = self.metrics.counter("kernel.dispatches")
         self._computed = self.metrics.counter("kernel.computed")
         self._noops = self.metrics.counter("kernel.noop_forwards")
@@ -103,10 +115,9 @@ class NetCLDevice:
         needs (see :class:`repro.reliability.FailoverManager`).
         """
         self.state = GlobalState()
-        self.interp = IRInterpreter(
-            self.module, self.state, device_id=self.device_id,
-            rng=random.Random(self._seed),
-        )
+        # Generated kernel code survives the reboot; only its binding to
+        # the (new) state is redone.
+        self.interp = self.interp.rebound(self.state, random.Random(self._seed))
         self.metrics.counter("device.resets").inc()
 
     def drain_control(self) -> list[ForwardDecision]:
@@ -134,8 +145,8 @@ class NetCLDevice:
             return self._forward_noop(packet)
 
         fn = self.kernels[packet.comp]
-        spec = self.specs[packet.comp]
-        msg = self._decode(packet, spec)
+        codec = self._codecs[packet.comp]
+        msg = self._decode(packet, codec)
 
         outcome = ActionOutcome(ActionKind.REPEAT)
         repeats = 0
@@ -155,7 +166,7 @@ class NetCLDevice:
                 f"kernel.action.{outcome.kind.value}"
             )
         ctr.inc()
-        decision = self._apply_action(packet, spec, msg, outcome)
+        decision = self._apply_action(packet, codec, msg, outcome)
         ctr = self._forward_counters.get(decision.kind)
         if ctr is None:
             ctr = self._forward_counters[decision.kind] = self.metrics.counter(
@@ -170,7 +181,7 @@ class NetCLDevice:
         return ForwardDecision(ForwardKind.TO_HOST, packet.dst, packet)
 
     # -- codec ------------------------------------------------------------------------
-    def _decode(self, packet: NetCLPacket, spec: KernelSpec) -> KernelMessage:
+    def _decode(self, packet: NetCLPacket, codec: _Codec) -> KernelMessage:
         fields: dict[str, int | list[int]] = {
             "__src": packet.src,
             "__dst": packet.dst,
@@ -179,53 +190,52 @@ class NetCLDevice:
         }
         off = 0
         data = packet.data
-        for f in spec.fields:
-            nb = f.bytes_per_element
-            if f.tail and off >= len(data):
+        from_bytes = int.from_bytes
+        for name, count, nb, _, tail in codec:
+            if tail and off >= len(data):
                 # §VIII tail extension: the sender omitted this field; the
                 # device appends it (zero-initialized) to the message.
-                fields[f.name] = 0 if f.count == 1 else [0] * f.count
+                fields[name] = 0 if count == 1 else [0] * count
                 continue
-            if f.count == 1:
-                fields[f.name] = int.from_bytes(data[off : off + nb], "big")
+            end = off + count * nb
+            if count == 1:
+                fields[name] = from_bytes(data[off:end], "big")
             else:
-                fields[f.name] = [
-                    int.from_bytes(data[off + j * nb : off + (j + 1) * nb], "big")
-                    for j in range(f.count)
+                fields[name] = [
+                    from_bytes(data[j : j + nb], "big") for j in range(off, end, nb)
                 ]
-            off += f.total_bytes
+            off = end
         return KernelMessage(fields)
 
-    def _encode(self, spec: KernelSpec, msg: KernelMessage) -> bytes:
+    def _encode(self, codec: _Codec, msg: KernelMessage) -> bytes:
         out = bytearray()
-        for f in spec.fields:
-            nb = f.bytes_per_element
-            mask = (1 << f.width_bits) - 1
-            v = msg.fields.get(f.name, 0)
+        get = msg.fields.get
+        for name, _, nb, mask, _ in codec:
+            v = get(name, 0)
             if isinstance(v, list):
                 for x in v:
-                    out.extend((int(x) & mask).to_bytes(nb, "big"))
+                    out += (int(x) & mask).to_bytes(nb, "big")
             else:
-                out.extend((int(v) & mask).to_bytes(nb, "big"))
+                out += (int(v) & mask).to_bytes(nb, "big")
         return bytes(out)
 
     # -- action translation ----------------------------------------------------------------
     def _apply_action(
         self,
         packet: NetCLPacket,
-        spec: KernelSpec,
+        codec: _Codec,
         msg: KernelMessage,
         outcome: ActionOutcome,
     ) -> ForwardDecision:
         kind = outcome.kind
+        if kind == ActionKind.DROP:
+            return ForwardDecision(ForwardKind.DROP, packet=None)
         out = packet.copy()
-        out.data = self._encode(spec, msg)
+        out.data = self._encode(codec, msg)
         # This device becomes the message's previous computing node.
         out.from_ = self.device_id
         out.act = ACT_CODES[kind.value]
 
-        if kind == ActionKind.DROP:
-            return ForwardDecision(ForwardKind.DROP, packet=None)
         if kind == ActionKind.PASS:
             out.to = NO_DEVICE
             return ForwardDecision(ForwardKind.TO_HOST, out.dst, out)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.deploy.planner import (
     AbstractTopology,
@@ -103,10 +103,18 @@ class Tenant:
     on_migrate: Optional[Callable[["INCService", "Tenant"], None]] = None
     reject_reason: Optional[str] = None
     migrations: int = 0
+    #: abstract devices a failed migration left where they were with their
+    #: reservation already released; nothing more may be released for them.
+    stranded: Set[int] = field(default_factory=set)
 
     @property
     def hosts(self) -> List[int]:
         return sorted(set(self.topology.host_attachments))
+
+    def booked(self, assignment: Dict[int, int]) -> Dict[int, int]:
+        """The part of ``assignment`` (abstract device -> switch) whose
+        reservation this tenant still holds."""
+        return {d: s for d, s in assignment.items() if d not in self.stranded}
 
 
 class TenantDevice:
@@ -400,7 +408,7 @@ class INCService:
         for h in tenant.hosts:
             if self._host_owner.get(h) == tenant_id:
                 del self._host_owner[h]
-        self.admission.release(tenant.placement, tenant.demands)
+        self.admission.release(tenant.booked(tenant.placement), tenant.demands)
         tenant.state = TenantState.EVICTED
         self._tenants_active.dec()
         self._evictions.inc()
@@ -463,6 +471,18 @@ class INCService:
         """Bring a crashed switch back (empty) and retry queued tenants."""
         self.network.restart_switch(TRANSIT_BASE + switch_id)
         self.down.discard(switch_id)
+        # Devices a failed migration stranded here come back with the
+        # switch, and so does their claim on its headroom.
+        for tenant in self.tenants.values():
+            if tenant.state is not TenantState.RUNNING:
+                continue
+            back = {
+                d: switch_id
+                for d in tenant.stranded
+                if tenant.placement[d] == switch_id
+            }
+            self.admission.reserve(back, tenant.demands)
+            tenant.stranded.difference_update(back)
         self._drain_queue()
 
     def _handle_switch_down(self, sid: int) -> None:
@@ -483,7 +503,8 @@ class INCService:
         pinned = {
             d: s for d, s in tenant.placement.items() if d not in affected
         }
-        self.admission.release(affected, demands)
+        booked = tenant.booked(affected)
+        self.admission.release(booked, demands)
         try:
             moves = self.planner.plan_incremental(
                 tenant.topology,
@@ -495,17 +516,19 @@ class INCService:
         except DeploymentError as exc:
             # Nowhere to go: the devices stay stranded on the dead switch
             # (their reservation stays released — the capacity is gone).
+            tenant.stranded.update(affected)
             self._migration_failures.inc()
             tenant.reject_reason = str(exc)
             return False
-        self.admission.reserve(affected, demands)
+        self.admission.reserve(booked, demands)
         self._move_devices(tenant, moves)
         return True
 
     def _move_devices(self, tenant: Tenant, moves: Dict[int, int]) -> None:
         demands = {d: tenant.demands[d] for d in moves}
         old = {d: tenant.placement[d] for d in moves}
-        self.admission.release(old, demands)
+        self.admission.release(tenant.booked(old), demands)
+        tenant.stranded.difference_update(moves)
         m = self.network.metrics
         for dev in sorted(moves):
             new_sid = moves[dev]

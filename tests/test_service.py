@@ -246,6 +246,55 @@ class TestLiveMigration:
         assert svc.report()["down_switches"] == [1]
         svc.stop()
 
+    def _stranded_service(self):
+        """One switch exactly as large as tenant a, which a crash strands."""
+        svc = INCService(
+            _fabric(num_switches=1, host_links={1: [1], 2: [1]}), heartbeat_ns=50_000
+        ).start()
+        topo, _ = _topo(ECHO % 1, name="a")
+        a = svc.submit("a", topo)
+        need = a.demands[1].stages
+        svc.update_headroom(1, free_stages=need)
+        svc.crash_switch(1)
+        svc.network.sim.run(until_ns=svc.network.sim.now_ns + 500_000)
+        assert a.stranded == {1} and a.placement == {1: 1}
+        return svc, a, need
+
+    @staticmethod
+    def _used(svc):
+        return svc.utilization()[1]["used"]
+
+    def test_evicting_a_stranded_tenant_releases_nothing_twice(self):
+        svc, a, need = self._stranded_service()
+        assert self._used(svc)["stages"] == 0  # released by the failed migration
+        svc.evict("a")
+        assert all(v >= 0 for v in self._used(svc).values())  # was -need
+        svc.restart_switch(1)
+        # exactly one more tenant of that size fits, not two
+        topo_b, cp_b = _topo(ECHO % 2, host=1, name="b")
+        svc.submit("b", topo_b)
+        assert self._used(svc)["stages"] == need
+        topo_c, _ = _topo(ECHO % 3, host=2, name="c")
+        with pytest.raises(AdmissionError):
+            svc.submit("c", topo_c)
+        assert _echo_round_trip(svc, "b", cp_b, 1, 5) == [[5, 7]]
+        svc.stop()
+
+    def test_stranded_devices_reclaim_their_headroom_on_restart(self):
+        svc, a, need = self._stranded_service()
+        svc.restart_switch(1)
+        assert a.stranded == set()
+        assert self._used(svc)["stages"] == need
+        topo_c, _ = _topo(ECHO % 3, host=2, name="c")
+        with pytest.raises(AdmissionError):  # a is back and the switch is full
+            svc.submit("c", topo_c)
+        svc.tenants.pop("c")
+        svc.evict("a")
+        assert all(v == 0 for v in self._used(svc).values())
+        svc.submit("c", topo_c)
+        assert self._used(svc)["stages"] == need
+        svc.stop()
+
     def test_defragment_repacks_after_eviction(self):
         svc = INCService(_fabric(num_switches=2, host_links={1: [1, 2]},
                                  free_stages=3))

@@ -202,6 +202,66 @@ class TestMutationDetection:
         assert pm.validator.checks  # validated clean despite the dropped trap
 
 
+# -- the pyexec step: compiled engine vs interpreter on the final IR ---------------------
+
+
+class TestPyexecStep:
+    def test_runs_last_on_phi_free_ir_for_both_targets(self):
+        for target in ("tna", "v1model"):
+            mod = _lower(BRANCHY)
+            pm = run_default_pipeline(mod, PassOptions(target=target, verify_passes=True))
+            names = [p for p, _, _ in pm.validator.checks]
+            assert names[-2:] == ["phi-elim", "pyexec"]
+            assert pm.validator.pyexec_interpreted == []
+            assert pm.validator.report()["pyexec_interpreted"] == []
+
+    def test_seeded_engine_miscompile_is_blamed_on_pyexec(self, monkeypatch):
+        from repro.ir import compiled
+
+        monkeypatch.setitem(compiled._MODULAR_OPS, BinOpKind.ADD, "-")
+        mod = _lower(ARITH)
+        with pytest.raises(TranslationValidationError) as ei:
+            run_default_pipeline(mod, PassOptions(verify_passes=True))
+        err = ei.value
+        assert err.pass_name == "pyexec" and err.function == "k"
+        assert set(err.vector) == {"a", "b", "r"}
+        assert "diverged" in err.detail
+
+    def test_traps_must_match_exactly(self, monkeypatch):
+        """Pass validation lets an optimized kernel drop a trap; the engine
+        runs the same IR as the interpreter, so it may not."""
+        from repro.ir import compiled
+
+        src = (
+            "_kernel(1) void k(unsigned a, unsigned b, unsigned &r) {\n"
+            "  r = a / b;\n"
+            "}\n"
+        )
+        pm = run_default_pipeline(_lower(src), PassOptions(verify_passes=True))
+        assert ("pyexec", "k") in {(p, f) for p, f, _ in pm.validator.checks}
+
+        # An engine that divides by zero without trapping is caught.
+        monkeypatch.setattr(
+            compiled.KernelEngine, "_delegated_binop", lambda self, inst, a, b: 0
+        )
+        with pytest.raises(TranslationValidationError) as ei:
+            run_default_pipeline(_lower(src), PassOptions(verify_passes=True))
+        assert ei.value.pass_name == "pyexec"
+
+    def test_rand_kernels_are_compared_too(self):
+        src = "_kernel(1) void k(unsigned &r) { r = ncl::rand<unsigned>(); }\n"
+        pm = run_default_pipeline(_lower(src), PassOptions(verify_passes=True))
+        assert pm.validator.report()["skipped"]  # per-pass validation skips it
+        assert [p for p, _, _ in pm.validator.checks] == ["pyexec"]
+
+    def test_engine_fallback_is_reported_not_hidden(self, monkeypatch):
+        from repro.ir import compiled
+
+        monkeypatch.setattr(compiled, "generate", lambda fn, max_steps=0: None)
+        pm = run_default_pipeline(_lower(BRANCHY), PassOptions(verify_passes=True))
+        assert pm.validator.pyexec_interpreted == ["k"]
+
+
 # -- validator object behavior ----------------------------------------------------------
 
 

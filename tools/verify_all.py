@@ -6,7 +6,10 @@ applications (``src/repro/apps/netcl/*.ncl``), the NetCL kernels embedded
 as raw strings in ``examples/*.py``, and the lint fixtures under
 ``tests/lint`` — every pass of every pipeline is differentially executed
 against the kernel's pre-pipeline behavior, so any miscompile fails CI
-with the offending pass name and a counterexample input vector.
+with the offending pass name and a counterexample input vector.  The last
+step of every pipeline, ``pyexec``, holds the compiled kernel engine that
+devices run to the interpreter on the final IR; a kernel the engine can
+only interpret would make that step vacuous, so it fails CI too.
 
 Usage::
 
@@ -34,6 +37,10 @@ from repro.passes.memcheck import MemoryCheckError  # noqa: E402
 _RAW_STRING = re.compile(r'r"""(.*?)"""', re.S)
 
 
+class EngineFallbackError(Exception):
+    """The ``pyexec`` step compared the interpreter with itself."""
+
+
 def collect_programs() -> list[tuple[str, str]]:
     """(display name, NetCL source) for every verifiable program."""
     programs: list[tuple[str, str]] = []
@@ -58,6 +65,7 @@ def verify_program(name: str, source: str, target: str) -> tuple[int, str]:
     except CompileError as exc:
         return 0, f"{name}: skipped (does not compile standalone: {exc})"
     checks = 0
+    interpreted: list[str] = []
     for dev in estimate_devices(module):
         mod = lower_to_ir(analyze(parse_source(source)), name=Path(name).stem)
         pm = PassManager(PassOptions(target=target, verify_passes=True))
@@ -67,6 +75,11 @@ def verify_program(name: str, source: str, target: str) -> tuple[int, str]:
             return 0, f"{name}: skipped on device {dev} ({exc})"
         if pm.validator is not None:
             checks += len(pm.validator.checks)
+            interpreted += [f"{k}@{dev}" for k in pm.validator.pyexec_interpreted]
+    if interpreted:
+        raise EngineFallbackError(
+            f"kernel engine fell back to the interpreter for {', '.join(interpreted)}"
+        )
     return checks, f"{name}: OK ({checks} pass checks)"
 
 
@@ -84,10 +97,14 @@ def main(argv: list[str] | None = None) -> int:
             failures += 1
             print(f"{name}: MISCOMPILE: {exc}", file=sys.stderr)
             continue
+        except EngineFallbackError as exc:
+            failures += 1
+            print(f"{name}: NOT COMPILED: {exc}", file=sys.stderr)
+            continue
         total_checks += checks
         print(line)
     if failures:
-        print(f"verify_all: {failures} program(s) miscompiled", file=sys.stderr)
+        print(f"verify_all: {failures} program(s) failed", file=sys.stderr)
         return 1
     print(f"verify_all: all programs behavior-preserving ({total_checks} checks)")
     return 0
