@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import compile_cache_clear
+
 #: Application list in the paper's Table III order.
 PAPER_APPS = ["agg", "cache", "paxos_acceptor", "paxos_learner", "paxos_leader", "calc"]
 
@@ -28,6 +30,13 @@ APP_MAP = {
 #: metric group -> {metric name: value}, flushed to BENCH_<group>.json at
 #: session end so the perf trajectory is machine-readable across PRs.
 _bench_metrics: dict[str, dict[str, float]] = {}
+
+
+@pytest.fixture(autouse=True)
+def cold_compile_cache():
+    """Table IV and the ablations measure cold compiles: no benchmark may
+    be answered from a program an earlier one compiled."""
+    compile_cache_clear()
 
 
 @pytest.fixture

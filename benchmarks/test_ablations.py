@@ -13,12 +13,13 @@ import pytest
 
 from benchmarks.conftest import print_table
 from repro.apps import compile_app, netcl_source
-from repro.core import compile_netcl
+from repro.core import compile_cache_clear, compile_netcl
 from repro.passes.manager import PassOptions
 from repro.tofino.allocator import FitError
 
 
 def fit_with(app: str, dev: int, **flags):
+    compile_cache_clear()  # timed by pytest-benchmark: a cold compile per call
     opts = PassOptions(target="tna", **flags)
     try:
         cp = compile_app(app, dev, options=opts)

@@ -26,8 +26,11 @@ exact in every corner.  The engine is entered through the inherited
 :meth:`IRInterpreter.run_kernel`; only ``_exec`` is overridden.
 
 Contract: a ``Function`` handed to an engine is frozen — its code is
-generated on first dispatch and kept for the engine's lifetime and for
-every engine :meth:`~KernelEngine.rebound` from it.
+generated once, on its first dispatch on any device, and kept on the
+owning :class:`Module` (``Module.kernel_code``) for the module's
+lifetime.  Every engine over that module — the racks of a fabric or the
+tenants of a service that share one cached compile, a device after
+``reset_state()`` — only *binds* that code to its own state and rng.
 """
 
 from __future__ import annotations
@@ -623,24 +626,17 @@ class KernelEngine(IRInterpreter):
         max_steps: int = 200_000,
     ) -> None:
         super().__init__(module, state, device_id=device_id, rng=rng, max_steps=max_steps)
-        self._code: dict[Function, Optional[KernelCode]] = {}
         self._bound: dict[Function, Optional[Callable]] = {}
         self.interpreted = 0
 
-    def rebound(self, state: GlobalState, rng: random.Random) -> "KernelEngine":
-        """A fresh engine over ``state`` (a device reboot) that keeps this
-        one's generated code and only binds it again."""
-        engine = KernelEngine(
-            self.module, state, device_id=self.device_id, rng=rng, max_steps=self.max_steps
-        )
-        engine._code = self._code
-        return engine
-
     def kernel_code(self, fn: Function) -> Optional[KernelCode]:
-        """The generated code of ``fn`` (None: it runs on the interpreter)."""
-        if fn not in self._code:
-            self._code[fn] = generate(fn, self.max_steps)
-        return self._code[fn]
+        """The generated code of ``fn`` (None: it runs on the interpreter),
+        generated at most once per module whatever the number of engines."""
+        codes = self.module.kernel_code
+        key = (fn, self.max_steps)  # the step limit decides translatability
+        if key not in codes:
+            codes[key] = generate(fn, self.max_steps)
+        return codes[key]
 
     # -- binding -------------------------------------------------------------
     def _storage(self, gv: GlobalVar):

@@ -45,12 +45,24 @@ def reachable_blocks(fn: Function) -> set[int]:
     return seen
 
 
+def predecessor_map(fn: Function) -> dict[int, list[BasicBlock]]:
+    """Block id -> predecessors, each once and in function block order:
+    what ``bb.predecessors()`` answers, for all blocks in one sweep."""
+    preds: dict[int, list[BasicBlock]] = {id(bb): [] for bb in fn.blocks}
+    for bb in fn.blocks:
+        for succ in dict.fromkeys(bb.successors()):
+            preds.setdefault(id(succ), []).append(bb)
+    return preds
+
+
 class DominatorTree:
-    """Immediate dominators, dominance queries, and dominance frontiers."""
+    """Immediate dominators, dominance queries, and dominance frontiers
+    of the CFG as it is at construction."""
 
     def __init__(self, fn: Function) -> None:
         self.function = fn
         self.rpo = reverse_postorder(fn)
+        self._preds = predecessor_map(fn)
         self._rpo_index = {id(bb): i for i, bb in enumerate(self.rpo)}
         self.idom: dict[int, BasicBlock] = {}
         self._compute_idoms()
@@ -67,7 +79,7 @@ class DominatorTree:
             for bb in self.rpo:
                 if bb is entry:
                     continue
-                preds = [p for p in bb.predecessors() if id(p) in self.idom]
+                preds = [p for p in self._preds[id(bb)] if id(p) in self.idom]
                 if not preds:
                     continue
                 new_idom = preds[0]
@@ -131,7 +143,7 @@ class DominatorTree:
         """Per-block dominance frontier as sets of block ids."""
         df: dict[int, set[int]] = {id(bb): set() for bb in self.rpo}
         for bb in self.rpo:
-            preds = bb.predecessors()
+            preds = self._preds[id(bb)]
             if len(preds) < 2:
                 continue
             for p in preds:

@@ -233,6 +233,12 @@ class Module:
         #: (function name, line, col) of source statements the frontend
         #: dropped as unreachable — consumed by the NCL006 lint.
         self.dropped_statements: list[tuple[str, int, int]] = []
+        #: (kernel, step limit) -> its generated Python, or None when it
+        #: stays on the interpreter.  Filled by
+        #: :class:`repro.ir.compiled.KernelEngine` at a kernel's first
+        #: dispatch and shared by every engine over this module; lives
+        #: here so it dies with the program.
+        self.kernel_code: dict[tuple[Function, int], object] = {}
 
     def add_global(self, gv: GlobalVar) -> GlobalVar:
         if gv.name in self.globals:

@@ -95,6 +95,10 @@ def _promote_one(
         if parent is not None:
             children.setdefault(id(parent), []).append(bb)
 
+    #: removed load of the slot -> the value reaching it; a definition is
+    #: renamed before its uses, so every use is rewritten in one sweep below
+    reaching: dict[Load, Value] = {}
+
     def rename(bb: BasicBlock, incoming: Value) -> None:
         current = incoming
         if id(bb) in phis:
@@ -102,10 +106,10 @@ def _promote_one(
         to_remove: list[Instruction] = []
         for inst in list(bb.instructions):
             if isinstance(inst, Load) and inst.slot is alloca:
-                _replace_uses_in_function(fn, inst, current)
+                reaching[inst] = current
                 to_remove.append(inst)
             elif isinstance(inst, Store) and inst.slot is alloca:
-                current = inst.value
+                current = reaching.get(inst.value, inst.value)
                 to_remove.append(inst)
         for inst in to_remove:
             bb.remove(inst)
@@ -117,6 +121,11 @@ def _promote_one(
             rename(child, current)
 
     rename(fn.entry, Undef(alloca.elem, f"{alloca.name}.undef"))
+    if reaching:
+        for inst in fn.instructions():
+            for op in inst.operands:
+                if op in reaching:
+                    inst.replace_operand(op, reaching[op])
 
     # 4. Remove the alloca itself.
     for bb in fn.blocks:
@@ -126,12 +135,6 @@ def _promote_one(
 
     # 5. Drop trivially dead φ nodes (no uses); iterate to fixpoint.
     _prune_dead_phis(fn)
-
-
-def _replace_uses_in_function(fn: Function, old: Value, new: Value) -> None:
-    for inst in fn.instructions():
-        if old in inst.operands:
-            inst.replace_operand(old, new)
 
 
 def _prune_dead_phis(fn: Function) -> None:

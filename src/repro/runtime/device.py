@@ -72,10 +72,7 @@ class NetCLDevice:
         self.module = module
         self.metrics = metrics or MetricRegistry()
         self._seed = seed
-        self.state = GlobalState()
-        self.interp = KernelEngine(
-            module, self.state, device_id=device_id, rng=random.Random(seed)
-        )
+        self._boot()
         self.max_repeats = max_repeats
         self.kernels: dict[int, Function] = {}
         self.specs: dict[int, KernelSpec] = {}
@@ -108,16 +105,21 @@ class NetCLDevice:
         self._forward_counters: dict[ForwardKind, object] = {}
 
     # -- lifecycle ----------------------------------------------------------------
+    def _boot(self) -> None:
+        """Zeroed memory, a restarted rng and an engine bound to both; the
+        generated kernel code lives on the module and is only bound again."""
+        self.state = GlobalState()
+        self.interp = KernelEngine(
+            self.module, self.state, device_id=self.device_id, rng=random.Random(self._seed)
+        )
+
     def reset_state(self) -> None:
         """Model a device reboot: all register and lookup state is lost.
 
         The control plane must re-install any ``_managed_`` contents it
         needs (see :class:`repro.reliability.FailoverManager`).
         """
-        self.state = GlobalState()
-        # Generated kernel code survives the reboot; only its binding to
-        # the (new) state is redone.
-        self.interp = self.interp.rebound(self.state, random.Random(self._seed))
+        self._boot()
         self.metrics.counter("device.resets").inc()
 
     def drain_control(self) -> list[ForwardDecision]:

@@ -404,9 +404,9 @@ class EchoDriver(AppDriver):
         self.host_id = int(self.event["hosts"][0])
         self.requests = int(self.event.get("requests", 20))
         self.spacing_ns = int(self.event.get("spacing_us", 20)) * 1000
-        self.compiled = compile_netcl(
-            ECHO_SRC, 1, program_name=f"echo-{self.tenant_id}"
-        )
+        # one name for every echo tenant (the id lives on the Tenant), so
+        # they all share one compile
+        self.compiled = compile_netcl(ECHO_SRC, 1, program_name="echo")
         topo = AbstractTopology()
         topo.add_device(1, self.compiled)
         topo.attach_host(self.host_id, 1)

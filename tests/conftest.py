@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import compile_netcl
+from repro.core import compile_cache_clear, compile_netcl
 from repro.lang import analyze, lower_to_ir, parse_source
 
 #: Figure 4 of the paper: the in-network read-only cache.
@@ -48,6 +48,17 @@ _kernel(1) void bump(unsigned slot, unsigned delta, unsigned &total) {
   return ncl::reflect();
 }
 """
+
+
+@pytest.fixture(autouse=True)
+def cold_compile_cache():
+    """Every test starts and ends with an empty compile cache, so tier-1
+    exercises the real compiler (pass records, timings) in any order; the
+    clear on the way out covers module-scoped fixtures of the next file,
+    which are built before its first test's function-scoped set-up."""
+    compile_cache_clear()
+    yield
+    compile_cache_clear()
 
 
 @pytest.fixture
