@@ -35,8 +35,6 @@ tenants of a service that share one cached compile, a device after
 
 from __future__ import annotations
 
-import functools
-import linecache
 import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -83,6 +81,7 @@ from repro.ir.interp import (
 )
 from repro.ir.module import Argument, Function, GlobalVar, Module
 from repro.ir.types import IntType
+from repro.pygen import lit as _lit, load
 
 #: binary operators that commute with truncation (``(a op b) & m`` equals
 #: the interpreter's ``((a & m) op (b & m)) & m``); every other kind is
@@ -144,18 +143,7 @@ class KernelCode:
     registers: tuple[GlobalVar, ...]
 
 
-def _lit(value: int) -> str:
-    return str(value) if value >= 0 else f"({value})"
-
-
 _mask_of = IRInterpreter._mask
-
-
-@functools.lru_cache(maxsize=256)
-def _compile(source: str, filename: str):
-    """``compile()`` is two thirds of generation, and a fabric's racks or a
-    service's tenants keep presenting the same kernel text."""
-    return compile(source, filename, "exec")
 
 
 def _topological(fn: Function) -> list[BasicBlock]:
@@ -290,16 +278,9 @@ class _Generator:
         lines += self.body
         lines.append("    return kernel")
         source = "\n".join(lines) + "\n"
-        filename = f"<kernel {self.fn.name}>"
-        namespace: dict = {}
-        exec(_compile(source, filename), namespace)
-        # So a traceback through generated code shows the generated line.
-        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-        # pop: the function's globals must not point back at the function,
-        # or every generated kernel is a reference cycle only the GC frees
         return KernelCode(
             source,
-            namespace.pop("_bind"),
+            load(source, f"<kernel {self.fn.name}>", "_bind"),
             tuple(self.consts),
             tuple(self.registers),
         )

@@ -290,6 +290,10 @@ class Program:
     parsers: dict[str, ParserDecl]
     controls: dict[str, ControlDecl]
     source: str = ""
+    #: generated Python per (parser, ingress, deparser), filled by
+    #: :class:`repro.p4.compiled.P4Engine` at the first packet and shared by
+    #: every engine over this program; lives here so it dies with the program.
+    engine_code: dict = field(default_factory=dict, repr=False, compare=False)
 
     def control_named(self, *candidates: str) -> ControlDecl:
         for c in candidates:

@@ -47,6 +47,7 @@ class HeaderInstance:
 @dataclass
 class _Table:
     decl: ast.TableDecl
+    control: ast.ControlDecl  #: the control that declares the table and its actions
     entries: list[ast.TableEntry] = field(default_factory=list)
 
     def match(self, keys: list[int]) -> Optional[ast.TableEntry]:
@@ -109,7 +110,7 @@ class P4Interpreter:
                 self.registers[r.name] = np.zeros(r.size, dtype=_dtype_for(r.value_type.width))
                 self.register_decls[r.name] = r
             for t in ctrl.tables.values():
-                self.tables[t.name] = _Table(t, list(t.entries))
+                self.tables[t.name] = _Table(t, ctrl, list(t.entries))
 
     # -- control plane ---------------------------------------------------------
     def insert_entry(self, table: str, keys: list[object], action: str, args: list[int]) -> None:
@@ -118,6 +119,22 @@ class P4Interpreter:
             raise P4RuntimeError(f"table {table} has const entries")
         if len(tbl.entries) >= tbl.decl.size:
             raise P4RuntimeError(f"table {table} full")
+        if len(keys) != len(tbl.decl.keys):
+            raise P4RuntimeError(
+                f"table {table}: {len(keys)} keys given, the table matches {len(tbl.decl.keys)}"
+            )
+        if action != "NoAction":
+            ctrl = tbl.control
+            decl = ctrl.actions.get(action)
+            if decl is None:
+                raise P4RuntimeError(
+                    f"table {table}: control {ctrl.name} declares no action {action}"
+                )
+            if len(args) < len(decl.params):
+                raise P4RuntimeError(
+                    f"table {table}: action {action} takes {len(decl.params)} "
+                    f"arguments, {len(args)} given"
+                )
         tbl.entries.append(ast.TableEntry(list(keys), action, list(args)))
 
     def remove_entry(self, table: str, keys: list[object]) -> bool:
@@ -129,11 +146,21 @@ class P4Interpreter:
         return False
 
     def register_write(self, name: str, index: int, value: int) -> None:
-        decl = self.register_decls[name]
+        decl = self._checked_register(name, index)
         self.registers[name][index] = value & decl.value_type.mask
 
     def register_read(self, name: str, index: int) -> int:
+        self._checked_register(name, index)
         return int(self.registers[name][index])
+
+    def _checked_register(self, name: str, index: int) -> ast.RegisterDecl:
+        """numpy would wrap a negative index to the end of the array."""
+        decl = self.register_decls[name]
+        if not 0 <= index < decl.size:
+            raise P4RuntimeError(
+                f"register {name}: index {index} out of range [0,{decl.size})"
+            )
+        return decl
 
     # -- packet path ---------------------------------------------------------------
     def run_packet(
@@ -156,6 +183,14 @@ class P4Interpreter:
         if deparser is not None:
             out = self._deparse(self.program.controls[deparser], hdr) + rest
         return hdr, md, out
+
+    def forward(
+        self, data: bytes, *, parser: str, ingress: str, deparser: Optional[str] = None
+    ) -> tuple[dict[str, int], bytes]:
+        """:meth:`run_packet` for a caller that reads only the metadata and
+        the bytes (a switch)."""
+        _, md, out = self.run_packet(data, parser=parser, ingress=ingress, deparser=deparser)
+        return md, out
 
     def _fresh_headers(self) -> dict[str, HeaderInstance]:
         # The header struct is conventionally the struct whose fields are
@@ -346,9 +381,15 @@ class _Cursor:
             self.bit += 1
         return value
 
+    def advance(self, bits: int) -> None:
+        if self.bit + bits > len(self.data) * 8:
+            raise P4RuntimeError("packet too short during advance")
+        self.bit += bits
+
     def rest(self) -> bytes:
-        # only byte-aligned tails supported
-        return self.data[(self.bit + 7) // 8 :]
+        if self.bit % 8:
+            raise P4RuntimeError("payload not byte-aligned")
+        return self.data[self.bit // 8 :]
 
 
 def _pack_header(inst: HeaderInstance) -> bytes:
@@ -474,7 +515,7 @@ class _Env:
         if method == "advance":
             assert self.cursor is not None
             bits, _ = self.eval(call.args[0])
-            self.cursor.bit += bits
+            self.cursor.advance(bits)
             return 0, 0
         if method == "isValid":
             return int(self._header(target).valid), 1

@@ -15,10 +15,11 @@ Conventions the handwritten baselines follow (we wrote both sides):
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from repro.p4 import ast
-from repro.p4.interp import P4Interpreter
+from repro.p4.compiled import P4Engine
 from repro.runtime.device import ForwardDecision, ForwardKind
 from repro.runtime.message import NetCLPacket, NO_DEVICE
 from repro.telemetry import MetricRegistry
@@ -28,26 +29,23 @@ NETCL_PORT = 9000
 FWD_HOST, FWD_DEVICE, FWD_MCAST, FWD_DROP = 0, 1, 2, 3
 
 _ETH = bytes(12) + (0x0800).to_bytes(2, "big")
+_ENCAP_BYTES = 14 + 20 + 8
 
 
-def _ipv4(payload_len: int) -> bytes:
-    total = 20 + payload_len
-    return bytes(
-        [0x45, 0]
-        + list(total.to_bytes(2, "big"))
-        + [0, 0, 0, 0, 64, 17, 0, 0]  # ttl=64, proto=UDP
-        + [10, 0, 0, 1]
-        + [10, 0, 0, 2]
+@functools.lru_cache(maxsize=64)
+def _encapsulation(payload_len: int) -> bytes:
+    """ETH/IPv4/UDP in front of ``payload_len`` NetCL bytes; only the two
+    length fields vary, and a run sends a handful of packet sizes."""
+    ipv4 = (
+        b"\x45\x00" + (28 + payload_len).to_bytes(2, "big")
+        + bytes([0, 0, 0, 0, 64, 17, 0, 0])  # ttl=64, proto=UDP
+        + bytes([10, 0, 0, 1, 10, 0, 0, 2])
     )
-
-
-def _udp(payload_len: int) -> bytes:
-    return (
-        (40000).to_bytes(2, "big")
-        + NETCL_PORT.to_bytes(2, "big")
-        + (8 + payload_len).to_bytes(2, "big")
-        + b"\x00\x00"
+    udp = (
+        (40000).to_bytes(2, "big") + NETCL_PORT.to_bytes(2, "big")
+        + (8 + payload_len).to_bytes(2, "big") + b"\x00\x00"
     )
+    return _ETH + ipv4 + udp
 
 
 class P4NetCLSwitchDevice:
@@ -68,7 +66,7 @@ class P4NetCLSwitchDevice:
         self.program = program
         self.device_id = device_id
         self._seed = seed
-        self.interp = P4Interpreter(program, seed=seed)
+        self.interp = P4Engine(program, seed=seed)
         self.names = (parser, ingress, deparser)
         self.metrics = metrics or MetricRegistry()
         self._seen = self.metrics.counter("kernel.dispatches")
@@ -86,7 +84,7 @@ class P4NetCLSwitchDevice:
     # -- lifecycle (parity with NetCLDevice) ---------------------------------------
     def reset_state(self) -> None:
         """Model a device reboot: registers and table entries are lost."""
-        self.interp = P4Interpreter(self.program, seed=self._seed)
+        self.interp = P4Engine(self.program, seed=self._seed)
         self.metrics.counter("device.resets").inc()
 
     def drain_control(self) -> list[ForwardDecision]:
@@ -107,10 +105,10 @@ class P4NetCLSwitchDevice:
     def process(self, packet: NetCLPacket) -> ForwardDecision:
         self._seen.inc()
         netcl_bytes = packet.to_wire()
-        raw = _ETH + _ipv4(8 + len(netcl_bytes)) + _udp(len(netcl_bytes)) + netcl_bytes
         parser, ingress, deparser = self.names
-        hdr, md, out_bytes = self.interp.run_packet(
-            raw, parser=parser, ingress=ingress, deparser=deparser
+        md, out_bytes = self.interp.forward(
+            _encapsulation(len(netcl_bytes)) + netcl_bytes,
+            parser=parser, ingress=ingress, deparser=deparser,
         )
         kind = md.get("fwd_kind", FWD_DROP)
         target = md.get("fwd_target", 0)
@@ -118,7 +116,7 @@ class P4NetCLSwitchDevice:
             return ForwardDecision(ForwardKind.DROP, packet=None)
         # Reconstruct the NetCL packet from the deparsed bytes (skip the
         # ETH/IP/UDP encapsulation the deparser re-emits).
-        out = NetCLPacket.from_wire(out_bytes[42:])
+        out = NetCLPacket.from_wire(out_bytes[_ENCAP_BYTES:])
         out.trace_id = packet.trace_id
         if md.get("computed", 0):
             self._computed.inc()

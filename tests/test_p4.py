@@ -167,6 +167,34 @@ class TestP4Interp:
         _, md, _ = run_mini(self.interp, 7, 0)
         assert md["kind"] == 0
 
+    @pytest.mark.parametrize("keys, action, args, message", [
+        ([7], "vanish", [], "table classify: control C declares no action vanish"),
+        ([7, 8], "set_kind", [3], "table classify: 2 keys given, the table matches 1"),
+        ([], "NoAction", [], "table classify: 0 keys given, the table matches 1"),
+        ([7], "set_kind", [], "table classify: action set_kind takes 1 arguments, 0 given"),
+    ])
+    def test_insert_entry_rejects_what_could_never_run(self, keys, action, args, message):
+        before = list(self.interp.tables["classify"].entries)
+        with pytest.raises(P4RuntimeError) as error:
+            self.interp.insert_entry("classify", keys, action, args)
+        assert str(error.value) == message
+        assert self.interp.tables["classify"].entries == before
+
+    def test_insert_entry_accepts_noaction_and_spare_arguments(self):
+        self.interp.insert_entry("classify", [7], "NoAction", [])
+        self.interp.insert_entry("classify", [8], "set_kind", [4, 99])
+        assert run_mini(self.interp, 8, 0)[1]["kind"] == 4
+
+    @pytest.mark.parametrize("index", [-1, 16, 1 << 40])
+    def test_register_access_outside_the_array_is_named(self, index):
+        # a negative index used to reach the *end* of the numpy array
+        message = f"register counters: index {index} out of range \\[0,16\\)"
+        with pytest.raises(P4RuntimeError, match=message):
+            self.interp.register_write("counters", index, 1)
+        with pytest.raises(P4RuntimeError, match=message):
+            self.interp.register_read("counters", index)
+        assert not self.interp.registers["counters"].any()
+
     def test_short_packet_rejected(self):
         with pytest.raises(P4RuntimeError, match="too short"):
             self.interp.run_packet(b"\x01", parser="P", ingress="C")

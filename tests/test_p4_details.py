@@ -103,6 +103,51 @@ class TestSelectKeysets:
         interp.run_packet(_packet(0, 0, 500), parser="P", ingress="C")
 
 
+EDGES = """
+header b_t { bit<8> n; }
+header nib_t { bit<4> x; }
+struct headers_t { b_t b; nib_t nib; }
+struct metadata_t { bit<8> unused; }
+parser P(packet_in pkt, out headers_t hdr, inout metadata_t md) {
+    state start {
+        pkt.extract(hdr.b);
+        transition select(hdr.b.n) {
+            0       : accept;
+            1       : odd;
+            default : skip;
+        }
+    }
+    state odd  { pkt.extract(hdr.nib); transition accept; }
+    state skip { pkt.advance((bit<32>)hdr.b.n); transition accept; }
+}
+control C(inout headers_t hdr, inout metadata_t md) { apply { } }
+"""
+
+
+class TestParserEdges:
+    """One defined behaviour at the packet's end, for P4Engine to reproduce."""
+
+    def run(self, data):
+        return P4Interpreter(parse_p4(EDGES)).run_packet(
+            data, parser="P", ingress="C", deparser=None
+        )
+
+    def test_advance_to_the_end_is_fine(self):
+        self.run(bytes([16, 0xAA, 0xBB]))
+
+    def test_advance_past_the_end_is_an_error_at_the_advance(self):
+        # used to go unnoticed unless a later extract ran
+        with pytest.raises(P4RuntimeError, match="packet too short during advance"):
+            self.run(bytes([24, 0xAA, 0xBB]))
+
+    def test_tail_that_is_not_byte_aligned_is_an_error(self):
+        # used to round the cursor up and silently drop the half byte
+        with pytest.raises(P4RuntimeError, match="payload not byte-aligned"):
+            self.run(bytes([1, 0xAB, 0xCD]))
+        with pytest.raises(P4RuntimeError, match="payload not byte-aligned"):
+            self.run(bytes([12, 0xAB, 0xCD]))
+
+
 class TestErrorPaths:
     def test_unknown_parser_state(self):
         bad = SRC.replace("transition accept;\n    }\n    state masked", "transition missing;\n    }\n    state masked", 1)
