@@ -23,13 +23,13 @@ from dataclasses import dataclass
 from repro.apps import compile_app
 from repro.collective.protocol import (
     NUM_SLOTS,
+    SlotCluster,
     SlotStream,
     StallError,
     StreamStats,
-    require_all_done,
 )
 from repro.core.driver import CompiledProgram
-from repro.netsim import DEVICE, HOST, Link, Network
+from repro.netsim import DEVICE, HOST, Link, Network, pipeline_latency_ns
 from repro.runtime import KernelSpec, NetCLDevice
 
 SLOT_SIZE = 32
@@ -105,37 +105,15 @@ class AggWorker(SlotStream):
 
 
 @dataclass
-class AggCluster:
+class AggCluster(SlotCluster):
     network: Network
     device: NetCLDevice
     workers: list[AggWorker]
     compiled: CompiledProgram
 
     def run(self, until_ms: float = 1000.0, *, require_done: bool = False) -> None:
-        """Run the cluster; with ``require_done`` a stalled run raises
-        :class:`~repro.collective.protocol.StallError` naming which
-        workers and chunks are incomplete."""
-        for w in self.workers:
-            w.start()
-        self.network.sim.run(until_ns=int(until_ms * 1e6))
-        if require_done:
-            self.require_done()
-
-    def require_done(self) -> None:
-        require_all_done(self.workers, what="worker", label="chunk")
-
-    def stall_report(self) -> list[str]:
-        """One diagnostic line per incomplete worker (empty when done)."""
-        out = []
-        for w in self.workers:
-            r = w.stall_report()
-            if r is not None:
-                out.append(f"worker {w.worker_index}: {r}")
-        return out
-
-    @property
-    def all_done(self) -> bool:
-        return all(w.done for w in self.workers)
+        """One tensor per cluster, so the default horizon is generous."""
+        super().run(until_ms, require_done=require_done)
 
 
 def build_agg_cluster(
@@ -177,7 +155,7 @@ def build_agg_cluster(
         )
     else:
         device = NetCLDevice(AGG_DEVICE, compiled.module, compiled.kernels())
-        processing = int(compiled.report.latency.total_ns) if compiled.report else 500
+        processing = pipeline_latency_ns(compiled)
     net.add_switch(device, processing_ns=processing)
 
     rng = random.Random(seed)

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from repro.apps import compile_app
 from repro.core.driver import CompiledProgram
-from repro.netsim import DEVICE, HOST, Link, Network
+from repro.netsim import DEVICE, HOST, Link, Network, pipeline_latency_ns
 from repro.runtime import DeviceConnection, KernelSpec, Message, NetCLDevice
 from repro.runtime.message import NetCLPacket, NO_DEVICE, unpack
 
@@ -248,7 +248,7 @@ def build_cache_cluster(
         )
     else:
         device = NetCLDevice(CACHE_DEVICE, compiled.module, compiled.kernels())
-        processing = int(compiled.report.latency.total_ns) if compiled.report else 500
+        processing = pipeline_latency_ns(compiled)
     net.add_switch(device, processing_ns=processing)
     net.add_host(1)  # client
     net.add_host(2)  # server

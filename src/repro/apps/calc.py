@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps import compile_app
-from repro.netsim import DEVICE, HOST, Link, Network
+from repro.netsim import DEVICE, HOST, Link, Network, pipeline_latency_ns
 from repro.runtime import KernelSpec, Message, NetCLDevice
 from repro.runtime.message import NetCLPacket, unpack
 
@@ -44,8 +44,7 @@ def build_calc_cluster(*, target: str = "tna", seed: int = 3) -> CalcCluster:
     compiled = compile_app("calc", CALC_DEVICE, target=target)
     device = NetCLDevice(CALC_DEVICE, compiled.module, compiled.kernels())
     net = Network(seed=seed)
-    proc = int(compiled.report.latency.total_ns) if compiled.report else 500
-    net.add_switch(device, processing_ns=proc)
+    net.add_switch(device, processing_ns=pipeline_latency_ns(compiled))
     net.add_host(1)
     net.link(HOST(1), DEVICE(CALC_DEVICE), Link())
     spec = KernelSpec.from_kernel(compiled.kernels()[0])

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps import compile_app
-from repro.netsim import DEVICE, HOST, Link, Network
+from repro.netsim import DEVICE, HOST, Link, Network, pipeline_latency_ns
 from repro.runtime import KernelSpec, Message, NetCLDevice
 from repro.runtime.message import NetCLPacket, unpack
 
@@ -99,8 +99,7 @@ def build_paxos_cluster(
         )
         compiled[dev_id] = cp
         dev = NetCLDevice(dev_id, cp.module, cp.kernels())
-        proc = int(cp.report.latency.total_ns) if cp.report else 500
-        net.add_switch(dev, processing_ns=proc)
+        net.add_switch(dev, processing_ns=pipeline_latency_ns(cp))
         devices[dev_id] = dev
         return dev
 

@@ -8,71 +8,44 @@ Usage::
     python -m repro.chaos --app cache --plan plan.json
     python -m repro.chaos --app agg --check-determinism
 
-One ``--seed`` drives everything — topology RNG, fault RNG, and
-workload — so a run is reproducible bit-for-bit: the printed digest is
-identical across invocations with the same seed (``--check-determinism``
-runs twice and verifies exactly that).
+``--seed``, ``--json``, ``--dump-plan``, ``--check-determinism`` and the
+exit status are :func:`repro.scenario.scenario_main`'s.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 from pathlib import Path
 from typing import Optional
 
 from repro.chaos.plan import ChaosPlan
 from repro.chaos.scenarios import SCENARIOS, ChaosRunResult, default_chaos_plan
+from repro.scenario import add_fault_arguments, scenario_main
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro.chaos",
-        description="Run the paper's apps under injected network failures",
-    )
+def _add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--app", choices=sorted(SCENARIOS), default="cache",
         help="which acceptance scenario to run",
     )
     p.add_argument(
-        "--seed", type=int, default=7,
-        help="master seed for topology, faults, and workload",
-    )
-    p.add_argument(
         "--plan", type=Path, default=None,
         help="JSON ChaosPlan file to replay (overrides the default plan)",
     )
-    p.add_argument(
-        "--loss", type=float, default=0.05, help="per-hop loss probability"
-    )
-    p.add_argument(
-        "--no-crash", action="store_true",
-        help="skip the mid-run primary-switch crash (link faults only)",
-    )
-    p.add_argument(
-        "--json", action="store_true", help="emit the full result as JSON"
-    )
-    p.add_argument(
-        "--dump-plan", action="store_true",
-        help="print the effective ChaosPlan JSON and exit",
-    )
-    p.add_argument(
-        "--check-determinism", action="store_true",
-        help="run the scenario twice and require identical digests",
-    )
-    return p
+    add_fault_arguments(p, "primary-switch")
 
 
-def _build_plan(args: argparse.Namespace) -> Optional[ChaosPlan]:
+def _build_plan(args: argparse.Namespace) -> ChaosPlan:
     if args.plan is not None:
         return ChaosPlan.from_json(args.plan.read_text())
-    crash_at: Optional[int]
-    if args.app == "agg":
-        crash_at = None if args.no_crash else 60_000
-    else:
-        crash_at = None if args.no_crash else 600_000
-    return default_chaos_plan(args.seed, loss=args.loss, crash_at_ns=crash_at)
+    crash_at = 60_000 if args.app == "agg" else 600_000
+    return default_chaos_plan(
+        args.seed, loss=args.loss, crash_at_ns=None if args.no_crash else crash_at
+    )
+
+
+def _run(args: argparse.Namespace) -> ChaosRunResult:
+    return SCENARIOS[args.app](args.seed, plan=_build_plan(args))
 
 
 def _render(result: ChaosRunResult) -> str:
@@ -82,38 +55,18 @@ def _render(result: ChaosRunResult) -> str:
         f"  completed {result.completed}/{result.expected} "
         f"in {result.sim_ns / 1e6:.3f} ms simulated"
         f"{' (failed over to standby)' if result.failed_over else ''}",
-        f"  digest {result.digest}",
     ]
-    for name, value in sorted(result.counters.items()):
-        lines.append(f"  {name:<24} {value}")
-    for err in result.errors:
-        lines.append(f"  ERROR: {err}")
     return "\n".join(lines)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
-    plan = _build_plan(args)
-    if args.dump_plan:
-        print(plan.to_json())
-        return 0
-    scenario = SCENARIOS[args.app]
-    result = scenario(args.seed, plan=plan)
-    if args.check_determinism:
-        again = scenario(args.seed, plan=_build_plan(args))
-        if again.digest != result.digest:
-            print(
-                f"NOT deterministic: {result.digest} != {again.digest}",
-                file=sys.stderr,
-            )
-            return 2
-        print(f"deterministic: two runs produced digest {result.digest}")
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(_render(result))
-    return 0 if result.ok else 1
+    return scenario_main(
+        argv,
+        prog="python -m repro.chaos",
+        description="Run the paper's apps under injected network failures",
+        add_arguments=_add_arguments,
+        build=_build_plan,
+        run=_run,
+        render=_render,
+    )
 
-
-if __name__ == "__main__":
-    sys.exit(main())

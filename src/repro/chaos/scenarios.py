@@ -15,8 +15,6 @@ digests (the determinism acceptance criterion).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -38,9 +36,10 @@ from repro.apps.cache import (
     VALUE_WORDS,
 )
 from repro.chaos.inject import ChaosController
-from repro.chaos.plan import ChaosEvent, ChaosPlan, LinkFaults
+from repro.chaos.plan import ChaosPlan
+from repro.collective.protocol import resync_streams
 from repro.core import compile_netcl
-from repro.netsim import DEVICE, HOST, Link, Network
+from repro.netsim import DEVICE, HOST, Link, Network, pipeline_latency_ns
 from repro.reliability import (
     BackoffPolicy,
     FailoverManager,
@@ -49,44 +48,24 @@ from repro.reliability import (
     ReplicatedConnection,
 )
 from repro.runtime import DeviceConnection, KernelSpec
+from repro.scenario import ScenarioResult, acceptance_plan, digest
 
 
-@dataclass
-class ChaosRunResult:
+@dataclass(kw_only=True)
+class ChaosRunResult(ScenarioResult):
     """What one chaos scenario run produced."""
 
     app: str
-    seed: int
-    ok: bool
-    errors: list[str]
     completed: int
     expected: int
     failed_over: bool
-    sim_ns: int
-    digest: str
     counters: dict[str, object] = field(default_factory=dict)
     plan: dict = field(default_factory=dict)
-    metrics: dict[str, object] = field(default_factory=dict)
     #: tracing by-products (``trace=True`` runs only).  Deliberately kept
     #: out of the digest and ``to_dict``: a traced run must produce the
     #: same digest as an untraced one.
     traces: int = 0
     trace_events: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "app": self.app,
-            "seed": self.seed,
-            "ok": self.ok,
-            "errors": self.errors,
-            "completed": self.completed,
-            "expected": self.expected,
-            "failed_over": self.failed_over,
-            "sim_ns": self.sim_ns,
-            "digest": self.digest,
-            "counters": self.counters,
-            "plan": self.plan,
-        }
 
 
 def compile_app_at(name: str, device_id: int, *, defines: Optional[dict] = None):
@@ -112,27 +91,123 @@ def default_chaos_plan(
 ) -> ChaosPlan:
     """The acceptance fault model: 5% loss + duplication + reordering +
     jitter on every link, and a crash of the primary switch mid-run."""
-    faults = LinkFaults(
+    return acceptance_plan(
+        seed,
+        crash_node="d1",
+        crash_at_ns=crash_at_ns,
         loss=loss,
         duplicate=duplicate,
         reorder=reorder,
-        reorder_delay_ns=15_000,
         jitter_ns=jitter_ns,
     )
-    events = []
-    if crash_at_ns is not None:
-        events.append(ChaosEvent(at_ns=crash_at_ns, kind="crash", node="d1"))
-    return ChaosPlan(seed=seed, default_link=faults, events=events)
-
-
-def _digest(payload: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
 
 
 def _value(key: int, salt: int) -> list[int]:
     return [(key * 31 + i * salt + 7) & 0xFFFFFFFF for i in range(VALUE_WORDS)]
+
+
+class CacheAcceptance:
+    """The CACHE acceptance workload, wired once for any deployment.
+
+    A client and a KVS server on reliable channels around the switch the
+    hosts address as ``device_id``: writes first, then interleaved
+    hit/miss reads spanning whatever the run injects, then reads of the
+    written keys.  The standalone chaos run and the service's cache
+    tenant differ only in the ids and the control connection they pass.
+    """
+
+    CACHED = [100 + i for i in range(6)]
+    SERVED = [200 + i for i in range(6)]
+    PUT = [300 + i for i in range(4)]
+
+    def __init__(
+        self, net: Network, spec: KernelSpec, *, client_host: int,
+        server_host: int, device_id: int,
+    ) -> None:
+        self.net = net
+        self.server = KVServer(net, server_host, spec)
+        self.client = CacheClient(net, client_host, spec, device_id=device_id)
+        self.client._server_id = server_host
+        for h in (self.client.host, self.server.host):
+            h.rx_overhead_ns = 3200
+            h.tx_overhead_ns = 3200
+        self.server.service_time_ns = 10_000
+        self.client.channel = ReliableChannel(
+            net,
+            self.client.host,
+            spec,
+            target_device=device_id,
+            policy=BackoffPolicy(base_timeout_ns=400_000, max_timeout_ns=3_200_000,
+                                 max_retries=12),
+        )
+        self.server.channel = ReliableChannel(
+            net, self.server.host, spec, target_device=device_id
+        )
+        #: (op, key, value) in issue order, and what each must return
+        self.schedule: list[tuple[int, int, Optional[list[int]]]] = []
+        self.expect: dict[tuple[int, int], list[int]] = {}
+
+    def install(self, conn) -> None:
+        """Fill the server's store and cache ``CACHED`` through ``conn``
+        (a journaling connection where failover or migration replays it)."""
+        self.controller = CacheController(conn, self.server)
+        for k in self.CACHED:
+            self.server.store[k] = _value(k, 3)
+            self.controller.install(k, self.server.store[k])
+        for k in self.SERVED:
+            self.server.store[k] = _value(k, 5)
+
+    def start(self, spacing_ns: int = 40_000) -> None:
+        """Book the queries ``spacing_ns`` apart, from 50 us after now."""
+        for k in self.PUT:
+            self.schedule.append((PUT_REQ, k, _value(k, 7)))
+            self.expect[(PUT_REQ, k)] = _value(k, 7)
+        for _ in range(2):
+            for hit_k, miss_k in zip(self.CACHED, self.SERVED):
+                self.schedule.append((GET_REQ, hit_k, None))
+                self.expect[(GET_REQ, hit_k)] = _value(hit_k, 3)
+                self.schedule.append((GET_REQ, miss_k, None))
+                self.expect[(GET_REQ, miss_k)] = _value(miss_k, 5)
+        for k in self.PUT:
+            self.schedule.append((GET_REQ, k, None))
+            self.expect[(GET_REQ, k)] = _value(k, 7)
+        t = self.net.sim.now_ns + 50_000
+        for op, key, value in self.schedule:
+            self.net.sim.at(
+                t, lambda op=op, key=key, value=value: self.client.query(op, key, value)
+            )
+            t += spacing_ns
+
+    @property
+    def hits(self) -> int:
+        return sum(1 for r in self.client.completed if r.served_by_cache)
+
+    def errors(self) -> list[str]:
+        """Every query completed, every GET returned what was stored, and
+        the switch cache served at least one of them."""
+        completed = self.client.completed
+        errors: list[str] = []
+        if len(completed) != len(self.schedule):
+            errors.append(
+                f"completed {len(completed)}/{len(self.schedule)} queries "
+                f"({self.client.channel.outstanding} still outstanding)"
+            )
+        for rec in completed:
+            want = self.expect.get((rec.op, rec.key))
+            if want is None:
+                errors.append(f"unexpected completion op={rec.op} key={rec.key}")
+            elif rec.op == GET_REQ and list(rec.value or []) != want:
+                errors.append(f"GET {rec.key} returned wrong value")
+        if not self.hits:
+            errors.append("no query was served by the switch cache")
+        return errors
+
+    def records(self) -> list[list]:
+        """The application-visible outcome, for the run digest."""
+        return [
+            [r.op, r.key, r.value, r.served_by_cache, r.done_ns]
+            for r in self.client.completed
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +237,7 @@ def run_cache_chaos(
     net = Network(seed=seed)
     if trace:
         net.enable_tracing()
-    processing = int(primary.report.latency.total_ns) if primary.report else 500
+    processing = pipeline_latency_ns(primary)
     dev_p = ReliableNetCLDevice(
         CACHE_DEVICE, primary.module, primary.kernels(), metrics=net.metrics
     )
@@ -178,33 +253,11 @@ def run_cache_chaos(
             net.link(HOST(h), DEVICE(d), Link(latency_ns=1200))
 
     spec = KernelSpec.from_kernel(primary.kernels()[0])
-    server = KVServer(net, 2, spec)
-    client = CacheClient(net, 1, spec)
-    for h in (client.host, server.host):
-        h.rx_overhead_ns = 3200
-        h.tx_overhead_ns = 3200
-    server.service_time_ns = 10_000
-    client.channel = ReliableChannel(
-        net,
-        client.host,
-        spec,
-        target_device=CACHE_DEVICE,
-        policy=BackoffPolicy(base_timeout_ns=400_000, max_timeout_ns=3_200_000,
-                             max_retries=12),
+    work = CacheAcceptance(
+        net, spec, client_host=1, server_host=2, device_id=CACHE_DEVICE
     )
-    server.channel = ReliableChannel(net, server.host, spec, target_device=CACHE_DEVICE)
-
     conn = ReplicatedConnection(DeviceConnection(dev_p))
-    controller = CacheController(conn, server)
-
-    cached_keys = [100 + i for i in range(6)]
-    server_keys = [200 + i for i in range(6)]
-    put_keys = [300 + i for i in range(4)]
-    for k in cached_keys:
-        server.store[k] = _value(k, 3)
-        controller.install(k, server.store[k])
-    for k in server_keys:
-        server.store[k] = _value(k, 5)
+    work.install(conn)
 
     failover = FailoverManager(
         net,
@@ -212,56 +265,20 @@ def run_cache_chaos(
         standby_id,
         heartbeat_ns=heartbeat_ns,
         replicated=conn,
-        channels=[client.channel, server.channel],
+        channels=[work.client.channel, work.server.channel],
     ).start()
 
     ChaosController(net, plan).arm()
-
-    # The workload: writes first, then interleaved hit/miss reads spanning
-    # the crash, then reads of the written keys.
-    expect: dict[tuple[int, int], list[int]] = {}
-    schedule: list[tuple[int, int, Optional[list[int]]]] = []  # (op, key, value)
-    for k in put_keys:
-        schedule.append((PUT_REQ, k, _value(k, 7)))
-        expect[(PUT_REQ, k)] = _value(k, 7)
-    for _ in range(2):
-        for hit_k, miss_k in zip(cached_keys, server_keys):
-            schedule.append((GET_REQ, hit_k, None))
-            expect[(GET_REQ, hit_k)] = _value(hit_k, 3)
-            schedule.append((GET_REQ, miss_k, None))
-            expect[(GET_REQ, miss_k)] = _value(miss_k, 5)
-    for k in put_keys:
-        schedule.append((GET_REQ, k, None))
-        expect[(GET_REQ, k)] = _value(k, 7)
-
-    t = 50_000
-    for op, key, value in schedule:
-        net.sim.at(t, lambda op=op, key=key, value=value: client.query(op, key, value))
-        t += 40_000
-
+    work.start()
     net.sim.run(until_ns=int(horizon_ms * 1e6))
 
-    errors: list[str] = []
-    if len(client.completed) != len(schedule):
-        errors.append(
-            f"completed {len(client.completed)}/{len(schedule)} queries "
-            f"({client.channel.outstanding} still outstanding)"
-        )
-    for rec in client.completed:
-        want = expect.get((rec.op, rec.key))
-        if want is None:
-            errors.append(f"unexpected completion op={rec.op} key={rec.key}")
-        elif rec.op == GET_REQ and list(rec.value or []) != want:
-            errors.append(f"GET {rec.key} returned wrong value")
-    hits = sum(1 for r in client.completed if r.served_by_cache)
-    if not any(r.served_by_cache for r in client.completed):
-        errors.append("no query was served by the switch cache")
+    errors = work.errors()
     if plan.events and not failover.failed_over:
         errors.append("primary crash never triggered failover")
 
     m = net.metrics
     counters = {
-        "cache_hits": hits,
+        "cache_hits": work.hits,
         "retransmits": m.total("reliability.ch.retransmits."),
         "expired": m.total("reliability.ch.expired."),
         "dup_rx_dropped": m.total("reliability.ch.dup_rx_dropped."),
@@ -276,14 +293,11 @@ def run_cache_chaos(
         "chaos_reordered": m.total("chaos.reordered"),
     }
     snapshot = m.snapshot()
-    digest = _digest(
+    run_digest = digest(
         {
             "app": "cache",
             "seed": seed,
-            "records": [
-                [r.op, r.key, r.value, r.served_by_cache, r.done_ns]
-                for r in client.completed
-            ],
+            "records": work.records(),
             "metrics": snapshot,
         }
     )
@@ -292,11 +306,11 @@ def run_cache_chaos(
         seed=seed,
         ok=not errors,
         errors=errors,
-        completed=len(client.completed),
-        expected=len(schedule),
+        completed=len(work.client.completed),
+        expected=len(work.schedule),
         failed_over=failover.failed_over,
         sim_ns=net.sim.now_ns,
-        digest=digest,
+        digest=run_digest,
         counters=counters,
         plan=plan.to_dict(),
         metrics=snapshot,
@@ -340,7 +354,7 @@ def run_agg_chaos(
     net = Network(seed=seed)
     if trace:
         net.enable_tracing()
-    processing = int(primary.report.latency.total_ns) if primary.report else 500
+    processing = pipeline_latency_ns(primary)
     # ordered=True: the slot protocol assumes per-worker FIFO delivery
     # (a late out-of-order contribution from an advanced worker corrupts
     # the version-alternating bitmap), so the device drops stale packets
@@ -374,30 +388,14 @@ def run_agg_chaos(
         workers.append(worker)
     net.add_multicast_group(AGG_MCAST_GROUP, [HOST(w.host_id) for w in workers])
 
-    def resync(mgr: FailoverManager) -> None:
-        # Every slot restarts at the earliest chunk any worker still has
-        # in flight there; workers past it re-contribute (their data is
-        # still at hand, and re-received results simply advance them).
-        slots: set[int] = set()
-        for w in workers:
-            slots.update(s for s, c in w._slot_chunk.items() if c is not None)
-        for slot in sorted(slots):
-            chunks = [
-                c for c in (w._slot_chunk.get(slot) for w in workers) if c is not None
-            ]
-            if not chunks:
-                continue
-            base = min(chunks)
-            for w in workers:
-                w.resync_slot(slot, base)
-
     failover = FailoverManager(
         net,
         AGG_DEVICE,
         standby_id,
         heartbeat_ns=heartbeat_ns,
         channels=[w.channel for w in workers],
-        on_failover=resync,
+        # the primary took the in-flight aggregates with it
+        on_failover=lambda mgr: resync_streams(workers),
     ).start()
 
     ChaosController(net, plan).arm()
@@ -440,7 +438,7 @@ def run_agg_chaos(
         "chaos_reordered": m.total("chaos.reordered"),
     }
     snapshot = m.snapshot()
-    digest = _digest(
+    run_digest = digest(
         {
             "app": "agg",
             "seed": seed,
@@ -458,7 +456,7 @@ def run_agg_chaos(
         expected=num_chunks * num_workers,
         failed_over=failover.failed_over,
         sim_ns=net.sim.now_ns,
-        digest=digest,
+        digest=run_digest,
         counters=counters,
         plan=plan.to_dict(),
         metrics=snapshot,

@@ -35,10 +35,12 @@ from repro.collective.job import (
 )
 from repro.collective.protocol import (
     NUM_SLOTS,
+    SlotCluster,
     SlotStream,
     StallError,
     StreamStats,
     require_all_done,
+    resync_streams,
 )
 from repro.collective.quantize import (
     EXP_BIAS,
@@ -56,6 +58,7 @@ from repro.collective.tree import (
     compile_role,
     leaf_device,
     standby_device,
+    wire_workers,
 )
 
 # The scenario and tenant layers pull in repro.chaos / repro.service,
@@ -99,6 +102,7 @@ __all__ = [
     "OPS",
     "ROOT_DEVICE",
     "RingResult",
+    "SlotCluster",
     "SlotStream",
     "StallError",
     "StreamStats",
@@ -113,9 +117,11 @@ __all__ = [
     "quantization_error_bound",
     "quantize_chunk",
     "require_all_done",
+    "resync_streams",
     "run_collective_chaos",
     "run_host_ring",
     "shard_range",
     "standby_device",
     "submit_collective_tenant",
+    "wire_workers",
 ]

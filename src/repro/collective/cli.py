@@ -8,19 +8,16 @@ Usage::
     python -m repro.collective --no-crash           # link faults only
     python -m repro.collective --check-determinism  # run twice, compare digests
 
-One ``--seed`` drives everything — tensors, fault RNG, and the fabric —
-so the printed digest is identical across invocations with the same
-seed.  Exit status is 0 only if every acceptance check passed (all ranks
+``--seed``, ``--json``, ``--check-determinism`` and the exit status are
+:func:`repro.scenario.scenario_main`'s.  The acceptance checks: all ranks
 finished, every element within the quantization error bound, failover
 happened when a crash was planned, and the tree's fabric traffic beat
-the host-ring baseline under the same link faults).
+the host-ring baseline under the same link faults.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 from typing import Optional
 
 from repro.collective.job import OPS
@@ -29,20 +26,13 @@ from repro.collective.scenarios import (
     default_collective_plan,
     run_collective_chaos,
 )
+from repro.scenario import add_fault_arguments, scenario_main
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro.collective",
-        description="Hierarchical in-network collectives under injected faults",
-    )
+def _add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--op", choices=OPS, default="allreduce",
         help="which collective to run",
-    )
-    p.add_argument(
-        "--seed", type=int, default=7,
-        help="master seed for tensors, faults, and the fabric",
     )
     p.add_argument("--racks", type=int, default=2, help="number of racks")
     p.add_argument(
@@ -56,25 +46,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--window", type=int, default=8, help="slot-stream window size"
     )
-    p.add_argument(
-        "--loss", type=float, default=0.05, help="per-hop loss probability"
-    )
-    p.add_argument(
-        "--no-crash", action="store_true",
-        help="skip the mid-run ToR crash (link faults only)",
-    )
+    add_fault_arguments(p, "ToR")
     p.add_argument(
         "--no-baseline", action="store_true",
         help="skip the host-ring baseline run and traffic comparison",
     )
-    p.add_argument(
-        "--json", action="store_true", help="emit the full result as JSON"
-    )
-    p.add_argument(
-        "--check-determinism", action="store_true",
-        help="run the scenario twice and require identical digests",
-    )
-    return p
 
 
 def _run(args: argparse.Namespace) -> CollectiveRunResult:
@@ -113,32 +89,16 @@ def _render(r: CollectiveRunResult) -> str:
         )
     else:
         lines.append(f"  fabric traffic {r.innetwork_link_bytes} B")
-    lines.append(f"  digest {r.digest}")
-    for name, value in sorted(r.counters.items()):
-        lines.append(f"  {name:<24} {value}")
-    for err in r.errors:
-        lines.append(f"  ERROR: {err}")
     return "\n".join(lines)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
-    result = _run(args)
-    if args.check_determinism:
-        again = _run(args)
-        if again.digest != result.digest:
-            print(
-                f"NOT deterministic: {result.digest} != {again.digest}",
-                file=sys.stderr,
-            )
-            return 2
-        print(f"deterministic: two runs produced digest {result.digest}")
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(_render(result))
-    return 0 if result.ok else 1
+    return scenario_main(
+        argv,
+        prog="python -m repro.collective",
+        description="Hierarchical in-network collectives under injected faults",
+        add_arguments=_add_arguments,
+        run=_run,
+        render=_render,
+    )
 
-
-if __name__ == "__main__":
-    sys.exit(main())

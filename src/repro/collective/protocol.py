@@ -13,8 +13,8 @@ host-side engine:
   round ahead of another);
 * lost results are recovered by re-sending the contribution — the
   switch-side ``cnt == 0`` path answers with the completed aggregate;
-* after a failover the control plane calls :meth:`SlotStream.resync_slot`
-  to rebuild in-flight rounds on the standby.
+* after a failover or a tenant migration the control plane calls
+  :func:`resync_streams` to rebuild in-flight rounds on the replacement.
 
 Subclasses provide the payload (:meth:`SlotStream._chunk_payload`) and
 consume completed rounds (:meth:`SlotStream._accept_result`); the wire
@@ -22,7 +22,8 @@ layout is always ``[ver, bmp_idx, agg_idx, mask, *payload]``.
 
 The module also owns stall diagnostics: a run that ends incomplete can
 name *which* workers and rounds are missing (:class:`StallError`)
-instead of failing a bare ``assert cluster.all_done``.
+instead of failing a bare ``assert cluster.all_done`` — and the run
+lifecycle every cluster of such workers shares (:class:`SlotCluster`).
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ class StallError(RuntimeError):
         self.reports = reports
 
 
-def require_all_done(workers, *, what: str = "worker", label: str = "chunk") -> None:
-    """Raise :class:`StallError` naming every incomplete worker.
+def stall_reports(workers, *, what: str = "worker", label: str = "chunk") -> list[str]:
+    """One diagnostic line per incomplete worker (empty when all done).
 
     ``workers`` is any iterable of objects with a ``stall_report``
     method (:class:`SlotStream`, ``AggWorker``, ``CollectiveWorker``).
@@ -69,11 +70,79 @@ def require_all_done(workers, *, what: str = "worker", label: str = "chunk") -> 
         r = w.stall_report(label=label)
         if r is not None:
             reports.append(f"{what} {getattr(w, 'worker_index', '?')}: {r}")
+    return reports
+
+
+def require_all_done(workers, *, what: str = "worker", label: str = "chunk") -> None:
+    """Raise :class:`StallError` naming every incomplete worker."""
+    reports = stall_reports(workers, what=what, label=label)
     if reports:
         raise StallError(
             f"{len(reports)} {what}(s) stalled:\n  " + "\n  ".join(reports),
             reports,
         )
+
+
+def resync_streams(streams) -> None:
+    """Restart the slots of ``streams`` after their switch lost its state.
+
+    ``streams`` are the slot streams contributing to the same
+    switch slots (``None`` entries — a worker with no job yet — are
+    skipped).  A crashed or migrated switch took the in-flight partial
+    aggregates with it, and the control plane does not know how far each
+    had got, so every slot restarts at the earliest round any stream
+    still has in flight there.  Streams already past it re-contribute
+    (their data is still at hand); a re-contribution that lands on a
+    completed slot is answered with the held result, which simply
+    advances the stream again.  Nothing in flight means nothing to do.
+    """
+    live = [s for s in streams if s is not None]
+    flights = [s.in_flight() for s in live]
+    for slot in sorted(set().union(*flights)):
+        base = min(f[slot] for f in flights if slot in f)
+        for s in live:
+            s.resync_slot(slot, base)
+
+
+class SlotCluster:
+    """The run lifecycle of a set of slot-stream workers on one network.
+
+    Subclasses provide ``network`` and ``workers`` (anything with
+    ``start``, ``done``, ``worker_index`` and ``stall_report``);
+    ``what`` is how a stall report names one worker.
+    """
+
+    what = "worker"
+    _started = False
+
+    def run(self, until_ms: float = 200.0, *, require_done: bool = False) -> None:
+        """Start the workers (once per job) and drive the simulation;
+        ``require_done`` raises a diagnostic :class:`StallError` on a
+        stall.
+
+        The horizon is *relative* to the current simulated time (the
+        simulator clock is advanced to the horizon even when the event
+        queue drains, so an absolute horizon would make every run after
+        the first a no-op)."""
+        if not self._started:
+            for w in self.workers:
+                w.start()
+            self._started = True
+        sim = self.network.sim
+        sim.run(until_ns=sim.now_ns + int(until_ms * 1e6))
+        if require_done:
+            self.require_done()
+
+    @property
+    def all_done(self) -> bool:
+        return all(w.done for w in self.workers)
+
+    def require_done(self) -> None:
+        require_all_done(self.workers, what=self.what, label="chunk")
+
+    def stall_report(self) -> list[str]:
+        """One diagnostic line per incomplete worker (empty when done)."""
+        return stall_reports(self.workers, what=self.what)
 
 
 class SlotStream:
@@ -287,6 +356,11 @@ class SlotStream:
     def done(self) -> bool:
         return len(self._done_chunks) == self.num_rounds
 
+    def in_flight(self) -> dict[int, int]:
+        """slot -> the round riding it now, in slot order (idle slots
+        omitted)."""
+        return {s: c for s, c in sorted(self._slot_chunk.items()) if c is not None}
+
     # -- diagnostics --------------------------------------------------------------
     def incomplete_chunks(self) -> list[int]:
         """Rounds not yet completed (empty when done)."""
@@ -297,13 +371,10 @@ class SlotStream:
         if self.done:
             return None
         missing = self.incomplete_chunks()
-        in_flight = {
-            s: c for s, c in sorted(self._slot_chunk.items()) if c is not None
-        }
         shown = ", ".join(str(c) for c in missing[:12])
         if len(missing) > 12:
             shown += f" … +{len(missing) - 12} more"
         return (
             f"{len(missing)}/{self.num_rounds} {label}s missing [{shown}]; "
-            f"in flight (slot->{label}): {in_flight}"
+            f"in flight (slot->{label}): {self.in_flight()}"
         )

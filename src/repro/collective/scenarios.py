@@ -9,77 +9,48 @@ fabric traffic (including every retransmission the chaos forced) still
 below the host-ring baseline running over its reliable transport under
 the same link faults.
 
-Mirrors :mod:`repro.chaos.scenarios`: same fault plan shape, same
-sha256-over-sorted-JSON determinism digest.
+Fault plan shape, result record and determinism digest are the shared
+ones of :mod:`repro.scenario`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.chaos.inject import ChaosController
-from repro.chaos.plan import ChaosEvent, ChaosPlan, LinkFaults
+from repro.chaos.plan import ChaosPlan
 from repro.collective.baseline import run_host_ring
 from repro.collective.job import contribution, shard_range
+from repro.collective.protocol import resync_streams
 from repro.collective.tree import (
     build_collective_cluster,
     leaf_device,
     standby_device,
 )
 from repro.reliability import FailoverManager
+from repro.scenario import ScenarioResult, acceptance_plan, digest
 
 
-@dataclass
-class CollectiveRunResult:
+@dataclass(kw_only=True)
+class CollectiveRunResult(ScenarioResult):
     """What one collective chaos run produced."""
 
     op: str
-    seed: int
-    ok: bool
-    errors: list[str]
     num_racks: int
     workers_per_rack: int
     tensor_elements: int
     finished: int
     failed_over: bool
-    sim_ns: int
     finished_at_ns: Optional[int]
     max_abs_error: float
     error_bound: float
     innetwork_link_bytes: int
     ring_link_bytes: Optional[int]
     hops_saved: int
-    digest: str
     counters: dict[str, object] = field(default_factory=dict)
     plan: dict = field(default_factory=dict)
-    metrics: dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "seed": self.seed,
-            "ok": self.ok,
-            "errors": self.errors,
-            "num_racks": self.num_racks,
-            "workers_per_rack": self.workers_per_rack,
-            "tensor_elements": self.tensor_elements,
-            "finished": self.finished,
-            "failed_over": self.failed_over,
-            "sim_ns": self.sim_ns,
-            "finished_at_ns": self.finished_at_ns,
-            "max_abs_error": self.max_abs_error,
-            "error_bound": self.error_bound,
-            "innetwork_link_bytes": self.innetwork_link_bytes,
-            "ring_link_bytes": self.ring_link_bytes,
-            "hops_saved": self.hops_saved,
-            "digest": self.digest,
-            "counters": self.counters,
-            "plan": self.plan,
-        }
 
 
 def default_collective_plan(
@@ -92,25 +63,15 @@ def default_collective_plan(
     crash_at_ns: Optional[int] = 60_000,
 ) -> ChaosPlan:
     """The acceptance fault model, aimed at rack 0's primary ToR."""
-    faults = LinkFaults(
+    return acceptance_plan(
+        seed,
+        crash_node=f"d{leaf_device(0)}",
+        crash_at_ns=crash_at_ns,
         loss=loss,
         duplicate=duplicate,
         reorder=reorder,
-        reorder_delay_ns=15_000,
         jitter_ns=jitter_ns,
     )
-    events = []
-    if crash_at_ns is not None:
-        events.append(
-            ChaosEvent(at_ns=crash_at_ns, kind="crash", node=f"d{leaf_device(0)}")
-        )
-    return ChaosPlan(seed=seed, default_link=faults, events=events)
-
-
-def _digest(payload: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
 
 
 def run_collective_chaos(
@@ -173,27 +134,10 @@ def run_collective_chaos(
         rack_workers = [w for w in cluster.workers if w.rack == rack]
 
         def resync(mgr: FailoverManager, rack_workers=rack_workers) -> None:
-            # The crashed ToR took its rack partials with it: restart
-            # each stream's slots at the earliest round any rack worker
-            # still needs there (see run_agg_chaos for the argument).
-            for attr in ("exp", "reduce"):
-                streams = [getattr(w, attr) for w in rack_workers]
-                slots: set[int] = set()
-                for s in streams:
-                    slots.update(
-                        sl for sl, c in s._slot_chunk.items() if c is not None
-                    )
-                for slot in sorted(slots):
-                    chunks = [
-                        c
-                        for c in (s._slot_chunk.get(slot) for s in streams)
-                        if c is not None
-                    ]
-                    if not chunks:
-                        continue
-                    base = min(chunks)
-                    for s in streams:
-                        s.resync_slot(slot, base)
+            # The crashed ToR took its rack partials with it: both
+            # streams of the rack restart on the standby.
+            resync_streams(w.exp for w in rack_workers)
+            resync_streams(w.reduce for w in rack_workers)
             for w in rack_workers:
                 w.set_device(mgr.standby_id)
 
@@ -299,7 +243,7 @@ def run_collective_chaos(
         else None
     )
     snapshot = m.snapshot()
-    digest = _digest(
+    run_digest = digest(
         {
             "app": "collective",
             "op": op,
@@ -330,7 +274,7 @@ def run_collective_chaos(
         innetwork_link_bytes=innetwork_bytes,
         ring_link_bytes=ring_bytes,
         hops_saved=hops_saved,
-        digest=digest,
+        digest=run_digest,
         counters=counters,
         plan=plan.to_dict(),
         metrics=snapshot,

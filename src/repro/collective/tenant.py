@@ -13,14 +13,17 @@ standby failover is: the control plane retargets the channels and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.collective.job import CollectiveJob, CollectiveWorker, OPS
-from repro.collective.protocol import require_all_done
-from repro.collective.tree import COLL_MCAST_GROUP, compile_role
+from repro.collective.protocol import resync_streams
+from repro.collective.tree import (
+    COLL_MCAST_GROUP,
+    CollectiveCluster,
+    compile_role,
+    wire_workers,
+)
 from repro.netsim import HOST
-from repro.runtime import KernelSpec
 from repro.service import INCService, Tenant, TenantQoS
 
 #: abstract device ids the collective program is written against.
@@ -32,89 +35,25 @@ def abstract_leaf(rack: int) -> int:
     return 2 + rack
 
 
-@dataclass
-class CollectiveTenant:
-    """One admitted collective tenant: its workers and job lifecycle."""
+@dataclass(kw_only=True)
+class CollectiveTenant(CollectiveCluster):
+    """One admitted collective tenant: a :class:`CollectiveCluster` whose
+    ``root`` and ``leaves`` are the tenant's slices of a shared fabric
+    (``compiled`` is keyed by abstract device id, there are no standbys).
+    Job lifecycle, stall diagnostics and traffic accounting are the
+    cluster's."""
 
     service: INCService
     tenant_id: str
     tenant: Tenant
-    workers: list[CollectiveWorker]
-    spec_reduce: KernelSpec
-    spec_exp: KernelSpec
-    num_racks: int
-    workers_per_rack: int
-    jobs_run: int = 0
-    _started: bool = field(default=False, repr=False)
 
-    @property
-    def num_workers(self) -> int:
-        return self.num_racks * self.workers_per_rack
+    #: :meth:`CollectiveCluster.submit` under its tenant-side name
+    submit_job = CollectiveCluster.submit
 
-    def submit_job(
-        self,
-        op: str,
-        tensors: list[list[float]],
-        *,
-        name: str = "job",
-        root: int = 0,
-    ) -> CollectiveJob:
-        """Set up one collective over per-rank ``tensors``; run() drives it."""
-        if op not in OPS:
-            raise ValueError(f"unknown collective op {op!r} (want one of {OPS})")
-        if len(tensors) != self.num_workers:
-            raise ValueError(
-                f"{len(tensors)} tensors for {self.num_workers} workers"
-            )
-        if self.jobs_run > 0:
-            # Between-job epoch bump: wipe the slices' slot state so the
-            # previous job's final rounds don't alias as in-progress.
-            for dev in self.tenant.devices.values():
-                dev.reset_state()
-        self.jobs_run += 1
-        num_elements = (
-            len(tensors[root])
-            if op != "allgather"
-            else sum(len(t) for t in tensors)
-        )
-        job = CollectiveJob(
-            name=name,
-            op=op,
-            num_elements=num_elements,
-            root=root,
-            num_workers=self.num_workers,
-        )
-        for w in self.workers:
-            w.start_job(job, tensors[w.rank])
-        self._started = False
-        return job
-
-    def run(self, until_ms: float = 200.0, *, require_done: bool = False) -> None:
-        """Drive the service's simulation (relative horizon; see
-        :meth:`repro.collective.tree.CollectiveCluster.run`)."""
-        if not self._started:
-            for w in self.workers:
-                w.start()
-            self._started = True
-        sim = self.service.network.sim
-        sim.run(until_ns=sim.now_ns + int(until_ms * 1e6))
-        if require_done:
-            self.require_done()
-
-    @property
-    def all_done(self) -> bool:
-        return all(w.done for w in self.workers)
-
-    def require_done(self) -> None:
-        require_all_done(self.workers, what="rank", label="chunk")
-
-    def stall_report(self) -> list[str]:
-        out = []
-        for w in self.workers:
-            r = w.stall_report()
-            if r is not None:
-                out.append(f"rank {w.rank}: {r}")
-        return out
+    def reset_tree(self) -> None:
+        """The between-job wipe touches this tenant's slices only."""
+        for dev in self.tenant.devices.values():
+            dev.reset_state()
 
     # -- migration ----------------------------------------------------------------
     def resync(self) -> None:
@@ -122,26 +61,13 @@ class CollectiveTenant:
 
         A migrated leaf lost its rack partials; a migrated root lost the
         cross-rack totals.  The control plane doesn't say which slice
-        moved, so every stream restarts each slot at the earliest round
-        any worker still has in flight there — spurious re-contributions
-        land on completed slots and are answered by re-multicast, which
-        the hosts reject by round tag.
+        moved, so every worker's streams restart together (see
+        :func:`~repro.collective.protocol.resync_streams`) — spurious
+        re-contributions land on completed slots and are answered by
+        re-multicast, which the hosts reject by round tag.
         """
-        for attr in ("exp", "reduce"):
-            streams = [getattr(w, attr) for w in self.workers if getattr(w, attr)]
-            slots: set[int] = set()
-            for s in streams:
-                slots.update(sl for sl, c in s._slot_chunk.items() if c is not None)
-            for slot in sorted(slots):
-                chunks = [
-                    c
-                    for c in (s._slot_chunk.get(slot) for s in streams)
-                    if c is not None
-                ]
-                if chunks:
-                    base = min(chunks)
-                    for s in streams:
-                        s.resync_slot(slot, base)
+        resync_streams(w.exp for w in self.workers)
+        resync_streams(w.reduce for w in self.workers)
 
 
 def submit_collective_tenant(
@@ -170,9 +96,8 @@ def submit_collective_tenant(
     from repro.deploy.planner import AbstractTopology
 
     topo = AbstractTopology()
-    compiled: dict[int, object] = {}
 
-    def compile_at(abstract_id: int, rack: Optional[int]):
+    def compile_at(abstract_id: int, rack: Optional[int]) -> None:
         prog = compile_role(
             abstract_id,
             rack=rack,
@@ -182,9 +107,7 @@ def submit_collective_tenant(
             mcast_group=COLL_MCAST_GROUP,
             target=target,
         )
-        compiled[abstract_id] = prog
         topo.add_device(abstract_id, prog)
-        return prog
 
     compile_at(ABSTRACT_ROOT, None)
     for rack in range(num_racks):
@@ -194,59 +117,38 @@ def submit_collective_tenant(
         topo.attach_host(h, abstract_leaf(rank // workers_per_rack))
     topo.add_multicast_group(COLL_MCAST_GROUP, [HOST(h) for h in hosts])
 
-    ct: Optional[CollectiveTenant] = None
-
-    def on_migrate(service: INCService, tenant: Tenant) -> None:
-        if ct is not None:
-            ct.resync()
-
     # The slot protocol assumes per-sender FIFO delivery.
     qos = qos or TenantQoS(ordered=True)
-    tenant = service.submit(tenant_id, topo, qos, on_migrate=on_migrate)
-
-    leaf_kernels = {
-        k.computation: k for k in compiled[abstract_leaf(0)].kernels()
-    }
-    spec_reduce = KernelSpec.from_kernel(leaf_kernels[1])
-    spec_exp = KernelSpec.from_kernel(leaf_kernels[2])
-
-    from repro.reliability import ReliableChannel
-
-    net = service.network
-    workers: list[CollectiveWorker] = []
-    for rank, h in enumerate(hosts):
-        rack = rank // workers_per_rack
-        leaf_abstract = abstract_leaf(rack)
-        gid = tenant.abstract_to_gid[leaf_abstract]
-        worker = CollectiveWorker(
-            net,
-            h,
-            rank,
-            rack,
-            spec_reduce,
-            spec_exp,
-            device_id=gid,
-            window=window,
-            timeout_ns=timeout_ns,
-            stagger_ns=stagger_ns,
-            exp_group=exp_group,
-        )
-        # ack=False for the same reason as the standalone tree: the slot
-        # protocol completes through the reflected result.
-        worker.channel = ReliableChannel(
-            net, worker.host, spec_reduce, target_device=gid, ack=False
-        )
-        service.register_channel(tenant_id, leaf_abstract, worker.channel)
-        workers.append(worker)
-
+    tenant = service.submit(tenant_id, topo, qos)
+    workers = wire_workers(
+        service.network,
+        hosts,
+        workers_per_rack,
+        [tenant.abstract_to_gid[abstract_leaf(r)] for r in range(num_racks)],
+        topo.programs[abstract_leaf(0)],
+        window=window,
+        exp_group=exp_group,
+        timeout_ns=timeout_ns,
+        stagger_ns=stagger_ns,
+        reliable=True,
+        on_channel=lambda rack, channel: service.register_channel(
+            tenant_id, abstract_leaf(rack), channel
+        ),
+    )
     ct = CollectiveTenant(
+        network=service.network,
+        root=tenant.devices[ABSTRACT_ROOT],
+        leaves=[tenant.devices[abstract_leaf(r)] for r in range(num_racks)],
+        standbys=[],
+        workers=workers,
+        compiled=topo.programs,
+        spec_reduce=workers[0].spec_reduce,
+        spec_exp=workers[0].spec_exp,
+        num_racks=num_racks,
+        workers_per_rack=workers_per_rack,
         service=service,
         tenant_id=tenant_id,
         tenant=tenant,
-        workers=workers,
-        spec_reduce=spec_reduce,
-        spec_exp=spec_exp,
-        num_racks=num_racks,
-        workers_per_rack=workers_per_rack,
     )
+    tenant.on_migrate = lambda service, tenant: ct.resync()
     return ct

@@ -18,9 +18,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.apps import compile_app
-from repro.collective.job import CollectiveJob, CollectiveWorker, OPS
-from repro.collective.protocol import require_all_done
-from repro.netsim import DEVICE, HOST, Link, Network
+from repro.collective.job import (
+    COMP_EXPMAX,
+    COMP_REDUCE,
+    CollectiveJob,
+    CollectiveWorker,
+    OPS,
+)
+from repro.collective.protocol import SlotCluster
+from repro.netsim import DEVICE, HOST, Link, Network, pipeline_latency_ns
+from repro.reliability import ReliableChannel, ReliableNetCLDevice
 from repro.runtime import KernelSpec, NetCLDevice
 
 ROOT_DEVICE = 100
@@ -69,8 +76,14 @@ def compile_role(
 
 
 @dataclass
-class CollectiveCluster:
-    """A compiled, wired collective fabric ready to run jobs."""
+class CollectiveCluster(SlotCluster):
+    """A compiled, wired collective fabric ready to run jobs.
+
+    ``run`` / ``all_done`` / ``require_done`` / ``stall_report`` are the
+    shared :class:`~repro.collective.protocol.SlotCluster` lifecycle.
+    """
+
+    what = "rank"
 
     network: Network
     root: NetCLDevice
@@ -130,40 +143,8 @@ class CollectiveCluster:
         self._started = False
         return job
 
-    def run(self, until_ms: float = 200.0, *, require_done: bool = False) -> None:
-        """Drive the simulation; ``require_done`` raises a diagnostic
-        :class:`~repro.collective.protocol.StallError` on a stall.
-
-        The horizon is *relative* to the current simulated time (the
-        simulator clock is advanced to the horizon even when the event
-        queue drains, so an absolute horizon would make every job after
-        the first a no-op)."""
-        if not self._started:
-            for w in self.workers:
-                w.start()
-            self._started = True
-        sim = self.network.sim
-        sim.run(until_ns=sim.now_ns + int(until_ms * 1e6))
-        if require_done:
-            self.require_done()
-
-    @property
-    def all_done(self) -> bool:
-        return all(w.done for w in self.workers)
-
-    def require_done(self) -> None:
-        require_all_done(self.workers, what="rank", label="chunk")
-
-    def stall_report(self) -> list[str]:
-        out = []
-        for w in self.workers:
-            r = w.stall_report()
-            if r is not None:
-                out.append(f"rank {w.rank}: {r}")
-        return out
-
     def reset_tree(self) -> None:
-        """Wipe slot state on every switch that is still up."""
+        """Wipe slot state on every switch of the tree that is still up."""
         for dev in [self.root, *self.leaves, *self.standbys]:
             if self.network.is_up(DEVICE(dev.device_id)):
                 dev.reset_state()
@@ -172,6 +153,68 @@ class CollectiveCluster:
         """Total bytes every link carried so far (the traffic metric the
         in-network vs host-ring comparison is about)."""
         return int(self.network.metrics.total("link.tx_bytes."))
+
+
+def wire_workers(
+    net: Network,
+    hosts: list[int],
+    workers_per_rack: int,
+    leaf_ids: list[int],
+    leaf_program,
+    *,
+    window: int,
+    exp_group: int,
+    timeout_ns: int,
+    stagger_ns: int,
+    reliable: bool,
+    on_channel=lambda rack, channel: None,
+) -> list[CollectiveWorker]:
+    """One :class:`CollectiveWorker` per host of ``hosts`` (rank order,
+    ``workers_per_rack`` to a rack); rack ``r``'s workers address device
+    ``leaf_ids[r]``.  The message specs are read off ``leaf_program``.
+
+    ``reliable`` gives every worker a
+    :class:`~repro.reliability.ReliableChannel` and reports it through
+    ``on_channel(rack, channel)`` — how a service tenant registers its
+    channels for retargeting on migration; standalone passes nothing.
+    """
+    by_comp = {k.computation: k for k in leaf_program.kernels()}
+    spec_reduce = KernelSpec.from_kernel(by_comp[COMP_REDUCE])
+    spec_exp = KernelSpec.from_kernel(by_comp[COMP_EXPMAX])
+    workers: list[CollectiveWorker] = []
+    for rank, host_id in enumerate(hosts):
+        rack = rank // workers_per_rack
+        worker = CollectiveWorker(
+            net,
+            host_id,
+            rank,
+            rack,
+            spec_reduce,
+            spec_exp,
+            device_id=leaf_ids[rack],
+            window=window,
+            timeout_ns=timeout_ns,
+            stagger_ns=stagger_ns,
+            exp_group=exp_group,
+        )
+        if reliable:
+            # Construct after the worker installed its dispatch so the
+            # channel interposes on it.  ack=False: the slot protocol
+            # completes every exchange through the reflected result
+            # (reflect or multicast), so per-request device ACKs would
+            # be pure wire overhead; sequence numbers are still
+            # stamped, so the switches' dedup keeps filtering
+            # network-duplicated packets.
+            worker.channel = ReliableChannel(
+                net,
+                worker.host,
+                spec_reduce,
+                target_device=leaf_ids[rack],
+                ack=False,
+            )
+            on_channel(rack, worker.channel)
+        workers.append(worker)
+    return workers
 
 
 def build_collective_cluster(
@@ -215,8 +258,6 @@ def build_collective_cluster(
 
     def make_device(device_id: int, compiled) -> NetCLDevice:
         if reliable:
-            from repro.reliability import ReliableNetCLDevice
-
             # ordered=True: the slot protocol assumes per-worker FIFO
             # delivery (see run_agg_chaos).
             return ReliableNetCLDevice(
@@ -240,8 +281,7 @@ def build_collective_cluster(
         )
         compiled[device_id] = prog
         dev = make_device(device_id, prog)
-        processing = int(prog.report.latency.total_ns) if prog.report else 500
-        net.add_switch(dev, processing_ns=processing)
+        net.add_switch(dev, processing_ns=pipeline_latency_ns(prog))
         return dev
 
     def fabric_link(a, b) -> None:
@@ -267,51 +307,26 @@ def build_collective_cluster(
             standbys.append(spare)
             fabric_link(DEVICE(spare.device_id), DEVICE(ROOT_DEVICE))
 
-    leaf_kernels = {k.computation: k for k in compiled[leaf_device(0)].kernels()}
-    spec_reduce = KernelSpec.from_kernel(leaf_kernels[1])
-    spec_exp = KernelSpec.from_kernel(leaf_kernels[2])
-
-    workers: list[CollectiveWorker] = []
-    for rack in range(num_racks):
-        for i in range(workers_per_rack):
-            rank = rack * workers_per_rack + i
-            host_id = rank + 1
-            net.add_host(host_id)
-            fabric_link(HOST(host_id), DEVICE(leaf_device(rack)))
-            if standby:
-                fabric_link(HOST(host_id), DEVICE(standby_device(rack)))
-            worker = CollectiveWorker(
-                net,
-                host_id,
-                rank,
-                rack,
-                spec_reduce,
-                spec_exp,
-                device_id=leaf_device(rack),
-                window=window,
-                timeout_ns=timeout_ns,
-                stagger_ns=stagger_ns,
-                exp_group=exp_group,
-            )
-            if reliable:
-                from repro.reliability import ReliableChannel
-
-                # Construct after the worker installed its dispatch so the
-                # channel interposes on it.  ack=False: the slot protocol
-                # completes every exchange through the reflected result
-                # (reflect or multicast), so per-request device ACKs would
-                # be pure wire overhead; sequence numbers are still
-                # stamped, so the switches' dedup keeps filtering
-                # network-duplicated packets.
-                worker.channel = ReliableChannel(
-                    net,
-                    worker.host,
-                    spec_reduce,
-                    target_device=leaf_device(rack),
-                    ack=False,
-                )
-            workers.append(worker)
-    net.add_multicast_group(COLL_MCAST_GROUP, [HOST(w.host_id) for w in workers])
+    hosts = list(range(1, num_racks * workers_per_rack + 1))
+    for rank, host_id in enumerate(hosts):
+        rack = rank // workers_per_rack
+        net.add_host(host_id)
+        fabric_link(HOST(host_id), DEVICE(leaf_device(rack)))
+        if standby:
+            fabric_link(HOST(host_id), DEVICE(standby_device(rack)))
+    workers = wire_workers(
+        net,
+        hosts,
+        workers_per_rack,
+        [leaf.device_id for leaf in leaves],
+        compiled[leaf_device(0)],
+        window=window,
+        exp_group=exp_group,
+        timeout_ns=timeout_ns,
+        stagger_ns=stagger_ns,
+        reliable=reliable,
+    )
+    net.add_multicast_group(COLL_MCAST_GROUP, [HOST(h) for h in hosts])
 
     return CollectiveCluster(
         network=net,
@@ -320,8 +335,8 @@ def build_collective_cluster(
         standbys=standbys,
         workers=workers,
         compiled=compiled,
-        spec_reduce=spec_reduce,
-        spec_exp=spec_exp,
+        spec_reduce=workers[0].spec_reduce,
+        spec_exp=workers[0].spec_exp,
         num_racks=num_racks,
         workers_per_rack=workers_per_rack,
     )

@@ -6,10 +6,16 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
-import networkx as nx
-
 from repro.core.driver import CompiledProgram
-from repro.netsim import DEVICE, HOST, Link, Network, NodeKey
+from repro.netsim import (
+    DEVICE,
+    HOST,
+    Graph,
+    Link,
+    Network,
+    NodeKey,
+    pipeline_latency_ns,
+)
 from repro.runtime.device import NetCLDevice
 
 
@@ -183,13 +189,14 @@ class PhysicalFabric:
     def link(self, a: NodeKey, b: NodeKey) -> None:
         self.links.append((a, b))
 
-    def graph(self) -> nx.Graph:
-        g = nx.Graph()
+    def graph(self) -> Graph:
+        g = Graph()
         for sid in self.switches:
             g.add_node(DEVICE(sid))
         for hid in self.hosts:
             g.add_node(HOST(hid))
-        g.add_edges_from(self.links)
+        for a, b in self.links:
+            g.add_edge(a, b)
         return g
 
 
@@ -231,7 +238,7 @@ class DeploymentPlanner:
                 )
             demands[dev_id] = cp.report
 
-        paths = dict(nx.all_pairs_shortest_path_length(graph))
+        paths = graph.all_pairs_lengths()
         for host_id in topology.host_attachments:
             reach = paths.get(HOST(host_id), {})
             if not any(DEVICE(sid) in reach for sid in self.fabric.switches):
@@ -338,7 +345,7 @@ class DeploymentPlanner:
                 # The runtime keeps the *abstract* device id: kernels were
                 # compiled against it (device.id, send_to_device targets).
                 dev = NetCLDevice(abstract, cp.module, cp.kernels())
-                proc = int(cp.report.latency.total_ns) if cp.report else 400
+                proc = pipeline_latency_ns(cp, 400)
             else:
                 # A plain transit switch: base program only.
                 from repro.ir.module import Module

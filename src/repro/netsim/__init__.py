@@ -9,6 +9,7 @@ behavior, under the paper's assumption that the abstract topology *is* the
 real topology, §VI-C).
 """
 
+from repro.netsim.graph import Graph
 from repro.netsim.sim import Simulator, Event
 from repro.netsim.net import (
     Network,
@@ -18,11 +19,13 @@ from repro.netsim.net import (
     HOST,
     DEVICE,
     NodeKey,
+    pipeline_latency_ns,
 )
 
 __all__ = [
     "Simulator",
     "Event",
+    "Graph",
     "Network",
     "Host",
     "Switch",
@@ -30,4 +33,5 @@ __all__ = [
     "HOST",
     "DEVICE",
     "NodeKey",
+    "pipeline_latency_ns",
 ]

@@ -5,7 +5,8 @@ ids and device ids are separate namespaces, matching the NetCL system
 model (§IV).  Packets move hop by hop: every switch on the path invokes
 its NetCL device runtime, which either computes (when the packet's ``to``
 matches) or forwards it as a no-op — exactly the base-program behavior of
-§VI-C.  Routing uses shortest paths over the topology graph (networkx).
+§VI-C.  Routing uses shortest paths over the topology graph
+(:class:`repro.netsim.graph.Graph`).
 
 Observability (``repro.telemetry``): every network owns a
 :class:`MetricRegistry` with per-link tx counters and in-flight gauges,
@@ -35,8 +36,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import networkx as nx
-
+from repro.netsim.graph import Graph
 from repro.netsim.sim import Simulator
 from repro.runtime.device import ForwardDecision, ForwardKind, NetCLDevice
 from repro.runtime.message import KernelSpec, Message, NetCLPacket, NO_DEVICE, PacketPool, pack
@@ -197,6 +197,12 @@ class Switch:
             network.execute_decision(self.key, extra)
 
 
+def pipeline_latency_ns(compiled, fallback: int = 500) -> int:
+    """The ``processing_ns`` of a switch running ``compiled``: the Fig. 13
+    latency model's total when the program was fitted, else ``fallback``."""
+    return int(compiled.report.latency.total_ns) if compiled.report else fallback
+
+
 class Network:
     def __init__(
         self,
@@ -207,7 +213,7 @@ class Network:
         tracer: Optional[PacketTracer] = None,
     ) -> None:
         self.sim = sim or Simulator()
-        self.graph = nx.Graph()
+        self.graph = Graph()
         self.hosts: dict[int, Host] = {}
         self.switches: dict[int, Switch] = {}
         self.links: dict[frozenset, Link] = {}
@@ -435,7 +441,7 @@ class Network:
         table: dict[NodeKey, NodeKey] = {}
         tree: set[frozenset] = set()
         if src in self.graph:
-            for dst, path in nx.single_source_shortest_path(self.graph, src).items():
+            for dst, path in self.graph.shortest_paths(src).items():
                 if len(path) > 1:
                     table[dst] = path[1]
                     for u, v in zip(path, path[1:]):

@@ -45,6 +45,7 @@ from repro.rpc.cluster import (
     server_host,
     standby_device,
     tor_device,
+    wire_rpc_apps,
 )
 from repro.rpc.idl import (
     MEMO_LINES,
@@ -145,5 +146,6 @@ __all__ = [
     "u32",
     "u64",
     "vec",
+    "wire_rpc_apps",
     "word_count",
 ]

@@ -8,35 +8,24 @@ Usage::
     python -m repro.rpc --no-crash            # link faults only
     python -m repro.rpc --check-determinism   # run twice, compare digests
 
-One ``--seed`` drives everything — request ids, fault RNG, and the
-fabric — so the printed digest is identical across invocations with the
-same seed.  Exit status is 0 only if every acceptance check passed (all
+``--seed``, ``--json``, ``--check-determinism`` and the exit status are
+:func:`repro.scenario.scenario_main`'s.  The acceptance checks: all
 calls completed, every gather bit-identical to the host merge twin,
 every non-idempotent call applied exactly once, memoization hits
 observed, failover happened when a crash was planned, and the gather
-fabric traffic beat the host fan-out baseline under the same link
-faults).
+fabric traffic beat the host fan-out baseline under the same link faults.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 from typing import Optional
 
 from repro.rpc.scenarios import RpcRunResult, default_rpc_plan, run_rpc_chaos
+from repro.scenario import add_fault_arguments, scenario_main
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro.rpc",
-        description="In-network accelerated RPC under injected faults",
-    )
-    p.add_argument(
-        "--seed", type=int, default=7,
-        help="master seed for requests, faults, and the fabric",
-    )
+def _add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--racks", type=int, default=2, help="number of racks")
     p.add_argument(
         "--servers-per-rack", type=int, default=8,
@@ -60,25 +49,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--window", type=int, default=8, help="gather slot-stream window size"
     )
-    p.add_argument(
-        "--loss", type=float, default=0.05, help="per-hop loss probability"
-    )
-    p.add_argument(
-        "--no-crash", action="store_true",
-        help="skip the mid-run ToR crash (link faults only)",
-    )
+    add_fault_arguments(p, "ToR")
     p.add_argument(
         "--no-baseline", action="store_true",
         help="skip the host fan-out baseline run and traffic comparison",
     )
-    p.add_argument(
-        "--json", action="store_true", help="emit the full result as JSON"
-    )
-    p.add_argument(
-        "--check-determinism", action="store_true",
-        help="run the scenario twice and require identical digests",
-    )
-    return p
 
 
 def _run(args: argparse.Namespace) -> RpcRunResult:
@@ -119,32 +94,16 @@ def _render(r: RpcRunResult) -> str:
         )
     else:
         lines.append(f"  fabric traffic {r.innetwork_link_bytes} B")
-    lines.append(f"  digest {r.digest}")
-    for name, value in sorted(r.counters.items()):
-        lines.append(f"  {name:<24} {value}")
-    for err in r.errors:
-        lines.append(f"  ERROR: {err}")
     return "\n".join(lines)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
-    result = _run(args)
-    if args.check_determinism:
-        again = _run(args)
-        if again.digest != result.digest:
-            print(
-                f"NOT deterministic: {result.digest} != {again.digest}",
-                file=sys.stderr,
-            )
-            return 2
-        print(f"deterministic: two runs produced digest {result.digest}")
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(_render(result))
-    return 0 if result.ok else 1
+    return scenario_main(
+        argv,
+        prog="python -m repro.rpc",
+        description="In-network accelerated RPC under injected faults",
+        add_arguments=_add_arguments,
+        run=_run,
+        render=_render,
+    )
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -25,15 +25,19 @@ the same configuration is what :mod:`repro.service` gives a tenant, so
 standalone and tenant deployments exercise identical device behavior.
 Host-side token refills reuse the service's QoS bucket math
 (:class:`TokenRefiller`).
+
+Everything above the switches — method routing, memo controllers, the
+refiller, servers and clients — is :func:`wire_rpc_apps`, which
+:mod:`repro.rpc.tenant` calls with a tenant's ids and connections
+instead of this module's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.apps import compile_app
-from repro.netsim import DEVICE, HOST, Link, Network
+from repro.netsim import DEVICE, HOST, Link, Network, pipeline_latency_ns
 from repro.reliability import ReliableNetCLDevice, ReplicatedConnection
 from repro.rpc.client import RpcClient
 from repro.rpc.idl import NUM_METHODS, RpcSchema
@@ -206,6 +210,136 @@ def server_host(index: int, num_clients: int) -> int:
     return num_clients + 1 + index
 
 
+def check_rpc_shape(schema: RpcSchema, handlers: dict, fanout: int) -> None:
+    """Reject a deployment the data plane cannot express, before any
+    switch is compiled or any tenant admitted."""
+    if not 1 <= fanout <= 16:
+        raise ValueError("fanout must be in [1, 16] (replica bits are u16)")
+    for name in (m.name for m in schema.methods):
+        if name not in handlers:
+            raise ValueError(f"no handler for method {name!r}")
+
+
+def wire_rpc_apps(
+    net: Network,
+    schema: RpcSchema,
+    handlers: dict,
+    *,
+    client_hosts: list[int],
+    server_hosts: list[int],
+    servers_per_rack: int,
+    edge_program,
+    edge_id: int,
+    sg_id: int,
+    tor_ids: list[int],
+    edge_conn,
+    tor_conns: list,
+    memo_tag: str,
+    window: int,
+    gather_rounds: int,
+    timeout_ns: int,
+    refill_interval_ns: int,
+    address=lambda device_id: device_id,
+    on_channel=lambda device_id, channel: None,
+) -> dict:
+    """Everything above the switches, for any deployment of the roles.
+
+    A deployment is described by data.  ``edge_id`` / ``sg_id`` /
+    ``tor_ids`` (one per rack) are the ids the *programs* were compiled
+    with — what goes into the edge's routing MATs.  ``address(id)`` is
+    the id *hosts* put on the wire to reach that program: the same id
+    standalone, a tenant's fabric-global id under :mod:`repro.service`.
+    ``edge_conn`` / ``tor_conns`` are the control connections (journaling
+    ones where failover or migration must replay them), ``memo_tag``
+    prefixes the memo controllers' metric names, and
+    ``on_channel(device_id, channel)`` sees every host channel with the
+    role it targets — how a tenant registers them for retargeting.
+
+    ``server_hosts`` are in replica-index order, ``servers_per_rack`` to
+    a rack.  Unary methods are spread over racks by ``method_id %
+    num_racks`` and over a rack's servers by ``method_id // num_racks``.
+    Returns the :class:`RpcCluster` fields this wiring determines.
+    """
+    num_racks = len(tor_ids)
+    edge_kernels = {k.computation: k for k in edge_program.kernels()}
+    spec_unary = KernelSpec.from_kernel(edge_kernels[1])
+    spec_sg = KernelSpec.from_kernel(edge_kernels[2])
+    # RPC hosts model a single-core packet path: per-packet overhead
+    # serializes.  The host-only baseline sets the same flag, so the
+    # fan-out comparison charges both sides identically.
+    for h in (*client_hosts, *server_hosts):
+        net.hosts[h].serialize_overheads = True
+
+    # -- control plane ------------------------------------------------------------
+    method_rack: dict[int, int] = {}
+    method_server: dict[int, int] = {}
+    for m in schema.methods:
+        if m.kind == "unary":
+            rack = m.method_id % num_racks
+            within = (m.method_id // num_racks) % servers_per_rack
+            method_rack[m.method_id] = rack
+            method_server[m.method_id] = server_hosts[rack * servers_per_rack + within]
+            edge_conn.managed_insert("URoute", m.method_id, tor_ids[rack])
+        else:
+            edge_conn.managed_insert("SRoute", m.method_id, sg_id)
+    memo = {
+        rack: MemoController(conn, metrics=net.metrics, tag=f"{memo_tag}r{rack}")
+        for rack, conn in enumerate(tor_conns)
+    }
+    refiller = TokenRefiller(
+        net, edge_conn, schema, interval_ns=refill_interval_ns
+    ).start()
+
+    # -- applications -------------------------------------------------------------
+    servers = []
+    for i, h in enumerate(server_hosts):
+        server = RpcServer(
+            net,
+            h,
+            schema,
+            handlers,
+            replica_index=i,
+            sg_device=address(sg_id),
+            spec_unary=spec_unary,
+            spec_sg=spec_sg,
+            memo=memo[i // servers_per_rack],
+        )
+        on_channel(sg_id, server.channel)
+        servers.append(server)
+    slots_per_client = NUM_SLOTS // max(1, len(client_hosts))
+    clients = []
+    for c, h in enumerate(client_hosts):
+        client = RpcClient(
+            net,
+            h,
+            schema,
+            edge_device=address(edge_id),
+            spec_unary=spec_unary,
+            spec_sg=spec_sg,
+            method_servers=method_server,
+            slot_base=c * slots_per_client,
+            window=min(window, slots_per_client),
+            gather_rounds=gather_rounds,
+            timeout_ns=timeout_ns,
+        )
+        on_channel(edge_id, client.channel)
+        clients.append(client)
+    return dict(
+        schema=schema,
+        clients=clients,
+        servers=servers,
+        memo=memo,
+        edge_conn=edge_conn,
+        refiller=refiller,
+        spec_unary=spec_unary,
+        spec_sg=spec_sg,
+        num_racks=num_racks,
+        servers_per_rack=servers_per_rack,
+        method_rack=method_rack,
+        method_server=method_server,
+    )
+
+
 def build_rpc_cluster(
     schema: RpcSchema,
     handlers: dict,
@@ -233,11 +367,7 @@ def build_rpc_cluster(
     ``method_id // num_racks``.
     """
     fanout = num_racks * servers_per_rack
-    if not 1 <= fanout <= 16:
-        raise ValueError("fanout must be in [1, 16] (replica bits are u16)")
-    for name in (m.name for m in schema.methods):
-        if name not in handlers:
-            raise ValueError(f"no handler for method {name!r}")
+    check_rpc_shape(schema, handlers, fanout)
 
     net = Network(seed=seed)
     compiled: dict[int, object] = {}
@@ -261,8 +391,7 @@ def build_rpc_cluster(
             # full re-scatter to all FANOUT replicas.
             ordered=False,
         )
-        processing = int(prog.report.latency.total_ns) if prog.report else 500
-        net.add_switch(dev, processing_ns=processing)
+        net.add_switch(dev, processing_ns=pipeline_latency_ns(prog))
         return dev
 
     def fabric_link(a, b) -> None:
@@ -292,10 +421,6 @@ def build_rpc_cluster(
             fabric_link(DEVICE(spare.device_id), DEVICE(EDGE_DEVICE))
             fabric_link(DEVICE(spare.device_id), DEVICE(SG_DEVICE))
 
-    edge_kernels = {k.computation: k for k in compiled[EDGE_DEVICE].kernels()}
-    spec_unary = KernelSpec.from_kernel(edge_kernels[1])
-    spec_sg = KernelSpec.from_kernel(edge_kernels[2])
-
     # -- hosts --------------------------------------------------------------------
     for c in range(num_clients):
         net.add_host(c + 1)
@@ -310,89 +435,32 @@ def build_rpc_cluster(
         if standby:
             fabric_link(HOST(h), DEVICE(standby_device(rack)))
     net.add_multicast_group(SG_MCAST_GROUP, [HOST(h) for h in server_hosts])
-    # RPC hosts model a single-core packet path: per-packet overhead
-    # serializes.  The host-only baseline sets the same flag, so the
-    # fan-out comparison charges both sides identically.
-    for host in net.hosts.values():
-        host.serialize_overheads = True
 
-    # -- control plane ------------------------------------------------------------
-    edge_conn = DeviceConnection(edge)
-    method_rack: dict[int, int] = {}
-    method_server: dict[int, int] = {}
-    for m in schema.methods:
-        if m.kind == "unary":
-            rack = m.method_id % num_racks
-            within = (m.method_id // num_racks) % servers_per_rack
-            method_rack[m.method_id] = rack
-            method_server[m.method_id] = server_host(
-                rack * servers_per_rack + within, num_clients
-            )
-            edge_conn.managed_insert("URoute", m.method_id, tor_device(rack))
-        else:
-            edge_conn.managed_insert("SRoute", m.method_id, SG_DEVICE)
-    memo = {
-        rack: MemoController(
-            ReplicatedConnection(DeviceConnection(tors[rack])),
-            metrics=net.metrics,
-            tag=f"r{rack}",
-        )
-        for rack in range(num_racks)
-    }
-    refiller = TokenRefiller(
-        net, edge_conn, schema, interval_ns=refill_interval_ns
-    ).start()
-
-    # -- applications -------------------------------------------------------------
-    servers = [
-        RpcServer(
-            net,
-            server_hosts[i],
-            schema,
-            handlers,
-            replica_index=i,
-            sg_device=SG_DEVICE,
-            spec_unary=spec_unary,
-            spec_sg=spec_sg,
-            memo=memo[i // servers_per_rack],
-        )
-        for i in range(fanout)
-    ]
-    slots_per_client = NUM_SLOTS // max(1, num_clients)
-    clients = [
-        RpcClient(
-            net,
-            c + 1,
-            schema,
-            edge_device=EDGE_DEVICE,
-            spec_unary=spec_unary,
-            spec_sg=spec_sg,
-            method_servers=method_server,
-            slot_base=c * slots_per_client,
-            window=min(window, slots_per_client),
-            gather_rounds=gather_rounds,
-            timeout_ns=timeout_ns,
-        )
-        for c in range(num_clients)
-    ]
-
+    apps = wire_rpc_apps(
+        net,
+        schema,
+        handlers,
+        client_hosts=list(range(1, num_clients + 1)),
+        server_hosts=server_hosts,
+        servers_per_rack=servers_per_rack,
+        edge_program=compiled[EDGE_DEVICE],
+        edge_id=EDGE_DEVICE,
+        sg_id=SG_DEVICE,
+        tor_ids=[tor.device_id for tor in tors],
+        edge_conn=DeviceConnection(edge),
+        tor_conns=[ReplicatedConnection(DeviceConnection(tor)) for tor in tors],
+        memo_tag="",
+        window=window,
+        gather_rounds=gather_rounds,
+        timeout_ns=timeout_ns,
+        refill_interval_ns=refill_interval_ns,
+    )
     return RpcCluster(
         network=net,
-        schema=schema,
         edge=edge,
         sg=sg,
         tors=tors,
         standbys=standbys,
-        clients=clients,
-        servers=servers,
-        memo=memo,
-        edge_conn=edge_conn,
-        refiller=refiller,
         compiled=compiled,
-        spec_unary=spec_unary,
-        spec_sg=spec_sg,
-        num_racks=num_racks,
-        servers_per_rack=servers_per_rack,
-        method_rack=method_rack,
-        method_server=method_server,
+        **apps,
     )

@@ -22,20 +22,18 @@ crash of rack 0's primary ToR:
   standby path, so it gets the kinder, crash-free plan and still
   loses).
 
-Mirrors :mod:`repro.collective.scenarios`: same fault-plan shape, same
-sha256-over-sorted-JSON determinism digest.
+Fault plan shape, result record and determinism digest are the shared
+ones of :mod:`repro.scenario`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass as runtime_dataclass
 from dataclasses import field
 from typing import Optional
 
 from repro.chaos.inject import ChaosController
-from repro.chaos.plan import ChaosEvent, ChaosPlan, LinkFaults
+from repro.chaos.plan import ChaosPlan
 from repro.reliability import FailoverManager
 from repro.rpc.baseline import run_host_fanout
 from repro.rpc.cluster import (
@@ -45,6 +43,7 @@ from repro.rpc.cluster import (
 )
 from repro.rpc.idl import SG_WORDS, RpcMethod, RpcSchema, u32, vec
 from repro.rpc.policies import POLICY_CODES, merge_words
+from repro.scenario import ScenarioResult, acceptance_plan, digest
 from repro.service.qos import TenantQoS
 
 GET_VALUE_WORDS = 4
@@ -138,34 +137,21 @@ def default_rpc_plan(
     crash_at_ns: Optional[int] = 60_000,
 ) -> ChaosPlan:
     """The acceptance fault model, aimed at rack 0's primary ToR."""
-    faults = LinkFaults(
+    return acceptance_plan(
+        seed,
+        crash_node=f"d{tor_device(0)}",
+        crash_at_ns=crash_at_ns,
         loss=loss,
         duplicate=duplicate,
         reorder=reorder,
-        reorder_delay_ns=15_000,
         jitter_ns=jitter_ns,
     )
-    events = []
-    if crash_at_ns is not None:
-        events.append(
-            ChaosEvent(at_ns=crash_at_ns, kind="crash", node=f"d{tor_device(0)}")
-        )
-    return ChaosPlan(seed=seed, default_link=faults, events=events)
 
 
-def _digest(payload: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-
-
-@runtime_dataclass
-class RpcRunResult:
+@runtime_dataclass(kw_only=True)
+class RpcRunResult(ScenarioResult):
     """What one RPC chaos run produced."""
 
-    seed: int
-    ok: bool
-    errors: list[str]
     num_racks: int
     servers_per_rack: int
     clients: int
@@ -174,36 +160,11 @@ class RpcRunResult:
     memo_hits: int
     replays: int
     failed_over: bool
-    sim_ns: int
     finished_at_ns: Optional[int]
     innetwork_link_bytes: int
     fanout_link_bytes: Optional[int]
-    digest: str
     counters: dict[str, object] = field(default_factory=dict)
     plan: dict = field(default_factory=dict)
-    metrics: dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "ok": self.ok,
-            "errors": self.errors,
-            "num_racks": self.num_racks,
-            "servers_per_rack": self.servers_per_rack,
-            "clients": self.clients,
-            "unary_calls": self.unary_calls,
-            "gather_calls": self.gather_calls,
-            "memo_hits": self.memo_hits,
-            "replays": self.replays,
-            "failed_over": self.failed_over,
-            "sim_ns": self.sim_ns,
-            "finished_at_ns": self.finished_at_ns,
-            "innetwork_link_bytes": self.innetwork_link_bytes,
-            "fanout_link_bytes": self.fanout_link_bytes,
-            "digest": self.digest,
-            "counters": self.counters,
-            "plan": self.plan,
-        }
 
 
 def run_rpc_chaos(
@@ -399,7 +360,7 @@ def run_rpc_chaos(
         "multicast_hops_saved": m.total("net.multicast.hops_saved"),
     }
     snapshot = m.snapshot()
-    digest = _digest(
+    run_digest = digest(
         {
             "app": "rpc",
             "seed": seed,
@@ -440,7 +401,7 @@ def run_rpc_chaos(
         finished_at_ns=finished_at,
         innetwork_link_bytes=innetwork_bytes,
         fanout_link_bytes=fanout_bytes,
-        digest=digest,
+        digest=run_digest,
         counters=counters,
         plan=plan.to_dict(),
         metrics=snapshot,

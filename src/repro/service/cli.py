@@ -11,18 +11,18 @@ Usage::
 A plan is a JSON document: a fabric (switches with headroom, hosts,
 links) plus a timeline of ``submit`` / ``evict`` / ``crash`` /
 ``restart`` / ``defragment`` / ``headroom`` events.  The replay prints
-fabric utilization and a per-tenant SLO report; with the same plan two
-runs produce bit-identical digests (``--check-determinism`` verifies).
+fabric utilization and a per-tenant SLO report.  ``--seed``, ``--json``,
+``--dump-plan``, ``--check-determinism`` and the exit status are
+:func:`repro.scenario.scenario_main`'s.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 from pathlib import Path
 from typing import Optional
 
+from repro.scenario import scenario_main
 from repro.service.workload import (
     ServicePlan,
     ServiceRunResult,
@@ -31,35 +31,16 @@ from repro.service.workload import (
 )
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro.service",
-        description="Replay a multi-tenant INC service workload",
-    )
+def _add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--plan", type=Path, default=None,
-        help="JSON ServicePlan file to replay (default: built-in plan)",
-    )
-    p.add_argument(
-        "--seed", type=int, default=7,
-        help="master seed for the built-in plan (ignored with --plan)",
+        help="JSON ServicePlan file to replay (default: the built-in plan; "
+        "a file carries its own seed, so --seed is ignored)",
     )
     p.add_argument(
         "--no-crash", action="store_true",
         help="drop the mid-run switch crash from the built-in plan",
     )
-    p.add_argument(
-        "--json", action="store_true", help="emit the full result as JSON"
-    )
-    p.add_argument(
-        "--dump-plan", action="store_true",
-        help="print the effective ServicePlan JSON and exit",
-    )
-    p.add_argument(
-        "--check-determinism", action="store_true",
-        help="replay the plan twice and require identical digests",
-    )
-    return p
 
 
 def _build_plan(args: argparse.Namespace) -> ServicePlan:
@@ -70,10 +51,14 @@ def _build_plan(args: argparse.Namespace) -> ServicePlan:
     )
 
 
+def _run(args: argparse.Namespace) -> ServiceRunResult:
+    return run_service_plan(_build_plan(args))
+
+
 def _render(result: ServiceRunResult) -> str:
     lines = [
         f"service run: seed={result.seed} {'OK' if result.ok else 'FAILED'}",
-        f"  {result.sim_ns / 1e6:.3f} ms simulated, digest {result.digest}",
+        f"  {result.sim_ns / 1e6:.3f} ms simulated",
         "",
         "fabric utilization:",
     ]
@@ -124,33 +109,17 @@ def _render(result: ServiceRunResult) -> str:
                     for sw in bd["switches"]
                 )
             )
-    for err in result.errors:
-        lines.append(f"  ERROR: {err}")
     return "\n".join(lines)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
-    plan = _build_plan(args)
-    if args.dump_plan:
-        print(plan.to_json())
-        return 0
-    result = run_service_plan(plan)
-    if args.check_determinism:
-        again = run_service_plan(_build_plan(args))
-        if again.digest != result.digest:
-            print(
-                f"NOT deterministic: {result.digest} != {again.digest}",
-                file=sys.stderr,
-            )
-            return 2
-        print(f"deterministic: two runs produced digest {result.digest}")
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(_render(result))
-    return 0 if result.ok else 1
+    return scenario_main(
+        argv,
+        prog="python -m repro.service",
+        description="Replay a multi-tenant INC service workload",
+        add_arguments=_add_arguments,
+        build=_build_plan,
+        run=_run,
+        render=_render,
+    )
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -44,7 +44,7 @@ from repro.deploy.planner import (
     fit_reason,
 )
 from repro.ir.module import Module
-from repro.netsim import DEVICE, Link, Network
+from repro.netsim import DEVICE, Link, Network, pipeline_latency_ns
 from repro.reliability.device import ReliableNetCLDevice
 from repro.reliability.failover import ReplicatedConnection
 from repro.runtime.control import DeviceConnection
@@ -365,8 +365,9 @@ class INCService:
                 tdev.bucket = TokenBucket(
                     tenant.qos.max_pps, tenant.qos.burst, self.network.sim.now_ns
                 )
-            proc = int(cp.report.latency.total_ns) if cp.report else 400
-            self.network.add_switch(tdev, processing_ns=proc)
+            self.network.add_switch(
+                tdev, processing_ns=pipeline_latency_ns(cp, 400)
+            )
             self.network.link(
                 DEVICE(gid),
                 DEVICE(TRANSIT_BASE + placement[dev]),

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.deploy.planner import (
     AbstractTopology,
     DeploymentError,
@@ -66,7 +64,7 @@ class IncrementalPlanner(DeploymentPlanner):
         for host_id in topology.host_attachments:
             if HOST(host_id) not in graph:
                 raise DeploymentError(f"host {host_id} is not in the fabric")
-        paths = dict(nx.all_pairs_shortest_path_length(graph))
+        paths = graph.all_pairs_lengths()
 
         free = {
             sid: list(headroom)

@@ -22,26 +22,21 @@ Drivers wire the paper's evaluation apps to the multi-tenant service:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.collective.protocol import resync_streams
 from repro.core import compile_netcl
 from repro.deploy.planner import AbstractTopology, PhysicalFabric
 from repro.netsim import DEVICE, HOST
-from repro.reliability import BackoffPolicy, ReliableChannel
+from repro.reliability import ReliableChannel
 from repro.runtime import KernelSpec, Message
 from repro.runtime.message import unpack
+from repro.scenario import ScenarioResult, digest
 from repro.service.admission import AdmissionError
 from repro.service.orchestrator import INCService, Tenant, TenantState
 from repro.service.qos import TenantQoS
-
-
-def _digest(payload: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
 
 
 def _node(tag: str):
@@ -223,21 +218,8 @@ class AggDriver(AppDriver):
     def on_migrate(self, service: INCService, tenant: Tenant) -> None:
         """Post-migration resync: the slice rebooted, so every slot
         restarts at the earliest chunk any worker still has in flight."""
-        if not self.launched:
-            return
-        slots: set[int] = set()
-        for w in self.workers:
-            slots.update(s for s, c in w._slot_chunk.items() if c is not None)
-        for slot in sorted(slots):
-            chunks = [
-                c
-                for c in (w._slot_chunk.get(slot) for w in self.workers)
-                if c is not None
-            ]
-            if chunks:
-                base = min(chunks)
-                for w in self.workers:
-                    w.resync_slot(slot, base)
+        if self.launched:
+            resync_streams(self.workers)
 
     def finish(self) -> dict:
         errors: List[str] = []
@@ -257,19 +239,13 @@ class AggDriver(AppDriver):
             "completed": sum(w.stats.chunks_completed for w in self.workers),
             "expected": sum(w.num_chunks for w in self.workers),
             "retransmissions": sum(w.stats.retransmissions for w in self.workers),
-            "checksum": _digest(
+            "checksum": digest(
                 {
                     "results": [w.result for w in self.workers],
                     "finished": [w.stats.finished_at_ns for w in self.workers],
                 }
             ),
         }
-
-
-def _value(key: int, salt: int) -> list[int]:
-    from repro.apps.cache import VALUE_WORDS
-
-    return [(key * 31 + i * salt + 7) & 0xFFFFFFFF for i in range(VALUE_WORDS)]
 
 
 class CacheDriver(AppDriver):
@@ -289,111 +265,36 @@ class CacheDriver(AppDriver):
         return topo
 
     def launch(self, tenant: Tenant) -> None:
-        from repro.apps.cache import (
-            CACHE_DEVICE,
-            CacheClient,
-            CacheController,
-            GET_REQ,
-            KVServer,
-            PUT_REQ,
-        )
+        from repro.apps.cache import CACHE_DEVICE
+        from repro.chaos.scenarios import CacheAcceptance
 
         super().launch(tenant)
-        net = self.service.network
-        gid = tenant.abstract_to_gid[CACHE_DEVICE]
         spec = KernelSpec.from_kernel(self.compiled.kernels()[0])
-        self.server = KVServer(net, self.server_host, spec)
-        self.client = CacheClient(net, self.client_host, spec, device_id=gid)
-        self.client._server_id = self.server_host
-        for h in (self.client.host, self.server.host):
-            h.rx_overhead_ns = 3200
-            h.tx_overhead_ns = 3200
-        self.server.service_time_ns = 10_000
-        self.client.channel = ReliableChannel(
-            net,
-            self.client.host,
+        self.work = CacheAcceptance(
+            self.service.network,
             spec,
-            target_device=gid,
-            policy=BackoffPolicy(
-                base_timeout_ns=400_000, max_timeout_ns=3_200_000, max_retries=12
-            ),
+            client_host=self.client_host,
+            server_host=self.server_host,
+            device_id=tenant.abstract_to_gid[CACHE_DEVICE],
         )
-        self.server.channel = ReliableChannel(
-            net, self.server.host, spec, target_device=gid
-        )
-        self.service.register_channel(self.tenant_id, CACHE_DEVICE, self.client.channel)
-        self.service.register_channel(self.tenant_id, CACHE_DEVICE, self.server.channel)
-        self.controller = CacheController(
-            self.service.control(self.tenant_id, CACHE_DEVICE), self.server
-        )
-
-        cached = [100 + i for i in range(6)]
-        served = [200 + i for i in range(6)]
-        put = [300 + i for i in range(4)]
-        for k in cached:
-            self.server.store[k] = _value(k, 3)
-            self.controller.install(k, self.server.store[k])
-        for k in served:
-            self.server.store[k] = _value(k, 5)
-
-        self.expect: Dict[tuple, list[int]] = {}
-        schedule: List[tuple] = []
-        for k in put:
-            schedule.append((PUT_REQ, k, _value(k, 7)))
-            self.expect[(PUT_REQ, k)] = _value(k, 7)
-        for _ in range(2):
-            for hit_k, miss_k in zip(cached, served):
-                schedule.append((GET_REQ, hit_k, None))
-                self.expect[(GET_REQ, hit_k)] = _value(hit_k, 3)
-                schedule.append((GET_REQ, miss_k, None))
-                self.expect[(GET_REQ, miss_k)] = _value(miss_k, 5)
-        for k in put:
-            schedule.append((GET_REQ, k, None))
-            self.expect[(GET_REQ, k)] = _value(k, 7)
-        self.schedule = schedule
-
-        spacing = int(self.event.get("spacing_us", 40)) * 1000
-        t = net.sim.now_ns + 50_000
-        for op, key, value in schedule:
-            net.sim.at(
-                t, lambda op=op, key=key, value=value: self.client.query(op, key, value)
-            )
-            t += spacing
+        for channel in (self.work.client.channel, self.work.server.channel):
+            self.service.register_channel(self.tenant_id, CACHE_DEVICE, channel)
+        self.work.install(self.service.control(self.tenant_id, CACHE_DEVICE))
+        self.work.start(int(self.event.get("spacing_us", 40)) * 1000)
 
     def finish(self) -> dict:
-        from repro.apps.cache import GET_REQ
-
-        errors: List[str] = []
-        if len(self.client.completed) != len(self.schedule):
-            errors.append(
-                f"completed {len(self.client.completed)}/{len(self.schedule)} "
-                f"queries ({self.client.channel.outstanding} outstanding)"
-            )
-        for rec in self.client.completed:
-            want = self.expect.get((rec.op, rec.key))
-            if want is None:
-                errors.append(f"unexpected completion op={rec.op} key={rec.key}")
-            elif rec.op == GET_REQ and list(rec.value or []) != want:
-                errors.append(f"GET {rec.key} returned wrong value")
+        work = self.work
+        for rec in work.client.completed:
             if rec.latency_ns is not None:
                 self.service.observe_latency(self.tenant_id, rec.latency_ns)
-        hits = sum(1 for r in self.client.completed if r.served_by_cache)
-        if not hits:
-            errors.append("no query was served by the switch cache")
+        errors = work.errors()
         return {
             "ok": not errors,
             "errors": errors,
-            "completed": len(self.client.completed),
-            "expected": len(self.schedule),
-            "cache_hits": hits,
-            "checksum": _digest(
-                {
-                    "records": [
-                        [r.op, r.key, r.value, r.served_by_cache, r.done_ns]
-                        for r in self.client.completed
-                    ]
-                }
-            ),
+            "completed": len(work.client.completed),
+            "expected": len(work.schedule),
+            "cache_hits": work.hits,
+            "checksum": digest({"records": work.records()}),
         }
 
 
@@ -458,7 +359,7 @@ class EchoDriver(AppDriver):
             "completed": len(self.replies),
             "expected": self.requests,
             "rate_limited": limited,
-            "checksum": _digest({"replies": sorted(self.replies.items())}),
+            "checksum": digest({"replies": sorted(self.replies.items())}),
         }
 
 
@@ -496,31 +397,13 @@ DRIVERS = {
 # Replay
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ServiceRunResult:
+@dataclass(kw_only=True)
+class ServiceRunResult(ScenarioResult):
     """What one service plan replay produced."""
 
-    seed: int
-    ok: bool
-    errors: List[str]
-    sim_ns: int
-    digest: str
     tenants: Dict[str, dict] = field(default_factory=dict)
     rejected: List[dict] = field(default_factory=list)
     report: dict = field(default_factory=dict)
-    metrics: Dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "ok": self.ok,
-            "errors": self.errors,
-            "sim_ns": self.sim_ns,
-            "digest": self.digest,
-            "tenants": self.tenants,
-            "rejected": self.rejected,
-            "report": self.report,
-        }
 
 
 def run_service_plan(plan: ServicePlan) -> ServiceRunResult:
@@ -613,7 +496,7 @@ def run_service_plan(plan: ServicePlan) -> ServiceRunResult:
 
     report = service.report()
     snapshot = net.metrics.snapshot()
-    digest = _digest(
+    run_digest = digest(
         {
             "seed": plan.seed,
             "outcomes": outcomes,
@@ -627,7 +510,7 @@ def run_service_plan(plan: ServicePlan) -> ServiceRunResult:
         ok=not errors,
         errors=errors,
         sim_ns=net.sim.now_ns,
-        digest=digest,
+        digest=run_digest,
         tenants=outcomes,
         rejected=rejected,
         report=report,

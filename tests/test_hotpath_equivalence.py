@@ -9,6 +9,12 @@ every telemetry counter (the digest covers the full metric snapshot),
 drop/lost totals, and (for traced runs) the exact number of traces and
 recorded hops.  Tracing on must not change the digest either.
 
+The collective, rpc and service entries pin the other three scenario
+entry points at the same seed (captured before the scenario-harness
+refactor of ISSUE 21, which restructured exactly those paths); they
+record no per-run trace counts, and the service replay has no tracing
+switch.
+
 If a deliberate behavioral change ever invalidates these goldens,
 recapture them in the same commit and say why in its message.
 """
@@ -18,6 +24,9 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos.scenarios import run_agg_chaos, run_cache_chaos
+from repro.collective.scenarios import run_collective_chaos
+from repro.rpc.scenarios import run_rpc_chaos
+from repro.service.workload import default_service_plan, run_service_plan
 
 SEED = 7
 
@@ -36,6 +45,30 @@ GOLDEN = {
         "traces": 68,
         "trace_events": 347,
     },
+    "collective": {
+        "digest": "dd1d1854149ea554d297d413aaec1b161cc276d8cbb5b77d3d3c942eb66b69bc",
+        "dropped": 1936,
+        "lost": 266,
+    },
+    "rpc": {
+        "digest": "5f4a2233c7f1c792a5231dfc624e7897a481666c643ab1b9bd6766dd0f801aad",
+        "dropped": 411,
+        "lost": 124,
+    },
+    "service": {
+        "digest": "d858ca97559bd7f75be6cfacee1f60613aec34c0d41e4774d3d8f4bdb28fd5fa",
+        "dropped": 17,
+        "lost": 0,
+    },
+}
+
+RUNNERS = {
+    "agg": run_agg_chaos,
+    "cache": run_cache_chaos,
+    "collective": run_collective_chaos,
+    "rpc": run_rpc_chaos,
+    # the service replay takes a plan, not a seed, and cannot be traced
+    "service": lambda seed, trace: run_service_plan(default_service_plan(seed)),
 }
 
 
@@ -49,23 +82,26 @@ def _lost(result) -> int:
     return int(result.metrics.get("net.lost", 0))
 
 
-@pytest.mark.parametrize("app", ["agg", "cache"])
-@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize(
+    "trace,app",
+    [
+        (trace, app)
+        for trace in (False, True)
+        for app in sorted(GOLDEN)
+        if not (trace and app == "service")
+    ],
+)
 def test_chaos_run_matches_pre_overhaul_golden(app, trace):
-    run = run_agg_chaos if app == "agg" else run_cache_chaos
-    result = run(seed=SEED, trace=trace)
+    result = RUNNERS[app](seed=SEED, trace=trace)
     want = GOLDEN[app]
 
     assert result.ok, result.errors
     assert result.digest == want["digest"]
     assert _dropped(result) == want["dropped"]
     assert _lost(result) == want["lost"]
-    if trace:
-        assert result.traces == want["traces"]
-        assert result.trace_events == want["trace_events"]
-    else:
-        assert result.traces == 0
-        assert result.trace_events == 0
+    if "traces" in want:
+        assert result.traces == (want["traces"] if trace else 0)
+        assert result.trace_events == (want["trace_events"] if trace else 0)
 
 
 @pytest.mark.parametrize("app", ["agg", "cache"])
