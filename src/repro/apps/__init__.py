@@ -51,6 +51,29 @@ def p4_source(name: str) -> str:
     return P4_SOURCES[name].read_text()
 
 
+def p4_backend(name: str, constant: str, value: int):
+    """The handwritten P4 baseline of application ``name`` in the place of
+    its compiled NetCL program (the paper's "P4" series in Fig. 14 -- the
+    host program stays identical), as ``(program, device factory)`` for
+    :meth:`repro.deploy.AbstractTopology.realise`.  Handwritten P4 takes
+    its parameter as a compile-time constant: ``constant`` is that
+    declaration up to the ``=`` and ``value`` what it is set to."""
+    from types import SimpleNamespace
+
+    from repro.p4 import P4NetCLSwitchDevice, p4_to_pipeline_spec, parse_p4
+    from repro.tofino.report import build_report
+
+    src = p4_source(name)
+    start = src.index(constant + " = ")
+    prog = parse_p4(
+        src[:start] + f"{constant} = {value};" + src[src.index(";", start) + 1 :]
+    )
+    program = SimpleNamespace(report=build_report(p4_to_pipeline_spec(prog, name=name)))
+    return program, lambda device_id, _program, _metrics: P4NetCLSwitchDevice(
+        prog, device_id
+    )
+
+
 def compile_app(
     name: str,
     device_id: Optional[int] = None,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.apps import compile_app
+from repro.apps import compile_app, p4_backend
 from repro.collective.protocol import (
     NUM_SLOTS,
     SlotCluster,
@@ -29,7 +29,8 @@ from repro.collective.protocol import (
     StreamStats,
 )
 from repro.core.driver import CompiledProgram
-from repro.netsim import DEVICE, HOST, Link, Network, pipeline_latency_ns
+from repro.deploy.planner import AbstractTopology
+from repro.netsim import HOST, Link, Network
 from repro.runtime import KernelSpec, NetCLDevice
 
 SLOT_SIZE = 32
@@ -49,6 +50,7 @@ __all__ = [
     "AggWorker",
     "NUM_SLOTS",
     "SLOT_SIZE",
+    "agg_topology",
     "build_agg_cluster",
     "expected_sum",
 ]
@@ -116,6 +118,15 @@ class AggCluster(SlotCluster):
         super().run(until_ms, require_done=require_done)
 
 
+def agg_topology(hosts: list[int], program, *, spare=None) -> AbstractTopology:
+    """The AGG rack, stated once: worker ``hosts`` around one ToR running
+    ``program`` (``spare=(id, program)`` adds a standby ToR), and the
+    multicast group the aggregate comes back on."""
+    topo = AbstractTopology.star(AGG_DEVICE, program, hosts, spare=spare)
+    topo.add_multicast_group(AGG_MCAST_GROUP, [HOST(h) for h in hosts])
+    return topo
+
+
 def build_agg_cluster(
     num_workers: int = 2,
     tensor_elements: int = 4096,
@@ -137,48 +148,24 @@ def build_agg_cluster(
     compiled = compile_app(
         "agg", AGG_DEVICE, target=target, defines={"NUM_WORKERS": num_workers}
     )
-    net = Network(seed=seed)
-    if backend == "p4":
-        from repro.apps import p4_source
-        from repro.p4 import parse_p4, p4_to_pipeline_spec, P4NetCLSwitchDevice
-        from repro.tofino.report import build_report
-
-        # handwritten P4 takes the worker count as a compile-time constant
-        src = p4_source("agg").replace(
-            "const bit<8>  NUM_WORKERS = 2;",
-            f"const bit<8>  NUM_WORKERS = {num_workers};",
-        )
-        prog = parse_p4(src)
-        device = P4NetCLSwitchDevice(prog, AGG_DEVICE)
-        processing = int(
-            build_report(p4_to_pipeline_spec(prog, name="agg")).latency.total_ns
-        )
-    else:
-        device = NetCLDevice(AGG_DEVICE, compiled.module, compiled.kernels())
-        processing = pipeline_latency_ns(compiled)
-    net.add_switch(device, processing_ns=processing)
-
+    program, device = (
+        p4_backend("agg", "const bit<8>  NUM_WORKERS", num_workers)
+        if backend == "p4"
+        else (compiled, None)
+    )
+    deployment = agg_topology(list(range(1, num_workers + 1)), program).realise(
+        seed=seed,
+        link=Link(link_latency_ns, bandwidth_gbps, loss_probability=loss_probability),
+        device=device,
+    )
+    net = deployment.network
     rng = random.Random(seed)
     spec = KernelSpec.from_kernel(compiled.kernels()[0])
     workers: list[AggWorker] = []
     for w in range(num_workers):
-        host_id = w + 1
-        net.add_host(host_id)
-        net.link(
-            HOST(host_id),
-            DEVICE(AGG_DEVICE),
-            Link(
-                latency_ns=link_latency_ns,
-                bandwidth_gbps=bandwidth_gbps,
-                loss_probability=loss_probability,
-            ),
-        )
         tensor = [rng.randrange(0, 1 << 16) for _ in range(tensor_elements)]
-        workers.append(
-            AggWorker(net, host_id, w, spec, tensor, window=window)
-        )
-    net.add_multicast_group(AGG_MCAST_GROUP, [HOST(w.host_id) for w in workers])
-    return AggCluster(net, device, workers, compiled)
+        workers.append(AggWorker(net, w + 1, w, spec, tensor, window=window))
+    return AggCluster(net, deployment.devices[AGG_DEVICE], workers, compiled)
 
 
 def expected_sum(cluster: AggCluster) -> list[int]:

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.apps import compile_app
+from repro.apps import compile_app, p4_backend
 from repro.core.driver import CompiledProgram
-from repro.netsim import DEVICE, HOST, Link, Network, pipeline_latency_ns
-from repro.runtime import DeviceConnection, KernelSpec, Message, NetCLDevice
+from repro.deploy.planner import AbstractTopology
+from repro.netsim import Link, Network
+from repro.runtime import KernelSpec, Message, NetCLDevice
 from repro.runtime.message import NetCLPacket, NO_DEVICE, unpack
 
 VALUE_WORDS = 16
@@ -214,6 +215,12 @@ class P4CacheController:
         return self.install(key, value)
 
 
+def cache_topology(client: int, server: int, program, *, spare=None) -> AbstractTopology:
+    """The NetCache deployment, stated once: client -- switch(cache) --
+    server (``spare=(id, program)`` adds a standby switch)."""
+    return AbstractTopology.star(CACHE_DEVICE, program, [client, server], spare=spare)
+
+
 def build_cache_cluster(
     *,
     target: str = "tna",
@@ -231,29 +238,15 @@ def build_cache_cluster(
     compiled = compile_app(
         "cache", CACHE_DEVICE, target=target, defines={"HOT_THRESH": hot_thresh}
     )
-    net = Network(seed=seed)
-    if backend == "p4":
-        from repro.apps import p4_source
-        from repro.p4 import parse_p4, p4_to_pipeline_spec, P4NetCLSwitchDevice
-        from repro.tofino.report import build_report
-
-        src = p4_source("cache").replace(
-            "const bit<32> HOT_THRESH = 128;",
-            f"const bit<32> HOT_THRESH = {hot_thresh};",
-        )
-        prog = parse_p4(src)
-        device = P4NetCLSwitchDevice(prog, CACHE_DEVICE)
-        processing = int(
-            build_report(p4_to_pipeline_spec(prog, name="cache")).latency.total_ns
-        )
-    else:
-        device = NetCLDevice(CACHE_DEVICE, compiled.module, compiled.kernels())
-        processing = pipeline_latency_ns(compiled)
-    net.add_switch(device, processing_ns=processing)
-    net.add_host(1)  # client
-    net.add_host(2)  # server
-    net.link(HOST(1), DEVICE(CACHE_DEVICE), Link(latency_ns=link_latency_ns))
-    net.link(HOST(2), DEVICE(CACHE_DEVICE), Link(latency_ns=link_latency_ns))
+    program, factory = (
+        p4_backend("cache", "const bit<32> HOT_THRESH", hot_thresh)
+        if backend == "p4"
+        else (compiled, None)
+    )
+    deployment = cache_topology(1, 2, program).realise(
+        seed=seed, link=Link(latency_ns=link_latency_ns), device=factory
+    )
+    net, device = deployment.network, deployment.devices[CACHE_DEVICE]
 
     spec = KernelSpec.from_kernel(compiled.kernels()[0])
     server = KVServer(net, 2, spec)
@@ -268,5 +261,5 @@ def build_cache_cluster(
     if backend == "p4":
         controller = P4CacheController(device, server)
     else:
-        controller = CacheController(DeviceConnection(device), server)
+        controller = CacheController(deployment.control(CACHE_DEVICE), server)
     return CacheCluster(net, device, client, server, controller, compiled, spec)

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps import compile_app
-from repro.netsim import DEVICE, HOST, Link, Network, pipeline_latency_ns
+from repro.deploy.planner import AbstractTopology
+from repro.netsim import Network
 from repro.runtime import KernelSpec, Message, NetCLDevice
 from repro.runtime.message import NetCLPacket, unpack
 
@@ -42,10 +43,9 @@ class CalcCluster:
 
 def build_calc_cluster(*, target: str = "tna", seed: int = 3) -> CalcCluster:
     compiled = compile_app("calc", CALC_DEVICE, target=target)
-    device = NetCLDevice(CALC_DEVICE, compiled.module, compiled.kernels())
-    net = Network(seed=seed)
-    net.add_switch(device, processing_ns=pipeline_latency_ns(compiled))
-    net.add_host(1)
-    net.link(HOST(1), DEVICE(CALC_DEVICE), Link())
+    deployment = AbstractTopology.star(CALC_DEVICE, compiled, [1]).realise(seed=seed)
+    net = deployment.network
     spec = KernelSpec.from_kernel(compiled.kernels()[0])
-    return CalcCluster(net, device, CalcClient(net, 1, spec), compiled)
+    return CalcCluster(
+        net, deployment.devices[CALC_DEVICE], CalcClient(net, 1, spec), compiled
+    )

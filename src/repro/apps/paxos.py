@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps import compile_app
-from repro.netsim import DEVICE, HOST, Link, Network, pipeline_latency_ns
+from repro.deploy.planner import AbstractTopology
+from repro.netsim import DEVICE, Link, Network
 from repro.runtime import KernelSpec, Message, NetCLDevice
 from repro.runtime.message import NetCLPacket, unpack
 
@@ -78,6 +79,30 @@ class PaxosCluster:
     compiled: dict[int, object]
 
 
+def paxos_topology(*, target: str = "tna", majority: int = 2) -> AbstractTopology:
+    """The chain, stated once: client (host 1) - leader - acceptors -
+    learner - application (host 2), the program compiled once per device."""
+    topo = AbstractTopology()
+    for dev_id in (LEADER_DEV, *ACCEPTOR_DEVS, LEARNER_DEV):
+        acceptor_id = ACCEPTOR_DEVS.index(dev_id) if dev_id in ACCEPTOR_DEVS else 0
+        topo.add_device(
+            dev_id,
+            compile_app(
+                "paxos",
+                dev_id,
+                target=target,
+                defines={"ACCEPTOR_ID": acceptor_id, "MAJORITY": majority},
+            ),
+        )
+    for dev_id in ACCEPTOR_DEVS:
+        topo.connect_devices(LEADER_DEV, dev_id)
+        topo.connect_devices(dev_id, LEARNER_DEV)
+    topo.attach_host(1, LEADER_DEV)
+    topo.attach_host(2, LEARNER_DEV)
+    topo.add_multicast_group(ACCEPTOR_MCAST, [DEVICE(d) for d in ACCEPTOR_DEVS])
+    return topo
+
+
 def build_paxos_cluster(
     *,
     target: str = "tna",
@@ -86,40 +111,10 @@ def build_paxos_cluster(
     seed: int = 5,
 ) -> PaxosCluster:
     """Compile the program once per device and build the chain topology."""
-    net = Network(seed=seed)
-    devices: dict[int, NetCLDevice] = {}
-    compiled: dict[int, object] = {}
-
-    def make_device(dev_id: int, acceptor_id: int = 0) -> NetCLDevice:
-        cp = compile_app(
-            "paxos",
-            dev_id,
-            target=target,
-            defines={"ACCEPTOR_ID": acceptor_id, "MAJORITY": majority},
-        )
-        compiled[dev_id] = cp
-        dev = NetCLDevice(dev_id, cp.module, cp.kernels())
-        net.add_switch(dev, processing_ns=pipeline_latency_ns(cp))
-        devices[dev_id] = dev
-        return dev
-
-    make_device(LEADER_DEV)
-    for i, dev_id in enumerate(ACCEPTOR_DEVS):
-        make_device(dev_id, acceptor_id=i)
-    make_device(LEARNER_DEV)
-
-    # Topology: client - leader - acceptors - learner - app host.
-    net.add_host(1)  # client
-    net.add_host(2)  # application
-    net.link(HOST(1), DEVICE(LEADER_DEV), Link(latency_ns=link_latency_ns))
-    for dev_id in ACCEPTOR_DEVS:
-        net.link(DEVICE(LEADER_DEV), DEVICE(dev_id), Link(latency_ns=link_latency_ns))
-        net.link(DEVICE(dev_id), DEVICE(LEARNER_DEV), Link(latency_ns=link_latency_ns))
-    net.link(DEVICE(LEARNER_DEV), HOST(2), Link(latency_ns=link_latency_ns))
-    net.add_multicast_group(ACCEPTOR_MCAST, [DEVICE(d) for d in ACCEPTOR_DEVS])
-
-    any_cp = compiled[LEADER_DEV]
-    spec = KernelSpec.from_kernel(any_cp.kernels()[0])  # type: ignore[attr-defined]
+    topo = paxos_topology(target=target, majority=majority)
+    deployment = topo.realise(seed=seed, link=Link(latency_ns=link_latency_ns))
+    net = deployment.network
+    spec = KernelSpec.from_kernel(topo.programs[LEADER_DEV].kernels()[0])
     client = PaxosClient(net, 1, 2, spec)
     app = PaxosApp(net, 2, spec)
-    return PaxosCluster(net, devices, client, app, spec, compiled)
+    return PaxosCluster(net, deployment.devices, client, app, spec, topo.programs)

@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.apps import netcl_source
-from repro.apps.agg import (
-    AGG_DEVICE,
-    AGG_MCAST_GROUP,
-    AggWorker,
-    SLOT_SIZE,
-)
+from repro.apps.agg import AGG_DEVICE, AggWorker, SLOT_SIZE, agg_topology
 from repro.apps.cache import (
     CACHE_DEVICE,
     CacheClient,
@@ -34,20 +29,20 @@ from repro.apps.cache import (
     KVServer,
     PUT_REQ,
     VALUE_WORDS,
+    cache_topology,
 )
 from repro.chaos.inject import ChaosController
 from repro.chaos.plan import ChaosPlan
 from repro.collective.protocol import resync_streams
 from repro.core import compile_netcl
-from repro.netsim import DEVICE, HOST, Link, Network, pipeline_latency_ns
+from repro.netsim import Link
 from repro.reliability import (
     BackoffPolicy,
     FailoverManager,
     ReliableChannel,
-    ReliableNetCLDevice,
-    ReplicatedConnection,
+    reliable_device,
 )
-from repro.runtime import DeviceConnection, KernelSpec
+from repro.runtime import KernelSpec
 from repro.scenario import ScenarioResult, acceptance_plan, digest
 
 
@@ -109,22 +104,24 @@ def _value(key: int, salt: int) -> list[int]:
 class CacheAcceptance:
     """The CACHE acceptance workload, wired once for any deployment.
 
-    A client and a KVS server on reliable channels around the switch the
-    hosts address as ``device_id``: writes first, then interleaved
-    hit/miss reads spanning whatever the run injects, then reads of the
-    written keys.  The standalone chaos run and the service's cache
-    tenant differ only in the ids and the control connection they pass.
+    A client and a KVS server on reliable channels around the switch of a
+    realised :func:`~repro.apps.cache.cache_topology`: writes first, then
+    interleaved hit/miss reads spanning whatever the run injects, then
+    reads of the written keys.  The standalone chaos run and the
+    service's cache tenant differ only in the ``deployment`` they pass
+    (a :class:`~repro.deploy.DeploymentPlan` or a service ``Tenant``).
     """
 
     CACHED = [100 + i for i in range(6)]
     SERVED = [200 + i for i in range(6)]
     PUT = [300 + i for i in range(4)]
 
-    def __init__(
-        self, net: Network, spec: KernelSpec, *, client_host: int,
-        server_host: int, device_id: int,
-    ) -> None:
-        self.net = net
+    def __init__(self, deployment) -> None:
+        net = self.net = deployment.network
+        client_host, server_host = deployment.topology.host_attachments
+        program = deployment.topology.programs[CACHE_DEVICE]
+        spec = KernelSpec.from_kernel(program.kernels()[0])
+        device_id = deployment.address(CACHE_DEVICE)
         self.server = KVServer(net, server_host, spec)
         self.client = CacheClient(net, client_host, spec, device_id=device_id)
         self.client._server_id = server_host
@@ -143,14 +140,17 @@ class CacheAcceptance:
         self.server.channel = ReliableChannel(
             net, self.server.host, spec, target_device=device_id
         )
+        for channel in (self.client.channel, self.server.channel):
+            deployment.register_channel(CACHE_DEVICE, channel)
         #: (op, key, value) in issue order, and what each must return
         self.schedule: list[tuple[int, int, Optional[list[int]]]] = []
         self.expect: dict[tuple[int, int], list[int]] = {}
-
-    def install(self, conn) -> None:
-        """Fill the server's store and cache ``CACHED`` through ``conn``
-        (a journaling connection where failover or migration replays it)."""
-        self.controller = CacheController(conn, self.server)
+        # Fill the server's store and cache ``CACHED`` through the
+        # deployment's control connection (a journaling one where failover
+        # or migration replays it).
+        self.controller = CacheController(
+            deployment.control(CACHE_DEVICE), self.server
+        )
         for k in self.CACHED:
             self.server.store[k] = _value(k, 3)
             self.controller.install(k, self.server.store[k])
@@ -232,39 +232,21 @@ def run_cache_chaos(
     """
     plan = plan if plan is not None else default_chaos_plan(seed)
     primary = compile_app_at("cache", CACHE_DEVICE)
-    standby = compile_app_at("cache", standby_id)
-
-    net = Network(seed=seed)
+    deployment = cache_topology(
+        1, 2, primary, spare=(standby_id, compile_app_at("cache", standby_id))
+    ).realise(seed=seed, link=Link(latency_ns=1200), device=reliable_device())
+    net = deployment.network
     if trace:
         net.enable_tracing()
-    processing = pipeline_latency_ns(primary)
-    dev_p = ReliableNetCLDevice(
-        CACHE_DEVICE, primary.module, primary.kernels(), metrics=net.metrics
-    )
-    dev_s = ReliableNetCLDevice(
-        standby_id, standby.module, standby.kernels(), metrics=net.metrics
-    )
-    net.add_switch(dev_p, processing_ns=processing)
-    net.add_switch(dev_s, processing_ns=processing)
-    net.add_host(1)  # client
-    net.add_host(2)  # server
-    for h in (1, 2):
-        for d in (CACHE_DEVICE, standby_id):
-            net.link(HOST(h), DEVICE(d), Link(latency_ns=1200))
 
-    spec = KernelSpec.from_kernel(primary.kernels()[0])
-    work = CacheAcceptance(
-        net, spec, client_host=1, server_host=2, device_id=CACHE_DEVICE
-    )
-    conn = ReplicatedConnection(DeviceConnection(dev_p))
-    work.install(conn)
-
+    work = CacheAcceptance(deployment)
     failover = FailoverManager(
         net,
         CACHE_DEVICE,
         standby_id,
         heartbeat_ns=heartbeat_ns,
-        replicated=conn,
+        # journaling: the device has a spare
+        replicated=deployment.control(CACHE_DEVICE),
         channels=[work.client.channel, work.server.channel],
     ).start()
 
@@ -349,44 +331,30 @@ def run_agg_chaos(
     )
     defines = {"NUM_WORKERS": num_workers}
     primary = compile_app_at("agg", AGG_DEVICE, defines=defines)
-    standby = compile_app_at("agg", standby_id, defines=defines)
-
-    net = Network(seed=seed)
-    if trace:
-        net.enable_tracing()
-    processing = pipeline_latency_ns(primary)
     # ordered=True: the slot protocol assumes per-worker FIFO delivery
     # (a late out-of-order contribution from an advanced worker corrupts
     # the version-alternating bitmap), so the device drops stale packets
     # and lets the worker's fresh-sequence retransmission recover them.
-    dev_p = ReliableNetCLDevice(
-        AGG_DEVICE, primary.module, primary.kernels(), metrics=net.metrics,
-        ordered=True,
-    )
-    dev_s = ReliableNetCLDevice(
-        standby_id, standby.module, standby.kernels(), metrics=net.metrics,
-        ordered=True,
-    )
-    net.add_switch(dev_p, processing_ns=processing)
-    net.add_switch(dev_s, processing_ns=processing)
+    net = agg_topology(
+        list(range(1, num_workers + 1)),
+        primary,
+        spare=(standby_id, compile_app_at("agg", standby_id, defines=defines)),
+    ).realise(seed=seed, device=reliable_device(ordered=True)).network
+    if trace:
+        net.enable_tracing()
 
     rng = random.Random(f"{seed}:tensor")
     spec = KernelSpec.from_kernel(primary.kernels()[0])
     workers: list[AggWorker] = []
     for w in range(num_workers):
-        host_id = w + 1
-        net.add_host(host_id)
-        for d in (AGG_DEVICE, standby_id):
-            net.link(HOST(host_id), DEVICE(d), Link(latency_ns=1000))
         tensor = [rng.randrange(0, 1 << 16) for _ in range(tensor_elements)]
         worker = AggWorker(
-            net, host_id, w, spec, tensor, window=window, device_id=AGG_DEVICE
+            net, w + 1, w, spec, tensor, window=window, device_id=AGG_DEVICE
         )
         worker.channel = ReliableChannel(
             net, worker.host, spec, target_device=AGG_DEVICE
         )
         workers.append(worker)
-    net.add_multicast_group(AGG_MCAST_GROUP, [HOST(w.host_id) for w in workers])
 
     failover = FailoverManager(
         net,

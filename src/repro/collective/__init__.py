@@ -13,8 +13,8 @@ broadcast down).  See ``docs/COLLECTIVE.md``.
   with per-chunk max-exponent scaling and a provable error bound;
 * :mod:`repro.collective.job` — the :class:`CollectiveJob` API and the
   per-rank :class:`CollectiveWorker` (exponent stream + reduce stream);
-* :mod:`repro.collective.tree` — role compilation and fabric wiring for
-  the two-level aggregation tree;
+* :mod:`repro.collective.tree` — role compilation, the tree's shape
+  (:func:`collective_topology`) and the worker wiring;
 * :mod:`repro.collective.baseline` — the host-based ring allreduce the
   telemetry compares against;
 * :mod:`repro.collective.tenant` — the same tree submitted to
@@ -55,6 +55,7 @@ from repro.collective.tree import (
     ROOT_DEVICE,
     CollectiveCluster,
     build_collective_cluster,
+    collective_topology,
     compile_role,
     leaf_device,
     standby_device,
@@ -109,6 +110,7 @@ __all__ = [
     "abstract_leaf",
     "build_collective_cluster",
     "chunk_exponent",
+    "collective_topology",
     "compile_role",
     "contribution",
     "default_collective_plan",

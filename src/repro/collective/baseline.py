@@ -1,7 +1,8 @@
 """Host-based ring allreduce: the no-INC comparison point.
 
-The same leaf/spine fabric, but the switches are plain transit devices
-(no kernels) and the workers run the classic bandwidth-optimal ring
+The same leaf/spine fabric
+(:func:`~repro.collective.tree.collective_topology`, shape only), but
+the switches are plain transit devices (no kernels) and the workers run the classic bandwidth-optimal ring
 algorithm entirely host-to-host: ``N-1`` reduce-scatter steps followed
 by ``N-1`` allgather steps, each rank exchanging one shard per step with
 its ring neighbor.  Every element therefore crosses host links
@@ -27,10 +28,9 @@ import struct
 from dataclasses import dataclass
 
 from repro.collective.job import shard_range
-from repro.collective.tree import ROOT_DEVICE, leaf_device
-from repro.ir.module import Module
-from repro.netsim import DEVICE, HOST, Link, Network
-from repro.runtime import KernelSpec, Message, NetCLDevice
+from repro.collective.tree import collective_topology
+from repro.netsim import Link
+from repro.runtime import KernelSpec, Message
 from repro.runtime.message import FieldSpec, NetCLPacket, NO_DEVICE, unpack
 
 #: float32 values per ring packet — matches the tree's SLOT_SIZE so the
@@ -248,24 +248,16 @@ class _RingRun:
         self.finished_at_ns = 0
         self._finished = 0
 
-        net = Network(seed=seed)
-        self.net = net
-        link = lambda a, b: net.link(  # noqa: E731
-            a, b, Link(latency_ns=link_latency_ns, bandwidth_gbps=bandwidth_gbps)
-        )
-        net.add_switch(
-            NetCLDevice(ROOT_DEVICE, Module("transit_root"), []), processing_ns=350
-        )
-        for rack in range(num_racks):
-            dev = leaf_device(rack)
-            net.add_switch(
-                NetCLDevice(dev, Module(f"transit_leaf{rack}"), []),
-                processing_ns=350,
+        self.net = (
+            collective_topology(
+                num_racks, list(range(1, self.num_workers + 1)), target=None
             )
-            link(DEVICE(dev), DEVICE(ROOT_DEVICE))
-        for rank in range(self.num_workers):
-            net.add_host(rank + 1)
-            link(HOST(rank + 1), DEVICE(leaf_device(rank // workers_per_rack)))
+            .realise(
+                seed=seed,
+                link=Link(latency_ns=link_latency_ns, bandwidth_gbps=bandwidth_gbps),
+            )
+            .network
+        )
         self.nodes = [
             _RingNode(self, rank, tensors[rank]) for rank in range(self.num_workers)
         ]

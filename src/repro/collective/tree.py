@@ -1,4 +1,5 @@
-"""Aggregation-tree construction: compile roles, wire the fabric.
+"""Aggregation-tree construction: compile roles, state the shape, wire
+the workers.
 
 The collective data path is a two-level switch tree on a leaf/spine
 fabric: every rack's workers attach to a ToR *leaf* that sums the rack's
@@ -10,6 +11,11 @@ The same program text is compiled once per device (§III): each leaf is
 pinned with its own ``LEAVES``/``RACK_MASK`` defines and the root with
 ``NUM_RACKS``, mirroring how a control plane installs one binary per
 switch role.
+
+The tree is stated once, by :func:`collective_topology`; the standalone
+cluster, the service tenant (:mod:`repro.collective.tenant`) and the
+host-ring baseline's transit fabric are realisations of it, and
+:func:`wire_workers` puts the workers on whichever came back.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ from repro.collective.job import (
     OPS,
 )
 from repro.collective.protocol import SlotCluster
-from repro.netsim import DEVICE, HOST, Link, Network, pipeline_latency_ns
-from repro.reliability import ReliableChannel, ReliableNetCLDevice
+from repro.deploy.planner import AbstractTopology
+from repro.netsim import DEVICE, HOST, Link, Network
+from repro.reliability import ReliableChannel, reliable_device
 from repro.runtime import KernelSpec, NetCLDevice
 
 ROOT_DEVICE = 100
@@ -155,43 +162,100 @@ class CollectiveCluster(SlotCluster):
         return int(self.network.metrics.total("link.tx_bytes."))
 
 
-def wire_workers(
-    net: Network,
+def collective_topology(
+    num_racks: int,
     hosts: list[int],
-    workers_per_rack: int,
-    leaf_ids: list[int],
-    leaf_program,
+    *,
+    root: int = ROOT_DEVICE,
+    leaf=leaf_device,
+    spare=None,
+    target: Optional[str] = "tna",
+) -> AbstractTopology:
+    """The aggregation tree, stated once: spine ``root``, a ``leaf(rack)``
+    ToR per rack (each with a standby ``spare(rack)`` when given),
+    ``hosts`` in rank order split evenly over the racks, and the
+    multicast group of all of them.  ``target=None`` declares the shape
+    only -- nothing is compiled -- which is the host-ring baseline's
+    transit fabric."""
+    if not 2 <= num_racks <= 16:
+        raise ValueError("num_racks must be in [2, 16] (rack bits are u16)")
+    if len(hosts) % num_racks != 0:
+        raise ValueError(f"{len(hosts)} hosts do not split into {num_racks} racks")
+    workers_per_rack = len(hosts) // num_racks
+    if not 2 <= workers_per_rack <= 16:
+        raise ValueError(
+            "workers_per_rack must be in [2, 16] (worker bits are u16)"
+        )
+    if len(hosts) > 64:
+        raise ValueError(
+            "at most 64 workers total (the fixed-point sum is exact only "
+            "while N * 2^MANTISSA_BITS fits an i32)"
+        )
+
+    def program(device_id: int, rack: Optional[int] = None):
+        if target is None:
+            return None
+        return compile_role(
+            device_id,
+            rack=rack,
+            num_racks=num_racks,
+            workers_per_rack=workers_per_rack,
+            root_device=root,
+            target=target,
+        )
+
+    topo = AbstractTopology()
+    topo.add_device(root, program(root), "root")
+    for rack in range(num_racks):
+        topo.add_device(leaf(rack), program(leaf(rack), rack), "leaf")
+        topo.connect_devices(leaf(rack), root)
+        if spare is not None:
+            topo.add_device(
+                spare(rack), program(spare(rack), rack), spare_of=leaf(rack)
+            )
+    for rank, host_id in enumerate(hosts):
+        topo.attach_host(host_id, leaf(rank // workers_per_rack))
+    topo.add_multicast_group(COLL_MCAST_GROUP, [HOST(h) for h in hosts])
+    return topo
+
+
+def wire_workers(
+    cls,
+    deployment,
     *,
     window: int,
     exp_group: int,
     timeout_ns: int,
     stagger_ns: int,
     reliable: bool,
-    on_channel=lambda rack, channel: None,
-) -> list[CollectiveWorker]:
-    """One :class:`CollectiveWorker` per host of ``hosts`` (rank order,
-    ``workers_per_rack`` to a rack); rack ``r``'s workers address device
-    ``leaf_ids[r]``.  The message specs are read off ``leaf_program``.
+    **tenant,
+) -> CollectiveCluster:
+    """The ``cls`` cluster on a realised :func:`collective_topology`: one
+    :class:`CollectiveWorker` per attached host, in rank order.
 
-    ``reliable`` gives every worker a
-    :class:`~repro.reliability.ReliableChannel` and reports it through
-    ``on_channel(rack, channel)`` — how a service tenant registers its
-    channels for retargeting on migration; standalone passes nothing.
+    ``deployment`` is what realising the topology returned -- a
+    standalone :class:`~repro.deploy.planner.DeploymentPlan` or a service
+    :class:`~repro.service.Tenant`; it says which network the hosts are
+    on and which id reaches a leaf's program.  ``reliable`` gives every
+    worker a :class:`~repro.reliability.ReliableChannel` and registers it
+    with the deployment (how a tenant's channels get retargeted on
+    migration).  ``tenant`` are the extra fields of a tenant ``cls``.
     """
-    by_comp = {k.computation: k for k in leaf_program.kernels()}
+    topo, net = deployment.topology, deployment.network
+    leaves = topo.roles["leaf"]
+    by_comp = {k.computation: k for k in topo.programs[leaves[0]].kernels()}
     spec_reduce = KernelSpec.from_kernel(by_comp[COMP_REDUCE])
     spec_exp = KernelSpec.from_kernel(by_comp[COMP_EXPMAX])
     workers: list[CollectiveWorker] = []
-    for rank, host_id in enumerate(hosts):
-        rack = rank // workers_per_rack
+    for rank, (host_id, leaf) in enumerate(topo.host_attachments.items()):
         worker = CollectiveWorker(
             net,
             host_id,
             rank,
-            rack,
+            leaves.index(leaf),
             spec_reduce,
             spec_exp,
-            device_id=leaf_ids[rack],
+            device_id=deployment.address(leaf),
             window=window,
             timeout_ns=timeout_ns,
             stagger_ns=stagger_ns,
@@ -209,12 +273,24 @@ def wire_workers(
                 net,
                 worker.host,
                 spec_reduce,
-                target_device=leaf_ids[rack],
+                target_device=deployment.address(leaf),
                 ack=False,
             )
-            on_channel(rack, worker.channel)
+            deployment.register_channel(leaf, worker.channel)
         workers.append(worker)
-    return workers
+    return cls(
+        network=net,
+        root=deployment.devices[topo.roles["root"][0]],
+        leaves=[deployment.devices[d] for d in leaves],
+        standbys=[deployment.devices[d] for d in topo.spares.values()],
+        workers=workers,
+        compiled=topo.programs,
+        spec_reduce=spec_reduce,
+        spec_exp=spec_exp,
+        num_racks=len(leaves),
+        workers_per_rack=len(workers) // len(leaves),
+        **tenant,
+    )
 
 
 def build_collective_cluster(
@@ -242,101 +318,24 @@ def build_collective_cluster(
     :class:`~repro.reliability.ReliableChannel` — the configuration the
     chaos scenarios use.
     """
-    if not 2 <= num_racks <= 16:
-        raise ValueError("num_racks must be in [2, 16] (rack bits are u16)")
-    if not 2 <= workers_per_rack <= 16:
-        raise ValueError(
-            "workers_per_rack must be in [2, 16] (worker bits are u16)"
-        )
-    if num_racks * workers_per_rack > 64:
-        raise ValueError(
-            "at most 64 workers total (the fixed-point sum is exact only "
-            "while N * 2^MANTISSA_BITS fits an i32)"
-        )
-
-    net = Network(seed=seed)
-
-    def make_device(device_id: int, compiled) -> NetCLDevice:
-        if reliable:
-            # ordered=True: the slot protocol assumes per-worker FIFO
-            # delivery (see run_agg_chaos).
-            return ReliableNetCLDevice(
-                device_id,
-                compiled.module,
-                compiled.kernels(),
-                metrics=net.metrics,
-                ordered=True,
-            )
-        return NetCLDevice(device_id, compiled.module, compiled.kernels())
-
-    compiled: dict[int, object] = {}
-
-    def add_switch(device_id: int, rack: Optional[int]) -> NetCLDevice:
-        prog = compile_role(
-            device_id,
-            rack=rack,
-            num_racks=num_racks,
-            workers_per_rack=workers_per_rack,
-            target=target,
-        )
-        compiled[device_id] = prog
-        dev = make_device(device_id, prog)
-        net.add_switch(dev, processing_ns=pipeline_latency_ns(prog))
-        return dev
-
-    def fabric_link(a, b) -> None:
-        net.link(
-            a,
-            b,
-            Link(
-                latency_ns=link_latency_ns,
-                bandwidth_gbps=bandwidth_gbps,
-                loss_probability=loss,
-            ),
-        )
-
-    root = add_switch(ROOT_DEVICE, None)
-    leaves: list[NetCLDevice] = []
-    standbys: list[NetCLDevice] = []
-    for rack in range(num_racks):
-        leaf = add_switch(leaf_device(rack), rack)
-        leaves.append(leaf)
-        fabric_link(DEVICE(leaf.device_id), DEVICE(ROOT_DEVICE))
-        if standby:
-            spare = add_switch(standby_device(rack), rack)
-            standbys.append(spare)
-            fabric_link(DEVICE(spare.device_id), DEVICE(ROOT_DEVICE))
-
-    hosts = list(range(1, num_racks * workers_per_rack + 1))
-    for rank, host_id in enumerate(hosts):
-        rack = rank // workers_per_rack
-        net.add_host(host_id)
-        fabric_link(HOST(host_id), DEVICE(leaf_device(rack)))
-        if standby:
-            fabric_link(HOST(host_id), DEVICE(standby_device(rack)))
-    workers = wire_workers(
-        net,
-        hosts,
-        workers_per_rack,
-        [leaf.device_id for leaf in leaves],
-        compiled[leaf_device(0)],
+    deployment = collective_topology(
+        num_racks,
+        list(range(1, num_racks * workers_per_rack + 1)),
+        spare=standby_device if standby else None,
+        target=target,
+    ).realise(
+        seed=seed,
+        link=Link(link_latency_ns, bandwidth_gbps, loss_probability=loss),
+        # ordered=True: the slot protocol assumes per-worker FIFO
+        # delivery (see run_agg_chaos).
+        device=reliable_device(ordered=True) if reliable else None,
+    )
+    return wire_workers(
+        CollectiveCluster,
+        deployment,
         window=window,
         exp_group=exp_group,
         timeout_ns=timeout_ns,
         stagger_ns=stagger_ns,
         reliable=reliable,
-    )
-    net.add_multicast_group(COLL_MCAST_GROUP, [HOST(h) for h in hosts])
-
-    return CollectiveCluster(
-        network=net,
-        root=root,
-        leaves=leaves,
-        standbys=standbys,
-        workers=workers,
-        compiled=compiled,
-        spec_reduce=workers[0].spec_reduce,
-        spec_exp=workers[0].spec_exp,
-        num_racks=num_racks,
-        workers_per_rack=workers_per_rack,
     )

@@ -1,12 +1,14 @@
-"""The deployment planner: abstract topology -> physical fabric."""
+"""The fabric description, its one realiser and the one placement search
+(see the :mod:`repro.deploy` package docstring)."""
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, FrozenSet, Iterator, Optional
 
 from repro.core.driver import CompiledProgram
+from repro.ir.module import Module
 from repro.netsim import (
     DEVICE,
     HOST,
@@ -16,7 +18,19 @@ from repro.netsim import (
     NodeKey,
     pipeline_latency_ns,
 )
+from repro.reliability.failover import ReplicatedConnection
+from repro.runtime.control import DeviceConnection
 from repro.runtime.device import NetCLDevice
+
+#: a physical switch ``s`` hosting no program of the topology appears in
+#: the live network as transit device ``TRANSIT_BASE + s``.
+TRANSIT_BASE = 10_000
+
+
+def transit_device(device_id: int) -> NetCLDevice:
+    """A switch running only the operator's base program: every NetCL
+    packet is a no-op there and is forwarded untouched."""
+    return NetCLDevice(device_id, Module(f"transit{device_id}"), [])
 
 
 class DeploymentError(Exception):
@@ -108,21 +122,57 @@ def fit_reason(
     return None
 
 
+@dataclass(frozen=True)
+class DeviceDemand:
+    """Per-switch resource demand of one abstract device."""
+
+    stages: int
+    sram_pct: float
+    salu_pct: float
+
+
 @dataclass
 class AbstractTopology:
-    """The topology the NetCL program was written against (§IV, Fig. 5c)."""
+    """The topology the NetCL program was written against (§IV, Fig. 5c).
 
-    #: abstract device id -> compiled program for that device
-    programs: dict[int, CompiledProgram] = field(default_factory=dict)
+    The one description of a fabric: every application states its shape
+    once as a function returning one of these, and standalone cluster,
+    service tenant, planned deployment and host baseline are all
+    realisations of it.
+    """
+
+    #: abstract device id -> compiled program for that device (``None``:
+    #: shape only -- realised as a transit switch, which is how a host
+    #: baseline gets the same graph without compiling anything)
+    programs: dict[int, Optional[CompiledProgram]] = field(default_factory=dict)
+    #: role name -> the devices declared with it, in declaration order
+    roles: dict[str, list[int]] = field(default_factory=dict)
     #: host id -> abstract device the host's traffic enters through
     host_attachments: dict[int, int] = field(default_factory=dict)
     #: device-device edges the computation steers messages along
     device_edges: list[tuple[int, int]] = field(default_factory=list)
     #: multicast group id -> member node keys ("h"/"d", id)
     multicast_groups: dict[int, list[NodeKey]] = field(default_factory=dict)
+    #: primary device -> its standby, which mirrors every link of the primary
+    spares: dict[int, int] = field(default_factory=dict)
+    #: the host model: per-packet host overheads occupy the host (a
+    #: single-core packet path) instead of overlapping
+    serialize_overheads: bool = False
 
-    def add_device(self, device_id: int, compiled: CompiledProgram) -> None:
+    def add_device(
+        self,
+        device_id: int,
+        compiled: Optional[CompiledProgram] = None,
+        role: Optional[str] = None,
+        *,
+        spare_of: Optional[int] = None,
+    ) -> None:
+        """Declare a device; ``spare_of`` makes it that primary's standby."""
         self.programs[device_id] = compiled
+        if role is not None:
+            self.roles.setdefault(role, []).append(device_id)
+        if spare_of is not None:
+            self.spares[spare_of] = device_id
 
     def attach_host(self, host_id: int, device_id: int) -> None:
         prev = self.host_attachments.get(host_id)
@@ -138,6 +188,113 @@ class AbstractTopology:
 
     def add_multicast_group(self, gid: int, members: list[NodeKey]) -> None:
         self.multicast_groups[gid] = list(members)
+
+    @classmethod
+    def star(cls, device_id: int, compiled, hosts: list[int], *, spare=None):
+        """One switch with ``hosts`` around it -- the shape of AGG, CACHE,
+        CALC and the echo tenant; ``spare=(id, program)`` adds a standby."""
+        topo = cls()
+        topo.add_device(device_id, compiled)
+        if spare is not None:
+            topo.add_device(*spare, spare_of=device_id)
+        for h in hosts:
+            topo.attach_host(h, device_id)
+        return topo
+
+    def validate(self) -> None:
+        """Every attachment, edge, spare and device-typed group member
+        must name a declared device; raises :class:`DeploymentError`
+        naming the first reference that does not."""
+        refs = [(d, f"the attachment of host {h}") for h, d in self.host_attachments.items()]
+        refs += [(d, f"edge {a}--{b}") for a, b in self.device_edges for d in (a, b)]
+        refs += [(p, f"spare {s}") for p, s in self.spares.items()]
+        for gid, members in self.multicast_groups.items():
+            refs += [(m[1], f"multicast group {gid}") for m in members if m[0] == "d"]
+        for device_id, what in refs:
+            if device_id not in self.programs:
+                raise DeploymentError(
+                    f"{what} names abstract device {device_id}, which the "
+                    "topology does not declare"
+                )
+
+    def links(self) -> Iterator[tuple[NodeKey, NodeKey]]:
+        """The links of the topology's own graph in realisation order:
+        device edges, then host attachments, each in declaration order, a
+        spare's copy of a link right after its primary's.  Routing is
+        first-parent-wins BFS over insertion-ordered adjacency, so this
+        order is part of every per-seed digest: to move a link, move its
+        declaration in the shape function."""
+        edges = [(DEVICE(a), DEVICE(b)) for a, b in self.device_edges]
+        edges += [(HOST(h), DEVICE(d)) for h, d in self.host_attachments.items()]
+        for a, b in edges:
+            yield a, b
+            for end, other in ((a, b), (b, a)):
+                if end[0] == "d" and end[1] in self.spares:
+                    yield DEVICE(self.spares[end[1]]), other
+
+    def realise(
+        self,
+        fabric: Optional["PhysicalFabric"] = None,
+        assignment: Optional[dict[int, int]] = None,
+        *,
+        seed: int = 1,
+        link: Optional[Link] = None,
+        device: Optional[Callable] = None,
+        transit_ns: int = 350,
+    ) -> "DeploymentPlan":
+        """Build the live network -- the only place a fabric is wired.
+
+        With no ``fabric`` the topology's own graph is the fabric and the
+        assignment the identity: a standalone cluster, or a host baseline
+        when the devices carry no program.  Otherwise ``assignment``
+        (abstract device -> switch of ``fabric``) says where each program
+        runs -- under its *abstract* id, which its kernels were compiled
+        against -- and every other switch is transit device
+        ``TRANSIT_BASE + s``.  ``link`` is copied per edge;
+        ``device(id, program, metrics)`` makes a programmed switch's
+        runtime (default: a plain :class:`NetCLDevice` with its own
+        registry); its ``processing_ns`` is the program's fitted
+        pipeline latency, a transit device's is ``transit_ns``.
+        """
+        self.validate()
+        if fabric is None:
+            assignment = {d: d for d in self.programs}
+            switches, hosts = list(self.programs), list(self.host_attachments)
+            links = self.links()
+        else:
+            switches, hosts, links = fabric.switches, fabric.hosts, fabric.links
+        hosted = {sid: dev for dev, sid in assignment.items()}
+        template = link or Link()
+
+        def net_id(sid: int) -> int:
+            return hosted.get(sid, TRANSIT_BASE + sid)
+
+        def net_key(node: NodeKey) -> NodeKey:
+            return node if node[0] == "h" else DEVICE(net_id(node[1]))
+
+        net = Network(seed=seed)
+        devices: dict[int, NetCLDevice] = {}
+        for sid in switches:
+            device_id = net_id(sid)
+            program = self.programs.get(device_id)
+            if program is None:
+                dev = transit_device(device_id)
+            elif device is None:
+                dev = NetCLDevice(device_id, program.module, program.kernels())
+            else:
+                dev = device(device_id, program, net.metrics)
+            devices[device_id] = dev
+            net.add_switch(
+                dev,
+                processing_ns=pipeline_latency_ns(program) if program else transit_ns,
+            )
+        for hid in hosts:
+            net.add_host(hid).serialize_overheads = self.serialize_overheads
+        for a, b in links:
+            net.link(net_key(a), net_key(b), dataclasses.replace(template))
+        for gid, members in self.multicast_groups.items():
+            net.add_multicast_group(gid, list(members))
+        return DeploymentPlan(self, assignment, net, devices)
 
 
 @dataclass
@@ -202,126 +359,214 @@ class PhysicalFabric:
 
 @dataclass
 class DeploymentPlan:
-    """abstract device id -> physical switch id, plus the live network."""
+    """A realised topology: abstract device id -> physical switch id, plus
+    the live network.  ``network`` / :meth:`address` / :meth:`control` /
+    :meth:`register_channel` are the surface applications are wired
+    against; a service :class:`~repro.service.Tenant` offers the same
+    four, so standalone and tenant share one wiring."""
 
+    topology: AbstractTopology
     assignment: dict[int, int]
     network: Network
     devices: dict[int, NetCLDevice]
+    #: abstract device id -> the control connection handed out for it
+    connections: dict[int, object] = field(default_factory=dict)
+    #: (abstract device id, channel) pairs the hosts opened
+    channels: list[tuple[int, object]] = field(default_factory=list)
 
     def physical_for(self, abstract_device: int) -> int:
         return self.assignment[abstract_device]
 
+    def address(self, device: int) -> int:
+        """The id hosts put on the wire to reach ``device``'s program."""
+        return device
+
+    def control(self, device: int):
+        """The control connection of ``device``; it journals when the
+        topology declares a spare (the journal is what promotion replays)."""
+        if device not in self.connections:
+            conn = DeviceConnection(self.devices[device])
+            journals = device in self.topology.spares
+            self.connections[device] = ReplicatedConnection(conn) if journals else conn
+        return self.connections[device]
+
+    def register_channel(self, device: int, channel) -> None:
+        self.channels.append((device, channel))
+
 
 class DeploymentPlanner:
-    """Greedy resource-aware placement.
+    """Resource-aware placement: one depth-first search with backtracking.
 
-    Abstract devices are placed most-demanding-first; each goes to the
-    physical switch with enough free stages/SRAM/SALUs that minimizes the
-    total distance to the hosts and already-placed devices it talks to.
+    Abstract devices are placed most-demanding-first.  Each tries the
+    switches with enough free stages/SRAM/SALUs in order of
+    ``(distance, -free stages, switch id)``: total shortest-path
+    distance to the hosts and already-placed devices it talks to, ties
+    toward the emptiest switch (spread load, keep large holes), then the
+    lowest id.  A dead end -- an early device taking the only switch a
+    later one fits -- is undone, not fatal.  One device of a topology
+    per switch: distinct devices exist to parallelise the pipeline.
     """
+
+    #: backtracking budget: candidate switches tried across the whole
+    #: search before giving up (keeps worst-case planning time bounded).
+    MAX_NODES = 20_000
 
     def __init__(self, fabric: PhysicalFabric) -> None:
         self.fabric = fabric
 
     # -- planning -------------------------------------------------------------
     def plan(self, topology: AbstractTopology) -> dict[int, int]:
-        graph = self.fabric.graph()
-        for host_id in topology.host_attachments:
-            if HOST(host_id) not in graph:
-                raise DeploymentError(f"host {host_id} is not in the fabric")
+        """Place ``topology`` into the pristine fabric's headroom, with
+        demands from the programs' fit reports."""
+        topology.validate()
         demands = {}
         for dev_id, cp in topology.programs.items():
-            if cp.report is None:
+            if cp is None or cp.report is None:
                 raise DeploymentError(
                     f"abstract device {dev_id}: program was not fitted; "
                     "compile with fit=True first"
                 )
-            demands[dev_id] = cp.report
-
-        paths = graph.all_pairs_lengths()
+            demands[dev_id] = DeviceDemand(
+                cp.report.stages_used, cp.report.sram_pct, cp.report.salus_pct
+            )
+        graph = self.fabric.graph()
         for host_id in topology.host_attachments:
-            reach = paths.get(HOST(host_id), {})
-            if not any(DEVICE(sid) in reach for sid in self.fabric.switches):
+            host = HOST(host_id)
+            if host in graph and not any(k == "d" for k, _ in graph.shortest_paths(host)):
                 raise DeploymentError(
                     f"host {host_id} cannot reach any switch "
                     "(disconnected fabric)"
                 )
-
-        order = sorted(demands, key=lambda d: -demands[d].stages_used)
-        assignment: dict[int, int] = {}
         headroom = {
             sid: [sw.free_stages, sw.free_sram_pct, sw.free_salu_pct]
             for sid, sw in self.fabric.switches.items()
         }
+        try:
+            return self.search(topology, demands, headroom)
+        except DeploymentError as exc:
+            bd = exc.breakdown
+            if bd is None:
+                raise
+            raise DeploymentError(
+                f"no physical switch has room for abstract device {bd.device}\n"
+                + bd.render(),
+                breakdown=bd,
+            ) from exc
 
-        for dev_id in order:
-            report = demands[dev_id]
-            neighbors: list[NodeKey] = [
-                HOST(h) for h, d in topology.host_attachments.items() if d == dev_id
+    def search(
+        self,
+        topology: AbstractTopology,
+        demands: dict[int, DeviceDemand],
+        residual: dict[int, list[float]],
+        *,
+        exclude: FrozenSet[int] = frozenset(),
+        pinned: Optional[dict[int, int]] = None,
+    ) -> dict[int, int]:
+        """Assign each device in ``demands`` to a switch within
+        ``residual`` headroom ([stages, sram_pct, salu_pct] per switch).
+        ``exclude``d switches never receive devices; ``pinned``
+        assignments anchor distance scoring without being moved.  Raises
+        :class:`DeploymentError` with a per-switch breakdown when no
+        feasible assignment exists."""
+        graph = self.fabric.graph()
+        for sid in exclude:
+            if DEVICE(sid) in graph:
+                graph.remove_node(DEVICE(sid))
+        for host_id in topology.host_attachments:
+            if HOST(host_id) not in graph:
+                raise DeploymentError(f"host {host_id} is not in the fabric")
+        paths = graph.all_pairs_lengths()
+        #: topology node -> the nodes it has a link to
+        peers: dict[NodeKey, list[NodeKey]] = {}
+        for a, b in topology.links():
+            peers.setdefault(a, []).append(b)
+            peers.setdefault(b, []).append(a)
+
+        free = {
+            sid: list(headroom)
+            for sid, headroom in residual.items()
+            if sid not in exclude
+        }
+        order = sorted(demands, key=lambda d: (-demands[d].stages, d))
+        assignment: dict[int, int] = dict(pinned or {})
+        state = {"nodes": 0, "breakdown": None}
+
+        def candidates(dev_id: int) -> tuple[list[int], list[SwitchResidual]]:
+            need = demands[dev_id]
+            # attached hosts and already-placed peers, as fabric nodes
+            neighbors = [
+                n if n[0] == "h" else DEVICE(assignment[n[1]])
+                for n in peers.get(DEVICE(dev_id), ())
+                if n[0] == "h" or n[1] in assignment
             ]
-            for a, b in topology.device_edges:
-                if a == dev_id and b in assignment:
-                    neighbors.append(DEVICE(assignment[b]))
-                if b == dev_id and a in assignment:
-                    neighbors.append(DEVICE(assignment[a]))
-
-            best: Optional[tuple[float, int]] = None
+            scored: list[tuple[float, float, int]] = []
             rejects: list[SwitchResidual] = []
-
-            def reject(sid: int, free: list, reason: str) -> None:
-                rejects.append(SwitchResidual(sid, free[0], free[1], free[2], reason))
-
-            for sid, free in headroom.items():
-                if sid in assignment.values():
-                    # one NetCL program per switch in this planner
-                    reject(sid, free, "holds another device of this topology")
-                    continue
-                reason = fit_reason(
-                    report.stages_used, report.sram_pct, report.salus_pct, free
-                )
-                if reason is not None:
-                    reject(sid, free, reason)
-                    continue
-                key = DEVICE(sid)
-                dist = 0
-                unreachable: Optional[NodeKey] = None
-                for n in neighbors:
-                    hop = paths.get(key, {}).get(n)
-                    if hop is None:
-                        unreachable = n
-                        break
-                    dist += hop
-                if unreachable is not None:
-                    kind, ident = unreachable
-                    reject(
-                        sid, free,
-                        f"unreachable from {'host' if kind == 'h' else 'device'} "
-                        f"{ident} (disconnected fabric)",
+            taken = set(assignment.values())
+            for sid, headroom in free.items():
+                if sid in taken:
+                    reason = "holds another device of this tenant"
+                else:
+                    reason = fit_reason(
+                        need.stages, need.sram_pct, need.salu_pct, headroom
                     )
-                    continue
-                if best is None or dist < best[0]:
-                    best = (dist, sid)
-            if best is None:
-                breakdown = PlacementBreakdown(
+                dist = 0.0
+                if reason is None:
+                    reach = paths.get(DEVICE(sid), {})
+                    for kind, ident in neighbors:
+                        hop = reach.get((kind, ident))
+                        if hop is None:
+                            reason = (
+                                f"unreachable from "
+                                f"{'host' if kind == 'h' else 'device'} {ident}"
+                            )
+                            break
+                        dist += hop
+                if reason is None:
+                    scored.append((dist, -headroom[0], sid))
+                else:
+                    rejects.append(SwitchResidual(sid, *headroom, reason))
+            return [sid for *_, sid in sorted(scored)], rejects
+
+        def place(i: int) -> bool:
+            if i == len(order):
+                return True
+            dev_id = order[i]
+            need = demands[dev_id]
+            cands, rejects = candidates(dev_id)
+            if not cands and state["breakdown"] is None:
+                state["breakdown"] = PlacementBreakdown(
                     device=dev_id,
-                    need_stages=report.stages_used,
-                    need_sram_pct=report.sram_pct,
-                    need_salu_pct=report.salus_pct,
+                    need_stages=need.stages,
+                    need_sram_pct=need.sram_pct,
+                    need_salu_pct=need.salu_pct,
                     switches=rejects,
                 )
-                raise DeploymentError(
-                    f"no physical switch has room for abstract device "
-                    f"{dev_id} ({report.stages_used} stages, "
-                    f"{report.sram_pct:.1f}% SRAM, {report.salus_pct:.1f}% SALUs)\n"
-                    + breakdown.render(),
-                    breakdown=breakdown,
-                )
-            sid = best[1]
-            assignment[dev_id] = sid
-            headroom[sid][0] -= report.stages_used
-            headroom[sid][1] -= report.sram_pct
-            headroom[sid][2] -= report.salus_pct
-        return assignment
+            for sid in cands:
+                state["nodes"] += 1
+                if state["nodes"] > self.MAX_NODES:
+                    return False
+                assignment[dev_id] = sid
+                headroom = free[sid]
+                headroom[0] -= need.stages
+                headroom[1] -= need.sram_pct
+                headroom[2] -= need.salu_pct
+                if place(i + 1):
+                    return True
+                headroom[0] += need.stages
+                headroom[1] += need.sram_pct
+                headroom[2] += need.salu_pct
+                del assignment[dev_id]
+            return False
+
+        if place(0):
+            return {dev: assignment[dev] for dev in demands}
+        breakdown: Optional[PlacementBreakdown] = state["breakdown"]
+        detail = "\n" + breakdown.render() if breakdown is not None else ""
+        raise DeploymentError(
+            "no feasible placement into residual fabric headroom "
+            f"(searched {state['nodes']} candidates)" + detail,
+            breakdown=breakdown,
+        )
 
     # -- instantiation ------------------------------------------------------------
     def deploy(
@@ -333,41 +578,6 @@ class DeploymentPlanner:
     ) -> DeploymentPlan:
         """Plan, then build a live netsim network with device runtimes on
         the chosen switches and the multicast groups configured."""
-        assignment = self.plan(topology)
-        physical_to_abstract = {p: a for a, p in assignment.items()}
-
-        net = Network(seed=seed)
-        devices: dict[int, NetCLDevice] = {}
-        for sid in self.fabric.switches:
-            abstract = physical_to_abstract.get(sid)
-            if abstract is not None:
-                cp = topology.programs[abstract]
-                # The runtime keeps the *abstract* device id: kernels were
-                # compiled against it (device.id, send_to_device targets).
-                dev = NetCLDevice(abstract, cp.module, cp.kernels())
-                proc = pipeline_latency_ns(cp, 400)
-            else:
-                # A plain transit switch: base program only.
-                from repro.ir.module import Module
-
-                dev = NetCLDevice(10_000 + sid, Module(f"transit{sid}"), [])
-                proc = 350
-            devices[dev.device_id] = dev
-            net.add_switch(dev, processing_ns=proc)
-
-        for hid in self.fabric.hosts:
-            net.add_host(hid)
-
-        def to_net_key(node: NodeKey) -> NodeKey:
-            kind, ident = node
-            if kind == "h":
-                return node
-            abstract = physical_to_abstract.get(ident)
-            return DEVICE(abstract if abstract is not None else 10_000 + ident)
-
-        for a, b in self.fabric.links:
-            net.link(to_net_key(a), to_net_key(b), link or Link())
-
-        for gid, members in topology.multicast_groups.items():
-            net.add_multicast_group(gid, list(members))
-        return DeploymentPlan(assignment, net, devices)
+        return topology.realise(
+            self.fabric, self.plan(topology), link=link, seed=seed
+        )

@@ -1,6 +1,6 @@
 """The topology graph: an insertion-ordered dict of dicts with BFS.
 
-Routing and both placement planners need an undirected adjacency
+Routing and the placement search need an undirected adjacency
 structure and unweighted shortest paths, nothing more.  Neighbours keep
 their insertion order and :meth:`Graph.shortest_paths` lets the first
 discovered parent win, so among equal-cost paths (two spines between the

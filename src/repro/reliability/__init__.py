@@ -22,7 +22,7 @@ counters), so degradation is observable rather than silent.
 
 from repro.reliability.channel import BackoffPolicy, ReliableChannel
 from repro.reliability.dedup import DedupWindow, ReplayCache
-from repro.reliability.device import ReliableNetCLDevice
+from repro.reliability.device import ReliableNetCLDevice, reliable_device
 from repro.reliability.failover import FailoverManager, ReplicatedConnection
 
 __all__ = [
@@ -33,4 +33,5 @@ __all__ = [
     "ReliableNetCLDevice",
     "FailoverManager",
     "ReplicatedConnection",
+    "reliable_device",
 ]

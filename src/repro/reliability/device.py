@@ -130,3 +130,11 @@ class ReliableNetCLDevice(NetCLDevice):
         )
         ack.stamp_reliability(REL_ACK, packet.rel_seq)
         return ForwardDecision(ForwardKind.TO_HOST, packet.src, ack)
+
+
+def reliable_device(*, ordered: bool = False):
+    """A device factory for :meth:`repro.deploy.AbstractTopology.realise`:
+    a :class:`ReliableNetCLDevice` reporting into the network's registry."""
+    return lambda device_id, compiled, metrics: ReliableNetCLDevice(
+        device_id, compiled.module, compiled.kernels(), metrics=metrics, ordered=ordered
+    )

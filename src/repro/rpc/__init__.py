@@ -17,8 +17,8 @@ at the edge.  See ``docs/RPC.md``.
   endpoints (retries with fresh sequences, per-request-id at-most-once
   reply cache, pure gather partials);
 * :mod:`repro.rpc.memo` — the ToR memoization control plane;
-* :mod:`repro.rpc.cluster` — role compilation and the standalone
-  two-rack fabric;
+* :mod:`repro.rpc.cluster` — role compilation, the fabric's shape
+  (:func:`rpc_topology`) and the application wiring;
 * :mod:`repro.rpc.baseline` — the host-side fan-out the telemetry and
   benchmarks compare against;
 * :mod:`repro.rpc.tenant` — the same roles submitted to
@@ -42,6 +42,7 @@ from repro.rpc.cluster import (
     TokenRefiller,
     build_rpc_cluster,
     compile_rpc_role,
+    rpc_topology,
     server_host,
     standby_device,
     tor_device,
@@ -135,6 +136,7 @@ __all__ = [
     "one_hot",
     "pack_topk",
     "request_key",
+    "rpc_topology",
     "run_host_fanout",
     "run_rpc_chaos",
     "server_host",

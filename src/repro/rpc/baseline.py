@@ -1,8 +1,8 @@
 """Host-only scatter-gather: the no-INC comparison point.
 
-The same fabric graph as :func:`repro.rpc.cluster.build_rpc_cluster` —
-edge, spine, ToRs, identical links — but every switch is a plain transit
-device.  The client fans one logical call out as ``N`` unicast requests
+The same fabric as :func:`repro.rpc.cluster.build_rpc_cluster` — one
+:func:`~repro.rpc.cluster.rpc_topology`, here shape only — but every
+switch is a plain transit device.  The client fans one logical call out as ``N`` unicast requests
 (one per replica, each over the same reliable transport: fresh-sequence
 requests, reply-completes, retransmission on loss) and merges the ``N``
 partial replies **locally** with the bit-identical host twin of the
@@ -30,14 +30,12 @@ from typing import Callable, Optional
 
 from repro.chaos.inject import ChaosController
 from repro.chaos.plan import ChaosPlan, LinkFaults
-from repro.ir.module import Module
-from repro.netsim import DEVICE, HOST, Link, Network
+from repro.netsim import Link
 from repro.reliability import ReliableChannel
 from repro.rpc.idl import OP_PARTIAL, OP_REQ, SG_WORDS
 from repro.rpc.policies import merge_words
-from repro.runtime import NetCLDevice
 from repro.runtime.message import FieldSpec, KernelSpec, NO_DEVICE, NetCLPacket, unpack
-from repro.rpc import cluster as topo
+from repro.rpc.cluster import rpc_topology, server_host
 
 #: wire layout of one fan-out packet — the same fields (and widths) as
 #: the kernel's computation 2, so transit switches and telemetry see
@@ -174,43 +172,20 @@ class _FanoutRun:
         self.queries = queries
         self.partial_fn = partial_fn
         self.policy_names = policy_names
-        net = Network(seed=seed)
-        self.net = net
-
-        def transit(device_id: int, name: str) -> None:
-            net.add_switch(
-                NetCLDevice(device_id, Module(f"transit_{name}"), []),
-                processing_ns=400,
+        self.server_hosts = [
+            server_host(i, 1) for i in range(num_racks * servers_per_rack)
+        ]
+        # The graph and host model the in-network cluster realises (no
+        # standbys), with no program on any switch.
+        self.net = (
+            rpc_topology(num_racks, [1], self.server_hosts, target=None)
+            .realise(
+                seed=seed,
+                link=Link(latency_ns=link_latency_ns, bandwidth_gbps=bandwidth_gbps),
+                transit_ns=400,
             )
-
-        def link(a, b) -> None:
-            net.link(
-                a, b,
-                Link(latency_ns=link_latency_ns, bandwidth_gbps=bandwidth_gbps),
-            )
-
-        # The exact graph the in-network cluster wires (no standbys).
-        transit(topo.EDGE_DEVICE, "edge")
-        transit(topo.SG_DEVICE, "sg")
-        link(DEVICE(topo.EDGE_DEVICE), DEVICE(topo.SG_DEVICE))
-        for rack in range(num_racks):
-            transit(topo.tor_device(rack), f"tor{rack}")
-            link(DEVICE(topo.tor_device(rack)), DEVICE(topo.EDGE_DEVICE))
-            link(DEVICE(topo.tor_device(rack)), DEVICE(topo.SG_DEVICE))
-        net.add_host(1)
-        link(HOST(1), DEVICE(topo.EDGE_DEVICE))
-        self.server_hosts = []
-        fanout = num_racks * servers_per_rack
-        for i in range(fanout):
-            h = topo.server_host(i, 1)
-            net.add_host(h)
-            self.server_hosts.append(h)
-            link(HOST(h), DEVICE(topo.tor_device(i // servers_per_rack)))
-
-        # Same single-core packet path the in-network cluster charges.
-        for host in net.hosts.values():
-            host.serialize_overheads = True
-
+            .network
+        )
         self.servers = [
             _FanoutServer(self, h, i) for i, h in enumerate(self.server_hosts)
         ]

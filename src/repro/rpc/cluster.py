@@ -17,7 +17,7 @@ The standalone deployment is a three-tier path::
 * the **SG spine** (91) merges scatter-gather partials; no switch runs
   ``ordered`` mode — the slot merge is guarded by (version, agg index)
   compares and the client checks ver+tag, so FIFO enforcement would
-  only stale-drop reordered partials (see ``add_switch`` below).
+  only stale-drop reordered partials (see :func:`build_rpc_cluster`).
 
 Every switch is a :class:`~repro.reliability.ReliableNetCLDevice`: the
 memo ToR rewrites packets (reflected hits need their CRC restamped) and
@@ -26,19 +26,24 @@ standalone and tenant deployments exercise identical device behavior.
 Host-side token refills reuse the service's QoS bucket math
 (:class:`TokenRefiller`).
 
+The fabric is stated once, by :func:`rpc_topology`; this module realises
+it standalone, :mod:`repro.rpc.tenant` submits it to the service and
+:mod:`repro.rpc.baseline` realises its shape with transit switches.
 Everything above the switches — method routing, memo controllers, the
-refiller, servers and clients — is :func:`wire_rpc_apps`, which
-:mod:`repro.rpc.tenant` calls with a tenant's ids and connections
-instead of this module's.
+refiller, servers and clients — is :func:`wire_rpc_apps`, on whichever
+deployment came back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.apps import compile_app
-from repro.netsim import DEVICE, HOST, Link, Network, pipeline_latency_ns
-from repro.reliability import ReliableNetCLDevice, ReplicatedConnection
+from repro.collective.tree import leaf_device as tor_device, standby_device
+from repro.deploy.planner import AbstractTopology
+from repro.netsim import HOST, Link, Network
+from repro.reliability import ReliableNetCLDevice, reliable_device
 from repro.rpc.client import RpcClient
 from repro.rpc.idl import NUM_METHODS, RpcSchema
 from repro.rpc.memo import MemoController
@@ -50,22 +55,10 @@ from repro.runtime.control import DeviceConnection
 EDGE_DEVICE = 90
 SG_DEVICE = 91
 SG_MCAST_GROUP = 88
-#: standby ToRs share the collective convention: their own id range.
-STANDBY_BASE = 131
 
 #: token budget written for methods with no QoS limit (practically
 #: unlimited at simulation timescales; the data plane only decrements).
 UNLIMITED_TOKENS = 1 << 30
-
-
-def tor_device(rack: int) -> int:
-    """The device id of rack ``rack``'s primary ToR."""
-    return 101 + rack
-
-
-def standby_device(rack: int) -> int:
-    """The device id of rack ``rack``'s standby ToR."""
-    return STANDBY_BASE + rack
 
 
 def compile_rpc_role(
@@ -210,67 +203,110 @@ def server_host(index: int, num_clients: int) -> int:
     return num_clients + 1 + index
 
 
-def check_rpc_shape(schema: RpcSchema, handlers: dict, fanout: int) -> None:
-    """Reject a deployment the data plane cannot express, before any
-    switch is compiled or any tenant admitted."""
-    if not 1 <= fanout <= 16:
-        raise ValueError("fanout must be in [1, 16] (replica bits are u16)")
+def check_rpc_shape(schema: RpcSchema, handlers: dict) -> None:
+    """Reject a schema the servers cannot serve, before any switch is
+    compiled or any tenant admitted."""
     for name in (m.name for m in schema.methods):
         if name not in handlers:
             raise ValueError(f"no handler for method {name!r}")
 
 
+def rpc_topology(
+    num_racks: int,
+    client_hosts: list[int],
+    server_hosts: list[int],
+    *,
+    edge: int = EDGE_DEVICE,
+    sg: int = SG_DEVICE,
+    tor=tor_device,
+    spare=None,
+    target: Optional[str] = "tna",
+) -> AbstractTopology:
+    """The RPC fabric, stated once: ``edge`` -- ``sg`` spine, a
+    ``tor(rack)`` per rack linked to both (each with a standby
+    ``spare(rack)`` when given), clients on the edge, ``server_hosts`` in
+    replica-index order split evenly over the racks, and the scatter
+    group of all servers.  ``target=None`` declares the shape only --
+    nothing is compiled -- which is the host fan-out baseline's fabric.
+    """
+    fanout = len(server_hosts)
+    if not 1 <= fanout <= 16:
+        raise ValueError("fanout must be in [1, 16] (replica bits are u16)")
+    if fanout % num_racks != 0:
+        raise ValueError(f"{fanout} servers do not split into {num_racks} racks")
+    servers_per_rack = fanout // num_racks
+
+    def program(device_id: int, role: str):
+        if target is None:
+            return None
+        return compile_rpc_role(
+            device_id, role, fanout=fanout, edge_dev=edge, sg_dev=sg, target=target
+        )
+
+    # RPC hosts model a single-core packet path: per-packet overhead
+    # serializes, on both sides of the fan-out comparison.
+    topo = AbstractTopology(serialize_overheads=True)
+    topo.add_device(edge, program(edge, "edge"), "edge")
+    topo.add_device(sg, program(sg, "sg"), "sg")
+    topo.connect_devices(edge, sg)
+    for rack in range(num_racks):
+        topo.add_device(tor(rack), program(tor(rack), "tor"), "tor")
+        topo.connect_devices(tor(rack), edge)
+        topo.connect_devices(tor(rack), sg)
+        if spare is not None:
+            topo.add_device(
+                spare(rack), program(spare(rack), "tor"), spare_of=tor(rack)
+            )
+    for h in client_hosts:
+        topo.attach_host(h, edge)
+    for i, h in enumerate(server_hosts):
+        topo.attach_host(h, tor(i // servers_per_rack))
+    topo.add_multicast_group(SG_MCAST_GROUP, [HOST(h) for h in server_hosts])
+    return topo
+
+
 def wire_rpc_apps(
-    net: Network,
+    cls,
+    deployment,
     schema: RpcSchema,
     handlers: dict,
     *,
-    client_hosts: list[int],
-    server_hosts: list[int],
-    servers_per_rack: int,
-    edge_program,
-    edge_id: int,
-    sg_id: int,
-    tor_ids: list[int],
-    edge_conn,
-    tor_conns: list,
     memo_tag: str,
     window: int,
     gather_rounds: int,
     timeout_ns: int,
     refill_interval_ns: int,
-    address=lambda device_id: device_id,
-    on_channel=lambda device_id, channel: None,
-) -> dict:
-    """Everything above the switches, for any deployment of the roles.
+    **tenant,
+) -> RpcCluster:
+    """The ``cls`` cluster on a realised :func:`rpc_topology`: everything
+    above the switches, for any deployment of the roles.
 
-    A deployment is described by data.  ``edge_id`` / ``sg_id`` /
-    ``tor_ids`` (one per rack) are the ids the *programs* were compiled
-    with — what goes into the edge's routing MATs.  ``address(id)`` is
-    the id *hosts* put on the wire to reach that program: the same id
-    standalone, a tenant's fabric-global id under :mod:`repro.service`.
-    ``edge_conn`` / ``tor_conns`` are the control connections (journaling
-    ones where failover or migration must replay them), ``memo_tag``
-    prefixes the memo controllers' metric names, and
-    ``on_channel(device_id, channel)`` sees every host channel with the
-    role it targets — how a tenant registers them for retargeting.
-
-    ``server_hosts`` are in replica-index order, ``servers_per_rack`` to
-    a rack.  Unary methods are spread over racks by ``method_id %
-    num_racks`` and over a rack's servers by ``method_id // num_racks``.
-    Returns the :class:`RpcCluster` fields this wiring determines.
+    ``deployment`` is what realising the topology returned -- a
+    standalone :class:`~repro.deploy.planner.DeploymentPlan` or a service
+    :class:`~repro.service.Tenant`.  The edge's routing MATs hold the ids
+    the *programs* were compiled with; ``deployment.address(id)`` is the
+    id *hosts* put on the wire to reach that program (a tenant's
+    fabric-global id under :mod:`repro.service`), ``control(id)`` its
+    control connection (journaling where failover or migration must
+    replay it), and every host channel is registered with the
+    deployment under the role it targets.  ``memo_tag`` prefixes the
+    memo controllers' metric names; ``tenant`` are the extra fields of a
+    tenant ``cls``.  Unary methods are spread over racks by ``method_id
+    % num_racks`` and over a rack's servers by ``method_id // num_racks``.
     """
+    topo, net = deployment.topology, deployment.network
+    (edge_id,), (sg_id,), tor_ids = (topo.roles[r] for r in ("edge", "sg", "tor"))
+    hosts_at = topo.host_attachments
+    client_hosts = [h for h, d in hosts_at.items() if d == edge_id]
+    server_hosts = [h for h, d in hosts_at.items() if d != edge_id]
     num_racks = len(tor_ids)
-    edge_kernels = {k.computation: k for k in edge_program.kernels()}
+    servers_per_rack = len(server_hosts) // num_racks
+    edge_kernels = {k.computation: k for k in topo.programs[edge_id].kernels()}
     spec_unary = KernelSpec.from_kernel(edge_kernels[1])
     spec_sg = KernelSpec.from_kernel(edge_kernels[2])
-    # RPC hosts model a single-core packet path: per-packet overhead
-    # serializes.  The host-only baseline sets the same flag, so the
-    # fan-out comparison charges both sides identically.
-    for h in (*client_hosts, *server_hosts):
-        net.hosts[h].serialize_overheads = True
 
     # -- control plane ------------------------------------------------------------
+    edge_conn = deployment.control(edge_id)
     method_rack: dict[int, int] = {}
     method_server: dict[int, int] = {}
     for m in schema.methods:
@@ -283,8 +319,10 @@ def wire_rpc_apps(
         else:
             edge_conn.managed_insert("SRoute", m.method_id, sg_id)
     memo = {
-        rack: MemoController(conn, metrics=net.metrics, tag=f"{memo_tag}r{rack}")
-        for rack, conn in enumerate(tor_conns)
+        rack: MemoController(
+            deployment.control(tor), metrics=net.metrics, tag=f"{memo_tag}r{rack}"
+        )
+        for rack, tor in enumerate(tor_ids)
     }
     refiller = TokenRefiller(
         net, edge_conn, schema, interval_ns=refill_interval_ns
@@ -299,12 +337,12 @@ def wire_rpc_apps(
             schema,
             handlers,
             replica_index=i,
-            sg_device=address(sg_id),
+            sg_device=deployment.address(sg_id),
             spec_unary=spec_unary,
             spec_sg=spec_sg,
             memo=memo[i // servers_per_rack],
         )
-        on_channel(sg_id, server.channel)
+        deployment.register_channel(sg_id, server.channel)
         servers.append(server)
     slots_per_client = NUM_SLOTS // max(1, len(client_hosts))
     clients = []
@@ -313,7 +351,7 @@ def wire_rpc_apps(
             net,
             h,
             schema,
-            edge_device=address(edge_id),
+            edge_device=deployment.address(edge_id),
             spec_unary=spec_unary,
             spec_sg=spec_sg,
             method_servers=method_server,
@@ -322,21 +360,28 @@ def wire_rpc_apps(
             gather_rounds=gather_rounds,
             timeout_ns=timeout_ns,
         )
-        on_channel(edge_id, client.channel)
+        deployment.register_channel(edge_id, client.channel)
         clients.append(client)
-    return dict(
+    return cls(
+        network=net,
         schema=schema,
+        edge=deployment.devices[edge_id],
+        sg=deployment.devices[sg_id],
+        tors=[deployment.devices[d] for d in tor_ids],
+        standbys=[deployment.devices[d] for d in topo.spares.values()],
         clients=clients,
         servers=servers,
         memo=memo,
         edge_conn=edge_conn,
         refiller=refiller,
+        compiled=topo.programs,
         spec_unary=spec_unary,
         spec_sg=spec_sg,
         num_racks=num_racks,
         servers_per_rack=servers_per_rack,
         method_rack=method_rack,
         method_server=method_server,
+        **tenant,
     )
 
 
@@ -366,101 +411,35 @@ def build_rpc_cluster(
     over racks by ``method_id % num_racks`` and over a rack's servers by
     ``method_id // num_racks``.
     """
-    fanout = num_racks * servers_per_rack
-    check_rpc_shape(schema, handlers, fanout)
-
-    net = Network(seed=seed)
-    compiled: dict[int, object] = {}
-
-    def add_switch(device_id: int, role: str) -> ReliableNetCLDevice:
-        prog = compile_rpc_role(device_id, role, fanout=fanout, target=target)
-        compiled[device_id] = prog
-        dev = ReliableNetCLDevice(
-            device_id,
-            prog.module,
-            prog.kernels(),
-            metrics=net.metrics,
-            # No ordered mode anywhere, spine included: every partial is
-            # guarded by the slot's (version, agg index) compare and the
-            # client checks ver+tag on results, so a late packet is
-            # harmless unless it spans TWO slot generations — impossible
-            # here, since a slot is only reused after its previous round
-            # completed (≥ one full RTT) while in-flight delay is bounded
-            # by reorder_delay + jitter.  FIFO enforcement would instead
-            # *drop* every reordered partial, and each such drop costs a
-            # full re-scatter to all FANOUT replicas.
-            ordered=False,
-        )
-        net.add_switch(dev, processing_ns=pipeline_latency_ns(prog))
-        return dev
-
-    def fabric_link(a, b) -> None:
-        net.link(
-            a,
-            b,
-            Link(
-                latency_ns=link_latency_ns,
-                bandwidth_gbps=bandwidth_gbps,
-                loss_probability=loss,
-            ),
-        )
-
-    edge = add_switch(EDGE_DEVICE, "edge")
-    sg = add_switch(SG_DEVICE, "sg")
-    fabric_link(DEVICE(EDGE_DEVICE), DEVICE(SG_DEVICE))
-    tors: list[ReliableNetCLDevice] = []
-    standbys: list[ReliableNetCLDevice] = []
-    for rack in range(num_racks):
-        tor = add_switch(tor_device(rack), "tor")
-        tors.append(tor)
-        fabric_link(DEVICE(tor.device_id), DEVICE(EDGE_DEVICE))
-        fabric_link(DEVICE(tor.device_id), DEVICE(SG_DEVICE))
-        if standby:
-            spare = add_switch(standby_device(rack), "tor")
-            standbys.append(spare)
-            fabric_link(DEVICE(spare.device_id), DEVICE(EDGE_DEVICE))
-            fabric_link(DEVICE(spare.device_id), DEVICE(SG_DEVICE))
-
-    # -- hosts --------------------------------------------------------------------
-    for c in range(num_clients):
-        net.add_host(c + 1)
-        fabric_link(HOST(c + 1), DEVICE(EDGE_DEVICE))
-    server_hosts = []
-    for i in range(fanout):
-        h = server_host(i, num_clients)
-        rack = i // servers_per_rack
-        net.add_host(h)
-        server_hosts.append(h)
-        fabric_link(HOST(h), DEVICE(tor_device(rack)))
-        if standby:
-            fabric_link(HOST(h), DEVICE(standby_device(rack)))
-    net.add_multicast_group(SG_MCAST_GROUP, [HOST(h) for h in server_hosts])
-
-    apps = wire_rpc_apps(
-        net,
+    check_rpc_shape(schema, handlers)
+    deployment = rpc_topology(
+        num_racks,
+        list(range(1, num_clients + 1)),
+        [server_host(i, num_clients) for i in range(num_racks * servers_per_rack)],
+        spare=standby_device if standby else None,
+        target=target,
+    ).realise(
+        seed=seed,
+        link=Link(link_latency_ns, bandwidth_gbps, loss_probability=loss),
+        # No ordered mode anywhere, spine included: every partial is
+        # guarded by the slot's (version, agg index) compare and the
+        # client checks ver+tag on results, so a late packet is harmless
+        # unless it spans TWO slot generations — impossible here, since a
+        # slot is only reused after its previous round completed (≥ one
+        # full RTT) while in-flight delay is bounded by reorder_delay +
+        # jitter.  FIFO enforcement would instead *drop* every reordered
+        # partial, and each such drop costs a full re-scatter to all
+        # FANOUT replicas.
+        device=reliable_device(ordered=False),
+    )
+    return wire_rpc_apps(
+        RpcCluster,
+        deployment,
         schema,
         handlers,
-        client_hosts=list(range(1, num_clients + 1)),
-        server_hosts=server_hosts,
-        servers_per_rack=servers_per_rack,
-        edge_program=compiled[EDGE_DEVICE],
-        edge_id=EDGE_DEVICE,
-        sg_id=SG_DEVICE,
-        tor_ids=[tor.device_id for tor in tors],
-        edge_conn=DeviceConnection(edge),
-        tor_conns=[ReplicatedConnection(DeviceConnection(tor)) for tor in tors],
         memo_tag="",
         window=window,
         gather_rounds=gather_rounds,
         timeout_ns=timeout_ns,
         refill_interval_ns=refill_interval_ns,
-    )
-    return RpcCluster(
-        network=net,
-        edge=edge,
-        sg=sg,
-        tors=tors,
-        standbys=standbys,
-        compiled=compiled,
-        **apps,
     )

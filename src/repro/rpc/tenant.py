@@ -1,8 +1,8 @@
 """Run the RPC fabric as a :mod:`repro.service` tenant.
 
 The standalone :mod:`repro.rpc.cluster` owns its whole fabric; here the
-same three switch roles are expressed as an *abstract* topology (edge
-device 1, spine 2, one ToR per rack from 3) and submitted to a
+same :func:`~repro.rpc.cluster.rpc_topology` is stated over abstract ids
+(edge device 1, spine 2, one ToR per rack from 3) and submitted to a
 long-lived :class:`~repro.service.INCService`, which places them into
 whatever headroom other tenants left, enforces the tenant's QoS, and
 live-migrates the slices off crashed switches.  Every control-plane
@@ -22,14 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.collective.protocol import resync_streams
-from repro.netsim import HOST
-from repro.rpc.cluster import (
-    SG_MCAST_GROUP,
-    RpcCluster,
-    check_rpc_shape,
-    compile_rpc_role,
-    wire_rpc_apps,
-)
+from repro.rpc.cluster import RpcCluster, check_rpc_shape, rpc_topology, wire_rpc_apps
 from repro.rpc.idl import RpcSchema
 from repro.runtime.constants import DEFAULT_SLOT_TIMEOUT_NS
 from repro.service import INCService, Tenant, TenantQoS
@@ -51,8 +44,8 @@ class RpcTenant(RpcCluster):
     (``compiled`` is keyed by abstract device id, there are no standbys)
     and whose control connections are the service's journaling ones."""
 
-    service: INCService
     tenant_id: str
+    #: the admission record; ``tenant.service`` is the service it runs on
     tenant: Tenant
 
     # -- migration ----------------------------------------------------------------
@@ -95,86 +88,30 @@ def submit_rpc_tenant(
     :class:`~repro.service.AdmissionError` if the fabric has no headroom
     for the three roles.
     """
-    if len(server_hosts) % num_racks != 0:
-        raise ValueError(
-            f"{len(server_hosts)} servers do not split into {num_racks} racks"
-        )
-    servers_per_rack = len(server_hosts) // num_racks
-    fanout = len(server_hosts)
-    check_rpc_shape(schema, handlers, fanout)
-    from repro.deploy.planner import AbstractTopology
-
-    topo = AbstractTopology()
-
-    def compile_at(abstract_id: int, role: str) -> None:
-        prog = compile_rpc_role(
-            abstract_id,
-            role,
-            fanout=fanout,
-            edge_dev=ABSTRACT_EDGE,
-            sg_dev=ABSTRACT_SG,
-            mcast_group=SG_MCAST_GROUP,
-            target=target,
-        )
-        topo.add_device(abstract_id, prog)
-
-    compile_at(ABSTRACT_EDGE, "edge")
-    compile_at(ABSTRACT_SG, "sg")
-    topo.connect_devices(ABSTRACT_EDGE, ABSTRACT_SG)
-    for rack in range(num_racks):
-        compile_at(abstract_tor(rack), "tor")
-        topo.connect_devices(abstract_tor(rack), ABSTRACT_EDGE)
-        topo.connect_devices(abstract_tor(rack), ABSTRACT_SG)
-    for h in client_hosts:
-        topo.attach_host(h, ABSTRACT_EDGE)
-    for i, h in enumerate(server_hosts):
-        topo.attach_host(h, abstract_tor(i // servers_per_rack))
-    topo.add_multicast_group(SG_MCAST_GROUP, [HOST(h) for h in server_hosts])
-
+    check_rpc_shape(schema, handlers)
+    topo = rpc_topology(
+        num_racks, client_hosts, server_hosts,
+        edge=ABSTRACT_EDGE, sg=ABSTRACT_SG, tor=abstract_tor, target=target,
+    )
     # No ordered mode: same argument as the standalone cluster (the
     # guarded slot merge plus the client's ver+tag checks make FIFO
     # enforcement pure stale-drop overhead).
-    qos = qos or TenantQoS()
-    tenant = service.submit(tenant_id, topo, qos)
-
+    tenant = service.submit(tenant_id, topo, qos or TenantQoS())
     # Every control handle is a journaling connection the migration
     # replays; MAT values stay *abstract* ids (the slice wrapper
     # translates forwarding targets back to global ids on egress).
-    tors = [abstract_tor(rack) for rack in range(num_racks)]
-    apps = wire_rpc_apps(
-        service.network,
+    rt = wire_rpc_apps(
+        RpcTenant,
+        tenant,
         schema,
         handlers,
-        client_hosts=client_hosts,
-        server_hosts=server_hosts,
-        servers_per_rack=servers_per_rack,
-        edge_program=topo.programs[ABSTRACT_EDGE],
-        edge_id=ABSTRACT_EDGE,
-        sg_id=ABSTRACT_SG,
-        tor_ids=tors,
-        edge_conn=service.control(tenant_id, ABSTRACT_EDGE),
-        tor_conns=[service.control(tenant_id, tor) for tor in tors],
         memo_tag=f"{tenant_id}.",
         window=window,
         gather_rounds=gather_rounds,
         timeout_ns=timeout_ns,
         refill_interval_ns=refill_interval_ns,
-        address=tenant.abstract_to_gid.__getitem__,
-        on_channel=lambda device_id, channel: service.register_channel(
-            tenant_id, device_id, channel
-        ),
-    )
-    rt = RpcTenant(
-        network=service.network,
-        edge=tenant.devices[ABSTRACT_EDGE],
-        sg=tenant.devices[ABSTRACT_SG],
-        tors=[tenant.devices[tor] for tor in tors],
-        standbys=[],
-        compiled=topo.programs,
-        service=service,
         tenant_id=tenant_id,
         tenant=tenant,
-        **apps,
     )
     tenant.on_migrate = lambda service, tenant: rt.resync()
     return rt

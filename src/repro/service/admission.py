@@ -16,12 +16,11 @@ handed an up-to-date residual map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.estimate import kernel_chain_depth, kernel_salu_sites
 from repro.core.driver import CompiledProgram
-from repro.deploy.planner import PhysicalFabric, PlacementBreakdown
+from repro.deploy.planner import DeviceDemand, PhysicalFabric, PlacementBreakdown
 from repro.ir.module import Module
 from repro.tofino.chip import ChipSpec, TOFINO_1
 
@@ -45,22 +44,6 @@ class AdmissionError(Exception):
         super().__init__(f"tenant {tenant_id!r}: {message}")
         self.tenant_id = tenant_id
         self.breakdown = breakdown
-
-
-@dataclass(frozen=True)
-class DeviceDemand:
-    """Predicted per-switch resource demand of one abstract device."""
-
-    stages: int
-    sram_pct: float
-    salu_pct: float
-
-    def to_dict(self) -> dict:
-        return {
-            "stages": self.stages,
-            "sram_pct": round(self.sram_pct, 2),
-            "salu_pct": round(self.salu_pct, 2),
-        }
 
 
 def estimate_demand(module: Module, chip: ChipSpec = TOFINO_1) -> DeviceDemand:

@@ -38,17 +38,17 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.deploy.planner import (
+    TRANSIT_BASE,
     AbstractTopology,
     DeploymentError,
     PhysicalFabric,
     fit_reason,
 )
-from repro.ir.module import Module
 from repro.netsim import DEVICE, Link, Network, pipeline_latency_ns
 from repro.reliability.device import ReliableNetCLDevice
 from repro.reliability.failover import ReplicatedConnection
 from repro.runtime.control import DeviceConnection
-from repro.runtime.device import ForwardDecision, ForwardKind, NetCLDevice
+from repro.runtime.device import ForwardDecision, ForwardKind
 from repro.service.admission import (
     AdmissionController,
     AdmissionError,
@@ -59,8 +59,6 @@ from repro.service.placement import IncrementalPlanner
 from repro.service.qos import TenantQoS, TokenBucket
 from repro.tofino.chip import ChipSpec, TOFINO_1
 
-#: physical switch ``s`` appears in the live network as device TRANSIT_BASE+s.
-TRANSIT_BASE = 10_000
 #: tenant global-device-id blocks start here (16-bit packet ids cap ~0xFFFE).
 TENANT_BASE = 20_000
 #: translated multicast-group-id blocks start here.
@@ -84,6 +82,7 @@ class Tenant:
     index: int
     topology: AbstractTopology
     qos: TenantQoS
+    service: "INCService"
     state: TenantState = TenantState.QUEUED
     #: abstract device id -> predicted demand.
     demands: Dict[int, DeviceDemand] = field(default_factory=dict)
@@ -115,6 +114,22 @@ class Tenant:
         """The part of ``assignment`` (abstract device -> switch) whose
         reservation this tenant still holds."""
         return {d: s for d, s in assignment.items() if d not in self.stranded}
+
+    # -- the surface applications are wired against: the same four names
+    # -- as a standalone repro.deploy.planner.DeploymentPlan
+    @property
+    def network(self) -> Network:
+        return self.service.network
+
+    def address(self, device: int) -> int:
+        """The fabric-global id hosts put on the wire to reach ``device``."""
+        return self.abstract_to_gid[device]
+
+    def control(self, device: int) -> ReplicatedConnection:
+        return self.service.control(self.tenant_id, device)
+
+    def register_channel(self, device: int, channel) -> None:
+        self.service.register_channel(self.tenant_id, device, channel)
 
 
 class TenantDevice:
@@ -228,16 +243,14 @@ class INCService:
         self._host_owner: Dict[int, str] = {}
         self._watchdog_armed = False
 
-        # The live network: every physical switch becomes a transit node
-        # running only the operator's base program.
-        self.network = Network(seed=seed)
-        for sid in sorted(fabric.switches):
-            dev = NetCLDevice(TRANSIT_BASE + sid, Module(f"transit{sid}"), [])
-            self.network.add_switch(dev, processing_ns=transit_processing_ns)
-        for hid in fabric.hosts:
-            self.network.add_host(hid)
-        for a, b in fabric.links:
-            self.network.link(self._net_key(a), self._net_key(b), Link())
+        # The live network: the fabric with nothing placed on it, so every
+        # physical switch is a transit node running only the operator's
+        # base program.
+        self.network = (
+            AbstractTopology()
+            .realise(fabric, {}, seed=seed, transit_ns=transit_processing_ns)
+            .network
+        )
 
         m = self.network.metrics
         self._tenants_active = m.gauge("service.tenants_active")
@@ -251,11 +264,6 @@ class INCService:
         self._defrag_moves = m.counter("service.defrag_moves")
 
     # -- helpers -------------------------------------------------------------
-    @staticmethod
-    def _net_key(node):
-        kind, ident = node
-        return node if kind == "h" else DEVICE(TRANSIT_BASE + ident)
-
     def _internal_link(self) -> Link:
         """The in-chassis hop between a tenant slice and its host switch."""
         return Link(latency_ns=self.internal_latency_ns, bandwidth_gbps=400.0)
@@ -290,21 +298,20 @@ class INCService:
         ):
             raise AdmissionError(tenant_id, f"already {existing.state.value}")
         tenant = Tenant(
-            tenant_id, self._next_index, topology, qos, on_migrate=on_migrate
+            tenant_id, self._next_index, topology, qos, self, on_migrate=on_migrate
         )
         self._next_index += 1
         self.tenants[tenant_id] = tenant
         self._register_tenant_metrics(tenant)
-        tenant.demands = {
-            dev: demand_of(cp, self.chip) for dev, cp in topology.programs.items()
-        }
-
         reason = self._validate(tenant)
         if reason is not None:
             self._admission_rejects.inc()
             tenant.state = TenantState.REJECTED
             tenant.reject_reason = reason
             raise AdmissionError(tenant_id, reason)
+        tenant.demands = {
+            dev: demand_of(cp, self.chip) for dev, cp in topology.programs.items()
+        }
         try:
             placement = self.planner.plan_incremental(
                 topology,
@@ -331,6 +338,12 @@ class INCService:
             return "topology has no devices"
         if len(tenant.topology.programs) > TENANT_BLOCK:
             return f"topology exceeds {TENANT_BLOCK} devices"
+        if None in tenant.topology.programs.values():
+            return "topology declares a device without a program"
+        try:
+            tenant.topology.validate()
+        except DeploymentError as exc:
+            return str(exc)
         fabric_hosts = set(self.fabric.hosts)
         for h in tenant.hosts:
             if h not in fabric_hosts:
@@ -385,6 +398,7 @@ class INCService:
             self.network.add_multicast_group(global_g, members)
         for h in tenant.hosts:
             self._host_owner[h] = tenant.tenant_id
+            self.network.hosts[h].serialize_overheads = topology.serialize_overheads
         tenant.placement = dict(placement)
         self.admission.reserve(placement, tenant.demands)
         tenant.state = TenantState.RUNNING

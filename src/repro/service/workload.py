@@ -178,7 +178,7 @@ class AggDriver(AppDriver):
 
     def build(self) -> AbstractTopology:
         from repro.apps import compile_app
-        from repro.apps.agg import AGG_DEVICE, AGG_MCAST_GROUP
+        from repro.apps.agg import AGG_DEVICE, agg_topology
 
         self.hosts = [int(h) for h in self.event["hosts"]]
         self.elements = int(self.event.get("tensor_elements", 512))
@@ -186,12 +186,7 @@ class AggDriver(AppDriver):
         self.compiled = compile_app(
             "agg", AGG_DEVICE, defines={"NUM_WORKERS": len(self.hosts)}
         )
-        topo = AbstractTopology()
-        topo.add_device(AGG_DEVICE, self.compiled)
-        for h in self.hosts:
-            topo.attach_host(h, AGG_DEVICE)
-        topo.add_multicast_group(AGG_MCAST_GROUP, [HOST(h) for h in self.hosts])
-        return topo
+        return agg_topology(self.hosts, self.compiled)
 
     def launch(self, tenant: Tenant) -> None:
         from repro.apps.agg import AGG_DEVICE, AggWorker
@@ -254,32 +249,16 @@ class CacheDriver(AppDriver):
 
     def build(self) -> AbstractTopology:
         from repro.apps import compile_app
-        from repro.apps.cache import CACHE_DEVICE
+        from repro.apps.cache import CACHE_DEVICE, cache_topology
 
-        self.client_host, self.server_host = (int(h) for h in self.event["hosts"])
-        self.compiled = compile_app("cache", CACHE_DEVICE)
-        topo = AbstractTopology()
-        topo.add_device(CACHE_DEVICE, self.compiled)
-        topo.attach_host(self.client_host, CACHE_DEVICE)
-        topo.attach_host(self.server_host, CACHE_DEVICE)
-        return topo
+        client, server = (int(h) for h in self.event["hosts"])
+        return cache_topology(client, server, compile_app("cache", CACHE_DEVICE))
 
     def launch(self, tenant: Tenant) -> None:
-        from repro.apps.cache import CACHE_DEVICE
         from repro.chaos.scenarios import CacheAcceptance
 
         super().launch(tenant)
-        spec = KernelSpec.from_kernel(self.compiled.kernels()[0])
-        self.work = CacheAcceptance(
-            self.service.network,
-            spec,
-            client_host=self.client_host,
-            server_host=self.server_host,
-            device_id=tenant.abstract_to_gid[CACHE_DEVICE],
-        )
-        for channel in (self.work.client.channel, self.work.server.channel):
-            self.service.register_channel(self.tenant_id, CACHE_DEVICE, channel)
-        self.work.install(self.service.control(self.tenant_id, CACHE_DEVICE))
+        self.work = CacheAcceptance(tenant)
         self.work.start(int(self.event.get("spacing_us", 40)) * 1000)
 
     def finish(self) -> dict:
@@ -308,10 +287,7 @@ class EchoDriver(AppDriver):
         # one name for every echo tenant (the id lives on the Tenant), so
         # they all share one compile
         self.compiled = compile_netcl(ECHO_SRC, 1, program_name="echo")
-        topo = AbstractTopology()
-        topo.add_device(1, self.compiled)
-        topo.attach_host(self.host_id, 1)
-        return topo
+        return AbstractTopology.star(1, self.compiled, [self.host_id])
 
     def launch(self, tenant: Tenant) -> None:
         super().launch(tenant)
