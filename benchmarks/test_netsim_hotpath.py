@@ -18,6 +18,12 @@ compare against the committed baseline within the same job):
   :mod:`repro.ir.compiled` — the denominator of
   ``agg_e2e_speedup_vs_interpreter``.
 
+* ``agg_pack_us`` / ``agg_unpack_us`` — one ``pack`` / ``unpack`` of an
+  AGG message (five scalars and 32 words; the spec ``bench``'s ``agg_p4``
+  samples), best of three.  ``pre_plan_agg_pack_us`` /
+  ``pre_plan_agg_unpack_us`` are the same calls on the per-element codec
+  (commit 4c2ee2c, same host), before ``CodecPlan``.
+
 ``pre_overhaul_packets_per_sec`` is the same storm measured on the
 pre-overhaul simulator (commit b881573, same host) — the denominator of
 ``speedup_vs_pre_overhaul``.
@@ -31,7 +37,7 @@ from pathlib import Path
 
 from repro.apps.agg import build_agg_cluster
 from repro.netsim import DEVICE, HOST, Link, Network
-from repro.runtime.message import NO_DEVICE, NetCLPacket
+from repro.runtime.message import NO_DEVICE, Message, NetCLPacket, pack, unpack
 
 #: no-op storm packets/sec on the pre-overhaul simulator (see docstring).
 PRE_OVERHAUL_PPS = 34_093
@@ -39,7 +45,11 @@ PRE_OVERHAUL_PPS = 34_093
 #: AGG end-to-end events/sec with interpreted kernels (see docstring).
 PRE_ENGINE_AGG_EPS = 13_931
 
+#: µs per AGG pack / unpack on the per-element codec (see docstring).
+PRE_PLAN_AGG_PACK_US, PRE_PLAN_AGG_UNPACK_US = 10.69, 12.33
+
 STORM_PACKETS = 20_000
+CODEC_CALLS = 20_000
 REPEATS = 3
 
 
@@ -150,6 +160,34 @@ def test_agg_end_to_end():
         agg_e2e_events_per_sec=round(events / wall),
         pre_engine_agg_e2e_events_per_sec=PRE_ENGINE_AGG_EPS,
         agg_e2e_speedup_vs_interpreter=round(events / wall / PRE_ENGINE_AGG_EPS, 2),
+    )
+
+
+def test_message_codec_cost():
+    spec = build_agg_cluster(num_workers=2, tensor_elements=2048).workers[0].spec
+    msg = Message(src=1, dst=1, comp=spec.computation, to=1)
+    values = [0, 1, 1, 1, 16, list(range(32))]
+    pack_us = unpack_us = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(CODEC_CALLS):
+            raw = pack(msg, spec, values)
+        t1 = time.perf_counter()
+        for _ in range(CODEC_CALLS):
+            decoded = unpack(raw, spec)[1]
+        t2 = time.perf_counter()
+        pack_us = min(pack_us, (t1 - t0) / CODEC_CALLS * 1e6)
+        unpack_us = min(unpack_us, (t2 - t1) / CODEC_CALLS * 1e6)
+    assert decoded == values
+    _record(
+        agg_pack_us=round(pack_us, 2),
+        agg_unpack_us=round(unpack_us, 2),
+        pre_plan_agg_pack_us=PRE_PLAN_AGG_PACK_US,
+        pre_plan_agg_unpack_us=PRE_PLAN_AGG_UNPACK_US,
+    )
+    print(
+        f"\nAGG message: pack {pack_us:.2f} us (was {PRE_PLAN_AGG_PACK_US}), "
+        f"unpack {unpack_us:.2f} us (was {PRE_PLAN_AGG_UNPACK_US})"
     )
 
 

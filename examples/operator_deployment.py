@@ -15,7 +15,7 @@ from repro.core import compile_netcl
 from repro.deploy import AbstractTopology, DeploymentPlanner, PhysicalFabric
 from repro.netsim import DEVICE, HOST
 from repro.runtime import KernelSpec, Message
-from repro.runtime.message import unpack
+from repro.runtime.message import unpack_packet
 
 COUNTER_SERVICE = r"""
 // a tiny in-network counter service: each request gets a unique ticket
@@ -61,7 +61,7 @@ def main() -> None:
     tickets = []
     for host_id in (2, 1, 2, 1):
         host = net.hosts[host_id]
-        host.on_receive = lambda p, t: tickets.append(unpack(p.to_wire(), spec)[1][0])
+        host.on_receive = lambda p, t: tickets.append(unpack_packet(p, spec)[0])
         host.send_message(Message(src=host_id, dst=host_id, comp=1, to=1), spec, [None])
         net.sim.run()
     print("tickets issued in order:", tickets)

@@ -17,7 +17,7 @@ from repro.core.driver import CompiledProgram
 from repro.deploy.planner import AbstractTopology
 from repro.netsim import Link, Network
 from repro.runtime import KernelSpec, Message, NetCLDevice
-from repro.runtime.message import NetCLPacket, NO_DEVICE, unpack
+from repro.runtime.message import NetCLPacket, NO_DEVICE, unpack_packet
 
 VALUE_WORDS = 16
 NUM_LINES = 1024
@@ -61,7 +61,7 @@ class KVServer:
         self.channel = None
 
     def _on_receive(self, packet: NetCLPacket, now_ns: int) -> None:
-        _, values = unpack(packet.to_wire(), self.spec)
+        values = unpack_packet(packet, self.spec)
         op, key, hit, hot, val = values
         if hot:
             self.hot_reports.append(key)
@@ -126,7 +126,7 @@ class CacheClient:
     _server_id = 2
 
     def _on_receive(self, packet: NetCLPacket, now_ns: int) -> None:
-        _, values = unpack(packet.to_wire(), self.spec)
+        values = unpack_packet(packet, self.spec)
         op, key, hit, _hot, val = values
         queue = self.inflight.get(key)
         if not queue:

@@ -8,7 +8,7 @@ from repro.apps import compile_app
 from repro.deploy.planner import AbstractTopology
 from repro.netsim import Network
 from repro.runtime import KernelSpec, Message, NetCLDevice
-from repro.runtime.message import NetCLPacket, unpack
+from repro.runtime.message import NetCLPacket, unpack_packet
 
 CALC_DEVICE = 1
 
@@ -29,7 +29,7 @@ class CalcClient:
         self.host.send_message(msg, self.spec, [OPS[op], a, b, None])
 
     def _on_receive(self, packet: NetCLPacket, now_ns: int) -> None:
-        _, values = unpack(packet.to_wire(), self.spec)
+        values = unpack_packet(packet, self.spec)
         self.answers.append(values[3])
 
 

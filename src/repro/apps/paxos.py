@@ -14,7 +14,7 @@ from repro.apps import compile_app
 from repro.deploy.planner import AbstractTopology
 from repro.netsim import DEVICE, Link, Network
 from repro.runtime import KernelSpec, Message, NetCLDevice
-from repro.runtime.message import NetCLPacket, unpack
+from repro.runtime.message import NetCLPacket, unpack_packet
 
 LEADER_DEV = 1
 ACCEPTOR_DEVS = (2, 3, 4)
@@ -63,7 +63,7 @@ class PaxosApp:
         self.deliveries: list[Delivery] = []
 
     def _on_receive(self, packet: NetCLPacket, now_ns: int) -> None:
-        _, values = unpack(packet.to_wire(), self.spec)
+        values = unpack_packet(packet, self.spec)
         mtype, instance, _round, _vround, _vote, v = values
         if mtype == MSG_DELIVER:
             self.deliveries.append(Delivery(instance, list(v), now_ns))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from repro.netsim.net import DEVICE, HOST, NodeKey
@@ -28,6 +29,7 @@ def parse_node(name: str) -> NodeKey:
     return HOST(int(ident)) if kind == "h" else DEVICE(int(ident))
 
 
+@lru_cache(maxsize=None)
 def link_name(a: NodeKey, b: NodeKey) -> str:
     """Canonical plan/telemetry key for the link between two nodes."""
     return "-".join(sorted((f"{a[0]}{a[1]}", f"{b[0]}{b[1]}")))

@@ -31,7 +31,7 @@ from repro.collective.job import shard_range
 from repro.collective.tree import collective_topology
 from repro.netsim import Link
 from repro.runtime import KernelSpec, Message
-from repro.runtime.message import FieldSpec, NetCLPacket, NO_DEVICE, unpack
+from repro.runtime.message import FieldSpec, NetCLPacket, NO_DEVICE, unpack_packet
 
 #: float32 values per ring packet — matches the tree's SLOT_SIZE so the
 #: per-packet framing overhead is comparable.
@@ -162,14 +162,14 @@ class _RingNode:
 
     def _on_receive(self, packet: NetCLPacket, now_ns: int) -> None:
         if packet.comp == 2:  # transport ACK from the successor
-            _, values = unpack(packet.to_wire(), RING_ACK_SPEC)
+            values = unpack_packet(packet, RING_ACK_SPEC)
             key = (values[0], values[1], values[2])
             self._unacked.pop(key, None)
             timer = self._timers.pop(key, None)
             if timer is not None:
                 timer.cancel()  # type: ignore[attr-defined]
             return
-        _, values = unpack(packet.to_wire(), RING_SPEC)
+        values = unpack_packet(packet, RING_SPEC)
         key = (values[0], values[1], values[2])
         # Always ACK — the data may be a retransmission whose ACK was lost.
         msg = Message(

@@ -33,7 +33,7 @@ from typing import Optional
 
 from repro.runtime import KernelSpec, Message
 from repro.runtime.constants import DEFAULT_SLOT_TIMEOUT_NS, NUM_SLOTS
-from repro.runtime.message import NetCLPacket, unpack
+from repro.runtime.message import NetCLPacket, unpack_packet
 
 
 @dataclass
@@ -310,7 +310,7 @@ class SlotStream:
         self.handle(packet, now_ns)
 
     def handle(self, packet: NetCLPacket, now_ns: int) -> None:
-        _, values = unpack(packet.to_wire(), self.spec)
+        values = unpack_packet(packet, self.spec)
         ver, bmp_idx, agg_idx = values[0], values[1], values[2]
         slot = bmp_idx - self.slot_base
         if slot < 0:

@@ -39,7 +39,7 @@ from typing import Callable, Optional
 from repro.netsim.graph import Graph
 from repro.netsim.sim import Simulator
 from repro.runtime.device import ForwardDecision, ForwardKind, NetCLDevice
-from repro.runtime.message import KernelSpec, Message, NetCLPacket, NO_DEVICE, PacketPool, pack
+from repro.runtime.message import KernelSpec, Message, NetCLPacket, NO_DEVICE, PacketPool
 from repro.telemetry import MetricRegistry, PacketTracer
 from repro.telemetry.trace import node_name
 
@@ -111,8 +111,7 @@ class Host:
         self, msg: Message, spec: KernelSpec, values, *, delay_ns: int = 0
     ) -> NetCLPacket:
         """``send()``: pack a message and push it into the network."""
-        raw = pack(msg, spec, values)
-        packet = NetCLPacket.from_wire(raw)
+        packet = NetCLPacket.from_message(msg, spec, values)
         self.send_packet(packet, delay_ns=delay_ns)
         return packet
 

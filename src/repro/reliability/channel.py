@@ -41,7 +41,6 @@ from repro.runtime.message import (
     REL_FLAG_ACK_REQ,
     REL_FLAG_MORE,
     REL_FLAG_REPLY,
-    pack,
 )
 from repro.reliability.dedup import DedupWindow, ReplayCache
 from repro.runtime.constants import (
@@ -152,8 +151,8 @@ class ReliableChannel:
             comp=self.comp if comp is None else comp,
             to=self.target_device,
         )
-        template = NetCLPacket.from_wire(
-            pack(msg, self.spec if spec is None else spec, values)
+        template = NetCLPacket.from_message(
+            msg, self.spec if spec is None else spec, values
         )
         flags = REL_FLAG_ACK_REQ if self.ack else 0
         template.stamp_reliability(REL_DATA, seq, flags)
@@ -233,8 +232,8 @@ class ReliableChannel:
             comp=self.comp if comp is None else comp,
             to=NO_DEVICE,
         )
-        reply = NetCLPacket.from_wire(
-            pack(msg, self.spec if spec is None else spec, values)
+        reply = NetCLPacket.from_message(
+            msg, self.spec if spec is None else spec, values
         )
         flags = REL_FLAG_REPLY | (REL_FLAG_MORE if more else 0)
         reply.stamp_reliability(REL_DATA, request.rel_seq, flags)

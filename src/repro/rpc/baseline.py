@@ -34,7 +34,7 @@ from repro.netsim import Link
 from repro.reliability import ReliableChannel
 from repro.rpc.idl import OP_PARTIAL, OP_REQ, SG_WORDS
 from repro.rpc.policies import merge_words
-from repro.runtime.message import FieldSpec, KernelSpec, NO_DEVICE, NetCLPacket, unpack
+from repro.runtime.message import FieldSpec, KernelSpec, NO_DEVICE, NetCLPacket, unpack_packet
 from repro.rpc.cluster import rpc_topology, server_host
 
 #: wire layout of one fan-out packet — the same fields (and widths) as
@@ -105,7 +105,7 @@ class _FanoutClient:
             )
 
     def _on_receive(self, packet: NetCLPacket, now_ns: int) -> None:
-        _, values = unpack(packet.to_wire(), FANOUT_SPEC)
+        values = unpack_packet(packet, FANOUT_SPEC)
         mask, tag, op = values[3], values[4], values[5]
         if op != OP_PARTIAL:
             return
@@ -142,7 +142,7 @@ class _FanoutServer:
         )
 
     def _on_receive(self, packet: NetCLPacket, now_ns: int) -> None:
-        _, values = unpack(packet.to_wire(), FANOUT_SPEC)
+        values = unpack_packet(packet, FANOUT_SPEC)
         tag, op, policy_code = values[4], values[5], values[7]
         if op != OP_REQ:
             return

@@ -43,7 +43,7 @@ from repro.rpc.idl import (
 )
 from repro.rpc.policies import POLICY_CODES
 from repro.runtime.constants import DEFAULT_SLOT_TIMEOUT_NS, NUM_SLOTS
-from repro.runtime.message import NetCLPacket, unpack
+from repro.runtime.message import NetCLPacket, unpack_packet
 
 
 @dataclass
@@ -344,7 +344,7 @@ class RpcClient:
         if packet.comp == 2:
             self.gather_stream.handle(packet, now_ns)
             return
-        _, values = unpack(packet.to_wire(), self.spec_unary)
+        values = unpack_packet(packet, self.spec_unary)
         op, _method_id, req_id, _key, _ver, hit = values[:6]
         if op != OP_RSP:
             return

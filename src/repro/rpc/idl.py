@@ -23,6 +23,7 @@ import struct
 import sys
 import zlib
 from dataclasses import dataclass, fields, is_dataclass
+from functools import lru_cache
 from typing import Optional
 
 from repro.service.qos import TenantQoS
@@ -85,25 +86,19 @@ _EVAL_NS = {
 }
 
 
-def _wire_type(annotation, owner=None):
+def _wire_type(annotation, owner):
     """Resolve a field annotation to its wire-type marker.
 
     Annotations may arrive as strings (``from __future__ import
     annotations`` in the schema's module), so string forms are evaluated
     against the marker namespace plus the globals of the module that
-    defined ``owner`` (so ``vec(MY_CONSTANT)`` resolves).
+    defined the schema class ``owner`` (so ``vec(MY_CONSTANT)`` resolves).
     """
     if isinstance(annotation, (_Scalar, _Vector)):
         return annotation
     if isinstance(annotation, str):
-        ns = dict(_EVAL_NS)
-        if owner is not None:
-            module = sys.modules.get(
-                getattr(type(owner) if not isinstance(owner, type) else owner,
-                        "__module__", None)
-            )
-            if module is not None:
-                ns = {**vars(module), **ns}
+        module = sys.modules.get(owner.__module__)
+        ns = _EVAL_NS if module is None else {**vars(module), **_EVAL_NS}
         try:
             resolved = eval(annotation, {"__builtins__": {}}, ns)  # noqa: S307
         except Exception as exc:
@@ -113,24 +108,30 @@ def _wire_type(annotation, owner=None):
     raise TypeError(f"field annotation {annotation!r} is not a wire type")
 
 
-def word_count(cls) -> int:
-    """How many 32-bit words an instance of ``cls`` encodes to."""
+@lru_cache(maxsize=None)
+def _wire_layout(cls) -> tuple:
+    """``(field name, wire type)`` per field of a schema dataclass,
+    resolved once per class."""
     if not is_dataclass(cls):
         raise TypeError(f"{cls!r} is not a dataclass schema")
-    return sum(_wire_type(f.type, cls).words for f in fields(cls))
+    return tuple((f.name, _wire_type(f.type, cls)) for f in fields(cls))
+
+
+def word_count(cls) -> int:
+    """How many 32-bit words an instance of ``cls`` encodes to."""
+    return sum(wt.words for _, wt in _wire_layout(cls))
 
 
 def encode(obj) -> list[int]:
     """Lower a schema dataclass instance to its flat 32-bit words."""
     words: list[int] = []
-    for f in fields(obj):
-        wt = _wire_type(f.type, obj)
-        value = getattr(obj, f.name)
+    for name, wt in _wire_layout(type(obj)):
+        value = getattr(obj, name)
         if isinstance(wt, _Vector):
             value = list(value or [])
             if len(value) > wt.count:
                 raise ValueError(
-                    f"{type(obj).__name__}.{f.name}: {len(value)} words "
+                    f"{type(obj).__name__}.{name}: {len(value)} words "
                     f"exceed vec({wt.count})"
                 )
             words.extend(int(v) & 0xFFFFFFFF for v in value)
@@ -149,11 +150,10 @@ def decode(cls, words) -> object:
     values = []
     at = 0
     words = list(words)
-    for f in fields(cls):
-        wt = _wire_type(f.type, cls)
+    for name, wt in _wire_layout(cls):
         if at + wt.words > len(words):
             raise ValueError(
-                f"{cls.__name__}: {len(words)} words too short at {f.name}"
+                f"{cls.__name__}: {len(words)} words too short at {name}"
             )
         if isinstance(wt, _Vector):
             values.append(list(words[at : at + wt.count]))

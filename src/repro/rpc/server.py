@@ -39,7 +39,7 @@ from repro.rpc.idl import (
     encode,
 )
 from repro.rpc.memo import MemoController
-from repro.runtime.message import NetCLPacket, unpack
+from repro.runtime.message import NetCLPacket, unpack_packet
 
 #: bound on the per-server at-most-once reply cache (logical replies).
 REPLY_CACHE_ENTRIES = 1024
@@ -95,7 +95,7 @@ class RpcServer:
 
     # -- unary --------------------------------------------------------------------
     def _handle_unary(self, packet: NetCLPacket) -> None:
-        msg, values = unpack(packet.to_wire(), self.spec_unary)
+        values = unpack_packet(packet, self.spec_unary)
         op, method_id, req_id, key = values[0], values[1], values[2], values[3]
         if op != OP_REQ:
             return
@@ -103,7 +103,7 @@ class RpcServer:
         if method is None or method.kind != "unary":
             self._m_unknown.inc()
             return
-        cache_key = (msg.src, req_id)
+        cache_key = (packet.src, req_id)
         cached = self._answered.get(cache_key)
         if cached is not None:
             # A client retry of a request we already executed: replay the
@@ -128,7 +128,7 @@ class RpcServer:
 
     # -- gather -------------------------------------------------------------------
     def _handle_scatter(self, packet: NetCLPacket) -> None:
-        msg, values = unpack(packet.to_wire(), self.spec_sg)
+        values = unpack_packet(packet, self.spec_sg)
         ver, bmp_idx, agg_idx, done_mask, tag, op, method_id, policy = values[:8]
         if op != OP_REQ:
             return
@@ -149,7 +149,7 @@ class RpcServer:
         self._m_partials.inc()
         # Echo the slot header; contribute this replica's mask bit.  The
         # partial routes to the spine (the channel's target) addressed to
-        # the requesting client — msg.src: the multicast rewrote dst to
+        # the requesting client — packet.src: the multicast rewrote dst to
         # this host, but the scatter's source survives the copy — so the
         # spine's cnt==0 pass delivers the merged reply to the client.
         self.channel.request(
@@ -164,7 +164,7 @@ class RpcServer:
                 policy,
                 partial,
             ],
-            dst=msg.src,
+            dst=packet.src,
             retransmit=False,
             spec=self.spec_sg,
             comp=2,

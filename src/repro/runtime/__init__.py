@@ -1,7 +1,8 @@
 """NetCL host and device runtimes (§VI-C).
 
 Host side: NetCL messages (:class:`Message`), packing/unpacking against
-kernel specifications (:func:`pack` / :func:`unpack`), and managed-memory
+kernel specifications (:func:`pack` / :func:`unpack`; :func:`unpack_packet`
+for a packet still in the process), and managed-memory
 access through :class:`DeviceConnection` (the P4Runtime stand-in).
 
 Device side: :class:`NetCLDevice` — the small runtime that recognizes
@@ -16,6 +17,7 @@ from repro.runtime.message import (
     NetCLPacket,
     pack,
     unpack,
+    unpack_packet,
     ACT_CODES,
 )
 from repro.runtime.control import DeviceConnection
@@ -27,6 +29,7 @@ __all__ = [
     "NetCLPacket",
     "pack",
     "unpack",
+    "unpack_packet",
     "ACT_CODES",
     "DeviceConnection",
     "ForwardKind",

@@ -27,14 +27,8 @@ from repro.ir.compiled import KernelEngine
 from repro.ir.instructions import ActionKind
 from repro.ir.interp import ActionOutcome, GlobalState, KernelMessage
 from repro.ir.module import Function, Module
-from repro.runtime.message import ACT_CODES, KernelSpec, NetCLPacket, NO_DEVICE
+from repro.runtime.message import ACT_CODES, CodecPlan, KernelSpec, NetCLPacket, NO_DEVICE
 from repro.telemetry import MetricRegistry
-
-
-#: one (name, count, bytes per element, mask, tail) per message field of a
-#: computation: what the codec would otherwise derive from the KernelSpec
-#: again for every packet
-_Codec = tuple[tuple[str, int, int, int, bool], ...]
 
 
 class ForwardKind(str, Enum):
@@ -76,7 +70,6 @@ class NetCLDevice:
         self.max_repeats = max_repeats
         self.kernels: dict[int, Function] = {}
         self.specs: dict[int, KernelSpec] = {}
-        self._codecs: dict[int, _Codec] = {}
         for fn in kernels:
             if fn.computation is None:
                 continue
@@ -88,11 +81,7 @@ class NetCLDevice:
                     f"{device_id} (placement validity, Eq. 1)"
                 )
             self.kernels[fn.computation] = fn
-            spec = self.specs[fn.computation] = KernelSpec.from_kernel(fn)
-            self._codecs[fn.computation] = tuple(
-                (f.name, f.count, f.bytes_per_element, (1 << f.width_bits) - 1, f.tail)
-                for f in spec.fields
-            )
+            self.specs[fn.computation] = KernelSpec.from_kernel(fn)
         self._seen = self.metrics.counter("kernel.dispatches")
         self._computed = self.metrics.counter("kernel.computed")
         self._noops = self.metrics.counter("kernel.noop_forwards")
@@ -147,8 +136,14 @@ class NetCLDevice:
             return self._forward_noop(packet)
 
         fn = self.kernels[packet.comp]
-        codec = self._codecs[packet.comp]
-        msg = self._decode(packet, codec)
+        plan = self.specs[packet.comp].plan
+        try:
+            msg = self._decode(packet, plan)
+        except ValueError:
+            # a data section that is not this computation's layout: never
+            # compute on it (counter on first use, like the outcome ones)
+            self.metrics.counter("kernel.malformed").inc()
+            return ForwardDecision(ForwardKind.DROP, packet=None)
 
         outcome = ActionOutcome(ActionKind.REPEAT)
         repeats = 0
@@ -168,7 +163,7 @@ class NetCLDevice:
                 f"kernel.action.{outcome.kind.value}"
             )
         ctr.inc()
-        decision = self._apply_action(packet, codec, msg, outcome)
+        decision = self._apply_action(packet, plan, msg, outcome)
         ctr = self._forward_counters.get(decision.kind)
         if ctr is None:
             ctr = self._forward_counters[decision.kind] = self.metrics.counter(
@@ -183,49 +178,28 @@ class NetCLDevice:
         return ForwardDecision(ForwardKind.TO_HOST, packet.dst, packet)
 
     # -- codec ------------------------------------------------------------------------
-    def _decode(self, packet: NetCLPacket, codec: _Codec) -> KernelMessage:
+    def _decode(self, packet: NetCLPacket, plan: CodecPlan) -> KernelMessage:
+        """The kernel's view of a packet; a tail field the sender omitted
+        is appended zero-initialized (§VIII).  ``ValueError`` when the
+        data section is not the computation's layout."""
         fields: dict[str, int | list[int]] = {
             "__src": packet.src,
             "__dst": packet.dst,
             "__from": packet.from_,
             "__to": packet.to,
         }
-        off = 0
-        data = packet.data
-        from_bytes = int.from_bytes
-        for name, count, nb, _, tail in codec:
-            if tail and off >= len(data):
-                # §VIII tail extension: the sender omitted this field; the
-                # device appends it (zero-initialized) to the message.
-                fields[name] = 0 if count == 1 else [0] * count
-                continue
-            end = off + count * nb
-            if count == 1:
-                fields[name] = from_bytes(data[off:end], "big")
-            else:
-                fields[name] = [
-                    from_bytes(data[j : j + nb], "big") for j in range(off, end, nb)
-                ]
-            off = end
+        fields.update(zip(plan.names, plan.decode(packet.data)))
         return KernelMessage(fields)
 
-    def _encode(self, codec: _Codec, msg: KernelMessage) -> bytes:
-        out = bytearray()
+    def _encode(self, plan: CodecPlan, msg: KernelMessage) -> bytes:
         get = msg.fields.get
-        for name, _, nb, mask, _ in codec:
-            v = get(name, 0)
-            if isinstance(v, list):
-                for x in v:
-                    out += (int(x) & mask).to_bytes(nb, "big")
-            else:
-                out += (int(v) & mask).to_bytes(nb, "big")
-        return bytes(out)
+        return plan.encode([get(name, 0) for name in plan.names])
 
     # -- action translation ----------------------------------------------------------------
     def _apply_action(
         self,
         packet: NetCLPacket,
-        codec: _Codec,
+        plan: CodecPlan,
         msg: KernelMessage,
         outcome: ActionOutcome,
     ) -> ForwardDecision:
@@ -233,7 +207,7 @@ class NetCLDevice:
         if kind == ActionKind.DROP:
             return ForwardDecision(ForwardKind.DROP, packet=None)
         out = packet.copy()
-        out.data = self._encode(codec, msg)
+        out.data = self._encode(plan, msg)
         # This device becomes the message's previous computing node.
         out.from_ = self.device_id
         out.act = ACT_CODES[kind.value]

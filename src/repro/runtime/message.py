@@ -20,6 +20,8 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from operator import index
 from typing import Optional, Sequence, Union
 
 from repro.ir.module import Function
@@ -107,9 +109,16 @@ class KernelSpec:
             ),
         )
 
+    @cached_property
+    def plan(self) -> "CodecPlan":
+        """The layout lowered once.  Specs equal by value share one plan;
+        it is kept on the instance because hashing a spec for the lookup
+        costs about as much as encoding a message with the plan."""
+        return _plan_for(self)
+
     @property
     def data_bytes(self) -> int:
-        return sum(f.total_bytes for f in self.fields)
+        return self.plan.data_bytes
 
     @property
     def size(self) -> int:
@@ -149,46 +158,134 @@ class Message:
 Values = Sequence[Optional[Union[int, Sequence[int]]]]
 
 
+#: ``struct`` codes of the element sizes it can lay out; a field of 3, 5,
+#: 6 or 7 bytes per element keeps its spec on the per-element loop.
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+class CodecPlan:
+    """The data-section layout of one :class:`KernelSpec`, lowered once.
+
+    Encoding flattens the per-argument values to one element list and
+    packs it with a single :class:`struct.Struct` — raw first; only when
+    ``struct`` rejects an element (negative, over-wide, not an ``int``)
+    is the list re-packed as ``int(x) & mask``.  A spec with a width that
+    does not fill its bytes always masks, and one with a 3/5/6/7-byte
+    element runs the per-element loop.
+    """
+
+    __slots__ = (
+        "computation", "names", "data_bytes", "short",
+        "_fields", "_masks", "_sizes", "_exact", "_struct",
+    )
+
+    def __init__(self, spec: KernelSpec) -> None:
+        self.computation = spec.computation
+        self.names = tuple(f.name for f in spec.fields)
+        fields, masks, sizes = [], [], []
+        for f in spec.fields:
+            # (name, count, first element, end element, zeros)
+            fields.append((f.name, f.count, len(masks), len(masks) + f.count, (0,) * f.count))
+            masks += [(1 << f.width_bits) - 1] * f.count
+            sizes += [f.bytes_per_element] * f.count
+        self._fields = tuple(fields)
+        self._masks = tuple(masks)
+        self._sizes = tuple(sizes)
+        self._exact = all(m == (1 << 8 * nb) - 1 for m, nb in zip(masks, sizes))
+        self.data_bytes = sum(sizes)
+        self._struct = None
+        if all(nb in _STRUCT_CODES for nb in sizes):
+            fmt = (f"{count}{_STRUCT_CODES[sizes[a]]}" for _, count, a, _, _ in fields)
+            self._struct = struct.Struct("!" + "".join(fmt))
+        #: the plan without a trailing ``tail`` field (§VIII), if there is one
+        self.short: Optional[CodecPlan] = None
+        if spec.fields and spec.fields[-1].tail:
+            head = tuple(FieldSpec(f.name, f.width_bits, f.count) for f in spec.fields[:-1])
+            self.short = CodecPlan(KernelSpec(spec.computation, head))
+
+    def encode(self, values: Values) -> bytes:
+        """The data section for ``values``; a trailing tail field whose
+        value is ``None`` is omitted from it entirely."""
+        if len(values) != len(self._fields):
+            raise ValueError(
+                f"computation {self.computation} expects {len(self._fields)} "
+                f"arguments, got {len(values)}"
+            )
+        if self.short is not None and values[-1] is None:
+            return self.short.encode(values[:-1])
+        flat: list = []
+        for (name, count, _, _, zeros), v in zip(self._fields, values):
+            if v is None:
+                flat.extend(zeros)
+            elif type(v) is int and count == 1:
+                flat.append(v)
+            else:
+                before = len(flat)
+                try:
+                    flat.extend(v)
+                except TypeError:  # not iterable: a scalar of any integer type
+                    try:
+                        flat.append(index(v))
+                    except TypeError:
+                        raise ValueError(
+                            f"field {name}: {v!r} is neither an integer nor a sequence"
+                        ) from None
+                if len(flat) - before != count:
+                    raise ValueError(
+                        f"field {name} expects {count} elements, got {len(flat) - before}"
+                    )
+        if self._struct is None:
+            each = zip(flat, self._masks, self._sizes)
+            return b"".join([(int(x) & m).to_bytes(nb, "big") for x, m, nb in each])
+        if self._exact:
+            try:
+                return self._struct.pack(*flat)
+            except (struct.error, OverflowError):  # the latter: a negative numpy int
+                pass
+        return self._struct.pack(*[int(x) & m for x, m in zip(flat, self._masks)])
+
+    def decode(self, data: bytes, out: Optional[Values] = None) -> list:
+        """The per-argument values of a data section, arrays as fresh
+        lists.  ``out`` names the arguments to skip with ``None``, as in
+        :func:`unpack`; an omitted tail field reads as zeros."""
+        n = len(data)
+        if n >= self.data_bytes:
+            if self._struct is not None:
+                flat = self._struct.unpack_from(data)
+            else:
+                flat, off = [], 0
+                for nb in self._sizes:
+                    flat.append(int.from_bytes(data[off : off + nb], "big"))
+                    off += nb
+            values = [
+                flat[a] if count == 1 else list(flat[a:b]) for _, count, a, b, _ in self._fields
+            ]
+        elif self.short is not None and n == self.short.data_bytes:
+            zeros = self._fields[-1][4]
+            values = self.short.decode(data)
+            values.append(0 if len(zeros) == 1 else list(zeros))
+        else:
+            short = f" (or {self.short.data_bytes} without the tail)" if self.short else ""
+            raise ValueError(
+                f"computation {self.computation}: data section is {n} bytes, "
+                f"the layout needs {self.data_bytes}{short}"
+            )
+        if out is not None:
+            for i in range(len(values)):
+                if i >= len(out) or out[i] is None:
+                    values[i] = None
+        return values
+
+
+#: one plan per spec *value*, however many equal specs the builders make
+_plan_for = lru_cache(maxsize=None)(CodecPlan)
+
+
 def pack(msg: Message, spec: KernelSpec, values: Values) -> bytes:
     """Serialize a message.  ``values[i]`` is the i-th kernel argument
     (int, list of ints, or None to send zeros without copying)."""
-    if len(values) != len(spec.fields):
-        raise ValueError(
-            f"computation {spec.computation} expects {len(spec.fields)} "
-            f"arguments, got {len(values)}"
-        )
-    # §VIII tail extension: a trailing tail field whose value is None is
-    # omitted from the wire entirely.
-    fields = list(spec.fields)
-    send_values = list(values)
-    data_bytes = spec.data_bytes
-    if fields and fields[-1].tail and send_values[-1] is None:
-        data_bytes -= fields[-1].total_bytes
-        fields.pop()
-        send_values.pop()
-    out = bytearray(
-        _HEADER.pack(
-            msg.src, msg.dst, msg.from_, msg.to, msg.comp, msg.act, data_bytes
-        )
-    )
-    for f, v in zip(fields, send_values):
-        nb = f.bytes_per_element
-        mask = (1 << f.width_bits) - 1
-        if v is None:
-            out.extend(b"\x00" * f.total_bytes)
-        elif isinstance(v, int):
-            if f.count != 1:
-                raise ValueError(f"field {f.name} expects {f.count} elements")
-            out.extend((v & mask).to_bytes(nb, "big"))
-        else:
-            vals = list(v)
-            if len(vals) != f.count:
-                raise ValueError(
-                    f"field {f.name} expects {f.count} elements, got {len(vals)}"
-                )
-            for x in vals:
-                out.extend((int(x) & mask).to_bytes(nb, "big"))
-    return bytes(out)
+    data = spec.plan.encode(values)
+    return _HEADER.pack(msg.src, msg.dst, msg.from_, msg.to, msg.comp, msg.act, len(data)) + data
 
 
 def unpack(data: bytes, spec: KernelSpec, out: Optional[Values] = None) -> tuple[Message, list]:
@@ -200,33 +297,16 @@ def unpack(data: bytes, spec: KernelSpec, out: Optional[Values] = None) -> tuple
     if len(data) < HEADER_SIZE:
         raise ValueError(f"short NetCL packet: {len(data)} bytes")
     src, dst, from_, to, comp, act, dlen = _HEADER.unpack_from(data, 0)
-    msg = Message(src, dst, comp, to, from_=from_, act=act, spec=spec)
     if len(data) - HEADER_SIZE < dlen:
         raise ValueError("truncated NetCL data section")
-    values: list = []
-    off = HEADER_SIZE
-    for i, f in enumerate(spec.fields):
-        nb = f.bytes_per_element
-        skip = out is not None and (i >= len(out) or out[i] is None)
-        if f.tail and off - HEADER_SIZE >= dlen:
-            # tail omitted by the sender: defaults to zeros
-            values.append(
-                None if skip else (0 if f.count == 1 else [0] * f.count)
-            )
-            continue
-        if skip:
-            values.append(None)
-        elif f.count == 1:
-            values.append(int.from_bytes(data[off : off + nb], "big"))
-        else:
-            values.append(
-                [
-                    int.from_bytes(data[off + j * nb : off + (j + 1) * nb], "big")
-                    for j in range(f.count)
-                ]
-            )
-        off += f.total_bytes
-    return msg, values
+    values = spec.plan.decode(data[HEADER_SIZE : HEADER_SIZE + dlen], out)
+    return Message(src, dst, comp, to, from_=from_, act=act, spec=spec), values
+
+
+def unpack_packet(packet: "NetCLPacket", spec: KernelSpec, out: Optional[Values] = None) -> list:
+    """:func:`unpack` for a packet that never left the process: the
+    values of its data section (its header is the packet itself)."""
+    return spec.plan.decode(packet.data, out)
 
 
 @dataclass(slots=True)
@@ -258,6 +338,15 @@ class NetCLPacket:
     rel_flags: int = 0
     rel_seq: int = 0
     rel_crc: int = 0
+
+    @classmethod
+    def from_message(cls, msg: Message, spec: KernelSpec, values: Values) -> "NetCLPacket":
+        """``from_wire(pack(msg, spec, values))`` without the wire."""
+        data = spec.plan.encode(values)
+        if (msg.src | msg.dst | msg.from_ | msg.to | len(data)) >> 16 or (msg.comp | msg.act) >> 8:
+            # out of the header's range: let struct name the field
+            _HEADER.pack(msg.src, msg.dst, msg.from_, msg.to, msg.comp, msg.act, len(data))
+        return cls(msg.src, msg.dst, msg.from_, msg.to, msg.comp, msg.act, data)
 
     @classmethod
     def from_wire(cls, raw: bytes) -> "NetCLPacket":

@@ -32,7 +32,7 @@ from repro.deploy.planner import AbstractTopology, PhysicalFabric
 from repro.netsim import DEVICE, HOST
 from repro.reliability import ReliableChannel
 from repro.runtime import KernelSpec, Message
-from repro.runtime.message import unpack
+from repro.runtime.message import unpack_packet
 from repro.scenario import ScenarioResult, digest
 from repro.service.admission import AdmissionError
 from repro.service.orchestrator import INCService, Tenant, TenantState
@@ -299,7 +299,7 @@ class EchoDriver(AppDriver):
         host = net.hosts[self.host_id]
 
         def on_receive(packet, now_ns):
-            _, (x, y) = unpack(packet.to_wire(), self.spec)
+            x, y = unpack_packet(packet, self.spec)
             self.replies[x] = y
             self.service.observe_latency(
                 self.tenant_id, now_ns - self.sent_ns.get(x, now_ns)
