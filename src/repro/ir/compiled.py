@@ -39,8 +39,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-import numpy as np
-
 from repro.ir.blocks import BasicBlock
 from repro.ir.instructions import (
     Alloca,
@@ -77,11 +75,10 @@ from repro.ir.interp import (
     InterpError,
     IRInterpreter,
     KernelMessage,
-    _dtype_for,
 )
 from repro.ir.module import Argument, Function, GlobalVar, Module
 from repro.ir.types import IntType
-from repro.pygen import lit as _lit, load
+from repro.pygen import lit as _lit, load, storage_bits
 
 #: binary operators that commute with truncation (``(a op b) & m`` equals
 #: the interpreter's ``((a & m) op (b & m)) & m``); every other kind is
@@ -365,7 +362,7 @@ class _Generator:
             self.emit(f"{self.field_access(inst.field, inst.index)} = {value.atom}")
         elif isinstance(inst, LoadGlobal):
             reg, flat = self.global_access(inst.gv, inst.indices)
-            self.define(inst, f"{reg}.item({flat})", self.storage_bits(inst.gv))
+            self.define(inst, f"{reg}[{flat}]", storage_bits(inst.gv.elem.width))
         elif isinstance(inst, StoreGlobal):
             reg, flat = self.global_access(inst.gv, inst.indices)
             self.emit(f"{reg}[{flat}] = {self.masked(inst.value, inst.gv.elem.width).atom}")
@@ -509,10 +506,6 @@ class _Generator:
         flat = self.index_checks([index], (arg.spec,), lambda dim: text)
         return f"{local}[{flat}]"
 
-    @staticmethod
-    def storage_bits(gv: GlobalVar) -> int:
-        return np.dtype(_dtype_for(gv.elem.width)).itemsize * 8
-
     def global_access(self, gv: GlobalVar, indices) -> tuple[str, str]:
         """Bounds-check one register access; returns (array, flat index)."""
         for k, seen in enumerate(self.registers):
@@ -537,7 +530,7 @@ class _Generator:
         w = inst.gv.elem.width
         mask = inst.gv.elem.mask
         op = inst.op
-        old = self.define(inst, f"{reg}.item({flat})", self.storage_bits(inst.gv))
+        old = self.define(inst, f"{reg}[{flat}]", storage_bits(inst.gv.elem.width))
         if op == AtomicOp.READ:
             return
         if op == AtomicOp.CAS:

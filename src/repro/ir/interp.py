@@ -14,10 +14,9 @@ action (Table II).
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from repro import hashing
 from repro.ir.blocks import BasicBlock
@@ -54,34 +53,26 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import Function, GlobalVar, LookupEntry, Module
 from repro.ir.types import IntType
+from repro.pygen import register_file
 
 
 class InterpError(Exception):
     """Runtime fault during kernel interpretation."""
 
 
-_NUMPY_DTYPE = {8: np.uint8, 16: np.uint16, 32: np.uint32, 64: np.uint64}
-
-
-def _dtype_for(width: int):
-    for w, dt in _NUMPY_DTYPE.items():
-        if width <= w:
-            return dt
-    return np.uint64
-
-
 class GlobalState:
     """All global device memory of one device: registers plus lookup tables.
 
-    Register memory (``_net_`` / ``_managed_``) is zero-initialized numpy
-    storage, flattened row-major.  Lookup memory is an ordered entry list;
+    Register memory (``_net_`` / ``_managed_``) is zero-initialized
+    ``array.array`` storage (:func:`repro.pygen.register_file`), flattened
+    row-major.  Lookup memory is an ordered entry list;
     ``_managed_ _lookup_`` entries may be mutated through the control-plane
     methods, static ``_lookup_`` entries are frozen (P4 does not allow data
     plane MAT updates, §V-B).
     """
 
     def __init__(self) -> None:
-        self._registers: dict[str, np.ndarray] = {}
+        self._registers: dict[str, array] = {}
         self._meta: dict[str, GlobalVar] = {}
         self._tables: dict[str, list[LookupEntry]] = {}
 
@@ -96,8 +87,7 @@ class GlobalState:
                 LookupEntry(e.key_lo, e.key_hi, e.value) for e in gv.entries
             ]
         else:
-            dt = _dtype_for(gv.elem.width)
-            self._registers[base] = np.zeros(gv.shape.num_elements or 1, dtype=dt)
+            self._registers[base] = register_file(gv.elem.width, gv.shape.num_elements or 1)
 
     @staticmethod
     def _base_name(name: str) -> str:
@@ -150,7 +140,7 @@ class GlobalState:
     def read(self, gv: GlobalVar, indices: Sequence[int]) -> int:
         base, meta = self._meta_for(gv)
         flat = self._flat_index(meta, self._effective_indices(gv, indices))
-        return int(self._registers[base][flat])
+        return self._registers[base][flat]
 
     def write(self, gv: GlobalVar, indices: Sequence[int], value: int) -> None:
         base, meta = self._meta_for(gv)
@@ -178,7 +168,7 @@ class GlobalState:
         base, meta = self._meta_for(gv)
         flat = self._flat_index(meta, self._effective_indices(gv, indices))
         ty = meta.elem
-        old = int(self._registers[base][flat])
+        old = self._registers[base][flat]
 
         if op == AtomicOp.READ:
             return old
@@ -251,7 +241,7 @@ class GlobalState:
         base = self._base_name(name)
         if base not in self._registers:
             raise InterpError(f"no register memory named {name}")
-        return int(self._registers[base][index])
+        return self._registers[base][index]
 
     def cp_register_write(self, name: str, value: int, index: int = 0) -> None:
         base = self._base_name(name)
@@ -262,9 +252,10 @@ class GlobalState:
             raise InterpError(f"{name} is not _managed_: host writes forbidden")
         self._registers[base][index] = value & meta.elem.mask
 
-    def cp_register_read_all(self, name: str) -> np.ndarray:
+    def cp_register_read_all(self, name: str) -> array:
+        """A copy of the whole register file, as an ``array.array``."""
         base = self._base_name(name)
-        return self._registers[base].copy()
+        return self._registers[base][:]
 
     def cp_table_entries(self, name: str) -> list[LookupEntry]:
         base = self._base_name(name)

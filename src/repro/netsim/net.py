@@ -45,6 +45,9 @@ from repro.telemetry.trace import node_name
 
 NodeKey = tuple[str, int]
 
+_TO_HOST = ForwardKind.TO_HOST
+_TO_DEVICE = ForwardKind.TO_DEVICE
+
 
 def HOST(i: int) -> NodeKey:
     return ("h", i)
@@ -123,7 +126,7 @@ class Host:
             start = max(now, self._tx_free_ns)
             self._tx_free_ns = start + overhead
             overhead += start - now
-        self.network.sim.after(
+        self.network.sim.defer(
             delay_ns + overhead, self.network.inject, self.key, packet
         )
 
@@ -135,7 +138,7 @@ class Host:
             start = max(now, self._rx_free_ns)
             self._rx_free_ns = start + overhead
             overhead += start - now
-        self.network.sim.after(overhead, self._rx_up, packet)
+        self.network.sim.defer(overhead, self._rx_up, packet)
 
     def _rx_up(self, packet: NetCLPacket) -> None:
         network = self.network
@@ -173,27 +176,45 @@ class Switch:
         self._occupancy.inc()
         # Tofino pipelines are full line-rate: processing adds latency but
         # never becomes a throughput bottleneck, so packets pipeline freely.
-        self.network.sim.after(self.processing_ns, self._pipeline_done, packet)
+        self.network.sim.defer(self.processing_ns, self._pipeline_done, packet)
 
     def _pipeline_done(self, packet: NetCLPacket) -> None:
         self._occupancy.value -= 1
         network = self.network
-        if not network.is_up(self.key):
+        key = self.key
+        if key in network._down:
             # Crashed while the packet sat in the pipeline.
             if network.tracer.enabled:
                 network.tracer.hop(
-                    packet, self.key, "drop", network.sim.now_ns, "node down"
+                    packet, key, "drop", network.sim.now_ns, "node down"
                 )
             return
         decision = self.device.process(packet)
         if network.tracer.enabled:
             network.tracer.hop(
-                packet, self.key, "decision",
+                packet, key, "decision",
                 network.sim.now_ns, f"{decision.kind.value}->{decision.target}",
             )
-        network.execute_decision(self.key, decision)
+        kind = decision.kind
+        out = decision.packet
+        if out is not None and (kind is _TO_HOST or kind is _TO_DEVICE):
+            # The unicast case of execute_decision, in this frame.
+            target = decision.target
+            if kind is _TO_HOST:
+                out.dst = target
+                out.to = NO_DEVICE
+                toward = ("h", target)
+            else:
+                out.to = target
+                toward = ("d", target)
+            if toward == key:
+                network._arrive(key, out)
+            else:
+                network._hop(key, toward, out)
+        else:
+            network.execute_decision(key, decision)
         for extra in self.device.drain_control():
-            network.execute_decision(self.key, extra)
+            network.execute_decision(key, extra)
 
 
 def pipeline_latency_ns(compiled, fallback: int = 500) -> int:
@@ -219,8 +240,11 @@ class Network:
         self.multicast_groups: dict[int, list[NodeKey]] = {}
         self.seed = seed
         self.rng = random.Random(seed)
-        #: per-source next-hop tables, filled lazily on demand.
-        self._routes: dict[NodeKey, dict[NodeKey, NodeKey]] = {}
+        #: per-source next-hop tables, filled lazily on demand.  An entry
+        #: carries the stats of the link to its next hop: every change to
+        #: a link (re-link, remove, flap, crash) discards the tables that
+        #: route over it, so the pair can never go stale.
+        self._routes: dict[NodeKey, dict[NodeKey, tuple[NodeKey, _LinkStats]]] = {}
         #: per-source shortest-path-tree edges, for incremental invalidation.
         self._route_trees: dict[NodeKey, set[frozenset]] = {}
         #: single-source route recomputations performed (perf telemetry).
@@ -230,8 +254,7 @@ class Network:
         self.metrics = metrics or MetricRegistry()
         self.tracer = tracer or PacketTracer(enabled=False)
         self._link_stats: dict[frozenset, _LinkStats] = {}
-        #: same stats, keyed by directed (at, nxt) pair — a plain tuple
-        #: lookup per hop instead of a frozenset allocation.
+        #: same stats, keyed by directed (at, nxt) pair, for route rebuilds.
         self._stats_dir: dict[tuple[NodeKey, NodeKey], _LinkStats] = {}
         #: slab free-list for multicast replicas (see PacketPool).
         self.packet_pool = PacketPool()
@@ -435,14 +458,15 @@ class Network:
             del self._route_trees[src]
         self.route_invalidations += len(stale)
 
-    def _rebuild_source(self, src: NodeKey) -> dict[NodeKey, NodeKey]:
+    def _rebuild_source(self, src: NodeKey) -> dict[NodeKey, tuple[NodeKey, _LinkStats]]:
         """(Re)compute one source's next-hop table and its tree edges."""
-        table: dict[NodeKey, NodeKey] = {}
+        table: dict[NodeKey, tuple[NodeKey, _LinkStats]] = {}
         tree: set[frozenset] = set()
         if src in self.graph:
+            stats_dir = self._stats_dir
             for dst, path in self.graph.shortest_paths(src).items():
                 if len(path) > 1:
-                    table[dst] = path[1]
+                    table[dst] = (path[1], stats_dir[(src, path[1])])
                     for u, v in zip(path, path[1:]):
                         tree.add(frozenset((u, v)))
         self._routes[src] = table
@@ -471,9 +495,9 @@ class Network:
         table = self._routes.get(at)
         if table is None:
             table = self._rebuild_source(at)
-        nxt = table.get(toward)
+        route = table.get(toward)
         tracing = self.tracer.enabled
-        if nxt is None:
+        if route is None:
             self._drop_no_route.inc()
             if tracing:
                 self.tracer.hop(
@@ -482,7 +506,7 @@ class Network:
                 )
             self.packet_pool.release(packet)
             return
-        stats = self._stats_dir[(at, nxt)]
+        nxt, stats = route
         link = stats.link
         size = packet.size_bytes
         if size == stats.cost_size:
@@ -505,13 +529,16 @@ class Network:
             # increments are inlined (see metrics.py's hot-path note).
             stats.tx_packets.value += 1
             stats.tx_bytes.value += size
-            stats.in_flight.inc()
+            in_flight = stats.in_flight
+            in_flight.value = level = in_flight.value + 1
+            if level > in_flight.max_value:
+                in_flight.max_value = level
             if tracing:
                 self.tracer.hop(
                     packet, at, "tx", self.sim.now_ns,
                     f"-> {node_name(nxt)} ({delay} ns)",
                 )
-            self.sim.after(delay, self._link_arrive, stats, nxt, packet)
+            self.sim.defer(delay, self._link_arrive, stats, nxt, packet)
             return
         deliveries = self.fault_injector.on_transmit(at, nxt, packet, delay)
         if not deliveries:
@@ -533,10 +560,22 @@ class Network:
                     pkt, at, "tx", self.sim.now_ns,
                     f"-> {node_name(nxt)} ({delay_ns} ns)",
                 )
-            self.sim.after(delay_ns, self._link_arrive, stats, nxt, pkt)
+            self.sim.defer(delay_ns, self._link_arrive, stats, nxt, pkt)
 
     def _link_arrive(self, stats: _LinkStats, node: NodeKey, packet: NetCLPacket) -> None:
         stats.in_flight.value -= 1
+        if node[0] == "d" and node not in self._down and packet.mcast_members is None:
+            sw = self.switches.get(node[1])
+            if sw is not None:
+                # The common case of _arrive + Switch.deliver, in this frame.
+                self.packet_pool.disown(packet)
+                sw._rx_packets.value += 1
+                occupancy = sw._occupancy
+                occupancy.value = level = occupancy.value + 1
+                if level > occupancy.max_value:
+                    occupancy.max_value = level
+                self.sim.defer(sw.processing_ns, sw._pipeline_done, packet)
+                return
         self._arrive(node, packet)
 
     def _arrive(self, node: NodeKey, packet: NetCLPacket) -> None:
@@ -635,7 +674,7 @@ class Network:
         direct = []
         shared: dict[NodeKey, list[NodeKey]] = {}
         for member in members:
-            nxt = table.get(member)
+            nxt, _ = table.get(member) or (None, None)
             if nxt is None or nxt == member or nxt[0] == "h" or member == at:
                 direct.append(member)
             else:

@@ -3,14 +3,17 @@
 Hot-path design (this file is under every packet of every end-to-end
 benchmark):
 
-* Heap entries are plain ``(time_ns, seq, event)`` tuples, so ``heapq``
-  orders them with C-level integer comparisons — no Python ``__lt__``
-  call per sift step.  ``seq`` is unique, so the tuple comparison never
-  reaches the event object.
-* :class:`Event` is a ``__slots__`` record carrying ``(fn, args)``
-  instead of a captured closure: callers schedule bound methods plus
-  arguments (``sim.after(d, self._arrive, node, pkt)``), which avoids
-  allocating a closure cell per event.
+* Heap entries are plain ``(time_ns, seq, fn, args, handle)`` tuples, so
+  ``heapq`` orders them with C-level integer comparisons — no Python
+  ``__lt__`` call per sift step.  ``seq`` is unique, so the tuple
+  comparison never reaches the callable.
+* The entry itself carries ``(fn, args)`` instead of a captured closure:
+  callers schedule bound methods plus arguments
+  (``sim.after(d, self._arrive, node, pkt)``), which avoids allocating a
+  closure cell per event.
+* ``handle`` is the :class:`Event` that ``at`` / ``after`` returned, or
+  ``None`` for a :meth:`Simulator.defer` schedule nobody can cancel —
+  such an event costs one tuple and nothing else.
 """
 
 from __future__ import annotations
@@ -22,25 +25,17 @@ from typing import Callable, Optional
 
 
 class Event:
-    """One scheduled callback: ``fn(*args)`` at ``time_ns``."""
+    """The cancellation handle of one scheduled callback."""
 
-    __slots__ = ("time_ns", "seq", "fn", "args", "cancelled", "_on_cancel")
+    __slots__ = ("time_ns", "seq", "cancelled", "_on_cancel")
 
-    def __init__(
-        self,
-        time_ns: int,
-        seq: int,
-        fn: Callable[..., None],
-        args: tuple = (),
-    ) -> None:
+    def __init__(self, time_ns: int, seq: int, on_cancel: Callable[[], None]) -> None:
         self.time_ns = time_ns
         self.seq = seq
-        self.fn = fn
-        self.args = args
         self.cancelled = False
-        #: set by the owning Simulator while the event sits in its heap, so
-        #: cancellation can be accounted for without a queue scan.
-        self._on_cancel: Optional[Callable[[], None]] = None
+        #: the owning Simulator's hook while the event sits in its heap (None
+        #: once popped), so cancellation is accounted for without a queue scan.
+        self._on_cancel: Optional[Callable[[], None]] = on_cancel
 
     def cancel(self) -> None:
         if self.cancelled:
@@ -48,9 +43,6 @@ class Event:
         self.cancelled = True
         if self._on_cancel is not None:
             self._on_cancel()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time_ns, self.seq) < (other.time_ns, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = " cancelled" if self.cancelled else ""
@@ -79,37 +71,42 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now_ns = 0
-        self._queue: list[tuple[int, int, Event]] = []
+        self._queue: list[tuple[int, int, Callable[..., None], tuple, Optional[Event]]] = []
         self._seq = itertools.count()
         self._cancelled_in_queue = 0
         self.events_processed = 0
         self.compactions = 0
 
-    def at(self, time_ns: int, callback: Callable[..., None], *args) -> Event:
+    # The three entry points duplicate the push on purpose: they run several
+    # times per packet per hop and an extra frame each is measurable.
+    def at(self, time_ns: int | float, callback: Callable[..., None], *args) -> Event:
         if time_ns < self.now_ns:
             raise ValueError(f"cannot schedule in the past ({time_ns} < {self.now_ns})")
         if type(time_ns) is not int:
-            time_ns = int(time_ns)
+            time_ns = math.ceil(time_ns)
         seq = next(self._seq)
-        ev = Event(time_ns, seq, callback, args)
-        ev._on_cancel = self._note_cancel
-        heapq.heappush(self._queue, (time_ns, seq, ev))
+        ev = Event(time_ns, seq, self._note_cancel)
+        heapq.heappush(self._queue, (time_ns, seq, callback, args, ev))
         return ev
 
     def after(self, delay_ns: int | float, callback: Callable[..., None], *args) -> Event:
-        # Body duplicated from at() on purpose: this is the single most
-        # frequently called scheduling entry point (several calls per
-        # packet per hop) and the extra frame is measurable.
         if type(delay_ns) is not int:
             # Round up, never down: int() truncation let sub-ns float
             # delays become instantaneous (0 ns) events.
             delay_ns = math.ceil(delay_ns)
         time_ns = self.now_ns + delay_ns if delay_ns > 0 else self.now_ns
         seq = next(self._seq)
-        ev = Event(time_ns, seq, callback, args)
-        ev._on_cancel = self._note_cancel
-        heapq.heappush(self._queue, (time_ns, seq, ev))
+        ev = Event(time_ns, seq, self._note_cancel)
+        heapq.heappush(self._queue, (time_ns, seq, callback, args, ev))
         return ev
+
+    def defer(self, delay_ns: int | float, callback: Callable[..., None], *args) -> None:
+        """:meth:`after` for a caller that will never cancel: same time,
+        same ``seq`` draw, but no :class:`Event` is built or returned."""
+        if type(delay_ns) is not int:
+            delay_ns = math.ceil(delay_ns)
+        time_ns = self.now_ns + delay_ns if delay_ns > 0 else self.now_ns
+        heapq.heappush(self._queue, (time_ns, next(self._seq), callback, args, None))
 
     def _note_cancel(self) -> None:
         self._cancelled_in_queue += 1
@@ -127,34 +124,43 @@ class Simulator:
         compact mid-run — rebinding ``self._queue`` would strand the loop
         on a stale list.
         """
-        self._queue[:] = [e for e in self._queue if not e[2].cancelled]
+        self._queue[:] = [e for e in self._queue if e[4] is None or not e[4].cancelled]
         heapq.heapify(self._queue)
         self._cancelled_in_queue = 0
         self.compactions += 1
-
-    def _pop(self) -> Event:
-        ev = heapq.heappop(self._queue)[2]
-        # Out of the heap: a later cancel() must not touch our accounting.
-        ev._on_cancel = None
-        return ev
 
     def run(self, until_ns: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Process events until the queue drains, the horizon passes, or
         the event budget is exhausted."""
         queue = self._queue
         pop = heapq.heappop
+        if until_ns is None and max_events is None:
+            # The loop below without its two per-event tests.
+            while queue:
+                time_ns, _, fn, args, handle = pop(queue)
+                if handle is not None:
+                    handle._on_cancel = None
+                    if handle.cancelled:
+                        self._cancelled_in_queue -= 1
+                        continue
+                self.now_ns = time_ns
+                fn(*args)
+                self.events_processed += 1
+            return
         n = 0
         while queue:
             if until_ns is not None and queue[0][0] > until_ns:
                 self.now_ns = until_ns
                 return
-            ev = pop(queue)[2]
-            ev._on_cancel = None
-            if ev.cancelled:
-                self._cancelled_in_queue -= 1
-                continue
-            self.now_ns = ev.time_ns
-            ev.fn(*ev.args)
+            time_ns, _, fn, args, handle = pop(queue)
+            if handle is not None:
+                # Out of the heap: a later cancel() must not touch our accounting.
+                handle._on_cancel = None
+                if handle.cancelled:
+                    self._cancelled_in_queue -= 1
+                    continue
+            self.now_ns = time_ns
+            fn(*args)
             self.events_processed += 1
             n += 1
             if max_events is not None and n >= max_events:

@@ -59,7 +59,7 @@ from repro.p4.interp import (
     _Env,
     _ExitControl,
 )
-from repro.pygen import lit, load
+from repro.pygen import lit, load, storage_bits
 
 _METADATA_ROOTS = ("md", "meta", "ig_md")
 
@@ -127,11 +127,6 @@ class PacketCode:
 
 def _mask(width: int) -> int:
     return (1 << width) - 1
-
-
-def _storage_bits(width: int) -> int:
-    """Bits of the numpy element a ``width``-bit register value is kept in."""
-    return next((w for w in (8, 16, 32, 64) if width <= w), 64)
 
 
 def _is_atom(text: str) -> bool:
@@ -720,8 +715,8 @@ class _Generator:
             var = self.local(name, scope)
             sub[name] = var._replace(py=f"{var.py}_{n}")
             self.emit(f"{sub[name].py} = {var.py}")
-        value = sub[ra.value_param] = _Var(f"value{n}", width, max(width, _storage_bits(width)))
-        self.emit(f"{value.py} = {reg}.item({index.text})")
+        value = sub[ra.value_param] = _Var(f"value{n}", width, max(width, storage_bits(width)))
+        self.emit(f"{value.py} = {reg}[{index.text}]")
         if ra.rv_param:
             sub[ra.rv_param] = _Var(f"rv{n}", width, width)
             self.emit(f"rv{n} = 0")

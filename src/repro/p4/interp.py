@@ -10,13 +10,13 @@ control-plane surface handwritten baselines like NetCache need).
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-import numpy as np
-
 from repro import hashing
 from repro.p4 import ast
+from repro.pygen import register_file
 
 
 class P4RuntimeError(Exception):
@@ -84,30 +84,20 @@ _HASH_ALGOS = {
     "IDENTITY": hashing.identity,
 }
 
-_NUMPY_DTYPE = {8: np.uint8, 16: np.uint16, 32: np.uint32, 64: np.uint64}
-
-
-def _dtype_for(width: int):
-    for w, dt in _NUMPY_DTYPE.items():
-        if width <= w:
-            return dt
-    return np.uint64
-
-
 class P4Interpreter:
     """Executes one P4 program instance (persistent state across packets)."""
 
     def __init__(self, program: ast.Program, *, seed: int = 0) -> None:
         self.program = program
         self.rng = random.Random(seed)
-        self.registers: dict[str, np.ndarray] = {}
+        self.registers: dict[str, array] = {}
         self.register_decls: dict[str, ast.RegisterDecl] = {}
         self.tables: dict[str, _Table] = {}
         for ctrl in program.controls.values():
             for r in ctrl.registers.values():
                 if r.name in self.registers:
                     raise P4RuntimeError(f"duplicate register {r.name}")
-                self.registers[r.name] = np.zeros(r.size, dtype=_dtype_for(r.value_type.width))
+                self.registers[r.name] = register_file(r.value_type.width, r.size)
                 self.register_decls[r.name] = r
             for t in ctrl.tables.values():
                 self.tables[t.name] = _Table(t, ctrl, list(t.entries))
@@ -151,10 +141,10 @@ class P4Interpreter:
 
     def register_read(self, name: str, index: int) -> int:
         self._checked_register(name, index)
-        return int(self.registers[name][index])
+        return self.registers[name][index]
 
     def _checked_register(self, name: str, index: int) -> ast.RegisterDecl:
-        """numpy would wrap a negative index to the end of the array."""
+        """An array would wrap a negative index to its end."""
         decl = self.register_decls[name]
         if not 0 <= index < decl.size:
             raise P4RuntimeError(
@@ -347,7 +337,7 @@ class P4Interpreter:
             )
         width = decl.value_type.width
         sub_locals = dict(env.locals_)
-        sub_locals[ra.value_param] = (int(mem[index]), width)
+        sub_locals[ra.value_param] = (mem[index], width)
         if ra.rv_param:
             sub_locals[ra.rv_param] = (0, width)
         sub = _Env(self, env.hdr, env.md, sub_locals, env.cursor, env.control)
@@ -356,7 +346,7 @@ class P4Interpreter:
         mem[index] = sub_locals[ra.value_param][0] & decl.value_type.mask
         if ra.rv_param:
             return sub_locals[ra.rv_param][0]
-        return int(mem[index])
+        return mem[index]
 
 
 class _Cursor:

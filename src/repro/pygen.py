@@ -9,12 +9,28 @@ from __future__ import annotations
 
 import functools
 import linecache
+from array import array
 from typing import Callable
 
 
 def lit(value: int) -> str:
     """An integer as an operand (negative ones parenthesised)."""
     return str(value) if value >= 0 else f"({value})"
+
+
+def register_file(width: int, size: int) -> array:
+    """Zero-filled storage for ``size`` registers of ``width`` bits: an
+    ``array.array`` of the narrowest unsigned element that holds them
+    (64-bit for anything wider; every writer masks first).  Generated code
+    indexes it as ``R[i]`` and takes a loaded value's bit bound from
+    :func:`storage_bits`."""
+    code = next((c for w, c in ((8, "B"), (16, "H"), (32, "I")) if width <= w), "Q")
+    return array(code, [0]) * size
+
+
+def storage_bits(width: int) -> int:
+    """Bits of the element a ``width``-bit register value is kept in."""
+    return register_file(width, 0).itemsize * 8
 
 
 @functools.lru_cache(maxsize=256)

@@ -123,9 +123,9 @@ class TestPartitionedManagedMemory:
             raw = pack(Message(src=1, dst=2, comp=1, to=1), spec, [1, 77, None, None, None])
             dev.process(NetCLPacket.from_wire(raw))
         snapshot = dev.state.cp_register_read_all("cms")
-        assert snapshot.sum() == 9  # 3 rows x 3 misses
+        assert sum(snapshot) == 9  # 3 rows x 3 misses
         # host resets the sketch (a slow-path managed operation, §V-B)
-        for i in range(snapshot.size):
+        for i in range(len(snapshot)):
             if snapshot[i]:
                 dev.state.cp_register_write("cms", 0, i)
-        assert dev.state.cp_register_read_all("cms").sum() == 0
+        assert sum(dev.state.cp_register_read_all("cms")) == 0

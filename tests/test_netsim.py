@@ -261,6 +261,17 @@ class TestSchedulerApi:
         assert sim.after(0, lambda: None).time_ns == 0
         assert sim.after(7, lambda: None).time_ns == 7
 
+    def test_at_ceils_fractional_times(self):
+        # at() used to truncate where after() rounds up, so a time 0.4 ns
+        # ahead fired "now".
+        sim = Simulator()
+        sim.run(until_ns=10)
+        assert sim.at(10.4, lambda: None).time_ns == 11
+        assert sim.at(12.0, lambda: None).time_ns == 12
+        assert sim.at(10, lambda: None).time_ns == 10
+        with pytest.raises(ValueError):
+            sim.at(9.9, lambda: None)
+
     def test_compaction_during_run_keeps_new_events(self):
         # Cancels fired from inside callbacks can trigger a mid-run heap
         # compaction; events scheduled afterwards must still run.

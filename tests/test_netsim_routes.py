@@ -1,0 +1,133 @@
+"""Next-hop tables carry the stats of the link they route over.
+
+A cached ``(next hop, _LinkStats)`` pair may never outlive the link it
+names: after every topology change — with packets in flight on the links
+being changed — each cached entry must equal what a fresh shortest-path
+computation plus ``_stats_dir`` gives, and the next packet must be counted
+on exactly the links its trace says it crossed.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core import compile_netcl
+from repro.netsim import DEVICE, HOST, Link, Network
+from repro.runtime import NetCLDevice
+from repro.runtime.message import NO_DEVICE, NetCLPacket
+
+IDLE = "_kernel(1) void idle(uint32_t x) { }"
+TX = "link.tx_packets."
+
+
+def two_spine_fabric() -> Network:
+    """h1,h2 - d1 ; h3,h4 - d2 ; spines d3 and d4 join the two ToRs."""
+    net = Network(seed=5)
+    for dev in (1, 2, 3, 4):
+        cp = compile_netcl(IDLE, dev, program_name="idle")
+        net.add_switch(NetCLDevice(dev, cp.module, cp.kernels(), metrics=net.metrics))
+    for spine in (3, 4):
+        net.link(DEVICE(1), DEVICE(spine))
+        net.link(DEVICE(2), DEVICE(spine))
+    for host, tor in ((1, 1), (2, 1), (3, 2), (4, 2)):
+        net.add_host(host)
+        net.link(HOST(host), DEVICE(tor))
+    return net
+
+
+def send(net: Network, src: int, dst: int) -> NetCLPacket:
+    packet = NetCLPacket(src, dst, NO_DEVICE, NO_DEVICE, 0, 0, bytes(16))
+    net.hosts[src].send_packet(packet)
+    return packet
+
+
+def assert_cached_tables_are_fresh(net: Network) -> None:
+    for src, table in net._routes.items():
+        fresh = {
+            dst: path[1]
+            for dst, path in net.graph.shortest_paths(src).items()
+            if len(path) > 1
+        }
+        assert {dst: nxt for dst, (nxt, _) in table.items()} == fresh
+        for nxt, stats in table.values():
+            assert stats is net._stats_dir[(src, nxt)]
+            assert stats is net._link_stats[frozenset((src, nxt))]
+            assert stats.link is net.links[frozenset((src, nxt))]
+
+
+def tx_counts(net: Network) -> dict[str, int]:
+    return {i.name[len(TX):]: i.value for i in net.metrics if i.name.startswith(TX)}
+
+
+def crash(dev):
+    return lambda net: net.crash_switch(dev)
+
+
+def link_up(a, b, up):
+    return lambda net: net.set_link_up(a, b, up)
+
+
+D1, D2, D3, D4 = (DEVICE(i) for i in (1, 2, 3, 4))
+
+#: each case is a sequence of topology changes; the checks run after each
+CHANGES = {
+    "crash_switch": [crash(3)],
+    "restart_switch": [crash(3), lambda net: net.restart_switch(3), crash(4)],
+    "set_link_up": [link_up(D1, D3, False), link_up(D1, D3, True), link_up(D2, D4, False)],
+    "remove_link": [lambda net: net.remove_link(D1, D3), lambda net: net.remove_link(D2, D3)],
+    "remove_switch": [lambda net: net.remove_switch(3)],
+    "relink": [
+        lambda net: net.link(D1, D3, Link()),
+        lambda net: net.link(HOST(1), D1, Link()),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", CHANGES)
+def test_cached_routes_and_stats_survive_topology_changes(case):
+    net = two_spine_fabric()
+    tracer = net.enable_tracing()
+    for change in CHANGES[case]:
+        # traffic both ways, stopped with one wave on the ToR-spine links
+        # and the next inside the ToR pipelines
+        for pause_ns in (400, 2_800):
+            for src, dst in ((1, 3), (3, 1), (2, 4), (4, 2)):
+                send(net, src, dst)
+            net.sim.run(until_ns=net.sim.now_ns + pause_ns)
+        assert sum(s.in_flight.value for s in net._link_stats.values()) >= 4
+        assert sum(sw._occupancy.value for sw in net.switches.values()) >= 4
+        change(net)
+        assert_cached_tables_are_fresh(net)
+        net.sim.run()
+        assert_cached_tables_are_fresh(net)
+        assert all(i.value == 0 for i in net.metrics if i.name.startswith("link.in_flight."))
+
+        # one probe per direction: counted on the links it crossed, no other
+        for src, dst in ((1, 3), (4, 2)):
+            before = tx_counts(net)
+            probe = send(net, src, dst)
+            net.sim.run()
+            path = tracer.trace_of(probe).path
+            assert path[0] == f"h{src}" and path[-1] == f"h{dst}", path
+            crossed = {"-".join(sorted(pair)) for pair in zip(path, path[1:])}
+            after = tx_counts(net)
+            moved = {name for name in after if after[name] != before.get(name, 0)}
+            assert moved == crossed
+            assert all(after[name] - before.get(name, 0) == 1 for name in crossed)
+        assert_cached_tables_are_fresh(net)
+
+
+def test_relinked_pair_routes_over_the_new_link_object():
+    net = two_spine_fabric()
+    send(net, 1, 3)
+    net.sim.run()
+    spine = net._routes[D1][HOST(3)][0]
+    old = net._routes[D1][HOST(3)][1]
+    net.link(D1, spine, Link(latency_ns=9))
+    # the stale pair is gone; the rebuilt one holds the new link's stats
+    assert D1 not in net._routes
+    send(net, 1, 3)
+    net.sim.run()
+    new = net._routes[D1][HOST(3)][1]
+    assert new is not old and new.link.latency_ns == 9
+    assert new is net._stats_dir[(D1, net._routes[D1][HOST(3)][0])]

@@ -193,7 +193,7 @@ class TestP4Interp:
             self.interp.register_write("counters", index, 1)
         with pytest.raises(P4RuntimeError, match=message):
             self.interp.register_read("counters", index)
-        assert not self.interp.registers["counters"].any()
+        assert not any(self.interp.registers["counters"])
 
     def test_short_packet_rejected(self):
         with pytest.raises(P4RuntimeError, match="too short"):
