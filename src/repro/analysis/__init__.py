@@ -38,7 +38,7 @@ from repro.analysis.dataflow import (
     iter_postorder,
     iter_reverse_postorder,
 )
-from repro.analysis.lint import lint_module, lint_source, run_lints
+from repro.analysis.lint import lint_source, run_lints
 from repro.analysis.tvalid import (
     PassValidator,
     TranslationValidationError,
@@ -60,7 +60,6 @@ __all__ = [
     "generate_vectors",
     "iter_postorder",
     "iter_reverse_postorder",
-    "lint_module",
     "lint_source",
     "run_lints",
 ]

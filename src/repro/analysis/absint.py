@@ -114,10 +114,6 @@ class Interval:
         return (1 << self.width) - 1
 
     @property
-    def is_top(self) -> bool:
-        return self.lo == 0 and self.hi == self.mask and self.bits == self.mask
-
-    @property
     def is_const(self) -> bool:
         return self.lo == self.hi
 

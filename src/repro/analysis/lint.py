@@ -46,10 +46,6 @@ def run_lints(
     return engine
 
 
-#: Back-compat alias; the module-level API mirrors ``verify_module``.
-lint_module = run_lints
-
-
 def lint_source(
     source: str,
     *,

@@ -64,10 +64,5 @@ class BasicBlock:
             else:
                 break
 
-    def non_phis(self) -> Iterator[Instruction]:
-        for inst in self.instructions:
-            if not isinstance(inst, Phi):
-                yield inst
-
     def __repr__(self) -> str:
         return f"<BasicBlock {self.name} ({len(self.instructions)} insts)>"

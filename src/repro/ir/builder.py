@@ -58,9 +58,6 @@ class IRBuilder:
         """Stamp subsequently emitted instructions with a source location."""
         self._loc = None if line is None else SourceLoc(int(line), int(col))
 
-    def set_loc(self, loc: Optional[SourceLoc]) -> None:
-        self._loc = loc
-
     def position_at_end(self, block: BasicBlock) -> None:
         self.block = block
 

@@ -123,9 +123,6 @@ class DominatorTree:
                 return False
             b = parent
 
-    def strictly_dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
-        return a is not b and self.dominates(a, b)
-
     def nearest_common_dominator(self, blocks: Iterable[BasicBlock]) -> BasicBlock:
         it = iter(blocks)
         try:
@@ -154,9 +151,3 @@ class DominatorTree:
                         break
                     runner = self.idom[id(runner)]
         return df
-
-    def block_by_id(self, block_id: int) -> BasicBlock:
-        for bb in self.rpo:
-            if id(bb) == block_id:
-                return bb
-        raise KeyError(block_id)

@@ -113,22 +113,6 @@ class ICmpPred(str, Enum):
     SGE = "sge"
 
     @property
-    def swapped(self) -> "ICmpPred":
-        table = {
-            ICmpPred.EQ: ICmpPred.EQ,
-            ICmpPred.NE: ICmpPred.NE,
-            ICmpPred.ULT: ICmpPred.UGT,
-            ICmpPred.ULE: ICmpPred.UGE,
-            ICmpPred.UGT: ICmpPred.ULT,
-            ICmpPred.UGE: ICmpPred.ULE,
-            ICmpPred.SLT: ICmpPred.SGT,
-            ICmpPred.SLE: ICmpPred.SGE,
-            ICmpPred.SGT: ICmpPred.SLT,
-            ICmpPred.SGE: ICmpPred.SLE,
-        }
-        return table[self]
-
-    @property
     def negated(self) -> "ICmpPred":
         table = {
             ICmpPred.EQ: ICmpPred.NE,
@@ -850,8 +834,3 @@ class Ret(Terminator):
         if self.value is not None:
             return f"ret {self.value.short()}"
         return "ret"
-
-
-def side_effect_free(inst: Instruction) -> bool:
-    """True if ``inst`` may be removed when its result is unused."""
-    return not inst.has_side_effects and not inst.is_terminator

@@ -255,16 +255,6 @@ class Module:
     def kernels(self) -> list[Function]:
         return [f for f in self.functions.values() if f.is_kernel]
 
-    def netfns(self) -> list[Function]:
-        return [f for f in self.functions.values() if not f.is_kernel]
-
-    def kernels_at(self, device_id: int) -> list[Function]:
-        """Kernels included when compiling for ``device_id`` (§V-C)."""
-        return [f for f in self.kernels() if f.placed_at(device_id)]
-
-    def globals_at(self, device_id: int) -> list[GlobalVar]:
-        return [g for g in self.globals.values() if g.placed_at(device_id)]
-
     def dump(self) -> str:
         """Human-readable listing of the whole module (for tests/debugging)."""
         lines: list[str] = [f"; module {self.name}"]

@@ -252,11 +252,6 @@ class FuncDecl(Node):
     def is_kernel(self) -> bool:
         return self.specs.kernel is not None
 
-    @property
-    def is_netfn(self) -> bool:
-        return self.specs.net and self.specs.kernel is None
-
-
 @dataclass
 class Program(Node):
     decls: list[Union[VarDecl, FuncDecl]] = field(default_factory=list)

@@ -5,26 +5,18 @@ The preprocessor supports ``//`` and ``/* */`` comments and object-like
 applications use — e.g. ``CMS_HASHES``, ``NUM_SLOTS``, ``THRESH``).
 Function-like macros are intentionally unsupported: NetCL's whole pitch is
 that loop unrolling and code generation replace P4's preprocessor abuse
-(§II, [53] [54]).
+(§II, [53] [54]).  Scanning is :func:`repro.syntax.scan` over this
+module's rule table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum, auto
+import copy
+import re
 from typing import Iterator, Optional
 
 from repro.lang.errors import CompileError
-
-
-class TokenKind(Enum):
-    IDENT = auto()
-    NUMBER = auto()
-    CHARLIT = auto()
-    STRING = auto()
-    PUNCT = auto()
-    KEYWORD = auto()
-    EOF = auto()
+from repro.syntax import Lexicon, Token, TokenKind, integer, scan, strip_comments
 
 
 KEYWORDS = {
@@ -117,46 +109,6 @@ PUNCTUATORS = [
 ]
 
 
-@dataclass
-class Token:
-    kind: TokenKind
-    text: str
-    line: int
-    col: int
-    value: Optional[int] = None  # numeric value for NUMBER / CHARLIT
-
-    def is_punct(self, text: str) -> bool:
-        return self.kind == TokenKind.PUNCT and self.text == text
-
-    def is_keyword(self, text: str) -> bool:
-        return self.kind == TokenKind.KEYWORD and self.text == text
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind.name}, {self.text!r} @{self.line}:{self.col})"
-
-
-def _strip_comments(src: str) -> str:
-    """Replace comments with spaces, preserving line structure."""
-    out: list[str] = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c == "/" and i + 1 < n and src[i + 1] == "/":
-            while i < n and src[i] != "\n":
-                i += 1
-        elif c == "/" and i + 1 < n and src[i + 1] == "*":
-            i += 2
-            while i + 1 < n and not (src[i] == "*" and src[i + 1] == "/"):
-                if src[i] == "\n":
-                    out.append("\n")
-                i += 1
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
 def preprocess(src: str, extra_defines: Optional[dict[str, int]] = None) -> tuple[str, dict[str, str]]:
     """Strip comments and collect ``#define`` macros.
 
@@ -164,7 +116,7 @@ def preprocess(src: str, extra_defines: Optional[dict[str, int]] = None) -> tupl
     ``extra_defines`` lets callers (e.g. benchmark parameter sweeps) inject
     compile-time constants, like ``-D`` on a C compiler command line.
     """
-    src = _strip_comments(src)
+    src = strip_comments(src)
     macros: dict[str, str] = {}
     if extra_defines:
         macros.update({k: str(v) for k, v in extra_defines.items()})
@@ -225,125 +177,77 @@ def preprocess(src: str, extra_defines: Optional[dict[str, int]] = None) -> tupl
     return "\n".join(out_lines), macros
 
 
+_ESCAPES = {"n": 10, "t": 9, "0": 0, "r": 13, "\\": 92, "'": 39}
+
+
+def _charlit(text: str) -> tuple:
+    """``'c'`` or ``'\\e'``; the pattern also matches what there is of a
+    broken literal (``'``, ``'\\`` at the end, ``'ab``), reported here."""
+    escaped = text.startswith("'\\")
+    if escaped and len(text) > 2 and text[2] not in _ESCAPES:
+        raise ValueError(f"unsupported escape '\\{text[2]}'")
+    if len(text) != (4 if escaped else 3):
+        raise ValueError("unterminated character literal")
+    return TokenKind.CHARLIT, text, _ESCAPES[text[2]] if escaped else ord(text[1])
+
+
+def _unterminated_string(text: str) -> tuple:
+    raise ValueError("unterminated string literal")
+
+
+def _integer(base: int):
+    """A C integer literal in ``base``; ``u`` / ``l`` suffixes are swallowed."""
+    return lambda text: (TokenKind.NUMBER, text, integer(text, text.rstrip("uUlL"), base))
+
+
+NETCL = Lexicon(
+    [
+        ("space", r"\s+", None),
+        ("word", r"[^\W\d]\w*", TokenKind.IDENT),
+        ("hex", r"0[xX][0-9a-fA-F]*[uUlL]*", _integer(16)),
+        ("bin", r"0[bB][01]*[uUlL]*", _integer(2)),
+        ("dec", r"\d+[uUlL]*", _integer(10)),
+        ("char", r"'(?:\\[\s\S]?|[\s\S])?'?", _charlit),
+        ("string", r'"(?:\\[\s\S]|[^"\\])*"', TokenKind.STRING),
+        ("open_string", '"', _unterminated_string),
+        ("punct", "|".join(re.escape(p) for p in PUNCTUATORS), TokenKind.PUNCT),
+    ],
+    words={
+        **{kw: (TokenKind.KEYWORD, kw, None) for kw in KEYWORDS},
+        "true": (TokenKind.NUMBER, "1", 1),
+        "false": (TokenKind.NUMBER, "0", 0),
+    },
+    error=CompileError,
+)
+
+
 class Lexer:
-    """Produces the token stream, expanding object-like macros."""
+    """The token stream of a NetCL source, object-like macros expanded.
+
+    A macro body is scanned once, here; its tokens take the line:col of
+    each use.  Macros apply to the whole file with their final definition.
+    """
 
     def __init__(self, source: str, extra_defines: Optional[dict[str, int]] = None) -> None:
         self.source, self.macros = preprocess(source, extra_defines)
-        self.tokens = list(self._tokenize())
+        lexicon = NETCL
+        if not self.macros.keys().isdisjoint(NETCL.words):
+            # a macro spelled like a keyword (or true/false) is expanded
+            lexicon = copy.copy(NETCL)
+            lexicon.words = {w: t for w, t in NETCL.words.items() if w not in self.macros}
+        self.tokens = scan(self.source, lexicon)
+        if self.macros:
+            self._bodies = {name: scan(body, NETCL)[:-1] for name, body in self.macros.items()}
+            self.tokens = list(self._expand(self.tokens))
 
-    def _tokenize(self) -> Iterator[Token]:
-        src = self.source
-        i, n = 0, len(src)
-        line, col = 1, 1
-
-        def advance(k: int) -> None:
-            nonlocal i, line, col
-            for _ in range(k):
-                if i < n and src[i] == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-                i += 1
-
-        while i < n:
-            c = src[i]
-            if c.isspace():
-                advance(1)
-                continue
-            start_line, start_col = line, col
-            if c.isalpha() or c == "_":
-                j = i
-                while j < n and (src[j].isalnum() or src[j] == "_"):
-                    j += 1
-                text = src[i:j]
-                advance(j - i)
-                if text in self.macros:
-                    yield from self._expand_macro(text, start_line, start_col, set())
-                elif text in KEYWORDS:
-                    if text == "true":
-                        yield Token(TokenKind.NUMBER, "1", start_line, start_col, 1)
-                    elif text == "false":
-                        yield Token(TokenKind.NUMBER, "0", start_line, start_col, 0)
-                    else:
-                        yield Token(TokenKind.KEYWORD, text, start_line, start_col)
-                else:
-                    yield Token(TokenKind.IDENT, text, start_line, start_col)
-                continue
-            if c.isdigit():
-                j = i
-                if src.startswith("0x", i) or src.startswith("0X", i):
-                    j = i + 2
-                    while j < n and (src[j] in "0123456789abcdefABCDEF"):
-                        j += 1
-                    value = int(src[i:j], 16)
-                elif src.startswith("0b", i) or src.startswith("0B", i):
-                    j = i + 2
-                    while j < n and src[j] in "01":
-                        j += 1
-                    value = int(src[i:j], 2)
-                else:
-                    while j < n and src[j].isdigit():
-                        j += 1
-                    value = int(src[i:j])
-                # Swallow integer suffixes (u, l, ul, ull ...)
-                while j < n and src[j] in "uUlL":
-                    j += 1
-                text = src[i:j]
-                advance(j - i)
-                yield Token(TokenKind.NUMBER, text, start_line, start_col, value)
-                continue
-            if c == "'":
-                j = i + 1
-                if j < n and src[j] == "\\":
-                    esc = src[j + 1]
-                    table = {"n": 10, "t": 9, "0": 0, "r": 13, "\\": 92, "'": 39}
-                    if esc not in table:
-                        raise CompileError(f"unsupported escape '\\{esc}'", line, col)
-                    value = table[esc]
-                    j += 2
-                else:
-                    value = ord(src[j])
-                    j += 1
-                if j >= n or src[j] != "'":
-                    raise CompileError("unterminated character literal", line, col)
-                j += 1
-                text = src[i:j]
-                advance(j - i)
-                yield Token(TokenKind.CHARLIT, text, start_line, start_col, value)
-                continue
-            if c == '"':
-                j = i + 1
-                while j < n and src[j] != '"':
-                    j += 2 if src[j] == "\\" else 1
-                if j >= n:
-                    raise CompileError("unterminated string literal", line, col)
-                text = src[i : j + 1]
-                advance(j + 1 - i)
-                yield Token(TokenKind.STRING, text, start_line, start_col)
-                continue
-            for p in PUNCTUATORS:
-                if src.startswith(p, i):
-                    advance(len(p))
-                    yield Token(TokenKind.PUNCT, p, start_line, start_col)
-                    break
+    def _expand(self, tokens, at=None, active=frozenset()) -> Iterator[Token]:
+        """``tokens`` with every macro replaced by its body, placed ``at`` the
+        line:col of the outermost use."""
+        for tok in tokens:
+            if tok.kind is TokenKind.IDENT and tok.text in self._bodies:
+                use = at or (tok.line, tok.col)
+                if tok.text in active:
+                    raise CompileError(f"recursive macro {tok.text}", *use)
+                yield from self._expand(self._bodies[tok.text], use, active | {tok.text})
             else:
-                raise CompileError(f"unexpected character {c!r}", line, col)
-        yield Token(TokenKind.EOF, "", line, col)
-
-    def _expand_macro(self, name: str, line: int, col: int, active: set[str]) -> Iterator[Token]:
-        """Recursively expand an object-like macro body into tokens."""
-        if name in active:
-            raise CompileError(f"recursive macro {name}", line, col)
-        body = self.macros[name]
-        sub = Lexer.__new__(Lexer)
-        sub.source = body
-        sub.macros = {}  # raw tokenization; nested expansion handled below
-        for tok in sub._tokenize():
-            if tok.kind == TokenKind.EOF:
-                break
-            if tok.kind == TokenKind.IDENT and tok.text in self.macros:
-                yield from self._expand_macro(tok.text, line, col, active | {name})
-            else:
-                yield Token(tok.kind, tok.text, line, col, tok.value)
+                yield tok.at(*at) if at else tok

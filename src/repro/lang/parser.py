@@ -6,7 +6,8 @@ from typing import Optional
 
 from repro.lang import ast
 from repro.lang.errors import CompileError
-from repro.lang.lexer import Lexer, Token, TokenKind
+from repro.lang.lexer import NETCL, Lexer
+from repro.syntax import Cursor, Token, TokenKind, fold, precedence
 
 # Fundamental type spellings -> (width, signed).  ``char`` is unsigned on
 # the device (bytes in message fields), matching the generated bit<8>.
@@ -37,53 +38,17 @@ _TYPE_NAMES: dict[str, tuple[int, bool]] = {
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
+_BINARY_LEVELS = precedence(
+    [["||"], ["&&"], ["|"], ["^"], ["&"], ["==", "!="], ["<", "<=", ">", ">="], ["<<", ">>"],
+     ["+", "-"], ["*", "/", "%"]]
+)
 
-class Parser:
+
+class Parser(Cursor):
+    lexicon = NETCL
+
     def __init__(self, lexer: Lexer) -> None:
-        self.tokens = lexer.tokens
-        self.pos = 0
-
-    # -- token helpers ---------------------------------------------------------
-    def peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != TokenKind.EOF:
-            self.pos += 1
-        return tok
-
-    def accept(self, text: str) -> Optional[Token]:
-        tok = self.peek()
-        if (tok.kind == TokenKind.PUNCT and tok.text == text) or (
-            tok.kind == TokenKind.KEYWORD and tok.text == text
-        ):
-            return self.next()
-        return None
-
-    def expect(self, text: str) -> Token:
-        tok = self.accept(text)
-        if tok is None:
-            cur = self.peek()
-            raise CompileError(
-                f"expected {text!r}, found {cur.text!r}", cur.line, cur.col
-            )
-        return tok
-
-    def expect_ident(self) -> Token:
-        tok = self.peek()
-        if tok.kind != TokenKind.IDENT:
-            raise CompileError(f"expected identifier, found {tok.text!r}", tok.line, tok.col)
-        return self.next()
-
-    def expect_number(self) -> int:
-        tok = self.peek()
-        if tok.kind not in (TokenKind.NUMBER, TokenKind.CHARLIT):
-            raise CompileError(f"expected number, found {tok.text!r}", tok.line, tok.col)
-        self.next()
-        assert tok.value is not None
-        return tok.value
+        super().__init__(lexer.tokens)
 
     # -- program -----------------------------------------------------------------
     def parse_program(self) -> ast.Program:
@@ -95,7 +60,7 @@ class Parser:
     def parse_top_level(self):
         specs = self.parse_specifiers()
         ty = self.parse_type()
-        name_tok = self.expect_ident()
+        name_tok = self.ident()
         if self.peek().is_punct("("):
             return self.parse_function(specs, ty, name_tok)
         return self.finish_var_decl(specs, ty, name_tok, top_level=True)
@@ -104,34 +69,26 @@ class Parser:
     def parse_specifiers(self) -> ast.Specifiers:
         specs = ast.Specifiers()
         while True:
-            tok = self.peek()
-            if tok.is_keyword("_kernel"):
-                self.next()
+            if self.accept("_kernel"):
                 self.expect("(")
-                specs.kernel = self.expect_number()
+                specs.kernel = self.number()
                 self.expect(")")
-            elif tok.is_keyword("_net_"):
-                self.next()
+            elif self.accept("_net_"):
                 specs.net = True
-            elif tok.is_keyword("_managed_"):
-                self.next()
+            elif self.accept("_managed_"):
                 specs.managed = True
-            elif tok.is_keyword("_lookup_"):
-                self.next()
+            elif self.accept("_lookup_"):
                 specs.lookup = True
-            elif tok.is_keyword("_at"):
-                self.next()
+            elif self.accept("_at"):
                 self.expect("(")
-                locs = [self.expect_number()]
+                locs = [self.number()]
                 while self.accept(","):
-                    locs.append(self.expect_number())
+                    locs.append(self.number())
                 self.expect(")")
                 specs.at = tuple(locs)
-            elif tok.is_keyword("static"):
-                self.next()
+            elif self.accept("static"):
                 specs.static = True
-            elif tok.is_keyword("const"):
-                self.next()
+            elif self.accept("const"):
                 specs.const = True
             else:
                 return specs
@@ -160,22 +117,16 @@ class Parser:
 
     def parse_type(self) -> ast.SrcType:
         self.accept("const")
-        tok = self.peek()
-        if tok.is_keyword("void"):
-            self.next()
+        if self.accept("void"):
             return ast.VoidSrcType()
-        if tok.is_keyword("auto"):
-            self.next()
+        if self.accept("auto"):
             return ast.AutoType()
-        if tok.kind == TokenKind.IDENT and tok.text == "ncl":
+        if self.accept("ncl"):
             # ncl::kv<K,V> / ncl::rv<R,V>
-            self.next()
             self.expect("::")
-            kind_tok = self.expect_ident()
+            kind_tok = self.ident()
             if kind_tok.text not in ("kv", "rv"):
-                raise CompileError(
-                    f"unknown ncl type ncl::{kind_tok.text}", kind_tok.line, kind_tok.col
-                )
+                raise self.fail(f"unknown ncl type ncl::{kind_tok.text}", kind_tok)
             self.expect("<")
             key = self._require_scalar(self.parse_type(), kind_tok)
             self.expect(",")
@@ -184,14 +135,11 @@ class Parser:
             return ast.LookupPairType(kind_tok.text, key, value)
         # (unsigned|signed)? (char|short|int|long)* | typedef name
         signedness: Optional[bool] = None
-        if tok.is_keyword("unsigned"):
-            self.next()
+        if self.accept("unsigned"):
             signedness = False
-            tok = self.peek()
-        elif tok.is_keyword("signed"):
-            self.next()
+        elif self.accept("signed"):
             signedness = True
-            tok = self.peek()
+        tok = self.peek()
         base: Optional[str] = None
         if tok.kind == TokenKind.KEYWORD and tok.text in ("char", "short", "int", "long", "bool"):
             base = tok.text
@@ -206,17 +154,16 @@ class Parser:
         elif signedness is not None:
             base = "int"  # bare "unsigned"/"signed"
         else:
-            raise CompileError(f"expected type, found {tok.text!r}", tok.line, tok.col)
+            raise self.fail(f"expected type, found {tok.text!r}", tok)
         width, signed = _TYPE_NAMES[base]
         if signedness is not None:
             signed = signedness
         self.accept("const")
         return ast.ScalarType(width, signed, base)
 
-    @staticmethod
-    def _require_scalar(ty: ast.SrcType, tok: Token) -> ast.ScalarType:
+    def _require_scalar(self, ty: ast.SrcType, tok: Token) -> ast.ScalarType:
         if not isinstance(ty, ast.ScalarType):
-            raise CompileError("kv/rv type parameters must be fundamental types", tok.line, tok.col)
+            raise self.fail("kv/rv type parameters must be fundamental types", tok)
         return ty
 
     # -- variable declarations ---------------------------------------------------------------
@@ -228,9 +175,7 @@ class Parser:
         while self.accept("["):
             if self.accept("]"):
                 if dims:
-                    raise CompileError(
-                        "only the outermost dimension may be inferred", name_tok.line, name_tok.col
-                    )
+                    raise self.fail("only the outermost dimension may be inferred", name_tok)
                 dims.append(-1)
                 inferred_outer = True
             else:
@@ -242,11 +187,7 @@ class Parser:
         self.expect(";")
         if inferred_outer:
             if not isinstance(init, ast.InitList):
-                raise CompileError(
-                    "array with inferred size requires an initializer list",
-                    name_tok.line,
-                    name_tok.col,
-                )
+                raise self.fail("array with inferred size requires an initializer list", name_tok)
             dims[0] = len(init.items)
         return ast.VarDecl(
             line=name_tok.line, col=name_tok.col,
@@ -266,8 +207,8 @@ class Parser:
         return value
 
     def parse_initializer(self) -> ast.Expr:
-        if self.peek().is_punct("{"):
-            brace = self.next()
+        brace = self.accept("{")
+        if brace:
             items: list[ast.Expr] = []
             if not self.peek().is_punct("}"):
                 items.append(self.parse_initializer())
@@ -302,14 +243,13 @@ class Parser:
         tail = bool(self.accept("_tail_"))
         ty = self.parse_type()
         spec: Optional[int] = None
-        if self.peek().is_keyword("_spec"):
-            self.next()
+        if self.accept("_spec"):
             self.expect("(")
             spec = self._const_expr()
             self.expect(")")
         ptr = bool(self.accept("*"))
         byref = bool(self.accept("&")) if not ptr else False
-        name_tok = self.expect_ident()
+        name_tok = self.ident()
         dims: list[int] = []
         while self.accept("["):
             dims.append(self._const_expr())
@@ -331,7 +271,7 @@ class Parser:
         block = ast.Block(line=brace.line, col=brace.col)
         while not self.peek().is_punct("}"):
             if self.peek().kind == TokenKind.EOF:
-                raise CompileError("unterminated block", brace.line, brace.col)
+                raise self.fail("unterminated block", brace)
             block.stmts.append(self.parse_statement())
         self.expect("}")
         return block
@@ -344,27 +284,23 @@ class Parser:
             return self.parse_if()
         if tok.is_keyword("for"):
             return self.parse_for()
-        if tok.is_keyword("return"):
-            self.next()
+        if self.accept("return"):
             value = None if self.peek().is_punct(";") else self.parse_expression()
             self.expect(";")
             return ast.Return(line=tok.line, col=tok.col, value=value)
         if tok.is_keyword("while") or tok.is_keyword("do"):
-            raise CompileError(
+            raise self.fail(
                 "while/do loops are not supported in device code; use a "
                 "fully-unrollable for loop (§V-D)",
-                tok.line,
-                tok.col,
+                tok,
             )
         if tok.is_keyword("goto"):
-            raise CompileError("goto is not supported in device code (§V-D)", tok.line, tok.col)
+            raise self.fail("goto is not supported in device code (§V-D)", tok)
         if tok.is_keyword("switch"):
-            raise CompileError("switch is not supported; use if/else chains", tok.line, tok.col)
+            raise self.fail("switch is not supported; use if/else chains", tok)
         if tok.is_keyword("break") or tok.is_keyword("continue"):
-            raise CompileError(
-                f"{tok.text} is not supported: loops must be fully unrollable (§V-D)",
-                tok.line,
-                tok.col,
+            raise self.fail(
+                f"{tok.text} is not supported: loops must be fully unrollable (§V-D)", tok
             )
         if self._is_type_start(tok) or tok.is_keyword("const") or tok.is_keyword("static"):
             return self.parse_local_decl()
@@ -375,13 +311,10 @@ class Parser:
     def parse_local_decl(self) -> ast.Stmt:
         specs = self.parse_specifiers()
         ty = self.parse_type()
-        name_tok = self.expect_ident()
+        name_tok = self.ident()
         if self.peek().is_punct("("):
-            raise CompileError(
-                "nested function declarations are not allowed", name_tok.line, name_tok.col
-            )
-        decl = self.finish_var_decl(specs, ty, name_tok, top_level=False)
-        return decl
+            raise self.fail("nested function declarations are not allowed", name_tok)
+        return self.finish_var_decl(specs, ty, name_tok, top_level=False)
 
     def parse_if(self) -> ast.If:
         tok = self.expect("if")
@@ -398,15 +331,12 @@ class Parser:
         tok = self.expect("for")
         self.expect("(")
         init: Optional[ast.Stmt] = None
-        if not self.peek().is_punct(";"):
-            if self._is_type_start(self.peek()):
-                init = self.parse_local_decl()
-            else:
-                expr = self.parse_expression()
-                self.expect(";")
-                init = ast.ExprStmt(line=tok.line, col=tok.col, expr=expr)
-        else:
+        if self._is_type_start(self.peek()):
+            init = self.parse_local_decl()
+        elif not self.accept(";"):
+            expr = self.parse_expression()
             self.expect(";")
+            init = ast.ExprStmt(line=tok.line, col=tok.col, expr=expr)
         cond = None if self.peek().is_punct(";") else self.parse_expression()
         self.expect(";")
         step = None if self.peek().is_punct(")") else self.parse_expression()
@@ -428,52 +358,24 @@ class Parser:
         return lhs
 
     def parse_ternary(self) -> ast.Expr:
-        cond = self.parse_binary(0)
-        if self.peek().is_punct("?"):
-            tok = self.next()
+        cond = self.binary(_BINARY_LEVELS)
+        tok = self.accept("?")
+        if tok:
             then = self.parse_assignment()
             self.expect(":")
             els = self.parse_assignment()
             return ast.Ternary(line=tok.line, col=tok.col, cond=cond, then=then, els=els)
         return cond
 
-    _BINARY_LEVELS = [
-        ["||"],
-        ["&&"],
-        ["|"],
-        ["^"],
-        ["&"],
-        ["==", "!="],
-        ["<", "<=", ">", ">="],
-        ["<<", ">>"],
-        ["+", "-"],
-        ["*", "/", "%"],
-    ]
-
-    def parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self.parse_unary()
-        lhs = self.parse_binary(level + 1)
-        ops = self._BINARY_LEVELS[level]
-        while True:
-            tok = self.peek()
-            if tok.kind == TokenKind.PUNCT and tok.text in ops:
-                self.next()
-                rhs = self.parse_binary(level + 1)
-                lhs = ast.Binary(line=tok.line, col=tok.col, op=tok.text, left=lhs, right=rhs)
-            else:
-                return lhs
+    def binary_node(self, tok: Token, left: ast.Expr, right: ast.Expr) -> ast.Expr:
+        return ast.Binary(line=tok.line, col=tok.col, op=tok.text, left=left, right=right)
 
     def parse_unary(self) -> ast.Expr:
         tok = self.peek()
         if tok.kind == TokenKind.PUNCT and tok.text in ("!", "~", "-", "+", "&", "*"):
             self.next()
             if tok.text == "*":
-                raise CompileError(
-                    "pointer dereference is not supported in device code (§V-D)",
-                    tok.line,
-                    tok.col,
-                )
+                raise self.fail("pointer dereference is not supported in device code (§V-D)", tok)
             operand = self.parse_unary()
             if tok.text == "+":
                 return operand
@@ -497,27 +399,24 @@ class Parser:
         expr = self.parse_primary()
         while True:
             tok = self.peek()
-            if tok.is_punct("["):
-                self.next()
+            if self.accept("["):
                 index = self.parse_expression()
                 self.expect("]")
                 expr = ast.Index(line=tok.line, col=tok.col, base=expr, index=index)
             elif tok.kind == TokenKind.PUNCT and tok.text in ("++", "--"):
                 self.next()
                 expr = ast.Unary(line=tok.line, col=tok.col, op=tok.text, operand=expr, prefix=False)
-            elif tok.is_punct("."):
-                self.next()
-                field_tok = self.expect_ident()
+            elif self.accept("."):
+                field_tok = self.ident()
                 if not isinstance(expr, ast.Ident):
-                    raise CompileError(
+                    raise self.fail(
                         "member access is only supported on builtins "
                         "(device.id, msg.src, ...)",
-                        tok.line,
-                        tok.col,
+                        tok,
                     )
                 expr = ast.Member(line=tok.line, col=tok.col, base=expr.name, field_name=field_tok.text)
             elif tok.is_punct("->"):
-                raise CompileError("pointer member access is not supported", tok.line, tok.col)
+                raise self.fail("pointer member access is not supported", tok)
             else:
                 return expr
 
@@ -527,8 +426,7 @@ class Parser:
             self.next()
             assert tok.value is not None
             return ast.Num(line=tok.line, col=tok.col, value=tok.value)
-        if tok.is_punct("("):
-            self.next()
+        if self.accept("("):
             expr = self.parse_expression()
             self.expect(")")
             return expr
@@ -536,23 +434,19 @@ class Parser:
             self.next()
             name = tok.text
             is_ncl = False
-            if name == "ncl" and self.peek().is_punct("::"):
-                self.next()
-                parts = [self.expect_ident().text]
-                while self.peek().is_punct("::"):
-                    self.next()
-                    parts.append(self.expect_ident().text)
+            if name == "ncl" and self.accept("::"):
+                parts = [self.ident().text]
+                while self.accept("::"):
+                    parts.append(self.ident().text)
                 name = ".".join(parts)
                 is_ncl = True
             template_args: list[object] = []
-            if is_ncl and self.peek().is_punct("<"):
-                self.next()
+            if is_ncl and self.accept("<"):
                 template_args.append(self._parse_template_arg())
                 while self.accept(","):
                     template_args.append(self._parse_template_arg())
                 self.expect(">")
-            if self.peek().is_punct("("):
-                self.next()
+            if self.accept("("):
                 args: list[ast.Expr] = []
                 if not self.peek().is_punct(")"):
                     args.append(self.parse_assignment())
@@ -563,9 +457,9 @@ class Parser:
                 call.template_args = template_args
                 return call
             if is_ncl:
-                raise CompileError(f"ncl::{name} must be called", tok.line, tok.col)
+                raise self.fail(f"ncl::{name} must be called", tok)
             return ast.Ident(line=tok.line, col=tok.col, name=name)
-        raise CompileError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+        raise self.fail(f"unexpected token {tok.text!r}", tok)
 
     def _parse_template_arg(self) -> object:
         tok = self.peek()
@@ -580,29 +474,9 @@ def _eval_const(expr: ast.Expr) -> Optional[int]:
     if isinstance(expr, ast.Num):
         return expr.value
     if isinstance(expr, ast.Unary) and expr.operand is not None:
-        v = _eval_const(expr.operand)
-        if v is None:
-            return None
-        return {"-": -v, "~": ~v, "!": int(v == 0)}.get(expr.op)
+        return fold(expr.op, _eval_const(expr.operand))
     if isinstance(expr, ast.Binary) and expr.left is not None and expr.right is not None:
-        a, b = _eval_const(expr.left), _eval_const(expr.right)
-        if a is None or b is None:
-            return None
-        try:
-            return {
-                "+": a + b,
-                "-": a - b,
-                "*": a * b,
-                "/": a // b if b else None,
-                "%": a % b if b else None,
-                "<<": a << b,
-                ">>": a >> b,
-                "&": a & b,
-                "|": a | b,
-                "^": a ^ b,
-            }.get(expr.op)
-        except (ValueError, ZeroDivisionError):
-            return None
+        return fold(expr.op, _eval_const(expr.left), _eval_const(expr.right))
     return None
 
 

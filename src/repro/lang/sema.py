@@ -21,6 +21,7 @@ from typing import Iterator, Optional
 from repro.lang import ast
 from repro.lang import builtins as bi
 from repro.lang.errors import CompileError, Diagnostic
+from repro.lang.parser import _eval_const
 from repro.ir.module import LookupEntry, LookupKind, MemSpace
 from repro.ir.types import ArrayShape, IntType, int_type
 
@@ -220,13 +221,8 @@ class _Analyzer:
         return entries
 
     def _lookup_entry(self, decl, kind: LookupKind, item: ast.Expr) -> Optional[LookupEntry]:
-        def const(e: ast.Expr) -> Optional[int]:
-            from repro.lang.parser import _eval_const
-
-            return _eval_const(e)
-
         if kind == LookupKind.SET:
-            v = const(item)
+            v = _eval_const(item)
             if v is None:
                 self.error(f"non-constant entry in lookup set '{decl.name}'", item.line)
                 return None
@@ -235,7 +231,7 @@ class _Analyzer:
             if not isinstance(item, ast.InitList) or len(item.items) != 2:
                 self.error(f"kv entry in '{decl.name}' must be {{key, value}}", item.line)
                 return None
-            k, v = const(item.items[0]), const(item.items[1])
+            k, v = _eval_const(item.items[0]), _eval_const(item.items[1])
             if k is None or v is None:
                 self.error(f"non-constant kv entry in '{decl.name}'", item.line)
                 return None
@@ -249,9 +245,9 @@ class _Analyzer:
         ):
             self.error(f"rv entry in '{decl.name}' must be {{{{lo, hi}}, value}}", item.line)
             return None
-        lo = const(item.items[0].items[0])
-        hi = const(item.items[0].items[1])
-        v = const(item.items[1])
+        lo = _eval_const(item.items[0].items[0])
+        hi = _eval_const(item.items[0].items[1])
+        v = _eval_const(item.items[1])
         if lo is None or hi is None or v is None:
             self.error(f"non-constant rv entry in '{decl.name}'", item.line)
             return None

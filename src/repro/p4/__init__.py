@@ -3,7 +3,8 @@
 This package is the stand-in for bmv2 and for the resource analysis of
 *handwritten* P4 (the paper's baselines, Table III/V/VI, Fig. 12/13/14):
 
-* :mod:`repro.p4.parser`    — lexer + recursive-descent parser for the
+* :mod:`repro.p4.parser`    — rule table + recursive-descent grammar (on
+  the shared frontend core, :mod:`repro.syntax`) for the
   TNA-flavoured P4-16 subset our handwritten baselines use (headers,
   parsers as FSMs, controls with actions/tables, ``Register`` /
   ``RegisterAction`` / ``Hash`` externs, deparsers);

@@ -12,6 +12,8 @@ import re
 from collections import Counter
 from enum import Enum
 
+from repro.syntax import strip_comments
+
 
 class LineCategory(str, Enum):
     HEADERS = "headers"  # header/struct/typedef/const definitions
@@ -41,11 +43,6 @@ class LineCategory(str, Enum):
             LineCategory.REGISTER,
             LineCategory.CONTROL,
         )
-
-
-def strip_comments(source: str) -> str:
-    source = re.sub(r"/\*.*?\*/", lambda m: "\n" * m.group(0).count("\n"), source, flags=re.S)
-    return re.sub(r"//[^\n]*", "", source)
 
 
 def count_loc(source: str) -> int:

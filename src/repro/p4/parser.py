@@ -1,12 +1,24 @@
-"""Lexer and recursive-descent parser for the P4-16 subset."""
+"""Recursive-descent parser for the P4-16 subset, on the shared frontend core
+(:mod:`repro.syntax`)."""
 
 from __future__ import annotations
 
+import dataclasses
 import re
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.p4 import ast
+from repro.syntax import (
+    Cursor,
+    Lexicon,
+    Token,
+    TokenKind,
+    fold,
+    integer,
+    precedence,
+    scan,
+    strip_comments,
+)
 
 
 class P4ParseError(Exception):
@@ -15,170 +27,124 @@ class P4ParseError(Exception):
         self.line = line
 
 
-# -- lexer -------------------------------------------------------------------------
+# -- rule table --------------------------------------------------------------------
 
 _PUNCT = [
     "|+|", "|-|", "<<=", ">>=", "&&&", "..", "::", "<<", ">>", "<=", ">=",
     "==", "!=", "&&", "||", "{", "}", "(", ")", "[", "]", ";", ",", "<",
     ">", "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "=", "?", ":",
-    ".", "@", "_",
+    ".", "@",
 ]
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<lcomment>//[^\n]*)
-  | (?P<bcomment>/\*.*?\*/)
-  | (?P<pp>\#[^\n]*)
-  | (?P<widthnum>\d+[ws]\d+)
-  | (?P<hex>0[xX][0-9a-fA-F_]+)
-  | (?P<bin>0[bB][01_]+)
-  | (?P<num>\d[\d_]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>%s)
-    """
-    % "|".join(re.escape(p) for p in _PUNCT),
-    re.VERBOSE | re.DOTALL,
+
+def _sized(text: str) -> tuple:
+    """``8w255`` / ``4s7``: the value is what follows the width."""
+    return TokenKind.NUMBER, text, int(re.split("[ws]", text)[1])
+
+
+def _integer(base: int):
+    """A literal in ``base``; ``_`` separates digits."""
+    return lambda text: (TokenKind.NUMBER, text, integer(text, text.replace("_", ""), base))
+
+
+P4 = Lexicon(
+    [
+        ("space", r"\s+", None),
+        ("directive", r"\#[^\n]*", None),
+        ("sized", r"\d+[ws]\d+", _sized),
+        ("hex", r"0[xX][0-9a-fA-F_]+", _integer(16)),
+        ("bin", r"0[bB][01_]+", _integer(2)),
+        ("dec", r"\d[\d_]*", _integer(10)),
+        ("word", r"[A-Za-z_][A-Za-z0-9_]*", TokenKind.IDENT),
+        ("punct", "|".join(re.escape(p) for p in _PUNCT), TokenKind.PUNCT),
+    ],
+    words={"true": (TokenKind.NUMBER, "true", 1), "false": (TokenKind.NUMBER, "false", 0)},
+    error=lambda message, line, col: P4ParseError(message, line),
 )
 
-
-@dataclass
-class Tok:
-    kind: str  # "num" | "ident" | "punct" | "eof"
-    text: str
-    value: Optional[int]
-    line: int
-
-
-def lex_p4(src: str) -> list[Tok]:
-    toks: list[Tok] = []
-    pos, line = 0, 1
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise P4ParseError(f"unexpected character {src[pos]!r}", line)
-        text = m.group(0)
-        kind = m.lastgroup or ""
-        if kind in ("ws", "lcomment", "bcomment", "pp"):
-            line += text.count("\n")
-            pos = m.end()
-            continue
-        if kind == "widthnum":
-            # 8w255 / 4s7 sized literal
-            w, v = re.split("[ws]", text)
-            toks.append(Tok("num", text, int(v), line))
-        elif kind == "hex":
-            toks.append(Tok("num", text, int(text.replace("_", ""), 16), line))
-        elif kind == "bin":
-            toks.append(Tok("num", text, int(text.replace("_", ""), 2), line))
-        elif kind == "num":
-            toks.append(Tok("num", text, int(text.replace("_", "")), line))
-        elif kind == "ident":
-            if text == "true":
-                toks.append(Tok("num", text, 1, line))
-            elif text == "false":
-                toks.append(Tok("num", text, 0, line))
-            else:
-                toks.append(Tok("ident", text, None, line))
-        else:
-            toks.append(Tok("punct", text, None, line))
-        line += text.count("\n")
-        pos = m.end()
-    toks.append(Tok("eof", "", None, line))
-    return toks
+_BINARY_LEVELS = precedence(
+    [["||"], ["&&"], ["|"], ["^"], ["&"], ["==", "!="], ["<", "<=", ">", ">="],
+     ["<<", ">>"], ["+", "-", "|+|", "|-|"], ["*", "/", "%"]]
+)
 
 
 # -- parser ------------------------------------------------------------------------------
 
 
-class _Parser:
+class _Parser(Cursor):
+    lexicon = P4
+
     def __init__(self, src: str) -> None:
-        self.toks = lex_p4(src)
-        self.pos = 0
+        super().__init__(scan(strip_comments(src), P4))
         self.prog = ast.Program({}, {}, {}, {}, {}, {}, source=src)
 
-    # token helpers ---------------------------------------------------------
-    def peek(self, k: int = 0) -> Tok:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
-
-    def next(self) -> Tok:
-        t = self.peek()
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
-    def accept(self, text: str) -> bool:
-        t = self.peek()
-        if t.text == text and t.kind in ("punct", "ident"):
-            self.next()
-            return True
-        return False
-
-    def expect(self, text: str) -> Tok:
+    def expect(self, text: str) -> Token:
         t = self.peek()
         if text == ">" and t.text == ">>":
             # split `>>` closing nested type arguments (Register<bit<32>, ...>)
-            self.toks[self.pos] = Tok("punct", ">", None, t.line)
-            self.toks.insert(self.pos + 1, Tok("punct", ">", None, t.line))
-            t = self.peek()
-        if t.text != text:
-            raise P4ParseError(f"expected {text!r}, found {t.text!r}", t.line)
-        return self.next()
-
-    def ident(self) -> str:
-        t = self.peek()
-        if t.kind != "ident":
-            raise P4ParseError(f"expected identifier, found {t.text!r}", t.line)
-        return self.next().text
+            half = dataclasses.replace(t, text=">")
+            self.tokens[self.pos : self.pos + 1] = [half, dataclasses.replace(half, col=t.col + 1)]
+        return super().expect(text)
 
     def number(self) -> int:
         t = self.peek()
-        if t.kind == "ident" and t.text in self.prog.constants:
+        if t.kind is TokenKind.IDENT and t.text in self.prog.constants:
             self.next()
             return self.prog.constants[t.text]
-        if t.kind != "num":
-            raise P4ParseError(f"expected number, found {t.text!r}", t.line)
-        self.next()
-        assert t.value is not None
-        return t.value
+        return super().number()
+
+    def binary_node(self, tok: Token, left: ast.Expr, right: ast.Expr) -> ast.Expr:
+        return ast.Binary(tok.text, left, right)
+
+    def _list(self, item, close: str) -> list:
+        """``item``s up to ``close``; the commas between them are optional."""
+        items = []
+        while not self.accept(close):
+            items.append(item())
+            self.accept(",")
+        return items
 
     # types ------------------------------------------------------------------
     def _is_type_start(self) -> bool:
         t = self.peek()
         return t.text in ("bit", "int", "bool") or (
-            t.kind == "ident" and t.text in self.prog.typedefs
+            t.kind is TokenKind.IDENT and t.text in self.prog.typedefs
         )
 
     def parse_type(self) -> ast.P4Type:
-        t = self.peek()
-        if t.text == "bool":
-            self.next()
+        if self.accept("bool"):
             return ast.BoolType()
+        t = self.peek()
         if t.text in ("bit", "int"):
             self.next()
             self.expect("<")
             w = self.number()
             self.expect(">")
             return ast.BitType(w, signed=(t.text == "int"))
-        name = self.ident()
+        name = self.ident().text
         if name in self.prog.typedefs:
             return self.prog.typedefs[name]
         return ast.NamedType(name)
 
+    def _bit_type(self, what: str) -> ast.BitType:
+        t = self.peek()
+        ty = self.parse_type()
+        if not isinstance(ty, ast.BitType):
+            raise self.fail(f"{what} type must be bit<W> or int<W>, found {ty}", t)
+        return ty
+
     # program ----------------------------------------------------------------------
     def parse(self) -> ast.Program:
-        while self.peek().kind != "eof":
+        while self.peek().kind is not TokenKind.EOF:
             t = self.peek()
-            if t.text == "typedef":
-                self.next()
+            if self.accept("typedef"):
                 ty = self.parse_type()
-                name = self.ident()
+                name = self.ident().text
                 self.expect(";")
                 self.prog.typedefs[name] = ty
-            elif t.text == "const":
-                self.next()
+            elif self.accept("const"):
                 self.parse_type()
-                name = self.ident()
+                name = self.ident().text
                 self.expect("=")
                 value = self.parse_const_expr()
                 self.expect(";")
@@ -191,10 +157,9 @@ class _Parser:
                 self.parse_parser()
             elif t.text == "control":
                 self.parse_control()
-            elif t.text in ("Pipeline", "Switch", "V1Switch", "package", "error", "extern", "enum", "match_kind"):
-                self._skip_toplevel()
             else:
-                # instantiation like `MyIngressParser() ip;` — skip to ';'
+                # package / extern / error / enum / match_kind declarations and
+                # instantiations like `MyIngressParser() ip;` — skip to ';'
                 self._skip_toplevel()
         return self.prog
 
@@ -202,14 +167,13 @@ class _Parser:
         depth = 0
         while True:
             t = self.next()
-            if t.kind == "eof":
+            if t.kind is TokenKind.EOF:
                 return
             if t.text in ("(", "{", "["):
                 depth += 1
             elif t.text in (")", "}", "]"):
                 depth -= 1
-                if depth == 0 and self.peek().text == ";":
-                    self.next()
+                if depth == 0 and self.accept(";"):
                     return
                 if depth == 0 and t.text == "}":
                     return
@@ -220,7 +184,7 @@ class _Parser:
         e = self.parse_expr()
         v = _const_eval(e, self.prog.constants)
         if v is None:
-            raise P4ParseError("expected a constant expression", self.peek().line)
+            raise self.fail("expected a constant expression")
         return v
 
     # headers / structs -------------------------------------------------------------
@@ -229,19 +193,19 @@ class _Parser:
         fields = []
         while not self.accept("}"):
             ty = self.parse_type()
-            name = self.ident()
+            name = self.ident().text
             self.expect(";")
             fields.append((ty, name))
         return fields
 
     def parse_header(self) -> None:
         self.expect("header")
-        name = self.ident()
+        name = self.ident().text
         self.prog.headers[name] = ast.HeaderDecl(name, self._parse_fields())
 
     def parse_struct(self) -> None:
         self.expect("struct")
-        name = self.ident()
+        name = self.ident().text
         self.prog.structs[name] = ast.StructDecl(name, self._parse_fields())
 
     # parser decls ----------------------------------------------------------------------
@@ -256,26 +220,25 @@ class _Parser:
                 ty: ast.P4Type = ast.NamedType(direction)
             else:
                 ty = self.parse_type()
-            name = self.ident()
+            name = self.ident().text
             params.append((direction, ty, name))
             self.accept(",")
         return params
 
     def parse_parser(self) -> None:
         self.expect("parser")
-        name = self.ident()
+        name = self.ident().text
         params = self.parse_params()
         self.expect("{")
         states: dict[str, ast.ParserState] = {}
         while not self.accept("}"):
             self.expect("state")
-            sname = self.ident()
+            sname = self.ident().text
             self.expect("{")
             stmts: list[ast.Stmt] = []
             transition: Union[str, ast.SelectTransition] = "reject"
             while not self.accept("}"):
-                if self.peek().text == "transition":
-                    self.next()
+                if self.accept("transition"):
                     transition = self.parse_transition()
                 else:
                     stmts.append(self.parse_statement())
@@ -283,8 +246,7 @@ class _Parser:
         self.prog.parsers[name] = ast.ParserDecl(name, params, states)
 
     def parse_transition(self) -> Union[str, ast.SelectTransition]:
-        if self.peek().text == "select":
-            self.next()
+        if self.accept("select"):
             self.expect("(")
             exprs = [self.parse_expr()]
             while self.accept(","):
@@ -297,18 +259,16 @@ class _Parser:
                 while self.accept(","):
                     keys.append(self.parse_keyset())
                 self.expect(":")
-                state = self.ident()
+                state = self.ident().text
                 self.expect(";")
                 cases.append(ast.SelectCase(keys, state))
             return ast.SelectTransition(exprs, cases)
-        state = self.ident()
+        state = self.ident().text
         self.expect(";")
         return state
 
     def parse_keyset(self) -> object:
-        t = self.peek()
-        if t.text in ("default", "_"):
-            self.next()
+        if self.accept("default") or self.accept("_"):
             return "default"
         lo = self.parse_const_expr()
         if self.accept(".."):
@@ -322,7 +282,7 @@ class _Parser:
     # controls ---------------------------------------------------------------------------
     def parse_control(self) -> None:
         self.expect("control")
-        name = self.ident()
+        name = self.ident().text
         params = self.parse_params()
         ctrl = ast.ControlDecl(name, params, {}, {}, {}, {}, {}, {}, [], [])
         self.expect("{")
@@ -352,31 +312,30 @@ class _Parser:
                 r2 = self.parse_random()
                 ctrl.randoms[r2.name] = r2
                 ctrl.decl_order.append(("random", r2.name))
-            elif t.text == "apply":
-                self.next()
+            elif self.accept("apply"):
                 ctrl.apply = self.parse_block()
             elif self._is_type_start():
                 ty = self.parse_type()
-                vname = self.ident()
+                vname = self.ident().text
                 init = None
                 if self.accept("="):
                     init = self.parse_expr()
                 self.expect(";")
                 ctrl.locals_.append(ast.VarDecl(ty, vname, init))
             else:
-                raise P4ParseError(f"unexpected {t.text!r} in control", t.line)
+                raise self.fail(f"unexpected {t.text!r} in control", t)
         self.prog.controls[name] = ctrl
 
     def parse_action(self) -> ast.ActionDecl:
         self.expect("action")
-        name = self.ident()
+        name = self.ident().text
         self.expect("(")
         params: list[tuple[ast.P4Type, str]] = []
         while not self.accept(")"):
             if self.peek().text in ("in", "out", "inout"):
                 self.next()
             ty = self.parse_type()
-            pname = self.ident()
+            pname = self.ident().text
             params.append((ty, pname))
             self.accept(",")
         body = self.parse_block()
@@ -384,18 +343,24 @@ class _Parser:
 
     def parse_table(self) -> ast.TableDecl:
         self.expect("table")
-        name = self.ident()
+        name = self.ident().text
         self.expect("{")
         tbl = ast.TableDecl(name, [], [])
         while not self.accept("}"):
-            prop = self.ident()
+            prop = self.ident().text
+            if prop == "const":
+                prop = self.ident().text
+                if prop not in ("entries", "default_action"):
+                    raise self.fail(f"unexpected const {prop}")
+                if prop == "entries":
+                    tbl.const_entries = True
             if prop == "key":
                 self.expect("=")
                 self.expect("{")
                 while not self.accept("}"):
                     e = self.parse_expr()
                     self.expect(":")
-                    kind = self.ident()
+                    kind = self.ident().text
                     self.expect(";")
                     tbl.keys.append((e, kind))
             elif prop == "actions":
@@ -403,67 +368,37 @@ class _Parser:
                 self.expect("{")
                 while not self.accept("}"):
                     self.accept("@")  # annotations like @defaultonly
-                    if self.peek().kind == "ident" and self.peek().text == "defaultonly":
-                        self.next()
-                    tbl.actions.append(self.ident())
+                    self.accept("defaultonly")
+                    tbl.actions.append(self.ident().text)
                     self.accept(";")
                     self.accept(",")
                 self.accept(";")
             elif prop == "default_action":
                 self.expect("=")
-                aname = self.ident()
-                args: list[int] = []
-                if self.accept("("):
-                    while not self.accept(")"):
-                        args.append(self.parse_const_expr())
-                        self.accept(",")
+                tbl.default_action = self._action_call()
                 self.expect(";")
-                tbl.default_action = (aname, args)
-            elif prop in ("entries",):
+            elif prop == "entries":
                 self._parse_entries(tbl)
-            elif prop == "const":
-                nxt = self.ident()
-                if nxt == "entries":
-                    tbl.const_entries = True
-                    self._parse_entries(tbl, already_named=True)
-                elif nxt == "default_action":
-                    self.expect("=")
-                    aname = self.ident()
-                    args = []
-                    if self.accept("("):
-                        while not self.accept(")"):
-                            args.append(self.parse_const_expr())
-                            self.accept(",")
-                    self.expect(";")
-                    tbl.default_action = (aname, args)
-                else:
-                    raise P4ParseError(f"unexpected const {nxt}", self.peek().line)
             elif prop == "size":
                 self.expect("=")
                 tbl.size = self.number()
                 self.expect(";")
             else:
-                raise P4ParseError(f"unknown table property {prop!r}", self.peek().line)
+                raise self.fail(f"unknown table property {prop!r}")
         return tbl
 
-    def _parse_entries(self, tbl: ast.TableDecl, already_named: bool = False) -> None:
+    def _action_call(self) -> tuple[str, list[int]]:
+        """``name`` or ``name(args…)`` with constant arguments."""
+        name = self.ident().text
+        return name, self._list(self.parse_const_expr, ")") if self.accept("(") else []
+
+    def _parse_entries(self, tbl: ast.TableDecl) -> None:
         self.expect("=")
         self.expect("{")
         while not self.accept("}"):
-            if self.accept("("):
-                keys: list[object] = []
-                while not self.accept(")"):
-                    keys.append(self.parse_keyset())
-                    self.accept(",")
-            else:
-                keys = [self.parse_keyset()]
+            keys = self._list(self.parse_keyset, ")") if self.accept("(") else [self.parse_keyset()]
             self.expect(":")
-            aname = self.ident()
-            args: list[int] = []
-            if self.accept("("):
-                while not self.accept(")"):
-                    args.append(self.parse_const_expr())
-                    self.accept(",")
+            aname, args = self._action_call()
             self.accept(";")
             tbl.entries.append(ast.TableEntry(keys, aname, args))
         self.accept(";")
@@ -471,7 +406,7 @@ class _Parser:
     def parse_register(self) -> ast.RegisterDecl:
         self.expect("Register")
         self.expect("<")
-        vt = self.parse_type()
+        vt = self._bit_type("Register value")
         self.expect(",")
         it = self.parse_type()
         self.expect(">")
@@ -480,9 +415,8 @@ class _Parser:
         if self.accept(","):
             self.parse_const_expr()  # initial value (must be 0 in our model)
         self.expect(")")
-        name = self.ident()
+        name = self.ident().text
         self.expect(";")
-        assert isinstance(vt, ast.BitType)
         return ast.RegisterDecl(name, vt, it, size)
 
     def parse_register_action(self) -> ast.RegisterActionDecl:
@@ -495,9 +429,9 @@ class _Parser:
         self.parse_type()
         self.expect(">")
         self.expect("(")
-        reg = self.ident()
+        reg = self.ident().text
         self.expect(")")
-        name = self.ident()
+        name = self.ident().text
         self.expect("=")
         self.expect("{")
         self.expect("void")
@@ -506,12 +440,12 @@ class _Parser:
         # (inout bit<W> value [, out bit<W> rv])
         self.expect("inout")
         self.parse_type()
-        value_param = self.ident()
+        value_param = self.ident().text
         rv_param = None
         if self.accept(","):
             self.expect("out")
             self.parse_type()
-            rv_param = self.ident()
+            rv_param = self.ident().text
         self.expect(")")
         body = self.parse_block()
         self.expect("}")
@@ -521,28 +455,26 @@ class _Parser:
     def parse_hash(self) -> ast.HashDecl:
         self.expect("Hash")
         self.expect("<")
-        ot = self.parse_type()
+        ot = self._bit_type("Hash output")
         self.expect(">")
         self.expect("(")
         self.ident()  # HashAlgorithm_t
         self.expect(".")
-        alg = self.ident()
+        alg = self.ident().text
         self.expect(")")
-        name = self.ident()
+        name = self.ident().text
         self.expect(";")
-        assert isinstance(ot, ast.BitType)
         return ast.HashDecl(name, ot, alg)
 
     def parse_random(self) -> ast.RandomDecl:
         self.expect("Random")
         self.expect("<")
-        ot = self.parse_type()
+        ot = self._bit_type("Random output")
         self.expect(">")
         self.expect("(")
         self.expect(")")
-        name = self.ident()
+        name = self.ident().text
         self.expect(";")
-        assert isinstance(ot, ast.BitType)
         return ast.RandomDecl(name, ot)
 
     # statements ----------------------------------------------------------------------------
@@ -555,8 +487,7 @@ class _Parser:
 
     def parse_statement(self) -> ast.Stmt:
         t = self.peek()
-        if t.text == "if":
-            self.next()
+        if self.accept("if"):
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
@@ -565,18 +496,21 @@ class _Parser:
             if self.accept("else"):
                 els = self.parse_block() if self.peek().text == "{" else [self.parse_statement()]
             return ast.If(cond, then, els)
-        if t.text == "exit":
-            self.next()
+        if self.accept("exit"):
             self.expect(";")
             return ast.Exit()
         is_decl = False
         if t.text in ("bit", "int") and self.peek(1).text == "<":
             is_decl = True  # `bit<W> name ...` at statement level is a decl
-        elif self._is_type_start() and self.peek(1).kind == "ident" and self.peek(2).text in ("=", ";"):
+        elif (
+            self._is_type_start()
+            and self.peek(1).kind is TokenKind.IDENT
+            and self.peek(2).text in ("=", ";")
+        ):
             is_decl = True
         if is_decl:
             ty = self.parse_type()
-            name = self.ident()
+            name = self.ident().text
             init = None
             if self.accept("="):
                 init = self.parse_expr()
@@ -588,7 +522,7 @@ class _Parser:
             value = self.parse_expr()
             self.expect(";")
             if not isinstance(expr, (ast.Path, ast.Slice)):
-                raise P4ParseError("invalid assignment target", t.line)
+                raise self.fail("invalid assignment target", t)
             return ast.Assign(expr, value)
         self.expect(";")
         if isinstance(expr, ast.MethodCall):
@@ -597,18 +531,14 @@ class _Parser:
             return ast.CallStmt(expr)
         if isinstance(expr, ast.ApplyResult):
             return ast.ApplyTable(expr.table)
-        raise P4ParseError(f"expression statement has no effect", t.line)
+        raise self.fail("expression statement has no effect", t)
 
     # expressions --------------------------------------------------------------------------------
-    _LEVELS = [["||"], ["&&"], ["|"], ["^"], ["&"], ["==", "!="],
-               ["<", "<=", ">", ">="], ["<<", ">>"], ["+", "-", "|+|", "|-|"],
-               ["*", "/", "%"]]
-
     def parse_expr(self) -> ast.Expr:
         return self.parse_ternary()
 
     def parse_ternary(self) -> ast.Expr:
-        cond = self.parse_binary(0)
+        cond = self.binary(_BINARY_LEVELS)
         if self.accept("?"):
             then = self.parse_expr()
             self.expect(":")
@@ -616,19 +546,9 @@ class _Parser:
             return ast.Ternary(cond, then, els)
         return cond
 
-    def parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(self._LEVELS):
-            return self.parse_unary()
-        lhs = self.parse_binary(level + 1)
-        while self.peek().text in self._LEVELS[level] and self.peek().kind == "punct":
-            op = self.next().text
-            rhs = self.parse_binary(level + 1)
-            lhs = ast.Binary(op, lhs, rhs)
-        return lhs
-
     def parse_unary(self) -> ast.Expr:
         t = self.peek()
-        if t.text in ("!", "~", "-") and t.kind == "punct":
+        if t.text in ("!", "~", "-") and t.kind is TokenKind.PUNCT:
             self.next()
             return ast.Unary(t.text, self.parse_unary())
         if t.text == "(" :
@@ -647,14 +567,9 @@ class _Parser:
             e = self.parse_expr()
             self.expect(")")
             return self.parse_postfix_ops(e)
-        if t.text == "{":
-            self.next()
-            items: list[ast.Expr] = []
-            while not self.accept("}"):
-                items.append(self.parse_expr())
-                self.accept(",")
-            return ast.TupleExpr(items)
-        if t.kind == "num":
+        if self.accept("{"):
+            return ast.TupleExpr(self._list(self.parse_expr, "}"))
+        if t.kind is TokenKind.NUMBER:
             self.next()
             assert t.value is not None
             width = None
@@ -662,48 +577,33 @@ class _Parser:
             if m:
                 width = int(m.group(1))
             return ast.Num(t.value, width)
-        if t.kind == "ident":
+        if t.kind is TokenKind.IDENT:
             if t.text in self.prog.constants and self.peek(1).text not in (".", "("):
                 self.next()
                 return ast.Num(self.prog.constants[t.text])
             return self.parse_postfix_ops(self.parse_path_or_call())
-        raise P4ParseError(f"unexpected token {t.text!r}", t.line)
+        raise self.fail(f"unexpected token {t.text!r}", t)
 
     def parse_path_or_call(self) -> ast.Expr:
-        parts = [self.ident()]
+        parts = [self.ident().text]
         # direct action/function call: name(args)
-        if self.peek().text == "(":
-            self.next()
-            args: list[ast.Expr] = []
-            while not self.accept(")"):
-                args.append(self.parse_expr())
-                self.accept(",")
+        if self.accept("("):
+            args = self._list(self.parse_expr, ")")
             return ast.MethodCall(ast.Path(tuple(parts)), "__direct__", args)
-        while True:
-            if self.accept("."):
-                nxt = self.ident()
-                if self.peek().text == "(":
-                    # method call on path
-                    self.next()
-                    args: list[ast.Expr] = []
-                    while not self.accept(")"):
-                        args.append(self.parse_expr())
-                        self.accept(",")
-                    call = ast.MethodCall(ast.Path(tuple(parts)), nxt, args)
-                    # table.apply().hit / .miss
-                    if nxt == "apply" and self.peek().text == ".":
-                        self.next()
-                        member = self.ident()
-                        return ast.ApplyResult(".".join(parts), member)
-                    return call
-                parts.append(nxt)
-            else:
-                break
+        while self.accept("."):
+            nxt = self.ident().text
+            if self.accept("("):
+                # method call on path
+                call = ast.MethodCall(ast.Path(tuple(parts)), nxt, self._list(self.parse_expr, ")"))
+                # table.apply().hit / .miss
+                if nxt == "apply" and self.accept("."):
+                    return ast.ApplyResult(".".join(parts), self.ident().text)
+                return call
+            parts.append(nxt)
         return ast.Path(tuple(parts))
 
     def parse_postfix_ops(self, e: ast.Expr) -> ast.Expr:
-        while self.peek().text == "[" and self.peek().kind == "punct":
-            self.next()
+        while self.accept("["):
             hi = self.parse_const_expr()
             self.expect(":")
             lo = self.parse_const_expr()
@@ -715,25 +615,12 @@ class _Parser:
 def _const_eval(e: ast.Expr, consts: dict[str, int]) -> Optional[int]:
     if isinstance(e, ast.Num):
         return e.value
-    if isinstance(e, ast.Path) and len(e.parts) == 1 and e.parts[0] in consts:
-        return consts[e.parts[0]]
+    if isinstance(e, ast.Path) and len(e.parts) == 1:
+        return consts.get(e.parts[0])
     if isinstance(e, ast.Unary):
-        v = _const_eval(e.value, consts)
-        if v is None:
-            return None
-        return {"-": -v, "~": ~v, "!": int(not v)}[e.op]
+        return fold(e.op, _const_eval(e.value, consts))
     if isinstance(e, ast.Binary):
-        a, b = _const_eval(e.left, consts), _const_eval(e.right, consts)
-        if a is None or b is None:
-            return None
-        try:
-            return {
-                "+": a + b, "-": a - b, "*": a * b, "<<": a << b, ">>": a >> b,
-                "&": a & b, "|": a | b, "^": a ^ b, "/": a // b if b else None,
-                "%": a % b if b else None,
-            }.get(e.op)
-        except Exception:
-            return None
+        return fold(e.op, _const_eval(e.left, consts), _const_eval(e.right, consts))
     return None
 
 

@@ -78,47 +78,6 @@ class StructurizeError(Exception):
     pass
 
 
-# -- post-dominators ----------------------------------------------------------------
-
-
-_EXIT = "exit"  # virtual exit node id
-
-
-def _ipostdoms(fn: Function) -> dict[int, Optional[BasicBlock]]:
-    """Immediate post-dominators, computed set-wise (CFGs here are small
-    DAGs, so the O(n^2) set formulation is simple and exact).
-
-    Returns block id -> immediate post-dominator block, or None when the
-    ipdom is the virtual exit (the block leads straight out of the kernel).
-    """
-    blocks = reverse_postorder(fn)
-    by_id = {id(b): b for b in blocks}
-    # postdom(b) = {b} ∪ ⋂ postdom(succ); exits post-dominated by _EXIT.
-    postdom: dict[int, frozenset] = {}
-    for b in reversed(blocks):  # successors first (postorder of a DAG)
-        succs = b.successors()
-        if not succs:
-            pd: frozenset = frozenset([_EXIT])
-        else:
-            pd = postdom[id(succs[0])]
-            for s in succs[1:]:
-                pd = pd & postdom[id(s)]
-        postdom[id(b)] = pd | {id(b)}
-
-    ipdom: dict[int, Optional[BasicBlock]] = {}
-    for b in blocks:
-        candidates = postdom[id(b)] - {id(b)}
-        found: Optional[BasicBlock] = None
-        for c in candidates:
-            if c == _EXIT:
-                continue
-            if postdom[c] == candidates:
-                found = by_id[c]
-                break
-        ipdom[id(b)] = found  # None => virtual exit
-    return ipdom
-
-
 # -- region algorithm ------------------------------------------------------------------
 
 

@@ -231,9 +231,5 @@ class RpcSchema:
             self.by_name[m.name] = m
 
     @property
-    def unary_methods(self) -> list[RpcMethod]:
-        return [m for m in self.methods if m.kind == "unary"]
-
-    @property
     def gather_methods(self) -> list[RpcMethod]:
         return [m for m in self.methods if m.kind == "gather"]

@@ -71,9 +71,6 @@ class FitResult:
     def stages_used(self) -> int:
         return max((len(self.stages)), 0)
 
-    def tables_in_stage(self, stage: int) -> list[str]:
-        return self.stages[stage].names
-
     def dump(self) -> str:
         """Human-readable stage layout (what `bf-p4c --verbose` would show)."""
         lines = [f"pipeline '{self.spec.name}': {len(self.stages)} stage(s)"]

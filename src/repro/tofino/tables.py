@@ -136,9 +136,5 @@ class PipelineSpec:
         self.parsed_bytes = max(self.parsed_bytes, other.parsed_bytes)
 
     @property
-    def total_vliw(self) -> int:
-        return sum(t.vliw_slots for t in self.tables)
-
-    @property
     def total_salus(self) -> int:
         return sum(t.salus for t in self.tables)

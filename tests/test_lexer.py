@@ -47,6 +47,12 @@ class TestTokens:
         with pytest.raises(CompileError):
             toks("int a = $;")
 
+    @pytest.mark.parametrize("literal", ["0x", "0b", "0X", "'", "'\\"])
+    def test_malformed_literal_is_a_compile_error_at_its_start(self, literal):
+        with pytest.raises(CompileError) as exc:
+            toks(f"\nint a = {literal}")
+        assert (exc.value.first.line, exc.value.first.col) == (2, 9)
+
 
 class TestComments:
     def test_line_comment(self):
@@ -55,6 +61,11 @@ class TestComments:
     def test_block_comment_preserves_lines(self):
         ts = toks("a /* x\n y */ b")
         assert ts[1].line == 2
+
+    def test_inline_block_comment_preserves_columns(self):
+        with pytest.raises(CompileError) as exc:
+            toks("int a = 1 /* x */ + $;")
+        assert (exc.value.first.line, exc.value.first.col) == (1, 21)
 
     def test_unterminated_string(self):
         with pytest.raises(CompileError):

@@ -116,6 +116,25 @@ class TestP4Parser:
         with pytest.raises(P4ParseError):
             parse_p4("header h_t { bit<8> f } ")  # missing semicolon
 
+    @pytest.mark.parametrize("literal", ["0x_", "0b_"])
+    def test_malformed_literal_is_a_parse_error(self, literal):
+        with pytest.raises(P4ParseError) as exc:
+            parse_p4(f"\nconst bit<8> A = {literal};")
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "decl",
+        [
+            "Register<bool, bit<32>>(4) r;",
+            "Hash<bool>(HashAlgorithm_t.CRC32) h;",
+            "Random<bool>() r;",
+        ],
+    )
+    def test_extern_value_type_must_be_bits(self, decl):
+        with pytest.raises(P4ParseError, match="bit<W>") as exc:
+            parse_p4(f"control C(inout bit<8> x) {{\n  {decl}\n  apply {{ }}\n}}")
+        assert exc.value.line == 2
+
     def test_all_baselines_parse(self):
         for name in P4_SOURCES:
             prog = parse_p4(p4_source(name))
