@@ -23,6 +23,8 @@ class TnaBackend:
     """
 
     target = "tna"
+    dialect = "tna"
+    after_dispatch = True
 
     def __init__(self, chip: ChipSpec = TOFINO_1) -> None:
         self.chip = chip
@@ -44,14 +46,13 @@ class TnaBackend:
         ]
         spec, stats = lower_to_pipeline_spec(module, trees, device_id, name=program_name)
         if include_base_program:
-            base = empty_program_spec()
-            spec.merge(base)
-            # Generated kernel tables run after the runtime dispatch.
-            for t in spec.tables:
-                if t.origin and t.origin not in ("base", "runtime", "netcl-runtime"):
-                    if not t.depends:
-                        t.add_dep("ncl_dispatch", DependencyKind.CONTROL)
-        emitter = P4Emitter("tna")
+            spec.merge(empty_program_spec())
+            if self.after_dispatch:  # kernel tables run after the runtime dispatch
+                for t in spec.tables:
+                    if t.origin and t.origin not in ("base", "runtime", "netcl-runtime"):
+                        if not t.depends:
+                            t.add_dep("ncl_dispatch", DependencyKind.CONTROL)
+        emitter = P4Emitter(self.dialect)
         p4 = emitter.emit_program(module, trees, device_id, kernels)
         report = None
         if fit:

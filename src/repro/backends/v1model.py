@@ -3,60 +3,21 @@
 The v1model executes any valid P4, so this backend skips the Tofino
 memory passes' constraints and fits against an effectively unconstrained
 "chip" — reaching the end of the common pipeline stage already guarantees
-compilability (§VI-B).
+compilability (§VI-B).  It is the TNA backend with the ``v1`` dialect, the
+:data:`~repro.tofino.chip.V1MODEL` chip and no ordering of kernel tables
+after the runtime dispatch.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.backends.base import empty_program_spec
-from repro.backends.common import CodegenResult, prepare_module_for_codegen
-from repro.backends.lower import lower_to_pipeline_spec
-from repro.backends.p4text import P4Emitter
-from repro.ir.module import Module
+from repro.backends.tna import TnaBackend
 from repro.tofino.chip import V1MODEL, ChipSpec
-from repro.tofino.report import build_report
 
 
-class V1ModelBackend:
+class V1ModelBackend(TnaBackend):
     target = "v1model"
+    dialect = "v1"
+    after_dispatch = False
 
     def __init__(self, chip: ChipSpec = V1MODEL) -> None:
-        self.chip = chip
-
-    def compile(
-        self,
-        module: Module,
-        device_id: Optional[int] = None,
-        *,
-        fit: bool = True,
-        include_base_program: bool = True,
-        program_name: str = "netcl",
-    ) -> CodegenResult:
-        trees = prepare_module_for_codegen(module, device_id)
-        kernels = [
-            fn
-            for fn in module.kernels()
-            if device_id is None or fn.placed_at(device_id)
-        ]
-        spec, stats = lower_to_pipeline_spec(module, trees, device_id, name=program_name)
-        if include_base_program:
-            spec.merge(empty_program_spec())
-        emitter = P4Emitter("v1")
-        p4 = emitter.emit_program(module, trees, device_id, kernels)
-        report = None
-        if fit:
-            local_fields = [s.p4_local_bits for s in stats.values()]
-            report = build_report(spec, self.chip, local_fields=local_fields)
-        return CodegenResult(
-            target=self.target,
-            device_id=device_id,
-            module=module,
-            kernels=kernels,
-            trees=trees,
-            p4_source=p4,
-            spec=spec,
-            report=report,
-            kernel_stats=dict(stats),
-        )
+        super().__init__(chip)

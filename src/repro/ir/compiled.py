@@ -6,24 +6,33 @@ kernel is a small loop-free DAG, so :class:`KernelEngine` lowers it once
 to straight-line Python — a third backend beside ``tna`` and ``v1model``
 — and runs that instead:
 
+* the generated ``kernel(V, H)`` reads and writes the message as ``V``,
+  the data section's values in argument order exactly as
+  :meth:`~repro.runtime.message.CodecPlan.decode` returns them, and reads
+  ``msg.src`` etc. as attributes of ``H``, the packet header;
 * SSA values become Python locals; a width mask is emitted only where the
   operand is not already known to fit, and constants are folded into it;
 * constant indices are bounds-checked here, dynamic ones by a generated
   ``if`` that raises the interpreter's own :class:`InterpError` message;
 * blocks are emitted in topological order behind an ``if _b == n:``
   dispatch, so side effects happen in the interpreter's order;
+* a target-less exit returns a shared outcome of
+  :data:`~repro.ir.interp.PLAIN_OUTCOMES`;
 * register arrays, the lookup method and the delegates below are bound
   per :class:`GlobalState` by calling the generated ``_bind`` factory;
 * ``sdiv``/``udiv``/``rem``/shifts, intrinsics (hence the device ``rng``)
-  and table lookup call the interpreter's ``_binop`` / ``_intrinsic`` /
-  :meth:`GlobalState.lookup`, so those semantics exist once.
+  and table lookup call :func:`~repro.ir.interp.binop`, the interpreter's
+  ``_intrinsic`` and :meth:`GlobalState.lookup`, so those semantics exist
+  once.
 
-Whatever cannot be translated (a cycle, ``Phi``, ``Call``, malformed
-access shapes), cannot be bound (register memory the state has not
-declared or declares with another layout) or arrives with an unexpected
-message shape runs on the inherited interpreter, which keeps behaviour
-exact in every corner.  The engine is entered through the inherited
-:meth:`IRInterpreter.run_kernel`; only ``_exec`` is overridden.
+Every execution enters through the inherited
+:meth:`IRInterpreter.run_kernel`; the engine overrides only ``_kernel``.
+A device passes its decoded values and packet straight through; a
+:class:`KernelMessage` (tests, translation validation) is viewed as both.
+Whatever cannot be translated (a cycle, ``Phi``, ``Call``, a store to a
+header field, malformed access shapes), cannot be bound (register memory
+the state lays out otherwise) or arrives with a message not shaped as
+the code reads it runs on the interpreter, exact in every corner.
 
 Contract: a ``Function`` handed to an engine is frozen — its code is
 generated once, on its first dispatch on any device, and kept on the
@@ -35,12 +44,13 @@ tenants of a service that share one cached compile, a device after
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 from repro.ir.blocks import BasicBlock
 from repro.ir.instructions import (
+    ActionKind,
     Alloca,
     AtomicOp,
     AtomicRMW,
@@ -70,19 +80,22 @@ from repro.ir.instructions import (
     Value,
 )
 from repro.ir.interp import (
+    HEADER_FIELDS,
+    PLAIN_OUTCOMES,
     ActionOutcome,
     GlobalState,
     InterpError,
     IRInterpreter,
     KernelMessage,
+    binop,
 )
-from repro.ir.module import Argument, Function, GlobalVar, Module
+from repro.ir.module import Argument, Function, GlobalVar
 from repro.ir.types import IntType
 from repro.pygen import lit as _lit, load, storage_bits
 
 #: binary operators that commute with truncation (``(a op b) & m`` equals
 #: the interpreter's ``((a & m) op (b & m)) & m``); every other kind is
-#: delegated to ``IRInterpreter._binop``.
+#: delegated to :func:`~repro.ir.interp.binop`.
 _MODULAR_OPS = {
     BinOpKind.ADD: "+",
     BinOpKind.SUB: "-",
@@ -109,9 +122,8 @@ _SIGNED_PREDS = {
     ICmpPred.SGE: ">=",
 }
 
-#: result of a generated kernel that touched nothing because the message's
-#: fields are not shaped as the kernel's arguments say
-_INTERPRET = object()
+#: a field a :class:`KernelMessage` lacks
+_ABSENT = object()
 
 
 class _Untranslatable(Exception):
@@ -131,13 +143,18 @@ class KernelCode:
     """One kernel lowered to Python, not yet bound to any device state."""
 
     source: str
-    #: the generated ``_bind(E, AO, BIN, INTR, LK, INTERPRET, K, R)``
+    #: the generated ``_bind(E, AO, BIN, INTR, LK, K, R)``
     factory: Callable
     #: IR objects the code refers to as ``K0..Kn`` (instructions it
-    #: delegates, lookup globals, action kinds)
+    #: delegates, lookup globals, action kinds, shared outcomes)
     consts: tuple
     #: register globals the code indexes as ``R0..Rn``
     registers: tuple[GlobalVar, ...]
+    #: what the code needs in ``V[i]``: None nothing, 0 a scalar, n a list
+    shapes: tuple[Optional[int], ...]
+    header: tuple[str, ...]  #: the ``__src`` ... fields it reads from ``H``
+    #: whether the kernel's own codec plan decodes values of those shapes
+    plan_shaped: bool
 
 
 _mask_of = IRInterpreter._mask
@@ -178,6 +195,7 @@ class _Generator:
             raise _Untranslatable("longer than the interpreter's step limit")
         self.number = {id(b): i for i, b in enumerate(self.blocks)}
         self.args = {a.name: a for a in fn.args}
+        self.index = {a.name: i for i, a in enumerate(fn.args)}
         self.body: list[str] = []
         self.indent = "        "
         self.ops: dict[int, _Op] = {}  # every value defined on some path
@@ -185,9 +203,11 @@ class _Generator:
         self.consts: list[object] = []
         self.registers: list[GlobalVar] = []
         self.slots: dict[int, tuple[str, Alloca]] = {}
-        self.arg_locals: dict[str, str] = {}
-        self.scalar_fields: set[str] = set()
-        self.array_fields: dict[str, str] = {}  # field -> local holding its list
+        self.shapes: dict[int, int] = {}  # argument index -> 0 or its length
+        self.header: set[str] = set()
+        #: argument -> the local holding ``V[i]`` on entry: a by-value
+        #: scalar's value, an array field's list
+        self.entry: dict[str, str] = {}
         self.temps = 0
         #: (index, dimension) pairs already checked earlier in this block
         self.checked: set[tuple[str, int]] = set()
@@ -217,10 +237,10 @@ class _Generator:
         if isinstance(v, Undef):
             return _Op("0", 0, 0)
         if isinstance(v, Argument):
-            # what run_kernel / run_netfn put into env
+            # the value the message held when the kernel was entered
             if self.args.get(v.name) is not v or v.byref or v.is_array:
                 raise _Untranslatable(f"use of unevaluated value {v.short()}")
-            return _Op(self.arg_locals.setdefault(v.name, f"a{len(self.arg_locals)}"), None)
+            return _Op(self.entry.setdefault(v.name, f"a{len(self.entry)}"), None)
         if id(v) in self.defined:
             return self.ops[id(v)]
         raise _Untranslatable(f"use of unevaluated value {v.short()}")
@@ -265,41 +285,34 @@ class _Generator:
             defined_out[id(bb)] = self.defined
 
         prologue = self.prologue()
-        lines = ["def _bind(E, AO, BIN, INTR, LK, INTERPRET, K, R):"]
+        lines = ["def _bind(E, AO, BIN, INTR, LK, K, R):"]
         for prefix, items in (("K", self.consts), ("R", self.registers)):
             if items:
                 names = ", ".join(f"{prefix}{i}" for i in range(len(items)))
                 lines.append(f"    {names}, = {prefix}")
-        lines.append("    def kernel(F, env):")
+        lines.append("    def kernel(V, H):")
         lines += ["        " + line for line in prologue]
         lines += self.body
         lines.append("    return kernel")
         source = "\n".join(lines) + "\n"
+        # the interpreter reads every by-value scalar argument on entry
+        shapes = [
+            self.shapes.get(i, None if arg.byref or arg.is_array else 0)
+            for i, arg in enumerate(self.fn.args)
+        ]
         return KernelCode(
             source,
             load(source, f"<kernel {self.fn.name}>", "_bind"),
             tuple(self.consts),
             tuple(self.registers),
+            tuple(shapes),
+            tuple(sorted(self.header)),
+            all(n is None or (n == 0) == (a.spec == 1) for n, a in zip(shapes, self.fn.args)),
         )
 
     def prologue(self) -> list[str]:
-        """Message-shape guard, then by-value arguments and local slots."""
-        lines: list[str] = []
-        wrong: list[str] = []
-        for name, local in self.array_fields.items():
-            lines.append(f"{local} = F.get({name!r})")
-            wrong.append(
-                f"type({local}) is not list or len({local}) != {self.args[name].spec}"
-            )
-        for name in sorted(self.scalar_fields):
-            arg = self.args.get(name)
-            if arg is None or arg.byref:  # run_kernel already read the others
-                wrong.append(f"isinstance(F.get({name!r}), list)")
-        if wrong:
-            lines.append(f"if {' or '.join(wrong)}:")
-            lines.append("    return INTERPRET")
-        for name, local in self.arg_locals.items():
-            lines.append(f"{local} = env[{self.const(id(self.args[name]))}]")
+        """Array fields, by-value arguments and local slots."""
+        lines = [f"{local} = V[{self.index[name]}]" for name, local in self.entry.items()]
         for local, slot in self.slots.values():
             zero = "0" if slot.is_scalar else f"[0] * {slot.shape.num_elements}"
             lines.append(f"{local} = {zero}")
@@ -321,14 +334,13 @@ class _Generator:
             then_, else_ = self.number[id(inst.then_)], self.number[id(inst.else_)]
             self.emit(f"_b = {then_} if {self.op(inst.cond).atom} else {else_}")
         elif isinstance(inst, Ret):
-            if inst.action is not None:
-                target = inst.action.target
-                arg = self.op(target).atom if target is not None else "None"
-                self.emit(f"return AO({self.const(inst.action.kind)}, {arg})")
-            elif inst.value is not None:
-                self.emit(f"return {self.op(inst.value).atom}")
-            else:
-                self.emit("return None")
+            action = inst.action
+            if action is not None and action.target is not None:
+                target = self.op(action.target).atom
+                self.emit(f"return AO({self.const(action.kind)}, {target})")
+            else:  # any exit without an action is the implicit pass() (§V-A)
+                kind = action.kind if action is not None else ActionKind.PASS
+                self.emit(f"return {self.const(PLAIN_OUTCOMES[kind])}")
         else:
             raise _Untranslatable(f"unhandled terminator {inst!r}")
 
@@ -358,6 +370,8 @@ class _Generator:
             place = self.field_access(inst.field, inst.index)
             self.define(inst, f"{place} & {_mask_of(inst.type):#x}", width)
         elif isinstance(inst, StoreMsg):
+            if inst.field not in self.args:
+                raise _Untranslatable(f"store to header field {inst.field}")
             value = self.masked(inst.value, _mask_of(inst.value.type).bit_length())
             self.emit(f"{self.field_access(inst.field, inst.index)} = {value.atom}")
         elif isinstance(inst, LoadGlobal):
@@ -496,12 +510,19 @@ class _Generator:
 
     def field_access(self, name: str, index: Optional[Value]) -> str:
         arg = self.args.get(name)
-        if (arg is not None and arg.is_array) != (index is not None):
+        if arg is None:
+            if name not in HEADER_FIELDS or index is not None:
+                raise _Untranslatable(f"field {name} is neither an argument nor a header field")
+            self.header.add(name)
+            return f"H.{HEADER_FIELDS[name]}"
+        if arg.is_array != (index is not None):
             raise _Untranslatable(f"field {name} accessed against its shape")
+        i = self.index[name]
         if index is None:
-            self.scalar_fields.add(name)
-            return f"F[{name!r}]"
-        local = self.array_fields.setdefault(name, f"f{len(self.array_fields)}")
+            self.shapes[i] = 0
+            return f"V[{i}]"
+        self.shapes[i] = arg.spec
+        local = self.entry.setdefault(name, f"a{len(self.entry)}")
         text = f"field {name.replace('%', '%%')}: index %d out of range"
         flat = self.index_checks([index], (arg.spec,), lambda dim: text)
         return f"{local}[{flat}]"
@@ -587,20 +608,13 @@ class KernelEngine(IRInterpreter):
     """An :class:`IRInterpreter` whose kernels run as generated Python.
 
     Same constructor, same ``run_kernel`` / ``run_netfn``; ``interpreted``
-    counts the executions that took the interpreter instead.
+    counts the kernel executions that took the interpreter instead.
     """
 
-    def __init__(
-        self,
-        module: Module,
-        state: GlobalState,
-        *,
-        device_id: int = 0,
-        rng: Optional[random.Random] = None,
-        max_steps: int = 200_000,
-    ) -> None:
-        super().__init__(module, state, device_id=device_id, rng=rng, max_steps=max_steps)
-        self._bound: dict[Function, Optional[Callable]] = {}
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: fn -> (bound kernel or None, whether a device's values fit it)
+        self._bound: dict[Function, tuple[Optional[Callable], bool]] = {}
         self.interpreted = 0
 
     def kernel_code(self, fn: Function) -> Optional[KernelCode]:
@@ -631,9 +645,9 @@ class KernelEngine(IRInterpreter):
             ok = dims[1:] == gv.shape.dims and bool(dims) and 0 <= fixed < dims[0]
         return state._registers[base] if ok else None
 
-    def _bind(self, fn: Function) -> Optional[Callable]:
+    def _bind(self, fn: Function) -> tuple[Optional[Callable], bool]:
         code = self.kernel_code(fn)
-        run = None
+        bound = None, False
         if code is not None:
             arrays = [self._storage(gv) for gv in code.registers]
             if all(a is not None for a in arrays):
@@ -643,28 +657,48 @@ class KernelEngine(IRInterpreter):
                     self._delegated_binop,
                     self._delegated_intrinsic,
                     self.state.lookup,
-                    _INTERPRET,
                     code.consts,
                     arrays,
                 )
-        self._bound[fn] = run
-        return run
+                bound = run, code.plan_shaped
+        self._bound[fn] = bound
+        return bound
 
     def _delegated_binop(self, inst: BinOp, a: int, b: int) -> int:
-        return self._binop(inst, {id(inst.a): a, id(inst.b): b})
+        return binop(inst.kind, a, b, inst.type)
 
     def _delegated_intrinsic(self, inst: Intrinsic, *args: int) -> int:
         return self._intrinsic(inst, dict(zip(map(id, inst.args), args)))
 
     # -- execution -----------------------------------------------------------
-    def _exec(self, fn: Function, env, locals_, msg: KernelMessage):
+    def _kernel(self, fn: Function, msg, header) -> ActionOutcome:
         try:
-            run = self._bound[fn]
+            run, plan_shaped = self._bound[fn]
         except KeyError:
-            run = self._bind(fn)
-        if run is not None:
-            result = run(msg.fields, env)
-            if result is not _INTERPRET:
-                return result
+            run, plan_shaped = self._bind(fn)
+        if header is not None:
+            if plan_shaped:
+                return run(msg, header)
+        elif run is not None:
+            outcome = self._run_message(fn, run, msg)
+            if outcome is not None:
+                return outcome
         self.interpreted += 1
-        return super()._exec(fn, env, locals_, msg)
+        return super()._kernel(fn, msg, header)
+
+    def _run_message(self, fn: Function, run: Callable, msg: KernelMessage):
+        """``run`` over a :class:`KernelMessage` viewed as values and a
+        header, or None when a field the code reads is missing or not
+        shaped as the code reads it."""
+        fields, code = msg.fields, self.kernel_code(fn)
+        values = [fields.get(arg.name, _ABSENT) for arg in fn.args]
+        for v, n in zip(values, code.shapes):
+            if n is not None and (v is _ABSENT or (type(v) is list) != bool(n) or n and len(v) != n):
+                return None
+        if any(isinstance(fields.get(name, []), list) for name in code.header):
+            return None
+        header = SimpleNamespace(**{HEADER_FIELDS[name]: fields[name] for name in code.header})
+        try:
+            return run(values, header)
+        finally:  # stores before a trap stay visible, as on the interpreter
+            fields.update((a.name, v) for a, v in zip(fn.args, values) if v is not _ABSENT)

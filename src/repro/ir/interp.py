@@ -1,9 +1,11 @@
 """Behavioral IR interpreter — the execution engine of the device model.
 
-The device runtime (:mod:`repro.runtime.device`) executes compiled NetCL
-kernels by interpreting their (post-middle-end) IR against a
-:class:`GlobalState` holding the device's register and table memory, exactly
-as bmv2 executes generated P4 behaviorally in the paper's evaluation.
+:class:`IRInterpreter` is the reference semantics of a compiled NetCL
+kernel: it interprets the (post-middle-end) IR against a
+:class:`GlobalState` holding the device's register and table memory, as
+bmv2 executes generated P4 behaviorally in the paper's evaluation.  The
+device runtime (:mod:`repro.runtime.device`) runs the same kernels through
+:class:`~repro.ir.compiled.KernelEngine`, which is checked against it.
 
 The interpreter implements the device model of §IV: one logical thread per
 message, processing uninterrupted; thread-private local memory; atomic
@@ -294,6 +296,85 @@ class GlobalState:
         return False
 
 
+def binop(kind: BinOpKind, a: int, b: int, ty: IntType) -> int:
+    """``a kind b`` over ``ty``-wide operands, wrapped to ``ty``; a
+    division or remainder by zero is an :class:`InterpError`."""
+    a, b = a & ty.mask, b & ty.mask
+    if kind == BinOpKind.ADD:
+        r = a + b
+    elif kind == BinOpKind.SUB:
+        r = a - b
+    elif kind == BinOpKind.MUL:
+        r = a * b
+    elif kind == BinOpKind.UDIV:
+        if b == 0:
+            raise InterpError("division by zero")
+        r = a // b
+    elif kind == BinOpKind.SDIV:
+        sa, sb = ty.wrap(a), ty.wrap(b)
+        if sb == 0:
+            raise InterpError("division by zero")
+        q = abs(sa) // abs(sb)
+        r = -q if (sa < 0) != (sb < 0) else q
+    elif kind == BinOpKind.UREM:
+        if b == 0:
+            raise InterpError("remainder by zero")
+        r = a % b
+    elif kind == BinOpKind.SREM:
+        sa, sb = ty.wrap(a), ty.wrap(b)
+        if sb == 0:
+            raise InterpError("remainder by zero")
+        r = abs(sa) % abs(sb)
+        if sa < 0:
+            r = -r
+    elif kind == BinOpKind.AND:
+        r = a & b
+    elif kind == BinOpKind.OR:
+        r = a | b
+    elif kind == BinOpKind.XOR:
+        r = a ^ b
+    elif kind == BinOpKind.SHL:
+        r = a << (b % ty.width) if b < ty.width else 0
+    elif kind == BinOpKind.LSHR:
+        r = a >> b if b < ty.width else 0
+    elif kind == BinOpKind.ASHR:
+        r = ty.wrap(a) >> min(b, ty.width - 1)
+    elif kind == BinOpKind.SADDU:
+        r = min(a + b, ty.mask)
+    elif kind == BinOpKind.SSUBU:
+        r = max(a - b, 0)
+    else:  # pragma: no cover
+        raise InterpError(f"unhandled binop {kind}")
+    return r & ty.mask
+
+
+def icmp(pred: ICmpPred, a: int, b: int, ty: IntType) -> int:
+    """``a pred b`` as 0 or 1 over ``ty``-wide operands; the signed
+    predicates reinterpret the bits whatever ``ty``'s signedness."""
+    ua, ub = a & ty.mask, b & ty.mask
+    sa = ua - (1 << ty.width) if ua >> (ty.width - 1) else ua
+    sb = ub - (1 << ty.width) if ub >> (ty.width - 1) else ub
+    return int(
+        {
+            ICmpPred.EQ: ua == ub,
+            ICmpPred.NE: ua != ub,
+            ICmpPred.ULT: ua < ub,
+            ICmpPred.ULE: ua <= ub,
+            ICmpPred.UGT: ua > ub,
+            ICmpPred.UGE: ua >= ub,
+            ICmpPred.SLT: sa < sb,
+            ICmpPred.SLE: sa <= sb,
+            ICmpPred.SGT: sa > sb,
+            ICmpPred.SGE: sa >= sb,
+        }[pred]
+    )
+
+
+#: the header pseudo-fields a kernel reads as ``msg.src`` etc., by the
+#: :class:`~repro.runtime.message.NetCLPacket` attribute they come from
+HEADER_FIELDS = {"__src": "src", "__dst": "dst", "__from": "from_", "__to": "to"}
+
+
 class KernelMessage:
     """Mutable view of a NetCL message's data fields during kernel execution.
 
@@ -304,6 +385,14 @@ class KernelMessage:
 
     def __init__(self, fields: dict[str, int | list[int]]) -> None:
         self.fields = fields
+
+    @classmethod
+    def of(cls, header, names: Sequence[str], values: Sequence) -> "KernelMessage":
+        """The view of a packet: its ``header``'s :data:`HEADER_FIELDS`
+        and the data section's ``values`` under the argument ``names``."""
+        fields = {name: getattr(header, attr) for name, attr in HEADER_FIELDS.items()}
+        fields.update(zip(names, values))
+        return cls(fields)
 
     def get(self, name: str, index: Optional[int] = None) -> int:
         v = self.fields[name]
@@ -328,18 +417,14 @@ class KernelMessage:
         else:
             self.fields[name] = value
 
-    def copy(self) -> "KernelMessage":
-        return KernelMessage(
-            {k: (list(v) if isinstance(v, list) else v) for k, v in self.fields.items()}
-        )
-
     def __repr__(self) -> str:
         return f"KernelMessage({self.fields})"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ActionOutcome:
-    """The forwarding decision a kernel exits with."""
+    """The forwarding decision a kernel exits with.  Immutable, so the
+    target-less ones are shared: :data:`PLAIN_OUTCOMES`."""
 
     kind: ActionKind
     target: Optional[int] = None
@@ -348,6 +433,10 @@ class ActionOutcome:
         if self.target is not None:
             return f"{self.kind.value}({self.target})"
         return f"{self.kind.value}()"
+
+
+#: the outcome of every target-less exit, the implicit ``pass()`` included
+PLAIN_OUTCOMES = {kind: ActionOutcome(kind) for kind in ActionKind}
 
 
 class IRInterpreter:
@@ -372,18 +461,27 @@ class IRInterpreter:
                 state.declare(gv)
 
     # -- public entry ---------------------------------------------------------
-    def run_kernel(self, fn: Function, msg: KernelMessage) -> ActionOutcome:
-        """Process one message with ``fn``; mutates ``msg`` and global state."""
-        env: dict[int, int] = {}
-        locals_: dict[int, int | list[int]] = {}
-        for arg in fn.args:
-            if not arg.byref and not arg.is_array:
-                env[id(arg)] = msg.get(arg.name)
-        outcome = self._exec(fn, env, locals_, msg)
-        if isinstance(outcome, ActionOutcome):
-            return outcome
+    def run_kernel(self, fn: Function, msg, header=None) -> ActionOutcome:
+        """Process one message with ``fn``; mutates ``msg`` and global state.
+
+        ``msg`` is a :class:`KernelMessage`, or — as a device passes it —
+        the list of the data section's values in argument order, as the
+        kernel's :class:`~repro.runtime.message.CodecPlan` decodes them,
+        with the packet ``header`` that ``msg.src`` etc. read; the list is
+        rewritten in place.  Every execution of a kernel enters here
+        exactly once, whichever executor runs it.
+        """
+        return self._kernel(fn, msg, header)
+
+    def _kernel(self, fn: Function, msg, header) -> ActionOutcome:
+        names = [arg.name for arg in fn.args]
+        view = msg if header is None else KernelMessage.of(header, names, msg)
+        env = {id(a): view.get(a.name) for a in fn.args if not a.byref and not a.is_array}
+        outcome = self._exec(fn, env, {}, view)
+        if header is not None:
+            msg[:] = [view.fields[name] for name in names]
         # Any path without an explicit action has the implicit pass() (§V-A).
-        return ActionOutcome(ActionKind.PASS)
+        return outcome if isinstance(outcome, ActionOutcome) else PLAIN_OUTCOMES[ActionKind.PASS]
 
     def run_netfn(self, fn: Function, args: Sequence[int]) -> Optional[int]:
         """Call a net function with by-value scalar arguments (tests only)."""
@@ -538,12 +636,9 @@ class IRInterpreter:
             return inst.then_ if self._val(inst.cond, env) else inst.else_
         elif isinstance(inst, Ret):
             if inst.action is not None:
-                target = (
-                    self._val(inst.action.target, env)
-                    if inst.action.target is not None
-                    else None
-                )
-                return ActionOutcome(inst.action.kind, target)
+                if inst.action.target is None:
+                    return PLAIN_OUTCOMES[inst.action.kind]
+                return ActionOutcome(inst.action.kind, self._val(inst.action.target, env))
             if inst.value is not None:
                 return _ReturnValue(self._val(inst.value, env))
             return _ReturnValue(None)
@@ -566,81 +661,10 @@ class IRInterpreter:
         return flat
 
     def _binop(self, inst: BinOp, env) -> int:
-        ty = inst.type
-        assert isinstance(ty, IntType)
-        a = self._val(inst.a, env) & ty.mask
-        b = self._val(inst.b, env) & ty.mask
-        k = inst.kind
-        if k == BinOpKind.ADD:
-            r = a + b
-        elif k == BinOpKind.SUB:
-            r = a - b
-        elif k == BinOpKind.MUL:
-            r = a * b
-        elif k == BinOpKind.UDIV:
-            if b == 0:
-                raise InterpError("division by zero")
-            r = a // b
-        elif k == BinOpKind.SDIV:
-            sa, sb = ty.wrap(a), ty.wrap(b)
-            if sb == 0:
-                raise InterpError("division by zero")
-            q = abs(sa) // abs(sb)
-            r = -q if (sa < 0) != (sb < 0) else q
-        elif k == BinOpKind.UREM:
-            if b == 0:
-                raise InterpError("remainder by zero")
-            r = a % b
-        elif k == BinOpKind.SREM:
-            sa, sb = ty.wrap(a), ty.wrap(b)
-            if sb == 0:
-                raise InterpError("remainder by zero")
-            r = abs(sa) % abs(sb)
-            if sa < 0:
-                r = -r
-        elif k == BinOpKind.AND:
-            r = a & b
-        elif k == BinOpKind.OR:
-            r = a | b
-        elif k == BinOpKind.XOR:
-            r = a ^ b
-        elif k == BinOpKind.SHL:
-            r = a << (b % ty.width) if b < ty.width else 0
-        elif k == BinOpKind.LSHR:
-            r = a >> b if b < ty.width else 0
-        elif k == BinOpKind.ASHR:
-            r = ty.wrap(a) >> min(b, ty.width - 1)
-        elif k == BinOpKind.SADDU:
-            r = min(a + b, ty.mask)
-        elif k == BinOpKind.SSUBU:
-            r = max(a - b, 0)
-        else:  # pragma: no cover
-            raise InterpError(f"unhandled binop {k}")
-        return r & ty.mask
+        return binop(inst.kind, self._val(inst.a, env), self._val(inst.b, env), inst.type)
 
     def _icmp(self, inst: ICmp, env) -> int:
-        ty = inst.a.type
-        assert isinstance(ty, IntType)
-        ua = self._val(inst.a, env) & ty.mask
-        ub = self._val(inst.b, env) & ty.mask
-        sa, sb = ty.wrap(ua) if ty.signed else ua, ty.wrap(ub) if ty.signed else ub
-        # signed predicates reinterpret regardless of declared signedness
-        swa = ua - (1 << ty.width) if ua >> (ty.width - 1) else ua
-        swb = ub - (1 << ty.width) if ub >> (ty.width - 1) else ub
-        p = inst.pred
-        table = {
-            ICmpPred.EQ: ua == ub,
-            ICmpPred.NE: ua != ub,
-            ICmpPred.ULT: ua < ub,
-            ICmpPred.ULE: ua <= ub,
-            ICmpPred.UGT: ua > ub,
-            ICmpPred.UGE: ua >= ub,
-            ICmpPred.SLT: swa < swb,
-            ICmpPred.SLE: swa <= swb,
-            ICmpPred.SGT: swa > swb,
-            ICmpPred.SGE: swa >= swb,
-        }
-        return 1 if table[p] else 0
+        return icmp(inst.pred, self._val(inst.a, env), self._val(inst.b, env), inst.a.type)
 
     def _cast(self, inst: Cast, env) -> int:
         src_ty = inst.value.type

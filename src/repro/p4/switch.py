@@ -20,13 +20,16 @@ from typing import Optional
 
 from repro.p4 import ast
 from repro.p4.compiled import P4Engine
-from repro.runtime.device import ForwardDecision, ForwardKind
-from repro.runtime.message import NetCLPacket, NO_DEVICE
+from repro.runtime.device import ForwardDecision, ForwardKind, routed
+from repro.runtime.message import NetCLPacket
 from repro.telemetry import MetricRegistry
 
 NETCL_PORT = 9000
 
 FWD_HOST, FWD_DEVICE, FWD_MCAST, FWD_DROP = 0, 1, 2, 3
+_FORWARDS = {
+    FWD_HOST: ForwardKind.TO_HOST, FWD_DEVICE: ForwardKind.TO_DEVICE, FWD_MCAST: ForwardKind.MULTICAST
+}
 
 _ETH = bytes(12) + (0x0800).to_bytes(2, "big")
 _ENCAP_BYTES = 14 + 20 + 8
@@ -113,20 +116,13 @@ class P4NetCLSwitchDevice:
         kind = md.get("fwd_kind", FWD_DROP)
         target = md.get("fwd_target", 0)
         if kind == FWD_DROP:
-            return ForwardDecision(ForwardKind.DROP, packet=None)
+            return ForwardDecision(ForwardKind.DROP)
         # Reconstruct the NetCL packet from the deparsed bytes (skip the
         # ETH/IP/UDP encapsulation the deparser re-emits).
         out = NetCLPacket.from_wire(out_bytes[_ENCAP_BYTES:])
         out.trace_id = packet.trace_id
         if md.get("computed", 0):
             self._computed.inc()
-        if kind == FWD_HOST:
-            out.to = NO_DEVICE
-            return ForwardDecision(ForwardKind.TO_HOST, target, out)
-        if kind == FWD_DEVICE:
-            out.to = target
-            return ForwardDecision(ForwardKind.TO_DEVICE, target, out)
-        if kind == FWD_MCAST:
-            out.to = NO_DEVICE
-            return ForwardDecision(ForwardKind.MULTICAST, target, out)
-        raise ValueError(f"P4 program produced unknown fwd_kind {kind}")
+        if kind not in _FORWARDS:
+            raise ValueError(f"P4 program produced unknown fwd_kind {kind}")
+        return routed(_FORWARDS[kind], target, out)

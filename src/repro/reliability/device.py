@@ -81,10 +81,10 @@ class ReliableNetCLDevice(NetCLDevice):
             return super().process(packet)
         if packet.rel_kind != REL_DATA:
             # Stray control packet at a device: consume it.
-            return ForwardDecision(ForwardKind.DROP, packet=None)
+            return ForwardDecision(ForwardKind.DROP)
         if not packet.reliability_intact:
             self._corrupt_drops.inc()
-            return ForwardDecision(ForwardKind.DROP, packet=None)
+            return ForwardDecision(ForwardKind.DROP)
         if packet.rel_flags & REL_FLAG_ACK_REQ and self.ack:
             self._control.append(self._make_ack(packet))
             self._acks_sent.inc()
@@ -95,7 +95,7 @@ class ReliableNetCLDevice(NetCLDevice):
                 # packet: dropping it restores the per-flow FIFO the app
                 # protocol assumes; no decision exists to replay.
                 self._stale_drops.inc()
-                return ForwardDecision(ForwardKind.DROP, packet=None)
+                return ForwardDecision(ForwardKind.DROP)
             self._dup_drops.inc()
             cached = self.replay.get(packet.src, packet.rel_seq)
             # Only unicast responses are replayed.  Re-multicasting a
@@ -109,7 +109,7 @@ class ReliableNetCLDevice(NetCLDevice):
                 self._replays.inc()
                 replay_pkt = cached.packet.copy() if cached.packet is not None else None
                 return ForwardDecision(cached.kind, cached.target, replay_pkt)
-            return ForwardDecision(ForwardKind.DROP, packet=None)
+            return ForwardDecision(ForwardKind.DROP)
         self._accepted.inc()
         decision = super().process(packet)
         if decision.packet is not None and decision.packet.rel_kind is not None:
@@ -120,13 +120,8 @@ class ReliableNetCLDevice(NetCLDevice):
 
     def _make_ack(self, packet: NetCLPacket) -> ForwardDecision:
         ack = NetCLPacket(
-            src=packet.src,
-            dst=packet.src,
-            from_=self.device_id,
-            to=NO_DEVICE,
-            comp=packet.comp,
-            act=ACT_CODES["pass"],
-            data=b"",
+            src=packet.src, dst=packet.src, from_=self.device_id, to=NO_DEVICE,
+            comp=packet.comp, act=ACT_CODES["pass"], data=b"",
         )
         ack.stamp_reliability(REL_ACK, packet.rel_seq)
         return ForwardDecision(ForwardKind.TO_HOST, packet.src, ack)

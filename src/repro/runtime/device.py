@@ -1,19 +1,22 @@
 """The NetCL device runtime (§VI-C).
 
-A small layer around the behavioral kernel executor.  For each incoming
-packet it:
+A small layer around the kernel engine.  For each incoming packet it:
 
 1. checks whether the packet is a NetCL message whose ``to`` matches
-   ``device.id`` — otherwise the packet is a no-op at this device (the
-   *no-implicit-computation* rule of §IV);
-2. dispatches the kernel matching the requested computation id, exposing
-   the message data (decoded per the kernel specification) and the NetCL
-   header pseudo-fields (``msg.src`` etc.);
-3. translates the kernel's exit action (Table II) into an updated 4-tuple
-   plus a :class:`ForwardDecision` the base program / network executes.
+   ``device.id`` and whose computation is placed here — otherwise the
+   packet is a no-op at this device (the *no-implicit-computation* rule
+   of §IV) and continues toward its target untouched;
+2. decodes the data section once with the computation's
+   :class:`~repro.runtime.message.CodecPlan` (a section of any other
+   length is dropped as ``kernel.malformed``) and runs the kernel on the
+   decoded values, with the packet as the header ``msg.src`` etc. read;
+3. translates the kernel's exit action through Table II — resolved into
+   :attr:`NetCLDevice.table` when the device is built — into one output
+   packet (a copy with the values packed back in) and one
+   :class:`ForwardDecision` the base program / network executes.
 
-``repeat()`` re-executes the kernel on the spot (recirculation), bounded
-by ``max_repeats``.
+``repeat()`` re-executes the kernel on the spot (recirculation) over the
+same values, bounded by ``max_repeats``.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ from typing import Optional, Sequence
 
 from repro.ir.compiled import KernelEngine
 from repro.ir.instructions import ActionKind
-from repro.ir.interp import ActionOutcome, GlobalState, KernelMessage
+from repro.ir.interp import GlobalState, KernelMessage
 from repro.ir.module import Function, Module
 from repro.runtime.message import ACT_CODES, CodecPlan, KernelSpec, NetCLPacket, NO_DEVICE
 from repro.telemetry import MetricRegistry
+
+_REPEAT, _DROP, _REFLECT = ActionKind.REPEAT, ActionKind.DROP, ActionKind.REFLECT
 
 
 class ForwardKind(str, Enum):
@@ -38,7 +43,7 @@ class ForwardKind(str, Enum):
     DROP = "drop"
 
 
-@dataclass
+@dataclass(slots=True)
 class ForwardDecision:
     kind: ForwardKind
     target: int = 0  # host id, device id, or multicast group id
@@ -47,6 +52,27 @@ class ForwardDecision:
 
 class DeviceRuntimeError(Exception):
     pass
+
+
+def routed(kind: ForwardKind, target: int, out: NetCLPacket) -> ForwardDecision:
+    """The decision to forward ``out`` to ``target``, with its ``to`` set:
+    the target device, or none once the packet leaves the devices."""
+    out.to = target if kind is ForwardKind.TO_DEVICE else NO_DEVICE
+    return ForwardDecision(kind, target, out)
+
+
+#: Table II: exit action -> (forward, the input header field the target is
+#: read from, or None for the action's own target).  ``drop`` has no output
+#: packet, ``repeat`` never leaves the device, and ``reflect`` returns to the
+#: previous computing device instead of the source host when there is one.
+TABLE_II = {
+    ActionKind.PASS: (ForwardKind.TO_HOST, "dst"),
+    ActionKind.SEND_TO_HOST: (ForwardKind.TO_HOST, None),  # ``dst`` stays
+    ActionKind.SEND_TO_DEVICE: (ForwardKind.TO_DEVICE, None),
+    ActionKind.MULTICAST: (ForwardKind.MULTICAST, None),
+    ActionKind.REFLECT: (ForwardKind.TO_HOST, "src"),
+    ActionKind.REFLECT_LONG: (ForwardKind.TO_HOST, "src"),
+}
 
 
 class NetCLDevice:
@@ -82,16 +108,18 @@ class NetCLDevice:
                 )
             self.kernels[fn.computation] = fn
             self.specs[fn.computation] = KernelSpec.from_kernel(fn)
+        #: comp -> (kernel, its codec plan): the one lookup a computed packet makes
+        self._dispatch = {c: (fn, self.specs[c].plan) for c, fn in self.kernels.items()}
+        #: Table II at this device: exit action -> (``act`` byte, forward, field)
+        self.table = {kind: (ACT_CODES[kind.value], *row) for kind, row in TABLE_II.items()}
         self._seen = self.metrics.counter("kernel.dispatches")
         self._computed = self.metrics.counter("kernel.computed")
         self._noops = self.metrics.counter("kernel.noop_forwards")
         self._repeats = self.metrics.counter("kernel.repeats")
-        # Per-outcome counters are resolved on first use and cached by the
-        # enum member, so the per-packet path does no f-string formatting
-        # or registry lookups.  Lazy (not eager) so the registry snapshot
-        # only contains outcomes that actually occurred.
-        self._action_counters: dict[ActionKind, object] = {}
-        self._forward_counters: dict[ForwardKind, object] = {}
+        # Per-outcome counters are made on first use and cached by kind, so
+        # the registry only reports outcomes that actually occurred.
+        self._actions: dict[ActionKind, object] = {}
+        self._forwards: dict[ForwardKind, object] = {}
 
     # -- lifecycle ----------------------------------------------------------------
     def _boot(self) -> None:
@@ -128,116 +156,73 @@ class NetCLDevice:
 
     # -- packet path --------------------------------------------------------------
     def process(self, packet: NetCLPacket) -> ForwardDecision:
-        """Process one NetCL packet; returns the forwarding decision."""
+        """Process one NetCL packet; returns the forwarding decision.
+
+        A computed packet costs one decode, one kernel run per execution,
+        and — unless the kernel drops it — one pack, one packet copy and
+        one decision; the input packet is never rewritten.
+        """
         self._seen.value += 1
-        if packet.to != self.device_id or packet.comp not in self.kernels:
+        entry = self._dispatch.get(packet.comp) if packet.to == self.device_id else None
+        if entry is None:
             # No-op at this device: forward toward its target (§IV).
             self._noops.value += 1
             return self._forward_noop(packet)
-
-        fn = self.kernels[packet.comp]
-        plan = self.specs[packet.comp].plan
+        fn, plan = entry
         try:
-            msg = self._decode(packet, plan)
+            values = plan.decode(packet.data)
         except ValueError:
             # a data section that is not this computation's layout: never
             # compute on it (counter on first use, like the outcome ones)
             self.metrics.counter("kernel.malformed").inc()
-            return ForwardDecision(ForwardKind.DROP, packet=None)
-
-        outcome = ActionOutcome(ActionKind.REPEAT)
-        repeats = 0
-        while outcome.kind == ActionKind.REPEAT:
-            if repeats > self.max_repeats:
-                raise DeviceRuntimeError(
-                    f"kernel '{fn.name}' exceeded {self.max_repeats} repeats"
-                )
-            outcome = self.interp.run_kernel(fn, msg)
-            repeats += 1
-        if repeats > 1:
-            self._repeats.inc(repeats - 1)
-        self._computed.inc()
-        ctr = self._action_counters.get(outcome.kind)
-        if ctr is None:
-            ctr = self._action_counters[outcome.kind] = self.metrics.counter(
-                f"kernel.action.{outcome.kind.value}"
-            )
-        ctr.inc()
-        decision = self._apply_action(packet, plan, msg, outcome)
-        ctr = self._forward_counters.get(decision.kind)
-        if ctr is None:
-            ctr = self._forward_counters[decision.kind] = self.metrics.counter(
-                f"kernel.forward.{decision.kind.value}"
-            )
-        ctr.inc()
+            return ForwardDecision(ForwardKind.DROP)
+        outcome = self.interp.run_kernel(fn, values, packet)
+        if outcome.kind is _REPEAT:
+            outcome = self._repeat(fn, values, packet)
+        kind = outcome.kind
+        self._computed.value += 1
+        (self._actions.get(kind) or self._counter(self._actions, kind, "action")).value += 1
+        if kind is _DROP:
+            decision = ForwardDecision(ForwardKind.DROP)
+        else:
+            act, forward, field = self.table[kind]
+            target = outcome.target if field is None else getattr(packet, field)
+            prev = packet.from_
+            if kind is _REFLECT and prev != NO_DEVICE and prev != self.device_id:
+                forward, target = ForwardKind.TO_DEVICE, prev
+            out = packet.copy()
+            out.data = plan.pack(values)
+            out.from_ = self.device_id  # the message's previous computing node now
+            out.act = act
+            decision = routed(forward, target, out)
+        forward = decision.kind
+        (self._forwards.get(forward) or self._counter(self._forwards, forward, "forward")).value += 1
         return decision
+
+    def _repeat(self, fn: Function, values: list, packet: NetCLPacket):
+        """Re-execute on the spot (recirculation) until the kernel exits
+        with another action, and return that exit."""
+        for repeats in range(1, self.max_repeats + 1):
+            outcome = self.interp.run_kernel(fn, values, packet)
+            if outcome.kind is not _REPEAT:
+                self._repeats.value += repeats
+                return outcome
+        raise DeviceRuntimeError(f"kernel '{fn.name}' exceeded {self.max_repeats} repeats")
+
+    def _counter(self, counters: dict, kind: Enum, what: str):
+        counters[kind] = ctr = self.metrics.counter(f"kernel.{what}.{kind.value}")
+        return ctr
+
+    # -- the reference interpreter's view of a packet ------------------------------
+    def _decode(self, packet: NetCLPacket, plan: CodecPlan) -> KernelMessage:
+        """The message a kernel sees, header pseudo-fields included; an
+        omitted tail is appended zero-filled (§VIII)."""
+        return KernelMessage.of(packet, plan.names, plan.decode(packet.data))
+
+    def _encode(self, plan: CodecPlan, msg: KernelMessage) -> bytes:
+        return plan.pack([msg.fields[name] for name in plan.names])
 
     def _forward_noop(self, packet: NetCLPacket) -> ForwardDecision:
         if packet.to != NO_DEVICE and packet.to != self.device_id:
             return ForwardDecision(ForwardKind.TO_DEVICE, packet.to, packet)
         return ForwardDecision(ForwardKind.TO_HOST, packet.dst, packet)
-
-    # -- codec ------------------------------------------------------------------------
-    def _decode(self, packet: NetCLPacket, plan: CodecPlan) -> KernelMessage:
-        """The kernel's view of a packet; a tail field the sender omitted
-        is appended zero-initialized (§VIII).  ``ValueError`` when the
-        data section is not the computation's layout."""
-        fields: dict[str, int | list[int]] = {
-            "__src": packet.src,
-            "__dst": packet.dst,
-            "__from": packet.from_,
-            "__to": packet.to,
-        }
-        fields.update(zip(plan.names, plan.decode(packet.data)))
-        return KernelMessage(fields)
-
-    def _encode(self, plan: CodecPlan, msg: KernelMessage) -> bytes:
-        get = msg.fields.get
-        return plan.encode([get(name, 0) for name in plan.names])
-
-    # -- action translation ----------------------------------------------------------------
-    def _apply_action(
-        self,
-        packet: NetCLPacket,
-        plan: CodecPlan,
-        msg: KernelMessage,
-        outcome: ActionOutcome,
-    ) -> ForwardDecision:
-        kind = outcome.kind
-        if kind == ActionKind.DROP:
-            return ForwardDecision(ForwardKind.DROP, packet=None)
-        out = packet.copy()
-        out.data = self._encode(plan, msg)
-        # This device becomes the message's previous computing node.
-        out.from_ = self.device_id
-        out.act = ACT_CODES[kind.value]
-
-        if kind == ActionKind.PASS:
-            out.to = NO_DEVICE
-            return ForwardDecision(ForwardKind.TO_HOST, out.dst, out)
-        if kind == ActionKind.SEND_TO_HOST:
-            assert outcome.target is not None
-            out.to = NO_DEVICE
-            out.dst = packet.dst  # destination unchanged; exits to target host
-            return ForwardDecision(ForwardKind.TO_HOST, outcome.target, out)
-        if kind == ActionKind.SEND_TO_DEVICE:
-            assert outcome.target is not None
-            out.to = outcome.target
-            return ForwardDecision(ForwardKind.TO_DEVICE, outcome.target, out)
-        if kind == ActionKind.MULTICAST:
-            assert outcome.target is not None
-            out.to = NO_DEVICE
-            return ForwardDecision(ForwardKind.MULTICAST, outcome.target, out)
-        if kind == ActionKind.REFLECT:
-            # Back to the previous node: the last computing device, or the
-            # source host when no device computed before us.
-            prev_dev = packet.from_
-            if prev_dev != NO_DEVICE and prev_dev != self.device_id:
-                out.to = prev_dev
-                return ForwardDecision(ForwardKind.TO_DEVICE, prev_dev, out)
-            out.to = NO_DEVICE
-            return ForwardDecision(ForwardKind.TO_HOST, packet.src, out)
-        if kind == ActionKind.REFLECT_LONG:
-            out.to = NO_DEVICE
-            return ForwardDecision(ForwardKind.TO_HOST, packet.src, out)
-        raise DeviceRuntimeError(f"unhandled action {kind}")  # pragma: no cover

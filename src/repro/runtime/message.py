@@ -25,6 +25,7 @@ from operator import index
 from typing import Optional, Sequence, Union
 
 from repro.ir.module import Function
+from repro.pygen import load
 
 #: Forwarding action codes carried in the NetCL header's ``act`` byte.
 ACT_CODES = {
@@ -172,11 +173,16 @@ class CodecPlan:
     is the list re-packed as ``int(x) & mask``.  A spec with a width that
     does not fill its bytes always masks, and one with a 3/5/6/7-byte
     element runs the per-element loop.
+
+    A device rewrites what it decoded and packs it back with :meth:`pack`,
+    which trusts the shapes :meth:`decode` made.  On a ``struct`` layout
+    both are generated once per plan: one ``unpack_from`` sliced into
+    per-argument values, one ``pack`` call over them.
     """
 
     __slots__ = (
         "computation", "names", "data_bytes", "short",
-        "_fields", "_masks", "_sizes", "_exact", "_struct",
+        "_fields", "_masks", "_sizes", "_exact", "_struct", "_unpack", "_pack",
     )
 
     def __init__(self, spec: KernelSpec) -> None:
@@ -194,14 +200,44 @@ class CodecPlan:
         self._exact = all(m == (1 << 8 * nb) - 1 for m, nb in zip(masks, sizes))
         self.data_bytes = sum(sizes)
         self._struct = None
+        self._unpack, self._pack = self._unpack_each, self.encode
         if all(nb in _STRUCT_CODES for nb in sizes):
             fmt = (f"{count}{_STRUCT_CODES[sizes[a]]}" for _, count, a, _, _ in fields)
             self._struct = struct.Struct("!" + "".join(fmt))
+            self._unpack, self._pack = self._generated()
         #: the plan without a trailing ``tail`` field (§VIII), if there is one
         self.short: Optional[CodecPlan] = None
         if spec.fields and spec.fields[-1].tail:
             head = tuple(FieldSpec(f.name, f.width_bits, f.count) for f in spec.fields[:-1])
             self.short = CodecPlan(KernelSpec(spec.computation, head))
+
+    def _generated(self) -> tuple:
+        """``(unpack, pack)`` for the ``struct`` layout; ``pack`` masks the
+        fields whose width does not fill their bytes and hands values
+        ``struct`` rejects to :meth:`encode`."""
+        items, args = [], []
+        for i, (_, count, a, b, _) in enumerate(self._fields):
+            items.append(f"t[{a}]" if count == 1 else f"list(t[{a}:{b}])")
+            mask = self._masks[a]
+            if mask == (1 << 8 * self._sizes[a]) - 1:
+                args.append(f"V[{i}]" if count == 1 else f"*V[{i}]")
+            else:
+                args.append(f"V[{i}] & {mask:#x}" if count == 1 else f"*[x & {mask:#x} for x in V[{i}]]")
+        source = (
+            "def _codec(S, ERR, ENCODE):\n"
+            "    unpack_from, pack_ = S.unpack_from, S.pack\n"
+            "    def unpack(D):\n"
+            "        t = unpack_from(D)\n"
+            f"        return [{', '.join(items)}]\n"
+            "    def pack(V):\n"
+            "        try:\n"
+            f"            return pack_({', '.join(args)})\n"
+            "        except ERR:\n"
+            "            return ENCODE(V)\n"
+            "    return unpack, pack\n"
+        )
+        codec = load(source, f"<codec {self.computation}>", "_codec")
+        return codec(self._struct, (struct.error, OverflowError, TypeError), self.encode)
 
     def encode(self, values: Values) -> bytes:
         """The data section for ``values``; a trailing tail field whose
@@ -244,22 +280,21 @@ class CodecPlan:
                 pass
         return self._struct.pack(*[int(x) & m for x, m in zip(flat, self._masks)])
 
+    def pack(self, values: list) -> bytes:
+        """:meth:`encode` for values shaped as :meth:`decode` returns them
+        (a device packing back what its kernel rewrote), without the
+        shape checks."""
+        return self._pack(values)
+
     def decode(self, data: bytes, out: Optional[Values] = None) -> list:
         """The per-argument values of a data section, arrays as fresh
         lists.  ``out`` names the arguments to skip with ``None``, as in
-        :func:`unpack`; an omitted tail field reads as zeros."""
+        :func:`unpack`; an omitted tail field reads as zeros.  Any other
+        length, shorter or longer, is a ``ValueError``: the section is not
+        this computation's layout."""
         n = len(data)
-        if n >= self.data_bytes:
-            if self._struct is not None:
-                flat = self._struct.unpack_from(data)
-            else:
-                flat, off = [], 0
-                for nb in self._sizes:
-                    flat.append(int.from_bytes(data[off : off + nb], "big"))
-                    off += nb
-            values = [
-                flat[a] if count == 1 else list(flat[a:b]) for _, count, a, b, _ in self._fields
-            ]
+        if n == self.data_bytes:
+            values = self._unpack(data)
         elif self.short is not None and n == self.short.data_bytes:
             zeros = self._fields[-1][4]
             values = self.short.decode(data)
@@ -275,6 +310,13 @@ class CodecPlan:
                 if i >= len(out) or out[i] is None:
                     values[i] = None
         return values
+
+    def _unpack_each(self, data: bytes) -> list:
+        flat, off = [], 0
+        for nb in self._sizes:
+            flat.append(int.from_bytes(data[off : off + nb], "big"))
+            off += nb
+        return [flat[a] if count == 1 else list(flat[a:b]) for _, count, a, b, _ in self._fields]
 
 
 #: one plan per spec *value*, however many equal specs the builders make

@@ -187,7 +187,7 @@ class TenantDevice:
             self.service.network.sim.now_ns
         ):
             self._rate_limited.inc()
-            return ForwardDecision(ForwardKind.DROP, packet=None)
+            return ForwardDecision(ForwardKind.DROP)
         # Ingress: global ids -> the tenant's abstract namespace.
         if packet.to == self.device_id:
             packet.to = self.abstract_id

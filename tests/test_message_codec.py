@@ -228,6 +228,21 @@ class TestShortDataSection:
         assert device.packets_computed == 1 and device.metrics.value("kernel.malformed") == 1
 
 
+class TestLongDataSection:
+    def test_trailing_bytes_are_a_named_error_not_dropped(self):
+        raw = pack(MSG, U32_U32X4, [5, [1, 2, 3, 4]])
+        long = _with_data(raw, raw[HEADER_SIZE:] + b"\x00\x07")
+        with pytest.raises(ValueError, match=r"computation 1.*22 bytes.*needs 20"):
+            unpack(long, U32_U32X4)
+        with pytest.raises(ValueError, match=r"computation 1.*22 bytes.*needs 20"):
+            unpack_packet(NetCLPacket.from_wire(long), U32_U32X4)
+
+    def test_a_tailed_layout_takes_only_its_two_lengths(self):
+        raw = pack(MSG, TAILED, [9, [1, 2, 3, 4]])
+        with pytest.raises(ValueError, match=r"21 bytes.*needs 20 \(or 4 without the tail\)"):
+            unpack(_with_data(raw, raw[HEADER_SIZE:] + b"\x01"), TAILED)
+
+
 class TestScalarsAndSequences:
     @pytest.mark.parametrize("five", [np.uint32(5), np.int64(5), np.uint8(5), True + 4])
     def test_any_integer_scalar_fills_a_count_one_field(self, five):
