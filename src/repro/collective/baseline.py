@@ -102,7 +102,6 @@ class _RingNode:
         self._consumed: set[tuple[int, int, int]] = set()
         #: (phase, step, pkt) -> (shard, bits) awaiting the successor's ACK
         self._unacked: dict[tuple[int, int, int], tuple[int, list[int]]] = {}
-        self._timers: dict[tuple[int, int, int], object] = {}
         self.phase = 0
         self.step = 0
         self._recv_pkts = 0
@@ -146,28 +145,18 @@ class _RingNode:
         )
         self.host.send_message(msg, RING_SPEC, [phase, step, pkt, shard, bits])
         self.runner.packets_sent += 1
-        self._arm(key)
+        self.runner.net.sim.after(self.runner.timeout_ns, self._timeout, key)
 
-    def _arm(self, key: tuple[int, int, int]) -> None:
-        old = self._timers.pop(key, None)
-        if old is not None:
-            old.cancel()  # type: ignore[attr-defined]
-
-        def fire() -> None:
-            if key in self._unacked:
-                self.runner.retransmissions += 1
-                self._transmit(key)
-
-        self._timers[key] = self.runner.net.sim.after(self.runner.timeout_ns, fire)
+    def _timeout(self, key: tuple[int, int, int]) -> None:
+        if key in self._unacked:  # else the ACK beat the timeout
+            self.runner.retransmissions += 1
+            self._transmit(key)
 
     def _on_receive(self, packet: NetCLPacket, now_ns: int) -> None:
         if packet.comp == 2:  # transport ACK from the successor
             values = unpack_packet(packet, RING_ACK_SPEC)
             key = (values[0], values[1], values[2])
             self._unacked.pop(key, None)
-            timer = self._timers.pop(key, None)
-            if timer is not None:
-                timer.cancel()  # type: ignore[attr-defined]
             return
         values = unpack_packet(packet, RING_SPEC)
         key = (values[0], values[1], values[2])

@@ -28,6 +28,7 @@ lifecycle every cluster of such workers shares (:class:`SlotCluster`).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -213,7 +214,12 @@ class SlotStream:
         #: slot -> round currently in flight on that slot (or None)
         self._slot_chunk: dict[int, Optional[int]] = {}
         self._done_chunks: set[int] = set()
-        self._timeouts: dict[int, object] = {}
+        #: slot -> token of the one timeout that may still act on it.  A
+        #: re-arm (a resync can re-send a round whose timeout is live) or
+        #: the stream finishing supersedes the older ones: they fire as
+        #: no-ops.
+        self._live_timeout: dict[int, int] = {}
+        self._tokens = itertools.count()
 
     # -- subclass hooks -----------------------------------------------------------
     def _chunk_payload(self, chunk: int) -> Optional[list]:
@@ -240,7 +246,7 @@ class SlotStream:
         return None
 
     def _on_finished(self) -> None:
-        """All rounds completed (called once, timers already cancelled)."""
+        """All rounds completed (called once, timeouts already void)."""
 
     # -- protocol -----------------------------------------------------------------
     def start(self) -> None:
@@ -279,19 +285,13 @@ class SlotStream:
                 src=self.host_id, dst=self.host_id, comp=self.comp, to=self.device_id
             )
             self.host.send_message(msg, self.spec, head + payload)
-        self._arm_timeout(slot, chunk)
+        token = self._live_timeout[slot] = next(self._tokens)
+        self.network.sim.after(self.timeout_ns, self._timeout, slot, chunk, token)
 
-    def _arm_timeout(self, slot: int, chunk: int) -> None:
-        old = self._timeouts.pop(slot, None)
-        if old is not None:
-            old.cancel()  # type: ignore[attr-defined]
-
-        def fire() -> None:
-            if self._slot_chunk.get(slot) == chunk:
-                self.stats.retransmissions += 1
-                self._send_chunk(slot, chunk)
-
-        self._timeouts[slot] = self.network.sim.after(self.timeout_ns, fire)
+    def _timeout(self, slot: int, chunk: int, token: int) -> None:
+        if self._live_timeout.get(slot) == token and self._slot_chunk.get(slot) == chunk:
+            self.stats.retransmissions += 1
+            self._send_chunk(slot, chunk)
 
     def resync_slot(self, slot: int, chunk: int) -> None:
         """Failover resynchronization: restart ``slot`` at ``chunk``.
@@ -348,8 +348,7 @@ class SlotStream:
     def _check_done(self) -> None:
         if len(self._done_chunks) == self.num_rounds and self.stats.finished_at_ns is None:
             self.stats.finished_at_ns = self.network.sim.now_ns
-            for ev in self._timeouts.values():
-                ev.cancel()  # type: ignore[attr-defined]
+            self._live_timeout.clear()
             self._on_finished()
 
     @property

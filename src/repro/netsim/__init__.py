@@ -10,7 +10,7 @@ real topology, §VI-C).
 """
 
 from repro.netsim.graph import Graph
-from repro.netsim.sim import Simulator, Event
+from repro.netsim.sim import Simulator
 from repro.netsim.net import (
     Network,
     Host,
@@ -24,7 +24,6 @@ from repro.netsim.net import (
 
 __all__ = [
     "Simulator",
-    "Event",
     "Graph",
     "Network",
     "Host",

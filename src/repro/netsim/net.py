@@ -126,7 +126,7 @@ class Host:
             start = max(now, self._tx_free_ns)
             self._tx_free_ns = start + overhead
             overhead += start - now
-        self.network.sim.defer(
+        self.network.sim.after(
             delay_ns + overhead, self.network.inject, self.key, packet
         )
 
@@ -138,7 +138,7 @@ class Host:
             start = max(now, self._rx_free_ns)
             self._rx_free_ns = start + overhead
             overhead += start - now
-        self.network.sim.defer(overhead, self._rx_up, packet)
+        self.network.sim.after(overhead, self._rx_up, packet)
 
     def _rx_up(self, packet: NetCLPacket) -> None:
         network = self.network
@@ -176,7 +176,7 @@ class Switch:
         self._occupancy.inc()
         # Tofino pipelines are full line-rate: processing adds latency but
         # never becomes a throughput bottleneck, so packets pipeline freely.
-        self.network.sim.defer(self.processing_ns, self._pipeline_done, packet)
+        self.network.sim.after(self.processing_ns, self._pipeline_done, packet)
 
     def _pipeline_done(self, packet: NetCLPacket) -> None:
         self._occupancy.value -= 1
@@ -538,7 +538,7 @@ class Network:
                     packet, at, "tx", self.sim.now_ns,
                     f"-> {node_name(nxt)} ({delay} ns)",
                 )
-            self.sim.defer(delay, self._link_arrive, stats, nxt, packet)
+            self.sim.after(delay, self._link_arrive, stats, nxt, packet)
             return
         deliveries = self.fault_injector.on_transmit(at, nxt, packet, delay)
         if not deliveries:
@@ -560,7 +560,7 @@ class Network:
                     pkt, at, "tx", self.sim.now_ns,
                     f"-> {node_name(nxt)} ({delay_ns} ns)",
                 )
-            self.sim.defer(delay_ns, self._link_arrive, stats, nxt, pkt)
+            self.sim.after(delay_ns, self._link_arrive, stats, nxt, pkt)
 
     def _link_arrive(self, stats: _LinkStats, node: NodeKey, packet: NetCLPacket) -> None:
         stats.in_flight.value -= 1
@@ -574,7 +574,7 @@ class Network:
                 occupancy.value = level = occupancy.value + 1
                 if level > occupancy.max_value:
                     occupancy.max_value = level
-                self.sim.defer(sw.processing_ns, sw._pipeline_done, packet)
+                self.sim.after(sw.processing_ns, sw._pipeline_done, packet)
                 return
         self._arrive(node, packet)
 

@@ -73,7 +73,8 @@ class _Pending:
     #: when the current timeout actually expires; the timer event may
     #: wake earlier (see ReliableChannel._arm) and re-sleeps until this.
     deadline_ns: int = 0
-    timer: Optional[object] = field(default=None, repr=False)
+    #: whether a timer event for this send sits in the simulator.
+    armed: bool = False
     on_complete: Optional[Callable[[int], None]] = field(default=None, repr=False)
     on_fail: Optional[Callable[[int], None]] = field(default=None, repr=False)
 
@@ -91,7 +92,6 @@ class ReliableChannel:
         comp: int = 1,
         policy: Optional[BackoffPolicy] = None,
         ack: bool = True,
-        complete_on_ack: bool = False,
         dedup_window: int = DEFAULT_DEDUP_WINDOW,
         reply_capacity: int = DEFAULT_REPLY_CACHE_CAPACITY,
     ) -> None:
@@ -102,7 +102,6 @@ class ReliableChannel:
         self.comp = comp
         self.policy = policy or BackoffPolicy()
         self.ack = ack
-        self.complete_on_ack = complete_on_ack
         self.pending: dict[int, _Pending] = {}
         self._seq = itertools.count(1)
         self._app_receive = host.on_receive
@@ -179,22 +178,21 @@ class ReliableChannel:
     def _arm(self, p: _Pending) -> None:
         # Deadline-based re-arm: moving the deadline re-uses a live timer
         # event (it wakes at its old time, sees the deadline moved, and
-        # re-sleeps) instead of cancelling and allocating a fresh closure
-        # and heap entry per transmission.
+        # re-sleeps) instead of scheduling a fresh one per transmission.
         p.deadline_ns = self.network.sim.now_ns + self.policy.timeout_ns(p.attempts)
-        if p.timer is None or p.timer.cancelled:  # type: ignore[attr-defined]
-            p.timer = self.network.sim.at(p.deadline_ns, self._timer_fire, p)
+        if not p.armed:
+            p.armed = True
+            self.network.sim.at(p.deadline_ns, self._timer_fire, p)
 
     def _timer_fire(self, p: _Pending) -> None:
         if self.pending.get(p.seq) is not p:
-            p.timer = None
-            return
+            return  # completed or discarded while the timer slept
         now = self.network.sim.now_ns
         if now < p.deadline_ns:
             # Spurious wake: the deadline moved while we slept.
-            p.timer = self.network.sim.at(p.deadline_ns, self._timer_fire, p)
+            self.network.sim.at(p.deadline_ns, self._timer_fire, p)
             return
-        p.timer = None
+        p.armed = False
         p.attempts += 1
         if not p.retransmit or p.attempts > self.policy.max_retries:
             # ACK-only tracking expiry, or retries exhausted.
@@ -262,8 +260,6 @@ class ReliableChannel:
         p = self.pending.pop(seq, None)
         if p is None:
             return
-        if p.timer is not None:
-            p.timer.cancel()  # type: ignore[attr-defined]
         self._completed.inc()
         self._rtt.observe(self.network.sim.now_ns - p.sent_ns)
         if p.on_complete is not None:
@@ -286,8 +282,6 @@ class ReliableChannel:
                 self._transmit(seq)
             else:
                 self.pending.pop(seq, None)
-                if p.timer is not None:
-                    p.timer.cancel()  # type: ignore[attr-defined]
 
     @property
     def outstanding(self) -> int:
@@ -307,7 +301,7 @@ class ReliableChannel:
             if p is not None:
                 p.acked = True
                 self._acks.inc()
-                if self.complete_on_ack or not p.retransmit:
+                if not p.retransmit:
                     self._complete(packet.rel_seq)
             return
         seq = packet.rel_seq

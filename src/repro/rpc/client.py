@@ -25,7 +25,7 @@ same way a server reply does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.collective.protocol import SlotStream
@@ -66,8 +66,6 @@ class UnaryCall:
     hit: bool = False
     response: object = None
     finished_ns: Optional[int] = None
-    _timer: object = field(default=None, repr=False)
-    _deadline: object = field(default=None, repr=False)
 
 
 @dataclass
@@ -235,9 +233,7 @@ class RpcClient:
         self._m_calls.inc()
         self._send_attempt(call)
         if deadline_ns is not None:
-            call._deadline = self.network.sim.after(
-                deadline_ns, self._deadline_expired, call
-            )
+            self.network.sim.after(deadline_ns, self._deadline_expired, call)
         return call
 
     def _send_attempt(self, call: UnaryCall) -> None:
@@ -254,10 +250,12 @@ class RpcClient:
             values, dst=call.server, retransmit=False, comp=1
         )
         call.attempts += 1
-        call._timer = self.network.sim.after(
+        self.network.sim.after(
             self.retry.timeout_ns(call.attempts - 1), self._retry, call
         )
 
+    # Both timeouts act only on a call still outstanding: a reply, a
+    # failure or the other timeout retires it from ``_calls`` first.
     def _retry(self, call: UnaryCall) -> None:
         if self._calls.get(call.req_id) is not call:
             return
@@ -274,9 +272,6 @@ class RpcClient:
 
     def _finish_failed(self, call: UnaryCall, counter) -> None:
         self._calls.pop(call.req_id, None)
-        for ev in (call._timer, call._deadline):
-            if ev is not None:
-                ev.cancel()
         # Stop the channel from tracking the abandoned attempt.
         self.channel.pending.pop(call.seq, None)
         call.failed = True
@@ -352,9 +347,6 @@ class RpcClient:
         if call is None:
             self._m_late.inc()  # duplicate or post-deadline reply
             return
-        for ev in (call._timer, call._deadline):
-            if ev is not None:
-                ev.cancel()
         call.done = True
         call.hit = bool(hit)
         call.finished_ns = now_ns

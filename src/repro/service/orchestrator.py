@@ -242,6 +242,9 @@ class INCService:
         self._queue: List[str] = []
         self._host_owner: Dict[int, str] = {}
         self._watchdog_armed = False
+        #: bumped by every start(), so a tick queued before a stop()
+        #: cannot keep a second watchdog chain alive after a restart.
+        self._watchdog_gen = 0
 
         # The live network: the fabric with nothing placed on it, so every
         # physical switch is a transit node running only the operator's
@@ -458,22 +461,23 @@ class INCService:
         """Arm the watchdog: heartbeat every switch through the simulator."""
         if not self._watchdog_armed:
             self._watchdog_armed = True
-            self.network.sim.after(self.heartbeat_ns, self._tick)
+            self._watchdog_gen += 1
+            self.network.sim.after(self.heartbeat_ns, self._tick, self._watchdog_gen)
         return self
 
     def stop(self) -> None:
         self._watchdog_armed = False
 
-    def _tick(self) -> None:
-        if not self._watchdog_armed:
-            return
+    def _tick(self, gen: int) -> None:
+        if not self._watchdog_armed or gen != self._watchdog_gen:
+            return  # stopped, or a restart superseded this chain
         self._heartbeats.inc()
         for sid in sorted(self.fabric.switches):
             if sid in self.down:
                 continue
             if not self.network.is_up(DEVICE(TRANSIT_BASE + sid)):
                 self._handle_switch_down(sid)
-        self.network.sim.after(self.heartbeat_ns, self._tick)
+        self.network.sim.after(self.heartbeat_ns, self._tick, gen)
 
     def crash_switch(self, switch_id: int) -> None:
         """Take one physical switch down.  The watchdog notices on its

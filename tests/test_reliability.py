@@ -541,26 +541,39 @@ class TestUdpTransport:
 
 
 class TestDeadlineTimers:
-    """Retransmission timers re-arm by moving a deadline, not by
-    cancelling and reallocating an event per transmit."""
+    """A send's timeout re-arms by moving its deadline: one timer event
+    per send sleeps until the current deadline, and one that outlives its
+    request fires as a no-op."""
+
+    @staticmethod
+    def _send_times(net, host):
+        times = []
+        send = host.send_packet
+
+        def record(packet, **kw):
+            times.append(net.sim.now_ns)
+            send(packet, **kw)
+
+        host.send_packet = record
+        return times
 
     def test_rearm_reuses_live_timer_event(self):
         net, host, ch, got = _echo_network(
-            policy=BackoffPolicy(base_timeout_ns=100_000, max_retries=10)
+            policy=BackoffPolicy(base_timeout_ns=100_000, max_retries=3)
         )
         net.set_link_up(HOST(1), DEVICE(1), False)  # force retransmits
-        seq = ch.request([5, 0], dst=1)
-        p = ch.pending[seq]
-        first_timer = p.timer
-        first_deadline = p.deadline_ns
-        # drive exactly past the first timeout: the retransmit re-arms by
-        # pushing the deadline; the timer event object is replaced only
-        # after it actually fires.
-        net.sim.run(until_ns=first_deadline + 1)
-        assert p.attempts == 1
-        assert p.deadline_ns > first_deadline
-        assert p.timer is not first_timer and p.timer is not None
-        net.sim.run(until_ns=10_000_000)  # expire remaining retries
+        sends = self._send_times(net, host)
+        ch.request([5, 0], dst=1)
+        # a retarget re-sends at 50 us and moves the deadline to 150 us:
+        # the timer armed for 100 us wakes, re-sleeps, and is the only one
+        net.sim.at(50_000, ch.retarget, 1)
+        net.sim.run(until_ns=60_000)
+        assert net.sim.pending == 1  # two sends, one timer event
+        net.sim.run(until_ns=10_000_000)
+        assert sends == [0, 50_000, 150_000, 350_000, 750_000]
+        assert net.metrics.total("reliability.ch.retransmits.h1") == 3
+        assert net.metrics.total("reliability.ch.expired.h1") == 1
+        assert ch.outstanding == 0
 
     def test_spurious_wake_does_not_retransmit_early(self):
         net, host, ch, got = _echo_network(
@@ -575,9 +588,14 @@ class TestDeadlineTimers:
         assert net.sim.pending == 0
 
     def test_completion_cancels_deadline_timer(self):
-        net, host, ch, got = _echo_network()
+        """Completion voids the timer: its later wake changes nothing."""
+        net, host, ch, got = _echo_network(
+            policy=BackoffPolicy(base_timeout_ns=500_000, max_retries=3)
+        )
         seq = ch.request([5, 0], dst=1)
-        p = ch.pending[seq]
+        net.sim.run(until_ns=100_000)
+        assert seq not in ch.pending and net.sim.pending == 1  # the stale wake
+        before = net.metrics.snapshot()
         net.sim.run(until_ns=5_000_000)
-        assert seq not in ch.pending
-        assert p.timer is None or p.timer.cancelled
+        assert net.sim.pending == 0
+        assert net.metrics.snapshot() == before

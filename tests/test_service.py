@@ -235,6 +235,17 @@ class TestLiveMigration:
         assert _echo_round_trip(svc, "t1", cp, 1, 12) == [[12, 12]]
         svc.stop()
 
+    def test_restart_within_one_heartbeat_runs_one_watchdog(self):
+        svc = INCService(_fabric(num_switches=1), heartbeat_ns=50_000).start()
+        sim = svc.network.sim
+        sim.run(until_ns=20_000)
+        svc.stop()
+        svc.start()  # the tick queued for 50 us is still in the heap
+        beats = svc.network.metrics.counter("service.heartbeats")
+        sim.run(until_ns=20_000 + 10 * 50_000)
+        assert beats.value == 10  # one per period, not two chains
+        svc.stop()
+
     def test_migration_fails_when_no_residual(self):
         svc = INCService(_fabric(num_switches=1), heartbeat_ns=50_000).start()
         topo, _ = _topo(ECHO % 1)

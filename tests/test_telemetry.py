@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import compile_netcl
 from repro.core.cli import main as ncc_main
-from repro.netsim import DEVICE, HOST, Link, Network, Simulator
+from repro.netsim import DEVICE, HOST, Link, Network
 from repro.runtime import DeviceConnection, KernelSpec, Message, NetCLDevice
 from repro.telemetry import (
     MetricRegistry,
@@ -188,53 +188,6 @@ class TestNccProfileCli:
         assert data["total_seconds"] > 0
         assert any(row["name"] == "hoist" for row in data["passes"])
         assert all(s["duration_ns"] >= 0 for s in data["spans"])
-
-
-class TestSimulatorCompaction:
-    def test_pending_is_live_count(self):
-        sim = Simulator()
-        events = [sim.at(i + 1, lambda: None) for i in range(10)]
-        assert sim.pending == 10
-        for ev in events[:4]:
-            ev.cancel()
-        assert sim.pending == 6
-        events[0].cancel()  # double-cancel must not double-count
-        assert sim.pending == 6
-
-    def test_compaction_shrinks_heap(self):
-        sim = Simulator()
-        events = [sim.at(i + 1, lambda: None) for i in range(200)]
-        for ev in events[: 150]:
-            ev.cancel()
-        assert sim.compactions >= 1
-        # cancelled entries were (at least partially) physically removed
-        assert len(sim._queue) < 200
-        assert sim.pending == 50
-        sim.run()
-        assert sim.events_processed == 50
-
-    def test_cancel_after_fire_keeps_accounting(self):
-        sim = Simulator()
-        ev = sim.at(1, lambda: None)
-        sim.at(2, lambda: None)
-        sim.run(max_events=1)
-        ev.cancel()  # already fired: must not corrupt pending
-        assert sim.pending == 1
-        sim.run()
-        assert sim.pending == 0
-
-    def test_order_preserved_across_compaction(self):
-        sim = Simulator()
-        log = []
-        keep = []
-        for i in range(100):
-            ev = sim.at(i, lambda i=i: log.append(i))
-            if i % 2:
-                keep.append(i)
-            else:
-                ev.cancel()
-        sim.run()
-        assert log == keep
 
 
 class TestLinkSerialization:
