@@ -41,7 +41,6 @@ from repro.ir.instructions import (
     BinOp,
     BinOpKind,
     Br,
-    Call,
     Cast,
     CastKind,
     Constant,
@@ -756,11 +755,6 @@ class RangeAnalysis(DataflowAnalysis):
             if self._collecting:
                 self.result_range[id(inst)] = rng
             return env.set(id(inst), rng)
-
-        if isinstance(inst, Call):
-            if isinstance(inst.type, IntType):
-                return env.set(id(inst), Interval.top(inst.type.width))
-            return env
 
         if isinstance(inst, Br) and self._collecting:
             rng = self._range_of(inst.cond, env)

@@ -21,13 +21,7 @@ import random
 from dataclasses import dataclass
 
 from repro.apps import compile_app, p4_backend
-from repro.collective.protocol import (
-    NUM_SLOTS,
-    SlotCluster,
-    SlotStream,
-    StallError,
-    StreamStats,
-)
+from repro.collective.protocol import NUM_SLOTS, SlotCluster, SlotStream
 from repro.core.driver import CompiledProgram
 from repro.deploy.planner import AbstractTopology
 from repro.netsim import HOST, Link, Network
@@ -37,16 +31,10 @@ SLOT_SIZE = 32
 AGG_MCAST_GROUP = 42
 AGG_DEVICE = 1
 
-#: kept under their historical names for existing callers
-AggStats = StreamStats
-AggStallError = StallError
-
 __all__ = [
     "AGG_DEVICE",
     "AGG_MCAST_GROUP",
     "AggCluster",
-    "AggStallError",
-    "AggStats",
     "AggWorker",
     "NUM_SLOTS",
     "SLOT_SIZE",

@@ -14,7 +14,6 @@ from repro.ir.instructions import (
     BinOp,
     BinOpKind,
     Br,
-    Call,
     Cast,
     CastKind,
     Constant,
@@ -153,9 +152,6 @@ class IRBuilder:
     # -- calls --------------------------------------------------------------------
     def intrinsic(self, callee: str, args: Sequence[Value], type_: IntType, name: str = "") -> Instruction:
         return self._append(Intrinsic(callee, args, type_, name))
-
-    def call(self, callee: str, args: Sequence[Value], type_, name: str = "") -> Instruction:
-        return self._append(Call(callee, args, type_, name))
 
     def phi(self, type_: IntType, name: str = "") -> Phi:
         node = Phi(type_, name)

@@ -29,7 +29,7 @@ Every execution enters through the inherited
 :meth:`IRInterpreter.run_kernel`; the engine overrides only ``_kernel``.
 A device passes its decoded values and packet straight through; a
 :class:`KernelMessage` (tests, translation validation) is viewed as both.
-Whatever cannot be translated (a cycle, ``Phi``, ``Call``, a store to a
+Whatever cannot be translated (a cycle, ``Phi``, a store to a
 header field, malformed access shapes), cannot be bound (register memory
 the state lays out otherwise) or arrives with a message not shaped as
 the code reads it runs on the interpreter, exact in every corner.
@@ -399,7 +399,7 @@ class _Generator:
         elif isinstance(inst, Intrinsic):
             args = "".join(f", {self.op(a).atom}" for a in inst.args)
             self.define(inst, f"INTR({self.const(inst)}{args})", None)
-        else:  # Phi, Call, anything new
+        else:  # Phi, anything new
             raise _Untranslatable(f"{type(inst).__name__} instruction")
 
     def binop(self, inst: BinOp) -> None:
@@ -607,7 +607,7 @@ def generate(fn: Function, max_steps: int = 200_000) -> Optional[KernelCode]:
 class KernelEngine(IRInterpreter):
     """An :class:`IRInterpreter` whose kernels run as generated Python.
 
-    Same constructor, same ``run_kernel`` / ``run_netfn``; ``interpreted``
+    Same constructor, same ``run_kernel``; ``interpreted``
     counts the kernel executions that took the interpreter instead.
     """
 

@@ -680,30 +680,6 @@ class Intrinsic(Instruction):
         return f"%{self.name} = call {self.callee}({args})"
 
 
-class Call(Instruction):
-    """Direct call to a ``_net_`` function; eliminated by the inliner."""
-
-    def __init__(self, callee: str, args: Sequence[Value], type_: IntType | VoidType, name: str = "") -> None:
-        super().__init__(type_, name)
-        self.callee = callee
-        self.args = list(args)
-
-    @property
-    def operands(self) -> tuple[Value, ...]:
-        return tuple(self.args)
-
-    def replace_operand(self, old: Value, new: Value) -> None:
-        self.args = [new if a is old else a for a in self.args]
-
-    @property
-    def has_side_effects(self) -> bool:
-        return True  # conservatively: callee may touch memory
-
-    def __repr__(self) -> str:
-        args = ", ".join(a.short() for a in self.args)
-        return f"%{self.name} = netcall @{self.callee}({args})"
-
-
 class Phi(Instruction):
     """SSA phi node; eliminated before code generation (§VI-B)."""
 
@@ -804,8 +780,9 @@ class Br(Terminator):
 class Ret(Terminator):
     """Kernel exit carrying a forwarding :class:`Action`.
 
-    In ``_net_`` functions, ``action`` may instead be ``None`` with an
-    optional return ``value``; the inliner rewrites these into value flow.
+    A bare ``ret`` (``action`` None) is the implicit ``pass()`` (§V-A).
+    Lowering inlines every ``_net_`` function, so no module keeps a
+    ``ret`` with a ``value``.
     """
 
     def __init__(self, action: Optional[Action] = None, value: Optional[Value] = None) -> None:

@@ -30,7 +30,6 @@ from repro.ir.instructions import (
     BinOp,
     BinOpKind,
     Br,
-    Call,
     Cast,
     CastKind,
     Constant,
@@ -480,21 +479,7 @@ class IRInterpreter:
         outcome = self._exec(fn, env, {}, view)
         if header is not None:
             msg[:] = [view.fields[name] for name in names]
-        # Any path without an explicit action has the implicit pass() (§V-A).
-        return outcome if isinstance(outcome, ActionOutcome) else PLAIN_OUTCOMES[ActionKind.PASS]
-
-    def run_netfn(self, fn: Function, args: Sequence[int]) -> Optional[int]:
-        """Call a net function with by-value scalar arguments (tests only)."""
-        env: dict[int, int] = {}
-        for formal, actual in zip(fn.args, args):
-            if formal.byref or formal.is_array:
-                raise InterpError(
-                    "direct net-function interpretation supports by-value "
-                    "scalars only; compile (inline) first"
-                )
-            env[id(formal)] = actual
-        result = self._exec(fn, env, {}, KernelMessage({}))
-        return result if isinstance(result, int) else None
+        return outcome
 
     # -- execution loop ----------------------------------------------------------
     def _exec(
@@ -503,7 +488,7 @@ class IRInterpreter:
         env: dict[int, int],
         locals_: dict[int, int | list[int]],
         msg: KernelMessage,
-    ):
+    ) -> ActionOutcome:
         block = fn.entry
         prev_block: Optional[BasicBlock] = None
         steps = 0
@@ -531,8 +516,6 @@ class IRInterpreter:
                 result = self._step(fn, inst, env, locals_, msg)
                 if isinstance(result, ActionOutcome):
                     return result
-                if isinstance(result, _ReturnValue):
-                    return result.value
                 if isinstance(result, BasicBlock):
                     next_block = result
                     break
@@ -623,25 +606,17 @@ class IRInterpreter:
                 env[id(inst)] = self._val(inst.default, env)
         elif isinstance(inst, Intrinsic):
             env[id(inst)] = self._intrinsic(inst, env)
-        elif isinstance(inst, Call):
-            callee = self.module.functions.get(inst.callee)
-            if callee is None:
-                raise InterpError(f"call to unknown function {inst.callee}")
-            ret = self.run_netfn(callee, [self._val(a, env) for a in inst.args])
-            if ret is not None:
-                env[id(inst)] = ret
         elif isinstance(inst, Jmp):
             return inst.target
         elif isinstance(inst, Br):
             return inst.then_ if self._val(inst.cond, env) else inst.else_
         elif isinstance(inst, Ret):
-            if inst.action is not None:
-                if inst.action.target is None:
-                    return PLAIN_OUTCOMES[inst.action.kind]
-                return ActionOutcome(inst.action.kind, self._val(inst.action.target, env))
-            if inst.value is not None:
-                return _ReturnValue(self._val(inst.value, env))
-            return _ReturnValue(None)
+            action = inst.action
+            if action is None:  # any exit without an action is the implicit pass() (§V-A)
+                return PLAIN_OUTCOMES[ActionKind.PASS]
+            if action.target is None:
+                return PLAIN_OUTCOMES[action.kind]
+            return ActionOutcome(action.kind, self._val(action.target, env))
         else:  # pragma: no cover - instruction set exhaustive
             raise InterpError(f"unhandled instruction {inst!r}")
         return None
@@ -730,8 +705,3 @@ class IRInterpreter:
                 s = (s & 0xFFFF) + (s >> 16)
             return (~s) & 0xFFFF
         raise InterpError(f"unknown intrinsic {name}")
-
-
-@dataclass
-class _ReturnValue:
-    value: Optional[int]

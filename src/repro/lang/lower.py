@@ -38,6 +38,7 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import Argument, Function, FunctionKind, GlobalVar, Module
 from repro.ir.types import ArrayShape, IntType, U8, U16, U32, int_type
+from repro.syntax import fold
 
 MAX_UNROLL = 4096  # hard cap on loop unrolling (runaway-loop backstop)
 
@@ -417,23 +418,9 @@ class _FunctionLowering:
                 return binding.value.value
             return None
         if isinstance(expr, ast.Unary) and expr.operand is not None:
-            v = self._const_of(expr.operand)
-            if v is None:
-                return None
-            return {"-": -v, "~": ~v, "!": int(v == 0)}.get(expr.op)
+            return fold(expr.op, self._const_of(expr.operand))
         if isinstance(expr, ast.Binary) and expr.left is not None and expr.right is not None:
-            a, b = self._const_of(expr.left), self._const_of(expr.right)
-            if a is None or b is None:
-                return None
-            try:
-                return {
-                    "+": a + b, "-": a - b, "*": a * b,
-                    "/": a // b if b else None, "%": a % b if b else None,
-                    "<<": a << b, ">>": a >> b,
-                    "&": a & b, "|": a | b, "^": a ^ b,
-                }.get(expr.op)
-            except (ValueError, ZeroDivisionError):
-                return None
+            return fold(expr.op, self._const_of(expr.left), self._const_of(expr.right))
         return None
 
     # -- return / actions --------------------------------------------------------------

@@ -21,12 +21,9 @@ Hot-path design (see DESIGN.md "Simulator performance"):
   path formats no strings and makes no calls.
 * Per-hop work schedules bound methods with arguments (no closures), and
   per-link instruments are pre-resolved into :class:`_LinkStats`.
-* Multicast replicas come from a :class:`~repro.runtime.message.PacketPool`
-  slab free-list; replicas that die inside the network layer are recycled.
-* Routing is a per-source next-hop cache with incremental invalidation:
-  removing an edge only discards sources whose shortest-path tree used
-  it, so crash/restart/migration churn does not trigger all-pairs
-  rebuilds (``route_rebuilds`` / ``route_invalidations`` count the work).
+* Routing is a per-source next-hop cache under one rule: **any topology
+  change clears every cached table, and each table is rebuilt lazily by
+  the source that next forwards** (``route_rebuilds`` counts the work).
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from typing import Callable, Optional
 from repro.netsim.graph import Graph
 from repro.netsim.sim import Simulator
 from repro.runtime.device import ForwardDecision, ForwardKind, NetCLDevice
-from repro.runtime.message import KernelSpec, Message, NetCLPacket, NO_DEVICE, PacketPool
+from repro.runtime.message import KernelSpec, Message, NetCLPacket, NO_DEVICE
 from repro.telemetry import MetricRegistry, PacketTracer
 from repro.telemetry.trace import node_name
 
@@ -241,23 +238,14 @@ class Network:
         self.seed = seed
         self.rng = random.Random(seed)
         #: per-source next-hop tables, filled lazily on demand.  An entry
-        #: carries the stats of the link to its next hop: every change to
-        #: a link (re-link, remove, flap, crash) discards the tables that
-        #: route over it, so the pair can never go stale.
+        #: carries the stats of the link to its next hop; every topology
+        #: change clears every table, so the pair can never go stale.
         self._routes: dict[NodeKey, dict[NodeKey, tuple[NodeKey, _LinkStats]]] = {}
-        #: per-source shortest-path-tree edges, for incremental invalidation.
-        self._route_trees: dict[NodeKey, set[frozenset]] = {}
         #: single-source route recomputations performed (perf telemetry).
         self.route_rebuilds = 0
-        #: cached source tables discarded by topology changes.
-        self.route_invalidations = 0
         self.metrics = metrics or MetricRegistry()
         self.tracer = tracer or PacketTracer(enabled=False)
         self._link_stats: dict[frozenset, _LinkStats] = {}
-        #: same stats, keyed by directed (at, nxt) pair, for route rebuilds.
-        self._stats_dir: dict[tuple[NodeKey, NodeKey], _LinkStats] = {}
-        #: slab free-list for multicast replicas (see PacketPool).
-        self.packet_pool = PacketPool()
         #: optional fault-injection layer (repro.chaos) consulted per hop.
         self.fault_injector: Optional[object] = None
         self._down: set[NodeKey] = set()
@@ -324,9 +312,7 @@ class Network:
             in_flight=self.metrics.gauge(f"link.in_flight.{name}"),
         )
         self._link_stats[key] = stats
-        self._stats_dir[(a, b)] = stats
-        self._stats_dir[(b, a)] = stats
-        self._routes_clear()
+        self._routes.clear()
         return link
 
     def add_multicast_group(self, gid: int, members: list[NodeKey]) -> None:
@@ -351,11 +337,9 @@ class Network:
         if key in self._down:
             return
         self._down.add(key)
-        removed = []
         for neighbor in list(self.graph.neighbors(key)):
             self.graph.remove_edge(key, neighbor)
-            removed.append(frozenset((key, neighbor)))
-        self._routes_invalidate_edges(removed)
+        self._routes.clear()
         self.metrics.counter("net.crashes").inc()
 
     def restart_switch(self, device_id: int) -> None:
@@ -372,7 +356,7 @@ class Network:
                 other = b if a == key else a
                 if other not in self._down:
                     self.graph.add_edge(a, b)
-        self._routes_clear()
+        self._routes.clear()
         sw = self.switches.get(device_id)
         if sw is not None:
             sw.device.reset_state()
@@ -388,12 +372,10 @@ class Network:
             raise KeyError(f"no link {a} -- {b}")
         del self.links[key]
         self._link_stats.pop(key, None)
-        self._stats_dir.pop((a, b), None)
-        self._stats_dir.pop((b, a), None)
         self._admin_down.discard(key)
         if self.graph.has_edge(a, b):
             self.graph.remove_edge(a, b)
-        self._routes_invalidate_edges([key])
+        self._routes.clear()
 
     def remove_switch(self, device_id: int) -> None:
         """Decommission a switch node and every link touching it
@@ -404,18 +386,11 @@ class Network:
         for link_key in [k for k in self.links if key in k]:
             del self.links[link_key]
             self._link_stats.pop(link_key, None)
-            a, b = tuple(link_key)
-            self._stats_dir.pop((a, b), None)
-            self._stats_dir.pop((b, a), None)
             self._admin_down.discard(link_key)
-        removed = []
         if self.graph.has_node(key):
-            removed = [frozenset((key, n)) for n in self.graph.neighbors(key)]
             self.graph.remove_node(key)
         self._down.discard(key)
-        self._routes_invalidate_edges(removed)
-        self._routes.pop(key, None)
-        self._route_trees.pop(key, None)
+        self._routes.clear()
 
     def set_link_up(self, a: NodeKey, b: NodeKey, up: bool) -> None:
         """Administratively flap one link; routing reconverges around it."""
@@ -426,51 +401,23 @@ class Network:
             self._admin_down.discard(key)
             if a not in self._down and b not in self._down:
                 self.graph.add_edge(a, b)
-                self._routes_clear()
+                self._routes.clear()
         else:
             self._admin_down.add(key)
             if self.graph.has_edge(a, b):
                 self.graph.remove_edge(a, b)
-                self._routes_invalidate_edges([key])
+                self._routes.clear()
 
     # -- routing -------------------------------------------------------------------
-    def _routes_clear(self) -> None:
-        """Full invalidation: an edge *addition* can shorten any path."""
-        if self._routes:
-            self.route_invalidations += len(self._routes)
-            self._routes.clear()
-            self._route_trees.clear()
-
-    def _routes_invalidate_edges(self, edges) -> None:
-        """Incremental invalidation for edge *removals*: only sources
-        whose shortest-path tree used a removed edge can be affected —
-        every other cached path avoids those edges and no remaining path
-        got shorter, so the cached next hops stay optimal."""
-        if not self._routes or not edges:
-            return
-        stale = [
-            src
-            for src, tree in self._route_trees.items()
-            if any(e in tree for e in edges)
-        ]
-        for src in stale:
-            del self._routes[src]
-            del self._route_trees[src]
-        self.route_invalidations += len(stale)
-
     def _rebuild_source(self, src: NodeKey) -> dict[NodeKey, tuple[NodeKey, _LinkStats]]:
-        """(Re)compute one source's next-hop table and its tree edges."""
+        """(Re)compute one source's next-hop table."""
         table: dict[NodeKey, tuple[NodeKey, _LinkStats]] = {}
-        tree: set[frozenset] = set()
         if src in self.graph:
-            stats_dir = self._stats_dir
+            link_stats = self._link_stats
             for dst, path in self.graph.shortest_paths(src).items():
                 if len(path) > 1:
-                    table[dst] = (path[1], stats_dir[(src, path[1])])
-                    for u, v in zip(path, path[1:]):
-                        tree.add(frozenset((u, v)))
+                    table[dst] = (path[1], link_stats[frozenset((src, path[1]))])
         self._routes[src] = table
-        self._route_trees[src] = tree
         self.route_rebuilds += 1
         return table
 
@@ -504,7 +451,6 @@ class Network:
                     packet, at, "drop", self.sim.now_ns,
                     f"no route toward {node_name(toward)}",
                 )
-            self.packet_pool.release(packet)
             return
         nxt, stats = route
         link = stats.link
@@ -522,7 +468,6 @@ class Network:
                 self.tracer.hop(
                     packet, at, "lost", self.sim.now_ns, f"on link to {node_name(nxt)}"
                 )
-            self.packet_pool.release(packet)
             return
         if self.fault_injector is None:
             # Fast path: one delivery, no fault model consulted; counter
@@ -549,7 +494,6 @@ class Network:
                     packet, at, "lost", self.sim.now_ns,
                     f"chaos on link to {node_name(nxt)}",
                 )
-            self.packet_pool.release(packet)
             return
         for delay_ns, pkt in deliveries:
             stats.tx_packets.inc()
@@ -568,7 +512,6 @@ class Network:
             sw = self.switches.get(node[1])
             if sw is not None:
                 # The common case of _arrive + Switch.deliver, in this frame.
-                self.packet_pool.disown(packet)
                 sw._rx_packets.value += 1
                 occupancy = sw._occupancy
                 occupancy.value = level = occupancy.value + 1
@@ -583,7 +526,6 @@ class Network:
             self._drop_node_down.inc()
             if self.tracer.enabled:
                 self.tracer.hop(packet, node, "drop", self.sim.now_ns, "node down")
-            self.packet_pool.release(packet)
             return
         kind, ident = node
         if kind == "h":
@@ -594,12 +536,9 @@ class Network:
                     self.tracer.hop(
                         packet, node, "drop", self.sim.now_ns, "unknown host"
                     )
-                self.packet_pool.release(packet)
                 return
             # Only deliver to the addressed host; transit through hosts is
-            # not a thing (hosts are leaves).  The packet escapes to the
-            # application, which may retain it: it leaves the pool.
-            self.packet_pool.disown(packet)
+            # not a thing (hosts are leaves).
             host.deliver(packet)
         else:
             members = packet.mcast_members
@@ -608,7 +547,6 @@ class Network:
                 # instead of delivering it to the switch pipeline.
                 packet.mcast_members = None
                 self._fanout(node, packet, members, "transit fan-out")
-                self.packet_pool.release(packet)
                 return
             sw = self.switches.get(ident)
             if sw is None:
@@ -617,9 +555,7 @@ class Network:
                     self.tracer.hop(
                         packet, node, "drop", self.sim.now_ns, "unknown device"
                     )
-                self.packet_pool.release(packet)
                 return
-            self.packet_pool.disown(packet)
             sw.deliver(packet)
 
     # -- forwarding decisions --------------------------------------------------------------
@@ -679,10 +615,9 @@ class Network:
                 direct.append(member)
             else:
                 shared.setdefault(nxt, []).append(member)
-        pool = self.packet_pool
         tracing = self.tracer.enabled
         for member in direct:
-            copy = pool.copy_of(packet)
+            copy = packet.copy()
             if member[0] == "h":
                 copy.dst = member[1]
                 copy.to = NO_DEVICE
@@ -697,7 +632,7 @@ class Network:
             self._route_from(at, member, copy)
         saved = 0
         for nxt, covered in shared.items():
-            copy = pool.copy_of(packet)
+            copy = packet.copy()
             # The transit replica is never kernel-dispatched: _arrive
             # intercepts it by its member annotation.  Address it to no
             # device so a miss degrades to an unknown-host drop.

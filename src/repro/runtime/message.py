@@ -357,7 +357,9 @@ class NetCLPacket:
 
     ``slots=True``: the simulator copies and touches packets on every hop,
     so attribute access and :meth:`copy` are hot; slots shave the per-
-    instance dict and make field access a fixed-offset load.
+    instance dict and make field access a fixed-offset load.  Every copy
+    is a fresh object and none is ever recycled: a host or device may keep
+    any packet it was handed.
     """
 
     src: int
@@ -448,9 +450,11 @@ class NetCLPacket:
         rel = REL_TRAILER_SIZE if self.rel_kind is not None else 0
         return self.extra_bytes + HEADER_SIZE + len(self.data) + rel
 
-    def copy_into(self, out: "NetCLPacket") -> "NetCLPacket":
-        """Overwrite every field of ``out`` with this packet's (the
-        recycling path of :class:`PacketPool`)."""
+    def copy(self) -> "NetCLPacket":
+        # Direct slot assignment: ~3x faster than re-running the dataclass
+        # __init__, and copy() runs once per retransmission / multicast
+        # replica / kernel output.
+        out = NetCLPacket.__new__(NetCLPacket)
         out.src = self.src
         out.dst = self.dst
         out.from_ = self.from_
@@ -466,69 +470,3 @@ class NetCLPacket:
         out.rel_seq = self.rel_seq
         out.rel_crc = self.rel_crc
         return out
-
-    def copy(self) -> "NetCLPacket":
-        # Direct slot assignment: ~3x faster than re-running the dataclass
-        # __init__, and copy() runs once per retransmission / multicast
-        # replica / kernel output.
-        return self.copy_into(NetCLPacket.__new__(NetCLPacket))
-
-
-class PacketPool:
-    """A bounded slab free-list for network-owned :class:`NetCLPacket`
-    copies (multicast fan-out).
-
-    The network layer creates short-lived packet copies when it replicates
-    a multicast decision.  Copies that die *inside* the network layer —
-    lost on a link, dropped for no-route or a downed node — are returned
-    here and recycled by the next fan-out instead of allocating a fresh
-    instance.  Copies that reach a host or a switch pipeline are
-    *disowned* first: the application may retain them indefinitely, so
-    they must never be recycled.
-
-    Ownership is tracked by object identity, so releasing a packet the
-    pool never issued (e.g. an application's own template) is a no-op.
-    """
-
-    __slots__ = ("_free", "_owned", "capacity", "hits", "misses")
-
-    def __init__(self, capacity: int = 512) -> None:
-        self._free: list[NetCLPacket] = []
-        self._owned: set[int] = set()
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-
-    def copy_of(self, packet: NetCLPacket) -> NetCLPacket:
-        """A pool-owned copy of ``packet`` (recycled when possible)."""
-        free = self._free
-        if free:
-            out = packet.copy_into(free.pop())
-            self.hits += 1
-        else:
-            out = packet.copy()
-            self.misses += 1
-        self._owned.add(id(out))
-        return out
-
-    def release(self, packet: NetCLPacket) -> bool:
-        """Return a pool-owned packet to the free list; no-op otherwise."""
-        owned = self._owned
-        if not owned:
-            return False
-        i = id(packet)
-        if i not in owned:
-            return False
-        owned.discard(i)
-        if len(self._free) < self.capacity:
-            self._free.append(packet)
-        return True
-
-    def disown(self, packet: NetCLPacket) -> None:
-        """Transfer ownership out of the pool (packet escapes to an app)."""
-        if self._owned:
-            self._owned.discard(id(packet))
-
-    @property
-    def free(self) -> int:
-        return len(self._free)

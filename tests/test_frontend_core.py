@@ -274,7 +274,7 @@ def test_one_constant_folder_and_one_comment_stripper():
         if rel == CORE:
             continue
         for fn in _functions(tree):
-            if fn.name in ("_eval_const", "_const_eval"):
+            if fn.name in ("_eval_const", "_const_eval", "_const_of"):
                 folders[rel] = fn.name
                 if any(isinstance(n, (ast.BinOp, ast.UnaryOp)) for n in ast.walk(fn)):
                     offenders.append(f"{rel}:{fn.lineno} {fn.name} computes; call fold()")
@@ -283,5 +283,7 @@ def test_one_constant_folder_and_one_comment_stripper():
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and "/\\*" in str(node.value):
                 offenders.append(f"{rel}:{node.lineno} a comment pattern")
-    assert folders == {"lang/parser.py": "_eval_const", "p4/parser.py": "_const_eval"}
+    assert folders == {
+        "lang/lower.py": "_const_of", "lang/parser.py": "_eval_const", "p4/parser.py": "_const_eval"
+    }
     assert not offenders, "use repro.syntax.fold / strip_comments: " + ", ".join(offenders)

@@ -549,11 +549,6 @@ class TestFallbackToTheInterpreter:
         log = differential(module, fn, [{"c": 1, "r": 0}, {"c": 0, "r": 0}], compiled=False)
         assert [log[1][0]["r"], log[3][0]["r"]] == [11, 22]
 
-        module, fn, b = make_kernel([Argument("r", ty, byref=True)])
-        b.call("helper", [], ty)
-        b.ret_action(ActionKind.PASS)
-        assert generate(fn) is None
-
         module, fn, b = make_kernel([Argument("c", ty)])
         loop = fn.new_block("loop")
         b.jmp(loop)

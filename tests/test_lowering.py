@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ir import GlobalState, IRInterpreter, KernelMessage
-from repro.ir.instructions import ActionKind, Call, Intrinsic
+from repro.ir.instructions import ActionKind, Intrinsic
 from repro.lang import analyze, lower_to_ir, parse_source
 from repro.lang.errors import CompileError
 
@@ -62,6 +62,18 @@ class TestLoopUnrolling:
     def test_assignment_to_induction_var_rejected(self):
         with pytest.raises(CompileError, match="unrolled loop variable"):
             lower("_kernel(1) void k() { for (auto i = 0; i < 4; ++i) i = 0; }")
+
+    @pytest.mark.parametrize(
+        "bound", ["4 + -1", "4 - 1", "-(-3)", "~-4", "(1 << 2 >> 1 | 1)", "6 / 2", "7 % 4", "!0 + 2"]
+    )
+    def test_constant_bound_with_any_operand_unrolls(self, bound):
+        # every bound equals 3: a negative operand in one operator must not
+        # stop the others from folding (4 << -1 has no value, 4 + -1 does)
+        _, msg, _ = run(
+            f"_kernel(1) void k(unsigned &s) {{ s = 0; for (auto i = 0; i < {bound}; ++i) s = s + 1; }}",
+            {"s": 0},
+        )
+        assert msg.fields["s"] == 3
 
     def test_no_loop_instructions_remain(self):
         mod = lower(
@@ -134,7 +146,8 @@ class TestNetFunctionInlining:
             "_kernel(1) void k(unsigned a, unsigned &r) { r = f(a); }"
         )
         mod = lower(src)
-        assert not any(isinstance(i, Call) for i in mod.kernels()[0].instructions())
+        # net functions are inlined, never lowered on their own
+        assert list(mod.functions) == ["k"]
 
     def test_callee_scope_isolated_from_caller(self):
         src = (

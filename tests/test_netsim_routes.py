@@ -1,10 +1,12 @@
 """Next-hop tables carry the stats of the link they route over.
 
-A cached ``(next hop, _LinkStats)`` pair may never outlive the link it
-names: after every topology change — with packets in flight on the links
-being changed — each cached entry must equal what a fresh shortest-path
-computation plus ``_stats_dir`` gives, and the next packet must be counted
-on exactly the links its trace says it crossed.
+One rule keeps them fresh: any topology change clears every cached table,
+and the source that next forwards rebuilds its own.  So a cached
+``(next hop, _LinkStats)`` pair never outlives the link it names: after
+every topology change — with packets in flight on the links being
+changed — each cached entry must equal what a fresh shortest-path
+computation plus ``_link_stats`` gives, and the next packet must be
+counted on exactly the links its trace says it crossed.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ def assert_cached_tables_are_fresh(net: Network) -> None:
         }
         assert {dst: nxt for dst, (nxt, _) in table.items()} == fresh
         for nxt, stats in table.values():
-            assert stats is net._stats_dir[(src, nxt)]
             assert stats is net._link_stats[frozenset((src, nxt))]
             assert stats.link is net.links[frozenset((src, nxt))]
 
@@ -130,4 +131,33 @@ def test_relinked_pair_routes_over_the_new_link_object():
     net.sim.run()
     new = net._routes[D1][HOST(3)][1]
     assert new is not old and new.link.latency_ns == 9
-    assert new is net._stats_dir[(D1, net._routes[D1][HOST(3)][0])]
+    assert new is net._link_stats[frozenset((D1, spine))]
+
+
+#: one change of each kind, after whatever setup it needs
+ONE_CHANGE = {
+    "crash_switch": ([], crash(3)),
+    "restart_switch": ([crash(3)], lambda net: net.restart_switch(3)),
+    "set_link_up(False)": ([], link_up(D1, D3, False)),
+    "set_link_up(True)": ([link_up(D1, D3, False)], link_up(D1, D3, True)),
+    "remove_link": ([], lambda net: net.remove_link(D2, D4)),
+    "remove_switch": ([], lambda net: net.remove_switch(4)),
+    "link": ([], lambda net: net.link(D1, D3, Link())),
+}
+
+
+@pytest.mark.parametrize("case", ONE_CHANGE)
+def test_no_cached_table_survives_a_topology_change(case):
+    setup, change = ONE_CHANGE[case]
+    net = two_spine_fabric()
+    for step in setup:
+        step(net)
+    for src, dst in ((1, 3), (3, 1), (2, 4), (4, 2)):
+        send(net, src, dst)
+    net.sim.run()
+    # every host and both ToRs forwarded, so each holds a table
+    assert {HOST(h) for h in (1, 2, 3, 4)} | {D1, D2} <= set(net._routes)
+    rebuilds = net.route_rebuilds
+    change(net)
+    assert net._routes == {}
+    assert net.route_rebuilds == rebuilds  # rebuilt lazily, not here
