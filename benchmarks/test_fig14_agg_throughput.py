@@ -12,6 +12,7 @@ import pytest
 
 from benchmarks.conftest import print_table
 from repro.apps.agg import build_agg_cluster, expected_sum
+from repro.chaos import LinkFaults, apply_faults
 
 TENSOR = 2048  # elements per worker per run
 WORKER_COUNTS = (2, 4, 6)
@@ -71,14 +72,15 @@ def test_fig14_agg_throughput(benchmark, sweep, bench_metrics):
 def test_agg_throughput_survives_loss(bench_metrics):
     """Reliability does not collapse throughput (slots retransmit).
 
-    Loss and recovery accounting comes from the telemetry layer: the
-    network's loss counters say how many packets the links ate, and the
-    device's kernel counters say how much extra work retransmission cost.
+    5% loss on every link, injected through a chaos plan.  Loss and
+    recovery accounting comes from the telemetry layer: the network's loss
+    counters say how many packets the links ate, and the device's kernel
+    counters say how much extra work retransmission cost.
     """
     lossy_cluster = build_agg_cluster(
-        num_workers=2, tensor_elements=512, backend="netcl",
-        window=16, loss_probability=0.05,
+        num_workers=2, tensor_elements=512, backend="netcl", window=16
     )
+    apply_faults(LinkFaults(loss=0.05), lossy_cluster.network)
     lossy_cluster.run(until_ms=3000, require_done=True)
     exp = expected_sum(lossy_cluster)
     for w in lossy_cluster.workers:

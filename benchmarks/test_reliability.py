@@ -45,19 +45,23 @@ def run_one(loss: float, *, seed: int = 7) -> dict:
 
     spec = KernelSpec.from_kernel(cp.kernels()[0])
     state = {"sent": 0, "done": 0, "last_done_ns": 0}
+
+    def pump() -> None:
+        while state["sent"] < REQUESTS and ch.outstanding < WINDOW:
+            state["sent"] += 1
+            ch.request([state["sent"], 0], dst=1)
+
+    def on_reply(_packet, now_ns: int) -> None:
+        # the channel hands each reply over once, after completing its seq
+        state["done"] += 1
+        state["last_done_ns"] = now_ns
+        pump()
+
+    host.on_receive = on_reply  # installed first: the channel wraps it
     ch = ReliableChannel(
         net, host, spec, target_device=1,
         policy=BackoffPolicy(base_timeout_ns=100_000, max_retries=20),
     )
-
-    def pump(_seq: int = 0) -> None:
-        if _seq != 0:
-            state["done"] += 1
-            state["last_done_ns"] = net.sim.now_ns
-        while state["sent"] < REQUESTS and ch.outstanding < WINDOW:
-            state["sent"] += 1
-            ch.request([state["sent"], 0], dst=1, on_complete=pump)
-
     pump()
     net.sim.run(until_ns=2_000_000_000)
     m = net.metrics

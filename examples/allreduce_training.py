@@ -16,6 +16,7 @@ Run:  python examples/allreduce_training.py
 import math
 import random
 
+from repro.chaos import LinkFaults, apply_faults
 from repro.collective import build_collective_cluster, compile_role, leaf_device
 from repro.collective.tree import ROOT_DEVICE
 
@@ -34,8 +35,10 @@ def fake_gradients(step: int, elements: int) -> list[list[float]]:
 
 def run_step(step: int, elements: int, loss: float) -> None:
     cluster = build_collective_cluster(
-        RACKS, WORKERS_PER_RACK, window=32, loss=loss, seed=100 + step
+        RACKS, WORKERS_PER_RACK, window=32, seed=100 + step
     )
+    if loss:
+        apply_faults(LinkFaults(loss=loss), cluster.network)
     grads = fake_gradients(step, elements)
     job = cluster.submit("allreduce", grads)
     cluster.run(until_ms=2000, require_done=True)

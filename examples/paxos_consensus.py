@@ -11,6 +11,7 @@ Run:  python examples/paxos_consensus.py
 """
 
 from repro.apps.paxos import ACCEPTOR_DEVS, build_paxos_cluster
+from repro.chaos import LinkFaults, apply_faults
 from repro.netsim import DEVICE
 
 
@@ -34,8 +35,9 @@ def main() -> None:
     assert len(cluster.app.deliveries) == len(commands)
 
     # Fail one acceptor entirely: 2-of-3 is still a majority.
-    link = cluster.network.links[frozenset((DEVICE(1), DEVICE(ACCEPTOR_DEVS[0])))]
-    link.loss_probability = 1.0
+    apply_faults(
+        LinkFaults(loss=1.0), cluster.network, (DEVICE(1), DEVICE(ACCEPTOR_DEVS[0]))
+    )
     before = len(cluster.app.deliveries)
     cluster.client.propose([ord("!")] * 8)
     cluster.network.sim.run()

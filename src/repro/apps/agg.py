@@ -122,7 +122,6 @@ def build_agg_cluster(
     target: str = "tna",
     backend: str = "netcl",
     window: int = 16,
-    loss_probability: float = 0.0,
     link_latency_ns: int = 1000,
     bandwidth_gbps: float = 100.0,
     seed: int = 7,
@@ -143,7 +142,7 @@ def build_agg_cluster(
     )
     deployment = agg_topology(list(range(1, num_workers + 1)), program).realise(
         seed=seed,
-        link=Link(link_latency_ns, bandwidth_gbps, loss_probability=loss_probability),
+        link=Link(link_latency_ns, bandwidth_gbps),
         device=device,
     )
     net = deployment.network

@@ -13,7 +13,7 @@ a mid-run primary-switch crash with failover (see :mod:`repro.reliability`).
 """
 
 from repro.chaos.plan import ChaosEvent, ChaosPlan, LinkFaults, link_name, parse_node
-from repro.chaos.inject import ChaosController, apply_faults
+from repro.chaos.inject import ChaosConflictError, ChaosController, apply_faults
 from repro.chaos.scenarios import (
     ChaosRunResult,
     compile_app_at,
@@ -23,6 +23,7 @@ from repro.chaos.scenarios import (
 )
 
 __all__ = [
+    "ChaosConflictError",
     "ChaosController",
     "ChaosEvent",
     "ChaosPlan",

@@ -21,8 +21,17 @@ from repro.runtime.message import NetCLPacket
 from repro.chaos.plan import ChaosEvent, ChaosPlan, LinkFaults, link_name, parse_node
 
 
+class ChaosConflictError(RuntimeError):
+    """A controller was armed on a network another controller drives."""
+
+
 class ChaosController:
-    """Drives one ChaosPlan against one Network."""
+    """Drives one ChaosPlan against one Network.
+
+    A network has one fault hook, so at most one controller is armed on
+    it at a time: arming a second raises :class:`ChaosConflictError`
+    instead of silently replacing the first (combine faults in one plan).
+    """
 
     def __init__(
         self, network: Network, plan: ChaosPlan, *, rng: Optional[random.Random] = None
@@ -43,6 +52,11 @@ class ChaosController:
         """Install the fault hook and schedule all plan events."""
         if self._armed:
             return self
+        if self.network.fault_injector is not None:
+            raise ChaosConflictError(
+                "another ChaosController is already armed on this network; "
+                "disarm it first or put both fault models in one ChaosPlan"
+            )
         self._armed = True
         self.network.fault_injector = self
         now = self.network.sim.now_ns
@@ -111,8 +125,9 @@ class ChaosController:
 
 
 def apply_faults(faults: LinkFaults, network: Network, *links) -> ChaosController:
-    """Convenience: one fault model on specific links (or all, if none
-    given), armed immediately with the network's derived chaos RNG."""
+    """One fault model on specific links (or all, if none given), armed
+    immediately with the network's derived chaos RNG -- how a lossy link
+    is described (``apply_faults(LinkFaults(loss=p), net, (a, b))``)."""
     plan = ChaosPlan(seed=network.seed, default_link=None if links else faults)
     for a, b in links:
         plan.links[link_name(a, b)] = faults

@@ -36,12 +36,7 @@ from repro.chaos.plan import ChaosPlan
 from repro.collective.protocol import resync_streams
 from repro.core import compile_netcl
 from repro.netsim import Link
-from repro.reliability import (
-    BackoffPolicy,
-    FailoverManager,
-    ReliableChannel,
-    reliable_device,
-)
+from repro.reliability import BackoffPolicy, ReliableChannel, reliable_device
 from repro.runtime import KernelSpec
 from repro.scenario import ScenarioResult, acceptance_plan, digest
 
@@ -240,15 +235,8 @@ def run_cache_chaos(
         net.enable_tracing()
 
     work = CacheAcceptance(deployment)
-    failover = FailoverManager(
-        net,
-        CACHE_DEVICE,
-        standby_id,
-        heartbeat_ns=heartbeat_ns,
-        # journaling: the device has a spare
-        replicated=deployment.control(CACHE_DEVICE),
-        channels=[work.client.channel, work.server.channel],
-    ).start()
+    # promotion replays the cache lines the controller journaled
+    (failover,) = deployment.failover(heartbeat_ns=heartbeat_ns)
 
     ChaosController(net, plan).arm()
     work.start()
@@ -335,11 +323,12 @@ def run_agg_chaos(
     # (a late out-of-order contribution from an advanced worker corrupts
     # the version-alternating bitmap), so the device drops stale packets
     # and lets the worker's fresh-sequence retransmission recover them.
-    net = agg_topology(
+    deployment = agg_topology(
         list(range(1, num_workers + 1)),
         primary,
         spare=(standby_id, compile_app_at("agg", standby_id, defines=defines)),
-    ).realise(seed=seed, device=reliable_device(ordered=True)).network
+    ).realise(seed=seed, device=reliable_device(ordered=True))
+    net = deployment.network
     if trace:
         net.enable_tracing()
 
@@ -354,17 +343,14 @@ def run_agg_chaos(
         worker.channel = ReliableChannel(
             net, worker.host, spec, target_device=AGG_DEVICE
         )
+        deployment.register_channel(AGG_DEVICE, worker.channel)
         workers.append(worker)
 
-    failover = FailoverManager(
-        net,
-        AGG_DEVICE,
-        standby_id,
+    (failover,) = deployment.failover(
         heartbeat_ns=heartbeat_ns,
-        channels=[w.channel for w in workers],
         # the primary took the in-flight aggregates with it
         on_failover=lambda mgr: resync_streams(workers),
-    ).start()
+    )
 
     ChaosController(net, plan).arm()
 

@@ -24,12 +24,7 @@ from repro.chaos.plan import ChaosPlan
 from repro.collective.baseline import run_host_ring
 from repro.collective.job import contribution, shard_range
 from repro.collective.protocol import resync_streams
-from repro.collective.tree import (
-    build_collective_cluster,
-    leaf_device,
-    standby_device,
-)
-from repro.reliability import FailoverManager
+from repro.collective.tree import build_collective_cluster, leaf_device
 from repro.scenario import ScenarioResult, acceptance_plan, digest
 
 
@@ -91,9 +86,9 @@ def run_collective_chaos(
 ) -> CollectiveRunResult:
     """One collective surviving the acceptance fault plan.
 
-    Every rack gets a standby ToR and a
-    :class:`~repro.reliability.FailoverManager`; on a ToR crash the
-    manager retargets the rack's channels and the resync hook restarts
+    Every rack gets a standby ToR, and the deployment's failover a
+    :class:`~repro.reliability.FailoverManager` per rack; on a ToR crash
+    the manager retargets the rack's channels and the resync hook restarts
     both slot streams (exponent + reduce) of every rack worker at the
     earliest round any of them still has in flight per slot — the slot
     protocol then rebuilds the lost rack partials on the standby.
@@ -129,28 +124,20 @@ def run_collective_chaos(
         ]
     job = cluster.submit(op, tensors)
 
-    managers: list[FailoverManager] = []
-    for rack in range(num_racks):
-        rack_workers = [w for w in cluster.workers if w.rack == rack]
+    def resync(mgr) -> None:
+        # The crashed ToR took its rack partials with it: both streams
+        # of the rack restart on the standby.
+        rack_workers = [
+            w for w in cluster.workers if leaf_device(w.rack) == mgr.primary_id
+        ]
+        resync_streams(w.exp for w in rack_workers)
+        resync_streams(w.reduce for w in rack_workers)
+        for w in rack_workers:
+            w.set_device(mgr.standby_id)
 
-        def resync(mgr: FailoverManager, rack_workers=rack_workers) -> None:
-            # The crashed ToR took its rack partials with it: both
-            # streams of the rack restart on the standby.
-            resync_streams(w.exp for w in rack_workers)
-            resync_streams(w.reduce for w in rack_workers)
-            for w in rack_workers:
-                w.set_device(mgr.standby_id)
-
-        managers.append(
-            FailoverManager(
-                net,
-                leaf_device(rack),
-                standby_device(rack),
-                heartbeat_ns=heartbeat_ns,
-                channels=[w.channel for w in rack_workers],
-                on_failover=resync,
-            ).start()
-        )
+    managers = cluster.deployment.failover(
+        heartbeat_ns=heartbeat_ns, on_failover=resync
+    )
 
     ChaosController(net, plan).arm()
     cluster.run(until_ms=horizon_ms)

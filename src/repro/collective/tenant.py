@@ -19,7 +19,7 @@ from typing import Optional
 
 from repro.collective.protocol import resync_streams
 from repro.collective.tree import CollectiveCluster, collective_topology, wire_workers
-from repro.service import INCService, Tenant, TenantQoS
+from repro.service import INCService, TenantQoS
 
 #: abstract device ids the collective program is written against.
 ABSTRACT_ROOT = 1
@@ -36,11 +36,11 @@ class CollectiveTenant(CollectiveCluster):
     ``root`` and ``leaves`` are the tenant's slices of a shared fabric
     (``compiled`` is keyed by abstract device id, there are no standbys),
     so the between-job wipe touches this tenant's slices only.  Job
-    lifecycle, stall diagnostics and traffic accounting are the cluster's."""
+    lifecycle, stall diagnostics and traffic accounting are the cluster's;
+    its ``deployment`` is the service's admission record (a
+    :class:`~repro.service.Tenant`)."""
 
     tenant_id: str
-    #: the admission record; ``tenant.service`` is the service it runs on
-    tenant: Tenant
 
     #: :meth:`CollectiveCluster.submit` under its tenant-side name
     submit_job = CollectiveCluster.submit
@@ -94,7 +94,6 @@ def submit_collective_tenant(
         stagger_ns=stagger_ns,
         reliable=True,
         tenant_id=tenant_id,
-        tenant=tenant,
     )
     tenant.on_migrate = lambda service, tenant: ct.resync()
     return ct

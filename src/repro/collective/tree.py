@@ -92,6 +92,8 @@ class CollectiveCluster(SlotCluster):
 
     what = "rank"
 
+    #: what the cluster was wired on (a DeploymentPlan, or a service Tenant)
+    deployment: object
     network: Network
     root: NetCLDevice
     leaves: list[NetCLDevice]
@@ -279,6 +281,7 @@ def wire_workers(
             deployment.register_channel(leaf, worker.channel)
         workers.append(worker)
     return cls(
+        deployment=deployment,
         network=net,
         root=deployment.devices[topo.roles["root"][0]],
         leaves=[deployment.devices[d] for d in leaves],
@@ -301,7 +304,6 @@ def build_collective_cluster(
     exp_group: int = 4,
     timeout_ns: int = 400_000,
     stagger_ns: int = 25_000,
-    loss: float = 0.0,
     link_latency_ns: int = 1000,
     bandwidth_gbps: float = 100.0,
     seed: int = 7,
@@ -325,7 +327,7 @@ def build_collective_cluster(
         target=target,
     ).realise(
         seed=seed,
-        link=Link(link_latency_ns, bandwidth_gbps, loss_probability=loss),
+        link=Link(link_latency_ns, bandwidth_gbps),
         # ordered=True: the slot protocol assumes per-worker FIFO
         # delivery (see run_agg_chaos).
         device=reliable_device(ordered=True) if reliable else None,

@@ -18,7 +18,7 @@ from repro.netsim import (
     NodeKey,
     pipeline_latency_ns,
 )
-from repro.reliability.failover import ReplicatedConnection
+from repro.reliability.failover import FailoverManager, ReplicatedConnection
 from repro.runtime.control import DeviceConnection
 from repro.runtime.device import NetCLDevice
 
@@ -363,7 +363,10 @@ class DeploymentPlan:
     the live network.  ``network`` / :meth:`address` / :meth:`control` /
     :meth:`register_channel` are the surface applications are wired
     against; a service :class:`~repro.service.Tenant` offers the same
-    four, so standalone and tenant share one wiring."""
+    four, so standalone and tenant share one wiring.  What an application
+    handed out through the last two is what recovery restores:
+    :meth:`failover` for a standalone deployment, the service's migration
+    for a tenant."""
 
     topology: AbstractTopology
     assignment: dict[int, int]
@@ -392,6 +395,31 @@ class DeploymentPlan:
 
     def register_channel(self, device: int, channel) -> None:
         self.channels.append((device, channel))
+
+    def failover(
+        self,
+        *,
+        heartbeat_ns: int = 100_000,
+        on_failover: Optional[Callable[[FailoverManager], None]] = None,
+    ) -> list[FailoverManager]:
+        """Start standalone failover: one started :class:`FailoverManager`
+        per ``topology.spares`` pair, in declaration order.  Promotion
+        replays the journal :meth:`control` handed out for the primary
+        (none if it never did) and retargets the channels registered
+        under the primary, in registration order; ``on_failover(mgr)`` is
+        the application's resync hook."""
+        return [
+            FailoverManager(
+                self.network,
+                primary,
+                standby,
+                heartbeat_ns=heartbeat_ns,
+                replicated=self.connections.get(primary),
+                channels=[ch for dev, ch in self.channels if dev == primary],
+                on_failover=on_failover,
+            ).start()
+            for primary, standby in self.topology.spares.items()
+        ]
 
 
 class DeploymentPlanner:

@@ -726,9 +726,6 @@ class Terminator(Instruction):
     def successors(self) -> tuple["BasicBlock", ...]:
         return ()
 
-    def replace_successor(self, old: "BasicBlock", new: "BasicBlock") -> None:
-        pass
-
 
 class Jmp(Terminator):
     def __init__(self, target: "BasicBlock") -> None:
@@ -737,10 +734,6 @@ class Jmp(Terminator):
 
     def successors(self) -> tuple["BasicBlock", ...]:
         return (self.target,)
-
-    def replace_successor(self, old: "BasicBlock", new: "BasicBlock") -> None:
-        if self.target is old:
-            self.target = new
 
     def replace_operand(self, old: Value, new: Value) -> None:
         pass
@@ -766,12 +759,6 @@ class Br(Terminator):
 
     def successors(self) -> tuple["BasicBlock", ...]:
         return (self.then_, self.else_)
-
-    def replace_successor(self, old: "BasicBlock", new: "BasicBlock") -> None:
-        if self.then_ is old:
-            self.then_ = new
-        if self.else_ is old:
-            self.else_ = new
 
     def __repr__(self) -> str:
         return f"br {self.cond.short()}, {self.then_.name}, {self.else_.name}"

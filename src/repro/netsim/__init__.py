@@ -2,11 +2,13 @@
 
 The paper's end-to-end experiments (Fig. 14) run on six 100G servers and a
 Tofino switch; this package provides the equivalent simulated fabric:
-hosts and NetCL switches connected by links with latency, bandwidth, and
-optional loss injection, a global event queue with nanosecond resolution,
-and shortest-path routing between nodes (the base P4 program's forwarding
+hosts and NetCL switches connected by links with latency and bandwidth,
+a global event queue with nanosecond resolution, and shortest-path
+routing between nodes (the base P4 program's forwarding
 behavior, under the paper's assumption that the abstract topology *is* the
-real topology, §VI-C).
+real topology, §VI-C).  Faults -- loss included -- are injected only
+through :mod:`repro.chaos`, whose controller is the network's one
+per-hop fault hook.
 """
 
 from repro.netsim.graph import Graph

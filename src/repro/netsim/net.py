@@ -54,11 +54,14 @@ def DEVICE(i: int) -> NodeKey:
     return ("d", i)
 
 
-@dataclass
+@dataclass(slots=True)
 class Link:
+    """One link's physical parameters.  Faults (loss, duplication, ...)
+    are not a property of the link: they come only from a
+    :class:`repro.chaos.ChaosPlan` (``apply_faults``)."""
+
     latency_ns: int = 1000
     bandwidth_gbps: float = 100.0
-    loss_probability: float = 0.0
 
     def serialization_ns(self, size_bytes: int) -> int:
         # Gbps == bits/ns.  Round *up*: flooring lets small packets on fast
@@ -236,7 +239,6 @@ class Network:
         self.links: dict[frozenset, Link] = {}
         self.multicast_groups: dict[int, list[NodeKey]] = {}
         self.seed = seed
-        self.rng = random.Random(seed)
         #: per-source next-hop tables, filled lazily on demand.  An entry
         #: carries the stats of the link to its next hop; every topology
         #: change clears every table, so the pair can never go stale.
@@ -280,7 +282,7 @@ class Network:
 
     @property
     def packets_lost(self) -> int:
-        """Packets lost to link loss injection."""
+        """Packets lost to injected link faults (:mod:`repro.chaos`)."""
         return int(self._lost_total.value)
 
     # -- topology ------------------------------------------------------------------
@@ -461,14 +463,6 @@ class Network:
             delay = link.latency_ns + link.serialization_ns(size)
             stats.cost_size = size
             stats.cost_ns = delay
-        if link.loss_probability > 0 and self.rng.random() < link.loss_probability:
-            self._lost_total.inc()
-            stats.lost.inc()
-            if tracing:
-                self.tracer.hop(
-                    packet, at, "lost", self.sim.now_ns, f"on link to {node_name(nxt)}"
-                )
-            return
         if self.fault_injector is None:
             # Fast path: one delivery, no fault model consulted; counter
             # increments are inlined (see metrics.py's hot-path note).

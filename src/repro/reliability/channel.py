@@ -10,11 +10,11 @@ suppression, and a reply cache for request/response protocols:
   the same sequence number arrives (or retries are exhausted); with
   ``retransmit=False`` the message is tracked for ACK/latency telemetry
   only and the application drives its own recovery (AGG's slot protocol).
-* :meth:`send_reply` — answer an incoming reliable request, echoing its
-  sequence number so the requester's channel completes the exchange, and
-  caching the reply so a duplicated/retransmitted request is answered by
-  replaying it instead of re-running the (possibly non-idempotent)
-  application handler.
+* :meth:`send_reply` — answer an incoming reliable request with one
+  packet, echoing its sequence number so the requester's channel
+  completes the exchange, and caching the reply so a duplicated/
+  retransmitted request is answered by replaying it instead of re-running
+  the (possibly non-idempotent) application handler.
 * :meth:`retarget` — point all future transmissions (and immediately
   re-send everything outstanding) at a different device: the sender half
   of control-plane failover.
@@ -27,8 +27,8 @@ consumed, everything else is passed through exactly once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.netsim.net import Host, Network
 from repro.runtime.message import (
@@ -39,14 +39,10 @@ from repro.runtime.message import (
     REL_ACK,
     REL_DATA,
     REL_FLAG_ACK_REQ,
-    REL_FLAG_MORE,
     REL_FLAG_REPLY,
 )
 from repro.reliability.dedup import DedupWindow, ReplayCache
-from repro.runtime.constants import (
-    DEFAULT_DEDUP_WINDOW,
-    DEFAULT_REPLY_CACHE_CAPACITY,
-)
+from repro.runtime.constants import DEFAULT_REPLY_CACHE_CAPACITY
 
 
 @dataclass(frozen=True)
@@ -69,14 +65,11 @@ class _Pending:
     sent_ns: int
     retransmit: bool
     attempts: int = 0
-    acked: bool = False
     #: when the current timeout actually expires; the timer event may
     #: wake earlier (see ReliableChannel._arm) and re-sleeps until this.
     deadline_ns: int = 0
     #: whether a timer event for this send sits in the simulator.
     armed: bool = False
-    on_complete: Optional[Callable[[int], None]] = field(default=None, repr=False)
-    on_fail: Optional[Callable[[int], None]] = field(default=None, repr=False)
 
 
 class ReliableChannel:
@@ -92,8 +85,6 @@ class ReliableChannel:
         comp: int = 1,
         policy: Optional[BackoffPolicy] = None,
         ack: bool = True,
-        dedup_window: int = DEFAULT_DEDUP_WINDOW,
-        reply_capacity: int = DEFAULT_REPLY_CACHE_CAPACITY,
     ) -> None:
         self.network = network
         self.host = host
@@ -106,12 +97,9 @@ class ReliableChannel:
         self._seq = itertools.count(1)
         self._app_receive = host.on_receive
         host.on_receive = self._handle
-        self._recv_window = DedupWindow(dedup_window)
-        #: (sender, seq) -> ordered reply fragments for that request.
-        self._replies: ReplayCache[list[NetCLPacket]] = ReplayCache(reply_capacity)
-        #: (sender, seq) -> whether the logical reply there is terminal
-        #: (its last fragment carried no MORE flag).
-        self._reply_closed: dict[tuple[int, int], bool] = {}
+        self._recv_window = DedupWindow()
+        #: (sender, seq) -> the reply sent for that request.
+        self._replies: ReplayCache[NetCLPacket] = ReplayCache(DEFAULT_REPLY_CACHE_CAPACITY)
         m = network.metrics
         tag = f"h{host.host_id}"
         self._sent = m.counter(f"reliability.ch.sent.{tag}")
@@ -131,8 +119,6 @@ class ReliableChannel:
         *,
         dst: int,
         retransmit: bool = True,
-        on_complete: Optional[Callable[[int], None]] = None,
-        on_fail: Optional[Callable[[int], None]] = None,
         spec: Optional[KernelSpec] = None,
         comp: Optional[int] = None,
     ) -> int:
@@ -155,14 +141,7 @@ class ReliableChannel:
         )
         flags = REL_FLAG_ACK_REQ if self.ack else 0
         template.stamp_reliability(REL_DATA, seq, flags)
-        self.pending[seq] = _Pending(
-            seq,
-            template,
-            self.network.sim.now_ns,
-            retransmit,
-            on_complete=on_complete,
-            on_fail=on_fail,
-        )
+        self.pending[seq] = _Pending(seq, template, self.network.sim.now_ns, retransmit)
         self._transmit(seq)
         return seq
 
@@ -199,8 +178,6 @@ class ReliableChannel:
             self.pending.pop(p.seq, None)
             if p.retransmit:
                 self._expired.inc()
-                if p.on_fail is not None:
-                    p.on_fail(p.seq)
             return
         self._retransmits.inc()
         self._transmit(p.seq)
@@ -212,18 +189,9 @@ class ReliableChannel:
         *,
         comp: Optional[int] = None,
         spec: Optional[KernelSpec] = None,
-        more: bool = False,
     ) -> None:
-        """Answer a reliable request, echoing its sequence number.
-
-        A reply larger than one packet is sent as several calls with
-        ``more=True`` on all but the last.  Every fragment echoes the
-        request's sequence number; the requester dedups the exchange on
-        the *terminal* fragment only, so the application payload must
-        make fragments self-identifying (an offset/index field) and
-        reassembly idempotent.  All fragments are cached together: a
-        duplicated request replays the whole logical reply.
-        """
+        """Answer a reliable request with one packet, echoing its sequence
+        number; the reply is cached, so a duplicated request replays it."""
         msg = Message(
             src=self.host.host_id,
             dst=request.src,
@@ -233,37 +201,17 @@ class ReliableChannel:
         reply = NetCLPacket.from_message(
             msg, self.spec if spec is None else spec, values
         )
-        flags = REL_FLAG_REPLY | (REL_FLAG_MORE if more else 0)
-        reply.stamp_reliability(REL_DATA, request.rel_seq, flags)
-        key = (request.src, request.rel_seq)
-        fragments = self._replies.get(*key)
-        if fragments is None or self._reply_closed.get(key, True):
-            # First fragment of a fresh logical reply (or the previous
-            # logical reply for this seq was complete): start over.
-            fragments = []
-            self._replies.put(request.src, request.rel_seq, fragments)
-        fragments.append(reply)
-        self._reply_closed[key] = not more
-        if len(self._reply_closed) > 4 * self._replies.capacity:
-            self._reply_closed = {
-                k: v for k, v in self._reply_closed.items()
-                if self._replies.get(*k) is not None
-            }
+        reply.stamp_reliability(REL_DATA, request.rel_seq, REL_FLAG_REPLY)
+        self._replies.put(request.src, request.rel_seq, reply)
         self.host.send_packet(reply.copy())
 
     # -- completion / failover -----------------------------------------------------
-    def complete(self, seq: int) -> None:
-        """Application-level completion: stop retransmitting ``seq``."""
-        self._complete(seq)
-
     def _complete(self, seq: int) -> None:
         p = self.pending.pop(seq, None)
         if p is None:
             return
         self._completed.inc()
         self._rtt.observe(self.network.sim.now_ns - p.sent_ns)
-        if p.on_complete is not None:
-            p.on_complete(seq)
 
     def retarget(self, device_id: int) -> None:
         """Point at a different device (failover).
@@ -299,7 +247,6 @@ class ReliableChannel:
         if kind == REL_ACK:
             p = self.pending.get(packet.rel_seq)
             if p is not None:
-                p.acked = True
                 self._acks.inc()
                 if not p.retransmit:
                     self._complete(packet.rel_seq)
@@ -313,29 +260,17 @@ class ReliableChannel:
         # before its multicast result arrives; the result must still be
         # delivered exactly once).
         is_reply = bool(packet.rel_flags & REL_FLAG_REPLY) or packet.src == self.host.host_id
-        if is_reply and packet.rel_flags & REL_FLAG_MORE:
-            # Mid-reply fragment: the exchange is deduped on the terminal
-            # fragment, so deliver unless the whole reply was already
-            # accepted (a replayed logical reply we finished earlier).
-            # Reassembly is idempotent by construction (see send_reply).
-            if self._recv_window.seen(packet.src, seq):
-                self._dup_rx.inc()
-                return
-            self._deliver(packet, now_ns)
-            return
         if is_reply and seq in self.pending:
             self._complete(seq)
         if not self._recv_window.check_and_add(packet.src, seq):
             self._dup_rx.inc()
             if not is_reply:
                 # A duplicated/retransmitted request we already answered:
-                # replay the cached reply (every fragment) instead of
-                # re-running the app.
+                # replay the cached reply instead of re-running the app.
                 cached = self._replies.get(packet.src, seq)
                 if cached is not None:
                     self._reply_replays.inc()
-                    for fragment in cached:
-                        self.host.send_packet(fragment.copy())
+                    self.host.send_packet(cached.copy())
             return
         self._deliver(packet, now_ns)
 

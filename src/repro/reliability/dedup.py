@@ -80,25 +80,8 @@ class DedupWindow:
         self._state[sender] = (high, bits | (1 << offset))
         return True
 
-    def seen(self, sender: int, seq: int) -> bool:
-        """Whether ``seq`` would be rejected, without recording it."""
-        entry = self._state.get(sender)
-        if entry is None:
-            return False
-        high, bits = entry
-        if seq > high:
-            return False
-        offset = high - seq
-        if self.ordered:
-            return True  # FIFO mode: everything at or below high is rejected
-        return offset >= self.window or bool((bits >> offset) & 1)
-
     def reset(self) -> None:
         self._state.clear()
-
-    @property
-    def tracked_senders(self) -> int:
-        return len(self._state)
 
 
 class ReplayCache(Generic[T]):

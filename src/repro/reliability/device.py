@@ -34,28 +34,15 @@ from repro.runtime.message import (
     REL_FLAG_ACK_REQ,
 )
 from repro.reliability.dedup import DedupWindow, ReplayCache
-from repro.runtime.constants import (
-    DEFAULT_DEDUP_WINDOW,
-    DEFAULT_REPLAY_CACHE_CAPACITY,
-)
 
 
 class ReliableNetCLDevice(NetCLDevice):
     """A NetCL device with dedup, replay, integrity checks, and ACKs."""
 
-    def __init__(
-        self,
-        *args,
-        dedup_window: int = DEFAULT_DEDUP_WINDOW,
-        replay_capacity: int = DEFAULT_REPLAY_CACHE_CAPACITY,
-        ack: bool = True,
-        ordered: bool = False,
-        **kwargs,
-    ) -> None:
+    def __init__(self, *args, ordered: bool = False, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.ack = ack
-        self.dedup = DedupWindow(dedup_window, ordered=ordered)
-        self.replay: ReplayCache[ForwardDecision] = ReplayCache(replay_capacity)
+        self.dedup = DedupWindow(ordered=ordered)
+        self.replay: ReplayCache[ForwardDecision] = ReplayCache()
         self._control: list[ForwardDecision] = []
         self._accepted = self.metrics.counter("reliability.accepted")
         self._dup_drops = self.metrics.counter("reliability.dup_drops")
@@ -85,7 +72,7 @@ class ReliableNetCLDevice(NetCLDevice):
         if not packet.reliability_intact:
             self._corrupt_drops.inc()
             return ForwardDecision(ForwardKind.DROP)
-        if packet.rel_flags & REL_FLAG_ACK_REQ and self.ack:
+        if packet.rel_flags & REL_FLAG_ACK_REQ:
             self._control.append(self._make_ack(packet))
             self._acks_sent.inc()
         stale_before = self.dedup.stale_rejected

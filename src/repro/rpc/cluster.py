@@ -145,6 +145,8 @@ class TokenRefiller:
 class RpcCluster:
     """A compiled, wired RPC fabric ready to serve calls."""
 
+    #: what the cluster was wired on (a DeploymentPlan, or a service Tenant)
+    deployment: object
     network: Network
     schema: RpcSchema
     edge: ReliableNetCLDevice
@@ -363,6 +365,7 @@ def wire_rpc_apps(
         deployment.register_channel(edge_id, client.channel)
         clients.append(client)
     return cls(
+        deployment=deployment,
         network=net,
         schema=schema,
         edge=deployment.devices[edge_id],
@@ -396,7 +399,6 @@ def build_rpc_cluster(
     gather_rounds: int = 64,
     timeout_ns: int = DEFAULT_SLOT_TIMEOUT_NS,
     refill_interval_ns: int = 50_000,
-    loss: float = 0.0,
     link_latency_ns: int = 1000,
     bandwidth_gbps: float = 100.0,
     seed: int = 7,
@@ -420,7 +422,7 @@ def build_rpc_cluster(
         target=target,
     ).realise(
         seed=seed,
-        link=Link(link_latency_ns, bandwidth_gbps, loss_probability=loss),
+        link=Link(link_latency_ns, bandwidth_gbps),
         # No ordered mode anywhere, spine included: every partial is
         # guarded by the slot's (version, agg index) compare and the
         # client checks ver+tag on results, so a late packet is harmless

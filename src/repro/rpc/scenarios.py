@@ -34,13 +34,8 @@ from typing import Optional
 
 from repro.chaos.inject import ChaosController
 from repro.chaos.plan import ChaosPlan
-from repro.reliability import FailoverManager
 from repro.rpc.baseline import run_host_fanout
-from repro.rpc.cluster import (
-    build_rpc_cluster,
-    standby_device,
-    tor_device,
-)
+from repro.rpc.cluster import build_rpc_cluster, tor_device
 from repro.rpc.idl import SG_WORDS, RpcMethod, RpcSchema, u32, vec
 from repro.rpc.policies import POLICY_CODES, merge_words
 from repro.scenario import ScenarioResult, acceptance_plan, digest
@@ -185,8 +180,8 @@ def run_rpc_chaos(
 ) -> RpcRunResult:
     """One full RPC workload surviving the acceptance fault plan.
 
-    Every rack gets a standby ToR and a
-    :class:`~repro.reliability.FailoverManager` whose replicated
+    Every rack gets a standby ToR, and the deployment's failover a
+    :class:`~repro.reliability.FailoverManager` per rack whose replicated
     connection is the rack's memo journal: promotion replays the whole
     memoization cache onto the standby, then the failover hook repoints
     the edge's ``URoute`` entries — clients keep retrying with fresh
@@ -210,28 +205,16 @@ def run_rpc_chaos(
     if trace:
         net.enable_tracing()
 
-    managers: list[FailoverManager] = []
-    for rack in range(num_racks):
-        rack_methods = [
-            mid for mid, r in cluster.method_rack.items() if r == rack
-        ]
-
-        def promote(mgr: FailoverManager, rack_methods=rack_methods) -> None:
-            # Journal replay (memo cache) already ran; repoint the
-            # edge's steering so new unary attempts reach the standby.
-            for mid in rack_methods:
+    def promote(mgr) -> None:
+        # Journal replay (memo cache) already ran; repoint the edge's
+        # steering so new unary attempts reach the standby.
+        for mid, rack in cluster.method_rack.items():
+            if tor_device(rack) == mgr.primary_id:
                 cluster.reroute_method(mid, mgr.standby_id)
 
-        managers.append(
-            FailoverManager(
-                net,
-                tor_device(rack),
-                standby_device(rack),
-                heartbeat_ns=heartbeat_ns,
-                replicated=cluster.memo[rack].conn,
-                on_failover=promote,
-            ).start()
-        )
+    managers = cluster.deployment.failover(
+        heartbeat_ns=heartbeat_ns, on_failover=promote
+    )
 
     ChaosController(net, plan).arm()
 

@@ -25,7 +25,7 @@ from repro.collective.protocol import resync_streams
 from repro.rpc.cluster import RpcCluster, check_rpc_shape, rpc_topology, wire_rpc_apps
 from repro.rpc.idl import RpcSchema
 from repro.runtime.constants import DEFAULT_SLOT_TIMEOUT_NS
-from repro.service import INCService, Tenant, TenantQoS
+from repro.service import INCService, TenantQoS
 
 #: abstract device ids the RPC program is written against.
 ABSTRACT_EDGE = 1
@@ -42,11 +42,11 @@ class RpcTenant(RpcCluster):
     """One admitted RPC tenant: an :class:`RpcCluster` whose ``edge``,
     ``sg`` and ``tors`` are the tenant's slices of a shared fabric
     (``compiled`` is keyed by abstract device id, there are no standbys)
-    and whose control connections are the service's journaling ones."""
+    and whose control connections are the service's journaling ones; its
+    ``deployment`` is the admission record (a
+    :class:`~repro.service.Tenant`)."""
 
     tenant_id: str
-    #: the admission record; ``tenant.service`` is the service it runs on
-    tenant: Tenant
 
     # -- migration ----------------------------------------------------------------
     def resync(self) -> None:
@@ -111,7 +111,6 @@ def submit_rpc_tenant(
         timeout_ns=timeout_ns,
         refill_interval_ns=refill_interval_ns,
         tenant_id=tenant_id,
-        tenant=tenant,
     )
     tenant.on_migrate = lambda service, tenant: rt.resync()
     return rt

@@ -1,11 +1,10 @@
 """Shared sizing constants for the reliability and slot protocols.
 
-Before this module existed, the dedup-window and reply-cache sizes were
-duplicated as magic defaults in :mod:`repro.reliability.channel` /
-:mod:`repro.reliability.dedup` / :mod:`repro.reliability.device`, and the
-slot-stream sizing lived separately in :mod:`repro.collective.protocol`.
-:mod:`repro.rpc` would have copied them a third time; instead every layer
-now reads the one definition here.
+Every layer reads the one definition here: a
+:class:`~repro.reliability.ReliableChannel` and a
+:class:`~repro.reliability.ReliableNetCLDevice` size their dedup window
+and reply/replay cache from these constants (neither takes a size
+argument), and every windowed slot stream sizes against ``NUM_SLOTS``.
 
 The values are protocol-coupled, not independent tunables:
 

@@ -67,7 +67,6 @@ REL_ACK = 0x2  #: a device acknowledgment for one DATA sequence number
 
 REL_FLAG_ACK_REQ = 0x10  #: sender requests a device-side ACK
 REL_FLAG_REPLY = 0x20  #: host-generated reply echoing the request's seq
-REL_FLAG_MORE = 0x40  #: reply fragment with more fragments to follow
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ from repro.apps.agg import build_agg_cluster, expected_sum
 from repro.apps.cache import DEL_REQ, GET_REQ, PUT_REQ, VALUE_WORDS, build_cache_cluster
 from repro.apps.calc import build_calc_cluster
 from repro.apps.paxos import ACCEPTOR_DEVS, build_paxos_cluster
+from repro.chaos import LinkFaults, apply_faults
+from repro.netsim import DEVICE
 
 
 class TestCompileAll:
@@ -55,9 +57,8 @@ class TestAgg:
         assert all(e == 16 for e in cluster.workers[0].exponents)
 
     def test_loss_recovery_preserves_correctness(self):
-        cluster = build_agg_cluster(
-            num_workers=2, tensor_elements=320, loss_probability=0.1, seed=23
-        )
+        cluster = build_agg_cluster(num_workers=2, tensor_elements=320, seed=23)
+        apply_faults(LinkFaults(loss=0.1), cluster.network)
         cluster.run(until_ms=1000, require_done=True)
         exp = expected_sum(cluster)
         for w in cluster.workers:
@@ -153,21 +154,17 @@ class TestPaxos:
     def test_acceptor_loss_tolerated(self):
         px = build_paxos_cluster()
         # break one leader->acceptor link completely
-        from repro.netsim import DEVICE
-
-        key = frozenset((DEVICE(1), DEVICE(ACCEPTOR_DEVS[0])))
-        px.network.links[key].loss_probability = 1.0
+        apply_faults(LinkFaults(loss=1.0), px.network, (DEVICE(1), DEVICE(ACCEPTOR_DEVS[0])))
         px.client.propose([7])
         px.network.sim.run()
         assert len(px.app.deliveries) == 1  # 2 of 3 acceptors still a majority
 
     def test_no_delivery_without_majority(self):
         px = build_paxos_cluster()
-        from repro.netsim import DEVICE
-
-        for d in ACCEPTOR_DEVS[:2]:
-            key = frozenset((DEVICE(1), DEVICE(d)))
-            px.network.links[key].loss_probability = 1.0
+        apply_faults(
+            LinkFaults(loss=1.0), px.network,
+            *[(DEVICE(1), DEVICE(d)) for d in ACCEPTOR_DEVS[:2]],
+        )
         px.client.propose([7])
         px.network.sim.run()
         assert not px.app.deliveries

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.chaos import (
+    ChaosConflictError,
     ChaosController,
     ChaosEvent,
     ChaosPlan,
@@ -170,6 +171,29 @@ class TestController:
         _send(net, host, spec, n=1)
         net.sim.run(until_ns=5_000_000)
         assert len(host.received) == 1
+
+    def test_second_controller_cannot_silently_disarm_the_first(self):
+        cp = compile_netcl(ECHO, 1)
+        net = Network(seed=3)
+        net.add_switch(NetCLDevice(1, cp.module, cp.kernels()), processing_ns=200)
+        h1 = net.add_host(1)
+        net.add_host(3)
+        net.link(HOST(1), DEVICE(1))
+        net.link(HOST(3), DEVICE(1))
+        first = apply_faults(LinkFaults(loss=1.0), net, (HOST(1), DEVICE(1)))
+        with pytest.raises(ChaosConflictError):
+            apply_faults(LinkFaults(loss=1.0), net, (HOST(3), DEVICE(1)))
+        assert net.fault_injector is first
+        spec = KernelSpec.from_kernel(cp.kernels()[0])
+        h1.send_message(Message(src=1, dst=1, comp=1, to=1), spec, [1, 0])
+        net.sim.run(until_ns=5_000_000)
+        assert not h1.received and net.packets_lost == 1
+        # disarm, then arm: the hook changes hands cleanly
+        first.disarm()
+        second = apply_faults(LinkFaults(loss=1.0), net, (HOST(3), DEVICE(1)))
+        assert net.fault_injector is second
+        with pytest.raises(ChaosConflictError):
+            first.arm()  # re-arming over a live controller is refused too
 
     def test_same_seed_same_fault_sequence(self):
         def run(seed):

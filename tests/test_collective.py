@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.chaos import LinkFaults, apply_faults
 from repro.collective import (
     CollectiveCluster,
     StallError,
@@ -150,7 +151,8 @@ class TestCollectiveOps:
         assert cluster.jobs_run == 2
 
     def test_loss_recovery(self):
-        cluster = build_collective_cluster(2, 2, loss=0.03, seed=17)
+        cluster = build_collective_cluster(2, 2, seed=17)
+        apply_faults(LinkFaults(loss=0.03), cluster.network)
         tensors = _tensors(4, 256)
         job = cluster.submit("allreduce", tensors)
         cluster.run(until_ms=500, require_done=True)
@@ -268,7 +270,7 @@ class TestTenantMode:
     def test_collective_as_tenant(self):
         svc = self._service()
         ct = submit_collective_tenant(svc, "train", [1, 2, 3, 4], num_racks=2)
-        assert ct.tenant.placement.keys() == {1, 2, 3}
+        assert ct.deployment.placement.keys() == {1, 2, 3}
         tensors = _tensors(4, 128)
         job = ct.submit_job("allreduce", tensors)
         ct.run(until_ms=100, require_done=True)
@@ -288,7 +290,7 @@ class TestTenantMode:
         job = ct.submit_job("allreduce", tensors)
         ct.run(until_ms=0.05)  # mid-flight
         assert not ct.all_done
-        svc.crash_switch(ct.tenant.placement[2])
+        svc.crash_switch(ct.deployment.placement[2])
         ct.run(until_ms=300, require_done=True)
         assert svc.network.metrics.value("service.migrations") == 1
         exact = _exact_sum(tensors)

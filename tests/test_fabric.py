@@ -380,7 +380,7 @@ def _snapshot(net) -> dict:
         },
         "links": {
             "-".join(sorted(node_name(n) for n in key)): [
-                link.latency_ns, link.bandwidth_gbps, link.loss_probability
+                link.latency_ns, link.bandwidth_gbps
             ]
             for key, link in net.links.items()
         },
@@ -414,15 +414,13 @@ class TestRealisedFabricIsTheParents:
         ]
 
     def test_collective_with_standbys(self):
-        net = build_collective_cluster(
-            2, 2, standby=True, reliable=True, loss=0.01
-        ).network
+        net = build_collective_cluster(2, 2, standby=True, reliable=True).network
         assert self._diff(_snapshot(net), self.GOLDEN["collective"]) == []
 
     def test_rpc_with_standbys(self):
         net = build_rpc_cluster(
             scenario_schema(), scenario_handlers({}),
-            standby=True, num_clients=2, loss=0.01,
+            standby=True, num_clients=2,
         ).network
         assert self._diff(_snapshot(net), self.GOLDEN["rpc"]) == []
 
@@ -430,21 +428,21 @@ class TestRealisedFabricIsTheParents:
 class TestLinksAreNotShared:
     def _only_this_link_changed(self, net, template: Link):
         first, *rest = net.links.values()
-        first.loss_probability = 0.5
-        assert all(link.loss_probability == template.loss_probability for link in rest)
+        first.bandwidth_gbps = 0.5
+        assert all(link.bandwidth_gbps == template.bandwidth_gbps for link in rest)
         assert all(link is not template for link in net.links.values())
 
     def test_standalone(self):
-        net = build_collective_cluster(2, 2, loss=0.0).network
+        net = build_collective_cluster(2, 2).network
         self._only_this_link_changed(net, Link())
 
     def test_planned_deployment_copies_the_template_per_edge(self):
         topo = AbstractTopology.star(1, compile_netcl(ECHO % 1, 1), [1])
-        template = Link(latency_ns=700, loss_probability=0.0)
+        template = Link(latency_ns=700, bandwidth_gbps=40.0)
         plan = DeploymentPlanner(_mesh((1, 2, 3), (1, 2))).deploy(topo, link=template)
         assert all(link.latency_ns == 700 for link in plan.network.links.values())
         self._only_this_link_changed(plan.network, template)
-        assert template.loss_probability == 0.0
+        assert template.bandwidth_gbps == 40.0
 
 
 class TestDeploymentObject:

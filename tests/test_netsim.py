@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos import LinkFaults, apply_faults
 from repro.core import compile_netcl
 from repro.netsim import DEVICE, HOST, Link, Network, Simulator
 from repro.runtime import KernelSpec, Message, NetCLDevice
@@ -85,8 +86,9 @@ class TestNetwork:
         net = Network(seed=4)
         h1, h2 = net.add_host(1), net.add_host(2)
         net.add_switch(dev)
-        net.link(HOST(1), DEVICE(1), Link(loss_probability=1.0))
+        net.link(HOST(1), DEVICE(1))
         net.link(HOST(2), DEVICE(1))
+        apply_faults(LinkFaults(loss=1.0), net, (HOST(1), DEVICE(1)))
         h1.send_message(Message(src=1, dst=2, comp=1, to=1), spec, [5])
         net.sim.run()
         assert not h2.received and net.packets_lost == 1
@@ -132,7 +134,8 @@ class TestNetwork:
         net.add_switch(dev)
         net.link(HOST(1), DEVICE(1))
         net.link(HOST(2), DEVICE(1))
-        net.link(HOST(3), DEVICE(1), Link(loss_probability=1.0))  # its replicas die
+        net.link(HOST(3), DEVICE(1))
+        apply_faults(LinkFaults(loss=1.0), net, (HOST(3), DEVICE(1)))  # its replicas die
         net.add_multicast_group(3, [HOST(1), HOST(2), HOST(3)])
         h1.send_message(Message(src=1, dst=1, comp=1, to=1), spec, [7])
         net.sim.run()
@@ -196,8 +199,9 @@ class TestLossAndMulticastTelemetry:
         net = Network(seed=7)
         h1, h2 = net.add_host(1), net.add_host(2)
         net.add_switch(dev)
-        net.link(HOST(1), DEVICE(1), Link(loss_probability=0.3))
-        net.link(HOST(2), DEVICE(1), Link(loss_probability=0.3))
+        net.link(HOST(1), DEVICE(1))
+        net.link(HOST(2), DEVICE(1))
+        apply_faults(LinkFaults(loss=0.3), net, (HOST(1), DEVICE(1)), (HOST(2), DEVICE(1)))
         sent = 200
         for i in range(sent):
             h1.send_message(

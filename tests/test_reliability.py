@@ -52,7 +52,7 @@ class TestDedupWindow:
         w = DedupWindow(64)
         assert w.check_and_add(1, 5)
         assert not w.check_and_add(1, 5)
-        assert w.seen(1, 5) and not w.seen(1, 6)
+        assert w.check_and_add(1, 6)
 
     def test_senders_are_independent(self):
         w = DedupWindow(64)
@@ -69,21 +69,19 @@ class TestDedupWindow:
         w = DedupWindow(16)
         assert w.check_and_add(1, 100)
         assert not w.check_and_add(1, 100 - 16)
-        assert w.seen(1, 100 - 16)
 
     def test_ordered_mode_enforces_fifo(self):
         w = DedupWindow(64, ordered=True)
         assert w.check_and_add(1, 10)
         assert not w.check_and_add(1, 5)  # never seen, but below high
         assert w.stale_rejected == 1
-        assert w.seen(1, 5)
         assert w.check_and_add(1, 11)
 
     def test_reset_and_validation(self):
         w = DedupWindow(8)
         w.check_and_add(1, 1)
         w.reset()
-        assert w.check_and_add(1, 1) and w.tracked_senders == 1
+        assert w.check_and_add(1, 1)
         with pytest.raises(ValueError):
             DedupWindow(0)
 
@@ -195,7 +193,7 @@ class TestReliableDevice:
         assert dev.metrics.total("reliability.corrupt_drops") == 1
 
     def test_ack_generated_through_control_channel(self):
-        dev, spec = _reliable(ack=True)
+        dev, spec = _reliable()
         dev.process(_data_packet(spec, 9, src=4, flags=REL_FLAG_ACK_REQ))
         extras = dev.drain_control()
         assert len(extras) == 1
@@ -243,12 +241,13 @@ def _echo_network(**channel_kw):
 class TestReliableChannel:
     def test_request_completes_on_reflected_reply(self):
         net, host, ch, got = _echo_network()
-        done = []
-        ch.request([5, 0], dst=1, on_complete=done.append)
+        seq = ch.request([5, 0], dst=1)
+        assert ch.outstanding == 1
         net.sim.run(until_ns=5_000_000)
-        assert done == [1] and ch.outstanding == 0
-        assert len(got) == 1  # reply delivered to the app exactly once
+        assert seq not in ch.pending and ch.outstanding == 0
+        assert len(got) == 1 and got[0].rel_seq == seq  # delivered exactly once
         assert net.metrics.total("reliability.ch.completed.h1") == 1
+        assert net.metrics.total("reliability.ch.expired.h1") == 0
 
     def test_retransmission_recovers_from_outage(self):
         net, host, ch, got = _echo_network(
@@ -261,16 +260,17 @@ class TestReliableChannel:
         assert ch.outstanding == 0 and len(got) == 1
         assert net.metrics.total("reliability.ch.retransmits.h1") >= 1
 
-    def test_retries_exhausted_fires_on_fail(self):
+    def test_retries_exhausted_expires_request(self):
         net, host, ch, got = _echo_network(
             policy=BackoffPolicy(base_timeout_ns=50_000, max_retries=2)
         )
         net.set_link_up(HOST(1), DEVICE(1), False)
-        failed = []
-        ch.request([5, 0], dst=1, on_fail=failed.append)
+        ch.request([5, 0], dst=1)
         net.sim.run(until_ns=20_000_000)
-        assert failed == [1] and ch.outstanding == 0
+        assert ch.outstanding == 0 and not got
+        assert net.metrics.total("reliability.ch.retransmits.h1") == 2
         assert net.metrics.total("reliability.ch.expired.h1") == 1
+        assert net.metrics.total("reliability.ch.completed.h1") == 0
 
     def test_reply_completes_tracking_only_request(self):
         net, host, ch, got = _echo_network()
@@ -368,14 +368,12 @@ class TestReliableChannel:
         replies = [p for p in got1 if p.rel_kind == REL_DATA]
         assert all(p.rel_flags & REL_FLAG_REPLY for p in replies)
 
-
-    def test_multi_fragment_reply_replayed_through_failover_retarget(self):
-        # Client h1 -> primary d1 (pass) -> server h2; the server answers
-        # with a three-fragment logical reply.  The primary dies with the
-        # fragments in flight; failover retargets both channels at the
-        # standby, the client's pending request is re-driven there, and
-        # the server must replay the WHOLE cached reply (not just the
-        # terminal fragment) without re-running the app handler.
+    def test_cached_reply_replayed_through_failover_retarget(self):
+        # Client h1 -> primary d1 (pass) -> server h2.  The primary dies
+        # with the reply in flight; failover retargets both channels at
+        # the standby, the client's pending request is re-driven there,
+        # and the server must replay its cached reply without re-running
+        # the app handler.
         primary, spec = _reliable(PASS, dev_id=1)
         cp2 = compile_netcl(PASS, 2)
         standby = ReliableNetCLDevice(2, cp2.module, cp2.kernels(), metrics=primary.metrics)
@@ -384,7 +382,7 @@ class TestReliableChannel:
         net.add_switch(standby, processing_ns=200)
         h1, h2 = net.add_host(1), net.add_host(2)
         # The standby path is slower, so pre-crash traffic (including the
-        # reply fragments) deterministically rides the primary.
+        # reply) deterministically rides the primary.
         for h in (1, 2):
             net.link(HOST(h), DEVICE(1), Link(latency_ns=10_000))
             net.link(HOST(h), DEVICE(2), Link(latency_ns=40_000))
@@ -395,9 +393,7 @@ class TestReliableChannel:
 
         def serve(pkt, now):
             executions.append(pkt.rel_seq)
-            ch2.send_reply(pkt, [0, 100], more=True)
-            ch2.send_reply(pkt, [1, 101], more=True)
-            ch2.send_reply(pkt, [2, 102])
+            ch2.send_reply(pkt, [0, 100])
 
         h2.on_receive = serve
         ch2 = ReliableChannel(net, h2, spec, target_device=1, ack=False)
@@ -405,17 +401,16 @@ class TestReliableChannel:
             net, 1, 2, heartbeat_ns=50_000, channels=[ch1, ch2]
         ).start()
         seq = ch1.request([5, 0], dst=2)
-        # Crash after the request reached h2 but before any fragment got
-        # back through d1: the whole reply is lost on the dead switch.
+        # Crash after the request reached h2 but before the reply got
+        # back through d1: the reply is lost on the dead switch.
         net.sim.at(28_000, lambda: net.crash_switch(1))
         net.sim.run(until_ns=20_000_000)
         assert executions == [seq], "handler must run exactly once"
         assert net.metrics.total("reliability.ch.reply_replays.h2") == 1
         assert ch1.target_device == 2 and ch2.target_device == 2
-        fragments = [p for p in got if p.rel_kind == REL_DATA]
-        idx = sorted(unpack(p.to_wire(), spec)[1][0] for p in fragments)
-        assert idx == [0, 1, 2], "every cached fragment must be replayed"
-        assert ch1.outstanding == 0  # terminal fragment completed the seq
+        replies = [p for p in got if p.rel_kind == REL_DATA]
+        assert [unpack(p.to_wire(), spec)[1][1] for p in replies] == [100]
+        assert ch1.outstanding == 0  # the replayed reply completed the seq
 
 
 MANAGED_TABLE = (
@@ -526,7 +521,7 @@ class TestUdpTransport:
             assert host.sock.gettimeout() == before
 
     def test_udp_switch_sends_ack_via_control_channel(self):
-        dev, spec = _reliable(ack=True)
+        dev, spec = _reliable()
         with UdpSwitch(dev) as switch, UdpHost(1) as host:
             host.connect(switch)
             pkt = _data_packet(spec, 3, flags=REL_FLAG_ACK_REQ)

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.chaos import LinkFaults, apply_faults
 from repro.deploy import PhysicalFabric
 from repro.netsim import DEVICE, HOST
 from repro.rpc import (
@@ -182,7 +183,7 @@ class TestCompile:
 
 
 # -- standalone cluster: unary path ------------------------------------------------
-def _small_cluster(**kw):
+def _small_cluster(*, loss: float = 0.0, **kw):
     bumps: dict[int, int] = {}
     cluster = build_rpc_cluster(
         scenario_schema(),
@@ -192,6 +193,8 @@ def _small_cluster(**kw):
         num_clients=1,
         **kw,
     )
+    if loss:
+        apply_faults(LinkFaults(loss=loss), cluster.network)
     return cluster, bumps
 
 
@@ -449,7 +452,7 @@ class TestTenantMode:
         inflight = [client.gather("msum", QueryReq(q=50 + i)) for i in range(8)]
         client.call("bump", BumpReq(token=77))
         rt.run(until_ms=0.02)  # scatters in flight
-        svc.crash_switch(rt.tenant.placement[abstract_tor(0)])
+        svc.crash_switch(rt.deployment.placement[abstract_tor(0)])
         rt.run(until_ms=300)
         assert rt.all_done, rt.stall_report()
         assert svc.network.metrics.value("service.migrations") == 1
@@ -471,7 +474,7 @@ class TestTenantMode:
         rt.run(until_ms=5)
         calls = [client.gather("mmax", QueryReq(q=900 + i)) for i in range(8)]
         rt.run(until_ms=0.02)
-        svc.crash_switch(rt.tenant.placement[ABSTRACT_SG])
+        svc.crash_switch(rt.deployment.placement[ABSTRACT_SG])
         rt.run(until_ms=300)
         assert rt.all_done, rt.stall_report()
         assert svc.network.metrics.value("service.migrations") == 1

@@ -234,11 +234,11 @@ class TestTenantIsTheCluster:
         a = submit_collective_tenant(svc, "a", [1, 2, 3, 4], num_racks=2)
         b = submit_collective_tenant(svc, "b", [5, 6, 7, 8], num_racks=2)
         assert isinstance(a, CollectiveCluster)
-        assert [a.root, *a.leaves] == [a.tenant.devices[d] for d in (1, 2, 3)]
+        assert [a.root, *a.leaves] == [a.deployment.devices[d] for d in (1, 2, 3)]
 
         resets: list[tuple[str, int]] = []
         for ct in (a, b):
-            for dev in ct.tenant.devices.values():
+            for dev in ct.deployment.devices.values():
                 real = dev.reset_state
 
                 def spy(real=real, who=(ct.tenant_id, dev.abstract_id)):
@@ -266,6 +266,6 @@ class TestTenantIsTheCluster:
         )
         assert isinstance(rt, RpcCluster)
         assert rt.network is svc.network and rt.fanout == 4
-        assert [rt.edge, rt.sg, *rt.tors] == [rt.tenant.devices[d] for d in (1, 2, 3, 4)]
+        assert [rt.edge, rt.sg, *rt.tors] == [rt.deployment.devices[d] for d in (1, 2, 3, 4)]
         assert rt.edge_conn is svc.control("rpc", 1)
         assert rt.link_bytes() == 0 and rt.all_done

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.chaos import LinkFaults, apply_faults
 from repro.core import compile_netcl
 from repro.core.cli import main as ncc_main
 from repro.netsim import DEVICE, HOST, Link, Network
@@ -380,8 +381,9 @@ class TestPacketTracing:
         h1 = net.add_host(1)
         net.add_host(2)
         net.add_switch(dev)
-        net.link(HOST(1), DEVICE(1), Link(loss_probability=1.0))
+        net.link(HOST(1), DEVICE(1))
         net.link(HOST(2), DEVICE(1))
+        apply_faults(LinkFaults(loss=1.0), net, (HOST(1), DEVICE(1)))
         pkt = h1.send_message(Message(src=1, dst=2, comp=1, to=1), spec, [5])
         net.sim.run()
         trace = tracer.trace_of(pkt)
