@@ -9,11 +9,11 @@ matches) or forwards it as a no-op — exactly the base-program behavior of
 (:class:`repro.netsim.graph.Graph`).
 
 Observability (``repro.telemetry``): every network owns a
-:class:`MetricRegistry` with per-link tx counters and in-flight gauges,
-per-node rx/tx counters, switch pipeline occupancy, and drops broken
-down by cause; ``packets_dropped`` / ``packets_lost`` are views over
-those counters.  Opt-in INT-style tracing (:meth:`Network.enable_tracing`)
-records every hop a packet takes.
+:class:`MetricRegistry` with per-link tx counters, per-node rx/tx
+counters, and drops broken down by cause; ``packets_dropped`` /
+``packets_lost`` are views over those counters.  Opt-in INT-style
+tracing (:meth:`Network.enable_tracing`) records every hop a packet
+takes.
 
 Hot-path design (see DESIGN.md "Simulator performance"):
 
@@ -21,6 +21,8 @@ Hot-path design (see DESIGN.md "Simulator performance"):
   path formats no strings and makes no calls.
 * Per-hop work schedules bound methods with arguments (no closures), and
   per-link instruments are pre-resolved into :class:`_LinkStats`.
+* One event per hop on the fault-free path: a packet's link arrival and
+  its switch pipeline (or host receive) are a single event.
 * Routing is a per-source next-hop cache under one rule: **any topology
   change clears every cached table, and each table is rebuilt lazily by
   the source that next forwards** (``route_rebuilds`` counts the work).
@@ -78,7 +80,6 @@ class _LinkStats:
     tx_packets: object
     tx_bytes: object
     lost: object
-    in_flight: object
     #: memo of latency + serialization for the last packet size seen on
     #: this link (traffic is overwhelmingly same-sized within a run).
     cost_size: int = -1
@@ -168,18 +169,27 @@ class Switch:
         #: program was fitted; a default otherwise).
         self.processing_ns = processing_ns
         self._rx_packets = network.metrics.counter(f"node.rx_packets.d{device.device_id}")
-        #: packets currently inside the pipeline (queue occupancy).
-        self._occupancy = network.metrics.gauge(f"node.queue.d{device.device_id}")
 
     def deliver(self, packet: NetCLPacket) -> None:
         self._rx_packets.value += 1
-        self._occupancy.inc()
         # Tofino pipelines are full line-rate: processing adds latency but
         # never becomes a throughput bottleneck, so packets pipeline freely.
         self.network.sim.after(self.processing_ns, self._pipeline_done, packet)
 
+    def _receive(self, packet: NetCLPacket) -> None:
+        """Link arrival and pipeline as one event (the fault-free hop).
+        The switch's state is only known at pipeline completion, so a
+        crash or a removal anywhere in the hop drops the packet here."""
+        self._rx_packets.value += 1
+        network = self.network
+        if self.key in network._down:
+            network._drop(network._drop_node_down, packet, self.key, "node down")
+        elif network.switches.get(self.key[1]) is not self:
+            network._drop(network._drop_unknown_node, packet, self.key, "unknown device")
+        else:
+            self._pipeline_done(packet)
+
     def _pipeline_done(self, packet: NetCLPacket) -> None:
-        self._occupancy.value -= 1
         network = self.network
         key = self.key
         if key in network._down:
@@ -295,6 +305,8 @@ class Network:
         return host
 
     def add_switch(self, device: NetCLDevice, *, processing_ns: int = 400) -> Switch:
+        if processing_ns < 0:
+            raise ValueError(f"processing_ns must be >= 0, got {processing_ns}")
         sw = Switch(self, device, processing_ns=processing_ns)
         self.switches[device.device_id] = sw
         self.graph.add_node(sw.key)
@@ -311,7 +323,6 @@ class Network:
             tx_packets=self.metrics.counter(f"link.tx_packets.{name}"),
             tx_bytes=self.metrics.counter(f"link.tx_bytes.{name}"),
             lost=self.metrics.counter(f"link.lost.{name}"),
-            in_flight=self.metrics.gauge(f"link.in_flight.{name}"),
         )
         self._link_stats[key] = stats
         self._routes.clear()
@@ -468,16 +479,24 @@ class Network:
             # increments are inlined (see metrics.py's hot-path note).
             stats.tx_packets.value += 1
             stats.tx_bytes.value += size
-            in_flight = stats.in_flight
-            in_flight.value = level = in_flight.value + 1
-            if level > in_flight.max_value:
-                in_flight.max_value = level
             if tracing:
                 self.tracer.hop(
                     packet, at, "tx", self.sim.now_ns,
                     f"-> {node_name(nxt)} ({delay} ns)",
                 )
-            self.sim.after(delay, self._link_arrive, stats, nxt, packet)
+            # One event per hop: the receiver's latency joins the link's.
+            kind, ident = nxt
+            if kind == "d":
+                sw = self.switches.get(ident)
+                if sw is not None and packet.mcast_members is None:
+                    self.sim.after(delay + sw.processing_ns, sw._receive, packet)
+                    return
+            else:
+                host = self.hosts.get(ident)
+                if host is not None and not host.serialize_overheads:
+                    self.sim.after(delay + host.rx_overhead_ns, host._rx_up, packet)
+                    return
+            self.sim.after(delay, self._arrive, nxt, packet)
             return
         deliveries = self.fault_injector.on_transmit(at, nxt, packet, delay)
         if not deliveries:
@@ -492,44 +511,27 @@ class Network:
         for delay_ns, pkt in deliveries:
             stats.tx_packets.inc()
             stats.tx_bytes.inc(pkt.size_bytes)
-            stats.in_flight.inc()
             if tracing:
                 self.tracer.hop(
                     pkt, at, "tx", self.sim.now_ns,
                     f"-> {node_name(nxt)} ({delay_ns} ns)",
                 )
-            self.sim.after(delay_ns, self._link_arrive, stats, nxt, pkt)
+            self.sim.after(delay_ns, self._arrive, nxt, pkt)
 
-    def _link_arrive(self, stats: _LinkStats, node: NodeKey, packet: NetCLPacket) -> None:
-        stats.in_flight.value -= 1
-        if node[0] == "d" and node not in self._down and packet.mcast_members is None:
-            sw = self.switches.get(node[1])
-            if sw is not None:
-                # The common case of _arrive + Switch.deliver, in this frame.
-                sw._rx_packets.value += 1
-                occupancy = sw._occupancy
-                occupancy.value = level = occupancy.value + 1
-                if level > occupancy.max_value:
-                    occupancy.max_value = level
-                self.sim.after(sw.processing_ns, sw._pipeline_done, packet)
-                return
-        self._arrive(node, packet)
+    def _drop(self, counter, packet: NetCLPacket, node: NodeKey, reason: str) -> None:
+        counter.inc()
+        if self.tracer.enabled:
+            self.tracer.hop(packet, node, "drop", self.sim.now_ns, reason)
 
     def _arrive(self, node: NodeKey, packet: NetCLPacket) -> None:
         if node in self._down:
-            self._drop_node_down.inc()
-            if self.tracer.enabled:
-                self.tracer.hop(packet, node, "drop", self.sim.now_ns, "node down")
+            self._drop(self._drop_node_down, packet, node, "node down")
             return
         kind, ident = node
         if kind == "h":
             host = self.hosts.get(ident)
             if host is None:
-                self._drop_unknown_node.inc()
-                if self.tracer.enabled:
-                    self.tracer.hop(
-                        packet, node, "drop", self.sim.now_ns, "unknown host"
-                    )
+                self._drop(self._drop_unknown_node, packet, node, "unknown host")
                 return
             # Only deliver to the addressed host; transit through hosts is
             # not a thing (hosts are leaves).
@@ -544,11 +546,7 @@ class Network:
                 return
             sw = self.switches.get(ident)
             if sw is None:
-                self._drop_unknown_node.inc()
-                if self.tracer.enabled:
-                    self.tracer.hop(
-                        packet, node, "drop", self.sim.now_ns, "unknown device"
-                    )
+                self._drop(self._drop_unknown_node, packet, node, "unknown device")
                 return
             sw.deliver(packet)
 

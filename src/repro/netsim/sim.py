@@ -55,8 +55,11 @@ class Simulator:
             # Round up, never down: int() truncation let sub-ns float
             # delays become instantaneous (0 ns) events.
             delay_ns = math.ceil(delay_ns)
-        time_ns = self.now_ns + delay_ns if delay_ns > 0 else self.now_ns
-        heapq.heappush(self._queue, (time_ns, next(self._seq), callback, args))
+        if delay_ns < 0:
+            raise ValueError(
+                f"cannot schedule in the past ({self.now_ns + delay_ns} < {self.now_ns})"
+            )
+        heapq.heappush(self._queue, (self.now_ns + delay_ns, next(self._seq), callback, args))
 
     def run(self, until_ns: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Process events until the queue drains, the horizon passes, or

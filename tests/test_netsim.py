@@ -43,6 +43,14 @@ class TestSimulator:
         with pytest.raises(ValueError):
             sim.at(5, lambda: None)
 
+    def test_negative_delay_is_an_error(self):
+        sim = Simulator()
+        sim.at(10, lambda: None)
+        sim.run()
+        with pytest.raises(ValueError, match=r"cannot schedule in the past \(9 < 10\)"):
+            sim.after(-1, lambda: None)
+        assert sim.pending == 0
+
     def test_nested_scheduling(self):
         sim = Simulator()
         log = []
@@ -80,6 +88,13 @@ class TestNetwork:
         t, p = h2.received[0]
         # 1000 + serialization + 100 processing + 2000 + serialization
         assert t >= 3100
+
+    def test_negative_processing_ns_is_rejected(self):
+        dev, _ = _device(PASS)
+        net = Network()
+        with pytest.raises(ValueError, match="processing_ns must be >= 0, got -1"):
+            net.add_switch(dev, processing_ns=-1)
+        assert not net.switches and DEVICE(1) not in net.graph
 
     def test_loss_injection(self):
         dev, spec = _device(PASS)

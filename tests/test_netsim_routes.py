@@ -95,13 +95,13 @@ def test_cached_routes_and_stats_survive_topology_changes(case):
             for src, dst in ((1, 3), (3, 1), (2, 4), (4, 2)):
                 send(net, src, dst)
             net.sim.run(until_ns=net.sim.now_ns + pause_ns)
-        assert sum(s.in_flight.value for s in net._link_stats.values()) >= 4
-        assert sum(sw._occupancy.value for sw in net.switches.values()) >= 4
+        # packets on links and inside pipelines at the change: both waves
+        # are still in the network, each packet one pending hop event
+        assert net.sim.pending == 8
         change(net)
         assert_cached_tables_are_fresh(net)
         net.sim.run()
         assert_cached_tables_are_fresh(net)
-        assert all(i.value == 0 for i in net.metrics if i.name.startswith("link.in_flight."))
 
         # one probe per direction: counted on the links it crossed, no other
         for src, dst in ((1, 3), (4, 2)):
