@@ -44,7 +44,13 @@ def chunk_exponent(values: list[float]) -> int:
     ``frexp`` gives ``|x| = m * 2^e`` with ``0.5 <= m < 1``, so ``2^e``
     strictly bounds every value; an all-zero chunk reports the minimum
     (biased 0), which never raises the negotiated maximum.
+
+    ``frexp``'s exponent is monotone in ``|x|``, so the largest magnitude
+    has the maximum -- unless a NaN or infinity (exponent 0) is there.
     """
+    if math.isfinite(sum(values)):
+        top = max(map(abs, values), default=0.0)
+        return min(255, max(0, math.frexp(top)[1] + EXP_BIAS)) if top else 0
     e = None
     for x in values:
         if x:

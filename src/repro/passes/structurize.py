@@ -264,6 +264,8 @@ def _verify_tree_against_cfg(fn: Function, tree: StructuredNode) -> None:
             if node.els is not None:
                 walk(node.els, cont)
 
+    walk(tree, None)
+
 
 def _last_block(node: StructuredNode) -> Optional[BasicBlock]:
     if isinstance(node, LeafNode):
@@ -305,15 +307,3 @@ def _structurize_predicates(fn: Function) -> StructuredNode:
         else:
             seq.items.append(IfNode(src, inner, None))
     return seq
-
-
-def count_nodes(node: StructuredNode) -> int:
-    """Total number of tree nodes (used by tests and resource accounting)."""
-    if isinstance(node, SeqNode):
-        return 1 + sum(count_nodes(i) for i in node.items)
-    if isinstance(node, IfNode):
-        n = 1 + count_nodes(node.then)
-        if node.els is not None:
-            n += count_nodes(node.els)
-        return n
-    return 1

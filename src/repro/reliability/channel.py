@@ -10,6 +10,8 @@ suppression, and a reply cache for request/response protocols:
   the same sequence number arrives (or retries are exhausted); with
   ``retransmit=False`` the message is tracked for ACK/latency telemetry
   only and the application drives its own recovery (AGG's slot protocol).
+  A tracking entry arms no timer: it is live until its deadline, and
+  every read of it treats an expired entry as gone.
 * :meth:`send_reply` — answer an incoming reliable request with one
   packet, echoing its sequence number so the requester's channel
   completes the exchange, and caching the reply so a duplicated/
@@ -32,8 +34,8 @@ from typing import Optional
 
 from repro.netsim.net import Host, Network
 from repro.runtime.message import (
+    ACT_CODES,
     KernelSpec,
-    Message,
     NetCLPacket,
     NO_DEVICE,
     REL_ACK,
@@ -43,6 +45,8 @@ from repro.runtime.message import (
 )
 from repro.reliability.dedup import DedupWindow, ReplayCache
 from repro.runtime.constants import DEFAULT_REPLY_CACHE_CAPACITY
+
+_PASS = ACT_CODES["pass"]
 
 
 @dataclass(frozen=True)
@@ -61,12 +65,13 @@ class BackoffPolicy:
 @dataclass
 class _Pending:
     seq: int
-    template: NetCLPacket
+    template: Optional[NetCLPacket]  #: ``None``: tracking entries are never re-sent
     sent_ns: int
     retransmit: bool
     attempts: int = 0
     #: when the current timeout actually expires; the timer event may
     #: wake earlier (see ReliableChannel._arm) and re-sleeps until this.
+    #: A tracking entry arms no timer and is live only before it.
     deadline_ns: int = 0
     #: whether a timer event for this send sits in the simulator.
     armed: bool = False
@@ -130,19 +135,22 @@ class ReliableChannel:
         workers' expmax + reduce streams.
         """
         seq = next(self._seq)
-        msg = Message(
-            src=self.host.host_id,
-            dst=dst,
-            comp=self.comp if comp is None else comp,
-            to=self.target_device,
+        packet = NetCLPacket.build(
+            self.host.host_id, dst, NO_DEVICE, self.target_device,
+            self.comp if comp is None else comp, _PASS,
+            (self.spec if spec is None else spec).plan.encode(values),
         )
-        template = NetCLPacket.from_message(
-            msg, self.spec if spec is None else spec, values
-        )
-        flags = REL_FLAG_ACK_REQ if self.ack else 0
-        template.stamp_reliability(REL_DATA, seq, flags)
-        self.pending[seq] = _Pending(seq, template, self.network.sim.now_ns, retransmit)
-        self._transmit(seq)
+        packet.stamp_reliability(REL_DATA, seq, REL_FLAG_ACK_REQ if self.ack else 0)
+        now = self.network.sim.now_ns
+        if retransmit:
+            self.pending[seq] = _Pending(seq, packet, now, True)
+            self._transmit(seq)
+            return seq
+        self._sweep(now)
+        deadline = now + self.policy.timeout_ns(0)
+        self.pending[seq] = _Pending(seq, None, now, False, deadline_ns=deadline)
+        self.host.send_packet(packet)
+        self._sent.inc()
         return seq
 
     def _transmit(self, seq: int) -> None:
@@ -173,11 +181,9 @@ class ReliableChannel:
             return
         p.armed = False
         p.attempts += 1
-        if not p.retransmit or p.attempts > self.policy.max_retries:
-            # ACK-only tracking expiry, or retries exhausted.
+        if p.attempts > self.policy.max_retries:
             self.pending.pop(p.seq, None)
-            if p.retransmit:
-                self._expired.inc()
+            self._expired.inc()
             return
         self._retransmits.inc()
         self._transmit(p.seq)
@@ -192,24 +198,48 @@ class ReliableChannel:
     ) -> None:
         """Answer a reliable request with one packet, echoing its sequence
         number; the reply is cached, so a duplicated request replays it."""
-        msg = Message(
-            src=self.host.host_id,
-            dst=request.src,
-            comp=self.comp if comp is None else comp,
-            to=NO_DEVICE,
-        )
-        reply = NetCLPacket.from_message(
-            msg, self.spec if spec is None else spec, values
+        reply = NetCLPacket.build(
+            self.host.host_id, request.src, NO_DEVICE, NO_DEVICE,
+            self.comp if comp is None else comp, _PASS,
+            (self.spec if spec is None else spec).plan.encode(values),
         )
         reply.stamp_reliability(REL_DATA, request.rel_seq, REL_FLAG_REPLY)
         self._replies.put(request.src, request.rel_seq, reply)
         self.host.send_packet(reply.copy())
 
+    # -- tracking entries ------------------------------------------------------------
+    # A tracking entry is live while ``now < deadline_ns``: a timer would
+    # fire at the deadline before anything the send caused.
+    def _live(self, seq: int) -> Optional[_Pending]:
+        """The entry for ``seq``; an expired tracking entry is dropped."""
+        p = self.pending.get(seq)
+        if p is not None and not p.retransmit and self.network.sim.now_ns >= p.deadline_ns:
+            del self.pending[seq]
+            return None
+        return p
+
+    def _sweep(self, now: int) -> None:
+        """Drop the expired tracking entries.  They sit in send order,
+        which is deadline order, so the first live one ends the sweep."""
+        expired = []
+        for seq, p in self.pending.items():
+            if not p.retransmit:
+                if now < p.deadline_ns:
+                    break
+                expired.append(seq)
+        for seq in expired:
+            del self.pending[seq]
+
+    def forget(self, seq: int) -> None:
+        """Stop tracking ``seq`` (an application abandoned the send)."""
+        self.pending.pop(seq, None)
+
     # -- completion / failover -----------------------------------------------------
     def _complete(self, seq: int) -> None:
-        p = self.pending.pop(seq, None)
+        p = self._live(seq)
         if p is None:
             return
+        del self.pending[seq]
         self._completed.inc()
         self._rtt.observe(self.network.sim.now_ns - p.sent_ns)
 
@@ -233,6 +263,7 @@ class ReliableChannel:
 
     @property
     def outstanding(self) -> int:
+        self._sweep(self.network.sim.now_ns)
         return len(self.pending)
 
     # -- receiving -----------------------------------------------------------------
@@ -245,7 +276,7 @@ class ReliableChannel:
             self._corrupt_rx.inc()
             return
         if kind == REL_ACK:
-            p = self.pending.get(packet.rel_seq)
+            p = self._live(packet.rel_seq)
             if p is not None:
                 self._acks.inc()
                 if not p.retransmit:
@@ -260,7 +291,7 @@ class ReliableChannel:
         # before its multicast result arrives; the result must still be
         # delivered exactly once).
         is_reply = bool(packet.rel_flags & REL_FLAG_REPLY) or packet.src == self.host.host_id
-        if is_reply and seq in self.pending:
+        if is_reply:
             self._complete(seq)
         if not self._recv_window.check_and_add(packet.src, seq):
             self._dup_rx.inc()

@@ -273,7 +273,7 @@ class RpcClient:
     def _finish_failed(self, call: UnaryCall, counter) -> None:
         self._calls.pop(call.req_id, None)
         # Stop the channel from tracking the abandoned attempt.
-        self.channel.pending.pop(call.seq, None)
+        self.channel.forget(call.seq)
         call.failed = True
         counter.inc()
         if call.on_fail is not None:
@@ -370,8 +370,11 @@ class RpcClient:
         if self.all_done:
             return None
         gathers = sorted(self._gathers)
+        unary = ", ".join(
+            f"req {c.req_id} {c.method.name} after {c.attempts} attempt(s)"
+            for c in self._calls.values()  # req_ids are issued in order
+        )
         return (
             f"{len(self._calls)} unary + {len(gathers)} gather outstanding "
-            f"(unary req_ids {sorted(self._calls)[:8]}, "
-            f"gather rounds {gathers[:8]})"
+            f"(unary: {unary or 'none'}; gather rounds {gathers[:8]})"
         )

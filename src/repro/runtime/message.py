@@ -125,12 +125,6 @@ class KernelSpec:
         """Total NetCL bytes on the wire (header + data)."""
         return HEADER_SIZE + self.data_bytes
 
-    def field(self, name: str) -> FieldSpec:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
 
 @dataclass
 class Message:
@@ -148,12 +142,6 @@ class Message:
     act: int = ACT_CODES["pass"]
     spec: Optional[KernelSpec] = None
 
-    @property
-    def size(self) -> int:
-        if self.spec is None:
-            raise ValueError("message has no kernel specification attached")
-        return self.spec.size
-
 
 Values = Sequence[Optional[Union[int, Sequence[int]]]]
 
@@ -166,12 +154,14 @@ _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 class CodecPlan:
     """The data-section layout of one :class:`KernelSpec`, lowered once.
 
-    Encoding flattens the per-argument values to one element list and
-    packs it with a single :class:`struct.Struct` — raw first; only when
-    ``struct`` rejects an element (negative, over-wide, not an ``int``)
-    is the list re-packed as ``int(x) & mask``.  A spec with a width that
-    does not fill its bytes always masks, and one with a 3/5/6/7-byte
-    element runs the per-element loop.
+    Values of the plan's shape (the argument count, each array a ``list``
+    of its count) go straight to the generated ``pack``.  Any other shape
+    is checked: flattened to one element list and packed with a single
+    :class:`struct.Struct` — raw first; only when ``struct`` rejects an
+    element (negative, over-wide, not an ``int``) is the list re-packed
+    as ``int(x) & mask``.  A spec with a width that does not fill its
+    bytes always masks, and one with a 3/5/6/7-byte element runs the
+    per-element loop.
 
     A device rewrites what it decoded and packs it back with :meth:`pack`,
     which trusts the shapes :meth:`decode` made.  On a ``struct`` layout
@@ -181,7 +171,7 @@ class CodecPlan:
 
     __slots__ = (
         "computation", "names", "data_bytes", "short",
-        "_fields", "_masks", "_sizes", "_exact", "_struct", "_unpack", "_pack",
+        "_fields", "_arrays", "_masks", "_sizes", "_exact", "_struct", "_unpack", "_pack",
     )
 
     def __init__(self, spec: KernelSpec) -> None:
@@ -194,12 +184,13 @@ class CodecPlan:
             masks += [(1 << f.width_bits) - 1] * f.count
             sizes += [f.bytes_per_element] * f.count
         self._fields = tuple(fields)
+        self._arrays = tuple((i, f[1]) for i, f in enumerate(fields) if f[1] != 1)
         self._masks = tuple(masks)
         self._sizes = tuple(sizes)
         self._exact = all(m == (1 << 8 * nb) - 1 for m, nb in zip(masks, sizes))
         self.data_bytes = sum(sizes)
         self._struct = None
-        self._unpack, self._pack = self._unpack_each, self.encode
+        self._unpack, self._pack = self._unpack_each, self._checked
         if all(nb in _STRUCT_CODES for nb in sizes):
             fmt = (f"{count}{_STRUCT_CODES[sizes[a]]}" for _, count, a, _, _ in fields)
             self._struct = struct.Struct("!" + "".join(fmt))
@@ -213,7 +204,7 @@ class CodecPlan:
     def _generated(self) -> tuple:
         """``(unpack, pack)`` for the ``struct`` layout; ``pack`` masks the
         fields whose width does not fill their bytes and hands values
-        ``struct`` rejects to :meth:`encode`."""
+        ``struct`` rejects to the checked encoder."""
         items, args = [], []
         for i, (_, count, a, b, _) in enumerate(self._fields):
             items.append(f"t[{a}]" if count == 1 else f"list(t[{a}:{b}])")
@@ -236,18 +227,28 @@ class CodecPlan:
             "    return unpack, pack\n"
         )
         codec = load(source, f"<codec {self.computation}>", "_codec")
-        return codec(self._struct, (struct.error, OverflowError, TypeError), self.encode)
+        return codec(self._struct, (struct.error, OverflowError, TypeError), self._checked)
 
     def encode(self, values: Values) -> bytes:
         """The data section for ``values``; a trailing tail field whose
         value is ``None`` is omitted from it entirely."""
+        if self._struct is not None and len(values) == len(self._fields):
+            for i, count in self._arrays:
+                v = values[i]
+                if type(v) is not list or len(v) != count:
+                    break
+            else:
+                return self._pack(values)
+        return self._checked(values)
+
+    def _checked(self, values: Values) -> bytes:
         if len(values) != len(self._fields):
             raise ValueError(
                 f"computation {self.computation} expects {len(self._fields)} "
                 f"arguments, got {len(values)}"
             )
         if self.short is not None and values[-1] is None:
-            return self.short.encode(values[:-1])
+            return self.short._checked(values[:-1])
         flat: list = []
         for (name, count, _, _, zeros), v in zip(self._fields, values):
             if v is None:
@@ -386,10 +387,17 @@ class NetCLPacket:
     def from_message(cls, msg: Message, spec: KernelSpec, values: Values) -> "NetCLPacket":
         """``from_wire(pack(msg, spec, values))`` without the wire."""
         data = spec.plan.encode(values)
-        if (msg.src | msg.dst | msg.from_ | msg.to | len(data)) >> 16 or (msg.comp | msg.act) >> 8:
+        return cls.build(msg.src, msg.dst, msg.from_, msg.to, msg.comp, msg.act, data)
+
+    @classmethod
+    def build(
+        cls, src: int, dst: int, from_: int, to: int, comp: int, act: int, data: bytes
+    ) -> "NetCLPacket":
+        """A packet of these header fields, each checked against its width."""
+        if (src | dst | from_ | to | len(data)) >> 16 or (comp | act) >> 8:
             # out of the header's range: let struct name the field
-            _HEADER.pack(msg.src, msg.dst, msg.from_, msg.to, msg.comp, msg.act, len(data))
-        return cls(msg.src, msg.dst, msg.from_, msg.to, msg.comp, msg.act, data)
+            _HEADER.pack(src, dst, from_, to, comp, act, len(data))
+        return cls(src, dst, from_, to, comp, act, data)
 
     @classmethod
     def from_wire(cls, raw: bytes) -> "NetCLPacket":

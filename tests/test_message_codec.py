@@ -281,6 +281,94 @@ class TestScalarsAndSequences:
                 NetCLPacket.from_message(bad, U32_U32X4, [5, None])
 
 
+# -- shaped values take the generated packer ----------------------------------------
+def _shipped_specs() -> list[KernelSpec]:
+    """Every message layout a shipped program or host protocol uses."""
+    from repro.apps import compile_app
+    from repro.collective import ROOT_DEVICE, compile_role, leaf_device
+    from repro.collective.baseline import RING_ACK_SPEC, RING_SPEC
+    from repro.rpc.baseline import FANOUT_SPEC
+
+    programs = [compile_app(name) for name in ("agg", "cache", "paxos", "rpc", "calc")]
+    programs += [compile_role(ROOT_DEVICE), compile_role(leaf_device(0), rack=0)]
+    found = {KernelSpec.from_kernel(k) for p in programs for k in p.kernels()}
+    return sorted(found | {RING_SPEC, RING_ACK_SPEC, FANOUT_SPEC}, key=repr)
+
+
+SHIPPED = _shipped_specs()
+
+
+@st.composite
+def shaped_values(draw, spec: KernelSpec) -> list:
+    """Values as the host code passes them: an ``int`` per scalar, a
+    ``list`` of its count per array, elements in range or not."""
+    def element(f: FieldSpec) -> int:
+        return draw(st.integers(0, (1 << f.width_bits) - 1) | elements)
+
+    return [
+        element(f) if f.count == 1 else [element(f) for _ in range(f.count)]
+        for f in spec.fields
+    ]
+
+
+def _result(encode, values):
+    try:
+        return encode(values)
+    except (ValueError, TypeError, struct.error) as exc:  # the checked path's, type and text
+        return type(exc), str(exc)
+
+
+U32X2_U32X2 = KernelSpec(3, (FieldSpec("a", 32, 2), FieldSpec("b", 32, 2)))
+MASKED = KernelSpec(4, (FieldSpec("m", 12), FieldSpec("w", 12, 3)))
+
+
+class TestShapedEncode:
+    @pytest.mark.parametrize("spec", SHIPPED, ids=lambda s: f"comp{s.computation}-{len(s.fields)}f")
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_shipped_layouts_pack_as_the_checked_path(self, spec, data):
+        values = data.draw(shaped_values(spec))
+        plan = spec.plan
+        assert plan.encode(values) == plan._checked(values)
+        assert plan.encode(values) == _ref_pack(MSG, spec, values)[HEADER_SIZE:]
+
+    @pytest.mark.parametrize(
+        "spec, values",
+        [
+            (U32_U32X4, [np.uint32(5), [1, 2, 3, 4]]),
+            (U32_U32X4, [5, np.array([1, 2, 3, 4], dtype=np.uint32)]),
+            (U32_U32X4, [5, [np.int64(-1), 2, 3, np.uint8(4)]]),
+            (U32_U32X4, [5, (1, 2, 3, 4)]),
+            (U32_U32X4, [(5,), [1, 2, 3, 4]]),
+            (U32_U32X4, [5, None]),
+            (U32_U32X4, [None, [1, 2, 3, 4]]),
+            (U32_U32X4, [-5, [1, -2, 1 << 40, 4]]),
+            (U32_U32X4, [5, [1, 2, 3]]),
+            (U32_U32X4, [5, [1, 2, 3, 4, 5]]),
+            (U32_U32X4, [5, [1.0, 2, 3, 4]]),
+            (U32_U32X4, [5.0, [1, 2, 3, 4]]),
+            (U32_U32X4, [[5, 6], [1, 2, 3, 4]]),
+            (U32_U32X4, [5, [1, 2, 3, None]]),
+            (U32_U32X4, [5]),
+            (U32_U32X4, [5, [1, 2, 3, 4], 6]),
+            (U32_U32X4, (5, [1, 2, 3, 4])),
+            (TAILED, [9, None]),
+            (TAILED, [9, [1, 2, 3, 4]]),
+            (TAILED, [None, None]),
+            (U32X2_U32X2, [[1, 2, 3], [4]]),
+            (U32X2_U32X2, [[1], [2, 3, 4]]),
+            (U32X2_U32X2, [[1, 2], [3, 4]]),
+            (MASKED, [0x1FFF, [-1, 0x1000, 7]]),
+            (MASKED, [np.int64(-1), [1, 2, 3]]),
+            (MASKED, [1.5, [1, 2, 3]]),
+            (MASKED, [1, [1, 2.5, 3]]),
+            (MASKED, [True, [True, False, 3]]),
+        ],
+    )
+    def test_any_other_shape_is_the_checked_path(self, spec, values):
+        assert _result(spec.plan.encode, values) == _result(spec.plan._checked, values)
+
+
 # -- the RPC schema layout ----------------------------------------------------------
 MY_CONSTANT = 3
 

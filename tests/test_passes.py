@@ -479,6 +479,40 @@ class TestStructurize:
         tree = structurize(fn)  # falls back, must not raise
         assert isinstance(tree, SeqNode)
 
+    def test_mis_structured_tree_is_caught(self, monkeypatch):
+        """A tree whose branch arms are swapped fails the check against
+        the CFG, and the kernel falls back to predicates."""
+        import importlib
+
+        from repro.passes.structurize import PredDecls, StructurizeError
+
+        structurize_mod = importlib.import_module("repro.passes.structurize")
+
+        src = (
+            "_kernel(1) void k(unsigned x, unsigned &r) {"
+            " if (x > 1) r = 2; else r = 1; }"
+        )
+
+        def prepared():
+            fn = _lower(src).kernels()[0]
+            mem2reg(fn)
+            simplify_function(fn)
+            eliminate_phis(fn)
+            return fn
+
+        tree = _structurize_regions(prepared())
+        assert any(isinstance(i, IfNode) for i in tree.items)
+
+        class Flipped(IfNode):
+            def __init__(self, cond, then, els, negate=False):
+                super().__init__(cond, then, els, not negate)
+
+        monkeypatch.setattr(structurize_mod, "IfNode", Flipped)
+        with pytest.raises(StructurizeError, match="tree verification failed"):
+            _structurize_regions(prepared())
+        tree = structurize(prepared())
+        assert isinstance(tree.items[0], PredDecls)
+
 
 class TestPhiElim:
     def test_phis_replaced_by_slots(self):

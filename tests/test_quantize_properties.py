@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.collective import (
@@ -130,3 +131,93 @@ class TestExponent:
     def test_constants_keep_64_worker_sums_exact(self):
         # N * 2^MANTISSA_BITS must stay below 2^31 for exactness.
         assert 64 * (1 << MANTISSA_BITS) <= 1 << 31
+
+
+# -- the functions against their per-element loops ---------------------------------
+def _ref_chunk_exponent(values):
+    e = None
+    for x in values:
+        if x:
+            ex = math.frexp(x)[1]
+            if e is None or ex > e:
+                e = ex
+    if e is None:
+        return 0
+    return min(255, max(0, e + EXP_BIAS))
+
+
+def _ref_quantize_chunk(values, biased_exp):
+    scale = math.ldexp(1.0, MANTISSA_BITS - (biased_exp - EXP_BIAS))
+    out = []
+    for x in values:
+        q = round(x * scale)
+        q = min(max(q, -(1 << 31)), (1 << 31) - 1)
+        out.append(q & 0xFFFFFFFF)
+    return out
+
+
+def _ref_dequantize_chunk(qs, biased_exp):
+    scale = math.ldexp(1.0, (biased_exp - EXP_BIAS) - MANTISSA_BITS)
+    return [(q - _U32 if q >= 1 << 31 else q) * scale for q in qs]
+
+
+def _outcome(fn, *args):
+    """The result, or the exception's type and text: bit for bit."""
+    try:
+        result = fn(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, list):
+        return [(type(x), math.copysign(1.0, x), x.hex()) if isinstance(x, float) else x
+                for x in result]
+    return result
+
+
+special = st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 2.0**-1074 * 3, 2.0**-126]
+)
+any_f32 = st.floats(width=32) | special
+any_f64 = st.floats() | special
+exponents = st.integers(min_value=0, max_value=255)
+
+
+def _edge_chunks(biased_exp):
+    """Chunks whose ``max|x| * scale`` is ``2^31 - 0.5`` and one ulp
+    either side: the largest magnitude that rounds into int32, and the
+    first two that saturate."""
+    scale = math.ldexp(1.0, MANTISSA_BITS - (biased_exp - EXP_BIAS))
+    edge = (2.0**31 - 0.5) / scale
+    out = []
+    for top in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+        out += [[top, 1.0], [-top, 0.5], [0.25, -top, top]]
+    return out
+
+
+class TestAgainstThePerElementLoops:
+    """Bit for bit, errors included, so a whole-chunk rewrite of any of
+    the three is held to the loop it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(any_f32, max_size=16) | st.lists(any_f64, max_size=16))
+    def test_exponent_is_the_per_element_loops(self, values):
+        assert _outcome(chunk_exponent, values) == _outcome(_ref_chunk_exponent, values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(any_f32, max_size=16) | st.lists(any_f64, max_size=16), exponents)
+    def test_quantize_is_the_per_element_loops(self, values, e):
+        assert _outcome(quantize_chunk, values, e) == _outcome(_ref_quantize_chunk, values, e)
+
+    @pytest.mark.parametrize("e", [0, 100, 128, 151, 152, 200, 255])
+    def test_quantize_at_the_saturation_edge(self, e):
+        for values in _edge_chunks(e):
+            assert _outcome(quantize_chunk, values, e) == _outcome(_ref_quantize_chunk, values, e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, _U32 - 1), max_size=16)
+        | st.lists(st.integers(-(1 << 40), 1 << 40), max_size=16)
+        | st.lists(st.booleans() | st.integers(0, 3), max_size=4),
+        exponents,
+    )
+    def test_dequantize_is_the_per_element_loops(self, qs, e):
+        assert _outcome(dequantize_chunk, qs, e) == _outcome(_ref_dequantize_chunk, qs, e)

@@ -20,6 +20,8 @@ from repro.reliability import (
 )
 from repro.runtime import DeviceConnection, ForwardKind, KernelSpec, Message, pack
 from repro.runtime.message import (
+    NO_DEVICE,
+    FieldSpec,
     NetCLPacket,
     REL_ACK,
     REL_DATA,
@@ -594,3 +596,153 @@ class TestDeadlineTimers:
         net.sim.run(until_ns=5_000_000)
         assert net.sim.pending == 0
         assert net.metrics.snapshot() == before
+
+
+# -- tracking entries -------------------------------------------------------------
+class _TimerReference:
+    """What a tracking-only (``retransmit=False``) send did when every one
+    armed a timer: the entry left ``pending`` when its timer fired at the
+    deadline, or earlier on completion, ``retarget`` or ``forget``."""
+
+    def __init__(self, sim, timeout_ns: int) -> None:
+        self.sim, self.timeout_ns = sim, timeout_ns
+        self.pending: dict[int, int] = {}  # seq -> sent_ns
+        self.acks = self.completed = self.rtt_count = self.rtt_sum = 0
+
+    def send(self, seq: int) -> None:
+        self.pending[seq] = self.sim.now_ns
+        self.sim.after(self.timeout_ns, self.pending.pop, seq, None)
+
+    def ack(self, seq: int) -> None:
+        if seq in self.pending:
+            self.acks += 1
+            self.reply(seq)
+
+    def reply(self, seq: int) -> None:
+        sent = self.pending.pop(seq, None)
+        if sent is not None:
+            self.completed += 1
+            self.rtt_count += 1
+            self.rtt_sum += self.sim.now_ns - sent
+
+    def counters(self) -> tuple:
+        return (self.acks, self.completed, 0, self.rtt_count, self.rtt_sum)
+
+
+TIMEOUT = 1_000
+TWO_U32 = KernelSpec(1, (FieldSpec("x", 32), FieldSpec("y", 32)))
+
+
+def _tracking_channel():
+    """A channel whose sends go nowhere; the test delivers its ACKs and
+    replies by hand."""
+    net = Network(seed=1)
+    host = net.add_host(1)
+    host.send_packet = lambda packet, **kw: None
+    ch = ReliableChannel(
+        net, host, TWO_U32, target_device=1, policy=BackoffPolicy(base_timeout_ns=TIMEOUT)
+    )
+    return net, ch
+
+
+def _response(kind: str, seq: int) -> NetCLPacket:
+    if kind == "ack":
+        return NetCLPacket(1, 1, 1, NO_DEVICE, 1, 0, b"").stamp_reliability(REL_ACK, seq)
+    packet = NetCLPacket(2, 1, NO_DEVICE, NO_DEVICE, 1, 0, bytes(8))
+    return packet.stamp_reliability(REL_DATA, seq, REL_FLAG_REPLY)
+
+
+def _counters(net, ch) -> tuple:
+    m = net.metrics
+    rtt = m.histogram("reliability.ch.rtt_ns.h1")
+    return tuple(
+        m.value(f"reliability.ch.{name}.h1") for name in ("acks", "completed", "expired")
+    ) + (rtt.count, rtt.sum)
+
+
+#: arrival relative to the deadline: just before, at and after it included
+offsets = st.sampled_from([-1, 0, 1]) | st.integers(-TIMEOUT, TIMEOUT)
+responses = st.lists(st.tuples(st.sampled_from(["ack", "reply"]), offsets), max_size=2)
+gaps = st.integers(0, 700)
+steps = st.one_of(
+    st.tuples(st.just("send"), gaps, responses),
+    st.tuples(st.just("retarget"), gaps, st.none()),
+    st.tuples(st.just("forget"), gaps, st.integers(0, 40)),
+    st.tuples(st.just("probe"), st.integers(0, 2 * TIMEOUT), st.none()),
+)
+
+
+class TestTrackingEntries:
+    """A tracking entry arms no timer; every counter and ``outstanding``
+    read what the timer gave."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(steps, max_size=30))
+    def test_counters_match_one_timer_per_send(self, script):
+        net, ch = _tracking_channel()
+        ref = _TimerReference(net.sim, TIMEOUT)
+        sent: list[int] = []
+
+        def deliver(kind, seq):
+            ch.host.on_receive(_response(kind, seq), net.sim.now_ns)
+            getattr(ref, kind)(seq)
+
+        def act(what, arg):
+            if what == "send":
+                seq = ch.request([1, 2], dst=1, retransmit=False)
+                ref.send(seq)
+                sent.append(seq)
+                for kind, offset in arg:
+                    net.sim.after(TIMEOUT + offset, deliver, kind, seq)
+            elif what == "retarget":
+                ch.retarget(1)
+                ref.pending.clear()
+            elif what == "forget" and sent:
+                seq = sent[arg % len(sent)]
+                ch.forget(seq)
+                ref.pending.pop(seq, None)
+
+        now = 0
+        for what, gap, arg in script:
+            now += gap
+            net.sim.at(now, act, what, arg)
+            net.sim.run(until_ns=now)
+            assert _counters(net, ch) == ref.counters()
+            if what == "probe":
+                assert ch.outstanding == len(ref.pending)
+        net.sim.run()
+        assert _counters(net, ch) == ref.counters()
+        assert ch.outstanding == len(ref.pending) == 0
+
+    def test_a_reply_at_the_deadline_does_not_complete(self):
+        for offset, completed in ((-1, 1), (0, 0)):
+            net, ch = _tracking_channel()
+            seq = ch.request([1, 2], dst=1, retransmit=False)
+            net.sim.at(TIMEOUT + offset, ch.host.on_receive, _response("reply", seq), 0)
+            net.sim.run()
+            assert net.metrics.value("reliability.ch.completed.h1") == completed
+
+    def test_a_late_ack_is_not_counted(self):
+        net, ch = _tracking_channel()
+        seq = ch.request([1, 2], dst=1, retransmit=False)
+        net.sim.at(TIMEOUT + 1, ch.host.on_receive, _response("ack", seq), 0)
+        net.sim.run()
+        assert net.metrics.value("reliability.ch.acks.h1") == 0
+        assert net.metrics.value("reliability.ch.completed.h1") == 0
+
+    def test_outstanding_drops_at_the_deadline_without_a_send(self):
+        net, ch = _tracking_channel()
+        ch.request([1, 2], dst=1, retransmit=False)
+        net.sim.run(until_ns=TIMEOUT - 1)
+        assert ch.outstanding == 1
+        net.sim.run(until_ns=TIMEOUT + 1)
+        assert ch.outstanding == 0 and not ch.pending
+
+    def test_a_tracking_send_schedules_only_its_send(self):
+        net, host, ch, got = _echo_network()
+        ch.request([5, 0], dst=1, retransmit=False)
+        assert net.sim.pending == 1  # the host's transmit, and no timer
+        net.sim.run()
+        assert len(got) == 1
+        assert net.metrics.value("reliability.ch.completed.h1") == 1
+
