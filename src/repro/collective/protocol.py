@@ -74,14 +74,18 @@ def stall_reports(workers, *, what: str = "worker", label: str = "chunk") -> lis
     return reports
 
 
-def require_all_done(workers, *, what: str = "worker", label: str = "chunk") -> None:
-    """Raise :class:`StallError` naming every incomplete worker."""
-    reports = stall_reports(workers, what=what, label=label)
+def raise_stalled(reports: list[str], *, what: str = "worker") -> None:
+    """Raise :class:`StallError` if ``reports`` names any stalled ``what``."""
     if reports:
         raise StallError(
             f"{len(reports)} {what}(s) stalled:\n  " + "\n  ".join(reports),
             reports,
         )
+
+
+def require_all_done(workers, *, what: str = "worker", label: str = "chunk") -> None:
+    """Raise :class:`StallError` naming every incomplete worker."""
+    raise_stalled(stall_reports(workers, what=what, label=label), what=what)
 
 
 def resync_streams(streams) -> None:
