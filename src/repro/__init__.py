@@ -14,10 +14,3 @@ Public API highlights:
 """
 
 __version__ = "1.0.0"
-
-
-def compile_netcl(*args, **kwargs):
-    """Convenience re-export of :func:`repro.core.compile_netcl`."""
-    from repro.core import compile_netcl as _compile
-
-    return _compile(*args, **kwargs)

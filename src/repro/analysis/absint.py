@@ -56,7 +56,6 @@ from repro.ir.instructions import (
     Phi,
     Select,
     Store,
-    StoreGlobal,
     StoreMsg,
     Undef,
     Value,
@@ -407,9 +406,6 @@ class _Env:
 
     def __ne__(self, other: object) -> bool:
         return not self.__eq__(other)
-
-    def __repr__(self) -> str:
-        return f"_Env({self.d!r})"
 
 
 class RangeAnalysis(DataflowAnalysis):

@@ -95,10 +95,6 @@ class DataflowAnalysis:
         """Fact at the entry (forward) or at every exit (backward)."""
         return EMPTY
 
-    def universe(self, fn: Function) -> Fact:
-        """Top element for must-analyses (ignored when ``may``)."""
-        return EMPTY
-
     def initial(self, fn: Function):
         """Fact every block starts from before the first update.
 
@@ -123,9 +119,6 @@ class DataflowAnalysis:
         """Accelerate convergence after ``updates`` changes to one block's
         fact.  The default trusts the lattice to have finite height."""
         return new
-
-    def transfer_inst(self, inst: Instruction, fact: Fact) -> Fact:
-        raise NotImplementedError
 
     # -- driver ---------------------------------------------------------------
     def transfer_block(self, bb: BasicBlock, fact: Fact) -> Fact:
@@ -229,9 +222,6 @@ class DataflowAnalysis:
 class GenKillAnalysis(DataflowAnalysis):
     """Dataflow specialization where each instruction's transfer is
     ``(fact - kill) | gen`` — the classic bit-vector form."""
-
-    def inst_gen(self, inst: Instruction) -> Fact:
-        return EMPTY
 
     def inst_kill(self, inst: Instruction) -> Fact:
         return EMPTY

@@ -163,13 +163,6 @@ class CacheController:
         self.conn.managed_write("Valid", 1, index=idx)
         return idx
 
-    def invalidate(self, key: int) -> None:
-        entries = self.conn.entries("Index")
-        for e in entries:
-            if e.key_lo == key:
-                idx = (e.value or 0) & 0xFFFF
-                self.conn.managed_write("Valid", 0, index=idx)
-
     def install_from_server(self, key: int) -> Optional[int]:
         value = self.server.store.get(key)
         if value is None:
@@ -207,12 +200,6 @@ class P4CacheController:
         self.device.insert_entry("cache_index", [key], "index_set", [wmap, idx])
         self.device.register_write("valid", idx, 1)
         return idx
-
-    def install_from_server(self, key: int):
-        value = self.server.store.get(key)
-        if value is None:
-            return None
-        return self.install(key, value)
 
 
 def cache_topology(client: int, server: int, program, *, spare=None) -> AbstractTopology:

@@ -42,13 +42,3 @@ class CodegenResult:
     spec: PipelineSpec
     report: Optional[ResourceReport] = None
     kernel_stats: dict[str, object] = field(default_factory=dict)
-
-    @property
-    def fits(self) -> bool:
-        return self.report is not None
-
-    def kernel_for_computation(self, comp: int) -> Optional[Function]:
-        for fn in self.kernels:
-            if fn.computation == comp:
-                return fn
-        return None

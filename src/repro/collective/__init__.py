@@ -62,40 +62,13 @@ from repro.collective.tree import (
     wire_workers,
 )
 
-# The scenario and tenant layers pull in repro.chaos / repro.service,
-# whose own scenario modules import repro.apps.agg — which imports
-# repro.collective.protocol.  Resolve them lazily (PEP 562) so
-# `import repro.apps.agg` doesn't cycle through this package.
-_LAZY = {
-    "CollectiveRunResult": "scenarios",
-    "default_collective_plan": "scenarios",
-    "run_collective_chaos": "scenarios",
-    "ABSTRACT_ROOT": "tenant",
-    "CollectiveTenant": "tenant",
-    "abstract_leaf": "tenant",
-    "submit_collective_tenant": "tenant",
-}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        import importlib
-
-        module = importlib.import_module(f"repro.collective.{_LAZY[name]}")
-        value = getattr(module, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "ABSTRACT_ROOT",
     "COLL_MCAST_GROUP",
     "COMP_EXPMAX",
     "COMP_REDUCE",
     "CollectiveCluster",
     "CollectiveJob",
-    "CollectiveRunResult",
-    "CollectiveTenant",
     "CollectiveWorker",
     "EXP_BIAS",
     "MANTISSA_BITS",
@@ -107,23 +80,19 @@ __all__ = [
     "SlotStream",
     "StallError",
     "StreamStats",
-    "abstract_leaf",
     "build_collective_cluster",
     "chunk_exponent",
     "collective_topology",
     "compile_role",
     "contribution",
-    "default_collective_plan",
     "dequantize_chunk",
     "leaf_device",
     "quantization_error_bound",
     "quantize_chunk",
     "require_all_done",
     "resync_streams",
-    "run_collective_chaos",
     "run_host_ring",
     "shard_range",
     "standby_device",
-    "submit_collective_tenant",
     "wire_workers",
 ]

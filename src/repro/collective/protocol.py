@@ -16,13 +16,15 @@ host-side engine:
 * after a failover or a tenant migration the control plane calls
   :func:`resync_streams` to rebuild in-flight rounds on the replacement.
 
-Subclasses provide the payload (:meth:`SlotStream._chunk_payload`) and
-consume completed rounds (:meth:`SlotStream._accept_result`); the wire
-layout is always ``[ver, bmp_idx, agg_idx, mask, *payload]``.
+Subclasses define ``_chunk_payload(chunk)`` (the wire fields after the
+4-field slot header, or ``None`` to park the round until its data is
+ready) and ``_accept_result(chunk, values)`` (consume one completed
+round); the wire layout is always ``[ver, bmp_idx, agg_idx, mask,
+*payload]``.
 
 The module also owns stall diagnostics: a run that ends incomplete can
 name *which* workers and rounds are missing (:class:`StallError`)
-instead of failing a bare ``assert cluster.all_done`` — and the run
+instead of failing a bare completion assert — and the run
 lifecycle every cluster of such workers shares (:class:`SlotCluster`).
 """
 
@@ -52,7 +54,7 @@ class StallError(RuntimeError):
 
     ``reports`` holds one line per stalled worker naming the missing
     rounds and the slots still in flight — the diagnostics a bare
-    ``assert cluster.all_done`` never gave.
+    completion assert never gave.
     """
 
     def __init__(self, message: str, reports: list[str]):
@@ -138,10 +140,6 @@ class SlotCluster:
         if require_done:
             self.require_done()
 
-    @property
-    def all_done(self) -> bool:
-        return all(w.done for w in self.workers)
-
     def require_done(self) -> None:
         require_all_done(self.workers, what=self.what, label="chunk")
 
@@ -226,15 +224,6 @@ class SlotStream:
         self._tokens = itertools.count()
 
     # -- subclass hooks -----------------------------------------------------------
-    def _chunk_payload(self, chunk: int) -> Optional[list]:
-        """Wire fields after the 4-field slot header, or ``None`` to park
-        the round (the subclass re-sends once its data is ready)."""
-        raise NotImplementedError
-
-    def _accept_result(self, chunk: int, values: list) -> None:
-        """Consume one completed round's decoded message fields."""
-        raise NotImplementedError
-
     def _result_key(self, values: list) -> list:
         """Payload identity used by the zombie-broadcast filter."""
         last = values[-1]

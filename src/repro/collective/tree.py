@@ -86,7 +86,7 @@ def compile_role(
 class CollectiveCluster(SlotCluster):
     """A compiled, wired collective fabric ready to run jobs.
 
-    ``run`` / ``all_done`` / ``require_done`` / ``stall_report`` are the
+    ``run`` / ``require_done`` / ``stall_report`` are the
     shared :class:`~repro.collective.protocol.SlotCluster` lifecycle.
     """
 

@@ -63,6 +63,3 @@ class BasicBlock:
                 yield inst
             else:
                 break
-
-    def __repr__(self) -> str:
-        return f"<BasicBlock {self.name} ({len(self.instructions)} insts)>"

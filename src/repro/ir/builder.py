@@ -27,9 +27,7 @@ from repro.ir.instructions import (
     LoadMsg,
     Lookup,
     LookupVal,
-    Phi,
     Ret,
-    Select,
     SourceLoc,
     Store,
     StoreGlobal,
@@ -73,17 +71,8 @@ class IRBuilder:
     def binop(self, kind: BinOpKind, a: Value, b: Value, name: str = "") -> Instruction:
         return self._append(BinOp(kind, a, b, name))
 
-    def add(self, a: Value, b: Value, name: str = "") -> Instruction:
-        return self.binop(BinOpKind.ADD, a, b, name)
-
-    def sub(self, a: Value, b: Value, name: str = "") -> Instruction:
-        return self.binop(BinOpKind.SUB, a, b, name)
-
     def icmp(self, pred: ICmpPred, a: Value, b: Value, name: str = "") -> Instruction:
         return self._append(ICmp(pred, a, b, name))
-
-    def select(self, cond: Value, t: Value, f: Value, name: str = "") -> Instruction:
-        return self._append(Select(cond, t, f, name))
 
     def cast(self, kind: CastKind, v: Value, to: IntType, name: str = "") -> Instruction:
         return self._append(Cast(kind, v, to, name))
@@ -153,12 +142,6 @@ class IRBuilder:
     def intrinsic(self, callee: str, args: Sequence[Value], type_: IntType, name: str = "") -> Instruction:
         return self._append(Intrinsic(callee, args, type_, name))
 
-    def phi(self, type_: IntType, name: str = "") -> Phi:
-        node = Phi(type_, name)
-        assert self.block is not None
-        self.block.insert(0, node)
-        return node
-
     # -- terminators -----------------------------------------------------------------
     def jmp(self, target: BasicBlock) -> Instruction:
         return self._append(Jmp(target))
@@ -169,22 +152,4 @@ class IRBuilder:
     def ret_action(self, kind: ActionKind, target: Optional[Value] = None) -> Instruction:
         return self._append(Ret(Action(kind, target)))
 
-    def ret_value(self, value: Optional[Value] = None) -> Instruction:
-        return self._append(Ret(None, value))
-
     # -- constants ----------------------------------------------------------------------
-    @staticmethod
-    def const(type_: IntType, value: int) -> Constant:
-        return Constant(type_, value)
-
-    @staticmethod
-    def true() -> Constant:
-        from repro.ir.types import BOOL
-
-        return Constant(BOOL, 1)
-
-    @staticmethod
-    def false() -> Constant:
-        from repro.ir.types import BOOL
-
-        return Constant(BOOL, 0)

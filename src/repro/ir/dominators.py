@@ -133,9 +133,6 @@ class DominatorTree:
             ncd = self._intersect(bb, ncd)
         return ncd
 
-    def depth(self, bb: BasicBlock) -> int:
-        return self._depth.get(id(bb), 0)
-
     def dominance_frontiers(self) -> dict[int, set[int]]:
         """Per-block dominance frontier as sets of block ids."""
         df: dict[int, set[int]] = {id(bb): set() for bb in self.rpo}

@@ -253,15 +253,6 @@ class GlobalState:
             raise InterpError(f"{name} is not _managed_: host writes forbidden")
         self._registers[base][index] = value & meta.elem.mask
 
-    def cp_register_read_all(self, name: str) -> array:
-        """A copy of the whole register file, as an ``array.array``."""
-        base = self._base_name(name)
-        return self._registers[base][:]
-
-    def cp_table_entries(self, name: str) -> list[LookupEntry]:
-        base = self._base_name(name)
-        return list(self._tables[base])
-
     def cp_table_insert(self, name: str, key_lo: int, key_hi: Optional[int] = None, value: Optional[int] = None) -> None:
         base = self._base_name(name)
         meta = self._meta[base]
@@ -416,9 +407,6 @@ class KernelMessage:
         else:
             self.fields[name] = value
 
-    def __repr__(self) -> str:
-        return f"KernelMessage({self.fields})"
-
 
 @dataclass(frozen=True, slots=True)
 class ActionOutcome:
@@ -427,11 +415,6 @@ class ActionOutcome:
 
     kind: ActionKind
     target: Optional[int] = None
-
-    def __repr__(self) -> str:
-        if self.target is not None:
-            return f"{self.kind.value}({self.target})"
-        return f"{self.kind.value}()"
 
 
 #: the outcome of every target-less exit, the implicit ``pass()`` included

@@ -31,26 +31,12 @@ class IntType:
         """Bit mask selecting the value bits of this type."""
         return (1 << self.width) - 1
 
-    @property
-    def min_value(self) -> int:
-        return -(1 << (self.width - 1)) if self.signed else 0
-
-    @property
-    def max_value(self) -> int:
-        if self.signed:
-            return (1 << (self.width - 1)) - 1
-        return (1 << self.width) - 1
-
     def wrap(self, v: int) -> int:
         """Reduce an arbitrary Python int to this type's value range."""
         v &= self.mask
         if self.signed and v >> (self.width - 1):
             v -= 1 << self.width
         return v
-
-    def saturate(self, v: int) -> int:
-        """Clamp an arbitrary Python int to this type's value range."""
-        return max(self.min_value, min(self.max_value, v))
 
     def to_unsigned(self, v: int) -> int:
         """Reinterpret a wrapped value as its unsigned bit pattern."""
@@ -63,9 +49,6 @@ class IntType:
 @dataclass(frozen=True)
 class VoidType:
     """The type of instructions that produce no value."""
-
-    def __str__(self) -> str:
-        return "void"
 
 
 BOOL = IntType(1)

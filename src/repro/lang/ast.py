@@ -25,14 +25,10 @@ class ScalarType:
 class AutoType:
     """``auto``; resolved from the initializer during lowering."""
 
-    def __str__(self) -> str:
-        return "auto"
-
 
 @dataclass(frozen=True)
 class VoidSrcType:
-    def __str__(self) -> str:
-        return "void"
+    """``void`` (function results only)."""
 
 
 @dataclass(frozen=True)
@@ -42,9 +38,6 @@ class LookupPairType:
     kind: str  # "kv" | "rv"
     key: ScalarType
     value: ScalarType
-
-    def __str__(self) -> str:
-        return f"ncl::{self.kind}<{self.key},{self.value}>"
 
 
 SrcType = Union[ScalarType, AutoType, VoidSrcType, LookupPairType]
@@ -248,9 +241,6 @@ class FuncDecl(Node):
     params: list[Param] = field(default_factory=list)
     body: Optional[Block] = None
 
-    @property
-    def is_kernel(self) -> bool:
-        return self.specs.kernel is not None
 
 @dataclass
 class Program(Node):

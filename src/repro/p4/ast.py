@@ -18,9 +18,6 @@ class BitType:
     def mask(self) -> int:
         return (1 << self.width) - 1
 
-    def __str__(self) -> str:
-        return f"{'int' if self.signed else 'bit'}<{self.width}>"
-
 
 @dataclass(frozen=True)
 class BoolType:

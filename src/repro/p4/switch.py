@@ -101,9 +101,6 @@ class P4NetCLSwitchDevice:
     def register_write(self, name: str, index: int, value: int) -> None:
         self.interp.register_write(name, index, value)
 
-    def register_read(self, name: str, index: int) -> int:
-        return self.interp.register_read(name, index)
-
     # -- packet path -----------------------------------------------------------------
     def process(self, packet: NetCLPacket) -> ForwardDecision:
         self._seen.inc()

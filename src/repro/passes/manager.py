@@ -75,10 +75,6 @@ class PassRecord:
     instrs_before: int = 0
     instrs_after: int = 0
 
-    @property
-    def instrs_delta(self) -> int:
-        return self.instrs_after - self.instrs_before
-
 
 #: passes that only *check* IR (never rewrite it); translation validation
 #: would re-execute the same behavior it just confirmed, so skip them.
@@ -230,9 +226,6 @@ class PassManager:
                     0,
                 )[1],
             )
-
-    def total_seconds(self) -> float:
-        return sum(r.seconds for r in self.records)
 
 
 def run_default_pipeline(

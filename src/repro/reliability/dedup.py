@@ -105,6 +105,3 @@ class ReplayCache(Generic[T]):
 
     def reset(self) -> None:
         self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)

@@ -43,9 +43,6 @@ class ReplicatedConnection:
     def managed_read(self, name: str, index: int = 0) -> int:
         return self._conn.managed_read(name, index=index)
 
-    def managed_read_all(self, name: str):
-        return self._conn.managed_read_all(name)
-
     # -- lookup memory ---------------------------------------------------------
     def managed_insert(
         self, name: str, key: int, value: Optional[int] = None,
@@ -67,14 +64,7 @@ class ReplicatedConnection:
         self._journal.pop(("tbl", name, key), None)
         return ok
 
-    def entries(self, name: str):
-        return self._conn.entries(name)
-
     # -- replication -----------------------------------------------------------
-    @property
-    def journal_size(self) -> int:
-        return len(self._journal)
-
     def replay(self, conn: DeviceConnection) -> int:
         """Re-apply the compacted journal onto another device; returns the
         number of operations replayed."""

@@ -75,34 +75,8 @@ from repro.rpc.policies import (
 )
 from repro.rpc.server import RpcServer
 
-# The scenario and tenant layers pull in repro.chaos / repro.service;
-# resolve them lazily (PEP 562) so importing the endpoint classes does
-# not drag the whole service stack in.
-_LAZY = {
-    "RpcRunResult": "scenarios",
-    "default_rpc_plan": "scenarios",
-    "run_rpc_chaos": "scenarios",
-    "ABSTRACT_EDGE": "tenant",
-    "ABSTRACT_SG": "tenant",
-    "RpcTenant": "tenant",
-    "abstract_tor": "tenant",
-    "submit_rpc_tenant": "tenant",
-}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        import importlib
-
-        module = importlib.import_module(f"repro.rpc.{_LAZY[name]}")
-        value = getattr(module, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "ABSTRACT_EDGE",
-    "ABSTRACT_SG",
     "EDGE_DEVICE",
     "FanoutResult",
     "GatherCall",
@@ -114,21 +88,17 @@ __all__ = [
     "RpcClient",
     "RpcCluster",
     "RpcMethod",
-    "RpcRunResult",
     "RpcSchema",
     "RpcServer",
-    "RpcTenant",
     "SG_DEVICE",
     "SG_MCAST_GROUP",
     "SG_WORDS",
     "TokenRefiller",
     "UnaryCall",
-    "abstract_tor",
     "build_rpc_cluster",
     "compare_gather",
     "compile_rpc_role",
     "decode",
-    "default_rpc_plan",
     "encode",
     "finish_topk",
     "finish_vote",
@@ -138,10 +108,8 @@ __all__ = [
     "request_key",
     "rpc_topology",
     "run_host_fanout",
-    "run_rpc_chaos",
     "server_host",
     "standby_device",
-    "submit_rpc_tenant",
     "tor_device",
     "u8",
     "u16",

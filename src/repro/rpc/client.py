@@ -359,10 +359,6 @@ class RpcClient:
 
     # -- introspection ------------------------------------------------------------
     @property
-    def outstanding(self) -> int:
-        return len(self._calls) + len(self._gathers)
-
-    @property
     def all_done(self) -> bool:
         return not self._calls and not self._gathers
 

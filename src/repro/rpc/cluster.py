@@ -102,7 +102,6 @@ class TokenRefiller:
         self.network = network
         self.conn = conn
         self.interval_ns = interval_ns
-        self._stopped = False
         #: (register, method_id) -> (rate_pps, burst, fractional credit)
         self._limited: dict[tuple[str, int], list] = {}
         self._m_refills = network.metrics.counter("rpc.edge.refills")
@@ -121,12 +120,7 @@ class TokenRefiller:
             self.network.sim.after(self.interval_ns, self._tick)
         return self
 
-    def stop(self) -> None:
-        self._stopped = True
-
     def _tick(self) -> None:
-        if self._stopped:
-            return
         for (reg, mid), state in self._limited.items():
             rate, burst, credit = state
             credit += rate * self.interval_ns / 1e9

@@ -52,9 +52,6 @@ class _Scalar:
         self.words = 2 if bits == 64 else 1
         self.mask = (1 << bits) - 1
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return self.name
-
 
 class _Vector:
     """A fixed-length vector of 32-bit words."""
@@ -64,9 +61,6 @@ class _Vector:
             raise ValueError("vec length must be positive")
         self.count = count
         self.words = count
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"vec({self.count})"
 
 
 u8 = _Scalar(8, "u8")

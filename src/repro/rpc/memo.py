@@ -32,7 +32,7 @@ class MemoController:
     """Host-side owner of one ToR's memo lines."""
 
     def __init__(
-        self, conn: ReplicatedConnection, *, lines: int = MEMO_LINES, metrics=None,
+        self, conn: ReplicatedConnection, *, metrics, lines: int = MEMO_LINES,
         tag: str = "tor",
     ) -> None:
         self.conn = conn
@@ -41,12 +41,11 @@ class MemoController:
         self._key_line: "OrderedDict[int, int]" = OrderedDict()
         self._line_ver = [0] * lines
         self._free = list(range(lines - 1, -1, -1))
-        if metrics is not None:
-            self._installs = metrics.counter(f"rpc.memo.installs.{tag}")
-            self._invalidations = metrics.counter(f"rpc.memo.invalidations.{tag}")
-            self._evictions = metrics.counter(f"rpc.memo.evictions.{tag}")
-        else:  # standalone use in unit tests
-            self._installs = self._invalidations = self._evictions = _Null()
+        self._installs = metrics.counter(f"rpc.memo.installs.{tag}")
+        # never incremented (writes bump the version instead); registered
+        # because the scenario digests hash the full counter snapshot
+        metrics.counter(f"rpc.memo.invalidations.{tag}")
+        self._evictions = metrics.counter(f"rpc.memo.evictions.{tag}")
 
     def install(self, key: int, words: list[int]) -> int:
         """Memoize ``words`` under ``key``; returns the line used."""
@@ -77,26 +76,3 @@ class MemoController:
         self._installs.inc()
         return line
 
-    def invalidate(self, key: int) -> bool:
-        """Drop ``key``'s memo line; returns whether it was cached."""
-        line = self._key_line.pop(key, None)
-        if line is None:
-            return False
-        self.conn.managed_remove("MemoIndex", key)
-        # Belt and braces: bump the live version so a packet that raced
-        # the removal (resolved the stale MAT entry at another pipeline
-        # stage) still fails the kernel's version compare.
-        self._line_ver[line] = (self._line_ver[line] + 1) & 0xFFFF
-        self.conn.managed_write("MemoVer", self._line_ver[line], index=line)
-        self._free.append(line)
-        self._invalidations.inc()
-        return True
-
-    @property
-    def cached_keys(self) -> int:
-        return len(self._key_line)
-
-
-class _Null:
-    def inc(self, n: int = 1) -> None:
-        pass

@@ -71,12 +71,6 @@ class DeviceConnection:
         except InterpError as exc:
             raise ManagedMemoryError(str(exc)) from exc
 
-    def managed_read_all(self, name: str):
-        """Bulk read of a register array (checkpointing)."""
-        self._resolve(name)
-        self._reads.inc()
-        return self.device.state.cp_register_read_all(name)
-
     # -- lookup memory ------------------------------------------------------------
     def managed_insert(
         self, name: str, key: int, value: Optional[int] = None, key_hi: Optional[int] = None
@@ -110,8 +104,3 @@ class DeviceConnection:
             return self.device.state.cp_table_remove(name, key)
         except InterpError as exc:
             raise ManagedMemoryError(str(exc)) from exc
-
-    def entries(self, name: str):
-        """List the current entries of a lookup table (debug/monitoring)."""
-        self._resolve(name)
-        return self.device.state.cp_table_entries(name)

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from repro.ir.compiled import KernelEngine
 from repro.ir.instructions import ActionKind
-from repro.ir.interp import GlobalState, KernelMessage
+from repro.ir.interp import GlobalState
 from repro.ir.module import Function, Module
 from repro.runtime.message import ACT_CODES, CodecPlan, KernelSpec, NetCLPacket, NO_DEVICE
 from repro.telemetry import MetricRegistry
@@ -214,14 +214,6 @@ class NetCLDevice:
         return ctr
 
     # -- the reference interpreter's view of a packet ------------------------------
-    def _decode(self, packet: NetCLPacket, plan: CodecPlan) -> KernelMessage:
-        """The message a kernel sees, header pseudo-fields included; an
-        omitted tail is appended zero-filled (§VIII)."""
-        return KernelMessage.of(packet, plan.names, plan.decode(packet.data))
-
-    def _encode(self, plan: CodecPlan, msg: KernelMessage) -> bytes:
-        return plan.pack([msg.fields[name] for name in plan.names])
-
     def _forward_noop(self, packet: NetCLPacket) -> ForwardDecision:
         if packet.to != NO_DEVICE and packet.to != self.device_id:
             return ForwardDecision(ForwardKind.TO_DEVICE, packet.to, packet)

@@ -87,10 +87,6 @@ class FieldSpec:
     def bytes_per_element(self) -> int:
         return max(1, (self.width_bits + 7) // 8)
 
-    @property
-    def total_bytes(self) -> int:
-        return self.bytes_per_element * self.count
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -115,15 +111,6 @@ class KernelSpec:
         it is kept on the instance because hashing a spec for the lookup
         costs about as much as encoding a message with the plan."""
         return _plan_for(self)
-
-    @property
-    def data_bytes(self) -> int:
-        return self.plan.data_bytes
-
-    @property
-    def size(self) -> int:
-        """Total NetCL bytes on the wire (header + data)."""
-        return HEADER_SIZE + self.data_bytes
 
 
 @dataclass

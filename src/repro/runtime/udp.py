@@ -72,12 +72,6 @@ class UdpSwitch:
     def register_host(self, host_id: int, addr: tuple[str, int]) -> None:
         self.host_addrs[host_id] = addr
 
-    def register_device(self, device_id: int, addr: tuple[str, int]) -> None:
-        self.device_addrs[device_id] = addr
-
-    def add_multicast_group(self, gid: int, host_ids: list[int]) -> None:
-        self.multicast_groups[gid] = list(host_ids)
-
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> "UdpSwitch":
         self._thread = threading.Thread(target=self._loop, daemon=True)

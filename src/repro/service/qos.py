@@ -37,16 +37,6 @@ class TenantQoS:
     #: the aggregation app assume this).
     ordered: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "priority": self.priority,
-            "max_pps": self.max_pps,
-            "max_latency_us": self.max_latency_us,
-            "burst": self.burst,
-            "queue_on_reject": self.queue_on_reject,
-            "ordered": self.ordered,
-        }
-
     @classmethod
     def from_dict(cls, d: Optional[dict]) -> "TenantQoS":
         d = d or {}

@@ -160,17 +160,11 @@ class AppDriver:
         self.event = event
         self.launched = False
 
-    def build(self) -> AbstractTopology:  # pragma: no cover - interface
-        raise NotImplementedError
-
     def launch(self, tenant: Tenant) -> None:
         self.launched = True
 
     def on_migrate(self, service: INCService, tenant: Tenant) -> None:
         pass
-
-    def finish(self) -> dict:  # pragma: no cover - interface
-        raise NotImplementedError
 
 
 class AggDriver(AppDriver):

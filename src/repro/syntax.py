@@ -45,9 +45,6 @@ class Token:
         """This token as written at ``line:col`` (a macro expansion's use site)."""
         return Token(self.kind, self.text, self.value, line, col)
 
-    def __repr__(self) -> str:
-        return f"Token({self.kind.name}, {self.text!r} @{self.line}:{self.col})"
-
 
 _COMMENT = re.compile(r"//[^\n]*|/\*[\s\S]*?(?:\*/|\Z)")
 

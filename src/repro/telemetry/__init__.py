@@ -8,8 +8,8 @@ Four pillars, mirroring how real INC deployments are observed:
   the network simulator (opt-in).
 * :mod:`repro.telemetry.profile` — wall-clock span profiling for the
   compiler (``ncc --profile``).
-* :mod:`repro.telemetry.export` — text and JSON renderers for all of
-  the above.
+* :mod:`repro.telemetry.export` — text and JSON renderers for the
+  compile profile.
 """
 
 from repro.telemetry.metrics import (
@@ -22,11 +22,8 @@ from repro.telemetry.metrics import (
 from repro.telemetry.profile import NULL_PROFILER, Profiler, ProfileSpan
 from repro.telemetry.trace import PacketTrace, PacketTracer, TraceHop, node_name
 from repro.telemetry.export import (
-    metrics_to_json,
     profile_to_json,
-    render_metrics_text,
     render_profile_text,
-    write_metrics_json,
     write_profile_json,
 )
 
@@ -44,9 +41,6 @@ __all__ = [
     "TraceHop",
     "node_name",
     "render_profile_text",
-    "render_metrics_text",
     "profile_to_json",
-    "metrics_to_json",
     "write_profile_json",
-    "write_metrics_json",
 ]

@@ -1,9 +1,5 @@
-"""Rendering and serialization of telemetry data.
-
-Text renderers feed ``ncc --profile`` and ad-hoc debugging; the JSON
-writers feed ``ncc --profile-json`` and the benchmark trajectory files
-(``BENCH_<name>.json``).
-"""
+"""Rendering and serialization of the compile profile: the text table
+feeds ``ncc --profile``, the JSON writer ``ncc --profile-json``."""
 
 from __future__ import annotations
 
@@ -11,7 +7,6 @@ import json
 from pathlib import Path
 from typing import Union
 
-from repro.telemetry.metrics import MetricRegistry
 from repro.telemetry.profile import Profiler
 
 
@@ -49,22 +44,3 @@ def write_profile_json(path: Union[str, Path], profiler: Profiler) -> Path:
     return path
 
 
-def render_metrics_text(registry: MetricRegistry, *, title: str = "metrics") -> str:
-    lines = [f"-- {title} " + "-" * max(0, 58 - len(title))]
-    for name, value in registry.snapshot().items():
-        if isinstance(value, dict):
-            detail = ", ".join(f"{k}={v}" for k, v in value.items())
-            lines.append(f"  {name:<40} {detail}")
-        else:
-            lines.append(f"  {name:<40} {value}")
-    return "\n".join(lines)
-
-
-def metrics_to_json(registry: MetricRegistry) -> str:
-    return json.dumps(registry.snapshot(), indent=2)
-
-
-def write_metrics_json(path: Union[str, Path], registry: MetricRegistry) -> Path:
-    path = Path(path)
-    path.write_text(metrics_to_json(registry) + "\n")
-    return path

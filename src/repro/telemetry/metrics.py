@@ -30,9 +30,6 @@ class Counter:
     def inc(self, n: Number = 1) -> None:
         self.value += n
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Counter({self.name}={self.value})"
-
 
 class Gauge:
     """A value that goes up and down; remembers its high-water mark."""
@@ -54,9 +51,6 @@ class Gauge:
 
     def dec(self, n: Number = 1) -> None:
         self.value -= n
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Gauge({self.name}={self.value}, max={self.max_value})"
 
 
 class Histogram:
@@ -106,9 +100,6 @@ class Histogram:
                 return self.max if i == self.NUM_BUCKETS - 1 else (1 << i) - 1
         return self.max or 0
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Histogram({self.name}: n={self.count}, mean={self.mean:.1f})"
-
 
 class _NullInstrument:
     """Shared do-nothing stand-in for every instrument kind."""
@@ -126,17 +117,11 @@ class _NullInstrument:
     def inc(self, n: Number = 1) -> None:
         pass
 
-    def dec(self, n: Number = 1) -> None:
-        pass
-
     def set(self, v: Number) -> None:
         pass
 
     def observe(self, v: Number) -> None:
         pass
-
-    def quantile(self, q: float) -> Number:
-        return 0
 
 
 NULL_INSTRUMENT = _NullInstrument()
@@ -176,9 +161,6 @@ class MetricRegistry:
         return self._get(name, Histogram)
 
     # -- queries -------------------------------------------------------------
-    def get(self, name: str) -> Optional[Instrument]:
-        return self._instruments.get(name)
-
     def value(self, name: str) -> Number:
         inst = self._instruments.get(name)
         return getattr(inst, "value", 0) if inst is not None else 0
@@ -196,9 +178,6 @@ class MetricRegistry:
 
     def __len__(self) -> int:
         return len(self._instruments)
-
-    def reset(self) -> None:
-        self._instruments.clear()
 
     def snapshot(self) -> dict[str, object]:
         """All instruments as plain JSON-serializable values."""

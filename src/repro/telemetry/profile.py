@@ -132,9 +132,6 @@ class Profiler:
         self.spans.append(sp)
 
     # -- queries -------------------------------------------------------------
-    def phase_seconds(self, name: str) -> float:
-        return sum(s.seconds for s in self.spans if s.category == "phase" and s.name == name)
-
     def phases(self) -> list[ProfileSpan]:
         return [s for s in self.spans if s.category == "phase"]
 

@@ -67,22 +67,6 @@ class FitResult:
     #: dependency kind that forced each stage transition (for timing)
     stage_entry_dependency: dict[int, DependencyKind]
 
-    @property
-    def stages_used(self) -> int:
-        return max((len(self.stages)), 0)
-
-    def dump(self) -> str:
-        """Human-readable stage layout (what `bf-p4c --verbose` would show)."""
-        lines = [f"pipeline '{self.spec.name}': {len(self.stages)} stage(s)"]
-        for i, s in enumerate(self.stages):
-            lines.append(
-                f"  stage {i:2d}: sram={s.sram_blocks:3d} tcam={s.tcam_blocks:2d} "
-                f"salu={s.salus} vliw={s.vliw_slots:3d} gw={s.gateways:2d}"
-            )
-            for name in s.names:
-                lines.append(f"           - {name}")
-        return "\n".join(lines)
-
 
 class _ColocationConflict(FitError):
     def __init__(self, anchor: str, required_stage: int) -> None:

@@ -45,9 +45,6 @@ class LatencyReport:
     def total_ns(self) -> float:
         return self.total_cycles * self.chip.timing.ns_per_cycle
 
-    def __repr__(self) -> str:
-        return f"LatencyReport({self.total_cycles:.0f} cycles = {self.total_ns:.0f} ns)"
-
 
 class LatencyModel:
     def __init__(self, chip: ChipSpec) -> None:

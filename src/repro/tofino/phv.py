@@ -34,13 +34,6 @@ class PhvReport:
         """Worst-case PHV occupancy, as a fraction of all container bits."""
         return self.used_bits / self.chip.phv.total_bits
 
-    def __repr__(self) -> str:
-        return (
-            f"PhvReport({self.used_8}x8b + {self.used_16}x16b + "
-            f"{self.used_32}x32b = {self.used_bits}b, "
-            f"{self.occupancy * 100:.1f}%)"
-        )
-
 
 class PhvError(Exception):
     pass

@@ -134,7 +134,3 @@ class PipelineSpec:
         self.header_fields.extend(other.header_fields)
         self.metadata_fields.extend(other.metadata_fields)
         self.parsed_bytes = max(self.parsed_bytes, other.parsed_bytes)
-
-    @property
-    def total_salus(self) -> int:
-        return sum(t.salus for t in self.tables)

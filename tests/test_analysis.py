@@ -21,9 +21,9 @@ from repro.analysis import (
 from repro.analysis.diagnostics import CODES, Severity
 from repro.core.cli import main
 from repro.ir import IRBuilder
-from repro.ir.instructions import Load, Store
+from repro.ir.instructions import ActionKind, Constant, Load, Store
 from repro.ir.module import Function, FunctionKind
-from repro.ir.types import IntType
+from repro.ir.types import BOOL, IntType
 
 U32 = IntType(32)
 
@@ -45,11 +45,11 @@ def _diamond():
     b.position_at_end(entry)
     slot_a = b.alloca(U32, name="a")
     slot_b = b.alloca(U32, name="b")
-    b.store(slot_a, IRBuilder.const(U32, 1))
-    b.br(IRBuilder.true(), then_, else_)
+    b.store(slot_a, Constant(U32, 1))
+    b.br(Constant(BOOL, 1), then_, else_)
 
     b.position_at_end(then_)
-    b.store(slot_b, IRBuilder.const(U32, 2))
+    b.store(slot_b, Constant(U32, 2))
     b.jmp(merge)
 
     b.position_at_end(else_)
@@ -57,7 +57,7 @@ def _diamond():
 
     b.position_at_end(merge)
     b.load(slot_a, name="la")
-    b.ret_value()
+    b.ret_action(ActionKind.PASS)
     return fn, slot_a, slot_b, merge
 
 
@@ -340,6 +340,19 @@ class TestLintSource:
         run_lints(mod, engine)
         assert mod.dump() == before
         assert engine.diagnostics == []
+
+    @pytest.mark.parametrize("used", [True, False])
+    def test_an_atomic_write_reads_the_global_only_if_its_old_value_is_used(self, used):
+        call = "ncl::atomic_write(&m[i & 3], x);"
+        body = f"o = {call}" if used else call
+        engine = DiagnosticEngine()
+        lint_source(
+            "_net_ unsigned m[4];\n"
+            f"_kernel(1) void k(unsigned i, unsigned x, unsigned &o) {{ {body} }}",
+            engine=engine,
+        )
+        written_only = [d for d in engine.diagnostics if "written but never read" in d.message]
+        assert len(written_only) == (0 if used else 1)
 
 
 class TestDiagnosticDeterminism:

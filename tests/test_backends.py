@@ -112,13 +112,25 @@ class TestDriver:
         assert t.ncc_seconds > 0 and t.fitter_seconds > 0
         assert abs(t.total_seconds - (t.ncc_seconds + t.fitter_seconds)) < 1e-9
 
+    def test_dynamic_local_index_gets_an_index_table(self):
+        # A local array indexed by a run-time value stays a header stack;
+        # its loads and stores share one exact-match index table (Fig. 9).
+        src = (
+            "_kernel(1) void k(unsigned i, unsigned x, unsigned &o) {\n"
+            "  unsigned a[4];\n"
+            "  a[0] = x; a[1] = x + 1; a[2] = x + 2; a[3] = x + 3;\n"
+            "  a[i & 3] = 7;\n"
+            "  o = a[(i + 1) & 3];\n"
+            "}\n"
+        )
+        cp = compile_netcl(src, 1)
+        index_tables = [t for t in cp.codegen.spec.tables if "_idx_" in t.name]
+        assert len(index_tables) == 1
+        assert index_tables[0].entries == 4 and cp.report is not None
+
     def test_fit_false_skips_fitter(self):
         cp = compile_netcl(MINI_KERNEL, 1, fit=False)
         assert cp.report is None and cp.timings.fitter_seconds == 0
-
-    def test_kernel_for_computation(self, fig4_compiled):
-        assert fig4_compiled.codegen.kernel_for_computation(1) is not None
-        assert fig4_compiled.codegen.kernel_for_computation(9) is None
 
 
 class TestCli:

@@ -14,13 +14,12 @@ from repro.collective import (
     build_collective_cluster,
     compile_role,
     contribution,
-    default_collective_plan,
     leaf_device,
-    run_collective_chaos,
     run_host_ring,
     shard_range,
-    submit_collective_tenant,
 )
+from repro.collective.scenarios import default_collective_plan, run_collective_chaos
+from repro.collective.tenant import submit_collective_tenant
 from repro.collective.tree import ROOT_DEVICE
 from repro.deploy import PhysicalFabric
 from repro.netsim import DEVICE, HOST
@@ -289,7 +288,7 @@ class TestTenantMode:
         tensors = _tensors(4, 2048)
         job = ct.submit_job("allreduce", tensors)
         ct.run(until_ms=0.05)  # mid-flight
-        assert not ct.all_done
+        assert ct.stall_report()
         svc.crash_switch(ct.deployment.placement[2])
         ct.run(until_ms=300, require_done=True)
         assert svc.network.metrics.value("service.migrations") == 1

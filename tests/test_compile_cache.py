@@ -280,7 +280,7 @@ def _roll(dev, key=5):
     spec = dev.specs[1]
     packet = NetCLPacket(
         src=1, dst=2, from_=NO_DEVICE, to=dev.device_id, comp=1, act=0,
-        data=key.to_bytes(4, "big") + bytes(spec.data_bytes - 4),
+        data=key.to_bytes(4, "big") + bytes(spec.plan.data_bytes - 4),
     )
     return dev.process(packet).packet.data
 

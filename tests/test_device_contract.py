@@ -135,7 +135,7 @@ class TestRepeat:
         assert dev.metrics.value("kernel.repeats") == 2
         assert dev.packets_computed == 1
         assert dev.metrics.value("kernel.action.reflect") == 1
-        assert dev.metrics.get("kernel.action.repeat") is None
+        assert "kernel.action.repeat" not in dev.metrics.snapshot()
 
     def test_past_max_repeats_is_a_named_error(self):
         dev = _device(REPEAT, max_repeats=4)
@@ -166,7 +166,7 @@ class TestMessageLayout:
         assert (d.kind, d.packet) == (ForwardKind.DROP, None)
         assert dev.metrics.value("kernel.malformed") == 1
         assert dev.packets_computed == 0
-        assert dev.metrics.get("kernel.forward.drop") is None
+        assert "kernel.forward.drop" not in dev.metrics.snapshot()
 
     def test_a_long_data_section_is_dropped_not_truncated(self):
         dev = _device(TABLE_II)

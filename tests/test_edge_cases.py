@@ -122,10 +122,10 @@ class TestPartitionedManagedMemory:
         for _ in range(3):
             raw = pack(Message(src=1, dst=2, comp=1, to=1), spec, [1, 77, None, None, None])
             dev.process(NetCLPacket.from_wire(raw))
-        snapshot = dev.state.cp_register_read_all("cms")
+        snapshot = dev.state.snapshot()["registers"]["cms"]
         assert sum(snapshot) == 9  # 3 rows x 3 misses
         # host resets the sketch (a slow-path managed operation, §V-B)
         for i in range(len(snapshot)):
             if snapshot[i]:
                 dev.state.cp_register_write("cms", 0, i)
-        assert sum(dev.state.cp_register_read_all("cms")) == 0
+        assert sum(dev.state.snapshot()["registers"]["cms"]) == 0

@@ -17,10 +17,9 @@ from repro.collective import (
     ROOT_DEVICE,
     build_collective_cluster,
     leaf_device,
-    submit_collective_tenant,
 )
 from repro.collective.baseline import _RingRun
-from repro.collective.tenant import ABSTRACT_ROOT, abstract_leaf
+from repro.collective.tenant import ABSTRACT_ROOT, abstract_leaf, submit_collective_tenant
 from repro.collective.tree import collective_topology
 from repro.core import compile_cache_info, compile_netcl
 from repro.deploy import (
@@ -35,13 +34,12 @@ from repro.rpc import (
     EDGE_DEVICE,
     SG_DEVICE,
     build_rpc_cluster,
-    submit_rpc_tenant,
     tor_device,
 )
 from repro.rpc.baseline import _FanoutRun
 from repro.rpc.cluster import rpc_topology
 from repro.rpc.scenarios import scenario_handlers, scenario_schema
-from repro.rpc.tenant import ABSTRACT_EDGE, ABSTRACT_SG, abstract_tor
+from repro.rpc.tenant import ABSTRACT_EDGE, ABSTRACT_SG, abstract_tor, submit_rpc_tenant
 from repro.service import AdmissionError, INCService, IncrementalPlanner, TenantState
 from repro.telemetry.trace import node_name
 

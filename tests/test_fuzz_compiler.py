@@ -139,9 +139,8 @@ def _run(module, inputs):
         msg = KernelMessage({"a": a, "b": b, "c": c, "r0": 0, "r1": 0})
         out = interp.run_kernel(fn, msg)
         outputs.append((out.kind, msg.fields["r0"], msg.fields["r1"]))
-    mem = {
-        name: state.cp_register_read_all(name).tolist() for name in ("g0", "g1")
-    }
+    registers = state.snapshot()["registers"]
+    mem = {name: registers[name] for name in ("g0", "g1")}
     return outputs, mem
 
 

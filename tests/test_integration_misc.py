@@ -29,7 +29,7 @@ class TestUdpDeviceChain:
         d2 = NetCLDevice(2, cp2.module, cp2.kernels())
         spec = KernelSpec.from_kernel(cp1.kernels()[0])
         with UdpSwitch(d1) as s1, UdpSwitch(d2) as s2:
-            s1.register_device(2, s2.endpoint.addr)
+            s1.device_addrs[2] = s2.endpoint.addr
             with UdpHost(1) as client, UdpHost(2) as sink:
                 client.connect(s1)
                 sink.connect(s2)

@@ -30,6 +30,8 @@ from repro.ir.instructions import (
     CastKind,
     Constant,
     ICmpPred,
+    Phi,
+    Select,
 )
 from repro.ir.interp import InterpError
 from repro.ir.module import (
@@ -45,7 +47,7 @@ from repro.ir.module import (
 from repro.ir.types import ArrayShape, IntType, U8, U16, U32
 from repro.rpc.cluster import EDGE_DEVICE, SG_DEVICE, compile_rpc_role, tor_device
 from repro.runtime.device import NetCLDevice
-from repro.runtime.message import NO_DEVICE, KernelSpec, NetCLPacket
+from repro.runtime.message import NO_DEVICE, KernelSpec, Message, NetCLPacket, unpack_packet
 
 DEVICE = 1
 
@@ -179,7 +181,7 @@ class TestArithmeticAgainstTheInterpreter:
         module, fn, b = make_kernel(args)
         forms = data.draw(operand_forms(ty, args, (c, t, f)))
         cv, tv, fv = (materialize(b, ty, x) for x in forms)
-        b.ret_action(ActionKind.SEND_TO_DEVICE, b.select(cv, tv, fv))
+        b.ret_action(ActionKind.SEND_TO_DEVICE, b.block.append(Select(cv, tv, fv)))
         differential(module, fn, [{"c": c, "t": t, "f": f}, {"c": 0, "t": t, "f": f}])
 
 
@@ -444,7 +446,7 @@ class TestDeviceLifecycle:
     def _packet(self, spec):
         return NetCLPacket(
             src=1, dst=2, from_=NO_DEVICE, to=DEVICE, comp=1, act=0,
-            data=bytes(spec.data_bytes),
+            data=bytes(spec.plan.data_bytes),
         )
 
     def test_reset_rebinds_to_zeroed_state_and_a_restarted_rng(self):
@@ -540,7 +542,7 @@ class TestFallbackToTheInterpreter:
         b.position_at_end(right)
         b.jmp(join)
         b.position_at_end(join)
-        phi = b.phi(ty)
+        phi = join.insert(0, Phi(ty))
         phi.add_incoming(Constant(ty, 11), left)
         phi.add_incoming(Constant(ty, 22), right)
         b.store_msg("r", phi)
@@ -555,6 +557,29 @@ class TestFallbackToTheInterpreter:
         b.position_at_end(loop)
         b.br(fn.args[0], loop, fn.entry)
         assert generate(fn) is None
+
+    def test_a_device_runs_an_untranslated_kernel_on_the_interpreter(self):
+        args = [Argument("c", U32), Argument("r", U32, byref=True), Argument("s", U16, byref=True)]
+        module, fn, b = make_kernel(args)
+        left, right, join = fn.new_block("l"), fn.new_block("r"), fn.new_block("j")
+        b.br(args[0], left, right)
+        b.position_at_end(left)
+        b.jmp(join)
+        b.position_at_end(right)
+        b.jmp(join)
+        b.position_at_end(join)
+        phi = join.insert(0, Phi(U32))
+        phi.add_incoming(Constant(U32, 11), left)
+        phi.add_incoming(Constant(U32, 22), right)
+        b.store_msg("r", phi)
+        b.store_msg("s", b.load_msg("__src", U16))
+        b.ret_action(ActionKind.PASS)
+        dev = NetCLDevice(1, module, [fn])
+        spec = dev.specs[1]
+        packet = NetCLPacket.from_message(Message(src=5, dst=2, comp=1, to=1), spec, [1, 0, 0])
+        decision = dev.process(packet)
+        assert unpack_packet(decision.packet, spec) == [1, 11, 5]
+        assert dev.interp.interpreted == 1
 
     def test_unexpected_message_shape_gets_the_interpreters_answer(self):
         args = [
@@ -614,7 +639,7 @@ def test_no_shipped_kernel_falls_back_on_a_device(build):
     for comp, fn in dev.kernels.items():
         assert dev.interp.kernel_code(fn) is not None, fn.name
         spec = dev.specs[comp]
-        for data in (bytes(spec.data_bytes), rng.randbytes(spec.data_bytes)):
+        for data in (bytes(spec.plan.data_bytes), rng.randbytes(spec.plan.data_bytes)):
             packet = NetCLPacket(
                 src=1, dst=2, from_=NO_DEVICE, to=cp.device_id, comp=comp, act=0, data=data
             )

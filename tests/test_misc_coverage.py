@@ -74,7 +74,7 @@ class TestModuleDump:
 class TestVerifierDiagnostics:
     def test_phi_predecessor_mismatch_detected(self):
         from repro.ir import IRBuilder, U32
-        from repro.ir.instructions import ActionKind, Constant
+        from repro.ir.instructions import ActionKind, Constant, Phi
         from repro.ir.module import Argument, Function, FunctionKind
 
         fn = Function("f", FunctionKind.KERNEL, [Argument("x", U32)], computation=1)
@@ -84,7 +84,7 @@ class TestVerifierDiagnostics:
         b.position_at_end(entry)
         b.jmp(nxt)
         b.position_at_end(nxt)
-        phi = b.phi(U32)
+        phi = nxt.insert(0, Phi(U32))
         phi.add_incoming(Constant(U32, 1), nxt)  # wrong block
         b.ret_action(ActionKind.PASS)
         with pytest.raises(IRVerifyError, match="does not match predecessors"):

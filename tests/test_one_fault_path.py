@@ -99,7 +99,7 @@ class TestDeploymentFailover:
         assert (mgr.primary_id, mgr.standby_id) == (CACHE_DEVICE, 2)
         assert mgr.channels == [work.client.channel, work.server.channel]
         assert mgr.replicated is deployment.control(CACHE_DEVICE)
-        assert mgr.replicated.journal_size > 0  # the installed cache lines
+        assert mgr.replicated._journal  # the installed cache lines
         # started: the crash is detected and the standby promoted
         net = deployment.network
         net.sim.at(200_000, net.crash_switch, CACHE_DEVICE)

@@ -135,6 +135,10 @@ class TestP4Parser:
             parse_p4(f"control C(inout bit<8> x) {{\n  {decl}\n  apply {{ }}\n}}")
         assert exc.value.line == 2
 
+    def test_named_extern_value_type_is_named_in_the_error(self):
+        with pytest.raises(P4ParseError, match="found my_t$"):
+            parse_p4("control C(inout bit<8> x) {\n  Register<my_t, bit<32>>(4) r;\n  apply { }\n}")
+
     def test_all_baselines_parse(self):
         for name in P4_SOURCES:
             prog = parse_p4(p4_source(name))

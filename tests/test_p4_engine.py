@@ -548,7 +548,7 @@ def test_engines_share_code_not_state(monkeypatch):
     first.process(packet)
     assert len(calls) == 1
     assert first.interp is not before and first.interp.packet_code(**TNA) is second.interp.packet_code(**TNA)
-    assert first.register_read("count", 3) == 0 and second.register_read("count", 3) == 0
+    assert first.interp.register_read("count", 3) == 0 and second.interp.register_read("count", 3) == 0
     assert before.register_read("count", 3) == 9
     assert first.interp.interpreted == second.interp.interpreted == 0
 

@@ -126,10 +126,3 @@ class TestSectionVD_PaperRejections:
             msg = KernelMessage({"op": 1, "k": key, "v": 0, "hit": 0, "hot": 0})
             out = interp.run_kernel(fn, msg)
             assert out.kind.value == "reflect" and msg.fields["v"] == 42
-
-
-class TestFitDump:
-    def test_dump_is_readable(self, fig4_compiled):
-        text = fig4_compiled.report.fit.dump()
-        assert "stage  0" in text and "ncl_dispatch" in text
-        assert text.count("stage") >= fig4_compiled.report.stages_used

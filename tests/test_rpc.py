@@ -26,8 +26,6 @@ from repro.rpc import (
     one_hot,
     pack_topk,
     request_key,
-    run_rpc_chaos,
-    submit_rpc_tenant,
     tor_device,
     u8,
     u16,
@@ -44,13 +42,17 @@ from repro.rpc.scenarios import (
     default_rpc_plan,
     get_value,
     query_partial,
+    run_rpc_chaos,
     scenario_handlers,
     scenario_schema,
 )
-from repro.rpc.tenant import ABSTRACT_SG, abstract_tor
+from repro.rpc.tenant import ABSTRACT_SG, abstract_tor, submit_rpc_tenant
+from repro.rpc.idl import OP_REQ, OP_RSP
+from repro.runtime import DeviceConnection, Message, NetCLDevice, NetCLPacket
 from repro.runtime.message import unpack_packet
 from repro.service import INCService
 from repro.service.qos import TenantQoS
+from repro.telemetry import MetricRegistry
 
 
 # -- IDL --------------------------------------------------------------------------
@@ -148,24 +150,40 @@ class _RecordingConn:
 class TestMemoController:
     def test_install_writes_data_before_publishing_index(self):
         conn = _RecordingConn()
-        memo = MemoController(conn, lines=4)
+        memo = MemoController(conn, lines=4, metrics=MetricRegistry())
         memo.install(77, [1, 2])
         names = [op[0] for op in conn.ops]
         assert names.index("managed_insert") > names.index("managed_write")
-        assert memo.cached_keys == 1
+        assert names.count("managed_insert") == 1
 
-    def test_invalidate_bumps_version_and_frees_line(self):
-        conn = _RecordingConn()
-        memo = MemoController(conn, lines=2)
-        line = memo.install(5, [9])
-        assert memo.invalidate(5) and not memo.invalidate(5)
-        assert memo.cached_keys == 0
-        # The freed line is reusable and gets a fresh version.
-        assert memo.install(6, [1]) == line
+    def test_version_wraps_to_zero_and_the_tor_kernel_still_hits(self):
+        # A line at version 0xFFFF re-installs as version 0: the MemoIndex
+        # meta ((ver << 16) | line) and the MemoVer write carry the same
+        # wrapped 16-bit tag, so the kernel's MemoVer[idx] == tagver compare
+        # serves the newest words.
+        tor = tor_device(0)
+        cp = compile_rpc_role(tor, "tor", fanout=4)
+        dev = NetCLDevice(tor, cp.module, cp.kernels())
+        memo = MemoController(DeviceConnection(dev), metrics=dev.metrics)
+        line = memo.install(7, [1, 2])
+        memo._line_ver[line] = 0xFFFE
+        assert memo.install(7, [3, 4]) == line  # version 0xFFFF
+        assert memo.install(7, [5, 6]) == line  # wraps to 0
+        state = dev.state.snapshot()
+        assert state["registers"]["MemoVer"][line] == 0
+        assert state["tables"]["MemoIndex"] == [(7, 7, (0 << 16) | line)]
+        spec = dev.specs[1]
+        request = [OP_REQ, 0, 1, 7, 0xFFFF, 0, [0] * RPC_WORDS]
+        decision = dev.process(
+            NetCLPacket.from_message(Message(src=1, dst=2, comp=1, to=tor), spec, request)
+        )
+        op, _, _, _, ver, hit, words = unpack_packet(decision.packet, spec)
+        assert (op, ver, hit) == (OP_RSP, 0, 1)
+        assert words[:2] == [5, 6]
 
     def test_lru_eviction_removes_victim_mat_entry(self):
         conn = _RecordingConn()
-        memo = MemoController(conn, lines=2)
+        memo = MemoController(conn, lines=2, metrics=MetricRegistry())
         memo.install(1, [1])
         memo.install(2, [2])
         memo.install(1, [3])  # refresh 1; victim must be 2
@@ -215,22 +233,6 @@ class TestUnary:
         m = cluster.network.metrics
         assert m.total("rpc.client.memo_hits.") == 1
         assert m.total("rpc.server.executions.") == 1
-
-    def test_invalidate_falls_back_to_server_then_rememoizes(self):
-        cluster, _ = _small_cluster()
-        client = cluster.clients[0]
-        client.call("get", GetReq(key=3))
-        cluster.run(until_ms=5)
-        words = encode(GetReq(key=3))
-        rack = cluster.method_rack[0]
-        assert cluster.memo[rack].invalidate(request_key(0, words))
-        cluster.run(until_ms=1)  # let the managed ops land
-        miss = client.call("get", GetReq(key=3))
-        cluster.run(until_ms=5)
-        assert miss.done and not miss.hit
-        hit = client.call("get", GetReq(key=3))
-        cluster.run(until_ms=5)
-        assert hit.done and hit.hit
 
     def test_nonidempotent_applied_exactly_once_under_loss(self):
         cluster, bumps = _small_cluster(loss=0.15, seed=11)

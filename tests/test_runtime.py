@@ -36,8 +36,9 @@ SPEC = KernelSpec(
 
 class TestCodec:
     def test_sizes(self):
-        assert SPEC.data_bytes == 1 + 4 + 4 + 16
-        assert SPEC.size == HEADER_SIZE + SPEC.data_bytes
+        assert SPEC.plan.data_bytes == 1 + 4 + 4 + 16
+        raw = pack(Message(src=1, dst=2, comp=1, to=1), SPEC, [1, 2, 3, [4, 5, 6, 7]])
+        assert len(raw) == HEADER_SIZE + SPEC.plan.data_bytes
 
     def test_pack_unpack_roundtrip(self):
         msg = Message(src=1, dst=2, comp=1, to=3)
@@ -209,10 +210,9 @@ class TestManagedMemory:
         conn = DeviceConnection(dev)
         conn.managed_insert("t", 5, value=50)
         assert conn.managed_modify("t", 5, 51)
-        entries = conn.entries("t")
-        assert len(entries) == 1 and entries[0].value == 51
+        assert dev.state.snapshot()["tables"]["t"] == [(5, 5, 51)]
         assert conn.managed_remove("t", 5)
-        assert not conn.entries("t")
+        assert dev.state.snapshot()["tables"]["t"] == []
 
 
 class TestUdpBackend:
@@ -244,7 +244,7 @@ class TestUdpBackend:
             try:
                 for h in hosts:
                     h.connect(switch)
-                switch.add_multicast_group(9, [1, 2, 3])
+                switch.multicast_groups[9] = [1, 2, 3]
                 hosts[0].send(Message(src=1, dst=2, comp=1, to=1), spec, [7])
                 for h in hosts:
                     _, values = h.recv(spec)

@@ -9,12 +9,14 @@ import json
 
 import pytest
 
-from repro.collective import CollectiveCluster, submit_collective_tenant
+from repro.collective import CollectiveCluster
 from repro.collective.protocol import StallError, resync_streams
+from repro.collective.tenant import submit_collective_tenant
 from repro.deploy import PhysicalFabric
 from repro.netsim import DEVICE, HOST
-from repro.rpc import RpcCluster, submit_rpc_tenant
+from repro.rpc import RpcCluster
 from repro.rpc.scenarios import scenario_handlers, scenario_schema
+from repro.rpc.tenant import submit_rpc_tenant
 from repro.service import INCService
 
 _BASE = {"seed", "ok", "errors", "sim_ns", "digest"}

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import compile_netcl
 from repro.netsim import DEVICE, HOST, Network
-from repro.runtime import KernelSpec, Message, NetCLDevice
+from repro.runtime import Message, NetCLDevice
 from repro.runtime.message import unpack
 
 # Computation 1 = "square" at device 1; computation 2 = "circle" at
@@ -54,10 +54,8 @@ def system():
     net.link(HOST(3), DEVICE(2))
     net.link(HOST(4), DEVICE(3))
     net.add_multicast_group(7, [HOST(1), HOST(2)])
-    cp1 = compile_netcl(SRC, 1, program_name="fig5")
-    cp2 = compile_netcl(SRC, 2, program_name="fig5")
-    square_spec = KernelSpec.from_kernel(cp1.codegen.kernel_for_computation(1))
-    circle_spec = KernelSpec.from_kernel(cp2.codegen.kernel_for_computation(2))
+    square_spec = devices[1].specs[1]
+    circle_spec = devices[2].specs[2]
     return net, hosts, devices, square_spec, circle_spec
 
 
@@ -121,8 +119,7 @@ def test_compact_topology_shares_devices():
     h = net.add_host(1)
     net.add_switch(dev)
     net.link(HOST(1), DEVICE(1))
-    s1 = KernelSpec.from_kernel(cp.codegen.kernel_for_computation(1))
-    s2 = KernelSpec.from_kernel(cp.codegen.kernel_for_computation(2))
+    s1, s2 = dev.specs[1], dev.specs[2]
     h.send_message(Message(src=1, dst=1, comp=1, to=1), s1, [9, None])
     h.send_message(Message(src=1, dst=1, comp=2, to=1), s2, [9, None])
     net.sim.run()

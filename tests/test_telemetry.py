@@ -16,7 +16,6 @@ from repro.telemetry import (
     MetricRegistry,
     NULL_PROFILER,
     Profiler,
-    render_metrics_text,
     render_profile_text,
 )
 from repro.telemetry.metrics import NULL_INSTRUMENT
@@ -89,8 +88,6 @@ class TestMetrics:
         assert snap["a"] == 1
         assert snap["b"] == {"value": 2, "max": 2}
         assert snap["c"]["count"] == 1
-        text = render_metrics_text(reg)
-        assert "a" in text and "count=1" in text
 
 
 class TestProfiler:
@@ -141,7 +138,7 @@ class TestCompileProfiling:
         passes_phase = prof.phases()[1]
         assert all(s.parent is passes_phase for s in prof.passes())
         # profiler timing and CompileTimings agree within scheduling noise
-        assert prof.phase_seconds("passes") <= cp.timings.passes_seconds * 3 + 0.05
+        assert passes_phase.seconds <= cp.timings.passes_seconds * 3 + 0.05
 
     def test_default_compile_does_not_profile(self):
         cp = compile_netcl(ECHO, 1)
@@ -274,7 +271,7 @@ class TestNetworkCounters:
         conn = DeviceConnection(dev)
         conn.managed_write("counters", 5, 2)
         assert conn.managed_read("counters", 2) == 5
-        conn.managed_read_all("counters")
+        conn.managed_read("counters", 3)
         assert dev.metrics.value("managed.writes") == 1
         assert dev.metrics.value("managed.reads") == 2
 
@@ -285,7 +282,6 @@ class TestServiceMetricsExport:
     def test_service_and_tenant_counters_exported(self):
         from repro.deploy import AbstractTopology, PhysicalFabric
         from repro.service import INCService
-        from repro.telemetry.export import metrics_to_json
 
         fab = PhysicalFabric()
         fab.add_switch(1)
@@ -306,15 +302,13 @@ class TestServiceMetricsExport:
         )
         net.sim.run()
 
-        snap = json.loads(metrics_to_json(net.metrics))
+        snap = json.loads(json.dumps(net.metrics.snapshot()))
         assert snap["service.tenants_active"] == {"value": 1, "max": 1}
         assert snap["service.submissions"] == 1
         assert snap["service.admission_rejects"] == 0
         assert snap["tenant.t1.packets"] == 1
         assert snap["tenant.t1.computed"] == 1
         assert snap["tenant.t1.latency_ns"]["count"] == 0
-        text = render_metrics_text(net.metrics)
-        assert "service.tenants_active" in text and "tenant.t1.packets" in text
 
 
 class TestPacketTracing:
