@@ -131,6 +131,16 @@ class DeviceDemand:
     salu_pct: float
 
 
+def demand_of(dev_id: int, cp: Optional[CompiledProgram]) -> DeviceDemand:
+    """Demand of abstract device ``dev_id``'s program, from the fitter's report."""
+    if cp is None or cp.report is None:
+        raise DeploymentError(
+            f"abstract device {dev_id}: program was not fitted; "
+            "compile with fit=True first"
+        )
+    return DeviceDemand(cp.report.stages_used, cp.report.sram_pct, cp.report.salus_pct)
+
+
 @dataclass
 class AbstractTopology:
     """The topology the NetCL program was written against (§IV, Fig. 5c).
@@ -447,16 +457,7 @@ class DeploymentPlanner:
         """Place ``topology`` into the pristine fabric's headroom, with
         demands from the programs' fit reports."""
         topology.validate()
-        demands = {}
-        for dev_id, cp in topology.programs.items():
-            if cp is None or cp.report is None:
-                raise DeploymentError(
-                    f"abstract device {dev_id}: program was not fitted; "
-                    "compile with fit=True first"
-                )
-            demands[dev_id] = DeviceDemand(
-                cp.report.stages_used, cp.report.sram_pct, cp.report.salus_pct
-            )
+        demands = {dev_id: demand_of(dev_id, cp) for dev_id, cp in topology.programs.items()}
         graph = self.fabric.graph()
         for host_id in topology.host_attachments:
             host = HOST(host_id)

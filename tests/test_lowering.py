@@ -20,6 +20,16 @@ def run(src, fields, device_id=0):
     return out, msg, mod
 
 
+class TestCompoundAssignment:
+    def test_each_operator_applies_to_the_old_value(self):
+        _, msg, _ = run(
+            "_kernel(1) void k(unsigned x, unsigned &r) {"
+            " r = 6; r += x; r <<= 2; r -= 1; r >>= 1; r ^= 3; r |= 32; r &= 60; }",
+            {"x": 4, "r": 0},
+        )
+        assert msg.fields["r"] == ((((6 + 4) << 2) - 1 >> 1 ^ 3) | 32) & 60
+
+
 class TestLoopUnrolling:
     def test_simple_unroll(self):
         out, msg, _ = run(
@@ -190,7 +200,7 @@ class TestArgumentAbi:
             "_kernel(4) void d(int x, int y[2], int _spec(3) *z) { }"
         )
         fn = mod.kernels()[0]
-        assert fn.specification() == ((1, "i32"), (2, "i32"), (3, "i32"))
+        assert [(a.spec, str(a.type)) for a in fn.args] == [(1, "i32"), (2, "i32"), (3, "i32")]
 
     def test_msg_builtin_fields(self):
         src = "_kernel(1) void k(unsigned &a, unsigned &b) { a = msg.src; b = msg.to; }"
