@@ -35,8 +35,6 @@ from repro.analysis.dataflow import (
     DataflowAnalysis,
     Direction,
     GenKillAnalysis,
-    iter_postorder,
-    iter_reverse_postorder,
 )
 from repro.analysis.lint import lint_source, run_lints
 from repro.analysis.tvalid import (
@@ -58,8 +56,6 @@ __all__ = [
     "RangeAnalysis",
     "TranslationValidationError",
     "generate_vectors",
-    "iter_postorder",
-    "iter_reverse_postorder",
     "lint_source",
     "run_lints",
 ]

@@ -32,40 +32,12 @@ from enum import Enum
 from typing import Dict, FrozenSet, Hashable, List
 
 from repro.ir.blocks import BasicBlock
+from repro.ir.dominators import postorder, predecessor_map, reverse_postorder
 from repro.ir.instructions import Instruction
 from repro.ir.module import Function
 
 Fact = FrozenSet[Hashable]
 EMPTY: Fact = frozenset()
-
-
-def iter_postorder(fn: Function) -> List[BasicBlock]:
-    """Postorder over blocks reachable from the entry, without recursion."""
-    order: List[BasicBlock] = []
-    visited: set[int] = set()
-    # (block, next successor index) pairs emulate the recursive DFS frame.
-    stack: List[List] = [[fn.entry, 0]]
-    visited.add(id(fn.entry))
-    while stack:
-        frame = stack[-1]
-        bb, idx = frame
-        succs = bb.successors()
-        if idx < len(succs):
-            frame[1] += 1
-            nxt = succs[idx]
-            if id(nxt) not in visited:
-                visited.add(id(nxt))
-                stack.append([nxt, 0])
-        else:
-            order.append(bb)
-            stack.pop()
-    return order
-
-
-def iter_reverse_postorder(fn: Function) -> List[BasicBlock]:
-    order = iter_postorder(fn)
-    order.reverse()
-    return order
 
 
 class Direction(str, Enum):
@@ -139,7 +111,7 @@ class DataflowAnalysis:
 
     def run(self) -> "DataflowAnalysis":
         forward = self.direction == Direction.FORWARD
-        blocks = iter_reverse_postorder(self.fn) if forward else iter_postorder(self.fn)
+        blocks = reverse_postorder(self.fn) if forward else postorder(self.fn)
         start = self.initial(self.fn)
         for bb in blocks:
             self.block_in[id(bb)] = start
@@ -147,6 +119,7 @@ class DataflowAnalysis:
 
         boundary = self.boundary(self.fn)
         entry = self.fn.entry
+        preds = predecessor_map(self.fn)
         updates: Dict[int, int] = {}
 
         worklist = list(blocks)
@@ -161,7 +134,7 @@ class DataflowAnalysis:
                     in_fact = self._meet(
                         [
                             self.transfer_edge(p, bb, self.block_out[id(p)])
-                            for p in bb.predecessors()
+                            for p in preds[id(bb)]
                             if id(p) in self.block_out
                         ]
                     )
@@ -192,7 +165,7 @@ class DataflowAnalysis:
                     n = updates[id(bb)] = updates.get(id(bb), 0) + 1
                     in_fact = self.widen(self.block_in[id(bb)], in_fact, n)
                     self.block_in[id(bb)] = in_fact
-                    for p in bb.predecessors():
+                    for p in preds[id(bb)]:
                         if id(p) not in on_list and id(p) in self.block_out:
                             worklist.append(p)
                             on_list.add(id(p))

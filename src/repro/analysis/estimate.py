@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.dataflow import iter_reverse_postorder
 from repro.analysis.diagnostics import DiagnosticEngine
+from repro.ir.dominators import reverse_postorder
 from repro.ir.instructions import Constant, GlobalAccess
 from repro.ir.module import Function, Module
 from repro.tofino.chip import ChipSpec, TOFINO_1
@@ -84,7 +84,7 @@ def kernel_chain_depth(fn: Function) -> int:
         return depth.get(id(v), 0)
 
     best = 0
-    for bb in iter_reverse_postorder(fn):
+    for bb in reverse_postorder(fn):
         for inst in bb.instructions:
             d = 0
             for op in inst.operands:

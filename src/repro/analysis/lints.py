@@ -19,9 +19,9 @@ from repro.analysis.dataflow import (
     Direction,
     Fact,
     GenKillAnalysis,
-    iter_reverse_postorder,
 )
 from repro.analysis.diagnostics import DiagnosticEngine
+from repro.ir.dominators import reverse_postorder
 from repro.ir.instructions import (
     Alloca,
     AtomicOp,
@@ -78,7 +78,7 @@ def lint_uninitialized(fn: Function, engine: DiagnosticEngine) -> None:
     """NCL001: a Load may execute before any Store to its slot."""
     analysis = AssignedSlots(fn).run()
     reported: Set[int] = set()
-    for bb in iter_reverse_postorder(fn):
+    for bb in reverse_postorder(fn):
         facts = analysis.facts_before(bb)
         for inst, fact in zip(bb.instructions, facts):
             if not isinstance(inst, Load):

@@ -52,11 +52,6 @@ class BasicBlock:
         term = self.terminator
         return term.successors() if term is not None else ()
 
-    def predecessors(self) -> list["BasicBlock"]:
-        if self.parent is None:
-            return []
-        return [b for b in self.parent.blocks if self in b.successors()]
-
     def phis(self) -> Iterator[Phi]:
         for inst in self.instructions:
             if isinstance(inst, Phi):

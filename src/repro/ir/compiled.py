@@ -49,6 +49,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 from repro.ir.blocks import BasicBlock
+from repro.ir.dominators import predecessor_map
 from repro.ir.instructions import (
     ActionKind,
     Alloca,
@@ -268,13 +269,12 @@ class _Generator:
 
     # -- the function --------------------------------------------------------
     def code(self) -> KernelCode:
-        preds: dict[int, list[BasicBlock]] = {id(b): [] for b in self.blocks}
-        for bb in self.blocks:
-            for succ in set(bb.successors()):
-                preds[id(succ)].append(bb)
+        preds = predecessor_map(self.fn)
+        #: per emitted block; topological order emits every reachable
+        #: predecessor of a block before it
         defined_out: dict[int, set[int]] = {}
         for n, bb in enumerate(self.blocks):
-            ins = [defined_out[id(p)] for p in preds[id(bb)]]
+            ins = [defined_out[id(p)] for p in preds[id(bb)] if id(p) in defined_out]
             self.defined = set.intersection(*ins) if ins else set()
             if n:
                 self.emit(f"if _b == {n}:")

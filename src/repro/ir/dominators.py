@@ -14,40 +14,38 @@ from repro.ir.blocks import BasicBlock
 from repro.ir.module import Function
 
 
-def reverse_postorder(fn: Function) -> list[BasicBlock]:
-    """Blocks in reverse postorder from the entry (topological for DAGs)."""
-    visited: set[int] = set()
+def postorder(fn: Function) -> list[BasicBlock]:
+    """Blocks reachable from the entry in DFS postorder.
+
+    Iterative: fully-unrolled NetCL loops produce CFGs thousands of
+    blocks deep, far past Python's recursion limit.
+    """
     order: list[BasicBlock] = []
-
-    def visit(bb: BasicBlock) -> None:
-        if id(bb) in visited:
-            return
-        visited.add(id(bb))
-        for succ in bb.successors():
-            visit(succ)
-        order.append(bb)
-
-    visit(fn.entry)
-    order.reverse()
+    seen = {id(fn.entry)}
+    stack = [(fn.entry, iter(fn.entry.successors()))]
+    while stack:
+        bb, succs = stack[-1]
+        for succ in succs:
+            if id(succ) not in seen:
+                seen.add(id(succ))
+                stack.append((succ, iter(succ.successors())))
+                break
+        else:
+            order.append(bb)
+            stack.pop()
     return order
 
 
-def reachable_blocks(fn: Function) -> set[int]:
-    """ids of blocks reachable from the entry."""
-    seen: set[int] = set()
-    stack = [fn.entry]
-    while stack:
-        bb = stack.pop()
-        if id(bb) in seen:
-            continue
-        seen.add(id(bb))
-        stack.extend(bb.successors())
-    return seen
+def reverse_postorder(fn: Function) -> list[BasicBlock]:
+    """Blocks in reverse postorder from the entry (topological for DAGs)."""
+    return postorder(fn)[::-1]
 
 
 def predecessor_map(fn: Function) -> dict[int, list[BasicBlock]]:
-    """Block id -> predecessors, each once and in function block order:
-    what ``bb.predecessors()`` answers, for all blocks in one sweep."""
+    """Block id -> predecessors, each once and in function block order,
+    for all blocks in one sweep: the only way ``src`` asks for
+    predecessors.  A pass that edits the CFG updates its map or asks
+    again."""
     preds: dict[int, list[BasicBlock]] = {id(bb): [] for bb in fn.blocks}
     for bb in fn.blocks:
         for succ in dict.fromkeys(bb.successors()):

@@ -196,11 +196,6 @@ class Function:
     def is_kernel(self) -> bool:
         return self.kind == FunctionKind.KERNEL
 
-    def replace_all_uses(self, old: Value, new: Value) -> None:
-        for inst in self.instructions():
-            if old in inst.operands:
-                inst.replace_operand(old, new)
-
     def placed_at(self, device_id: int) -> bool:
         return not self.locations or device_id in self.locations
 
@@ -209,6 +204,25 @@ class Function:
         tag = f"_kernel({self.computation})" if self.is_kernel else "_net_"
         loc = f" _at({','.join(map(str, sorted(self.locations)))})" if self.locations else ""
         return f"{tag}{loc} {self.name}({args})"
+
+
+def rewrite_operands(inst: Instruction, mapping: dict[Value, Value]) -> None:
+    """Point each operand of ``inst`` that ``mapping`` replaces at its
+    replacement, following a replacement that is itself replaced."""
+    for op in inst.operands:
+        new = mapping.get(op)
+        if new is not None:
+            while new in mapping:
+                new = mapping[new]
+            inst.replace_operand(op, new)
+
+
+def replace_uses(fn: Function, mapping: dict[Value, Value]) -> None:
+    """Rewrite every use in ``fn`` of a key of ``mapping`` in one sweep: a
+    pass collects its replacements and applies them once."""
+    if mapping:
+        for inst in fn.instructions():
+            rewrite_operands(inst, mapping)
 
 
 class Module:

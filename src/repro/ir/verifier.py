@@ -1,7 +1,8 @@
 """Structural IR verifier.
 
-Run after frontend lowering and between passes (in pass-manager debug mode)
-to catch malformed IR early: unterminated blocks, uses of values from
+Run after frontend lowering and, under translation validation
+(``verify_passes``), after every transforming pass, to catch malformed IR
+early: unterminated blocks, uses of values from
 non-dominating blocks, phi/predecessor mismatches, type mismatches on
 binary operations, and dangling block references.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.ir.blocks import BasicBlock
-from repro.ir.dominators import DominatorTree, reachable_blocks
+from repro.ir.dominators import DominatorTree, predecessor_map
 from repro.ir.instructions import (
     BinOp,
     Constant,
@@ -55,6 +56,8 @@ def verify_function(fn: Function, engine: Optional["DiagnosticEngine"] = None) -
 
     block_ids = {id(bb) for bb in fn.blocks}
     defined: dict[int, BasicBlock] = {}
+    #: instruction id -> its index in its block
+    position: dict[int, int] = {}
 
     for bb in fn.blocks:
         term = bb.terminator
@@ -66,13 +69,15 @@ def verify_function(fn: Function, engine: Optional["DiagnosticEngine"] = None) -
             if inst.parent is not bb:
                 _err(fn, f"instruction {inst!r} has stale parent pointer")
             defined[id(inst)] = bb
+            position[id(inst)] = i
         for succ in bb.successors():
             if id(succ) not in block_ids:
                 _err(fn, f"block {bb.name} branches to unlisted block {succ.name}")
 
     # Phi nodes: one incoming value per predecessor, and phis lead the block.
+    pred_map = predecessor_map(fn)
     for bb in fn.blocks:
-        preds = bb.predecessors()
+        preds = pred_map[id(bb)]
         seen_non_phi = False
         for inst in bb.instructions:
             if isinstance(inst, Phi):
@@ -102,18 +107,16 @@ def verify_function(fn: Function, engine: Optional["DiagnosticEngine"] = None) -
 
     # Dominance: every instruction operand must be an argument, constant,
     # global, undef, or an instruction whose definition dominates the use.
-    reachable = reachable_blocks(fn)
     dt = DominatorTree(fn)
-    args = {id(a) for a in fn.args}
+    reachable = {id(bb) for bb in dt.rpo}
     for bb in fn.blocks:
         if id(bb) not in reachable:
             continue
         for inst in bb.instructions:
-            operand_lists: list[Value] = list(inst.operands)
-            for op in operand_lists:
-                if isinstance(op, (Constant, GlobalVar, Undef)) or id(op) in args:
-                    continue
-                if isinstance(op, Argument):
+            if isinstance(inst, Phi):
+                inc = {id(v): b for v, b in inst.incoming}
+            for op in inst.operands:
+                if isinstance(op, (Argument, Constant, GlobalVar, Undef)):
                     continue
                 if isinstance(op, Instruction):
                     def_bb = defined.get(id(op))
@@ -122,7 +125,6 @@ def verify_function(fn: Function, engine: Optional["DiagnosticEngine"] = None) -
                     if id(def_bb) not in reachable:
                         continue
                     if isinstance(inst, Phi):
-                        inc = dict((id(v), b) for v, b in inst.incoming)
                         # value must dominate the incoming edge's source block
                         src = inc.get(id(op))
                         if src is not None and not dt.dominates(def_bb, src):
@@ -132,7 +134,7 @@ def verify_function(fn: Function, engine: Optional["DiagnosticEngine"] = None) -
                                 f"{src.name} not dominated by def in {def_bb.name}",
                             )
                     elif def_bb is bb:
-                        if bb.instructions.index(op) >= bb.instructions.index(inst):
+                        if position[id(op)] >= position[id(inst)]:
                             _err(fn, f"{inst!r} uses {op.short()} before definition")
                     elif not dt.dominates(def_bb, bb):
                         _err(

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.ir.blocks import BasicBlock
-from repro.ir.dominators import DominatorTree, reverse_postorder
+from repro.ir.dominators import DominatorTree
 from repro.ir.instructions import (
     BinOp,
     Cast,
@@ -33,7 +33,7 @@ from repro.ir.instructions import (
     Select,
     Value,
 )
-from repro.ir.module import Function
+from repro.ir.module import Function, replace_uses, rewrite_operands
 
 
 _NO_SPECULATE = frozenset(("udiv", "sdiv", "urem", "srem"))  # may trap on /0
@@ -111,7 +111,9 @@ def _move_before_terminator(inst: Instruction, dest: BasicBlock) -> None:
 def hoist_common_values(fn: Function) -> int:
     """GVN-style dedup: identical pure computations collapse to one.
 
-    Returns the number of instructions eliminated or moved.
+    Returns the number of instructions eliminated or moved.  Walks in
+    reverse post-order, so each instruction's operands are rewritten
+    through earlier merges on arrival, before it is keyed.
     """
     changes = 0
     changed = True
@@ -119,8 +121,11 @@ def hoist_common_values(fn: Function) -> int:
         changed = False
         dt = DominatorTree(fn)
         seen: dict[tuple, Instruction] = {}
+        alias: dict[Value, Value] = {}
         for bb in dt.rpo:
             for inst in list(bb.instructions):
+                if alias:
+                    rewrite_operands(inst, alias)
                 key = _value_key(inst)
                 if key is None:
                     continue
@@ -131,7 +136,7 @@ def hoist_common_values(fn: Function) -> int:
                 pb, ib = prior.parent, inst.parent
                 assert pb is not None and ib is not None
                 if dt.dominates(pb, ib):
-                    fn.replace_all_uses(inst, prior)
+                    alias[inst] = prior
                     ib.remove(inst)
                     changes += 1
                     changed = True
@@ -139,10 +144,11 @@ def hoist_common_values(fn: Function) -> int:
                 ncd = dt.nearest_common_dominator([pb, ib])
                 if _operands_available(prior, ncd, dt):
                     _move_before_terminator(prior, ncd)
-                    fn.replace_all_uses(inst, prior)
+                    alias[inst] = prior
                     ib.remove(inst)
                     changes += 1
                     changed = True
+        replace_uses(fn, alias)
     return changes
 
 
@@ -152,7 +158,7 @@ def speculate(fn: Function) -> int:
     """
     moved = 0
     dt = DominatorTree(fn)
-    for bb in reverse_postorder(fn):
+    for bb in dt.rpo:
         for inst in list(bb.instructions):
             if not _pure_value(inst):
                 continue
@@ -164,23 +170,8 @@ def speculate(fn: Function) -> int:
                 parent = dt.immediate_dominator(dest)
                 if parent is None or parent is dest:
                     break
-                ok = True
-                for op in inst.operands:
-                    db = _def_block(op)
-                    if db is None:
-                        continue
-                    if db is parent or not dt.dominates(db, parent):
-                        # Defined in `parent` itself (ordering unknown w.r.t.
-                        # the insertion point) or below it: stop climbing.
-                        if db is parent:
-                            pass  # insertion is before the terminator: fine
-                        else:
-                            ok = False
-                    # also stop if def *is* parent handled above
-                if not ok:
+                if not _operands_available(inst, parent, dt):
                     break
-                # All operands are defined in blocks strictly dominating
-                # `parent` or inside it (before the terminator).
                 dest = parent
             if dest is not bb:
                 _move_before_terminator(inst, dest)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.ir.blocks import BasicBlock
+from repro.ir.dominators import predecessor_map
 from repro.ir.instructions import (
     Br,
     GlobalAccess,
@@ -29,19 +30,21 @@ from repro.ir.instructions import (
     Phi,
     Select,
     Terminator,
+    Value,
 )
-from repro.ir.module import Function
+from repro.ir.module import Function, replace_uses
 
 #: Do not speculate arms larger than this many instructions.
 MAX_SPECULATED_INSTRUCTIONS = 8
 
 
-def _pure_arm(bb: BasicBlock, head: BasicBlock, merge: BasicBlock) -> Optional[list[Instruction]]:
-    """If ``bb`` is a speculatable arm (single pred ``head``, single succ
-    ``merge``, only pure instructions), return its body."""
+def _pure_arm(
+    bb: BasicBlock, head: BasicBlock, merge: BasicBlock, preds: list[BasicBlock]
+) -> Optional[list[Instruction]]:
+    """If ``bb`` (predecessors ``preds``) is a speculatable arm (single pred
+    ``head``, single succ ``merge``, only pure instructions), its body."""
     if bb is merge:
         return []
-    preds = bb.predecessors()
     if len(preds) != 1 or preds[0] is not head:
         return None
     term = bb.terminator
@@ -64,6 +67,8 @@ def _pure_arm(bb: BasicBlock, head: BasicBlock, merge: BasicBlock) -> Optional[l
 def if_convert(fn: Function) -> int:
     """Returns the number of branches converted."""
     converted = 0
+    preds = predecessor_map(fn)
+    alias: dict[Value, Value] = {}
     changed = True
     while changed:
         changed = False
@@ -88,12 +93,12 @@ def if_convert(fn: Function) -> int:
                     continue
             if then_ is merge and else_ is merge:
                 continue
-            then_body = _pure_arm(then_, head, merge)
-            else_body = _pure_arm(else_, head, merge)
+            then_body = _pure_arm(then_, head, merge, preds[id(then_)])
+            else_body = _pure_arm(else_, head, merge, preds[id(else_)])
             if then_body is None or else_body is None:
                 continue
             # The merge must join exactly these two paths from `head`.
-            merge_preds = merge.predecessors()
+            merge_preds = preds[id(merge)]
             expected = {id(then_ if then_ is not merge else head),
                         id(else_ if else_ is not merge else head)}
             if {id(p) for p in merge_preds} != expected or len(merge_preds) != 2:
@@ -117,7 +122,7 @@ def if_convert(fn: Function) -> int:
                 sel = Select(term.cond, tv, ev, name=f"{phi.name}.sel")
                 head.insert(insert_at, sel)
                 insert_at += 1
-                fn.replace_all_uses(phi, sel)
+                alias[phi] = sel
                 merge.remove(phi)
 
             head.remove(term)
@@ -125,7 +130,10 @@ def if_convert(fn: Function) -> int:
             for arm in (then_, else_):
                 if arm is not merge:
                     fn.remove_block(arm)
+                    del preds[id(arm)]
+            preds[id(merge)] = [head]
             converted += 1
             changed = True
             break  # block list changed; restart scan
+    replace_uses(fn, alias)
     return converted

@@ -20,6 +20,8 @@ directly to MAU gateway operations.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.ir.blocks import BasicBlock
 from repro.ir.instructions import (
     BinOp,
@@ -31,8 +33,9 @@ from repro.ir.instructions import (
     ICmpPred,
     Instruction,
     Intrinsic,
+    Value,
 )
-from repro.ir.module import Function
+from repro.ir.module import Function, replace_uses
 from repro.ir.types import BOOL, IntType, int_type
 
 _DYNAMIC_PREDS = {
@@ -50,28 +53,35 @@ _DYNAMIC_PREDS = {
 def convert_intrinsic_patterns(fn: Function, *, hash_bitcasts: bool = False) -> int:
     """Apply the rewrites.  Returns the number of converted instructions."""
     converted = 0
+    #: converted compare -> the instruction computing its result
+    results: dict[Value, Value] = {}
     for bb in fn.blocks:
         for inst in list(bb.instructions):
             if isinstance(inst, ICmp):
-                if _convert_icmp(fn, bb, inst):
+                result = _convert_icmp(bb, inst)
+                if result is not None:
+                    results[inst] = result
                     converted += 1
             elif isinstance(inst, Intrinsic) and inst.callee in ("ncl.clz", "ncl.ctz"):
                 inst.lpm_table = True  # type: ignore[attr-defined]
             elif hash_bitcasts and isinstance(inst, Cast) and inst.kind == CastKind.BITCAST:
                 inst.on_hash_engine = True  # type: ignore[attr-defined]
                 converted += 1
+    replace_uses(fn, results)
     return converted
 
 
-def _convert_icmp(fn: Function, bb: BasicBlock, inst: ICmp) -> bool:
+def _convert_icmp(bb: BasicBlock, inst: ICmp) -> Optional[Instruction]:
+    """Replace ``inst`` in ``bb`` by the MSB check; returns the check's
+    result (its uses still name ``inst``), or None to leave it."""
     if inst.pred not in _DYNAMIC_PREDS:
-        return False
+        return None
     if isinstance(inst.a, Constant) or isinstance(inst.b, Constant):
-        return False  # constant compares work in gateways directly
+        return None  # constant compares work in gateways directly
     ty = inst.a.type
     assert isinstance(ty, IntType)
     if ty.width >= 64:
-        return False  # no headroom for the widened subtraction
+        return None  # no headroom for the widened subtraction
     signed = inst.pred in (ICmpPred.SLT, ICmpPred.SLE, ICmpPred.SGT, ICmpPred.SGE)
     # Normalize to a strict less-than: a <= b  ==  !(b < a), etc.
     a, b = inst.a, inst.b
@@ -100,6 +110,5 @@ def _convert_icmp(fn: Function, bb: BasicBlock, inst: ICmp) -> bool:
     for i, new_inst in enumerate(seq):
         new_inst.loc = inst.loc
         bb.insert(pos + i, new_inst)
-    fn.replace_all_uses(inst, result)
     bb.remove(inst)
-    return True
+    return result

@@ -55,9 +55,9 @@ class PassOptions:
     intrinsic_conversion: bool = True
     hash_bitcasts: bool = False
     distance_threshold: int = DEFAULT_DISTANCE_THRESHOLD
-    verify_between_passes: bool = False
-    #: translation validation: differentially execute every kernel against
-    #: its pre-pipeline behavior after each pass (``ncc --verify-passes``).
+    #: translation validation: structurally verify every kernel and
+    #: differentially execute it against its pre-pipeline behavior after
+    #: each transforming pass (``ncc --verify-passes``).
     verify_passes: bool = False
 
     @property
@@ -88,7 +88,8 @@ class PassManager:
     published as a ``category="pass"`` span (wall time + IR size delta),
     which is what ``ncc --profile`` renders.
 
-    With ``options.verify_passes`` set, a :class:`PassValidator`
+    With ``options.verify_passes`` set, the structural verifier runs
+    after every transforming pass, and a :class:`PassValidator`
     captures each kernel's behavior before the pipeline and differential
     execution re-checks it after every transforming pass; a divergence
     raises :class:`~repro.analysis.tvalid.TranslationValidationError`
@@ -132,9 +133,8 @@ class PassManager:
         self._record(
             PassRecord(name, fn.name, changes, dt / 1e9, before, _function_size(fn)), dt
         )
-        if self.options.verify_between_passes:
-            verify_function(fn)
         if self.validator is not None and name not in PURE_CHECK_PASSES:
+            verify_function(fn)
             self.validator.check(name, fn)
         return changes
 
@@ -151,6 +151,8 @@ class PassManager:
         )
         if self.validator is not None:
             # A module pass may rewrite any kernel: re-check all of them.
+            for fn in module.kernels():
+                verify_function(fn)
             self.validator.check_all(name, module.kernels())
         return changes
 

@@ -8,8 +8,8 @@ block and the classic lost-copy/swap problems cannot arise.
 
 from __future__ import annotations
 
-from repro.ir.instructions import Alloca, Load, Store
-from repro.ir.module import Function
+from repro.ir.instructions import Alloca, Load, Store, Value
+from repro.ir.module import Function, replace_uses
 
 
 def eliminate_phis(fn: Function) -> int:
@@ -17,6 +17,7 @@ def eliminate_phis(fn: Function) -> int:
     number of φs eliminated."""
     count = 0
     entry = fn.entry
+    loads: dict[Value, Value] = {}
     for bb in list(fn.blocks):
         for phi in list(bb.phis()):
             assert isinstance(phi.type, type(phi.type))
@@ -36,6 +37,7 @@ def eliminate_phis(fn: Function) -> int:
             pos = bb.instructions.index(phi)
             bb.remove(phi)
             bb.insert(pos, load)
-            fn.replace_all_uses(phi, load)
+            loads[phi] = load
             count += 1
+    replace_uses(fn, loads)
     return count

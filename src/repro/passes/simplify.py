@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.ir.blocks import BasicBlock
-from repro.ir.dominators import reachable_blocks
+from repro.ir.dominators import postorder, predecessor_map, reverse_postorder
 from repro.ir.instructions import (
     BinOp,
     BinOpKind,
@@ -29,7 +29,7 @@ from repro.ir.instructions import (
     Value,
 )
 from repro.ir.interp import InterpError, binop, icmp
-from repro.ir.module import Function
+from repro.ir.module import Function, replace_uses, rewrite_operands
 from repro.ir.types import IntType
 
 
@@ -38,19 +38,34 @@ def _as_const(v: Value) -> Optional[int]:
 
 
 def fold_constants(fn: Function) -> int:
-    """Evaluate instructions with all-constant operands.  Returns #folds."""
+    """Evaluate instructions with all-constant operands.  Returns #folds.
+
+    Walks in reverse post-order (unreachable blocks last), so each
+    instruction's operands are rewritten through earlier folds on arrival.
+    """
     folds = 0
+    order = reverse_postorder(fn)  # folding never edits the CFG
+    reached = {id(bb) for bb in order}
+    order += [bb for bb in fn.blocks if id(bb) not in reached]
     changed = True
     while changed:
         changed = False
-        for bb in fn.blocks:
-            for inst in list(bb.instructions):
+        alias: dict[Value, Value] = {}
+        for bb in order:
+            kept = []
+            for inst in bb.instructions:
+                if alias:
+                    rewrite_operands(inst, alias)
                 replacement = _fold_one(inst)
-                if replacement is not None:
-                    _rauw(fn, inst, replacement)
-                    bb.remove(inst)
+                if replacement is None:
+                    kept.append(inst)
+                else:
+                    alias[inst] = replacement
+                    inst.parent = None
                     folds += 1
                     changed = True
+            bb.instructions = kept
+        replace_uses(fn, alias)
     return folds
 
 
@@ -160,12 +175,6 @@ def _simplify_binop(inst: BinOp) -> Optional[Value]:
     return None
 
 
-def _rauw(fn: Function, old: Value, new: Value) -> None:
-    for inst in fn.instructions():
-        if old in inst.operands:
-            inst.replace_operand(old, new)
-
-
 def simplify_cfg(fn: Function) -> int:
     """Fold constant branches, merge straight-line blocks, drop dead blocks."""
     changes = 0
@@ -191,7 +200,7 @@ def simplify_cfg(fn: Function) -> int:
                     changes += 1
                     changed = True
         # Remove unreachable blocks.
-        reachable = reachable_blocks(fn)
+        reachable = {id(bb) for bb in postorder(fn)}
         for bb in list(fn.blocks):
             if id(bb) not in reachable:
                 for succ in bb.successors():
@@ -200,14 +209,15 @@ def simplify_cfg(fn: Function) -> int:
                 changes += 1
                 changed = True
         # Merge a block into its unique predecessor when that predecessor
-        # jumps straight to it.
+        # jumps straight to it (one predecessor map per sweep).
+        preds = predecessor_map(fn)
+        alias: dict[Value, Value] = {}
         for bb in list(fn.blocks):
             if bb is fn.entry:
                 continue
-            preds = bb.predecessors()
-            if len(preds) != 1:
+            if len(preds[id(bb)]) != 1:
                 continue
-            pred = preds[0]
+            pred = preds[id(bb)][0]
             term = pred.terminator
             if not isinstance(term, Jmp) or term.target is not bb:
                 continue
@@ -217,21 +227,23 @@ def simplify_cfg(fn: Function) -> int:
                     val = node.incoming_for(pred)
                     if val is None:
                         break
-                    _rauw(fn, node, val)
+                    alias[node] = val
                     bb.remove(node)
                 if any(True for _ in bb.phis()):
                     continue
             pred.remove(term)
-            for inst in list(bb.instructions):
-                bb.remove(inst)
+            for inst in bb.instructions:
                 inst.parent = pred
-                pred.instructions.append(inst)
+            pred.instructions.extend(bb.instructions)
+            bb.instructions = []
             for succ in pred.successors():
                 for node in succ.phis():
                     node.replace_incoming_block(bb, pred)
+                preds[id(succ)] = [pred if p is bb else p for p in preds[id(succ)]]
             fn.remove_block(bb)
             changes += 1
             changed = True
+        replace_uses(fn, alias)
     return changes
 
 

@@ -12,8 +12,8 @@ Arrays with any dynamic access keep their header-stack representation.
 
 from __future__ import annotations
 
-from repro.ir.instructions import Alloca, Constant, Instruction, Load, Store
-from repro.ir.module import Function
+from repro.ir.instructions import Alloca, Constant, Instruction, Load, Store, Value
+from repro.ir.module import Function, replace_uses
 from repro.ir.types import ArrayShape
 
 
@@ -55,6 +55,7 @@ def scalarize_local_arrays(fn: Function) -> int:
                     eligible[id(op)] = False  # unexpected aggregate use
 
     replaced = 0
+    scalar_loads: dict[Value, Value] = {}
     for key, alloca in arrays.items():
         if not eligible.get(key) or alloca.shape.num_elements > 256:
             continue
@@ -89,9 +90,10 @@ def scalarize_local_arrays(fn: Function) -> int:
             bb.remove(inst)
             bb.insert(pos, new)
             if isinstance(inst, Load):
-                fn.replace_all_uses(inst, new)
+                scalar_loads[inst] = new
         # remove the now-unused array alloca
         if alloca.parent is not None:
             alloca.parent.remove(alloca)
         replaced += 1
+    replace_uses(fn, scalar_loads)
     return replaced

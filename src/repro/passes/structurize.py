@@ -102,16 +102,17 @@ def _structurize_regions(fn: Function) -> StructuredNode:
     returns or reaches the sink; CFGs violating it (or with several
     sibling sinks) fall back to predicate structurization.
     """
-    from repro.ir.dominators import DominatorTree, reachable_blocks
+    from repro.ir.dominators import DominatorTree, predecessor_map
 
     dt = DominatorTree(fn)
-    reachable = reachable_blocks(fn)
+    reachable = {id(bb) for bb in dt.rpo}
+    preds = predecessor_map(fn)
     visited: set[int] = set()
 
     preds_count: dict[int, int] = {}
     dom_children: dict[int, list[BasicBlock]] = {}
     for bb in dt.rpo:
-        preds_count[id(bb)] = sum(1 for p in bb.predecessors() if id(p) in reachable)
+        preds_count[id(bb)] = sum(1 for p in preds[id(bb)] if id(p) in reachable)
         idom = dt.immediate_dominator(bb)
         if idom is not None and bb is not fn.entry:
             dom_children.setdefault(id(idom), []).append(bb)

@@ -85,10 +85,11 @@ class StageAllocator:
         the greedy choice — the anchor is then pinned further down and the
         placement re-run, the same back-and-forth bf-p4c performs."""
         hints: dict[str, int] = {}
+        order = self._topo_order(spec)
         max_replays = 4 * len(spec.tables) + 8 * self.chip.stages
         for _ in range(max_replays):
             try:
-                return self._fit_once(spec, hints)
+                return self._fit_once(spec, order, hints)
             except _ColocationConflict as conflict:
                 prev = hints.get(conflict.anchor, 0)
                 if conflict.required_stage <= prev:
@@ -99,8 +100,9 @@ class StageAllocator:
                 hints[conflict.anchor] = conflict.required_stage
         raise FitError(f"'{spec.name}': colocation replay limit exceeded")
 
-    def _fit_once(self, spec: PipelineSpec, hints: dict[str, int]) -> FitResult:
-        order = self._topo_order(spec)
+    def _fit_once(
+        self, spec: PipelineSpec, order: list[LogicalTable], hints: dict[str, int]
+    ) -> FitResult:
         chip = self.chip
         stage_of: dict[str, int] = {}
         stages: list[StageUsage] = []

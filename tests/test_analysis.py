@@ -13,14 +13,13 @@ from repro.analysis import (
     DiagnosticEngine,
     Direction,
     GenKillAnalysis,
-    iter_postorder,
-    iter_reverse_postorder,
     lint_source,
     run_lints,
 )
 from repro.analysis.diagnostics import CODES, Severity
 from repro.core.cli import main
 from repro.ir import IRBuilder
+from repro.ir.dominators import postorder, reverse_postorder
 from repro.ir.instructions import ActionKind, Constant, Load, Store
 from repro.ir.module import Function, FunctionKind
 from repro.ir.types import BOOL, IntType
@@ -100,8 +99,8 @@ class _LiveSlots(GenKillAnalysis):
 class TestDataflow:
     def test_traversal_orders(self):
         fn, *_ = _diamond()
-        post = [bb.name for bb in iter_postorder(fn)]
-        rpo = [bb.name for bb in iter_reverse_postorder(fn)]
+        post = [bb.name for bb in postorder(fn)]
+        rpo = [bb.name for bb in reverse_postorder(fn)]
         assert post[-1] == "entry" and rpo[0] == "entry"
         assert set(post) == {"entry", "then", "else", "merge"}
         assert rpo.index("then") < rpo.index("merge")

@@ -245,6 +245,20 @@ class TestChaosAcceptance:
         b = run_collective_chaos(8, tensor_elements=256)
         assert a.digest != b.digest
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known defect (ROADMAP 9a): after the rack-0 ToR crash at seed 34, "
+            "rank 3 stays on exp-group 6 in slot 6 while the other ranks moved "
+            "that slot to exp-group 14, so all eight ranks stall and retransmit "
+            "until the 150 ms horizon; a changed same-nanosecond tie order (a "
+            "random tie key, or the fused chaos hop of ROADMAP 1c) instead ends "
+            "some seeds with a wrong sum"
+        ),
+    )
+    def test_recovers_after_the_tor_crash_at_seed_34(self):
+        assert run_collective_chaos(34, baseline=False).ok
+
 
 class TestTenantMode:
     def _service(self, spare: bool = False) -> INCService:

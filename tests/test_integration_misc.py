@@ -99,9 +99,9 @@ class TestStructurizerVerification:
                     walk(node.els)
 
         walk(tree)
-        from repro.ir.dominators import reachable_blocks
+        from repro.ir.dominators import postorder
 
-        assert seen == reachable_blocks(fn)
+        assert seen == {id(bb) for bb in postorder(fn)}
 
 
 class TestAggProtocolCorners:

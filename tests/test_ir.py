@@ -26,7 +26,7 @@ from repro.ir.instructions import (
     Phi,
     Ret,
 )
-from repro.ir.module import Argument, FunctionKind
+from repro.ir.module import Argument, FunctionKind, replace_uses
 
 
 class TestIntType:
@@ -154,15 +154,16 @@ class TestBuilderAndVerifier:
         with pytest.raises(IRVerifyError, match=r"%p = phi \[%x, entry\] has stale parent"):
             verify_function(fn)
 
-    def test_replace_all_uses_rewrites_local_and_message_indices(self):
+    def test_replace_uses_rewrites_local_and_message_indices(self):
         fn, b = _simple_fn()
         x = fn.args[0]
         load = b.load(b.alloca(U32, ArrayShape((4,))), [x])
         msg = b.load_msg("y", U32, x)
         b.ret_action(ActionKind.PASS)
-        one = Constant(U32, 1)
-        fn.replace_all_uses(x, one)
-        assert load.indices == [one] and msg.index is one
+        one, two = Constant(U32, 1), Constant(U32, 2)
+        # a replacement that is itself replaced is followed to its end
+        replace_uses(fn, {x: one, one: two})
+        assert load.indices == [two] and msg.index is two
 
     def test_action_requires_target(self):
         with pytest.raises(ValueError):

@@ -582,7 +582,11 @@ class TestDagCheckDeep:
     def test_deep_linear_chain_passes(self):
         import sys
 
-        check_dag(self._chain(sys.getrecursionlimit() * 3))
+        from repro.ir.dominators import reverse_postorder
+
+        fn = self._chain(sys.getrecursionlimit() * 3)
+        check_dag(fn)
+        assert reverse_postorder(fn) == fn.blocks  # the shared orderings too
 
     def test_cycle_at_end_of_deep_chain_detected(self):
         import sys
