@@ -4,11 +4,11 @@ The package layers three facilities on top of the IR:
 
 * :mod:`repro.analysis.dataflow` — a reusable forward/backward worklist
   dataflow framework (gen/kill lattices over basic blocks).
-* :mod:`repro.analysis.lints` and :mod:`repro.analysis.estimate` — the
-  lint suite: uninitialized reads, cross-kernel shared-state hazards,
-  dead stores, width truncation, unreachable code, and a pre-fitter
-  resource estimator that predicts stage/SALU/SRAM overflow from IR
-  shape alone.
+* :mod:`repro.analysis.lints` — the lint suite: uninitialized reads,
+  cross-kernel shared-state hazards, dead stores, width truncation and
+  unreachable code.  Resource overflow (NCL007) is not estimated here:
+  ``ncc lint`` compiles every placed device and reports the fitter's
+  verdict.
 * :mod:`repro.analysis.absint` — value-range/known-bits abstract
   interpretation over the IR (interval domain with wrap-around widths
   and branch-condition refinement); powers NCL005/NCL008-NCL010 and the
@@ -21,7 +21,8 @@ The package layers three facilities on top of the IR:
   ``--Werror`` / ``-Wno-<code>`` handling and text/JSON renderers.
 
 :func:`repro.analysis.lint.lint_source` is the one-call entry point used
-by ``ncc lint`` and the driver's opt-in analysis phase.
+by ``ncc lint``; :func:`repro.analysis.lint.run_lints` is the driver's
+opt-in analysis phase.
 """
 
 from repro.analysis.absint import Interval, RangeAnalysis

@@ -34,7 +34,7 @@ CODES: dict[str, tuple[Severity, str]] = {
     "NCL004": (Severity.WARNING, "dead store: value is overwritten before any read"),
     "NCL005": (Severity.WARNING, "implicit width truncation on assignment"),
     "NCL006": (Severity.WARNING, "unreachable code"),
-    "NCL007": (Severity.WARNING, "kernel is predicted to exceed chip resources"),
+    "NCL007": (Severity.WARNING, "program does not fit the chip (the fitter's verdict)"),
     "NCL008": (Severity.WARNING, "arithmetic operation provably wraps at its width"),
     "NCL009": (Severity.WARNING, "branch condition is always true or always false"),
     "NCL010": (Severity.WARNING, "division or modulo by a possibly-zero value"),

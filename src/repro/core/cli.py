@@ -6,7 +6,7 @@ Usage::
     ncc program.ncl --no-speculation --report
     ncc program.ncl --lint                  # compile + warnings
     ncc program.ncl --verify-passes         # compile + translation validation
-    ncc lint program.ncl                    # analysis only
+    ncc lint program.ncl                    # lints, then compile + fit each device
     ncc lint program.ncl --Werror --json
     ncc lint program.ncl -Wno-NCL004
     ncc verify program.ncl --json           # translation validation only
@@ -28,6 +28,7 @@ from repro.passes.manager import PassOptions
 from repro.passes.memcheck import MemoryCheckError
 from repro.telemetry import Profiler, render_profile_text, write_profile_json
 from repro.tofino.allocator import FitError
+from repro.tofino.phv import PhvError
 
 
 def _extract_warning_flags(argv: list[str]) -> tuple[list[str], bool, list[str]]:
@@ -101,19 +102,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def build_lint_arg_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ncc lint",
-        description="NetCL static analysis: dataflow lints, cross-kernel "
-        "hazards, and pre-fitter resource estimation",
+        description="NetCL static analysis: dataflow lints and cross-kernel "
+        "hazards, then a compile of every placed device (memory constraints, "
+        "and whether the program fits the chip)",
     )
     p.add_argument("source", help="NetCL source file (.ncl)")
     p.add_argument("--device", type=int, default=None, help="device id to analyze for")
     p.add_argument("--target", choices=("tna", "v1model"), default="tna")
     p.add_argument("-D", "--define", action="append", default=[], metavar="NAME=VALUE")
     p.add_argument("--json", action="store_true", help="emit diagnostics as JSON")
-    p.add_argument(
-        "--no-deep",
-        action="store_true",
-        help="skip the pipeline-backed checks (memory constraints)",
-    )
     return p
 
 
@@ -135,10 +132,7 @@ def build_verify_arg_parser() -> argparse.ArgumentParser:
 def verify_main(argv: list[str]) -> int:
     import json
 
-    from repro.analysis.estimate import estimate_devices
-    from repro.analysis.tvalid import TranslationValidationError
-    from repro.lang import analyze, lower_to_ir, parse_source
-    from repro.passes.manager import PassManager
+    from repro.core.driver import verify_source
 
     args = build_verify_arg_parser().parse_args(argv)
     try:
@@ -150,33 +144,18 @@ def verify_main(argv: list[str]) -> int:
     name = Path(args.source).stem
 
     try:
-        module = lower_to_ir(analyze(parse_source(source, defines)), name=name)
+        entries, failure = verify_source(
+            source, args.device, target=args.target, defines=defines, program_name=name
+        )
     except CompileError as exc:
         print(f"ncc: error: {exc}", file=sys.stderr)
         return 1
-    devices = [args.device] if args.device is not None else estimate_devices(module)
-
-    report: dict = {"source": args.source, "target": args.target, "devices": []}
-    failure: TranslationValidationError | None = None
-    for dev in devices:
-        module2 = lower_to_ir(analyze(parse_source(source, defines)), name=name)
-        pm = PassManager(PassOptions(target=args.target, verify_passes=True))
-        try:
-            pm.run_pipeline(module2, dev)
-        except TranslationValidationError as exc:
-            failure = exc
-            entry = {"device": dev, "status": "miscompile", **exc.to_json_dict()}
-        except (CompileError, MemoryCheckError) as exc:
-            entry = {"device": dev, "status": "compile-error", "error": str(exc)}
-        else:
-            entry = {"device": dev, "status": "ok"}
-            if pm.validator is not None:
-                entry.update(pm.validator.report())
-        report["devices"].append(entry)
-        if failure is not None:
-            break
-
-    report["status"] = "miscompile" if failure is not None else "ok"
+    report = {
+        "source": args.source,
+        "target": args.target,
+        "devices": entries,
+        "status": "miscompile" if failure is not None else "ok",
+    }
     if args.json:
         print(json.dumps(report, indent=2))
     elif failure is not None:
@@ -197,7 +176,6 @@ def verify_main(argv: list[str]) -> int:
 
 def lint_main(argv: list[str], *, werror: bool, suppressed: list[str]) -> int:
     from repro.analysis import DiagnosticEngine, lint_source
-    from repro.tofino.chip import TOFINO_1, V1MODEL
 
     args = build_lint_arg_parser().parse_args(argv)
     try:
@@ -213,10 +191,8 @@ def lint_main(argv: list[str], *, werror: bool, suppressed: list[str]) -> int:
         engine=engine,
         device_id=args.device,
         target=args.target,
-        chip=TOFINO_1 if args.target == "tna" else V1MODEL,
         defines=_parse_defines(args.define) or None,
         program_name=Path(args.source).stem,
-        deep=not args.no_deep,
     )
     if args.json:
         print(engine.to_json())
@@ -262,10 +238,9 @@ def main(argv: list[str] | None = None) -> int:
             defines=defines or None,
             fit=not args.no_fit,
             profiler=profiler,
-            lint=args.lint,
             diagnostics=diagnostics,
         )
-    except (CompileError, MemoryCheckError, FitError) as exc:
+    except (CompileError, MemoryCheckError, FitError, PhvError) as exc:
         print(f"ncc: error: {exc}", file=sys.stderr)
         return 1
     except TranslationValidationError as exc:

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.diagnostics import DiagnosticEngine
+    from repro.analysis.tvalid import TranslationValidationError
 
 from repro.backends.common import CodegenResult
 from repro.backends.tna import TnaBackend
@@ -68,8 +69,11 @@ class CompiledProgram:
     #: the shared disabled instance unless the caller passed one.
     profile: Profiler = NULL_PROFILER
     #: the diagnostics engine of the opt-in analysis phase (``ncc --lint``);
-    #: None unless ``compile_netcl(..., lint=True)`` was requested.
+    #: None unless the caller passed ``compile_netcl(..., diagnostics=)``.
     diagnostics: Optional["DiagnosticEngine"] = None
+    #: the translation validator's report (``PassValidator.report()``);
+    #: None unless ``options.verify_passes`` was set.
+    validation: Optional[dict] = None
     #: served from the compile cache: ``timings`` are all zero (what this
     #: call cost) and ``profile`` holds a single ``cache`` span.
     cache_hit: bool = False
@@ -142,6 +146,72 @@ def compile_cache_clear() -> None:
     _CACHE.clear()
 
 
+def lower_source(
+    source: str, defines: Optional[dict[str, int]] = None, program_name: str = "netcl"
+) -> Module:
+    """The frontend: parse, analyse and lower NetCL source text to
+    verified IR.  Raises :class:`repro.lang.errors.CompileError`."""
+    module = lower_to_ir(analyze(parse_source(source, defines)), name=program_name)
+    verify_module(module)
+    return module
+
+
+def placed_devices(module: Module) -> list[Optional[int]]:
+    """Device ids ``module`` places a kernel or a global on, sorted;
+    ``[None]`` (compile everything for one device) when it places nothing."""
+    devices: set[int] = set()
+    for fn in module.functions.values():
+        devices.update(fn.locations)
+    for gv in module.globals.values():
+        devices.update(gv.locations)
+    return sorted(devices) if devices else [None]
+
+
+def verify_source(
+    source: str,
+    device_id: Optional[int] = None,
+    *,
+    target: str = "tna",
+    defines: Optional[dict[str, int]] = None,
+    program_name: str = "netcl",
+) -> tuple[list[dict], Optional["TranslationValidationError"]]:
+    """Translation-validate ``source`` on ``device_id`` or, by default,
+    on every placed device (``ncc verify``).
+
+    Returns one entry per device compiled -- ``status`` ``ok`` with the
+    validator's report, ``compile-error`` with the ``error`` text, or
+    ``miscompile`` with the counterexample, which ends the list -- and the
+    miscompile's exception, or None.  Raises
+    :class:`repro.lang.errors.CompileError` when the source does not lower.
+    """
+    from repro.analysis.tvalid import TranslationValidationError
+    from repro.lang.errors import CompileError
+    from repro.passes.memcheck import MemoryCheckError
+
+    module = lower_source(source, defines, program_name)
+    devices = [device_id] if device_id is not None else placed_devices(module)
+    entries: list[dict] = []
+    for dev in devices:
+        try:
+            compiled = compile_netcl(
+                source,
+                dev,
+                target=target,
+                options=PassOptions(verify_passes=True),
+                defines=defines,
+                fit=False,
+                program_name=program_name,
+            )
+        except TranslationValidationError as exc:
+            entries.append({"device": dev, "status": "miscompile", **exc.to_json_dict()})
+            return entries, exc
+        except (CompileError, MemoryCheckError) as exc:
+            entries.append({"device": dev, "status": "compile-error", "error": str(exc)})
+        else:
+            entries.append({"device": dev, "status": "ok", **compiled.validation})
+    return entries, None
+
+
 def compile_netcl(
     source: str,
     device_id: Optional[int] = None,
@@ -154,7 +224,6 @@ def compile_netcl(
     include_base_program: bool = True,
     program_name: str = "netcl",
     profiler: Optional[Profiler] = None,
-    lint: bool = False,
     diagnostics: Optional["DiagnosticEngine"] = None,
 ) -> CompiledProgram:
     """Compile NetCL source text for one device.
@@ -163,25 +232,27 @@ def compile_netcl(
     the first call's program (same ``module`` and ``codegen`` objects,
     ``cache_hit`` set, zero ``timings``), which is why a
     :class:`CompiledProgram` is frozen once returned.  Calls that ask for
-    side effects (``lint``, a ``diagnostics`` engine,
-    ``options.verify_passes``) always compile and stay out of the cache;
-    an exception is never cached.
+    side effects (a ``diagnostics`` engine, ``options.verify_passes``)
+    always compile and stay out of the cache; an exception is never
+    cached.
 
     Pass an enabled :class:`~repro.telemetry.Profiler` to record phase
     and per-pass spans (``ncc --profile``); by default profiling is the
     shared disabled instance and costs nothing beyond the phase timers.
     A cache hit records one ``cache`` phase span instead.
 
-    With ``lint=True`` an opt-in static-analysis phase runs on the
-    freshly-lowered IR (before the optimizer mutates it), collecting
-    warnings into ``diagnostics`` (a fresh engine is created when none is
-    given); the result is attached as ``CompiledProgram.diagnostics``.
-    Analysis never aborts the compile — check the engine's ``exit_code``.
+    Given a ``diagnostics`` engine, an opt-in static-analysis phase runs
+    on the freshly-lowered IR (before the optimizer mutates it) and
+    collects its warnings there; the engine is attached as
+    ``CompiledProgram.diagnostics``.  Analysis never aborts the compile —
+    check the engine's ``exit_code``.  With ``options.verify_passes`` the
+    validator's report is attached as ``CompiledProgram.validation``.
 
     Raises :class:`repro.lang.errors.CompileError` on language violations,
     :class:`repro.passes.memcheck.MemoryCheckError` on Tofino memory
     constraint violations, and :class:`repro.tofino.allocator.FitError`
-    when the program does not fit the pipeline.
+    (or :class:`repro.tofino.phv.PhvError`) when the program does not fit
+    the pipeline.
     """
     # A private copy: the caller's options object is neither written to
     # nor aliased by the key or the stored program.
@@ -189,7 +260,7 @@ def compile_netcl(
     prof = profiler or NULL_PROFILER
 
     key = None
-    if not (lint or diagnostics is not None or opts.verify_passes):
+    if diagnostics is None and not opts.verify_passes:
         t0 = time.perf_counter_ns()
         key = (
             source,
@@ -218,19 +289,14 @@ def compile_netcl(
 
     t0 = time.perf_counter()
     with prof.span("frontend", category="phase", program=program_name):
-        program = parse_source(source, defines)
-        sema = analyze(program)
-        module = lower_to_ir(sema, name=program_name)
-        verify_module(module)
+        module = lower_source(source, defines, program_name)
     timings.frontend_seconds = time.perf_counter() - t0
 
-    engine = diagnostics
-    if lint or engine is not None:
-        from repro.analysis import DiagnosticEngine, run_lints
+    if diagnostics is not None:
+        from repro.analysis import run_lints
 
-        engine = engine or DiagnosticEngine(source_name=program_name)
         with prof.span("analysis", category="phase", program=program_name):
-            run_lints(module, engine, chip or (TOFINO_1 if target == "tna" else V1MODEL))
+            run_lints(module, diagnostics)
 
     t0 = time.perf_counter()
     with prof.span("passes", category="phase"):
@@ -279,7 +345,8 @@ def compile_netcl(
         timings=timings,
         options=opts,
         profile=prof,
-        diagnostics=engine,
+        diagnostics=diagnostics,
+        validation=pm.validator.report() if pm.validator is not None else None,
     )
     if key is not None:
         _CACHE.put(key, compiled)

@@ -17,7 +17,7 @@ Net-function inlining and full loop unrolling happen during AST lowering
 loop-free by construction; the DAG check still guards it.
 """
 
-from repro.passes.manager import PassManager, PassOptions, PassError, run_default_pipeline
+from repro.passes.manager import PassManager, PassOptions, PassError
 from repro.passes.mem2reg import mem2reg
 from repro.passes.simplify import simplify_function, fold_constants, simplify_cfg
 from repro.passes.dce import dead_code_elimination
@@ -34,7 +34,6 @@ __all__ = [
     "PassManager",
     "PassOptions",
     "PassError",
-    "run_default_pipeline",
     "mem2reg",
     "simplify_function",
     "fold_constants",

@@ -228,14 +228,3 @@ class PassManager:
                     0,
                 )[1],
             )
-
-
-def run_default_pipeline(
-    module: Module,
-    options: Optional[PassOptions] = None,
-    device_id: Optional[int] = None,
-) -> PassManager:
-    """Convenience wrapper: build a manager, run the pipeline, return it."""
-    pm = PassManager(options)
-    pm.run_pipeline(module, device_id)
-    return pm

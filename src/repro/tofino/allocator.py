@@ -18,7 +18,13 @@ from repro.tofino.tables import DependencyKind, LogicalTable, PipelineSpec
 
 
 class FitError(Exception):
-    """The program does not fit the pipeline."""
+    """The program does not fit the pipeline.  ``origin`` is the failing
+    table's provenance (the kernel that owns it) when one table is to
+    blame, else ``""``."""
+
+    def __init__(self, message: str, origin: str = "") -> None:
+        super().__init__(message)
+        self.origin = origin
 
 
 @dataclass
@@ -148,7 +154,8 @@ class StageAllocator:
                         raise FitError(
                             f"'{spec.name}': register access '{t.name}' needs "
                             f"stage >= {earliest}; stateful memory is "
-                            "stage-local (§V-D)"
+                            "stage-local (§V-D)",
+                            t.origin,
                         )
                     raise _ColocationConflict(t.colocate, earliest)
                 pinned = anchor
@@ -176,7 +183,8 @@ class StageAllocator:
                 raise FitError(
                     f"'{spec.name}': table '{t.name}' does not fit any of the "
                     f"{chip.stages} stages (needs stage >= {earliest}; "
-                    "try recompiling with different flags, §VI-B)"
+                    "try recompiling with different flags, §VI-B)",
+                    t.origin,
                 )
         return FitResult(spec, chip, stage_of, stages, stage_dep)
 

@@ -6,13 +6,13 @@ from repro.backends import TnaBackend, V1ModelBackend
 from repro.backends.base import NETCL_HEADER_BITS
 from repro.core import compile_netcl
 from repro.lang import analyze, lower_to_ir, parse_source
-from repro.passes import PassOptions, run_default_pipeline
+from repro.passes import PassManager, PassOptions
 from tests.conftest import FIG4_CACHE, MINI_KERNEL
 
 
 def _prepared(src, target="tna", device=1):
     mod = lower_to_ir(analyze(parse_source(src)))
-    run_default_pipeline(mod, PassOptions(target=target), device)
+    PassManager(PassOptions(target=target)).run_pipeline(mod, device)
     return mod
 
 

@@ -212,7 +212,7 @@ class TestBypass:
         plain = compile_netcl(DEAD_STORE, 1)
         before = compile_cache_info()
         for _ in range(2):
-            cp = compile_netcl(DEAD_STORE, 1, lint=True)
+            cp = compile_netcl(DEAD_STORE, 1, diagnostics=DiagnosticEngine())
             assert not cp.cache_hit and cp.module is not plain.module
             assert [d.code for d in cp.diagnostics.diagnostics] == ["NCL004"]
         assert compile_cache_info() == before  # neither read nor filled

@@ -22,7 +22,7 @@ import pytest
 
 from repro.ir import GlobalState, IRInterpreter, KernelMessage
 from repro.lang import analyze, lower_to_ir, parse_source
-from repro.passes import PassOptions, run_default_pipeline
+from repro.passes import PassManager, PassOptions
 from repro.passes.memcheck import MemoryCheckError
 
 
@@ -159,9 +159,7 @@ def test_random_kernel_optimization_is_semantics_preserving(seed):
     for target in ("v1model", "tna"):
         opt_mod = lower_to_ir(analyze(parse_source(src)))
         try:
-            run_default_pipeline(
-                opt_mod, PassOptions(target=target, verify_passes=True)
-            )
+            PassManager(PassOptions(target=target, verify_passes=True)).run_pipeline(opt_mod)
         except MemoryCheckError:
             continue  # random program violates Tofino memory rules: fine
         opt_out, opt_mem = _run(opt_mod, inputs)

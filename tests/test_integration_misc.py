@@ -73,14 +73,14 @@ class TestSimplifyInvariants:
 class TestStructurizerVerification:
     def test_tree_covers_every_reachable_block(self, fig4_module):
         from repro.passes import (
+            PassManager,
             PassOptions,
             eliminate_phis,
-            run_default_pipeline,
             structurize,
         )
         from repro.passes.structurize import LeafNode, SeqNode, IfNode
 
-        run_default_pipeline(fig4_module, PassOptions())
+        PassManager(PassOptions()).run_pipeline(fig4_module)
         fn = fig4_module.functions["query"]
         eliminate_phis(fn)
         tree = structurize(fn)

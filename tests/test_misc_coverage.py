@@ -64,9 +64,9 @@ class TestModuleDump:
         assert "entry:" in text
 
     def test_dump_roundtrips_through_passes(self, fig4_module):
-        from repro.passes import PassOptions, run_default_pipeline
+        from repro.passes import PassManager, PassOptions
 
-        run_default_pipeline(fig4_module, PassOptions())
+        PassManager(PassOptions()).run_pipeline(fig4_module)
         text = fig4_module.dump()
         assert "cms.part0" in text  # partitioned globals visible
 

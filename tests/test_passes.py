@@ -19,6 +19,7 @@ from repro.ir.instructions import (
 from repro.lang import analyze, lower_to_ir, parse_source
 from repro.lang.errors import CompileError
 from repro.passes import (
+    PassManager,
     PassOptions,
     check_dag,
     check_memory_constraints,
@@ -29,7 +30,6 @@ from repro.passes import (
     hoist_common_values,
     mem2reg,
     partition_memory,
-    run_default_pipeline,
     simplify_function,
     speculate,
     structurize,
@@ -544,7 +544,7 @@ class TestPhiElim:
 
 class TestFullPipeline:
     def test_fig4_behavior_after_all_passes(self, fig4_module):
-        run_default_pipeline(fig4_module, PassOptions())
+        PassManager(PassOptions()).run_pipeline(fig4_module)
         fn = fig4_module.functions["query"]
         interp = IRInterpreter(fig4_module, GlobalState(), device_id=1)
         msg = KernelMessage({"op": 1, "k": 3, "v": 0, "hit": 0, "hot": 0})
@@ -552,7 +552,8 @@ class TestFullPipeline:
         assert out.kind == ActionKind.REFLECT and msg.fields["v"] == 42
 
     def test_pipeline_records_pass_stats(self, fig4_module):
-        pm = run_default_pipeline(fig4_module, PassOptions())
+        pm = PassManager(PassOptions())
+        pm.run_pipeline(fig4_module)
         names = {r.name for r in pm.records}
         assert {"mem2reg", "simplify", "dce", "memcheck"} <= names
 

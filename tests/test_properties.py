@@ -8,7 +8,7 @@ from repro.ir.instructions import AtomicOp
 from repro.ir.module import GlobalVar, MemSpace
 from repro.ir.types import ArrayShape, IntType, U16, U8
 from repro.lang import analyze, lower_to_ir, parse_source
-from repro.passes import PassOptions, run_default_pipeline
+from repro.passes import PassManager, PassOptions
 from repro.runtime.message import HEADER_SIZE, FieldSpec, KernelSpec, Message, pack, unpack
 from repro.tofino.phv import PhvAllocator, PhvError
 
@@ -147,7 +147,7 @@ class TestCompilerSemanticsProperty:
         IRInterpreter(ref_mod, GlobalState()).run_kernel(ref_mod.kernels()[0], ref_msg)
 
         opt_mod = lower_to_ir(analyze(parse_source(self.SRC)))
-        run_default_pipeline(opt_mod, PassOptions())
+        PassManager(PassOptions()).run_pipeline(opt_mod)
         opt_msg = KernelMessage({"a": a, "b": b, "r": 0, "s": 0})
         IRInterpreter(opt_mod, GlobalState()).run_kernel(opt_mod.kernels()[0], opt_msg)
 

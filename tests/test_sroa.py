@@ -61,10 +61,10 @@ class TestSroa:
     def test_fig4_min_chain_becomes_selects(self, fig4_module):
         """With SROA, Fig. 4's c[CMS_HASHES] min chain if-converts into
         selects (no gateway diamonds remain on the sketch path)."""
-        from repro.passes import PassOptions, run_default_pipeline
+        from repro.passes import PassManager, PassOptions
         from repro.ir.instructions import Select
 
-        run_default_pipeline(fig4_module, PassOptions())
+        PassManager(PassOptions()).run_pipeline(fig4_module)
         fn = fig4_module.functions["query"]
         assert any(isinstance(i, Select) for i in fn.instructions())
 

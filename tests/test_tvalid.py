@@ -21,7 +21,7 @@ from repro.analysis.tvalid import (
 from repro.core import cli
 from repro.ir.instructions import BinOp, BinOpKind, Constant
 from repro.lang import analyze, lower_to_ir, parse_source
-from repro.passes import PassOptions, run_default_pipeline
+from repro.passes import PassOptions
 from repro.passes.manager import PassManager
 
 
@@ -92,9 +92,8 @@ class TestCleanPipeline:
     @pytest.mark.parametrize("target", ["v1model", "tna"])
     def test_default_pipeline_validates(self, target):
         mod = _lower(ARITH)
-        pm = run_default_pipeline(
-            mod, PassOptions(target=target, verify_passes=True)
-        )
+        pm = PassManager(PassOptions(target=target, verify_passes=True))
+        pm.run_pipeline(mod)
         assert pm.validator is not None
         assert pm.validator.checks, "no pass checks recorded"
         report = pm.validator.report()
@@ -103,7 +102,8 @@ class TestCleanPipeline:
 
     def test_pure_check_passes_not_validated(self):
         mod = _lower(ARITH)
-        pm = run_default_pipeline(mod, PassOptions(verify_passes=True))
+        pm = PassManager(PassOptions(verify_passes=True))
+        pm.run_pipeline(mod)
         names = {p for p, _, _ in pm.validator.checks}
         assert "dagcheck" not in names and "memcheck" not in names
 
@@ -111,7 +111,8 @@ class TestCleanPipeline:
         mod = _lower(
             "_kernel(1) void k(unsigned &r) { r = ncl::rand<u8>(); }"
         )
-        pm = run_default_pipeline(mod, PassOptions(verify_passes=True))
+        pm = PassManager(PassOptions(verify_passes=True))
+        pm.run_pipeline(mod)
         report = pm.validator.report()
         assert "k" in report["skipped"]
         assert report["kernels"] == []
@@ -153,7 +154,7 @@ class TestMutationDetection:
         monkeypatch.setattr(manager_mod, "simplify_function", evil_simplify)
         mod = _lower(ARITH)
         with pytest.raises(TranslationValidationError) as ei:
-            run_default_pipeline(mod, PassOptions(verify_passes=True))
+            PassManager(PassOptions(verify_passes=True)).run_pipeline(mod)
         exc = ei.value
         assert exc.pass_name.startswith("simplify")
         assert exc.function == "k"
@@ -178,7 +179,7 @@ class TestMutationDetection:
             "_kernel(1) void k(unsigned a, unsigned &r) { r = a / 7 + 1; }"
         )
         with pytest.raises(TranslationValidationError) as ei:
-            run_default_pipeline(mod, PassOptions(verify_passes=True))
+            PassManager(PassOptions(verify_passes=True)).run_pipeline(mod)
         assert ei.value.pass_name.startswith("dce")
 
     def test_removed_trap_is_allowed_refinement(self):
@@ -198,7 +199,8 @@ class TestMutationDetection:
         assert ref.trap_index is not None, "expected a b==0 vector to trap"
 
         mod = _lower(src)
-        pm = run_default_pipeline(mod, PassOptions(verify_passes=True))
+        pm = PassManager(PassOptions(verify_passes=True))
+        pm.run_pipeline(mod)
         assert pm.validator.checks  # validated clean despite the dropped trap
 
 
@@ -209,7 +211,8 @@ class TestPyexecStep:
     def test_runs_last_on_phi_free_ir_for_both_targets(self):
         for target in ("tna", "v1model"):
             mod = _lower(BRANCHY)
-            pm = run_default_pipeline(mod, PassOptions(target=target, verify_passes=True))
+            pm = PassManager(PassOptions(target=target, verify_passes=True))
+            pm.run_pipeline(mod)
             names = [p for p, _, _ in pm.validator.checks]
             assert names[-2:] == ["phi-elim", "pyexec"]
             assert pm.validator.pyexec_interpreted == []
@@ -221,7 +224,7 @@ class TestPyexecStep:
         monkeypatch.setitem(compiled._MODULAR_OPS, BinOpKind.ADD, "-")
         mod = _lower(ARITH)
         with pytest.raises(TranslationValidationError) as ei:
-            run_default_pipeline(mod, PassOptions(verify_passes=True))
+            PassManager(PassOptions(verify_passes=True)).run_pipeline(mod)
         err = ei.value
         assert err.pass_name == "pyexec" and err.function == "k"
         assert set(err.vector) == {"a", "b", "r"}
@@ -237,7 +240,8 @@ class TestPyexecStep:
             "  r = a / b;\n"
             "}\n"
         )
-        pm = run_default_pipeline(_lower(src), PassOptions(verify_passes=True))
+        pm = PassManager(PassOptions(verify_passes=True))
+        pm.run_pipeline(_lower(src))
         assert ("pyexec", "k") in {(p, f) for p, f, _ in pm.validator.checks}
 
         # An engine that divides by zero without trapping is caught.
@@ -245,12 +249,13 @@ class TestPyexecStep:
             compiled.KernelEngine, "_delegated_binop", lambda self, inst, a, b: 0
         )
         with pytest.raises(TranslationValidationError) as ei:
-            run_default_pipeline(_lower(src), PassOptions(verify_passes=True))
+            PassManager(PassOptions(verify_passes=True)).run_pipeline(_lower(src))
         assert ei.value.pass_name == "pyexec"
 
     def test_rand_kernels_are_compared_too(self):
         src = "_kernel(1) void k(unsigned &r) { r = ncl::rand<unsigned>(); }\n"
-        pm = run_default_pipeline(_lower(src), PassOptions(verify_passes=True))
+        pm = PassManager(PassOptions(verify_passes=True))
+        pm.run_pipeline(_lower(src))
         assert pm.validator.report()["skipped"]  # per-pass validation skips it
         assert [p for p, _, _ in pm.validator.checks] == ["pyexec"]
 
@@ -258,7 +263,8 @@ class TestPyexecStep:
         from repro.ir import compiled
 
         monkeypatch.setattr(compiled, "generate", lambda fn, max_steps=0: None)
-        pm = run_default_pipeline(_lower(BRANCHY), PassOptions(verify_passes=True))
+        pm = PassManager(PassOptions(verify_passes=True))
+        pm.run_pipeline(_lower(BRANCHY))
         assert pm.validator.pyexec_interpreted == ["k"]
 
 

@@ -131,7 +131,7 @@ def run_set() -> list[list[list[str]]]:
                  "--no-duplication", "--no-partitioning", "--no-intrinsics",
                  "--hash-bitcasts", "--no-fit"),
             _ncc("lint", _app(name), "--json"),
-            _ncc("lint", _app(name), "--Werror", "-Wno-NCL004", "--no-deep"),
+            _ncc("lint", _app(name), "--Werror", "-Wno-NCL004"),
             _ncc("verify", _app(name), "--json"),
         ])
     jobs.append([

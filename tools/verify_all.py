@@ -19,67 +19,38 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
+# lint_all also puts src/ on sys.path.
+from lint_all import REPO, collect_programs
 
-sys.path.insert(0, str(REPO / "src"))
-
-from repro.analysis.estimate import estimate_devices  # noqa: E402
-from repro.analysis.tvalid import TranslationValidationError  # noqa: E402
-from repro.lang import analyze, lower_to_ir, parse_source  # noqa: E402
-from repro.lang.errors import CompileError  # noqa: E402
-from repro.passes.manager import PassManager, PassOptions  # noqa: E402
-from repro.passes.memcheck import MemoryCheckError  # noqa: E402
-
-_RAW_STRING = re.compile(r'r"""(.*?)"""', re.S)
+from repro.analysis.tvalid import TranslationValidationError
+from repro.core.driver import verify_source
+from repro.lang.errors import CompileError
 
 
 class EngineFallbackError(Exception):
     """The ``pyexec`` step compared the interpreter with itself."""
 
 
-def collect_programs() -> list[tuple[str, str]]:
-    """(display name, NetCL source) for every verifiable program."""
-    programs: list[tuple[str, str]] = []
-    for path in sorted((REPO / "src" / "repro" / "apps" / "netcl").glob("*.ncl")):
-        programs.append((str(path.relative_to(REPO)), path.read_text()))
-    for path in sorted((REPO / "tests" / "lint").glob("*.ncl")):
-        programs.append((str(path.relative_to(REPO)), path.read_text()))
-    for path in sorted((REPO / "examples").glob("*.py")):
-        text = path.read_text()
-        for i, match in enumerate(_RAW_STRING.finditer(text)):
-            body = match.group(1)
-            if "_kernel(" not in body:
-                continue
-            programs.append((f"{path.relative_to(REPO)}[{i}]", body))
-    return programs
-
-
 def verify_program(name: str, source: str, target: str) -> tuple[int, str]:
     """(pass checks run, status line) for one program, raising on miscompile."""
     try:
-        module = lower_to_ir(analyze(parse_source(source)), name=Path(name).stem)
+        entries, failure = verify_source(source, target=target, program_name=Path(name).stem)
     except CompileError as exc:
         return 0, f"{name}: skipped (does not compile standalone: {exc})"
-    checks = 0
-    interpreted: list[str] = []
-    for dev in estimate_devices(module):
-        mod = lower_to_ir(analyze(parse_source(source)), name=Path(name).stem)
-        pm = PassManager(PassOptions(target=target, verify_passes=True))
-        try:
-            pm.run_pipeline(mod, dev)
-        except (CompileError, MemoryCheckError) as exc:
-            return 0, f"{name}: skipped on device {dev} ({exc})"
-        if pm.validator is not None:
-            checks += len(pm.validator.checks)
-            interpreted += [f"{k}@{dev}" for k in pm.validator.pyexec_interpreted]
+    if failure is not None:
+        raise failure
+    for entry in entries:
+        if entry["status"] == "compile-error":
+            return 0, f"{name}: skipped on device {entry['device']} ({entry['error']})"
+    interpreted = [f"{k}@{e['device']}" for e in entries for k in e["pyexec_interpreted"]]
     if interpreted:
         raise EngineFallbackError(
             f"kernel engine fell back to the interpreter for {', '.join(interpreted)}"
         )
+    checks = sum(len(e["checks"]) for e in entries)
     return checks, f"{name}: OK ({checks} pass checks)"
 
 
@@ -90,7 +61,11 @@ def main(argv: list[str] | None = None) -> int:
 
     failures = 0
     total_checks = 0
-    for name, source in collect_programs():
+    fixtures = sorted((REPO / "tests" / "lint").glob("*.ncl"))
+    programs = collect_programs() + [
+        (str(path.relative_to(REPO)), path.read_text()) for path in fixtures
+    ]
+    for name, source in programs:
         try:
             checks, line = verify_program(name, source, args.target)
         except TranslationValidationError as exc:
