@@ -57,18 +57,26 @@ def p4_backend(name: str, constant: str, value: int):
     host program stays identical), as ``(program, device factory)`` for
     :meth:`repro.deploy.AbstractTopology.realise`.  Handwritten P4 takes
     its parameter as a compile-time constant: ``constant`` is that
-    declaration up to the ``=`` and ``value`` what it is set to."""
+    declaration up to the ``=`` and ``value`` what it is set to.  A source
+    text is parsed and fitted once (an LRU of the compile cache), so its
+    devices share the ``ast.Program`` and its engine code, not state."""
     from types import SimpleNamespace
 
+    from repro.core.driver import P4_PROGRAMS
     from repro.p4 import P4NetCLSwitchDevice, p4_to_pipeline_spec, parse_p4
     from repro.tofino.report import build_report
 
     src = p4_source(name)
-    start = src.index(constant + " = ")
-    prog = parse_p4(
-        src[:start] + f"{constant} = {value};" + src[src.index(";", start) + 1 :]
-    )
-    program = SimpleNamespace(report=build_report(p4_to_pipeline_spec(prog, name=name)))
+    start = src.find(constant + " = ")
+    if start < 0:
+        raise ValueError(f"{P4_SOURCES[name].name} declares no {constant!r}")
+    src = src[:start] + f"{constant} = {value};" + src[src.index(";", start) + 1 :]
+    entry = P4_PROGRAMS.get((name, src))
+    if entry is None:
+        prog = parse_p4(src)
+        entry = prog, SimpleNamespace(report=build_report(p4_to_pipeline_spec(prog, name=name)))
+        P4_PROGRAMS.put((name, src), entry)
+    prog, program = entry
     return program, lambda device_id, _program, _metrics: P4NetCLSwitchDevice(
         prog, device_id
     )

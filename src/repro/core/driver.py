@@ -103,20 +103,21 @@ class _CompileCache:
     In-process only, no knob.  The capacity is a measured constant: an
     entry is 100-220 KB, 32 of them are invisible in ``compile_all``'s
     peak RSS (every source there is unique), 64 cost +4.7%, and the
-    largest shipped fabric presents 9 distinct programs.
+    largest shipped fabric presents 9 distinct programs.  ``P4_PROGRAMS``
+    holds parsed handwritten P4 in one too: a run presents a few texts.
     """
 
     CAPACITY = 32
 
     def __init__(self) -> None:
-        self.entries: OrderedDict[tuple, CompiledProgram] = OrderedDict()
+        self.entries: OrderedDict[tuple, object] = OrderedDict()
         self.clear()
 
     def clear(self) -> None:
         self.entries.clear()
         self.hits = self.misses = self.evictions = 0
 
-    def get(self, key: tuple) -> Optional[CompiledProgram]:
+    def get(self, key: tuple) -> Optional[object]:
         entry = self.entries.get(key)
         if entry is None:
             self.misses += 1
@@ -125,7 +126,7 @@ class _CompileCache:
             self.entries.move_to_end(key)
         return entry
 
-    def put(self, key: tuple, compiled: CompiledProgram) -> None:
+    def put(self, key: tuple, compiled: object) -> None:
         self.entries[key] = compiled
         if len(self.entries) > self.CAPACITY:
             self.entries.popitem(last=False)
@@ -133,6 +134,9 @@ class _CompileCache:
 
 
 _CACHE = _CompileCache()
+#: handwritten P4 programs parsed and fitted by :func:`repro.apps.p4_backend`,
+#: keyed by (name, source text); emptied with the compile cache
+P4_PROGRAMS = _CompileCache()
 
 
 def compile_cache_info() -> CompileCacheInfo:
@@ -144,6 +148,7 @@ def compile_cache_clear() -> None:
     """Forget every cached program and zero the counters (tests, cold
     compile-time measurements)."""
     _CACHE.clear()
+    P4_PROGRAMS.clear()
 
 
 def lower_source(

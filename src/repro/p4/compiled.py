@@ -10,17 +10,21 @@ and runs that instead:
   name resolution (``locals → md → constants``, ``hdr.x.f`` against
   ``md.f``), widths and masks are decided here, and a mask is emitted
   only where the value is not already known to fit;
-* the parser FSM is a ``while`` loop over a state number; ``extract`` is
-  one ``int.from_bytes`` over the header's bytes plus a shift and mask per
-  field, ``select`` an ``if/elif`` chain;
+* the parser FSM is a ``while`` loop over a state number, ``select`` an
+  ``if/elif`` chain; ``extract`` is one ``struct`` unpack for a header
+  that starts and ends on a byte boundary, else one ``int.from_bytes``,
+  plus a shift and mask for each field that shares its unit;
 * actions and ``RegisterAction`` bodies are inlined at their call sites
   with the interpreter's scoping: action parameters are restored on exit,
   locals declared in an action stay, writes to outer locals inside a
   ``RegisterAction`` do not escape it, ``exit`` unwinds to the control
   boundary (so a ``RegisterAction`` it leaves writes nothing back);
+  an index is bounds-checked once per path and register size while it
+  does not change, and a register value is loaded only if read;
 * tables keep the interpreter's run-time entry list and its ``match``;
   the matched entry's action name picks one inlined body;
-* the deparser packs each valid header with one shift chain.
+* the deparser packs each valid header with its ``struct``, or else with
+  one shift chain.
 
 Operands are evaluated in the interpreter's order: an operand whose text
 reads a variable is copied to a temporary when a later operand emits
@@ -47,6 +51,8 @@ the source text or ``insert_entry``, which validates them.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import struct
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -100,6 +106,21 @@ class _Header:
     def bit_width(self) -> int:
         return sum(v.width for v in self.fields.values())
 
+    def codec(self) -> Optional[tuple[struct.Struct, list[tuple[int, list[_Var]]]]]:
+        """The header's struct and its units, the fewest runs of fields that
+        each end on a byte boundary, as (bytes, fields); None if the header
+        does not end on one."""
+        units, group, bits = [], [], 0
+        for var in self.fields.values():
+            group.append(var)
+            bits += var.width
+            if bits % 8 == 0:
+                units.append((bits // 8, group))
+                group, bits = [], 0
+        if group:
+            return None
+        return struct.Struct(">" + "".join(_CODES.get(n, f"{n}s") for n, _ in units)), units
+
 
 #: a name's scope entry is None when it is declared on only some paths or
 #: with different widths: using it cannot be resolved statically
@@ -114,7 +135,7 @@ class PacketCode:
     source: str
     #: the generated ``_bind(E, X, K, R, T, RNG)``
     factory: Callable
-    consts: tuple  #: hash functions the code calls as ``K0..Kn``
+    consts: tuple  #: hash functions and header codecs the code calls as ``K0..Kn``
     registers: tuple[str, ...]  #: register names the code indexes as ``R0..Rn``
     tables: tuple[str, ...]  #: table names the code matches as ``T0..Tn``
     #: (instance name, declaration, field names) in the order of the flat
@@ -127,6 +148,10 @@ class PacketCode:
 
 def _mask(width: int) -> int:
     return (1 << width) - 1
+
+
+#: struct codes of the units read as integers; any other is read as bytes
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _is_atom(text: str) -> bool:
@@ -149,6 +174,29 @@ def _written(stmts: list[ast.Stmt]) -> set[str]:
         elif isinstance(s, ast.If):
             names |= _written(s.then) | _written(s.els or [])
     return names
+
+
+def _reads(node, name: str) -> bool:
+    """Whether evaluating ``node`` may read the local ``name`` (any call
+    may: a RegisterAction body sees the caller's locals)."""
+    if isinstance(node, list):
+        return any(_reads(item, name) for item in node)
+    if isinstance(node, (ast.MethodCall, ast.ApplyResult)):
+        return True
+    if isinstance(node, ast.Path):
+        return list(node.parts) == [name]
+    fields = dataclasses.fields(node) if dataclasses.is_dataclass(node) else ()
+    return any(_reads(getattr(node, f.name), name) for f in fields)
+
+
+def _assigned_first(stmts: list[ast.Stmt], name: str) -> bool:
+    """Whether ``stmts`` assign the local ``name`` before anything may read it."""
+    for s in stmts:
+        if isinstance(s, ast.Assign) and s.target == ast.Path((name,)) and not _reads(s.value, name):
+            return True
+        if _reads(s, name):
+            return False
+    return False
 
 
 def _merge(scope: _Scope, branches: list[_Scope]) -> None:
@@ -189,6 +237,11 @@ class _Generator:
         self.inlining: list[str] = []  # actions being inlined (recursion guard)
         self.register_action = 0  # id of the RegisterAction body being inlined
         self.register_actions = 0
+        #: (index text, register size, checked for < 0) of the bounds checks
+        #: every path to the current line has passed
+        self.checked: set[tuple[str, int, bool]] = set()
+        #: ``_p % 8`` at the current line of the parser; None = depends on the path
+        self.offset: Optional[int] = 0
 
         # what P4Interpreter._fresh_headers / _init_metadata / _md_width find
         self.headers: dict[str, _Header] = {}
@@ -232,6 +285,11 @@ class _Generator:
 
     def emit(self, line: str) -> None:
         self.lines.append(self.indent + line)
+
+    def assign(self, py: str, text: str) -> None:
+        """``py = text``; a bounds check of the old value no longer holds."""
+        self.emit(f"{py} = {text}")
+        self.checked = {c for c in self.checked if c[0] != py}
 
     def temp(self, prefix: str = "t") -> str:
         self.temps += 1
@@ -329,7 +387,7 @@ class _Generator:
             var = self.md[parts[-1]]
         else:
             raise _Untranslatable(f"assignment would create metadata field {parts[-1]}")
-        self.emit(f"{var.py} = {self.masked(value, var.width)}")
+        self.assign(var.py, self.masked(value, var.width))
 
     def header_of(self, path: ast.Path) -> _Header:
         header = self.headers.get(path.parts[-1])
@@ -527,13 +585,17 @@ class _Generator:
     def ternary(self, e: ast.Ternary, scope: _Scope) -> _Op:
         test = self.cond(e.cond, scope)
         mark = len(self.lines)
-        arms = []
+        arms, before, checked = [], self.checked, []
         self.indent += "    "
+        self.offset = None
         for arm in (e.then, e.els):
+            self.checked = set(before)
             op = self.expr(arm, scope)
             arms.append((op, self.lines[mark:]))
+            checked.append(self.checked)
             del self.lines[mark:]
         self.indent = self.indent[:-4]
+        self.checked = checked[0] & checked[1]
         (then, then_lines), (els, else_lines) = arms
         width = then.width if then.width == els.width else None
         bits = None if then.bits is None or els.bits is None else max(then.bits, els.bits)
@@ -614,25 +676,26 @@ class _Generator:
         entry, hit = self.temp("e"), self.temp("hit")
         self.emit(f"{entry} = {self.bind('T', self.tables, name)}.match([{keys}])")
         branches: list[_Scope] = []
+        before, checked = self.checked, []
 
         def alternative(test: str, action: str, args: list[_Op]) -> None:
             self.emit(test)
             with self.indented():
-                branch = dict(scope)
+                branch, self.checked = dict(scope), set(before)
                 self.inline_action(action, args, branch)
                 branches.append(branch)
+                checked.append(self.checked)
 
         self.emit(f"if {entry} is None:")
         with self.indented():
             if want_hit:
                 self.emit(f"{hit} = False")
+            branch, self.checked = dict(scope), set(before)
             if decl.default_action is not None:
                 action, values = decl.default_action
-                branch = dict(scope)
                 self.inline_action(action, [self.const(v, 0) for v in values], branch)
-                branches.append(branch)
-            else:
-                branches.append(dict(scope))
+            branches.append(branch)
+            checked.append(self.checked)
         self.emit("else:")
         with self.indented():
             if want_hit:
@@ -652,6 +715,7 @@ class _Generator:
             self.emit("else:")
             self.emit(f"    raise E('unknown action %s' % {act})")
         _merge(scope, branches)
+        self.checked = set.intersection(*checked)
         return hit
 
     def inline_action(self, name: str, args: list[_Op], scope: _Scope) -> None:
@@ -676,7 +740,7 @@ class _Generator:
         for (ty, pname), arg in zip(action.params, args):
             width = ty.width if isinstance(ty, ast.BitType) else 32
             scope[pname] = _Var(self.py("l_", pname), width, width)
-            self.emit(f"{scope[pname].py} = {self.masked(arg, width)}")
+            self.assign(scope[pname].py, self.masked(arg, width))
         self.inlining.append(name)
         self.block(action.body, scope)
         self.inlining.pop()
@@ -684,7 +748,7 @@ class _Generator:
         for _, pname in action.params:
             if pname in shadowed:
                 scope[pname], saved = shadowed[pname]
-                self.emit(f"{scope[pname].py} = {saved}")
+                self.assign(scope[pname].py, saved)
             else:
                 scope.pop(pname, None)
 
@@ -700,13 +764,14 @@ class _Generator:
             index = self.copy(index)
         width = decl.value_type.width
         message = f"register {ra.register}: index %d out of range [0,{decl.size})"
+        check = (index.text, decl.size, index.bits is None)
         if index.const is not None:
             if not 0 <= index.const < decl.size:
                 self.emit(f"raise E({message % index.const!r})")
-        elif index.bits is None or (1 << index.bits) > decl.size:
-            low = "0 <= " if index.bits is None else ""
-            self.emit(f"if not {low}{index.text} < {decl.size}:")
+        elif (index.bits is None or (1 << index.bits) > decl.size) and check not in self.checked:
+            self.emit(f"if not {'0 <= ' if check[2] else ''}{index.text} < {decl.size}:")
             self.emit(f"    raise E({message!r} % {index.text})")
+            self.checked.add(check)
         outer, self.register_actions = self.register_action, self.register_actions + 1
         self.register_action = n = self.register_actions
         reg = self.bind("R", self.registers, ra.register)
@@ -716,10 +781,12 @@ class _Generator:
             sub[name] = var._replace(py=f"{var.py}_{n}")
             self.emit(f"{sub[name].py} = {var.py}")
         value = sub[ra.value_param] = _Var(f"value{n}", width, max(width, storage_bits(width)))
-        self.emit(f"{value.py} = {reg}[{index.text}]")
+        if not _assigned_first(ra.body, ra.value_param):
+            self.emit(f"{value.py} = {reg}[{index.text}]")
         if ra.rv_param:
             sub[ra.rv_param] = _Var(f"rv{n}", width, width)
-            self.emit(f"rv{n} = 0")
+            if not _assigned_first(ra.body, ra.rv_param):
+                self.emit(f"rv{n} = 0")
         self.block(ra.body, sub)
         # the interpreter's sub-environment is looked up by name again
         value = self.local(ra.value_param, sub)
@@ -745,18 +812,22 @@ class _Generator:
             init = self.expr(s.init, scope) if s.init is not None else self.const(0, 0)
             suffix = f"_{self.register_action}" if self.register_action else ""
             scope[s.name] = _Var(self.py("l_", s.name) + suffix, width, width)
-            self.emit(f"{scope[s.name].py} = {self.masked(init, width)}")
+            self.assign(scope[s.name].py, self.masked(init, width))
         elif isinstance(s, ast.If):
             self.emit(f"if {self.cond(s.cond, scope)}:")
             then, els = dict(scope), dict(scope)
+            before, self.checked, self.offset = self.checked, set(self.checked), None
             with self.indented():
                 then_exits = self.block(s.then, then)
+            then_checked, self.checked = self.checked, set(before)
             els_exits = False
             if s.els:
                 self.emit("else:")
                 with self.indented():
                     els_exits = self.block(s.els, els)
-            _merge(scope, [b for b, exits in ((then, then_exits), (els, els_exits)) if not exits])
+            arms = ((then, then_checked, then_exits), (els, self.checked, els_exits))
+            _merge(scope, [b for b, _, exits in arms if not exits])
+            self.checked = set.intersection(*[c for _, c, exits in arms if not exits] or [set()])
             return then_exits and els_exits
         elif isinstance(s, ast.ApplyTable):
             self.apply_table(s.table, scope)
@@ -777,32 +848,77 @@ class _Generator:
             self.emit(f"_e = _p + {total}")
             self.emit("if _e > _n:")
             self.emit("    raise E('packet too short during extract')")
-            self.emit("_x = int.from_bytes(D[_p >> 3:_e + 7 >> 3], 'big') >> (-_e & 7)")
-            shift = total
-            for var in header.fields.values():
-                shift -= var.width
-                source = f"_x >> {shift}" if shift else "_x"
-                self.emit(f"{var.py} = {source} & {_mask(var.width):#x}")
+            codec = header.codec() if self.offset == 0 else None
+            if codec is None:
+                self.emit("_x = int.from_bytes(D[_p >> 3:_e + 7 >> 3], 'big') >> (-_e & 7)")
+                self.split("_x", list(header.fields.values()), exact=False)
+            else:
+                self.unpack(*codec)
             self.emit("_p = _e")
+            if self.offset is not None:
+                self.offset = (self.offset + total) % 8
         self.emit(f"{header.valid} = True")
+
+    def split(self, unit: str, fields: list[_Var], exact: bool) -> None:
+        """Each of ``fields`` out of the low bits of ``unit``, high to low;
+        the top one needs no mask when ``unit`` holds nothing else."""
+        shift = sum(var.width for var in fields)
+        for var in fields:
+            shift -= var.width
+            text = f"{unit} >> {shift}" if shift else unit
+            self.emit(f"{var.py} = {text}" if exact else f"{var.py} = {text} & {_mask(var.width):#x}")
+            exact = False
+
+    def unpack(self, codec: struct.Struct, units: list[tuple[int, list[_Var]]]) -> None:
+        """One ``unpack_from``; a field is a struct item when it fills one."""
+        names, rest = [], []
+        for n, fields in units:
+            if n in _CODES and len(fields) == 1:
+                names.append(fields[0].py)
+                continue
+            names.append(self.temp("_u"))
+            rest.append((names[-1] if n in _CODES else f"int.from_bytes({names[-1]}, 'big')", fields))
+        self.emit(f"{', '.join(names)}, = {self.bind('K', self.consts, codec.unpack_from)}(D, _p >> 3)")
+        for unit, fields in rest:
+            self.split(unit, fields, exact=True)
 
     def advance(self, bits: _Op) -> None:
         if bits.const is not None and bits.const < 0:
             raise _Untranslatable("advance() by a negative amount")
+        self.offset = None
         self.emit(f"_p += {bits.text}")
         self.emit("if _p > _n:")
         self.emit("    raise E('packet too short during advance')")
 
     def parser(self, decl: ast.ParserDecl) -> None:
-        """:meth:`P4Interpreter._run_parser` as a loop over a state number."""
-        numbers = {"start": 0}
+        """:meth:`P4Interpreter._run_parser` as a loop over a state number.
+        States are numbered and emitted in reverse postorder, so outside a
+        loop every state that can go to one is emitted before it."""
+        seen: set[str] = set()
+        order: list[str] = []
+
+        def targets(name: str) -> list[str]:
+            to = decl.states[name].transition if name in decl.states else "reject"
+            return [to] if isinstance(to, str) else [case.state for case in to.cases]
+
+        def visit(name: str) -> None:
+            if name not in seen and name not in ("accept", "reject"):
+                seen.add(name)
+                for target in targets(name):
+                    visit(target)
+                order.insert(0, name)
+
+        visit("start")
+        numbers = {name: i for i, name in enumerate(order)}
+        entered = {"start": [0]}  # ``_p % 8`` at each goto emitted to a state
 
         def goto(state: str) -> str:
+            entered.setdefault(state, []).append(self.offset)
             if state == "accept":
                 return "break"
             if state == "reject":
                 return "raise E('parser rejected packet')"
-            return f"_s = {numbers.setdefault(state, len(numbers))}"
+            return f"_s = {numbers[state]}"
 
         self.emit("_p = _s = _c = 0")
         self.emit("_n = len(D) * 8")
@@ -811,13 +927,14 @@ class _Generator:
         self.emit("_c += 1")
         self.emit("if _c > 1000:")
         self.emit("    raise E('parser did not terminate')")
-        done = 0
-        while done < len(numbers):  # goto() numbers the states it reaches
-            name = list(numbers)[done]
-            self.emit(f"{'if' if done == 0 else 'elif'} _s == {done}:")
-            done += 1
+        for number, name in enumerate(order):
+            self.emit(f"{'if' if number == 0 else 'elif'} _s == {number}:")
             with self.indented():
                 state = decl.states.get(name)
+                # known only when every state that can go here was emitted above
+                offsets = set(entered.get(name, ()))
+                known = all(numbers[p] < number for p in order if name in targets(p))
+                self.offset = offsets.pop() if known and len(offsets) == 1 else None
                 if state is None:
                     self.emit(f"raise E({f'undefined parser state {name}'!r})")
                 elif not self.block(state.statements, {}):
@@ -895,14 +1012,30 @@ class _Generator:
                 header = self.headers.get(arg.parts[-1])
                 if header is None or not header.bit_width:
                     continue
-                text, bits = "", 0
-                for var in header.fields.values():
-                    text = f"({text} << {var.width} | {var.py})" if text else var.py
-                    bits += var.width
-                if bits % 8:
-                    text, bits = f"({text} << {8 - bits % 8})", bits + 8 - bits % 8
-                parts.append(f"({text}.to_bytes({bits // 8}, 'big') if {header.valid} else b'')")
+                codec = header.codec()
+                if codec is None:  # one shift chain, padded to whole bytes
+                    pad = -header.bit_width % 8
+                    text = f"({self.chain(header.fields.values())} << {pad})"
+                    size = (header.bit_width + pad) // 8
+                    parts.append(f"({text}.to_bytes({size}, 'big') if {header.valid} else b'')")
+                    continue
+                items = [
+                    unit if n in _CODES else f"{unit}.to_bytes({n}, 'big')"
+                    for n, fields in codec[1] for unit in [self.chain(fields)]
+                ]
+                pack = self.bind("K", self.consts, codec[0].pack)
+                parts.append(f"({pack}({', '.join(items)}) if {header.valid} else b'')")
         return " + ".join(parts + ["D[_p >> 3:]"])
+
+    def chain(self, fields) -> str:
+        """``fields`` side by side in one integer, the first one highest; a
+        field is masked only where its bit bound exceeds its width."""
+        text = ""
+        for var in fields:
+            op = self.masked(self.load(var), var.width)
+            op = op if _is_atom(op) else f"({op})"
+            text = f"({text} << {var.width} | {op})" if text else op
+        return text
 
     def code(self) -> PacketCode:
         self.parser(self.parser_decl)

@@ -8,10 +8,11 @@ behind.
 """
 
 import random
+import struct
 import traceback
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps import P4_SOURCES, p4_source
 from repro.p4 import P4Engine, P4Interpreter, P4NetCLSwitchDevice, ast, parse_p4
@@ -665,3 +666,241 @@ def test_metadata_the_code_was_not_built_for_falls_back_per_packet():
         kind, (_, md, _) = pair.packet(data, metadata)
         assert kind == "ok" and pair.engine.interpreted == interpreted
     assert pair.packet(data, {"extra": 1})[1][1]["extra"] == 1
+
+
+# ---------------------------------------------------------------------------
+# header layouts: struct codecs and the shift path
+# ---------------------------------------------------------------------------
+
+def layout_program(prefix: int, between: int, widths: list[int]) -> str:
+    """``p`` of ``prefix`` bits, then ``h`` of ``widths`` either at once or
+    (odd ``p.x``) between ``q`` and ``r`` of ``between`` bits each, so the
+    two paths reach ``h`` at different offsets when ``between`` is 4 and
+    still end where they would without it; ingress bumps every odd field
+    of ``h`` (the sum wraps) and leaves the even ones, the top one among
+    them, as extracted."""
+    fields = " ".join(f"bit<{w}> f{i};" for i, w in enumerate(widths))
+    bumps = " ".join(f"hdr.h.f{i} = hdr.h.f{i} + {i};" for i in range(1, len(widths), 2))
+    return f"""
+header p_t {{ bit<{prefix}> x; }}
+header q_t {{ bit<{between}> y; }}
+header h_t {{ {fields} }}
+struct headers_t {{ p_t p; q_t q; h_t h; q_t r; }}
+struct metadata_t {{ bit<8> seen; }}
+parser P(packet_in pkt, out headers_t hdr, inout metadata_t md) {{
+    state start {{
+        pkt.extract(hdr.p);
+        transition select(hdr.p.x) {{ 0 &&& 1: parse_h; default: parse_q; }}
+    }}
+    state parse_q {{ pkt.extract(hdr.q); transition parse_h; }}
+    state parse_h {{
+        pkt.extract(hdr.h);
+        transition select(hdr.p.x) {{ 0 &&& 1: accept; default: parse_r; }}
+    }}
+    state parse_r {{ pkt.extract(hdr.r); transition accept; }}
+}}
+control C(inout headers_t hdr, inout metadata_t md) {{
+    apply {{ {bumps} }}
+}}
+control D(packet_out pkt, inout headers_t hdr) {{
+    apply {{ pkt.emit(hdr.p); pkt.emit(hdr.q); pkt.emit(hdr.h); pkt.emit(hdr.r); }}
+}}
+"""
+
+
+def struct_format(widths: list[int]) -> str:
+    """The layout rule, stated independently of the generator: fields
+    group into the fewest units that end on byte boundaries; 1, 2, 4 and
+    8 byte units are integers, any other size is bytes."""
+    fmt, bits = ">", 0
+    for w in widths:
+        bits += w
+        if bits % 8 == 0:
+            fmt += {1: "B", 2: "H", 4: "I", 8: "Q"}.get(bits // 8, f"{bits // 8}s")
+            bits = 0
+    return fmt
+
+
+def codec_calls(code: compiled.PacketCode, fmt: str) -> dict[str, str]:
+    """``K`` name -> struct method, for the consts that are ``fmt``'s struct."""
+    return {
+        f"K{i}": k.__name__
+        for i, k in enumerate(code.consts)
+        if isinstance(getattr(k, "__self__", None), struct.Struct) and k.__self__.format == fmt
+    }
+
+
+@st.composite
+def layouts(draw):
+    widths = draw(st.lists(
+        st.one_of(st.sampled_from([1, 4, 8, 16, 24, 32, 48, 64]), st.integers(1, 64)),
+        min_size=1, max_size=11,
+    ))
+    if draw(st.booleans()) and sum(widths) % 8:  # end on a byte boundary
+        widths.append(8 - sum(widths) % 8)
+    prefix = draw(st.sampled_from([8, 16, 3, 4, 12]))
+    between = draw(st.sampled_from([8, 16, 4]))  # 4: h's offset depends on the path
+    seed = draw(st.integers(0, 1 << 16))
+    return prefix, between, widths, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(layouts())
+@example((8, 4, [8, 8], 0))  # h's offset depends on the path: the shift path
+@example((4, 8, [4, 4], 0))  # h's top field shares a byte with p.x
+def test_header_layouts_agree(case):
+    prefix, between, widths, seed = case
+    names = dict(parser="P", ingress="C", deparser="D")
+    pair = source_pair(layout_program(prefix, between, widths), **names)
+    code = pair.engine.packet_code(**names)
+    assert isinstance(code, compiled.PacketCode), code
+    if prefix % 8 == 0 and between % 8 == 0 and sum(widths) % 8 == 0:
+        calls = codec_calls(code, struct_format(widths))
+        assert set(calls.values()) == {"pack", "unpack_from"}, calls
+        assert all(f"{k}(" in code.source for k in calls)
+    rng = random.Random(seed)
+    at, bit = (prefix - 1) // 8, 0x80 >> (prefix - 1) % 8  # p.x's lowest bit picks the path
+    for via_q in (0, 1):
+        size = (prefix + 2 * between * via_q + sum(widths) + 7) // 8
+        for length in (size, size + 3, size - 1, rng.randrange(size), rng.randrange(size + 9)):
+            data = bytearray(rng.randbytes(max(length, 0)))
+            if len(data) > at:
+                data[at] = data[at] | bit if via_q else data[at] & ~bit
+            pair.packet(bytes(data))
+        pair.packet(b"\xff" * (size + rng.randrange(3)))  # every field at its widest value
+    assert pair.engine.interpreted == 0
+
+
+def test_every_shipped_header_takes_the_struct_path():
+    for name in sorted(P4_SOURCES):
+        program = parse_p4(p4_source(name))
+        code = P4Engine(program).packet_code(**TNA)
+        assert "int.from_bytes(D[" not in code.source, name
+        for header in program.headers.values():
+            widths = [ty.width for ty, _ in header.fields]
+            if sum(widths):
+                calls = codec_calls(code, struct_format(widths))
+                assert set(calls.values()) == {"pack", "unpack_from"}, (name, header.name)
+
+
+# ---------------------------------------------------------------------------
+# register indexes: one bounds check per path, the interpreter's error
+# ---------------------------------------------------------------------------
+
+def agg_packet(*, ver: int, bmp_idx: int, agg_idx: int, mask: int) -> bytes:
+    data = (
+        ver.to_bytes(1, "big") + bmp_idx.to_bytes(2, "big") + agg_idx.to_bytes(2, "big")
+        + mask.to_bytes(2, "big") + bytes([3]) + b"".join(i.to_bytes(4, "big") for i in range(32))
+    )
+    wire = NetCLPacket(src=1, dst=1, from_=0xFFFF, to=1, comp=1, act=0, data=data).to_wire()
+    return _encapsulation(len(wire)) + wire
+
+
+def test_out_of_range_register_index_agrees_on_both_ingress_paths():
+    pair = Pair(parse_p4(p4_source("agg")), **TNA)
+    error = "register exp: index 600 out of range [0,512)"
+    # the slot's first contributor: bitmap0 is written, then the store path fails
+    assert pair.packet(agg_packet(ver=0, bmp_idx=3, agg_idx=600, mask=1)) == ("P4RuntimeError", error)
+    assert pair.engine.register_read("bitmap0", 3) == 1
+    # a second worker: the aggregation path fails at the same first check
+    assert pair.packet(agg_packet(ver=0, bmp_idx=3, agg_idx=600, mask=2)) == ("P4RuntimeError", error)
+    assert pair.engine.register_read("bitmap0", 3) == 3
+    for ver in (0, 1):  # in range on both paths, then out of range again
+        assert pair.packet(agg_packet(ver=ver, bmp_idx=4, agg_idx=511, mask=1))[0] == "ok"
+        assert pair.packet(agg_packet(ver=ver, bmp_idx=4, agg_idx=511, mask=2))[0] == "ok"
+        assert pair.packet(agg_packet(ver=ver, bmp_idx=4, agg_idx=512, mask=4))[1] == (
+            "register exp: index 512 out of range [0,512)")
+    assert pair.engine.interpreted == 0
+
+
+def test_agg_checks_the_slot_index_once_per_path():
+    source = P4Engine(parse_p4(p4_source("agg"))).packet_code(**TNA).source
+    lines = source.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip() == "if (m_idx == 0):")
+    indent = lines[start][: -len(lines[start].lstrip())]
+    middle = lines.index(indent + "else:", start)
+    end = next(i for i in range(middle + 1, len(lines)) if not lines[i].startswith(indent + " "))
+    store, aggregate = lines[start:middle], lines[middle:end]
+    for path in (store, aggregate):
+        checks = [i for i, line in enumerate(path) if "l_aidx < 512" in line]
+        assert len(checks) == 1
+        assert checks[0] < min(i for i, line in enumerate(path) if "[l_aidx]" in line)
+    # a RegisterAction that assigns its value before reading it loads nothing
+    assert not any("= R" in line and "[l_aidx]" in line.split("=")[-1] for line in store)
+    assert sum("[l_aidx]" in line.split("=")[-1] for line in aggregate) == 35
+
+
+JOINS = """
+header h_t { bit<8> op; bit<8> i; }
+struct headers_t { h_t h; }
+struct metadata_t { bit<8> out; }
+
+parser P(packet_in pkt, out headers_t hdr, inout metadata_t md) {
+    state start { pkt.extract(hdr.h); transition accept; }
+}
+
+control C(inout headers_t hdr, inout metadata_t md) {
+    Register<bit<8>, bit<32>>(4) r;
+    Register<bit<8>, bit<32>>(4) s;
+    Register<bit<8>, bit<32>>(2) u;
+    Register<bit<8>, bit<32>>(8) wide;
+    RegisterAction<bit<8>, bit<32>, bit<8>>(r) bump_r = {
+        void apply(inout bit<8> value) { value = value + 1; }
+    };
+    RegisterAction<bit<8>, bit<32>, bit<8>>(s) bump_s = {
+        void apply(inout bit<8> value) { value = value + 1; }
+    };
+    RegisterAction<bit<8>, bit<32>, bit<8>>(s) set_s = {
+        void apply(inout bit<8> value) { value = 9; }
+    };
+    RegisterAction<bit<8>, bit<32>, bit<8>>(u) bump_u = {
+        void apply(inout bit<8> value, out bit<8> rv) { value = value + 1; rv = value; }
+    };
+    RegisterAction<bit<8>, bit<32>, bit<8>>(wide) bump_wide = {
+        void apply(inout bit<8> value) { value = value + 1; }
+    };
+    action via_table() { bump_u.execute(i); }
+    table t {
+        key = { hdr.h.op : exact; }
+        actions = { via_table; }
+        const entries = { (3) : via_table(); }
+    }
+    apply {
+        bit<32> i = (bit<32>)hdr.h.i;
+        bump_wide.execute(i);
+        if (hdr.h.op == 0) { bump_r.execute(i); }
+        bump_s.execute(i);
+        set_s.execute(i);
+        md.out = (hdr.h.op == 1) ? bump_u.execute(i) : 0;
+        t.apply();
+        bump_u.execute(i);
+        i = i + 1;
+        bump_r.execute(i);
+        bump_s.execute(i);
+    }
+}
+
+control D(packet_out pkt, inout headers_t hdr) {
+    apply { pkt.emit(hdr.h); }
+}
+"""
+
+
+def test_bounds_checks_hold_across_joins_and_assignments():
+    names = dict(parser="P", ingress="C", deparser="D")
+    pair = source_pair(JOINS, **names)
+    for op in range(5):
+        for i in range(10):
+            pair.packet(bytes([op, i]))
+    assert pair.engine.interpreted == 0
+    lines = pair.engine.packet_code(**names).source.splitlines()
+    checks = [line.strip()[len("if not l_i < "):-1] for line in lines if "if not" in line]
+    assert checks == [
+        "8",  # wide
+        "4",  # r, on one path
+        "4",  # s, after the join; set_s then needs none
+        "2",  # u, in one ternary arm
+        "2",  # u, in one table action
+        "2",  # u, after both
+        "4",  # r, for the new index; s then needs none
+    ]
