@@ -30,6 +30,7 @@ Hot-path design (see DESIGN.md "Simulator performance"):
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -109,6 +110,8 @@ class Host:
         self._rx_free_ns = 0
         self._rx_packets = network.metrics.counter(f"node.rx_packets.h{host_id}")
         self._tx_packets = network.metrics.counter(f"node.tx_packets.h{host_id}")
+        #: what a fused hop schedules, bound once instead of once per hop
+        self._fused_event = self._rx_up
 
     # -- sending -------------------------------------------------------------------
     def send_message(
@@ -120,7 +123,7 @@ class Host:
         return packet
 
     def send_packet(self, packet: NetCLPacket, *, delay_ns: int = 0) -> None:
-        self._tx_packets.inc()
+        self._tx_packets.value += 1
         overhead = self.tx_overhead_ns
         if self.serialize_overheads:
             now = self.network.sim.now_ns + delay_ns
@@ -169,35 +172,36 @@ class Switch:
         #: program was fitted; a default otherwise).
         self.processing_ns = processing_ns
         self._rx_packets = network.metrics.counter(f"node.rx_packets.d{device.device_id}")
+        #: a device that queues control packets (reliability ACKs) drains
+        #: them after each forwarding decision; the others define no drain
+        self._drain_control = getattr(device, "drain_control", None)
+        #: what a fused hop schedules, bound once instead of once per hop
+        self._fused_event = self._pipeline_done
 
     def deliver(self, packet: NetCLPacket) -> None:
         self._rx_packets.value += 1
         # Tofino pipelines are full line-rate: processing adds latency but
         # never becomes a throughput bottleneck, so packets pipeline freely.
-        self.network.sim.after(self.processing_ns, self._pipeline_done, packet)
+        self.network.sim.after(self.processing_ns, self._pipeline_done, packet, False)
 
-    def _receive(self, packet: NetCLPacket) -> None:
-        """Link arrival and pipeline as one event (the fault-free hop).
-        The switch's state is only known at pipeline completion, so a
-        crash or a removal anywhere in the hop drops the packet here."""
-        self._rx_packets.value += 1
-        network = self.network
-        if self.key in network._down:
-            network._drop(network._drop_node_down, packet, self.key, "node down")
-        elif network.switches.get(self.key[1]) is not self:
-            network._drop(network._drop_unknown_node, packet, self.key, "unknown device")
-        else:
-            self._pipeline_done(packet)
-
-    def _pipeline_done(self, packet: NetCLPacket) -> None:
+    def _pipeline_done(self, packet: NetCLPacket, fused: bool = True) -> None:
+        """The packet leaves the pipeline.  A ``fused`` event (the
+        fault-free hop) is also its link arrival: it counts the receive,
+        and since the switch's state is only known now, a crash or a
+        removal anywhere in the hop drops the packet here, counted.  After
+        :meth:`deliver` a crash inside the pipeline drops it uncounted."""
         network = self.network
         key = self.key
+        if fused:
+            self._rx_packets.value += 1
         if key in network._down:
-            # Crashed while the packet sat in the pipeline.
+            if fused:
+                network._drop_node_down.inc()
             if network.tracer.enabled:
-                network.tracer.hop(
-                    packet, key, "drop", network.sim.now_ns, "node down"
-                )
+                network.tracer.hop(packet, key, "drop", network.sim.now_ns, "node down")
+            return
+        if fused and network.switches.get(key[1]) is not self:
+            network._drop(network._drop_unknown_node, packet, key, "unknown device")
             return
         decision = self.device.process(packet)
         if network.tracer.enabled:
@@ -223,8 +227,9 @@ class Switch:
                 network._hop(key, toward, out)
         else:
             network.execute_decision(key, decision)
-        for extra in self.device.drain_control():
-            network.execute_decision(key, extra)
+        if self._drain_control is not None:
+            for extra in self._drain_control():
+                network.execute_decision(key, extra)
 
 
 def pipeline_latency_ns(compiled, fallback: int = 500) -> int:
@@ -440,16 +445,11 @@ class Network:
         if self.tracer.enabled:
             self.tracer.begin(packet)
             self.tracer.hop(packet, at, "inject", self.sim.now_ns)
-        target = self._target_of(packet)
+        target = ("d", packet.to) if packet.to != NO_DEVICE else ("h", packet.dst)
         if target == at:
             self._arrive(at, packet)
             return
         self._hop(at, target, packet)
-
-    def _target_of(self, packet: NetCLPacket) -> NodeKey:
-        if packet.to != NO_DEVICE:
-            return ("d", packet.to)
-        return ("h", packet.dst)
 
     def _hop(self, at: NodeKey, toward: NodeKey, packet: NetCLPacket) -> None:
         table = self._routes.get(at)
@@ -466,11 +466,11 @@ class Network:
                 )
             return
         nxt, stats = route
-        link = stats.link
         size = packet.size_bytes
         if size == stats.cost_size:
             delay = stats.cost_ns
         else:
+            link = stats.link
             delay = link.latency_ns + link.serialization_ns(size)
             stats.cost_size = size
             stats.cost_ns = delay
@@ -486,17 +486,30 @@ class Network:
                 )
             # One event per hop: the receiver's latency joins the link's.
             kind, ident = nxt
+            fn = None
             if kind == "d":
                 sw = self.switches.get(ident)
                 if sw is not None and packet.mcast_members is None:
-                    self.sim.after(delay + sw.processing_ns, sw._receive, packet)
-                    return
+                    delay += sw.processing_ns
+                    fn = sw._fused_event
             else:
                 host = self.hosts.get(ident)
                 if host is not None and not host.serialize_overheads:
-                    self.sim.after(delay + host.rx_overhead_ns, host._rx_up, packet)
-                    return
-            self.sim.after(delay, self._arrive, nxt, packet)
+                    delay += host.rx_overhead_ns
+                    fn = host._fused_event
+            sim = self.sim
+            if fn is None:
+                sim.after(delay, self._arrive, nxt, packet)
+            elif type(delay) is not int or delay < 0:
+                sim.after(delay, fn, packet)  # rounds up, or rejects
+            else:
+                # Simulator.after's push, without its frame (every hop).
+                t = sim.now_ns + delay
+                if t >= sim._lane_ns:
+                    sim._lane_ns = t
+                    sim._lane.append((t, next(sim._seq), fn, (packet,)))
+                else:
+                    heapq.heappush(sim._queue, (t, next(sim._seq), fn, (packet,)))
             return
         deliveries = self.fault_injector.on_transmit(at, nxt, packet, delay)
         if not deliveries:

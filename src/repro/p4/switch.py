@@ -90,10 +90,6 @@ class P4NetCLSwitchDevice:
         self.interp = P4Engine(self.program, seed=self._seed)
         self.metrics.counter("device.resets").inc()
 
-    def drain_control(self) -> list[ForwardDecision]:
-        """Control packets queued while processing (none for plain P4)."""
-        return []
-
     # -- control plane (used by app controllers) ---------------------------------
     def insert_entry(self, table: str, keys: list[object], action: str, args: list[int]) -> None:
         self.interp.insert_entry(table, keys, action, args)

@@ -43,6 +43,9 @@ class ForwardKind(str, Enum):
     DROP = "drop"
 
 
+_TO_HOST, _TO_DEVICE = ForwardKind.TO_HOST, ForwardKind.TO_DEVICE
+
+
 @dataclass(slots=True)
 class ForwardDecision:
     kind: ForwardKind
@@ -139,12 +142,6 @@ class NetCLDevice:
         self._boot()
         self.metrics.counter("device.resets").inc()
 
-    def drain_control(self) -> list[ForwardDecision]:
-        """Control packets (e.g. reliability ACKs) queued while processing
-        the last packet; the transport executes them after the main
-        forwarding decision.  The base runtime emits none."""
-        return []
-
     # -- counter views (kept for compatibility with pre-telemetry callers) ---------
     @property
     def packets_seen(self) -> int:
@@ -167,7 +164,10 @@ class NetCLDevice:
         if entry is None:
             # No-op at this device: forward toward its target (§IV).
             self._noops.value += 1
-            return self._forward_noop(packet)
+            to = packet.to
+            if to != NO_DEVICE and to != self.device_id:
+                return ForwardDecision(_TO_DEVICE, to, packet)
+            return ForwardDecision(_TO_HOST, packet.dst, packet)
         fn, plan = entry
         try:
             values = plan.decode(packet.data)
@@ -212,9 +212,3 @@ class NetCLDevice:
     def _counter(self, counters: dict, kind: Enum, what: str):
         counters[kind] = ctr = self.metrics.counter(f"kernel.{what}.{kind.value}")
         return ctr
-
-    # -- the reference interpreter's view of a packet ------------------------------
-    def _forward_noop(self, packet: NetCLPacket) -> ForwardDecision:
-        if packet.to != NO_DEVICE and packet.to != self.device_id:
-            return ForwardDecision(ForwardKind.TO_DEVICE, packet.to, packet)
-        return ForwardDecision(ForwardKind.TO_HOST, packet.dst, packet)
