@@ -24,7 +24,7 @@ from repro.apps import compile_app, p4_backend
 from repro.collective.protocol import NUM_SLOTS, SlotCluster, SlotStream
 from repro.core.driver import CompiledProgram
 from repro.deploy.planner import AbstractTopology
-from repro.netsim import HOST, Link, Network
+from repro.netsim import HOST, Network
 from repro.runtime import KernelSpec, NetCLDevice
 
 SLOT_SIZE = 32
@@ -56,7 +56,6 @@ class AggWorker(SlotStream):
         tensor: list[int],
         *,
         window: int = 16,
-        timeout_ns: int = 400_000,
         device_id: int = AGG_DEVICE,
     ) -> None:
         num_chunks = (len(tensor) + SLOT_SIZE - 1) // SLOT_SIZE
@@ -67,7 +66,6 @@ class AggWorker(SlotStream):
             spec,
             num_chunks,
             window=window,
-            timeout_ns=timeout_ns,
             device_id=device_id,
             comp=1,
         )
@@ -119,11 +117,8 @@ def build_agg_cluster(
     num_workers: int = 2,
     tensor_elements: int = 4096,
     *,
-    target: str = "tna",
     backend: str = "netcl",
     window: int = 16,
-    link_latency_ns: int = 1000,
-    bandwidth_gbps: float = 100.0,
     seed: int = 7,
 ) -> AggCluster:
     """Compile AGG and wire up the rack: workers around one ToR switch.
@@ -132,18 +127,14 @@ def build_agg_cluster(
     runs our handwritten P4 baseline through the P4 interpreter (the
     paper's "P4" series in Fig. 14 — the host program stays identical).
     """
-    compiled = compile_app(
-        "agg", AGG_DEVICE, target=target, defines={"NUM_WORKERS": num_workers}
-    )
+    compiled = compile_app("agg", AGG_DEVICE, defines={"NUM_WORKERS": num_workers})
     program, device = (
         p4_backend("agg", "const bit<8>  NUM_WORKERS", num_workers)
         if backend == "p4"
         else (compiled, None)
     )
     deployment = agg_topology(list(range(1, num_workers + 1)), program).realise(
-        seed=seed,
-        link=Link(link_latency_ns, bandwidth_gbps),
-        device=device,
+        seed=seed, device=device
     )
     net = deployment.network
     rng = random.Random(seed)

@@ -213,8 +213,6 @@ def build_cache_cluster(
     target: str = "tna",
     backend: str = "netcl",
     hot_thresh: int = 128,
-    link_latency_ns: int = 1200,
-    seed: int = 11,
 ) -> CacheCluster:
     """Client -- switch(cache) -- server, the NetCache deployment.
 
@@ -231,7 +229,7 @@ def build_cache_cluster(
         else (compiled, None)
     )
     deployment = cache_topology(1, 2, program).realise(
-        seed=seed, link=Link(latency_ns=link_latency_ns), device=factory
+        seed=11, link=Link(latency_ns=1200), device=factory
     )
     net, device = deployment.network, deployment.devices[CACHE_DEVICE]
 

@@ -41,9 +41,9 @@ class CalcCluster:
     compiled: object
 
 
-def build_calc_cluster(*, target: str = "tna", seed: int = 3) -> CalcCluster:
-    compiled = compile_app("calc", CALC_DEVICE, target=target)
-    deployment = AbstractTopology.star(CALC_DEVICE, compiled, [1]).realise(seed=seed)
+def build_calc_cluster() -> CalcCluster:
+    compiled = compile_app("calc", CALC_DEVICE)
+    deployment = AbstractTopology.star(CALC_DEVICE, compiled, [1]).realise(seed=3)
     net = deployment.network
     spec = KernelSpec.from_kernel(compiled.kernels()[0])
     return CalcCluster(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.apps import compile_app
 from repro.deploy.planner import AbstractTopology
-from repro.netsim import DEVICE, Link, Network
+from repro.netsim import DEVICE, Network
 from repro.runtime import KernelSpec, Message, NetCLDevice
 from repro.runtime.message import NetCLPacket, unpack_packet
 
@@ -79,7 +79,7 @@ class PaxosCluster:
     compiled: dict[int, object]
 
 
-def paxos_topology(*, target: str = "tna", majority: int = 2) -> AbstractTopology:
+def paxos_topology(*, majority: int = 2) -> AbstractTopology:
     """The chain, stated once: client (host 1) - leader - acceptors -
     learner - application (host 2), the program compiled once per device."""
     topo = AbstractTopology()
@@ -90,7 +90,6 @@ def paxos_topology(*, target: str = "tna", majority: int = 2) -> AbstractTopolog
             compile_app(
                 "paxos",
                 dev_id,
-                target=target,
                 defines={"ACCEPTOR_ID": acceptor_id, "MAJORITY": majority},
             ),
         )
@@ -103,16 +102,10 @@ def paxos_topology(*, target: str = "tna", majority: int = 2) -> AbstractTopolog
     return topo
 
 
-def build_paxos_cluster(
-    *,
-    target: str = "tna",
-    majority: int = 2,
-    link_latency_ns: int = 1000,
-    seed: int = 5,
-) -> PaxosCluster:
+def build_paxos_cluster(*, majority: int = 2) -> PaxosCluster:
     """Compile the program once per device and build the chain topology."""
-    topo = paxos_topology(target=target, majority=majority)
-    deployment = topo.realise(seed=seed, link=Link(latency_ns=link_latency_ns))
+    topo = paxos_topology(majority=majority)
+    deployment = topo.realise(seed=5)
     net = deployment.network
     spec = KernelSpec.from_kernel(topo.programs[LEADER_DEV].kernels()[0])
     client = PaxosClient(net, 1, 2, spec)

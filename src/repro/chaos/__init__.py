@@ -16,7 +16,6 @@ from repro.chaos.plan import ChaosEvent, ChaosPlan, LinkFaults, link_name, parse
 from repro.chaos.inject import ChaosConflictError, ChaosController, apply_faults
 from repro.chaos.scenarios import (
     ChaosRunResult,
-    compile_app_at,
     default_chaos_plan,
     run_agg_chaos,
     run_cache_chaos,
@@ -30,7 +29,6 @@ __all__ = [
     "ChaosRunResult",
     "LinkFaults",
     "apply_faults",
-    "compile_app_at",
     "default_chaos_plan",
     "link_name",
     "parse_node",

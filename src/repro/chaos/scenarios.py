@@ -1,7 +1,7 @@
 """Acceptance scenarios: the paper's apps surviving injected failures.
 
-Each scenario builds a two-switch deployment (primary + standby compiled
-for its own device id), wires the hosts through
+Each scenario builds a two-switch deployment (a primary and a standby
+running the primary's program), wires the hosts through
 :class:`~repro.reliability.channel.ReliableChannel`, arms a
 :class:`~repro.chaos.plan.ChaosPlan` that combines packet loss,
 duplication, reordering, jitter, *and* a mid-run crash of the primary
@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.apps import netcl_source
+from repro.apps import compile_app
 from repro.apps.agg import AGG_DEVICE, AggWorker, SLOT_SIZE, agg_topology
 from repro.apps.cache import (
     CACHE_DEVICE,
@@ -34,7 +34,6 @@ from repro.apps.cache import (
 from repro.chaos.inject import ChaosController
 from repro.chaos.plan import ChaosPlan
 from repro.collective.protocol import resync_streams
-from repro.core import compile_netcl
 from repro.netsim import Link
 from repro.reliability import BackoffPolicy, ReliableChannel, reliable_device
 from repro.runtime import KernelSpec
@@ -58,25 +57,15 @@ class ChaosRunResult(ScenarioResult):
     trace_events: int = 0
 
 
-def compile_app_at(name: str, device_id: int, *, defines: Optional[dict] = None):
-    """Compile one app's kernel pinned to ``device_id``.
-
-    The paper's sources pin their kernels ``_at(1)``; a standby switch
-    runs the *same* computation at a different device id, so we re-pin
-    the placement before compiling (the control plane's "install the
-    program on the spare" step).
-    """
-    src = netcl_source(name).replace("_at(1)", f"_at({device_id})")
-    return compile_netcl(src, device_id, defines=defines, program_name=name)
+#: the standby switch of both acceptance runs; it runs the primary's
+#: program, compiled for the primary's ``_at(1)`` placement
+STANDBY_DEVICE = 2
 
 
 def default_chaos_plan(
     seed: int,
     *,
     loss: float = 0.05,
-    duplicate: float = 0.05,
-    reorder: float = 0.05,
-    jitter_ns: int = 1_000,
     crash_at_ns: Optional[int] = 600_000,
 ) -> ChaosPlan:
     """The acceptance fault model: 5% loss + duplication + reordering +
@@ -86,9 +75,9 @@ def default_chaos_plan(
         crash_node="d1",
         crash_at_ns=crash_at_ns,
         loss=loss,
-        duplicate=duplicate,
-        reorder=reorder,
-        jitter_ns=jitter_ns,
+        duplicate=0.05,
+        reorder=0.05,
+        jitter_ns=1_000,
     )
 
 
@@ -213,9 +202,6 @@ def run_cache_chaos(
     seed: int = 7,
     *,
     plan: Optional[ChaosPlan] = None,
-    standby_id: int = 2,
-    heartbeat_ns: int = 150_000,
-    horizon_ms: float = 100.0,
     trace: bool = False,
 ) -> ChaosRunResult:
     """NetCache client/server/controller surviving the acceptance plan.
@@ -226,9 +212,9 @@ def run_cache_chaos(
     journal.
     """
     plan = plan if plan is not None else default_chaos_plan(seed)
-    primary = compile_app_at("cache", CACHE_DEVICE)
+    program = compile_app("cache", CACHE_DEVICE)
     deployment = cache_topology(
-        1, 2, primary, spare=(standby_id, compile_app_at("cache", standby_id))
+        1, 2, program, spare=(STANDBY_DEVICE, program)
     ).realise(seed=seed, link=Link(latency_ns=1200), device=reliable_device())
     net = deployment.network
     if trace:
@@ -236,11 +222,11 @@ def run_cache_chaos(
 
     work = CacheAcceptance(deployment)
     # promotion replays the cache lines the controller journaled
-    (failover,) = deployment.failover(heartbeat_ns=heartbeat_ns)
+    (failover,) = deployment.failover(heartbeat_ns=150_000)
 
     ChaosController(net, plan).arm()
     work.start()
-    net.sim.run(until_ns=int(horizon_ms * 1e6))
+    net.sim.run(until_ns=100_000_000)
 
     errors = work.errors()
     if plan.events and not failover.failed_over:
@@ -297,12 +283,6 @@ def run_agg_chaos(
     seed: int = 7,
     *,
     plan: Optional[ChaosPlan] = None,
-    num_workers: int = 2,
-    tensor_elements: int = 2048,
-    window: int = 8,
-    standby_id: int = 2,
-    heartbeat_ns: int = 100_000,
-    horizon_ms: float = 100.0,
     trace: bool = False,
 ) -> ChaosRunResult:
     """SwitchML aggregation surviving the acceptance plan.
@@ -317,28 +297,26 @@ def run_agg_chaos(
         if plan is not None
         else default_chaos_plan(seed, crash_at_ns=60_000)
     )
-    defines = {"NUM_WORKERS": num_workers}
-    primary = compile_app_at("agg", AGG_DEVICE, defines=defines)
+    num_workers, tensor_elements = 2, 2048
+    program = compile_app("agg", AGG_DEVICE, defines={"NUM_WORKERS": num_workers})
     # ordered=True: the slot protocol assumes per-worker FIFO delivery
     # (a late out-of-order contribution from an advanced worker corrupts
     # the version-alternating bitmap), so the device drops stale packets
     # and lets the worker's fresh-sequence retransmission recover them.
     deployment = agg_topology(
-        list(range(1, num_workers + 1)),
-        primary,
-        spare=(standby_id, compile_app_at("agg", standby_id, defines=defines)),
+        list(range(1, num_workers + 1)), program, spare=(STANDBY_DEVICE, program)
     ).realise(seed=seed, device=reliable_device(ordered=True))
     net = deployment.network
     if trace:
         net.enable_tracing()
 
     rng = random.Random(f"{seed}:tensor")
-    spec = KernelSpec.from_kernel(primary.kernels()[0])
+    spec = KernelSpec.from_kernel(program.kernels()[0])
     workers: list[AggWorker] = []
     for w in range(num_workers):
         tensor = [rng.randrange(0, 1 << 16) for _ in range(tensor_elements)]
         worker = AggWorker(
-            net, w + 1, w, spec, tensor, window=window, device_id=AGG_DEVICE
+            net, w + 1, w, spec, tensor, window=8, device_id=AGG_DEVICE
         )
         worker.channel = ReliableChannel(
             net, worker.host, spec, target_device=AGG_DEVICE
@@ -346,17 +324,14 @@ def run_agg_chaos(
         deployment.register_channel(AGG_DEVICE, worker.channel)
         workers.append(worker)
 
-    (failover,) = deployment.failover(
-        heartbeat_ns=heartbeat_ns,
-        # the primary took the in-flight aggregates with it
-        on_failover=lambda mgr: resync_streams(workers),
-    )
+    # the primary took the in-flight aggregates with it
+    (failover,) = deployment.failover(on_failover=lambda mgr: resync_streams(workers))
 
     ChaosController(net, plan).arm()
 
     for w in workers:
         w.start()
-    net.sim.run(until_ns=int(horizon_ms * 1e6))
+    net.sim.run(until_ns=100_000_000)
 
     errors: list[str] = []
     num_chunks = (tensor_elements + SLOT_SIZE - 1) // SLOT_SIZE

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from repro.collective.job import shard_range
 from repro.collective.tree import collective_topology
-from repro.netsim import Link
 from repro.runtime import KernelSpec, Message
 from repro.runtime.message import FieldSpec, NetCLPacket, NO_DEVICE, unpack_packet
 
@@ -213,16 +212,16 @@ class _RingNode:
 
 
 class _RingRun:
+    #: a step's retransmission timeout
+    timeout_ns = 400_000
+
     def __init__(
         self,
         num_racks: int,
         workers_per_rack: int,
         tensors: list[list[float]],
         *,
-        link_latency_ns: int,
-        bandwidth_gbps: float,
         seed: int,
-        timeout_ns: int = 400_000,
     ) -> None:
         self.num_workers = num_racks * workers_per_rack
         if len(tensors) != self.num_workers:
@@ -230,7 +229,6 @@ class _RingRun:
                 f"{len(tensors)} tensors for {self.num_workers} workers"
             )
         self.num_elements = len(tensors[0])
-        self.timeout_ns = timeout_ns
         self.packets_sent = 0
         self.retransmissions = 0
         self.acks_sent = 0
@@ -241,10 +239,7 @@ class _RingRun:
             collective_topology(
                 num_racks, list(range(1, self.num_workers + 1)), target=None
             )
-            .realise(
-                seed=seed,
-                link=Link(latency_ns=link_latency_ns, bandwidth_gbps=bandwidth_gbps),
-            )
+            .realise(seed=seed)
             .network
         )
         self.nodes = [
@@ -262,10 +257,11 @@ class _RingRun:
         if self._finished == self.num_workers:
             self.finished_at_ns = self.net.sim.now_ns
 
-    def run(self, until_ms: float) -> RingResult:
+    def run(self) -> RingResult:
+        """Run the ring for up to 1 s of simulated time."""
         for node in self.nodes:
             node.start()
-        self.net.sim.run(until_ns=self.net.sim.now_ns + int(until_ms * 1e6))
+        self.net.sim.run(until_ns=self.net.sim.now_ns + 1_000_000_000)
         if self._finished != self.num_workers:
             stuck = [n.rank for n in self.nodes if not n.done]
             raise RuntimeError(
@@ -287,11 +283,7 @@ def run_host_ring(
     workers_per_rack: int,
     tensors: list[list[float]],
     *,
-    link_latency_ns: int = 1000,
-    bandwidth_gbps: float = 100.0,
     seed: int = 7,
-    timeout_ns: int = 400_000,
-    until_ms: float = 1000.0,
     plan=None,
 ) -> RingResult:
     """Run a full ring allreduce over ``tensors`` on a transit-only fabric.
@@ -301,17 +293,9 @@ def run_host_ring(
     conditions as the in-network tree; the transport's ACK/retransmit
     machinery absorbs them.
     """
-    run = _RingRun(
-        num_racks,
-        workers_per_rack,
-        tensors,
-        link_latency_ns=link_latency_ns,
-        bandwidth_gbps=bandwidth_gbps,
-        seed=seed,
-        timeout_ns=timeout_ns,
-    )
+    run = _RingRun(num_racks, workers_per_rack, tensors, seed=seed)
     if plan is not None:
         from repro.chaos.inject import ChaosController
 
         ChaosController(run.net, plan).arm()
-    return run.run(until_ms)
+    return run.run()

@@ -168,7 +168,6 @@ class SlotStream:
         timeout_ns: int = DEFAULT_SLOT_TIMEOUT_NS,
         device_id: int,
         comp: int = 1,
-        num_slots: int = NUM_SLOTS,
         slot_base: int = 0,
         install_handler: bool = True,
     ) -> None:
@@ -187,15 +186,15 @@ class SlotStream:
         #: take a disjoint ``[slot_base, slot_base + window)`` range so
         #: their rounds never collide in the slot registers.
         self.slot_base = slot_base
-        self.window = min(window, num_slots - slot_base)
+        self.window = min(window, NUM_SLOTS - slot_base)
         if self.window < 1:
             raise ValueError(
-                f"slot_base {slot_base} leaves no slots of {num_slots}"
+                f"slot_base {slot_base} leaves no slots of {NUM_SLOTS}"
             )
         self.timeout_ns = timeout_ns
         self.device_id = device_id
         self.comp = comp
-        self.num_slots = num_slots
+        self.num_slots = NUM_SLOTS
         #: optional repro.reliability channel: sends then carry sequence
         #: numbers so the switch's dedup window filters network-duplicated
         #: packets (the worker keeps driving its own retransmissions, each

@@ -77,10 +77,7 @@ def run_collective_chaos(
     workers_per_rack: int = 4,
     tensor_elements: int = 2048,
     window: int = 8,
-    exp_group: int = 4,
     plan: Optional[ChaosPlan] = None,
-    heartbeat_ns: int = 100_000,
-    horizon_ms: float = 150.0,
     baseline: bool = True,
     trace: bool = False,
 ) -> CollectiveRunResult:
@@ -98,7 +95,6 @@ def run_collective_chaos(
         num_racks,
         workers_per_rack,
         window=window,
-        exp_group=exp_group,
         seed=seed,
         standby=True,
         reliable=True,
@@ -135,12 +131,10 @@ def run_collective_chaos(
         for w in rack_workers:
             w.set_device(mgr.standby_id)
 
-    managers = cluster.deployment.failover(
-        heartbeat_ns=heartbeat_ns, on_failover=resync
-    )
+    managers = cluster.deployment.failover(on_failover=resync)
 
     ChaosController(net, plan).arm()
-    cluster.run(until_ms=horizon_ms)
+    cluster.run(until_ms=150.0)
 
     # -- validate -----------------------------------------------------------------
     errors: list[str] = []

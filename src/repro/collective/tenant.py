@@ -15,7 +15,6 @@ standby failover is: the control plane retargets the channels and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.collective.protocol import resync_streams
 from repro.collective.tree import CollectiveCluster, collective_topology, wire_workers
@@ -66,12 +65,6 @@ def submit_collective_tenant(
     hosts: list[int],
     *,
     num_racks: int = 2,
-    qos: Optional[TenantQoS] = None,
-    window: int = 8,
-    exp_group: int = 4,
-    timeout_ns: int = 400_000,
-    stagger_ns: int = 25_000,
-    target: str = "tna",
 ) -> CollectiveTenant:
     """Admit a collective tenant onto ``service``'s shared fabric.
 
@@ -80,18 +73,16 @@ def submit_collective_tenant(
     ``2 + r``.  Raises :class:`~repro.service.AdmissionError` if the
     fabric has no headroom for the tree.
     """
-    topo = collective_topology(
-        num_racks, hosts, root=ABSTRACT_ROOT, leaf=abstract_leaf, target=target
-    )
+    topo = collective_topology(num_racks, hosts, root=ABSTRACT_ROOT, leaf=abstract_leaf)
     # The slot protocol assumes per-sender FIFO delivery.
-    tenant = service.submit(tenant_id, topo, qos or TenantQoS(ordered=True))
+    tenant = service.submit(tenant_id, topo, TenantQoS(ordered=True))
     ct = wire_workers(
         CollectiveTenant,
         tenant,
-        window=window,
-        exp_group=exp_group,
-        timeout_ns=timeout_ns,
-        stagger_ns=stagger_ns,
+        window=8,
+        exp_group=4,
+        timeout_ns=400_000,
+        stagger_ns=25_000,
         reliable=True,
         tenant_id=tenant_id,
     )

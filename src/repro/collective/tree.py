@@ -7,10 +7,11 @@ contributions (``reduce_leaf`` / ``expmax_leaf``), forwards the rack
 partial to the spine *root* (``reduce_root`` / ``expmax_root``), and the
 root multicasts the cross-rack total back down to every worker host.
 
-The same program text is compiled once per device (§III): each leaf is
-pinned with its own ``LEAVES``/``RACK_MASK`` defines and the root with
-``NUM_RACKS``, mirroring how a control plane installs one binary per
-switch role.
+The same program text is compiled once per switch program (§III): the
+root with ``NUM_RACKS``, each rack's leaf with its ``RACK_MASK`` (pinned
+``_at`` its primary ToR through ``LEAVES``), and a rack's standby runs
+its primary's program, as a control plane installs one binary on every
+switch of a role.
 
 The tree is stated once, by :func:`collective_topology`; the standalone
 cluster, the service tenant (:mod:`repro.collective.tenant`) and the
@@ -33,7 +34,7 @@ from repro.collective.job import (
 )
 from repro.collective.protocol import SlotCluster
 from repro.deploy.planner import AbstractTopology
-from repro.netsim import DEVICE, HOST, Link, Network
+from repro.netsim import DEVICE, HOST, Network
 from repro.reliability import ReliableChannel, reliable_device
 from repro.runtime import KernelSpec, NetCLDevice
 
@@ -61,20 +62,19 @@ def compile_role(
     num_racks: int = 2,
     workers_per_rack: int = 4,
     root_device: int = ROOT_DEVICE,
-    mcast_group: int = COLL_MCAST_GROUP,
     target: str = "tna",
 ):
     """Compile ``collective.ncl`` for one switch role.
 
-    ``rack=None`` compiles the spine root; otherwise the ToR (primary or
-    standby) serving ``rack``, pinned to ``device_id`` and carrying that
-    rack's contribution bit.
+    ``rack=None`` compiles the spine root; otherwise the ToR serving
+    ``rack``, pinned to ``device_id`` and carrying that rack's
+    contribution bit (the rack's standby runs the same program).
     """
     defines: dict = {
         "LOCAL_WORKERS": workers_per_rack,
         "NUM_RACKS": num_racks,
         "ROOT_DEV": root_device,
-        "COLL_MCAST_GROUP": mcast_group,
+        "COLL_MCAST_GROUP": COLL_MCAST_GROUP,
     }
     if rack is not None:
         defines["LEAVES"] = str(device_id)
@@ -194,11 +194,13 @@ def collective_topology(
             "while N * 2^MANTISSA_BITS fits an i32)"
         )
 
-    def program(device_id: int, rack: Optional[int] = None):
+    def program(rack: Optional[int] = None):
+        """The root's program, or ``rack``'s leaf program: its primary and
+        its standby ask for the same one, so the standby's is a cache hit."""
         if target is None:
             return None
         return compile_role(
-            device_id,
+            root if rack is None else leaf(rack),
             rack=rack,
             num_racks=num_racks,
             workers_per_rack=workers_per_rack,
@@ -207,14 +209,12 @@ def collective_topology(
         )
 
     topo = AbstractTopology()
-    topo.add_device(root, program(root), "root")
+    topo.add_device(root, program(), "root")
     for rack in range(num_racks):
-        topo.add_device(leaf(rack), program(leaf(rack), rack), "leaf")
+        topo.add_device(leaf(rack), program(rack), "leaf")
         topo.connect_devices(leaf(rack), root)
         if spare is not None:
-            topo.add_device(
-                spare(rack), program(spare(rack), rack), spare_of=leaf(rack)
-            )
+            topo.add_device(spare(rack), program(rack), spare_of=leaf(rack))
     for rank, host_id in enumerate(hosts):
         topo.attach_host(host_id, leaf(rank // workers_per_rack))
     topo.add_multicast_group(COLL_MCAST_GROUP, [HOST(h) for h in hosts])
@@ -304,12 +304,9 @@ def build_collective_cluster(
     exp_group: int = 4,
     timeout_ns: int = 400_000,
     stagger_ns: int = 25_000,
-    link_latency_ns: int = 1000,
-    bandwidth_gbps: float = 100.0,
     seed: int = 7,
     standby: bool = False,
     reliable: bool = False,
-    target: str = "tna",
 ) -> CollectiveCluster:
     """Compile the tree and wire racks of workers onto a 2-level fabric.
 
@@ -324,10 +321,8 @@ def build_collective_cluster(
         num_racks,
         list(range(1, num_racks * workers_per_rack + 1)),
         spare=standby_device if standby else None,
-        target=target,
     ).realise(
         seed=seed,
-        link=Link(link_latency_ns, bandwidth_gbps),
         # ordered=True: the slot protocol assumes per-worker FIFO
         # delivery (see run_agg_chaos).
         device=reliable_device(ordered=True) if reliable else None,

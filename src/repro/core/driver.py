@@ -103,7 +103,7 @@ class _CompileCache:
     In-process only, no knob.  The capacity is a measured constant: an
     entry is 100-220 KB, 32 of them are invisible in ``compile_all``'s
     peak RSS (every source there is unique), 64 cost +4.7%, and the
-    largest shipped fabric presents 9 distinct programs.  ``P4_PROGRAMS``
+    largest shipped fabric presents 5 distinct programs.  ``P4_PROGRAMS``
     holds parsed handwritten P4 in one too: a run presents a few texts.
     """
 

@@ -258,9 +258,8 @@ class AbstractTopology:
         assignment the identity: a standalone cluster, or a host baseline
         when the devices carry no program.  Otherwise ``assignment``
         (abstract device -> switch of ``fabric``) says where each program
-        runs -- under its *abstract* id, which its kernels were compiled
-        against -- and every other switch is transit device
-        ``TRANSIT_BASE + s``.  ``link`` is copied per edge;
+        runs -- under its *abstract* id -- and every other switch is
+        transit device ``TRANSIT_BASE + s``.  ``link`` is copied per edge;
         ``device(id, program, metrics)`` makes a programmed switch's
         runtime (default: a plain :class:`NetCLDevice` with its own
         registry); its ``processing_ns`` is the program's fitted

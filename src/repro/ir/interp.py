@@ -438,8 +438,9 @@ class IRInterpreter:
         self.device_id = device_id
         self.rng = rng or random.Random(0)
         self.max_steps = max_steps
+        site = module.site(device_id)
         for gv in module.globals.values():
-            if gv.placed_at(device_id):
+            if gv.placed_at(site):
                 state.declare(gv)
 
     # -- public entry ---------------------------------------------------------

@@ -241,6 +241,8 @@ class Module:
         #: dispatch and shared by every engine over this module; lives
         #: here so it dies with the program.
         self.kernel_code: dict[tuple[Function, int], object] = {}
+        #: the device id the pass pipeline ran for (None: every device)
+        self.compiled_for: Optional[int] = None
 
     def add_global(self, gv: GlobalVar) -> GlobalVar:
         if gv.name in self.globals:
@@ -256,6 +258,13 @@ class Module:
 
     def kernels(self) -> list[Function]:
         return [f for f in self.functions.values() if f.is_kernel]
+
+    def site(self, device_id: int) -> int:
+        """The device whose ``_at`` placement a device ``device_id`` running
+        this module takes its kernels and globals from: the one the module
+        was compiled for, so a standby runs its primary's program, or
+        ``device_id`` itself for a module compiled for every device."""
+        return device_id if self.compiled_for is None else self.compiled_for
 
     def dump(self) -> str:
         """Human-readable listing of the whole module (for tests/debugging)."""

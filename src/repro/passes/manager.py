@@ -159,8 +159,10 @@ class PassManager:
     # -- the default pipeline ------------------------------------------------
     def run_pipeline(self, module: Module, device_id: Optional[int] = None) -> None:
         """Run the full middle-end over every kernel placed at ``device_id``
-        (all kernels when ``device_id`` is None)."""
+        (all kernels when ``device_id`` is None), and record that device
+        on the module (:meth:`Module.site`)."""
         opts = self.options
+        module.compiled_for = device_id
         kernels = [
             f
             for f in module.kernels()

@@ -30,7 +30,6 @@ from typing import Callable, Optional
 
 from repro.chaos.inject import ChaosController
 from repro.chaos.plan import ChaosPlan, LinkFaults
-from repro.netsim import Link
 from repro.reliability import ReliableChannel
 from repro.rpc.idl import OP_PARTIAL, OP_REQ, SG_WORDS
 from repro.rpc.policies import merge_words
@@ -165,8 +164,6 @@ class _FanoutRun:
         policy_names: dict[int, str],
         *,
         window: int,
-        link_latency_ns: int,
-        bandwidth_gbps: float,
         seed: int,
     ) -> None:
         self.queries = queries
@@ -179,11 +176,7 @@ class _FanoutRun:
         # standbys), with no program on any switch.
         self.net = (
             rpc_topology(num_racks, [1], self.server_hosts, target=None)
-            .realise(
-                seed=seed,
-                link=Link(latency_ns=link_latency_ns, bandwidth_gbps=bandwidth_gbps),
-                transit_ns=400,
-            )
+            .realise(seed=seed, transit_ns=400)
             .network
         )
         self.servers = [
@@ -191,12 +184,13 @@ class _FanoutRun:
         ]
         self.client = _FanoutClient(self, 1, window)
 
-    def run(self, until_ms: float, plan: Optional[ChaosPlan]) -> FanoutResult:
+    def run(self, plan: Optional[ChaosPlan]) -> FanoutResult:
+        """Run the calls for up to 500 ms of simulated time."""
         if plan is not None:
             ChaosController(self.net, plan).arm()
         self.client.start()
         sim = self.net.sim
-        sim.run(until_ns=sim.now_ns + int(until_ms * 1e6))
+        sim.run(until_ns=sim.now_ns + 500_000_000)
         if not self.client.done:
             raise RuntimeError(
                 f"host fan-out stalled: {len(self.client.results)}/"
@@ -220,10 +214,7 @@ def run_host_fanout(
     policy_names: dict[int, str],
     *,
     window: int = 8,
-    link_latency_ns: int = 1000,
-    bandwidth_gbps: float = 100.0,
     seed: int = 7,
-    until_ms: float = 500.0,
     plan: Optional[ChaosPlan] = None,
 ) -> FanoutResult:
     """Run every query as client-side fan-out + local merge."""
@@ -234,11 +225,9 @@ def run_host_fanout(
         partial_fn,
         policy_names,
         window=window,
-        link_latency_ns=link_latency_ns,
-        bandwidth_gbps=bandwidth_gbps,
         seed=seed,
     )
-    return run.run(until_ms, plan)
+    return run.run(plan)
 
 
 # -- the comparison driver --------------------------------------------------------
@@ -280,12 +269,10 @@ def compare_gather(
     num_racks: int = 2,
     servers_per_rack: int = 2,
     num_calls: int = 32,
-    policy: str = "sum",
     faults: Optional[LinkFaults] = None,
-    window: int = 8,
-    horizon_ms: float = 500.0,
 ) -> GatherComparison:
-    """Measure one gather workload both ways; results must be identical."""
+    """Measure one ``sum`` gather workload both ways; results must be
+    identical."""
     from dataclasses import dataclass as _dc
 
     from repro.rpc.cluster import build_rpc_cluster
@@ -300,6 +287,7 @@ def compare_gather(
     class _Reply:
         v: vec(SG_WORDS) = None
 
+    policy = "sum"
     schema = RpcSchema(
         [RpcMethod("bench", 0, _Query, _Reply, kind="gather", policy=policy)]
     )
@@ -313,7 +301,6 @@ def compare_gather(
         num_racks=num_racks,
         servers_per_rack=servers_per_rack,
         num_clients=1,
-        window=window,
         gather_rounds=num_calls,
         seed=seed,
     )
@@ -330,7 +317,7 @@ def compare_gather(
             _Query(q=seed * 1000 + call),
             on_reply=lambda c: inner.__setitem__(c.round, c.merged),
         )
-    cluster.run(until_ms=horizon_ms)
+    cluster.run(until_ms=500.0)
     if len(inner) != num_calls:
         raise RuntimeError(
             f"in-network gather stalled: {len(inner)}/{num_calls} merged "
@@ -348,9 +335,7 @@ def compare_gather(
         queries,
         _bench_partial,
         {POLICY_CODES[policy]: policy},
-        window=window,
         seed=seed,
-        until_ms=horizon_ms,
         plan=plan,
     )
     match = all(host.results.get(c) == inner.get(c) for c in range(num_calls))

@@ -42,7 +42,7 @@ from repro.rpc.idl import (
     request_key,
 )
 from repro.rpc.policies import POLICY_CODES
-from repro.runtime.constants import DEFAULT_SLOT_TIMEOUT_NS, NUM_SLOTS
+from repro.runtime.constants import DEFAULT_SLOT_TIMEOUT_NS
 from repro.runtime.message import NetCLPacket, unpack_packet
 
 
@@ -92,16 +92,28 @@ class RpcGatherStream(SlotStream):
     the round tag so stale re-deliveries are rejected exactly.
     """
 
-    def __init__(self, client: "RpcClient", num_rounds: int, **kw) -> None:
+    def __init__(
+        self,
+        client: "RpcClient",
+        num_rounds: int,
+        *,
+        device_id: int,
+        window: int,
+        slot_base: int,
+        timeout_ns: int,
+    ) -> None:
         super().__init__(
             client.network,
             client.host_id,
             0,  # worker_index: the client contributes no mask bit itself
             client.spec_sg,
             num_rounds,
+            window=window,
+            timeout_ns=timeout_ns,
+            device_id=device_id,
             comp=2,
+            slot_base=slot_base,
             install_handler=False,
-            **kw,
         )
         self.client = client
 
@@ -139,10 +151,8 @@ class RpcClient:
         method_servers: dict[int, int],
         slot_base: int = 0,
         window: int = 8,
-        num_slots: int = NUM_SLOTS,
         gather_rounds: int = 64,
         timeout_ns: int = DEFAULT_SLOT_TIMEOUT_NS,
-        retry: Optional[BackoffPolicy] = None,
     ) -> None:
         self.network = network
         self.host_id = host_id
@@ -152,7 +162,7 @@ class RpcClient:
         self.spec_sg = spec_sg
         #: unary method_id -> the server host answering it.
         self.method_servers = dict(method_servers)
-        self.retry = retry or BackoffPolicy()
+        self.retry = BackoffPolicy()
         self._calls: dict[int, UnaryCall] = {}
         self._gathers: dict[int, GatherCall] = {}
         self._next_req = 1
@@ -175,7 +185,6 @@ class RpcClient:
             gather_rounds,
             device_id=edge_device,
             window=window,
-            num_slots=num_slots,
             slot_base=slot_base,
             timeout_ns=timeout_ns,
         )

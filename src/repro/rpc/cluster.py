@@ -43,7 +43,7 @@ from repro.apps import compile_app
 from repro.collective.protocol import raise_stalled
 from repro.collective.tree import leaf_device as tor_device, standby_device
 from repro.deploy.planner import AbstractTopology
-from repro.netsim import HOST, Link, Network
+from repro.netsim import HOST, Network
 from repro.reliability import ReliableNetCLDevice, reliable_device
 from repro.rpc.client import RpcClient
 from repro.rpc.idl import NUM_METHODS, RpcSchema
@@ -69,7 +69,6 @@ def compile_rpc_role(
     fanout: int,
     edge_dev: int = EDGE_DEVICE,
     sg_dev: int = SG_DEVICE,
-    mcast_group: int = SG_MCAST_GROUP,
     target: str = "tna",
 ):
     """Compile ``rpc.ncl`` for one switch role ("edge", "sg", or "tor")."""
@@ -78,7 +77,7 @@ def compile_rpc_role(
         "FANOUT": fanout,
         "EDGE_DEV": edge_dev,
         "SG_DEV": sg_dev,
-        "SG_MCAST": mcast_group,
+        "SG_MCAST": SG_MCAST_GROUP,
     }
     if role == "tor":
         defines["TOR_DEVS"] = str(device_id)
@@ -251,13 +250,13 @@ def rpc_topology(
     topo.add_device(sg, program(sg, "sg"), "sg")
     topo.connect_devices(edge, sg)
     for rack in range(num_racks):
-        topo.add_device(tor(rack), program(tor(rack), "tor"), "tor")
+        # every ToR and standby runs the program compiled at ``tor(0)``:
+        # the memo cache is the same on every rack
+        topo.add_device(tor(rack), program(tor(0), "tor"), "tor")
         topo.connect_devices(tor(rack), edge)
         topo.connect_devices(tor(rack), sg)
         if spare is not None:
-            topo.add_device(
-                spare(rack), program(spare(rack), "tor"), spare_of=tor(rack)
-            )
+            topo.add_device(spare(rack), program(tor(0), "tor"), spare_of=tor(rack))
     for h in client_hosts:
         topo.attach_host(h, edge)
     for i, h in enumerate(server_hosts):
@@ -284,8 +283,8 @@ def wire_rpc_apps(
 
     ``deployment`` is what realising the topology returned -- a
     standalone :class:`~repro.deploy.planner.DeploymentPlan` or a service
-    :class:`~repro.service.Tenant`.  The edge's routing MATs hold the ids
-    the *programs* were compiled with; ``deployment.address(id)`` is the
+    :class:`~repro.service.Tenant`.  The edge's routing MATs hold the
+    topology's *abstract* ids; ``deployment.address(id)`` is the
     id *hosts* put on the wire to reach that program (a tenant's
     fabric-global id under :mod:`repro.service`), ``control(id)`` its
     control connection (journaling where failover or migration must
@@ -396,13 +395,8 @@ def build_rpc_cluster(
     num_clients: int = 1,
     window: int = 8,
     gather_rounds: int = 64,
-    timeout_ns: int = DEFAULT_SLOT_TIMEOUT_NS,
-    refill_interval_ns: int = 50_000,
-    link_latency_ns: int = 1000,
-    bandwidth_gbps: float = 100.0,
     seed: int = 7,
     standby: bool = False,
-    target: str = "tna",
 ) -> RpcCluster:
     """Compile the switch roles and wire the whole RPC fabric.
 
@@ -418,10 +412,8 @@ def build_rpc_cluster(
         list(range(1, num_clients + 1)),
         [server_host(i, num_clients) for i in range(num_racks * servers_per_rack)],
         spare=standby_device if standby else None,
-        target=target,
     ).realise(
         seed=seed,
-        link=Link(link_latency_ns, bandwidth_gbps),
         # No ordered mode anywhere, spine included: every partial is
         # guarded by the slot's (version, agg index) compare and the
         # client checks ver+tag on results, so a late packet is harmless
@@ -441,6 +433,6 @@ def build_rpc_cluster(
         memo_tag="",
         window=window,
         gather_rounds=gather_rounds,
-        timeout_ns=timeout_ns,
-        refill_interval_ns=refill_interval_ns,
+        timeout_ns=DEFAULT_SLOT_TIMEOUT_NS,
+        refill_interval_ns=50_000,
     )

@@ -126,9 +126,6 @@ def default_rpc_plan(
     seed: int,
     *,
     loss: float = 0.05,
-    duplicate: float = 0.05,
-    reorder: float = 0.05,
-    jitter_ns: int = 1_000,
     crash_at_ns: Optional[int] = 60_000,
 ) -> ChaosPlan:
     """The acceptance fault model, aimed at rack 0's primary ToR."""
@@ -137,9 +134,9 @@ def default_rpc_plan(
         crash_node=f"d{tor_device(0)}",
         crash_at_ns=crash_at_ns,
         loss=loss,
-        duplicate=duplicate,
-        reorder=reorder,
-        jitter_ns=jitter_ns,
+        duplicate=0.05,
+        reorder=0.05,
+        jitter_ns=1_000,
     )
 
 
@@ -173,8 +170,6 @@ def run_rpc_chaos(
     gathers_per_client: int = 12,
     window: int = 8,
     plan: Optional[ChaosPlan] = None,
-    heartbeat_ns: int = 100_000,
-    horizon_ms: float = 200.0,
     baseline: bool = True,
     trace: bool = False,
 ) -> RpcRunResult:
@@ -212,9 +207,7 @@ def run_rpc_chaos(
             if tor_device(rack) == mgr.primary_id:
                 cluster.reroute_method(mid, mgr.standby_id)
 
-    managers = cluster.deployment.failover(
-        heartbeat_ns=heartbeat_ns, on_failover=promote
-    )
+    managers = cluster.deployment.failover(on_failover=promote)
 
     ChaosController(net, plan).arm()
 
@@ -231,7 +224,7 @@ def run_rpc_chaos(
                 gather_names[i % len(gather_names)],
                 QueryReq(q=seed * 10_000 + c * 100 + i),
             )
-    cluster.run(until_ms=horizon_ms)
+    cluster.run(until_ms=200.0)
 
     # -- validate -----------------------------------------------------------------
     errors: list[str] = []

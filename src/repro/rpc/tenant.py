@@ -19,7 +19,6 @@ unary calls re-resolve through their own retries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.collective.protocol import resync_streams
 from repro.rpc.cluster import RpcCluster, check_rpc_shape, rpc_topology, wire_rpc_apps
@@ -73,12 +72,6 @@ def submit_rpc_tenant(
     client_hosts: list[int],
     server_hosts: list[int],
     num_racks: int = 2,
-    qos: Optional[TenantQoS] = None,
-    window: int = 8,
-    gather_rounds: int = 64,
-    timeout_ns: int = DEFAULT_SLOT_TIMEOUT_NS,
-    refill_interval_ns: int = 50_000,
-    target: str = "tna",
 ) -> RpcTenant:
     """Admit an RPC tenant onto ``service``'s shared fabric.
 
@@ -91,12 +84,12 @@ def submit_rpc_tenant(
     check_rpc_shape(schema, handlers)
     topo = rpc_topology(
         num_racks, client_hosts, server_hosts,
-        edge=ABSTRACT_EDGE, sg=ABSTRACT_SG, tor=abstract_tor, target=target,
+        edge=ABSTRACT_EDGE, sg=ABSTRACT_SG, tor=abstract_tor,
     )
     # No ordered mode: same argument as the standalone cluster (the
     # guarded slot merge plus the client's ver+tag checks make FIFO
     # enforcement pure stale-drop overhead).
-    tenant = service.submit(tenant_id, topo, qos or TenantQoS())
+    tenant = service.submit(tenant_id, topo, TenantQoS())
     # Every control handle is a journaling connection the migration
     # replays; MAT values stay *abstract* ids (the slice wrapper
     # translates forwarding targets back to global ids on egress).
@@ -106,10 +99,10 @@ def submit_rpc_tenant(
         schema,
         handlers,
         memo_tag=f"{tenant_id}.",
-        window=window,
-        gather_rounds=gather_rounds,
-        timeout_ns=timeout_ns,
-        refill_interval_ns=refill_interval_ns,
+        window=8,
+        gather_rounds=64,
+        timeout_ns=DEFAULT_SLOT_TIMEOUT_NS,
+        refill_interval_ns=50_000,
         tenant_id=tenant_id,
     )
     tenant.on_migrate = lambda service, tenant: rt.resync()

@@ -37,10 +37,10 @@ class DeviceConnection:
         gv = self.module.globals.get(name)
         if gv is None:
             raise ManagedMemoryError(f"no global memory named '{name}'")
-        if not gv.placed_at(self.device.device_id):
+        site = self.module.site(self.device.device_id)
+        if not gv.placed_at(site):
             raise ManagedMemoryError(
-                f"'{name}' is not placed at device {self.device.device_id} "
-                "(reference validity, Eq. 2)"
+                f"'{name}' is not placed at device {site} (reference validity, Eq. 2)"
             )
         return gv
 

@@ -99,10 +99,11 @@ class NetCLDevice:
         self.max_repeats = max_repeats
         self.kernels: dict[int, Function] = {}
         self.specs: dict[int, KernelSpec] = {}
+        site = module.site(device_id)
         for fn in kernels:
             if fn.computation is None:
                 continue
-            if not fn.placed_at(device_id):
+            if not fn.placed_at(site):
                 continue
             if fn.computation in self.kernels:
                 raise DeviceRuntimeError(

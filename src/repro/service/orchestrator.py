@@ -22,7 +22,7 @@ lifetime.  Tenants come and go against it:
 
 Isolation model (the ClickINC "modules from different tenants share one
 pipeline" premise): every tenant keeps the abstract device ids its
-kernels were compiled against.  The service allocates each tenant a block
+topology declares.  The service allocates each tenant a block
 of fabric-global device ids and puts a :class:`TenantDevice` at the
 network boundary: ingress translates global ids back to the tenant's
 abstract namespace before the unmodified kernel runs; egress translates
@@ -132,8 +132,8 @@ class TenantDevice:
     """The network-boundary wrapper around one tenant's compiled device.
 
     Registered in the live network under the tenant's *global* device id;
-    the inner :class:`NetCLDevice` runs the unmodified kernel at the
-    *abstract* id it was compiled for.  The wrapper translates ids both
+    the inner :class:`NetCLDevice` runs the unmodified kernel at its
+    *abstract* id.  The wrapper translates ids both
     ways, enforces the tenant's ingress rate limit, and feeds the
     per-tenant telemetry counters.
     """
@@ -222,12 +222,9 @@ class INCService:
         *,
         seed: int = 1,
         heartbeat_ns: int = 150_000,
-        transit_processing_ns: int = 350,
-        internal_latency_ns: int = 100,
     ) -> None:
         self.fabric = fabric
         self.heartbeat_ns = heartbeat_ns
-        self.internal_latency_ns = internal_latency_ns
         self.admission = AdmissionController(fabric)
         self.planner = IncrementalPlanner(fabric)
         self.tenants: Dict[str, Tenant] = {}
@@ -245,7 +242,7 @@ class INCService:
         # base program.
         self.network = (
             AbstractTopology()
-            .realise(fabric, {}, seed=seed, transit_ns=transit_processing_ns)
+            .realise(fabric, {}, seed=seed)
             .network
         )
 
@@ -263,7 +260,7 @@ class INCService:
     # -- helpers -------------------------------------------------------------
     def _internal_link(self) -> Link:
         """The in-chassis hop between a tenant slice and its host switch."""
-        return Link(latency_ns=self.internal_latency_ns, bandwidth_gbps=400.0)
+        return Link(latency_ns=100, bandwidth_gbps=400.0)
 
     def _running(self, tenant_id: str) -> Tenant:
         t = self.tenants.get(tenant_id)

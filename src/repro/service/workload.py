@@ -338,14 +338,14 @@ class BulkDriver(AppDriver):
     used to exercise resource-attributed admission rejects."""
 
     def build(self) -> AbstractTopology:
-        from repro.chaos.scenarios import compile_app_at
+        from repro.apps import compile_app
 
         devices = int(self.event.get("devices", 3))
+        # one program, compiled for device 1's placement, runs on every device
+        program = compile_app("agg", 1, defines={"NUM_WORKERS": 2})
         topo = AbstractTopology()
         for d in range(1, devices + 1):
-            topo.add_device(
-                d, compile_app_at("agg", d, defines={"NUM_WORKERS": 2})
-            )
+            topo.add_device(d, program)
             if d > 1:
                 topo.connect_devices(d - 1, d)
         topo.attach_host(int(self.event["hosts"][0]), 1)

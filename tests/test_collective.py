@@ -245,19 +245,21 @@ class TestChaosAcceptance:
         b = run_collective_chaos(8, tensor_elements=256)
         assert a.digest != b.digest
 
+    @pytest.mark.parametrize("seed", [34, 134, 275])
     @pytest.mark.xfail(
         strict=True,
         reason=(
-            "known defect (ROADMAP 9a): after the rack-0 ToR crash at seed 34, "
-            "rank 3 stays on exp-group 6 in slot 6 while the other ranks moved "
-            "that slot to exp-group 14, so all eight ranks stall and retransmit "
-            "until the 150 ms horizon; a changed same-nanosecond tie order (a "
-            "random tie key, or the fused chaos hop of ROADMAP 1c) instead ends "
-            "some seeds with a wrong sum"
+            "known defect (ROADMAP item 13): the collective's recovery after "
+            "the rack-0 ToR crash lets a slot mix two rounds.  At seed 34 rank "
+            "3 stays on exp-group 6 in slot 6 while the other ranks moved that "
+            "slot to exp-group 14, so all eight ranks stall and retransmit "
+            "until the 150 ms horizon; seeds 134 and 275 end with a wrong sum "
+            "at the canonical tie order (rank 0 element 1088 is -60.71 against "
+            "-20.22; element 1616 is 46.05 against 131.58)"
         ),
     )
-    def test_recovers_after_the_tor_crash_at_seed_34(self):
-        assert run_collective_chaos(34, baseline=False).ok
+    def test_recovers_after_the_tor_crash_at_seed_34(self, seed):
+        assert run_collective_chaos(seed, baseline=False).ok
 
 
 class TestTenantMode:

@@ -323,9 +323,7 @@ def _net_edges(net) -> set:
 class TestOneShapeManyRealisations:
     def test_collective_standalone_tenant_and_baseline_share_the_graph(self):
         standalone = build_collective_cluster(2, 2).network
-        ring = _RingRun(
-            2, 2, [[0.0]] * 4, link_latency_ns=1000, bandwidth_gbps=100.0, seed=7
-        ).net
+        ring = _RingRun(2, 2, [[0.0]] * 4, seed=7).net
         tenant = collective_topology(
             2, [1, 2, 3, 4], root=ABSTRACT_ROOT, leaf=abstract_leaf, target=None
         )
@@ -339,10 +337,7 @@ class TestOneShapeManyRealisations:
     def test_rpc_standalone_tenant_and_baseline_share_the_graph(self):
         schema, handlers = scenario_schema(), scenario_handlers({})
         standalone = build_rpc_cluster(schema, handlers).network
-        fan = _FanoutRun(
-            2, 2, [], None, {}, window=4, link_latency_ns=1000,
-            bandwidth_gbps=100.0, seed=7,
-        ).net
+        fan = _FanoutRun(2, 2, [], None, {}, window=4, seed=7).net
         tenant = rpc_topology(
             2, [1], [2, 3, 4, 5], edge=ABSTRACT_EDGE, sg=ABSTRACT_SG,
             tor=abstract_tor, target=None,
@@ -358,9 +353,8 @@ class TestOneShapeManyRealisations:
         assert all(h.serialize_overheads for h in fan.hosts.values())
 
     def test_a_baseline_compiles_nothing(self):
-        _RingRun(2, 2, [[0.0]] * 4, link_latency_ns=1000, bandwidth_gbps=100.0, seed=7)
-        _FanoutRun(2, 2, [], None, {}, window=4, link_latency_ns=1000,
-                   bandwidth_gbps=100.0, seed=7)
+        _RingRun(2, 2, [[0.0]] * 4, seed=7)
+        _FanoutRun(2, 2, [], None, {}, window=4, seed=7)
         assert compile_cache_info().misses == 0
 
 
@@ -465,11 +459,6 @@ class TestDeploymentObject:
         prog = compile_app("cache", 1)
         plain = AbstractTopology.star(1, prog, [1, 2]).realise()
         assert isinstance(plain.control(1), DeviceConnection)
-        from repro.chaos.scenarios import compile_app_at
-
-        spared = AbstractTopology.star(
-            1, compile_app_at("cache", 1), [1, 2],
-            spare=(2, compile_app_at("cache", 2)),
-        ).realise()
+        spared = AbstractTopology.star(1, prog, [1, 2], spare=(2, prog)).realise()
         assert isinstance(spared.control(1), ReplicatedConnection)
         assert sorted(spared.devices) == [1, 2]

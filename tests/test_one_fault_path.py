@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.apps import compile_app
 from repro.apps.cache import CACHE_DEVICE, cache_topology
-from repro.chaos.scenarios import CacheAcceptance, compile_app_at
+from repro.chaos.scenarios import CacheAcceptance
 from repro.collective import build_collective_cluster
 from repro.collective.tree import leaf_device, standby_device
 from repro.netsim import Link, Network
@@ -89,10 +90,8 @@ class TestDeploymentFailover:
         assert isinstance(journal, ReplicatedConnection)
 
     def test_cache_chaos_deployment(self):
-        deployment = cache_topology(
-            1, 2, compile_app_at("cache", CACHE_DEVICE),
-            spare=(2, compile_app_at("cache", 2)),
-        ).realise(seed=7, device=reliable_device())
+        program = compile_app("cache", CACHE_DEVICE)
+        deployment = cache_topology(1, 2, program, spare=(2, program)).realise(seed=7, device=reliable_device())
         work = CacheAcceptance(deployment)
         hooks = []
         (mgr,) = deployment.failover(heartbeat_ns=150_000, on_failover=hooks.append)

@@ -192,11 +192,17 @@ class TestManagedMemory:
             conn.managed_read("nope")
 
     def test_placement_enforced(self):
-        src = "_at(3) _managed_ unsigned m;\n_kernel(1) _at(3) void k(unsigned &x) { x = m; }"
+        # Eq. 2 against the placement the program was compiled for: device 1
+        # running device 3's program holds m, never the n placed at 4
+        src = (
+            "_at(3) _managed_ unsigned m;\n_at(4) _managed_ unsigned n;\n"
+            "_kernel(1) _at(3) void k(unsigned &x) { x = m; }"
+        )
         cp = compile_netcl(src, 3)
         conn = DeviceConnection(NetCLDevice(1, cp.module, cp.kernels()))
-        with pytest.raises(ManagedMemoryError, match="Eq. 2"):
-            conn.managed_write("m", 1)
+        conn.managed_write("m", 1)
+        with pytest.raises(ManagedMemoryError, match="not placed at device 3 .*Eq. 2"):
+            conn.managed_write("n", 1)
 
     def test_managed_lookup_lifecycle(self, fig4_compiled):
         # cache in Fig. 4 is static _lookup_; build a managed variant
