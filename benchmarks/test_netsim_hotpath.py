@@ -6,9 +6,9 @@ on: the pure `repro.netsim` forwarding path.  Three series land in
 compare against the committed baseline within the same job):
 
 * ``packets_per_sec`` / ``events_per_sec`` — a no-op transit storm on
-  the Fig. 14 AGG topology (worker -> ToR switch -> worker) with tracing
-  disabled and no application handler on the sink: nothing but the
-  scheduler, links, and the device's no-op dispatch.
+  the Fig. 14 AGG topology (worker -> ToR switch -> worker) with no
+  application handler on the sink: nothing but the scheduler, links, and
+  the device's no-op dispatch.
   ``events_per_packet`` is the scheduler work behind one packet: inject,
   the switch hop and the host receive, one event each (3).  Fewer events
   per packet is a gain, so CI gates ``packets_per_sec``, not
@@ -61,7 +61,6 @@ REPEATS = 3
 def _storm_once() -> tuple[float, float, int]:
     cluster = build_agg_cluster(num_workers=2, tensor_elements=2048)
     net = cluster.network
-    assert not net.tracer.enabled
     h1 = net.hosts[1]
     net.hosts[2].on_receive = None  # pure forwarding path, no app decode
     payload = bytes(64)

@@ -50,11 +50,6 @@ class ChaosRunResult(ScenarioResult):
     failed_over: bool
     counters: dict[str, object] = field(default_factory=dict)
     plan: dict = field(default_factory=dict)
-    #: tracing by-products (``trace=True`` runs only).  Deliberately kept
-    #: out of the digest and ``to_dict``: a traced run must produce the
-    #: same digest as an untraced one.
-    traces: int = 0
-    trace_events: int = 0
 
 
 #: the standby switch of both acceptance runs; it runs the primary's
@@ -202,7 +197,6 @@ def run_cache_chaos(
     seed: int = 7,
     *,
     plan: Optional[ChaosPlan] = None,
-    trace: bool = False,
 ) -> ChaosRunResult:
     """NetCache client/server/controller surviving the acceptance plan.
 
@@ -217,8 +211,6 @@ def run_cache_chaos(
         1, 2, program, spare=(STANDBY_DEVICE, program)
     ).realise(seed=seed, link=Link(latency_ns=1200), device=reliable_device())
     net = deployment.network
-    if trace:
-        net.enable_tracing()
 
     work = CacheAcceptance(deployment)
     # promotion replays the cache lines the controller journaled
@@ -270,8 +262,6 @@ def run_cache_chaos(
         counters=counters,
         plan=plan.to_dict(),
         metrics=snapshot,
-        traces=len(net.tracer.traces),
-        trace_events=sum(len(t.hops) for t in net.tracer.traces.values()),
     )
 
 
@@ -283,7 +273,6 @@ def run_agg_chaos(
     seed: int = 7,
     *,
     plan: Optional[ChaosPlan] = None,
-    trace: bool = False,
 ) -> ChaosRunResult:
     """SwitchML aggregation surviving the acceptance plan.
 
@@ -307,8 +296,6 @@ def run_agg_chaos(
         list(range(1, num_workers + 1)), program, spare=(STANDBY_DEVICE, program)
     ).realise(seed=seed, device=reliable_device(ordered=True))
     net = deployment.network
-    if trace:
-        net.enable_tracing()
 
     rng = random.Random(f"{seed}:tensor")
     spec = KernelSpec.from_kernel(program.kernels()[0])
@@ -389,8 +376,6 @@ def run_agg_chaos(
         counters=counters,
         plan=plan.to_dict(),
         metrics=snapshot,
-        traces=len(net.tracer.traces),
-        trace_events=sum(len(t.hops) for t in net.tracer.traces.values()),
     )
 
 

@@ -37,7 +37,7 @@ from repro.runtime.message import FieldSpec, NetCLPacket, NO_DEVICE, unpack_pack
 RING_CHUNK = 16
 
 #: wire layout of one ring packet (reuses the NetCL framing so transit
-#: switches, telemetry, and tracing see ordinary packets).
+#: switches and telemetry see ordinary packets).
 RING_SPEC = KernelSpec(
     computation=1,
     fields=(

@@ -79,7 +79,6 @@ def run_collective_chaos(
     window: int = 8,
     plan: Optional[ChaosPlan] = None,
     baseline: bool = True,
-    trace: bool = False,
 ) -> CollectiveRunResult:
     """One collective surviving the acceptance fault plan.
 
@@ -100,8 +99,6 @@ def run_collective_chaos(
         reliable=True,
     )
     net = cluster.network
-    if trace:
-        net.enable_tracing()
 
     num_workers = cluster.num_workers
     rng = random.Random(f"{seed}:collective")

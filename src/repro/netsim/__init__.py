@@ -21,6 +21,7 @@ from repro.netsim.net import (
     HOST,
     DEVICE,
     NodeKey,
+    node_name,
     pipeline_latency_ns,
 )
 
@@ -34,5 +35,6 @@ __all__ = [
     "HOST",
     "DEVICE",
     "NodeKey",
+    "node_name",
     "pipeline_latency_ns",
 ]

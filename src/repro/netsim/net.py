@@ -11,14 +11,11 @@ matches) or forwards it as a no-op — exactly the base-program behavior of
 Observability (``repro.telemetry``): every network owns a
 :class:`MetricRegistry` with per-link tx counters, per-node rx/tx
 counters, and drops broken down by cause; ``packets_dropped`` /
-``packets_lost`` are views over those counters.  Opt-in INT-style
-tracing (:meth:`Network.enable_tracing`) records every hop a packet
-takes.
+``packets_lost`` are views over those counters.  A run is bit-identical
+per seed, so a run is explained by re-running it, not by per-hop records.
 
 Hot-path design (see DESIGN.md "Simulator performance"):
 
-* Every tracer hop is guarded by ``tracer.enabled`` so the zero-tracing
-  path formats no strings and makes no calls.
 * Per-hop work schedules bound methods with arguments (no closures), and
   per-link instruments are pre-resolved into :class:`_LinkStats`.
 * One event per hop on the fault-free path: a packet's link arrival and
@@ -40,8 +37,7 @@ from repro.netsim.graph import Graph
 from repro.netsim.sim import Simulator
 from repro.runtime.device import ForwardDecision, ForwardKind, NetCLDevice
 from repro.runtime.message import KernelSpec, Message, NetCLPacket, NO_DEVICE
-from repro.telemetry import MetricRegistry, PacketTracer
-from repro.telemetry.trace import node_name
+from repro.telemetry import MetricRegistry
 
 NodeKey = tuple[str, int]
 
@@ -55,6 +51,11 @@ def HOST(i: int) -> NodeKey:
 
 def DEVICE(i: int) -> NodeKey:
     return ("d", i)
+
+
+def node_name(node: NodeKey) -> str:
+    """``("h", 1)`` -> ``"h1"``, ``("d", 2)`` -> ``"d2"``."""
+    return f"{node[0]}{node[1]}"
 
 
 @dataclass(slots=True)
@@ -88,7 +89,13 @@ class _LinkStats:
 
 
 class Host:
-    """An end host running NetCL host code."""
+    """An end host running NetCL host code.
+
+    A host with an ``on_receive`` handler hands each delivered packet to
+    it and keeps nothing; only a sink (no handler) records its packets in
+    ``received`` as ``(time_ns, packet)``, so a long run pins no packet
+    its handler has consumed.
+    """
 
     def __init__(self, network: "Network", host_id: int) -> None:
         self.network = network
@@ -145,13 +152,11 @@ class Host:
         self.network.sim.after(overhead, self._rx_up, packet)
 
     def _rx_up(self, packet: NetCLPacket) -> None:
-        network = self.network
-        now = network.sim.now_ns
         self._rx_packets.value += 1
-        if network.tracer.enabled:
-            network.tracer.hop(packet, self.key, "deliver", now)
-        self.received.append((now, packet))
-        if self.on_receive is not None:
+        now = self.network.sim.now_ns
+        if self.on_receive is None:
+            self.received.append((now, packet))
+        else:
             self.on_receive(packet, now)
 
 
@@ -197,18 +202,11 @@ class Switch:
         if key in network._down:
             if fused:
                 network._drop_node_down.inc()
-            if network.tracer.enabled:
-                network.tracer.hop(packet, key, "drop", network.sim.now_ns, "node down")
             return
         if fused and network.switches.get(key[1]) is not self:
-            network._drop(network._drop_unknown_node, packet, key, "unknown device")
+            network._drop_unknown_node.inc()
             return
         decision = self.device.process(packet)
-        if network.tracer.enabled:
-            network.tracer.hop(
-                packet, key, "decision",
-                network.sim.now_ns, f"{decision.kind.value}->{decision.target}",
-            )
         kind = decision.kind
         out = decision.packet
         if out is not None and (kind is _TO_HOST or kind is _TO_DEVICE):
@@ -245,7 +243,6 @@ class Network:
         *,
         seed: int = 1,
         metrics: Optional[MetricRegistry] = None,
-        tracer: Optional[PacketTracer] = None,
     ) -> None:
         self.sim = sim or Simulator()
         self.graph = Graph()
@@ -261,7 +258,6 @@ class Network:
         #: single-source route recomputations performed (perf telemetry).
         self.route_rebuilds = 0
         self.metrics = metrics or MetricRegistry()
-        self.tracer = tracer or PacketTracer(enabled=False)
         self._link_stats: dict[frozenset, _LinkStats] = {}
         #: optional fault-injection layer (repro.chaos) consulted per hop.
         self.fault_injector: Optional[object] = None
@@ -283,11 +279,6 @@ class Network:
         perturbing each other's draw sequences.
         """
         return random.Random(f"{self.seed}:{name}")
-
-    def enable_tracing(self) -> PacketTracer:
-        """Turn on INT-style per-packet tracing; returns the tracer."""
-        self.tracer.enabled = True
-        return self.tracer
 
     # -- counter views (kept for compatibility with pre-telemetry callers) ---------
     @property
@@ -442,9 +433,6 @@ class Network:
     # -- packet movement ------------------------------------------------------------------
     def inject(self, at: NodeKey, packet: NetCLPacket) -> None:
         """A node pushes a packet into the network."""
-        if self.tracer.enabled:
-            self.tracer.begin(packet)
-            self.tracer.hop(packet, at, "inject", self.sim.now_ns)
         target = ("d", packet.to) if packet.to != NO_DEVICE else ("h", packet.dst)
         if target == at:
             self._arrive(at, packet)
@@ -456,14 +444,8 @@ class Network:
         if table is None:
             table = self._rebuild_source(at)
         route = table.get(toward)
-        tracing = self.tracer.enabled
         if route is None:
             self._drop_no_route.inc()
-            if tracing:
-                self.tracer.hop(
-                    packet, at, "drop", self.sim.now_ns,
-                    f"no route toward {node_name(toward)}",
-                )
             return
         nxt, stats = route
         size = packet.size_bytes
@@ -479,11 +461,6 @@ class Network:
             # increments are inlined (see metrics.py's hot-path note).
             stats.tx_packets.value += 1
             stats.tx_bytes.value += size
-            if tracing:
-                self.tracer.hop(
-                    packet, at, "tx", self.sim.now_ns,
-                    f"-> {node_name(nxt)} ({delay} ns)",
-                )
             # One event per hop: the receiver's latency joins the link's.
             kind, ident = nxt
             fn = None
@@ -515,36 +492,21 @@ class Network:
         if not deliveries:
             self._lost_total.inc()
             stats.lost.inc()
-            if tracing:
-                self.tracer.hop(
-                    packet, at, "lost", self.sim.now_ns,
-                    f"chaos on link to {node_name(nxt)}",
-                )
             return
         for delay_ns, pkt in deliveries:
             stats.tx_packets.inc()
             stats.tx_bytes.inc(pkt.size_bytes)
-            if tracing:
-                self.tracer.hop(
-                    pkt, at, "tx", self.sim.now_ns,
-                    f"-> {node_name(nxt)} ({delay_ns} ns)",
-                )
             self.sim.after(delay_ns, self._arrive, nxt, pkt)
-
-    def _drop(self, counter, packet: NetCLPacket, node: NodeKey, reason: str) -> None:
-        counter.inc()
-        if self.tracer.enabled:
-            self.tracer.hop(packet, node, "drop", self.sim.now_ns, reason)
 
     def _arrive(self, node: NodeKey, packet: NetCLPacket) -> None:
         if node in self._down:
-            self._drop(self._drop_node_down, packet, node, "node down")
+            self._drop_node_down.inc()
             return
         kind, ident = node
         if kind == "h":
             host = self.hosts.get(ident)
             if host is None:
-                self._drop(self._drop_unknown_node, packet, node, "unknown host")
+                self._drop_unknown_node.inc()
                 return
             # Only deliver to the addressed host; transit through hosts is
             # not a thing (hosts are leaves).
@@ -555,11 +517,11 @@ class Network:
                 # A shared multicast transit replica: re-expand it here
                 # instead of delivering it to the switch pipeline.
                 packet.mcast_members = None
-                self._fanout(node, packet, members, "transit fan-out")
+                self._fanout(node, packet, members)
                 return
             sw = self.switches.get(ident)
             if sw is None:
-                self._drop(self._drop_unknown_node, packet, node, "unknown device")
+                self._drop_unknown_node.inc()
                 return
             sw.deliver(packet)
 
@@ -588,17 +550,10 @@ class Network:
                 # Empty or unknown group: the replication fans out to
                 # nothing, which used to look exactly like success.
                 self.metrics.counter("net.drop.empty_group").inc()
-                if self.tracer.enabled:
-                    self.tracer.hop(
-                        packet, at, "drop", self.sim.now_ns,
-                        f"multicast group {decision.target} empty or unknown",
-                    )
                 return
-            self._fanout(at, packet, members, f"group {decision.target}")
+            self._fanout(at, packet, members)
 
-    def _fanout(
-        self, at: NodeKey, packet: NetCLPacket, members, label: str
-    ) -> None:
+    def _fanout(self, at: NodeKey, packet: NetCLPacket, members) -> None:
         """Egress-aware multicast replication (hierarchical fan-out).
 
         Members directly reachable from ``at`` get their own replica, as
@@ -620,7 +575,6 @@ class Network:
                 direct.append(member)
             else:
                 shared.setdefault(nxt, []).append(member)
-        tracing = self.tracer.enabled
         for member in direct:
             copy = packet.copy()
             if member[0] == "h":
@@ -628,12 +582,6 @@ class Network:
                 copy.to = NO_DEVICE
             else:
                 copy.to = member[1]
-            if tracing:
-                self.tracer.fork(packet, copy)
-                self.tracer.hop(
-                    copy, at, "replicate", self.sim.now_ns,
-                    f"{label} -> {node_name(member)}",
-                )
             self._route_from(at, member, copy)
         saved = 0
         for nxt, covered in shared.items():
@@ -645,12 +593,6 @@ class Network:
             copy.dst = 0
             copy.mcast_members = tuple(covered)
             saved += len(covered) - 1
-            if tracing:
-                self.tracer.fork(packet, copy)
-                self.tracer.hop(
-                    copy, at, "replicate", self.sim.now_ns,
-                    f"{label} => {node_name(nxt)} covering {len(covered)}",
-                )
             self._hop(at, nxt, copy)
         if saved:
             self.metrics.counter("net.multicast.hops_saved").inc(saved)

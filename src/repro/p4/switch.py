@@ -113,7 +113,6 @@ class P4NetCLSwitchDevice:
         # Reconstruct the NetCL packet from the deparsed bytes (skip the
         # ETH/IP/UDP encapsulation the deparser re-emits).
         out = NetCLPacket.from_wire(out_bytes[_ENCAP_BYTES:])
-        out.trace_id = packet.trace_id
         if md.get("computed", 0):
             self._computed.inc()
         if kind not in _FORWARDS:

@@ -171,7 +171,6 @@ def run_rpc_chaos(
     window: int = 8,
     plan: Optional[ChaosPlan] = None,
     baseline: bool = True,
-    trace: bool = False,
 ) -> RpcRunResult:
     """One full RPC workload surviving the acceptance fault plan.
 
@@ -197,8 +196,6 @@ def run_rpc_chaos(
         standby=True,
     )
     net = cluster.network
-    if trace:
-        net.enable_tracing()
 
     def promote(mgr) -> None:
         # Journal replay (memo cache) already ran; repoint the edge's

@@ -358,8 +358,6 @@ class NetCLPacket:
     data: bytes
     #: simulation bookkeeping (bytes on the wire incl. pseudo ETH/IP/UDP)
     extra_bytes: int = 42  # ETH(14) + IP(20) + UDP(8)
-    #: telemetry bookkeeping: INT-style trace id (never on the wire)
-    trace_id: Optional[int] = None
     #: simulation bookkeeping: multicast members a shared transit replica
     #: still covers — the next-hop switch re-expands it (hierarchical
     #: fan-out; never on the wire)
@@ -457,7 +455,6 @@ class NetCLPacket:
         out.act = self.act
         out.data = self.data
         out.extra_bytes = self.extra_bytes
-        out.trace_id = self.trace_id
         out.mcast_members = self.mcast_members
         out.rel_kind = self.rel_kind
         out.rel_flags = self.rel_flags

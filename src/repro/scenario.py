@@ -70,12 +70,6 @@ def add_fault_arguments(parser: argparse.ArgumentParser, crash_of: str) -> None:
     )
 
 
-#: fields a result carries for its caller but never reports: the full
-#: metric snapshot (the digest already covers it) and tracing by-products
-#: (a traced run must report exactly what an untraced one does).
-_UNREPORTED = frozenset({"metrics", "traces", "trace_events"})
-
-
 @dataclass(kw_only=True)
 class ScenarioResult:
     """What one scenario run produced; subclasses add their own fields."""
@@ -88,11 +82,12 @@ class ScenarioResult:
     metrics: dict[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """The ``--json`` report: every field but the unreported ones."""
+        """The ``--json`` report: every field but the full metric
+        snapshot, which the digest already covers."""
         return {
             f.name: getattr(self, f.name)
             for f in dataclasses.fields(self)
-            if f.name not in _UNREPORTED
+            if f.name != "metrics"
         }
 
 
@@ -154,7 +149,10 @@ def scenario_main(
         )
         return 2
     if args.check_determinism:
-        print(f"deterministic: two runs produced digest {result.digest}")
+        print(
+            f"deterministic: two runs produced digest {result.digest}",
+            file=sys.stderr,
+        )
     report = result.to_dict()
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

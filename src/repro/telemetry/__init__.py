@@ -1,11 +1,12 @@
 """``repro.telemetry`` — end-to-end observability.
 
-Four pillars, mirroring how real INC deployments are observed:
+Three pillars, mirroring how real INC deployments are observed:
 
 * :mod:`repro.telemetry.metrics` — counters, gauges, ns-resolution
-  histograms in a :class:`MetricRegistry`; no-ops when disabled.
-* :mod:`repro.telemetry.trace` — INT-style per-packet hop tracing for
-  the network simulator (opt-in).
+  histograms in a :class:`MetricRegistry`; no-ops when disabled.  The
+  simulator's per-link and per-node counters and its drops by cause live
+  here; a run is bit-identical per seed, so a run is explained by
+  re-running it, not by per-packet hop records.
 * :mod:`repro.telemetry.profile` — wall-clock span profiling for the
   compiler (``ncc --profile``).
 * :mod:`repro.telemetry.export` — text and JSON renderers for the
@@ -20,7 +21,6 @@ from repro.telemetry.metrics import (
     NULL_INSTRUMENT,
 )
 from repro.telemetry.profile import NULL_PROFILER, Profiler, ProfileSpan
-from repro.telemetry.trace import PacketTrace, PacketTracer, TraceHop, node_name
 from repro.telemetry.export import (
     profile_to_json,
     render_profile_text,
@@ -36,10 +36,6 @@ __all__ = [
     "Profiler",
     "ProfileSpan",
     "NULL_PROFILER",
-    "PacketTrace",
-    "PacketTracer",
-    "TraceHop",
-    "node_name",
     "render_profile_text",
     "profile_to_json",
     "write_profile_json",

@@ -26,10 +26,6 @@ CALLERS = ("src", "bench", "benchmarks", "examples", "tools", "tests")
 DISPATCHED = {
     ("run_cache_chaos", "plan"): ("src/repro/chaos/cli.py", "SCENARIOS"),
     ("run_agg_chaos", "plan"): ("src/repro/chaos/cli.py", "SCENARIOS"),
-    ("run_cache_chaos", "trace"): ("tests/test_hotpath_equivalence.py", "RUNNERS"),
-    ("run_agg_chaos", "trace"): ("tests/test_hotpath_equivalence.py", "RUNNERS"),
-    ("run_collective_chaos", "trace"): ("tests/test_hotpath_equivalence.py", "RUNNERS"),
-    ("run_rpc_chaos", "trace"): ("tests/test_hotpath_equivalence.py", "RUNNERS"),
 }
 
 

@@ -29,7 +29,7 @@ from repro.deploy import (
     PhysicalFabric,
 )
 from repro.deploy.planner import DeviceDemand
-from repro.netsim import DEVICE, HOST, Link
+from repro.netsim import DEVICE, HOST, Link, node_name
 from repro.rpc import (
     EDGE_DEVICE,
     SG_DEVICE,
@@ -41,7 +41,6 @@ from repro.rpc.cluster import rpc_topology
 from repro.rpc.scenarios import scenario_handlers, scenario_schema
 from repro.rpc.tenant import ABSTRACT_EDGE, ABSTRACT_SG, abstract_tor, submit_rpc_tenant
 from repro.service import AdmissionError, INCService, IncrementalPlanner, TenantState
-from repro.telemetry.trace import node_name
 
 ECHO = "_kernel(1) void k(unsigned x, unsigned &y) { y = x + %d; return ncl::reflect(); }"
 

@@ -160,15 +160,13 @@ def _dropped(net: Network) -> dict[str, int]:
 
 
 def test_switch_crashed_before_arrival_drops_as_node_down():
-    net, packet = _one_switch()
-    tracer = net.enable_tracing()
+    net, _ = _one_switch()
     net.sim.at(2000, net.crash_switch, 1)
     net.sim.run()
     assert not net.hosts[2].received
     assert _dropped(net) == {"net.drop.node_down": 1}
-    # the drop is stamped when the pipeline would have finished
-    drop = tracer.trace_of(packet).hops[-1]
-    assert (drop.kind, drop.t_ns, drop.detail) == ("drop", 2907, "node down")
+    # the drop is the last event: when the pipeline would have finished
+    assert net.sim.now_ns == 2907
 
 
 def test_switch_crashed_inside_the_pipeline_window_drops_as_node_down():

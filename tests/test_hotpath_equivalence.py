@@ -1,19 +1,19 @@
 """Hot-path overhaul equivalence (ISSUE 7 acceptance).
 
-The simulator optimization (tuple-heap events, tracer guards, pooled
-multicast replicas, incremental routing, deadline-based retransmission
-timers) must be *observably invisible*: the golden values below were
-captured on the pre-overhaul simulator with the same seeds, and every
-run here must reproduce them bit-identically — application results,
-every telemetry counter (the digest covers the full metric snapshot),
-drop/lost totals, and (for traced runs) the exact number of traces and
-recorded hops.  Tracing on must not change the digest either.
+The simulator optimization (tuple-heap events, pooled multicast
+replicas, incremental routing, deadline-based retransmission timers)
+must be *observably invisible*: the golden values below were captured
+on the pre-overhaul simulator with the same seeds, and every run here
+must reproduce them bit-identically — application results, every
+telemetry counter (the digest covers the full metric snapshot) and
+drop/lost totals.
 
 The collective, rpc and service entries pin the other three scenario
 entry points at the same seed (captured before the scenario-harness
-refactor of ISSUE 21, which restructured exactly those paths); they
-record no per-run trace counts, and the service replay has no tracing
-switch.
+refactor of ISSUE 21, which restructured exactly those paths).
+
+Test ids keep the ``False`` they carried while a run could also be
+traced (the per-packet tracer is gone), so each pinned run keeps its id.
 
 If a deliberate behavioral change ever invalidates these goldens,
 recapture them in the same commit and say why in its message.  The
@@ -41,15 +41,11 @@ GOLDEN = {
         "digest": "c026673686e2ad6b43291a5779bfc7975851733225dbb66c3bbdd842183d201e",
         "dropped": 147,
         "lost": 34,
-        "traces": 355,
-        "trace_events": 1126,
     },
     "cache": {
         "digest": "448028a2785a04c96eeb4d5ec90487199d528160118d81521950c86658326484",
         "dropped": 0,
         "lost": 12,
-        "traces": 68,
-        "trace_events": 347,
     },
     "collective": {
         "digest": "22ce59578ceb51c37ce23e68de9b01ba50c3889f768bc0696a77299fd9e8b160",
@@ -73,8 +69,8 @@ RUNNERS = {
     "cache": run_cache_chaos,
     "collective": run_collective_chaos,
     "rpc": run_rpc_chaos,
-    # the service replay takes a plan, not a seed, and cannot be traced
-    "service": lambda seed, trace: run_service_plan(default_service_plan(seed)),
+    # the service replay takes a plan, not a seed
+    "service": lambda seed: run_service_plan(default_service_plan(seed)),
 }
 
 
@@ -106,25 +102,21 @@ SEED_DIGESTS = {
 #: removing them and fusing the hop moved nothing else.  With the gauges
 #: gone, each equals the run's full digest.
 GAUGE_FREE = {
-    (3, 'agg', False): '988d44f8487ee036895fe8124f3dde926b7b949dcf681b2ac0d08937c3f7eb7f',
-    (3, 'cache', False): '68c0aa5d3dd3044338eb87170983a129ce2f1677d3a6cb1a8dd5bd6cb9d566a5',
-    (3, 'collective', False): '456e5735f4c92ebd47dd0402770d7bf06c81a89f5575fdd30bb56e519159cdef',
-    (3, 'rpc', False): '9e9bf58205b0b1db30b19ca5f119c16b70e0e35a8c53e06c7fc4dc646363ba8f',
-    (3, 'service', False): 'b5edf77f28e74ee92ca3289eb0ff6ce9342ca716090013198f5c00eca8b3dc0f',
-    (7, 'agg', False): 'c026673686e2ad6b43291a5779bfc7975851733225dbb66c3bbdd842183d201e',
-    (7, 'agg', True): 'c026673686e2ad6b43291a5779bfc7975851733225dbb66c3bbdd842183d201e',
-    (7, 'cache', False): '448028a2785a04c96eeb4d5ec90487199d528160118d81521950c86658326484',
-    (7, 'cache', True): '448028a2785a04c96eeb4d5ec90487199d528160118d81521950c86658326484',
-    (7, 'collective', False): '22ce59578ceb51c37ce23e68de9b01ba50c3889f768bc0696a77299fd9e8b160',
-    (7, 'collective', True): '22ce59578ceb51c37ce23e68de9b01ba50c3889f768bc0696a77299fd9e8b160',
-    (7, 'rpc', False): '316a83b40d2092bc293525a4be82eb317a130119fdc83282053f270b743f62a7',
-    (7, 'rpc', True): '316a83b40d2092bc293525a4be82eb317a130119fdc83282053f270b743f62a7',
-    (7, 'service', False): '7460fa58647ef01cab69ef2ef51f7aee094775b681b2be9e4d14be0684336282',
-    (11, 'agg', False): 'afbc74440672180bf946d245219d7cd15bcecbf3ed3ee49d595f9f355ed51778',
-    (11, 'cache', False): 'b8c40fe9fabb2928c9e0010b73d6b6e3ddb52936d25a5506568769d658b911f7',
-    (11, 'collective', False): '2afa0ed9ce9aacdd6fa6d26a66af575ba556961117ae7f9678d503adb46badab',
-    (11, 'rpc', False): 'aa1ce18f4cc51a7a4c16d91e387b5d460208ee0152122d750ce36b1322b577cb',
-    (11, 'service', False): '9a5c8e65ec77c15b74936a85f8baefb549fb45d25814c763221f1de916c05838',
+    (3, 'agg'): '988d44f8487ee036895fe8124f3dde926b7b949dcf681b2ac0d08937c3f7eb7f',
+    (3, 'cache'): '68c0aa5d3dd3044338eb87170983a129ce2f1677d3a6cb1a8dd5bd6cb9d566a5',
+    (3, 'collective'): '456e5735f4c92ebd47dd0402770d7bf06c81a89f5575fdd30bb56e519159cdef',
+    (3, 'rpc'): '9e9bf58205b0b1db30b19ca5f119c16b70e0e35a8c53e06c7fc4dc646363ba8f',
+    (3, 'service'): 'b5edf77f28e74ee92ca3289eb0ff6ce9342ca716090013198f5c00eca8b3dc0f',
+    (7, 'agg'): 'c026673686e2ad6b43291a5779bfc7975851733225dbb66c3bbdd842183d201e',
+    (7, 'cache'): '448028a2785a04c96eeb4d5ec90487199d528160118d81521950c86658326484',
+    (7, 'collective'): '22ce59578ceb51c37ce23e68de9b01ba50c3889f768bc0696a77299fd9e8b160',
+    (7, 'rpc'): '316a83b40d2092bc293525a4be82eb317a130119fdc83282053f270b743f62a7',
+    (7, 'service'): '7460fa58647ef01cab69ef2ef51f7aee094775b681b2be9e4d14be0684336282',
+    (11, 'agg'): 'afbc74440672180bf946d245219d7cd15bcecbf3ed3ee49d595f9f355ed51778',
+    (11, 'cache'): 'b8c40fe9fabb2928c9e0010b73d6b6e3ddb52936d25a5506568769d658b911f7',
+    (11, 'collective'): '2afa0ed9ce9aacdd6fa6d26a66af575ba556961117ae7f9678d503adb46badab',
+    (11, 'rpc'): 'aa1ce18f4cc51a7a4c16d91e387b5d460208ee0152122d750ce36b1322b577cb',
+    (11, 'service'): '9a5c8e65ec77c15b74936a85f8baefb549fb45d25814c763221f1de916c05838',
 }
 
 #: modules whose ``digest`` call hashes a scenario's whole payload
@@ -139,7 +131,7 @@ ARRIVAL_GAUGES = ("link.in_flight.", "node.queue.")
 
 
 @functools.cache
-def _run(app: str, seed: int, trace: bool):
+def _run(app: str, seed: int):
     """One scenario run and the digest of its payload without the
     arrival gauges (shared by every test that needs the same run)."""
     payloads = []
@@ -152,7 +144,7 @@ def _run(app: str, seed: int, trace: bool):
     with pytest.MonkeyPatch.context() as mp:
         for site in DIGEST_SITES:
             mp.setattr(f"{site}.digest", spy)
-        result = RUNNERS[app](seed=seed, trace=trace)
+        result = RUNNERS[app](seed=seed)
     (payload,) = payloads
     metrics = {
         k: v for k, v in payload["metrics"].items() if not k.startswith(ARRIVAL_GAUGES)
@@ -170,48 +162,30 @@ def _lost(result) -> int:
     return int(result.metrics.get("net.lost", 0))
 
 
-@pytest.mark.parametrize(
-    "trace,app",
-    [
-        (trace, app)
-        for trace in (False, True)
-        for app in sorted(GOLDEN)
-        if not (trace and app == "service")
-    ],
-)
-def test_chaos_run_matches_pre_overhaul_golden(app, trace):
-    result, _ = _run(app, SEED, trace)
+@pytest.mark.parametrize("app", sorted(GOLDEN), ids=lambda app: f"False-{app}")
+def test_chaos_run_matches_pre_overhaul_golden(app):
+    result, _ = _run(app, SEED)
     want = GOLDEN[app]
 
     assert result.ok, result.errors
     assert result.digest == want["digest"]
     assert _dropped(result) == want["dropped"]
     assert _lost(result) == want["lost"]
-    if "traces" in want:
-        assert result.traces == (want["traces"] if trace else 0)
-        assert result.trace_events == (want["trace_events"] if trace else 0)
 
 
 @pytest.mark.parametrize(
     "seed,app", [(seed, app) for seed in sorted(SEED_DIGESTS) for app in sorted(GOLDEN)]
 )
 def test_digest_is_pinned_at_more_seeds(seed, app):
-    result, _ = _run(app, seed, False)
+    result, _ = _run(app, seed)
     assert result.ok, result.errors
     assert result.digest == SEED_DIGESTS[seed][app]
 
 
-@pytest.mark.parametrize("seed,app,trace", sorted(GAUGE_FREE))
-def test_everything_but_the_arrival_gauges_is_pinned(seed, app, trace):
-    _, gauge_free = _run(app, seed, trace)
-    assert gauge_free == GAUGE_FREE[seed, app, trace]
+@pytest.mark.parametrize(
+    "seed,app", sorted(GAUGE_FREE), ids=[f"{s}-{a}-False" for s, a in sorted(GAUGE_FREE)]
+)
+def test_everything_but_the_arrival_gauges_is_pinned(seed, app):
+    _, gauge_free = _run(app, seed)
+    assert gauge_free == GAUGE_FREE[seed, app]
 
-
-@pytest.mark.parametrize("app", ["agg", "cache"])
-def test_tracing_does_not_perturb_digest(app):
-    """A traced run and an untraced run are the same run."""
-    plain, _ = _run(app, SEED, False)
-    traced, _ = _run(app, SEED, True)
-    assert plain.digest == traced.digest
-    assert plain.sim_ns == traced.sim_ns
-    assert traced.trace_events > 0

@@ -137,9 +137,13 @@ class TestNetwork:
         for i in (1, 2, 3):
             net.link(HOST(i), DEVICE(1))
         net.add_multicast_group(3, [HOST(1), HOST(2), HOST(3)])
+        handled = []
+        hosts[2].on_receive = lambda packet, now: handled.append(packet)
         hosts[0].send_message(Message(src=1, dst=1, comp=1, to=1), spec, [7])
         net.sim.run()
-        assert all(len(h.received) == 1 for h in hosts)
+        # sinks record what they receive; a host with a handler keeps nothing
+        assert [len(h.received) for h in hosts] == [1, 1, 0]
+        assert len(handled) == 1
 
     def test_delivered_multicast_replicas_are_never_reused(self):
         src = "_kernel(1) void k(unsigned x) { return ncl::multicast(3); }"
@@ -207,7 +211,7 @@ class TestNetwork:
 
 class TestLossAndMulticastTelemetry:
     """Seeded loss injection and multicast, cross-checked against the
-    telemetry layer's counters and traces."""
+    telemetry layer's counters."""
 
     def test_seeded_loss_counters_match_observed_deliveries(self):
         dev, spec = _device(PASS)
@@ -249,30 +253,26 @@ class TestLossAndMulticastTelemetry:
         assert net.packets_lost == 0 and net.packets_dropped == 0
         assert net.metrics.total("link.lost.") == 0
 
-    def test_multicast_per_replica_trace_hops(self):
+    def test_multicast_sends_one_replica_per_member_link(self):
         src = "_kernel(1) void k(unsigned x) { return ncl::multicast(3); }"
         dev, spec = _device(src)
         net = Network()
-        tracer = net.enable_tracing()
         hosts = [net.add_host(i) for i in (1, 2, 3)]
         net.add_switch(dev)
         for i in (1, 2, 3):
             net.link(HOST(i), DEVICE(1))
         net.add_multicast_group(3, [HOST(1), HOST(2), HOST(3)])
-        pkt = hosts[0].send_message(Message(src=1, dst=1, comp=1, to=1), spec, [7])
+        hosts[0].send_message(Message(src=1, dst=1, comp=1, to=1), spec, [7])
         net.sim.run()
         assert all(len(h.received) == 1 for h in hosts)
-        parent = tracer.trace_of(pkt)
-        assert parent is not None and parent.path[:2] == ["h1", "d1"]
-        replicas = tracer.replicas_of(parent.trace_id)
-        assert len(replicas) == 3
-        # each replica carries its own hop record ending at its host
-        ends = sorted(r.path[-1] for r in replicas)
-        assert ends == ["h1", "h2", "h3"]
-        for r in replicas:
-            assert r.parent == parent.trace_id
-            assert [h.kind for h in r.hops][:1] == ["replicate"]
-            assert r.hops[-1].kind == "deliver"
+        # h1 -> d1 carries the original, then each member's link one replica
+        tx = {
+            name: net.metrics.value(f"link.tx_packets.{name}")
+            for name in ("d1-h1", "d1-h2", "d1-h3")
+        }
+        assert tx == {"d1-h1": 2, "d1-h2": 1, "d1-h3": 1}
+        assert net.metrics.total("link.tx_packets.") == 4
+        assert net.metrics.value("net.multicast.hops_saved") == 0
 
 
 class TestSchedulerApi:
@@ -389,11 +389,10 @@ class TestDecisionDropAccounting:
         assert net.metrics.value("net.drop.null_decision") == 1
         assert net.packets_dropped == before + 1
 
-    def test_multicast_to_unknown_group_is_counted_and_traced(self):
+    def test_multicast_to_unknown_group_is_counted(self):
         src = "_kernel(1) void k(unsigned x) { return ncl::multicast(42); }"
         dev, spec = _device(src)
         net = Network()
-        tracer = net.enable_tracing()
         h1 = net.add_host(1)
         net.add_switch(dev)
         net.link(HOST(1), DEVICE(1))
@@ -401,15 +400,10 @@ class TestDecisionDropAccounting:
         h1.send_message(Message(src=1, dst=1, comp=1, to=1), spec, [7])
         net.sim.run()
         assert net.metrics.value("net.drop.empty_group") == 1
-        assert net.packets_dropped >= 1
+        assert net.packets_dropped == 1
         assert not h1.received
-        # the drop is visible on some trace of this packet's lineage
-        kinds = [
-            (h.kind, h.detail)
-            for t in tracer.traces.values()
-            for h in t.hops
-        ]
-        assert any(k == "drop" and "42" in d for k, d in kinds)
+        # the packet reached the switch and nothing left it
+        assert net.metrics.value("link.tx_packets.d1-h1") == 1
 
 
 class TestIncrementalRouting:

@@ -78,7 +78,16 @@ class TestScenarioMain:
     def test_check_determinism_passes(self, entry, capsys):
         cli, argv, _ = entry
         assert cli.main([*argv, "--check-determinism"]) == 0
-        assert "deterministic: two runs produced digest" in capsys.readouterr().out
+        assert "deterministic: two runs produced digest" in capsys.readouterr().err
+
+    def test_checked_json_report_is_only_json(self, capsys):
+        cli, argv, keys = ENTRY_POINTS["chaos-agg"]
+        main = importlib.import_module(cli).main
+        assert main([*argv, "--check-determinism", "--json"]) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert set(report) == keys
+        assert f"deterministic: two runs produced digest {report['digest']}" in err
 
     def test_digest_mismatch_exits_2(self, entry, capsys, monkeypatch):
         cli, argv, _ = entry

@@ -1,4 +1,4 @@
-"""The telemetry subsystem: metrics, tracing, profiling, and their wiring."""
+"""The telemetry subsystem: metrics, profiling, and their wiring."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.chaos import LinkFaults, apply_faults
 from repro.core import compile_netcl
 from repro.core.cli import main as ncc_main
 from repro.netsim import DEVICE, HOST, Link, Network
@@ -310,72 +309,3 @@ class TestServiceMetricsExport:
         assert snap["tenant.t1.computed"] == 1
         assert snap["tenant.t1.latency_ns"]["count"] == 0
 
-
-class TestPacketTracing:
-    def test_disabled_by_default(self):
-        dev, spec = _device(PASS)
-        net = Network()
-        h1 = net.add_host(1)
-        net.add_host(2)
-        net.add_switch(dev)
-        net.link(HOST(1), DEVICE(1))
-        net.link(HOST(2), DEVICE(1))
-        pkt = h1.send_message(Message(src=1, dst=2, comp=1, to=1), spec, [5])
-        net.sim.run()
-        assert not net.tracer.enabled and len(net.tracer) == 0
-        assert pkt.trace_id is None
-
-    def test_end_to_end_trace(self):
-        dev, spec = _device(PASS)
-        net = Network()
-        tracer = net.enable_tracing()
-        h1 = net.add_host(1)
-        net.add_host(2)
-        net.add_switch(dev)
-        net.link(HOST(1), DEVICE(1))
-        net.link(HOST(2), DEVICE(1))
-        pkt = h1.send_message(Message(src=1, dst=2, comp=1, to=1), spec, [5])
-        net.sim.run()
-        trace = tracer.trace_of(pkt)
-        assert trace is not None
-        kinds = [h.kind for h in trace.hops]
-        assert kinds == ["inject", "tx", "decision", "tx", "deliver"]
-        assert trace.path == ["h1", "d1", "h2"]
-        # times are monotone and the decision happened at the switch
-        times = [h.t_ns for h in trace.hops]
-        assert times == sorted(times)
-        assert trace.hops[2].node == "d1" and "to_host" in trace.hops[2].detail
-
-    def test_trace_export_jsonl_and_timeline(self):
-        dev, spec = _device(PASS)
-        net = Network()
-        tracer = net.enable_tracing()
-        h1 = net.add_host(1)
-        net.add_host(2)
-        net.add_switch(dev)
-        net.link(HOST(1), DEVICE(1))
-        net.link(HOST(2), DEVICE(1))
-        pkt = h1.send_message(Message(src=1, dst=2, comp=1, to=1), spec, [5])
-        net.sim.run()
-        lines = tracer.to_jsonl().splitlines()
-        assert len(lines) == 5
-        recs = [json.loads(line) for line in lines]
-        assert all(r["trace"] == pkt.trace_id for r in recs)
-        text = tracer.timeline(pkt.trace_id)
-        assert "h1" in text and "d1" in text and "deliver" in text
-
-    def test_lost_packet_trace_ends_with_loss(self):
-        dev, spec = _device(PASS)
-        net = Network(seed=4)
-        tracer = net.enable_tracing()
-        h1 = net.add_host(1)
-        net.add_host(2)
-        net.add_switch(dev)
-        net.link(HOST(1), DEVICE(1))
-        net.link(HOST(2), DEVICE(1))
-        apply_faults(LinkFaults(loss=1.0), net, (HOST(1), DEVICE(1)))
-        pkt = h1.send_message(Message(src=1, dst=2, comp=1, to=1), spec, [5])
-        net.sim.run()
-        trace = tracer.trace_of(pkt)
-        assert trace.hops[-1].kind == "lost"
-        assert net.packets_lost == 1

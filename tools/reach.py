@@ -14,7 +14,7 @@ Prints each function that no run entered, with its line count, and exits
 1 when one of them is not named in ``tools/reach_allow.txt``.  Each line
 of that file is ``path::Qual.name  reason``; the reason is one of
 ``oracle``, ``error path <tier-1 test>``, ``public API <doc>`` or
-``held for item 7|10`` (``tests/test_reach_allowlist.py`` keeps the file
+``held for item 7`` (``tests/test_reach_allowlist.py`` keeps the file
 well formed).  About a minute and a half on two cores.
 
 Usage::
