@@ -499,6 +499,19 @@ class _Parser(Cursor):
         if self.accept("exit"):
             self.expect(";")
             return ast.Exit()
+        if self.accept("switch"):
+            self.expect("(")
+            run = self.parse_expr()
+            if not (isinstance(run, ast.ApplyResult) and run.member == "action_run"):
+                raise self.fail("switch must be on table.apply().action_run", t)
+            self.expect(")")
+            self.expect("{")
+            cases = []
+            while not self.accept("}"):
+                label = "default" if self.accept("default") else self.ident().text
+                self.expect(":")
+                cases.append((label, self.parse_block()))
+            return ast.Switch(run.table, cases)
         is_decl = False
         if t.text in ("bit", "int") and self.peek(1).text == "<":
             is_decl = True  # `bit<W> name ...` at statement level is a decl

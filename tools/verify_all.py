@@ -6,10 +6,12 @@ applications (``src/repro/apps/netcl/*.ncl``), the NetCL kernels embedded
 as raw strings in ``examples/*.py``, and the lint fixtures under
 ``tests/lint`` — every pass of every pipeline is differentially executed
 against the kernel's pre-pipeline behavior, so any miscompile fails CI
-with the offending pass name and a counterexample input vector.  The last
-step of every pipeline, ``pyexec``, holds the compiled kernel engine that
-devices run to the interpreter on the final IR; a kernel the engine can
-only interpret would make that step vacuous, so it fails CI too.
+with the offending pass name and a counterexample input vector.  After
+the pipeline, ``pyexec`` holds the compiled kernel engine that devices run
+to the interpreter on the final IR, and ``p4exec`` holds the generated P4
+program, run by ``P4Engine``, to the interpreter.  A kernel either engine
+can only interpret, or that ``p4exec`` compared on no vector, would make
+its step vacuous, so it fails CI too.
 
 Usage::
 
@@ -31,7 +33,8 @@ from repro.lang.errors import CompileError
 
 
 class EngineFallbackError(Exception):
-    """The ``pyexec`` step compared the interpreter with itself."""
+    """The ``pyexec`` or ``p4exec`` step compared an interpreter with the
+    oracle, or ``p4exec`` compared nothing."""
 
 
 def verify_program(name: str, source: str, target: str) -> tuple[int, str]:
@@ -45,13 +48,19 @@ def verify_program(name: str, source: str, target: str) -> tuple[int, str]:
     for entry in entries:
         if entry["status"] == "compile-error":
             return 0, f"{name}: skipped on device {entry['device']} ({entry['error']})"
-    interpreted = [f"{k}@{e['device']}" for e in entries for k in e["pyexec_interpreted"]]
-    if interpreted:
-        raise EngineFallbackError(
-            f"kernel engine fell back to the interpreter for {', '.join(interpreted)}"
-        )
+    for step in ("pyexec", "p4exec"):
+        interpreted = [f"{k}@{e['device']}" for e in entries for k in e[f"{step}_interpreted"]]
+        if interpreted:
+            raise EngineFallbackError(
+                f"{step} engine fell back to the interpreter for {', '.join(interpreted)}"
+            )
+    p4exec = [(e["device"], c) for e in entries for c in e["checks"] if c["pass"] == "p4exec"]
+    vacuous = [f"{c['function']}@{dev}" for dev, c in p4exec if not c["vectors_compared"]]
+    if vacuous or not p4exec:
+        raise EngineFallbackError(f"p4exec compared no vector for {', '.join(vacuous) or name}")
     checks = sum(len(e["checks"]) for e in entries)
-    return checks, f"{name}: OK ({checks} pass checks)"
+    vectors = sum(c["vectors_compared"] for _, c in p4exec)
+    return checks, f"{name}: OK ({checks} pass checks, {len(p4exec)} p4exec checks of {vectors} vectors)"
 
 
 def main(argv: list[str] | None = None) -> int:
