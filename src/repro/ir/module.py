@@ -89,10 +89,6 @@ class GlobalVar(Value):
     def capacity(self) -> int:
         return self.shape.num_elements
 
-    @property
-    def bits(self) -> int:
-        return self.elem.width * self.shape.num_elements
-
     def placed_at(self, device_id: int) -> bool:
         """Whether this declaration is included when compiling ``device_id``."""
         return not self.locations or device_id in self.locations
