@@ -13,8 +13,7 @@ import pytest
 
 from benchmarks.conftest import print_table
 from repro.apps import compile_app, p4_source
-from repro.backends import TnaBackend
-from repro.ir.module import Module
+from repro.core import compile_netcl
 from repro.p4 import parse_p4, p4_to_pipeline_spec
 from repro.p4.resources import p4_local_bits
 from repro.tofino.report import build_report
@@ -27,7 +26,7 @@ HANDWRITTEN = [("agg", "AGG"), ("cache", "CACHE"), ("paxos_acceptor", "PACC"),
 
 def _empty():
     """The EMPTY column: the generated program with no kernel."""
-    return TnaBackend().compile(Module("empty"), None).report
+    return compile_netcl("", None).report
 
 
 def collect():

@@ -28,7 +28,7 @@ def phv_data():
     out = []
     for app, dev, p4name, label in PAIRS:
         cp = compile_app(app, dev)
-        stats = list(cp.codegen.kernel_stats.values())
+        stats = list(cp.kernel_stats.values())
         kernel_stats = next(
             (s for s in stats if getattr(s, "header_bits", 0) > 0), stats[0]
         )

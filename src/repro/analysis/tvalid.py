@@ -16,11 +16,15 @@ message processors.  So the harness validates *behavior*, not syntax:
    and the pass that produced it is named in the raised
    :class:`TranslationValidationError`.
 
-Trap semantics are *refinement*, not equality: the optimizer is allowed
-to delete a division whose result is unused, so a run that traps in the
-reference constrains only the vectors before it (the optimized kernel
-may trap later or never).  Introducing an *earlier* trap is a bug and
-is reported.
+A vector the interpreter traps on is a compared trap: its run leaves no
+effect, and the next vector starts from the memory as it was before it,
+on both sides.  Trap semantics are *refinement*, not equality: the
+optimizer is allowed to delete a division whose result is unused, so a
+vector that traps in the reference constrains nothing on that vector
+(the optimized kernel may trap there or not).  A trap on a vector the
+reference ran is a bug and is reported.  A check counts the vectors the
+reference ran (``vectors_compared``) apart from those it trapped on
+(``vectors_trapped``).
 
 Kernels containing ``ncl.rand`` are skipped: if-conversion legitimately
 changes how many draws execute, so their behavior is not a function of
@@ -30,34 +34,36 @@ the input vector alone.
    IR on :class:`repro.ir.compiled.KernelEngine` — what devices execute —
    and on the interpreter over the same vectors.  Both run the same IR,
    so here nothing may differ: outcomes, fields, memory snapshots and the
-   trap index must be equal, with no refinement slack (and ``ncl.rand``
-   kernels are included: both draw from equally seeded generators).
+   trapping vectors must be equal, with no refinement slack (and
+   ``ncl.rand`` kernels are included: both draw from equally seeded
+   generators).
 
 4. After code generation, ``p4exec`` feeds the same vectors, as NetCL
    packets from zeroed memory, to the interpreter on the final IR and to
    :class:`repro.p4.compiled.P4Engine` on the generated P4 program: exit
    action and target, argument fields and every Register (read through
-   the global it holds, ``.partN`` / ``.dupN`` included) must agree up to
-   the interpreter's first trap, before which the P4 program must not fail.
+   the global it holds, ``.partN`` / ``.dupN`` included) must agree on
+   every vector the interpreter runs, and there the P4 program must not
+   fail; a vector the interpreter traps on is not sent to the P4 program.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from repro.analysis.absint import RangeAnalysis
 from repro.ir.compiled import KernelEngine
-from repro.ir.instructions import Constant, ICmp, Intrinsic
+from repro.ir.instructions import Cast, Constant, GlobalAccess, ICmp, Intrinsic, Load, LoadMsg, Store
 from repro.ir.interp import GlobalState, InterpError, IRInterpreter, KernelMessage
 from repro.ir.module import Function, Module
 from repro.ir.types import IntType
 
 #: vectors beyond the mined boundary set
-DEFAULT_RANDOM_VECTORS = 12
+RANDOM_VECTORS = 20
 #: hard cap so pathological functions don't explode the suite
-MAX_VECTORS = 48
+MAX_VECTORS = 56
 
 
 class TranslationValidationError(Exception):
@@ -120,22 +126,44 @@ def _mined_values(fn: Function) -> List[int]:
     return sorted(v for v in vals if v >= 0)
 
 
-def generate_vectors(
-    fn: Function,
-    *,
-    n_random: int = DEFAULT_RANDOM_VECTORS,
-    seed: Optional[int] = None,
-) -> List[Dict[str, object]]:
+def _index_bounds(fn: Function) -> Dict[str, int]:
+    """Scalar message field -> the smallest dimension of global memory
+    it indexes as it arrives (through casts and its local copy)."""
+    copies = {
+        id(i.slot): i.value
+        for i in fn.instructions()
+        if isinstance(i, Store) and isinstance(i.value, LoadMsg)
+    }
+
+    def field_of(value) -> Optional[str]:
+        while isinstance(value, (Cast, Load)):
+            value = value.value if isinstance(value, Cast) else copies.get(id(value.slot))
+        return value.field if isinstance(value, LoadMsg) and value.index is None else None
+
+    bounds: Dict[str, int] = {}
+    for inst in fn.instructions():
+        if isinstance(inst, GlobalAccess):
+            # a partition drops outer indices, so pair them from the inside
+            for index, dim in zip(reversed(inst.indices), reversed(inst.gv.shape.dims)):
+                name = field_of(index)
+                if name is not None:
+                    bounds[name] = min(bounds.get(name, dim), dim)
+    return bounds
+
+
+def generate_vectors(fn: Function) -> List[Dict[str, object]]:
     """Deterministic input vectors for ``fn``: one per mined boundary
-    value (each field cycled through nearby boundaries) plus ``n_random``
-    seeded-random vectors.  The seed derives from the kernel *name* (not
-    ``hash()``, which is salted per process) so reruns reproduce."""
+    value (each field cycled through nearby boundaries) plus
+    :data:`RANDOM_VECTORS` seeded-random vectors.  A random vector draws
+    a field that indexes global memory within that memory, so it runs
+    where a boundary vector may trap on the index.  The seed derives
+    from the kernel *name* (not ``hash()``, which is salted per process)
+    so reruns reproduce."""
     import random
 
-    if seed is None:
-        seed = zlib.crc32(fn.name.encode())
-    rng = random.Random(seed)
+    rng = random.Random(zlib.crc32(fn.name.encode()))
     mined = _mined_values(fn)
+    bounds = _index_bounds(fn)
 
     scalar_args = [a for a in fn.args if not a.is_array]
     array_args = [a for a in fn.args if a.is_array]
@@ -147,7 +175,7 @@ def generate_vectors(
 
     # Boundary sweep: vector i assigns field j the (i+j)-th mined value,
     # staggering so co-varying fields still hit asymmetric combinations.
-    n_boundary = min(len(mined), MAX_VECTORS - n_random)
+    n_boundary = min(len(mined), MAX_VECTORS - RANDOM_VECTORS)
     for i in range(n_boundary):
         vec: Dict[str, object] = {}
         for j, arg in enumerate(scalar_args):
@@ -160,11 +188,11 @@ def generate_vectors(
             ]
         vectors.append(vec)
 
-    for _ in range(n_random):
+    for _ in range(RANDOM_VECTORS):
         vec = {}
         for arg in scalar_args:
             assert isinstance(arg.type, IntType)
-            vec[arg.name] = rng.randrange(0, arg.type.mask + 1)
+            vec[arg.name] = rng.randrange(0, min(arg.type.mask + 1, bounds.get(arg.name, 1 << 64)))
         for arg in array_args:
             assert isinstance(arg.type, IntType)
             vec[arg.name] = [
@@ -182,17 +210,21 @@ class BehaviorCapture:
     """Observable behavior of one kernel over a vector sequence.
 
     ``runs[i]`` is ``(outcome kind, outcome target, message fields,
-    memory snapshot)`` after processing vector ``i``; ``trap_index`` is
-    the vector on which the interpreter raised (runs stop there);
-    ``interpreted`` counts the runs a :class:`KernelEngine` executor
-    handed back to the interpreter (0 = every run was generated code).
+    memory snapshot)`` after processing vector ``i``, or None when the
+    interpreter raised on it; ``interpreted`` counts the runs a
+    :class:`KernelEngine` executor handed back to the interpreter (0 =
+    every run was generated code).
     """
 
-    runs: List[Tuple[str, Optional[int], Dict[str, object], dict]] = field(
+    runs: List[Optional[Tuple[str, Optional[int], Dict[str, object], dict]]] = field(
         default_factory=list
     )
-    trap_index: Optional[int] = None
     interpreted: int = 0
+
+    @property
+    def traps(self) -> List[int]:
+        """The vectors the kernel trapped on."""
+        return [i for i, run in enumerate(self.runs) if run is None]
 
 
 def _uses_rand(fn: Function) -> bool:
@@ -201,38 +233,40 @@ def _uses_rand(fn: Function) -> bool:
     )
 
 
+def _copied(fields: Dict[str, object]) -> Dict[str, object]:
+    return {k: (list(v) if isinstance(v, list) else v) for k, v in fields.items()}
+
+
 def capture_behavior(
     module: Module,
     fn: Function,
     vectors: List[Dict[str, object]],
+    undo: Collection[int],
     *,
     device_id: int = 1,
     executor: type[IRInterpreter] = IRInterpreter,
 ) -> BehaviorCapture:
     """Run ``fn`` over ``vectors`` against one fresh shared state, on the
-    reference interpreter or on the ``executor`` under test."""
+    reference interpreter or on the ``executor`` under test.  A vector
+    that traps, or whose index is in ``undo`` (the vectors the reference
+    trapped on), leaves memory as it was before it."""
     state = GlobalState()
     interp = executor(module, state, device_id=device_id)
     cap = BehaviorCapture()
+    before = state.snapshot()
     for i, vec in enumerate(vectors):
-        msg = KernelMessage(
-            {k: (list(v) if isinstance(v, list) else v) for k, v in vec.items()}
-        )
+        msg = KernelMessage(_copied(vec))
         try:
             outcome = interp.run_kernel(fn, msg)
         except InterpError:
-            cap.trap_index = i
-            break
+            outcome = None
+        if outcome is None or i in undo:
+            state.restore(before)
+        else:
+            before = state.snapshot()
         cap.runs.append(
-            (
-                outcome.kind.value,
-                outcome.target,
-                {
-                    k: (list(v) if isinstance(v, list) else v)
-                    for k, v in msg.fields.items()
-                },
-                state.snapshot(),
-            )
+            None if outcome is None
+            else (outcome.kind.value, outcome.target, _copied(msg.fields), before)
         )
     if isinstance(interp, KernelEngine):
         cap.interpreted = interp.interpreted
@@ -243,10 +277,16 @@ def _diff_captures(
     ref: BehaviorCapture, cur: BehaviorCapture, *, exact_traps: bool = False
 ) -> Optional[Tuple[int, str]]:
     """First observable divergence, or None when ``cur`` refines ``ref``
-    (with ``exact_traps``: when it traps on exactly the same vector)."""
-    n = min(len(ref.runs), len(cur.runs))
-    for i in range(n):
-        r, c = ref.runs[i], cur.runs[i]
+    (with ``exact_traps``: when it traps on exactly the same vectors)."""
+    for i, (r, c) in enumerate(zip(ref.runs, cur.runs)):
+        if r is None:
+            # Trap refinement: the optimized kernel may drop a reference
+            # trap (DCE of an unused trapping op) but not add one.
+            if exact_traps and c is not None:
+                return i, f"trap diverged: reference traps at vector {i}, optimized does not"
+            continue
+        if c is None:
+            return i, "optimized kernel traps where the reference did not"
         if r[0] != c[0] or r[1] != c[1]:
             return i, (
                 f"forwarding action diverged: reference "
@@ -261,19 +301,6 @@ def _diff_captures(
             )
         if r[3] != c[3]:
             return i, "global memory diverged"
-    if exact_traps:
-        if cur.trap_index != ref.trap_index:
-            return n, (
-                f"trap diverged: reference traps at vector {ref.trap_index}, "
-                f"optimized at {cur.trap_index}"
-            )
-        return None
-    # Trap refinement: the optimized kernel may drop a reference trap
-    # (DCE of an unused trapping op) but must never introduce an earlier one.
-    if cur.trap_index is not None and (
-        ref.trap_index is None or cur.trap_index < ref.trap_index
-    ):
-        return cur.trap_index, "optimized kernel traps where the reference did not"
     return None
 
 
@@ -292,16 +319,9 @@ class PassValidator:
     neighbor-to-neighbor comparison.
     """
 
-    def __init__(
-        self,
-        module: Module,
-        *,
-        device_id: Optional[int] = None,
-        n_random: int = DEFAULT_RANDOM_VECTORS,
-    ) -> None:
+    def __init__(self, module: Module, *, device_id: Optional[int] = None) -> None:
         self.module = module
         self.device_id = device_id if device_id is not None else 1
-        self.n_random = n_random
         self._vectors: Dict[str, List[Dict[str, object]]] = {}
         self._reference: Dict[str, BehaviorCapture] = {}
         self._skipped: Dict[str, str] = {}
@@ -311,8 +331,9 @@ class PassValidator:
         #: kernels whose ``p4exec`` step ran on the P4 interpreter, not
         #: the generated engine
         self.p4exec_interpreted: List[str] = []
-        #: (pass name, function, vectors compared) per successful check
-        self.checks: List[Tuple[str, str, int]] = []
+        #: (pass name, function, vectors compared, vectors the reference
+        #: trapped on) per successful check
+        self.checks: List[Tuple[str, str, int, int]] = []
 
     # -- reference -------------------------------------------------------------
     def prepare(self, fn: Function) -> None:
@@ -324,10 +345,10 @@ class PassValidator:
                 "uses ncl.rand (draw count is not input-deterministic)"
             )
             return
-        vectors = generate_vectors(fn, n_random=self.n_random)
+        vectors = generate_vectors(fn)
         self._vectors[fn.name] = vectors
         self._reference[fn.name] = capture_behavior(
-            self.module, fn, vectors, device_id=self.device_id
+            self.module, fn, vectors, (), device_id=self.device_id
         )
 
     # -- per-pass check ----------------------------------------------------------
@@ -340,14 +361,10 @@ class PassValidator:
         if ref is None:
             return
         vectors = self._vectors[fn.name]
-        cur = capture_behavior(self.module, fn, vectors, device_id=self.device_id)
-        diff = _diff_captures(ref, cur)
-        if diff is not None:
-            index, detail = diff
-            raise TranslationValidationError(
-                pass_name, fn.name, index, vectors[index], detail
-            )
-        self.checks.append((pass_name, fn.name, min(len(ref.runs), len(cur.runs))))
+        cur = capture_behavior(
+            self.module, fn, vectors, set(ref.traps), device_id=self.device_id
+        )
+        self._compare(pass_name, fn, vectors, ref, cur, exact_traps=False)
 
     def check_all(self, pass_name: str, functions: List[Function]) -> None:
         """Validate every prepared kernel (after module-wide passes)."""
@@ -359,55 +376,71 @@ class PassValidator:
         interpreter on the final IR of ``fn``, compared exactly."""
         vectors = self._vectors.get(fn.name)
         if vectors is None:  # skipped by prepare(): uses ncl.rand
-            vectors = generate_vectors(fn, n_random=self.n_random)
+            vectors = generate_vectors(fn)
         ref, cur = (
             capture_behavior(
-                self.module, fn, vectors, device_id=self.device_id, executor=executor
+                self.module, fn, vectors, (), device_id=self.device_id, executor=executor
             )
             for executor in (IRInterpreter, KernelEngine)
         )
-        diff = _diff_captures(ref, cur, exact_traps=True)
-        if diff is not None:
-            index, detail = diff
-            raise TranslationValidationError(
-                "pyexec", fn.name, index, vectors[index], detail
-            )
+        self._compare("pyexec", fn, vectors, ref, cur, exact_traps=True)
         if cur.interpreted:
             self.pyexec_interpreted.append(fn.name)
-        self.checks.append(("pyexec", fn.name, len(ref.runs)))
+
+    def _compare(
+        self,
+        step: str,
+        fn: Function,
+        vectors: List[Dict[str, object]],
+        ref: BehaviorCapture,
+        cur: BehaviorCapture,
+        *,
+        exact_traps: bool,
+    ) -> None:
+        """Raise on the first divergence of ``cur`` from ``ref``; else
+        record the check: the vectors the reference ran, which both sides
+        ran and were compared on, and those it trapped on."""
+        diff = _diff_captures(ref, cur, exact_traps=exact_traps)
+        if diff is not None:
+            index, detail = diff
+            raise TranslationValidationError(step, fn.name, index, vectors[index], detail)
+        trapped = len(ref.traps)
+        self.checks.append((step, fn.name, len(ref.runs) - trapped, trapped))
 
     def check_p4(self, tree, fn: Function) -> None:
         """The ``p4exec`` step: the generated P4 program (a
         :class:`repro.backends.p4tree.P4Tree`) on :class:`P4Engine`
         against the interpreter on the final IR of ``fn``."""
-        import random
-
         from repro.backends.p4tree import DEPARSER, INGRESS, PARSER
         from repro.p4 import P4Engine, P4RuntimeError
         from repro.p4.switch import deparsed, run_netcl
         from repro.runtime.message import ACT_CODES, KernelSpec, NetCLPacket
 
-        vectors = self._vectors.get(fn.name) or generate_vectors(fn, n_random=self.n_random)
+        vectors = self._vectors.get(fn.name) or generate_vectors(fn)
         plan = KernelSpec.from_kernel(fn).plan
         state = GlobalState()
-        oracle = IRInterpreter(self.module, state, device_id=self.device_id, rng=random.Random(0))
+        oracle = IRInterpreter(self.module, state, device_id=self.device_id)
         engine = P4Engine(tree.program, seed=0)
-        compared = 0
+        before = state.snapshot()
+        compared = trapped = 0
         for index, vec in enumerate(vectors):
             values = [list(vec[a.name]) if a.is_array else vec[a.name] for a in fn.args]
             packet = NetCLPacket(5, 6, 7, self.device_id, fn.computation or 0, 0, plan.encode(values))
             try:
+                outcome = oracle.run_kernel(fn, values, packet)
+            except InterpError:  # a compared trap: the P4 program is not run
+                state.restore(before)
+                trapped += 1
+                continue
+            before = state.snapshot()
+            try:
                 ran = run_netcl(engine, packet, (PARSER, INGRESS, DEPARSER))
             except P4RuntimeError as exc:
                 ran = exc
-            try:
-                outcome = oracle.run_kernel(fn, values, packet)
-            except InterpError:
-                break
             detail = f"P4 failed: {ran}" if isinstance(ran, P4RuntimeError) else None
             if detail is None:
                 md, out = ran
-                result, memory = deparsed(out), state.snapshot()["registers"]
+                result, memory = deparsed(out), before["registers"]
                 want = (ACT_CODES[outcome.kind.value], (outcome.target or 0) & 0xFFFF)
                 if want != (result.act, md.get("ncl_target", 0)):
                     detail = f"exit (action, target) diverged: IR {want} vs P4 {result.act}"
@@ -426,7 +459,7 @@ class PassValidator:
             compared += 1
         if engine.interpreted:
             self.p4exec_interpreted.append(fn.name)
-        self.checks.append(("p4exec", fn.name, compared))
+        self.checks.append(("p4exec", fn.name, compared, trapped))
 
     # -- reporting ---------------------------------------------------------------
     def report(self) -> Dict[str, object]:
@@ -438,7 +471,7 @@ class PassValidator:
             "p4exec_interpreted": sorted(self.p4exec_interpreted),
             "vectors": {k: len(v) for k, v in sorted(self._vectors.items())},
             "checks": [
-                {"pass": p, "function": f, "vectors_compared": n}
-                for p, f, n in self.checks
+                {"pass": p, "function": f, "vectors_compared": n, "vectors_trapped": t}
+                for p, f, n, t in self.checks
             ],
         }

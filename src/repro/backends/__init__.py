@@ -1,42 +1,49 @@
-"""P4 code generation backends (§VI-B "Code generation").
+"""P4 code generation (§VI-B "Code generation").
 
 Two targets, the paper's two extremes: ``tna`` (Intel Tofino Native
 Architecture, a constrained 12-stage ASIC) and ``v1model`` (the software
-switch, where any valid P4 runs).  Both build the same P4 program tree
-(:mod:`repro.backends.p4tree`), print it and read its resources from it
-(:func:`repro.p4.resources.p4_to_pipeline_spec`); they differ in the chip
-the fitter places it on and in the text: v1model's has its externs
-(``register`` read and write, ``hash()``, ``random()``) and package.
+switch, where any valid P4 runs).  A target is one row of
+:data:`TARGETS`: the chip the fitter places the program on, its
+``#include`` and its package line.  :func:`generate_p4` builds the one P4
+program tree (:mod:`repro.backends.p4tree`), prints it and reads its
+resources from it (:func:`repro.p4.resources.p4_to_pipeline_spec`); the
+v1model text prints the same tree with v1model's externs (``register``
+read and write, ``hash()``, ``random()``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from repro.backends.p4tree import DEPARSER, INGRESS, PARSER, build_program
 from repro.ir.instructions import Alloca
-from repro.ir.module import Function, Module
+from repro.ir.module import Module
+from repro.p4 import ast
 from repro.p4.printer import print_p4
 from repro.p4.resources import p4_local_bits, p4_to_pipeline_spec
 from repro.passes.phielim import eliminate_phis
-from repro.passes.structurize import StructuredNode, structurize
+from repro.passes.structurize import structurize
 from repro.tofino.chip import TOFINO_1, V1MODEL, ChipSpec
-from repro.tofino.report import ResourceReport, build_report
 from repro.tofino.tables import PipelineSpec
 
 
-def prepare_module_for_codegen(
-    module: Module, device_id: Optional[int] = None
-) -> dict[str, StructuredNode]:
-    """φ-elimination + structurization for every kernel at ``device_id``:
-    kernel name -> structured tree (the form the P4 tree builder reads)."""
-    trees: dict[str, StructuredNode] = {}
-    for fn in module.kernels():
-        if device_id is None or fn.placed_at(device_id):
-            eliminate_phis(fn)
-            trees[fn.name] = structurize(fn)
-    return trees
+class Target(NamedTuple):
+    """What code generation and the fitter read of a target."""
+
+    chip: ChipSpec
+    include: str
+    package: str
+
+
+TARGETS = {
+    "tna": Target(
+        TOFINO_1, "tna.p4", f"Pipeline({PARSER}(), {INGRESS}(), {DEPARSER}()) pipe;\nSwitch(pipe) main;"
+    ),
+    # The software switch executes any valid P4, so its "chip" is
+    # effectively unconstrained: reaching the end of the common pipeline
+    # stage already guarantees compilability (§VI-B).
+    "v1model": Target(V1MODEL, "v1model.p4", f"V1Switch({PARSER}(), {INGRESS}(), {DEPARSER}()) main;"),
+}
 
 
 class KernelBits(NamedTuple):
@@ -47,95 +54,43 @@ class KernelBits(NamedTuple):
     header_bits: int  # the argument header
 
 
-@dataclass
-class CodegenResult:
-    """Everything one backend invocation produces.  The P4 program tree is
-    printed, read and (under validation) run while it is built; what stays
-    is its text (``parse_p4`` turns a ``tna`` text back into that tree)
-    and what was read from it."""
-
-    target: str
-    device_id: Optional[int]
-    module: Module
-    kernels: list[Function]
-    p4_source: str
-    spec: PipelineSpec
-    #: Table VI's local memory of each kernel, read from the tree
-    kernel_stats: dict[str, KernelBits]
-    report: Optional[ResourceReport] = None
-
-    def local_fields(self) -> list[int]:
-        """The PHV local fields: each kernel's control locals."""
-        return [bits.p4_local_bits for bits in self.kernel_stats.values()]
-
-
-class TnaBackend:
-    """Builds the P4 program for one device, prints it and reads its
-    resources from it.
-
-    ``fit=False`` skips the fitter (useful when only the P4 text is
-    wanted); otherwise :class:`repro.tofino.allocator.FitError` propagates
-    when the program does not fit — the paper's trial-and-error contract.
-    A ``validator`` (:class:`repro.analysis.tvalid.PassValidator`) runs
-    its ``p4exec`` step on the program of each kernel.
-    """
-
-    target = "tna"
-    include = "tna.p4"
-    package = f"Pipeline({PARSER}(), {INGRESS}(), {DEPARSER}()) pipe;\nSwitch(pipe) main;"
-
-    def __init__(self, chip: ChipSpec = TOFINO_1) -> None:
-        self.chip = chip
-
-    def compile(
-        self,
-        module: Module,
-        device_id: Optional[int] = None,
-        *,
-        fit: bool = True,
-        include_base_program: bool = True,
-        program_name: str = "netcl",
-        validator=None,
-    ) -> CodegenResult:
-        trees = prepare_module_for_codegen(module, device_id)
-        kernels = [fn for fn in module.kernels() if fn.name in trees]
-        tree = build_program(trees, device_id, kernels, base_program=include_base_program)
-        program = tree.program
-        for fn in kernels if validator is not None else ():
-            validator.check_p4(tree, fn)
-        p4 = (
-            f"// NetCL generated P4 ({self.target}), device {device_id}\n"
-            f"#include <core.p4>\n#include <{self.include}>\n\n"
-            f"{print_p4(program, v1model=self.target == 'v1model')}\n{self.package}\n"
+def generate_p4(
+    module: Module, device_id: Optional[int], target: str, program_name: str, validator
+) -> tuple[ast.Program, str, PipelineSpec, dict[str, KernelBits]]:
+    """The P4 program of the kernels ``module`` places at ``device_id``
+    (every kernel when it is None), after φ-elimination and
+    structurization: its tree, its text for ``target``, the
+    :class:`PipelineSpec` the fitter reads and Table VI's local memory of
+    each kernel.  A ``validator``
+    (:class:`repro.analysis.tvalid.PassValidator`) runs its ``p4exec``
+    step on the program of each kernel."""
+    if target not in TARGETS:
+        raise ValueError(f"unknown target {target!r} (expected 'tna' or 'v1model')")
+    row = TARGETS[target]
+    kernels = [fn for fn in module.kernels() if device_id is None or fn.placed_at(device_id)]
+    trees = {}
+    for fn in kernels:
+        eliminate_phis(fn)
+        trees[fn.name] = structurize(fn)
+    tree = build_program(trees, device_id, kernels)
+    program = tree.program
+    for fn in kernels if validator is not None else ():
+        validator.check_p4(tree, fn)
+    text = (
+        f"// NetCL generated P4 ({target}), device {device_id}\n"
+        f"#include <core.p4>\n#include <{row.include}>\n\n"
+        f"{print_p4(program, v1model=target == 'v1model')}\n{row.package}\n"
+    )
+    stats = {
+        fn.name: KernelBits(
+            sum(i.elem.width * i.shape.num_elements
+                for i in fn.instructions() if isinstance(i, Alloca)),
+            p4_local_bits(program, INGRESS, names=tree.kernel_locals[fn.name]),
+            program.headers[f"{fn.name}_args_t"].bit_width,
         )
-        stats = {
-            fn.name: KernelBits(
-                sum(i.elem.width * i.shape.num_elements
-                    for i in fn.instructions() if isinstance(i, Alloca)),
-                p4_local_bits(program, INGRESS, names=tree.kernel_locals[fn.name]),
-                program.headers[f"{fn.name}_args_t"].bit_width,
-            )
-            for fn in kernels
-        }
-        spec = p4_to_pipeline_spec(program, name=program_name, ingress=INGRESS)
-        result = CodegenResult(self.target, device_id, module, kernels, p4, spec, stats)
-        if fit:
-            result.report = build_report(spec, self.chip, local_fields=result.local_fields())
-        return result
+        for fn in kernels
+    }
+    return program, text, p4_to_pipeline_spec(program, name=program_name, ingress=INGRESS), stats
 
 
-class V1ModelBackend(TnaBackend):
-    """The v1model (software switch) backend: it executes any valid P4, so
-    the fitter runs against the effectively unconstrained
-    :data:`~repro.tofino.chip.V1MODEL` "chip" — reaching the end of the
-    common pipeline stage already guarantees compilability (§VI-B)."""
-
-    target = "v1model"
-    include = "v1model.p4"
-    package = f"V1Switch({PARSER}(), {INGRESS}(), {DEPARSER}()) main;"
-
-    def __init__(self, chip: ChipSpec = V1MODEL) -> None:
-        super().__init__(chip)
-
-
-__all__ = ["CodegenResult", "KernelBits", "TnaBackend", "V1ModelBackend", "prepare_module_for_codegen"]
+__all__ = ["KernelBits", "TARGETS", "Target", "generate_p4"]

@@ -20,6 +20,7 @@ from repro.ir.module import Function, GlobalVar, LookupKind
 from repro.ir.types import IntType
 from repro.p4 import ast
 from repro.passes.structurize import IfNode, LeafNode, PredDecls, PredUpdate, SeqNode
+from repro.runtime.constants import FWD_DEVICE, FWD_DROP, FWD_HOST, FWD_MCAST, NETCL_PORT
 from repro.runtime.message import ACT_CODES, NO_DEVICE
 
 #: Maximum statements per generated action.  A VLIW action executes in one
@@ -27,9 +28,6 @@ from repro.runtime.message import ACT_CODES, NO_DEVICE
 #: budget; bf-p4c splits oversized actions and so do we.
 MAX_ACTION_OPS = 16
 
-NETCL_PORT = 9000
-#: ``md.fwd_kind`` codes of the switch convention (:mod:`repro.p4.switch`)
-FWD_HOST, FWD_DEVICE, FWD_MCAST, FWD_DROP = 0, 1, 2, 3
 PARSER, INGRESS, DEPARSER = "IngressParser", "NetCLIngress", "IngressDeparser"
 
 _HASHES = {"ncl.crc16": "CRC16", "ncl.crc32": "CRC32", "ncl.crc64": "CRC64",
@@ -645,12 +643,9 @@ def _runtime() -> _Runtime:
     )
 
 
-def build_program(
-    trees: dict, device_id: Optional[int], kernels: list[Function], *, base_program: bool = True
-) -> P4Tree:
+def build_program(trees: dict, device_id: Optional[int], kernels: list[Function]) -> P4Tree:
     """The complete P4 program for ``kernels`` (structurized in ``trees``)
-    at ``device_id``; without the base program's L2 tables when
-    ``base_program`` is False."""
+    at ``device_id``."""
     device = device_id if device_id is not None else 1
     rt = _runtime()
     prog = _Program(device)
@@ -682,10 +677,9 @@ def build_program(
     # -- ingress: the base program, the runtime and the kernels --------------
     ctrl.params = [typed("inout", "headers_t", "hdr"), typed("inout", "args_t", "args"),
                    typed("inout", "metadata_t", "md")]
-    if base_program:
-        for name, keys, action, size in rt.l2:
-            prog.table(name, keys, [action], size=size)
-        ctrl.apply += [ast.ApplyTable(name) for name, *_ in rt.l2]
+    for name, keys, action, size in rt.l2:
+        prog.table(name, keys, [action], size=size)
+    ctrl.apply += [ast.ApplyTable(name) for name, *_ in rt.l2]
 
     # the dispatch: (UDP port range, to, computation id) -> the kernel's action
     def dispatch(action: str) -> ast.ActionDecl:

@@ -20,15 +20,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.diagnostics import DiagnosticEngine
     from repro.analysis.tvalid import TranslationValidationError
 
-from repro.backends import CodegenResult, TnaBackend, V1ModelBackend
-from repro.ir.module import Module
+from repro.backends import TARGETS, KernelBits, generate_p4
+from repro.ir.module import Function, Module
 from repro.ir.verifier import verify_module
 from repro.lang.lower import lower_to_ir
 from repro.lang.parser import parse_source
 from repro.lang.sema import analyze
 from repro.passes.manager import PassManager, PassOptions
 from repro.telemetry.profile import NULL_PROFILER, Profiler
-from repro.tofino.chip import ChipSpec, TOFINO_1, V1MODEL
+from repro.tofino.report import ResourceReport, build_report
+from repro.tofino.tables import PipelineSpec
 
 
 @dataclass
@@ -52,15 +53,24 @@ class CompiledProgram:
     """The result of compiling one NetCL program for one device.
 
     Frozen from the moment :func:`compile_netcl` returns it: identical
-    compiles share one ``module`` / ``codegen`` by reference (see the
-    compile cache below), so devices, planners and tools only read it.
+    compiles share its ``module``, ``spec`` and ``report`` by reference
+    (see the compile cache below), so devices, planners and tools only
+    read it.  The P4 program tree is not
+    kept: ``p4_source`` is its text (``parse_p4`` gives a ``tna`` text's
+    tree back), ``spec`` and ``kernel_stats`` what was read from it.
     """
 
     source: str
     device_id: Optional[int]
     target: str
     module: Module
-    codegen: CodegenResult
+    p4_source: str
+    #: what the fitter reads, read from the P4 tree
+    spec: PipelineSpec
+    #: Table VI's local memory of each kernel compiled, read from the tree
+    kernel_stats: dict[str, KernelBits]
+    #: the fitter's report; None when compiled with ``fit=False``
+    report: Optional[ResourceReport]
     timings: CompileTimings
     options: PassOptions
     #: the telemetry profiler this compile reported into (``ncc --profile``);
@@ -76,16 +86,9 @@ class CompiledProgram:
     #: call cost) and ``profile`` holds a single ``cache`` span.
     cache_hit: bool = False
 
-    @property
-    def p4_source(self) -> str:
-        return self.codegen.p4_source
-
-    @property
-    def report(self):
-        return self.codegen.report
-
-    def kernels(self):
-        return self.codegen.kernels
+    def kernels(self) -> list[Function]:
+        """The kernels compiled for this device, in module order."""
+        return [fn for fn in self.module.kernels() if fn.name in self.kernel_stats]
 
 
 class CompileCacheInfo(NamedTuple):
@@ -221,10 +224,8 @@ def compile_netcl(
     *,
     target: str = "tna",
     options: Optional[PassOptions] = None,
-    chip: Optional[ChipSpec] = None,
     defines: Optional[dict[str, int]] = None,
     fit: bool = True,
-    include_base_program: bool = True,
     program_name: str = "netcl",
     profiler: Optional[Profiler] = None,
     diagnostics: Optional["DiagnosticEngine"] = None,
@@ -232,7 +233,7 @@ def compile_netcl(
     """Compile NetCL source text for one device.
 
     A pure function of its arguments, memoised: a repeated call returns
-    the first call's program (same ``module`` and ``codegen`` objects,
+    the first call's program (same ``module`` and ``spec`` objects,
     ``cache_hit`` set, zero ``timings``), which is why a
     :class:`CompiledProgram` is frozen once returned.  Calls that ask for
     side effects (a ``diagnostics`` engine, ``options.verify_passes``)
@@ -255,7 +256,8 @@ def compile_netcl(
     :class:`repro.passes.memcheck.MemoryCheckError` on Tofino memory
     constraint violations, and :class:`repro.tofino.allocator.FitError`
     (or :class:`repro.tofino.phv.PhvError`) when the program does not fit
-    the pipeline.
+    the pipeline; :class:`ValueError` for a target not in
+    :data:`repro.backends.TARGETS`.
     """
     # A private copy: the caller's options object is neither written to
     # nor aliased by the key or the stored program.
@@ -269,11 +271,9 @@ def compile_netcl(
             source,
             device_id,
             dataclasses.astuple(opts),
-            chip,
             # the preprocessor substitutes str(value): True is not 1
             tuple(sorted((name, str(value)) for name, value in (defines or {}).items())),
             fit,
-            include_base_program,
             program_name,
         )
         hit = _CACHE.get(key)
@@ -307,33 +307,23 @@ def compile_netcl(
         pm.run_pipeline(module, device_id)
     timings.passes_seconds = time.perf_counter() - t0
 
+    # Code generation proper (structurize + the P4 tree, its text and
+    # spec) is ncc work; fitting is the downstream P4 compiler's.
     t0 = time.perf_counter()
     with prof.span("codegen", category="phase", target=target):
-        if target == "tna":
-            backend = TnaBackend(chip or TOFINO_1)
-        elif target == "v1model":
-            backend = V1ModelBackend(chip or V1MODEL)
-        else:
-            raise ValueError(f"unknown target {target!r} (expected 'tna' or 'v1model')")
-        # Code generation proper (structurize + P4 text) is ncc work; fitting
-        # is the downstream P4 compiler's.
-        result = backend.compile(
-            module,
-            device_id,
-            fit=False,
-            include_base_program=include_base_program,
-            program_name=program_name,
-            validator=pm.validator,
+        _, p4_source, spec, kernel_stats = generate_p4(
+            module, device_id, target, program_name, pm.validator
         )
     timings.codegen_seconds = time.perf_counter() - t0
 
+    report = None
     if fit:
         t0 = time.perf_counter()
         with prof.span("fitter", category="phase"):
-            from repro.tofino.report import build_report
-
-            result.report = build_report(
-                result.spec, backend.chip, local_fields=result.local_fields()
+            report = build_report(
+                spec,
+                TARGETS[target].chip,
+                local_fields=[bits.p4_local_bits for bits in kernel_stats.values()],
             )
         timings.fitter_seconds = time.perf_counter() - t0
 
@@ -342,7 +332,10 @@ def compile_netcl(
         device_id=device_id,
         target=target,
         module=module,
-        codegen=result,
+        p4_source=p4_source,
+        spec=spec,
+        kernel_stats=kernel_stats,
+        report=report,
         timings=timings,
         options=opts,
         profile=prof,

@@ -237,6 +237,12 @@ class GlobalState:
             },
         }
 
+    def restore(self, snapshot: dict) -> None:
+        """Put the registers back as ``snapshot`` holds them, in place (a
+        ``KernelEngine`` keeps the arrays); a kernel writes no other memory."""
+        for name, cells in snapshot["registers"].items():
+            self._registers[name][:] = array(self._registers[name].typecode, cells)
+
     # -- control-plane surface (P4Runtime stand-in, §V-B managed memory) -----------
     def cp_register_read(self, name: str, index: int = 0) -> int:
         base = self._base_name(name)

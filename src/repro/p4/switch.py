@@ -9,24 +9,27 @@ Conventions the handwritten baselines follow (we wrote both sides):
 
 * headers named ``ethernet``/``ipv4``/``udp``/``netcl`` plus app args;
 * UDP destination port ``NETCL_PORT`` (9000) marks NetCL traffic;
-* ingress writes ``md.fwd_kind`` (0 host, 1 device, 2 multicast, 3 drop)
-  and ``md.fwd_target``.
+* ingress writes ``md.fwd_kind`` (``FWD_*``: 0 host, 1 device,
+  2 multicast, 3 drop) and ``md.fwd_target``;
+* the parser, ingress and deparser are named :data:`NAMES`.
+
+The port and the codes are defined in :mod:`repro.runtime.constants`,
+and the generated program follows them too.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Optional
 
 from repro.p4 import ast
 from repro.p4.compiled import P4Engine
+from repro.runtime.constants import FWD_DEVICE, FWD_DROP, FWD_HOST, FWD_MCAST, NETCL_PORT
 from repro.runtime.device import ForwardDecision, ForwardKind, routed
 from repro.runtime.message import NetCLPacket
 from repro.telemetry import MetricRegistry
 
-NETCL_PORT = 9000
-
-FWD_HOST, FWD_DEVICE, FWD_MCAST, FWD_DROP = 0, 1, 2, 3
+#: (parser, ingress, deparser) of a handwritten program
+NAMES = ("IngressParser", "Ingress", "IngressDeparser")
 _FORWARDS = {
     FWD_HOST: ForwardKind.TO_HOST, FWD_DEVICE: ForwardKind.TO_DEVICE, FWD_MCAST: ForwardKind.MULTICAST
 }
@@ -71,23 +74,12 @@ class P4NetCLSwitchDevice:
     """Drop-in replacement for :class:`repro.runtime.device.NetCLDevice`
     backed by a behavioral P4 program."""
 
-    def __init__(
-        self,
-        program: ast.Program,
-        device_id: int,
-        *,
-        parser: str = "IngressParser",
-        ingress: str = "Ingress",
-        deparser: str = "IngressDeparser",
-        seed: int = 0,
-        metrics: Optional[MetricRegistry] = None,
-    ) -> None:
+    def __init__(self, program: ast.Program, device_id: int, *, seed: int = 0) -> None:
         self.program = program
         self.device_id = device_id
         self._seed = seed
         self.interp = P4Engine(program, seed=seed)
-        self.names = (parser, ingress, deparser)
-        self.metrics = metrics or MetricRegistry()
+        self.metrics = MetricRegistry()
         self._seen = self.metrics.counter("kernel.dispatches")
         self._computed = self.metrics.counter("kernel.computed")
 
@@ -116,7 +108,7 @@ class P4NetCLSwitchDevice:
     # -- packet path -----------------------------------------------------------------
     def process(self, packet: NetCLPacket) -> ForwardDecision:
         self._seen.inc()
-        md, out_bytes = run_netcl(self.interp, packet, self.names)
+        md, out_bytes = run_netcl(self.interp, packet, NAMES)
         kind = md.get("fwd_kind", FWD_DROP)
         target = md.get("fwd_target", 0)
         if kind == FWD_DROP:

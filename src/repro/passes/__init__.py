@@ -17,7 +17,7 @@ Net-function inlining and full loop unrolling happen during AST lowering
 loop-free by construction; the DAG check still guards it.
 """
 
-from repro.passes.manager import PassManager, PassOptions, PassError
+from repro.passes.manager import PassManager, PassOptions
 from repro.passes.mem2reg import mem2reg
 from repro.passes.simplify import simplify_function, fold_constants, simplify_cfg
 from repro.passes.dce import dead_code_elimination
@@ -33,7 +33,6 @@ from repro.passes.sroa import scalarize_local_arrays
 __all__ = [
     "PassManager",
     "PassOptions",
-    "PassError",
     "mem2reg",
     "simplify_function",
     "fold_constants",

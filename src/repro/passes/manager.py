@@ -30,10 +30,6 @@ from repro.passes.sroa import scalarize_local_arrays
 from repro.telemetry.profile import NULL_PROFILER, Profiler
 
 
-class PassError(Exception):
-    """A pass aborted compilation."""
-
-
 def _function_size(fn: Function) -> int:
     return sum(len(b.instructions) for b in fn.blocks)
 
@@ -65,28 +61,18 @@ class PassOptions:
         return self.target == "tna"
 
 
-@dataclass
-class PassRecord:
-    name: str
-    function: str
-    changes: int
-    seconds: float
-    #: IR instruction counts around the pass (size delta telemetry).
-    instrs_before: int = 0
-    instrs_after: int = 0
-
-
 #: passes that only *check* IR (never rewrite it); translation validation
 #: would re-execute the same behavior it just confirmed, so skip them.
 PURE_CHECK_PASSES = frozenset({"dagcheck", "memcheck"})
 
 
 class PassManager:
-    """Runs function/module passes in order, recording per-pass statistics.
+    """Runs function/module passes in order.
 
-    When given an enabled :class:`Profiler`, every pass run is also
-    published as a ``category="pass"`` span (wall time + IR size delta),
-    which is what ``ncc --profile`` renders.
+    When given an enabled :class:`Profiler`, every pass run is published
+    as a ``category="pass"`` span (wall time, changes and the IR size
+    around it), which is what ``ncc --profile`` renders; a disabled one
+    costs no clock read and no IR walk.
 
     With ``options.verify_passes`` set, the structural verifier runs
     after every transforming pass, and a :class:`PassValidator`
@@ -105,56 +91,46 @@ class PassManager:
         profiler: Optional[Profiler] = None,
     ) -> None:
         self.options = options or PassOptions()
-        self.records: list[PassRecord] = []
         self.profiler = profiler or NULL_PROFILER
         self.validator = None  # set per run_pipeline when verify_passes
 
-    def _record(self, rec: PassRecord, duration_ns: int) -> None:
-        self.records.append(rec)
+    def _run(self, name: str, where: str, pass_fn: Callable, ir, size: Callable) -> None:
+        """Run ``pass_fn(ir)``; an enabled profiler gets its span."""
+        if not self.profiler.enabled:
+            pass_fn(ir)
+            return
+        before = size(ir)
+        t0 = time.perf_counter_ns()
+        changes = pass_fn(ir) or 0
         self.profiler.record(
-            rec.name,
+            name,
             category="pass",
-            duration_ns=duration_ns,
+            duration_ns=time.perf_counter_ns() - t0,
             meta={
-                "function": rec.function,
-                "changes": rec.changes,
-                "instrs_before": rec.instrs_before,
-                "instrs_after": rec.instrs_after,
+                "function": where,
+                "changes": changes,
+                "instrs_before": before,
+                "instrs_after": size(ir),
             },
         )
 
     def run_function_pass(
         self, name: str, fn: Function, pass_fn: Callable[[Function], Optional[int]]
-    ) -> int:
-        before = _function_size(fn)
-        t0 = time.perf_counter_ns()
-        changes = pass_fn(fn) or 0
-        dt = time.perf_counter_ns() - t0
-        self._record(
-            PassRecord(name, fn.name, changes, dt / 1e9, before, _function_size(fn)), dt
-        )
+    ) -> None:
+        self._run(name, fn.name, pass_fn, fn, _function_size)
         if self.validator is not None and name not in PURE_CHECK_PASSES:
             verify_function(fn)
             self.validator.check(name, fn)
-        return changes
 
     def run_module_pass(
         self, name: str, module: Module, pass_fn: Callable[[Module], Optional[int]]
-    ) -> int:
-        before = _module_size(module)
-        t0 = time.perf_counter_ns()
-        changes = pass_fn(module) or 0
-        dt = time.perf_counter_ns() - t0
-        self._record(
-            PassRecord(name, "<module>", changes, dt / 1e9, before, _module_size(module)),
-            dt,
-        )
+    ) -> None:
+        self._run(name, "<module>", pass_fn, module, _module_size)
         if self.validator is not None:
             # A module pass may rewrite any kernel: re-check all of them.
             for fn in module.kernels():
                 verify_function(fn)
             self.validator.check_all(name, module.kernels())
-        return changes
 
     # -- the default pipeline ------------------------------------------------
     def run_pipeline(self, module: Module, device_id: Optional[int] = None) -> None:
@@ -186,7 +162,7 @@ class PassManager:
                 self.run_function_pass("simplify-postsel", fn, simplify_function)
             self.run_function_pass("dce", fn, dead_code_elimination)
             self.run_function_pass("simplify2", fn, simplify_function)
-            self.run_function_pass("dagcheck", fn, lambda f: (check_dag(f), 0)[1])
+            self.run_function_pass("dagcheck", fn, check_dag)
 
         if opts.is_tofino:
             self._run_tofino_stage(module, kernels)
@@ -215,18 +191,11 @@ class PassManager:
                 self.run_function_pass(
                     "intrinsics",
                     fn,
-                    lambda f: convert_intrinsic_patterns(
-                        f, hash_bitcasts=opts.hash_bitcasts
-                    ),
+                    lambda f: convert_intrinsic_patterns(f, hash_bitcasts=opts.hash_bitcasts),
                 )
             self.run_function_pass("dce2", fn, dead_code_elimination)
             self.run_function_pass(
                 "memcheck",
                 fn,
-                lambda f: (
-                    check_memory_constraints(
-                        f, distance_threshold=opts.distance_threshold
-                    ),
-                    0,
-                )[1],
+                lambda f: check_memory_constraints(f, distance_threshold=opts.distance_threshold),
             )

@@ -19,6 +19,10 @@ The values are protocol-coupled, not independent tunables:
   scatter-gather stream) sizes its version-alternating state against;
 * ``DEFAULT_SLOT_TIMEOUT_NS`` is the base per-slot retransmission timer
   matched to the simulated fabric's RTT under loss.
+
+It also holds the switch convention a P4 program follows, generated
+(:mod:`repro.backends.p4tree`) or handwritten (:mod:`repro.p4.switch`
+runs both): the UDP port of NetCL traffic and the ``md.fwd_kind`` codes.
 """
 
 from __future__ import annotations
@@ -37,3 +41,10 @@ NUM_SLOTS = 256
 
 #: Base per-slot retransmission timeout for windowed streams.
 DEFAULT_SLOT_TIMEOUT_NS = 400_000
+
+#: UDP destination port that marks NetCL traffic in a P4 program's parser
+NETCL_PORT = 9000
+
+#: ``md.fwd_kind`` codes a P4 program's ingress leaves: to a host, to a
+#: device, to a multicast group, or drop
+FWD_HOST, FWD_DEVICE, FWD_MCAST, FWD_DROP = 0, 1, 2, 3

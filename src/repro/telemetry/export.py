@@ -10,9 +10,9 @@ from typing import Union
 from repro.telemetry.profile import Profiler
 
 
-def render_profile_text(profiler: Profiler, *, title: str = "compile profile") -> str:
+def render_profile_text(profiler: Profiler) -> str:
     """Phase table + per-pass breakdown, aligned for terminal output."""
-    lines = [f"-- {title} " + "-" * max(0, 58 - len(title))]
+    lines = ["-- compile profile -------------------------------------------"]
     phases = profiler.phases()
     total = sum(s.seconds for s in phases if s.parent is None) or 1e-12
     lines.append(f"  {'phase':<12} {'ms':>10} {'%':>7}")

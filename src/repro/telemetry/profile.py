@@ -6,7 +6,8 @@ Two entry points:
   profiler itself (phases of the ``ncc`` driver).
 * ``profiler.record("dce", duration_ns=..., meta=...)`` — a completed
   measurement handed in by code that already timed itself (the pass
-  manager, which must keep its own :class:`PassRecord` timing).
+  manager, which times a pass and sizes the IR around it only when the
+  profiler is enabled).
 
 Spans nest: a span opened while another is active becomes its child, so
 per-pass spans recorded during the "passes" phase roll up under it.

@@ -1,25 +1,16 @@
-"""Backends: the P4 tree and its text, the resources read from it, codegen results."""
+"""Code generation: the P4 tree and its text, the resources read from it,
+as a compiled program holds them."""
 
 import pytest
 
-from repro.backends import TnaBackend, V1ModelBackend
 from repro.core import compile_netcl
-from repro.lang import analyze, lower_to_ir, parse_source
-from repro.passes import PassManager, PassOptions
 from tests.conftest import FIG4_CACHE, MINI_KERNEL
-
-
-def _prepared(src, target="tna", device=1):
-    mod = lower_to_ir(analyze(parse_source(src)))
-    PassManager(PassOptions(target=target)).run_pipeline(mod, device)
-    return mod
 
 
 class TestP4Text:
     @pytest.fixture(scope="class")
     def tna_source(self):
-        mod = _prepared(FIG4_CACHE)
-        return TnaBackend().compile(mod, 1, fit=False).p4_source
+        return compile_netcl(FIG4_CACHE, 1, fit=False).p4_source
 
     def test_includes_and_dialect(self, tna_source):
         assert '#include <tna.p4>' in tna_source
@@ -56,8 +47,7 @@ class TestP4Text:
         assert "hdr.netcl.act = code;" in tna_source and "ncl_exit(8w6," in tna_source
 
     def test_v1model_dialect(self):
-        mod = _prepared(FIG4_CACHE, target="v1model")
-        src = V1ModelBackend().compile(mod, 1, fit=False).p4_source
+        src = compile_netcl(FIG4_CACHE, 1, target="v1model", fit=False).p4_source
         assert '#include <v1model.p4>' in src
         assert "register<bit<32>>" in src
         assert ".read(" in src and ".write(" in src
@@ -67,36 +57,29 @@ class TestP4Text:
 
 class TestPipelineSpecLowering:
     def test_kernel_tables_present(self):
-        mod = _prepared(FIG4_CACHE)
-        result = TnaBackend().compile(mod, 1, fit=False)
+        result = compile_netcl(FIG4_CACHE, 1, fit=False)
         names = [t.name for t in result.spec.tables]
         assert any("mat_cache" in n for n in names)
         assert any("reg_cms" in n for n in names)
         # base program
         assert "NetCLIngress_ncl_dispatch" in names and "NetCLIngress_smac" in names
 
-    def test_base_program_optional(self):
-        mod = _prepared(FIG4_CACHE)
-        bare = TnaBackend().compile(mod, 1, fit=False, include_base_program=False)
-        names = {t.name for t in bare.spec.tables}
-        assert "NetCLIngress_smac" not in names and "NetCLIngress_ncl_dispatch" in names
-
     def test_kernel_stats_collected(self, fig4_compiled):
-        stats = fig4_compiled.codegen.kernel_stats
+        stats = fig4_compiled.kernel_stats
         assert "query" in stats
         s = stats["query"]
         assert s.header_bits == 8 + 32 + 32 + 8 + 32
-        tables = [t for t in fig4_compiled.codegen.spec.tables if t.origin == "query"]
+        tables = [t for t in fig4_compiled.spec.tables if t.origin == "query"]
         assert any(t.is_gateway for t in tables) and any("_act_" in t.name for t in tables)
 
     def test_header_fields_include_netcl_shim(self, fig4_compiled):
         from repro.p4 import parse_p4
 
-        program = parse_p4(fig4_compiled.codegen.p4_source)
+        program = parse_p4(fig4_compiled.p4_source)
         shim = program.headers["netcl_t"]
         assert [ty.width for ty, _ in shim.fields] == [16, 16, 16, 16, 8, 8, 16]
         # the shim is carried on the PHV
-        assert shim.bit_width in fig4_compiled.codegen.spec.header_fields
+        assert shim.bit_width in fig4_compiled.spec.header_fields
 
 
 class TestDriver:
@@ -131,7 +114,7 @@ class TestDriver:
             "}\n"
         )
         cp = compile_netcl(src, 1)
-        index_tables = [t for t in cp.codegen.spec.tables if "_idx_" in t.name]
+        index_tables = [t for t in cp.spec.tables if "_idx_" in t.name]
         assert len(index_tables) == 1
         assert index_tables[0].entries == 4 and cp.report is not None
 

@@ -38,7 +38,7 @@ def test_a_collective_standby_runs_its_primarys_program():
     for rack in range(4):
         primary = cluster.compiled[leaf_device(rack)]
         standby = cluster.compiled[standby_device(rack)]
-        assert standby.module is primary.module and standby.codegen is primary.codegen
+        assert standby.module is primary.module and standby.spec is primary.spec
         assert cluster.standbys[rack].module is cluster.leaves[rack].module
         assert cluster.standbys[rack].module.compiled_for == leaf_device(rack)
     assert len({id(cp.module) for cp in cluster.compiled.values()}) == 5

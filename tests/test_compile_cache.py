@@ -33,7 +33,6 @@ from repro.runtime.message import NO_DEVICE, NetCLPacket
 from repro.service import INCService
 from repro.telemetry import Profiler, render_profile_text
 from repro.tofino.allocator import FitError
-from repro.tofino.chip import TOFINO_1
 
 from tests.conftest import MINI_KERNEL
 
@@ -83,7 +82,7 @@ class TestHit:
         assert again.timings == driver.CompileTimings()
         assert again is not first
         assert again.module is first.module
-        assert again.codegen is first.codegen
+        assert again.spec is first.spec and again.kernel_stats is first.kernel_stats
         assert again.p4_source == first.p4_source
         assert again.report is first.report
         assert _specs(again) == _specs(first)
@@ -117,10 +116,8 @@ BASE = dict(
     device_id=1,
     target="tna",
     options=None,
-    chip=None,
     defines={"SPARE": 1},
     fit=True,
-    include_base_program=True,
     program_name="mini",
 )
 
@@ -136,12 +133,10 @@ KEY_VARIANTS = {
     "source by one comment byte": dict(source=MINI_KERNEL + "//"),
     "device_id": dict(device_id=2),
     "target": dict(target="v1model"),
-    "chip": dict(chip=dataclasses.replace(TOFINO_1, stages=11)),
     "one more define": dict(defines={"SPARE": 1, "OTHER": 1}),
     "define value": dict(defines={"SPARE": 2}),
     "1 vs True define": dict(defines={"SPARE": True}),
     "fit": dict(fit=False),
-    "include_base_program": dict(include_base_program=False),
     "program_name": dict(program_name="mini2"),
     **{
         f"options.{f.name}": dict(options=_flipped(f))
@@ -441,6 +436,6 @@ class TestFrozenAfterReturn:
         assert info.evictions == 0 and info.size == len(as_compiled) == info.misses
         assert info.hits >= info.misses  # the second run compiled nothing
         for key, entry in driver._CACHE.entries.items():
-            assert fingerprint(entry) == as_compiled[key], entry.codegen.kernels
+            assert fingerprint(entry) == as_compiled[key], entry.kernels()
             for (fn, _), code in entry.module.kernel_code.items():
                 assert code is not None, fn.name  # engine.interpreted stays 0

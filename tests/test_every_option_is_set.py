@@ -1,16 +1,17 @@
-"""Keep unset options from growing back: a deployment option exists only
-while something sets it.
+"""Keep unset options from growing back: an option exists only while
+something sets it.
 
-For every public function and class (its ``__init__``) defined in
-:mod:`repro.apps`, :mod:`repro.collective`, :mod:`repro.rpc`,
-:mod:`repro.chaos`, :mod:`repro.service` and :mod:`repro.deploy`, each
-keyword-only parameter with a default must be passed by keyword in some
-call outside its own ``def``, anywhere in ``src``, ``bench``,
-``benchmarks``, ``examples``, ``tools`` or ``tests``.  A call names the
-function (``f(...)`` or ``x.f(...)``), or is a subclass's
+For every public function and class (its ``__init__``) defined in the
+packages of :data:`PACKAGES` (the applications, the scenario packages,
+the compiler, the P4 and simulated runtimes, reliability, telemetry and
+analysis), each keyword-only parameter with a default must be passed by
+keyword in some call outside its own ``def``, anywhere in ``src``,
+``bench``, ``benchmarks``, ``examples``, ``tools`` or ``tests``.  A call
+names the function (``f(...)`` or ``x.f(...)``), or is a subclass's
 ``super().__init__(...)``.  A value nothing passes is a constant: write
 it as one.  The options set only through a dict of runners are listed in
-:data:`DISPATCHED` with the call that sets them.
+:data:`DISPATCHED` with the call that sets them, and the deployment
+settings no shipped run sets in :data:`DEPLOYMENT` with why they stay.
 """
 
 from __future__ import annotations
@@ -19,13 +20,23 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGES = ("apps", "collective", "rpc", "chaos", "service", "deploy")
+PACKAGES = (
+    "apps", "collective", "rpc", "chaos", "service", "deploy",
+    "core", "backends", "p4", "runtime", "netsim", "reliability", "telemetry", "analysis",
+)
 CALLERS = ("src", "bench", "benchmarks", "examples", "tools", "tests")
 
 #: (function, option) -> (file, dict): set only by ``dict[...](..., option=...)``
 DISPATCHED = {
     ("run_cache_chaos", "plan"): ("src/repro/chaos/cli.py", "SCENARIOS"),
     ("run_agg_chaos", "plan"): ("src/repro/chaos/cli.py", "SCENARIOS"),
+}
+
+#: (function, option) -> why it stays an option that nothing here sets
+DEPLOYMENT = {
+    (name, option): "the address a real deployment binds its UDP socket to"
+    for name in ("UdpSwitch", "UdpHost")
+    for option in ("bind", "port")
 }
 
 
@@ -85,7 +96,7 @@ def test_every_keyword_option_is_set_somewhere():
     calls, _ = _keyword_calls()
     unset = []
     for name, option, fn, where in _options():
-        if (name, option) in DISPATCHED:
+        if (name, option) in DISPATCHED or (name, option) in DEPLOYMENT:
             continue
         if not any(fn not in defs for defs in calls.get((name, option), ())):
             unset.append(f"{where} {name}({option}=...)")
@@ -100,3 +111,8 @@ def test_the_dispatched_options_are_set_by_their_dispatch():
         assert (path, table, option) in dispatched, (
             f"{path} no longer sets {option}= through {table}[...](...)"
         )
+
+
+def test_the_deployment_settings_still_exist():
+    options = {(name, option) for name, option, *_ in _options()}
+    assert set(DEPLOYMENT) <= options, set(DEPLOYMENT) - options

@@ -20,9 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.apps import p4_source
-from repro.backends import TnaBackend
 from repro.core import compile_netcl
-from repro.ir.module import Module
 from repro.p4 import parse_p4, p4_to_pipeline_spec
 from repro.p4.resources import p4_local_bits
 from repro.tofino.report import build_report
@@ -71,16 +69,16 @@ def test_a_compiled_program_reports_what_it_did(entry):
         defines=dict(entry["defines"]),
         program_name=entry["program_name"],
     )
-    assert _facts(cp.report, cp.codegen.spec) == _expected(entry)
+    assert _facts(cp.report, cp.spec) == _expected(entry)
     kernels = {
         name: {"ir_alloca_bits": a, "p4_local_bits": b, "header_bits": c}
-        for name, (a, b, c) in cp.codegen.kernel_stats.items()
+        for name, (a, b, c) in cp.kernel_stats.items()
     }
     assert kernels == entry["kernels"]
 
 
 def test_the_empty_program_is_the_empty_column():
-    empty = TnaBackend().compile(Module("empty"), None)
+    empty = compile_netcl("", None)
     assert _facts(empty.report, empty.spec) == GOLDEN["empty"]
 
 

@@ -86,23 +86,20 @@ class TestBuilderCoercions:
 
 class TestBaseProgramSpec:
     def test_runtime_tables_present(self):
-        from repro.backends import TnaBackend
-        from repro.ir.module import Module
+        from repro.core import compile_netcl
 
         # the EMPTY column: the generated program with no kernel
-        empty = TnaBackend().compile(Module("empty"), None, fit=False)
+        empty = compile_netcl("", None, fit=False)
         names = {t.name for t in empty.spec.tables}
         runtime = {"NetCLIngress_ncl_dispatch", "NetCLIngress_ncl_forward"}
         assert runtime <= names
         assert names >= runtime | {"NetCLIngress_smac", "NetCLIngress_dmac"}
 
     def test_shim_header_is_12_bytes(self):
-        from repro.backends import TnaBackend
-        from repro.ir.module import Module
-
+        from repro.core import compile_netcl
         from repro.p4 import parse_p4
 
-        empty = TnaBackend().compile(Module("empty"), None, fit=False)
+        empty = compile_netcl("", None, fit=False)
         shim = parse_p4(empty.p4_source).headers["netcl_t"]
         assert shim.bit_width == 96  # 4x u16 + comp + act + len
         from repro.runtime.message import HEADER_SIZE

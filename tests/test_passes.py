@@ -552,10 +552,14 @@ class TestFullPipeline:
         assert out.kind == ActionKind.REFLECT and msg.fields["v"] == 42
 
     def test_pipeline_records_pass_stats(self, fig4_module):
-        pm = PassManager(PassOptions())
-        pm.run_pipeline(fig4_module)
-        names = {r.name for r in pm.records}
+        from repro.telemetry import Profiler
+
+        prof = Profiler()
+        PassManager(PassOptions(), profiler=prof).run_pipeline(fig4_module)
+        names = {sp.name for sp in prof.passes()}
         assert {"mem2reg", "simplify", "dce", "memcheck"} <= names
+        for sp in prof.passes():
+            assert set(sp.meta) == {"function", "changes", "instrs_before", "instrs_after"}
 
 
 class TestDagCheckDeep:

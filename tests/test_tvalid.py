@@ -104,7 +104,7 @@ class TestCleanPipeline:
         mod = _lower(ARITH)
         pm = PassManager(PassOptions(verify_passes=True))
         pm.run_pipeline(mod)
-        names = {p for p, _, _ in pm.validator.checks}
+        names = {p for p, *_ in pm.validator.checks}
         assert "dagcheck" not in names and "memcheck" not in names
 
     def test_rand_kernel_skipped_not_failed(self):
@@ -195,8 +195,8 @@ class TestMutationDetection:
         ref_mod = _lower(src)
         fn = ref_mod.kernels()[0]
         vectors = generate_vectors(fn)
-        ref = capture_behavior(ref_mod, fn, vectors)
-        assert ref.trap_index is not None, "expected a b==0 vector to trap"
+        ref = capture_behavior(ref_mod, fn, vectors, ())
+        assert ref.traps, "expected a b==0 vector to trap"
 
         mod = _lower(src)
         pm = PassManager(PassOptions(verify_passes=True))
@@ -213,7 +213,7 @@ class TestPyexecStep:
             mod = _lower(BRANCHY)
             pm = PassManager(PassOptions(target=target, verify_passes=True))
             pm.run_pipeline(mod)
-            names = [p for p, _, _ in pm.validator.checks]
+            names = [p for p, *_ in pm.validator.checks]
             assert names[-2:] == ["phi-elim", "pyexec"]
             assert pm.validator.pyexec_interpreted == []
             assert pm.validator.report()["pyexec_interpreted"] == []
@@ -242,7 +242,7 @@ class TestPyexecStep:
         )
         pm = PassManager(PassOptions(verify_passes=True))
         pm.run_pipeline(_lower(src))
-        assert ("pyexec", "k") in {(p, f) for p, f, _ in pm.validator.checks}
+        assert ("pyexec", "k") in {(p, f) for p, f, *_ in pm.validator.checks}
 
         # An engine that divides by zero without trapping is caught.
         monkeypatch.setattr(
@@ -257,7 +257,7 @@ class TestPyexecStep:
         pm = PassManager(PassOptions(verify_passes=True))
         pm.run_pipeline(_lower(src))
         assert pm.validator.report()["skipped"]  # per-pass validation skips it
-        assert [p for p, _, _ in pm.validator.checks] == ["pyexec"]
+        assert [p for p, *_ in pm.validator.checks] == ["pyexec"]
 
     def test_engine_fallback_is_reported_not_hidden(self, monkeypatch):
         from repro.ir import compiled
@@ -300,7 +300,7 @@ class TestPassValidator:
         for fn in mod.kernels():
             v.prepare(fn)
         v.check_all("partition-memory", mod.kernels())
-        assert {f for _, f, _ in v.checks} == {"f", "g"}
+        assert {f for _, f, *_ in v.checks} == {"f", "g"}
 
 
 # -- PassManager / CLI integration --------------------------------------------------------
@@ -411,3 +411,62 @@ class TestP4Exec:
         runs = [c for c in report["checks"] if c["pass"] == "p4exec"]
         assert runs and all(c["vectors_compared"] > 0 for c in runs)
         assert report["p4exec_interpreted"] == []
+
+
+class TestTrapsAreCompared:
+    """A vector the interpreter traps on is a compared trap, and the next
+    vector runs from the memory before it, so one trap does not end the
+    comparison of a kernel.  ``vectors_compared`` counts only the vectors
+    the reference ran (for ``p4exec``: the vectors sent to the P4
+    program); ``vectors_trapped`` counts the rest."""
+
+    @pytest.mark.parametrize("target", ["tna", "v1model"])
+    @pytest.mark.parametrize("app", ["agg", "collective"])
+    def test_every_step_compares_at_least_20_vectors(self, app, target):
+        from repro.apps import netcl_source
+        from repro.core.driver import verify_source
+
+        entries, failure = verify_source(netcl_source(app), target=target, program_name=app)
+        assert failure is None
+        checks = [(e["device"], c) for e in entries for c in e["checks"]]
+        steps = {c["pass"] for _, c in checks}
+        assert {"sroa", "mem2reg", "simplify", "if-convert", "pyexec", "p4exec"} <= steps
+        few = [(dev, c) for dev, c in checks if c["vectors_compared"] < 20]
+        assert not few, few
+        # every kernel traps on some vector, and the comparison goes on past it
+        assert all(c["vectors_trapped"] > 0 for _, c in checks)
+        # a vector is either compared or trapped, never both
+        sizes = {(e["device"], k): n for e in entries for k, n in e["vectors"].items()}
+        split = [
+            (dev, c) for dev, c in checks
+            if c["vectors_compared"] + c["vectors_trapped"] != sizes[dev, c["function"]]
+        ]
+        assert not split, split
+
+    @pytest.mark.parametrize("app", ["agg", "collective"])
+    def test_at_least_20_vectors_run_after_the_first_trap(self, app):
+        from repro.analysis.tvalid import generate_vectors
+        from repro.apps import netcl_source
+        from repro.core.driver import lower_source
+
+        mod = lower_source(netcl_source(app), program_name=app)
+        for fn in mod.kernels():
+            cap = capture_behavior(mod, fn, generate_vectors(fn), ())
+            ran_after = [run for run in cap.runs[cap.traps[0] + 1:] if run is not None]
+            assert len(ran_after) >= 20, (fn.name, cap.traps)
+
+    def test_a_trap_leaves_no_effect_and_the_next_vector_runs(self):
+        src = (
+            "_net_ unsigned g[4];\n"
+            "_kernel(1) void k(unsigned a, unsigned b, unsigned &r) {\n"
+            "  ncl::atomic_add(&g[a & 3], 1);\n"
+            "  r = a / b;\n"
+            "}\n"
+        )
+        mod = _lower(src)
+        fn = mod.kernels()[0]
+        vectors = [{"a": 1, "b": 1, "r": 0}, {"a": 1, "b": 0, "r": 0}, {"a": 1, "b": 1, "r": 0}]
+        cap = capture_behavior(mod, fn, vectors, ())
+        assert cap.traps == [1]
+        # the trapping vector's increment is undone: after the third, g[1] is 2, not 3
+        assert cap.runs[2][3]["registers"]["g"] == [0, 2, 0, 0]
