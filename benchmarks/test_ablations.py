@@ -13,13 +13,12 @@ import pytest
 
 from benchmarks.conftest import print_table
 from repro.apps import compile_app, netcl_source
-from repro.core import compile_cache_clear, compile_netcl
+from repro.core import compile_netcl
 from repro.passes.manager import PassOptions
 from repro.tofino.allocator import FitError
 
 
 def fit_with(app: str, dev: int, **flags):
-    compile_cache_clear()  # timed by pytest-benchmark: a cold compile per call
     opts = PassOptions(target="tna", **flags)
     try:
         cp = compile_app(app, dev, options=opts)
@@ -28,10 +27,12 @@ def fit_with(app: str, dev: int, **flags):
         return None
 
 
-def test_ablation_speculation(benchmark):
+def test_ablation_speculation(fact):
     """Speculation shortens dependency chains at the cost of PHV."""
-    on = benchmark(lambda: fit_with("cache", 1, speculation=True))
+    on = fit_with("cache", 1, speculation=True)
     off = fit_with("cache", 1, speculation=False)
+    fact("stages_on", on.stages_used)
+    fact("stages_off", off.stages_used if off else 0)  # 0: does not fit
     rows = [
         ["speculation on", on.stages_used, f"{on.phv_occupancy_pct:.1f}%"],
         ["speculation off",
@@ -44,11 +45,13 @@ def test_ablation_speculation(benchmark):
         assert on.stages_used <= off.stages_used
 
 
-def test_ablation_if_conversion():
+def test_ablation_if_conversion(fact):
     """If-conversion collapses the CMS min chain (the paper's +3-stage
     culprit in generated CACHE)."""
     on = fit_with("cache", 1, if_conversion=True)
     off = fit_with("cache", 1, if_conversion=False)
+    fact("stages_on", on.stages_used)
+    fact("stages_off", off.stages_used if off else 0)  # 0: does not fit
     rows = [
         ["if-conversion on", on.stages_used],
         ["if-conversion off", off.stages_used if off else "DOES NOT FIT"],
@@ -59,7 +62,7 @@ def test_ablation_if_conversion():
         assert on.stages_used <= off.stages_used
 
 
-def test_ablation_lookup_duplication():
+def test_ablation_lookup_duplication(fact):
     """Duplication trades SRAM for stage freedom on static lookup memory."""
     src = (
         "_net_ _lookup_ ncl::kv<unsigned,unsigned> t[64] = {{1,10},{2,20}};\n"
@@ -70,6 +73,8 @@ def test_ablation_lookup_duplication():
     on = compile_netcl(src, 1, options=PassOptions(lookup_duplication=True))
     off = compile_netcl(src, 1, options=PassOptions(lookup_duplication=False))
     dup_tables = [g for g in on.module.globals if ".dup" in g]
+    fact("stages_on", on.report.stages_used)
+    fact("stages_off", off.report.stages_used)
     rows = [
         ["duplication on", on.report.stages_used, f"{on.report.sram_pct:.2f}%", len(dup_tables)],
         ["duplication off", off.report.stages_used, f"{off.report.sram_pct:.2f}%", 0],
@@ -81,7 +86,7 @@ def test_ablation_lookup_duplication():
     assert on.report.sram_pct >= off.report.sram_pct
 
 
-def test_ablation_intrinsic_conversion():
+def test_ablation_intrinsic_conversion(fact):
     """icmp -> sub+MSB conversion changes instruction mix, not behavior."""
     from repro.ir import GlobalState, IRInterpreter, KernelMessage
 
@@ -93,6 +98,7 @@ def test_ablation_intrinsic_conversion():
         msg = KernelMessage({"a": 7, "b": 3, "r": 0})
         IRInterpreter(cp.module, GlobalState()).run_kernel(fn, msg)
         results[flag] = (msg.fields["r"], cp.report.stages_used)
+        fact(f"stages_{'on' if flag else 'off'}", cp.report.stages_used)
     rows = [[f"conversion {k}", v[0], v[1]] for k, v in results.items()]
     print_table("Ablation: intrinsic conversion", ["config", "min(7,3)", "stages"], rows)
     assert results[True][0] == results[False][0] == 3

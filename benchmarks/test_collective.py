@@ -3,7 +3,7 @@
 Goodput = reduced tensor elements per second per worker, measured from
 the slowest rank's finish time on a lossless fabric (loss sweeps live in
 the chaos scenario; this series isolates protocol efficiency).  Three
-sweeps land in ``BENCH_collective.json``:
+sweeps are pinned in ``BENCH_paper.json``:
 
 * workers per rack at 2 racks (4 and 8 workers total),
 * rack count at 2 workers each (flat vs deeper trees),
@@ -33,23 +33,28 @@ def _tensors(num_workers: int, seed: int = 3) -> list[list[float]]:
     ]
 
 
-def run_tree(num_racks: int, workers_per_rack: int, window: int = 8):
-    """Returns (goodput Melem/s/worker, finished_at_ns, link_bytes)."""
+def run_tree(num_racks: int, workers_per_rack: int, window: int = 8) -> tuple[int, int]:
+    """Returns (the slowest rank's finished_at_ns, link_bytes)."""
     cluster = build_collective_cluster(num_racks, workers_per_rack, window=window)
     n = num_racks * workers_per_rack
     cluster.submit("allreduce", _tensors(n))
     cluster.run(until_ms=2000, require_done=True)
-    finish = max(w.finished_at_ns for w in cluster.workers)
-    goodput = ELEMENTS / (finish / 1e9) / 1e6
-    return goodput, finish, cluster.link_bytes()
+    return max(w.finished_at_ns for w in cluster.workers), cluster.link_bytes()
 
 
-def test_goodput_vs_workers(bench_metrics):
+def goodput(fact, tag: str, finish_ns: int) -> float:
+    """Pins the finish time and the goodput (M elements/s/worker) it gives."""
+    melems = ELEMENTS * 1000 / finish_ns
+    fact(f"finish_ns_{tag}", finish_ns)
+    fact(f"goodput_melems_{tag}", round(melems, 3))
+    return melems
+
+
+def test_goodput_vs_workers(fact):
     rows = []
     for wpr in (2, 3, 4):
-        goodput, _, _ = run_tree(2, wpr)
-        bench_metrics(f"goodput_melems_2r_{2 * wpr}w", round(goodput, 3))
-        rows.append([2 * wpr, f"{goodput:.2f}"])
+        melems = goodput(fact, f"2r_{2 * wpr}w", run_tree(2, wpr)[0])
+        rows.append([2 * wpr, f"{melems:.2f}"])
     print_table(
         "Collective goodput vs workers (2 racks, M elements/s/worker)",
         ["workers", "goodput"], rows,
@@ -60,12 +65,11 @@ def test_goodput_vs_workers(bench_metrics):
     assert float(rows[-1][1]) > 0.7 * base, rows
 
 
-def test_goodput_vs_racks(bench_metrics):
+def test_goodput_vs_racks(fact):
     rows = []
     for racks in (2, 3, 4):
-        goodput, _, _ = run_tree(racks, 2)
-        bench_metrics(f"goodput_melems_{racks}r_2wpr", round(goodput, 3))
-        rows.append([racks, f"{goodput:.2f}"])
+        melems = goodput(fact, f"{racks}r_2wpr", run_tree(racks, 2)[0])
+        rows.append([racks, f"{melems:.2f}"])
     print_table(
         "Collective goodput vs racks (2 workers/rack, M elements/s/worker)",
         ["racks", "goodput"], rows,
@@ -75,14 +79,12 @@ def test_goodput_vs_racks(bench_metrics):
     assert float(rows[-1][1]) > 0.5 * float(rows[0][1]), rows
 
 
-def test_goodput_vs_window(bench_metrics):
+def test_goodput_vs_window(fact):
     rows = []
     series = {}
     for window in (2, 8, 32):
-        goodput, _, _ = run_tree(2, 2, window=window)
-        series[window] = goodput
-        bench_metrics(f"goodput_melems_window{window}", round(goodput, 3))
-        rows.append([window, f"{goodput:.2f}"])
+        series[window] = goodput(fact, f"window{window}", run_tree(2, 2, window=window)[0])
+        rows.append([window, f"{series[window]:.2f}"])
     print_table(
         "Collective goodput vs window (2x2, M elements/s/worker)",
         ["window", "goodput"], rows,
@@ -91,20 +93,22 @@ def test_goodput_vs_window(bench_metrics):
     assert series[32] > series[2], series
 
 
-def test_innetwork_vs_host_ring_speedup(bench_metrics):
+def test_innetwork_vs_host_ring_speedup(fact):
     """The flagship comparison: 2 racks x 4 workers, in-network tree vs
     host ring over its reliable transport, identical tensors."""
     tensors = _tensors(8)
     # Wide window: the tree is latency-bound below ~32 in-flight slots
     # (see the window sweep), the ring pipelines its whole shard anyway.
-    _, tree_ns, tree_bytes = run_tree(2, 4, window=32)
+    tree_ns, tree_bytes = run_tree(2, 4, window=32)
     ring = run_host_ring(2, 4, tensors)
     speedup_time = ring.finished_at_ns / tree_ns
     speedup_bytes = ring.link_bytes / tree_bytes
-    bench_metrics("speedup_time", round(speedup_time, 2))
-    bench_metrics("speedup_bytes", round(speedup_bytes, 2))
-    bench_metrics("tree_link_bytes", tree_bytes)
-    bench_metrics("ring_link_bytes", ring.link_bytes)
+    fact("tree_finish_ns", tree_ns)
+    fact("ring_finish_ns", ring.finished_at_ns)
+    fact("speedup_time", round(speedup_time, 2))
+    fact("speedup_bytes", round(speedup_bytes, 2))
+    fact("tree_link_bytes", tree_bytes)
+    fact("ring_link_bytes", ring.link_bytes)
     print_table(
         "In-network tree vs host ring (2 racks x 4 workers)",
         ["metric", "tree", "ring", "speedup"],

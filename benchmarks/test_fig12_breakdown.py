@@ -25,26 +25,32 @@ def breakdown():
     return per_app, total
 
 
-def test_fig12_breakdown(benchmark):
-    per_app, total = benchmark(breakdown)
+def test_fig12_breakdown(fact):
+    per_app, total = breakdown()
     cats = [c for c in LineCategory]
     rows = []
     for name, counts in per_app.items():
+        for c in cats:
+            fact(f"{name}.{c.value}", counts.get(c, 0))
         n = sum(counts.values())
         rows.append([name] + [f"{100*counts.get(c,0)/n:.0f}%" for c in cats])
     print_table("Fig. 12: P4 construct breakdown", ["app"] + [c.value for c in cats], rows)
 
     frac = breakdown_fractions(total)
+    frac["headers_parser"] = frac["headers"] + frac["parser"]
+    for share in ("headers_parser", "register", "control", "tables", "deparser",
+                  "packet_processing"):
+        fact(f"aggregate_pct_{share}", round(100 * frac[share], 1))
     print(
         f"  aggregate: packet-processing {100*frac['packet_processing']:.1f}% "
         f"(paper >65% incl. plumbing), headers+parser "
-        f"{100*(frac['headers']+frac['parser']):.1f}% (paper ~30%), "
+        f"{100*frac['headers_parser']:.1f}% (paper ~30%), "
         f"register externs {100*frac['register']:.1f}% (paper ~13%), "
         f"apply control logic {100*frac['control']:.1f}% (paper ~10%)"
     )
 
     # Headers + parsing form a major share (paper: ~30%).
-    assert frac["headers"] + frac["parser"] > 0.18
+    assert frac["headers_parser"] > 0.18
     # Non-compute plumbing (packet processing + other) is about half or more.
     assert frac["packet_processing"] + frac["other"] > 0.40
     # Imperative apply logic is a small minority (paper ~10%).

@@ -7,8 +7,6 @@ below 1 microsecond; CACHE shows no meaningful difference.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import print_table
 from repro.apps import compile_app, p4_source
 from repro.p4 import parse_p4, p4_to_pipeline_spec
@@ -21,8 +19,7 @@ PAIRS = [("agg", 1, "agg", "AGG"), ("cache", 1, "cache", "CACHE"),
          ("paxos", 1, "paxos_leader", "PLDR"), ("calc", 1, "calc", "CALC")]
 
 
-@pytest.fixture(scope="module")
-def latencies():
+def measure_latencies():
     out = []
     for app, dev, p4name, label in PAIRS:
         gen_ns = compile_app(app, dev).report.latency.total_ns
@@ -35,8 +32,11 @@ def latencies():
     return out
 
 
-def test_fig13_device_latency(benchmark, latencies):
-    benchmark(lambda: latencies)
+def test_fig13_device_latency(fact):
+    latencies = measure_latencies()
+    for label, gen_ns, hand_ns in latencies:
+        fact(f"netcl_ns_{label}", round(gen_ns, 1))
+        fact(f"p4_ns_{label}", round(hand_ns, 1))
     print_table(
         "Fig. 13: worst-case per-packet latency (ns, no egress bypass)",
         ["program", "NetCL", "handwritten P4", "ratio"],
@@ -47,7 +47,7 @@ def test_fig13_device_latency(benchmark, latencies):
         # Everything stays well below 1 us.
         assert gen_ns < 1000 and hand_ns < 1000, label
         ratios.append(gen_ns / hand_ns)
-    avg_overhead = sum(ratios) / len(ratios) - 1.0
+    avg_overhead = sum(ratios) / len(ratios) - 1.0  # a float sum: printed, not pinned
     print(f"  average NetCL latency overhead: {100*avg_overhead:+.1f}% (paper: within 9%)")
     # Paper: within ~9% on average; give the simulated substrate 2x slack.
     assert abs(avg_overhead) < 0.20

@@ -8,8 +8,6 @@ line rate).
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import print_table
 from repro.apps.agg import build_agg_cluster, expected_sum
 from repro.chaos import LinkFaults, apply_faults
@@ -18,8 +16,8 @@ TENSOR = 2048  # elements per worker per run
 WORKER_COUNTS = (2, 4, 6)
 
 
-def run_one(num_workers: int, backend: str) -> float:
-    """Returns aggregated tensor elements / second / worker (millions)."""
+def run_one(num_workers: int, backend: str) -> int:
+    """Returns the slowest worker's finish time (ns)."""
     cluster = build_agg_cluster(
         num_workers=num_workers,
         tensor_elements=TENSOR,
@@ -30,24 +28,18 @@ def run_one(num_workers: int, backend: str) -> float:
     exp = expected_sum(cluster)
     for w in cluster.workers:
         assert w.result == exp, "aggregation result mismatch"
-    finish = max(w.stats.finished_at_ns for w in cluster.workers)
-    ate_per_worker = TENSOR / (finish / 1e9)
-    return ate_per_worker / 1e6  # MATE/s/worker
+    return max(w.stats.finished_at_ns for w in cluster.workers)
 
 
-@pytest.fixture(scope="module")
-def sweep():
-    return {
-        backend: {n: run_one(n, backend) for n in WORKER_COUNTS}
-        for backend in ("netcl", "p4")
-    }
-
-
-def test_fig14_agg_throughput(benchmark, sweep, bench_metrics):
-    benchmark.pedantic(run_one, args=(2, "netcl"), rounds=1, iterations=1)
+def test_fig14_agg_throughput(fact):
+    sweep = {}  # backend -> workers -> M aggregated tensor elements/s/worker
     for backend in ("netcl", "p4"):
+        sweep[backend] = {}
         for n in WORKER_COUNTS:
-            bench_metrics(f"mate_per_worker_{backend}_{n}w", sweep[backend][n])
+            finish_ns = run_one(n, backend)
+            sweep[backend][n] = TENSOR * 1000 / finish_ns
+            fact(f"finish_ns_{backend}_{n}w", finish_ns)
+            fact(f"mate_per_worker_{backend}_{n}w", round(sweep[backend][n], 2))
     rows = [
         [n, f"{sweep['netcl'][n]:.2f}", f"{sweep['p4'][n]:.2f}"]
         for n in WORKER_COUNTS
@@ -69,7 +61,7 @@ def test_fig14_agg_throughput(benchmark, sweep, bench_metrics):
         assert sweep["netcl"][n] > 0.85 * base, (n, sweep["netcl"][n], base)
 
 
-def test_agg_throughput_survives_loss(bench_metrics):
+def test_agg_throughput_survives_loss(fact):
     """Reliability does not collapse throughput (slots retransmit).
 
     5% loss on every link, injected through a chaos plan.  Loss and
@@ -98,5 +90,6 @@ def test_agg_throughput_survives_loss(bench_metrics):
     # kernel drops are the protocol (first packet of each pair is absorbed
     # into the aggregation), one per completed chunk at minimum
     assert net.metrics.value("net.drop.kernel") >= chunks
-    bench_metrics("lossy_packets_lost", lost)
-    bench_metrics("lossy_kernel_dispatches", dispatches)
+    fact("lossy_packets_lost", lost)
+    fact("lossy_kernel_dispatches", dispatches)
+    fact("lossy_kernel_drops", net.metrics.value("net.drop.kernel"))

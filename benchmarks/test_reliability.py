@@ -11,12 +11,10 @@ loss rates.  Claims checked:
   and the retransmission overhead grows with the loss rate;
 * the lossless run retransmits (essentially) nothing.
 
-Results land in ``BENCH_reliability.json``.
+The results are pinned in ``BENCH_paper.json``.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from benchmarks.conftest import print_table
 from repro.chaos import LinkFaults, apply_faults
@@ -65,31 +63,25 @@ def run_one(loss: float, *, seed: int = 7) -> dict:
     pump()
     net.sim.run(until_ns=2_000_000_000)
     m = net.metrics
-    elapsed_us = state["last_done_ns"] / 1e3
     return {
         "completed": state["done"],
-        "goodput_rps_per_us": state["done"] / elapsed_us,
+        "goodput_rps_per_us": state["done"] * 1000 / state["last_done_ns"],
         "retransmits": m.total("reliability.ch.retransmits.h1"),
         "dup_drops": m.total("reliability.dup_drops"),
-        "elapsed_us": elapsed_us,
+        "elapsed_ns": state["last_done_ns"],
     }
 
 
-@pytest.fixture(scope="module")
-def sweep():
-    return {loss: run_one(loss) for loss in LOSS_SWEEP}
-
-
-def test_reliability_goodput_vs_loss(benchmark, sweep, bench_metrics):
-    benchmark.pedantic(run_one, args=(0.05,), rounds=1, iterations=1)
+def test_reliability_goodput_vs_loss(fact):
+    sweep = {loss: run_one(loss) for loss in LOSS_SWEEP}
     for loss, r in sweep.items():
         tag = f"loss{int(loss * 100):02d}"
-        bench_metrics(f"goodput_rps_per_us_{tag}", round(r["goodput_rps_per_us"], 5))
-        bench_metrics(f"retransmits_{tag}", r["retransmits"])
-        bench_metrics(f"elapsed_us_{tag}", round(r["elapsed_us"], 1))
+        fact(f"elapsed_ns_{tag}", r["elapsed_ns"])
+        fact(f"retransmits_{tag}", r["retransmits"])
+        fact(f"dup_drops_{tag}", r["dup_drops"])
     rows = [
         [f"{loss:.0%}", r["completed"], r["retransmits"],
-         f"{r['elapsed_us']:.0f}", f"{r['goodput_rps_per_us']:.4f}"]
+         f"{r['elapsed_ns'] / 1000:.0f}", f"{r['goodput_rps_per_us']:.4f}"]
         for loss, r in sweep.items()
     ]
     print_table(

@@ -8,7 +8,7 @@ packet path.  Both sides run the same reliable transport, the same
 serialized per-packet host overhead, and compute bit-identical results
 (``compare_gather`` raises if they ever diverge).
 
-Three sweeps land in ``BENCH_rpc.json``:
+Three sweeps are pinned in ``BENCH_paper.json``:
 
 * replica count (N = 2, 4, 8, 16) on a clean fabric — ``speedup_time`` /
   ``speedup_bytes`` must both exceed 1.0 from N >= 4;
@@ -27,15 +27,24 @@ from repro.rpc.scenarios import GetReq, scenario_handlers, scenario_schema
 SEED = 7
 
 
-def test_gather_speedup_vs_replicas(bench_metrics):
+def record(fact, tag: str, cmp, prefix: str = "") -> None:
+    """Pins both sides' bytes and finish times, and the two speedups."""
+    fact(f"{prefix}innetwork_bytes_{tag}", cmp.innetwork_bytes)
+    fact(f"{prefix}host_bytes_{tag}", cmp.host_bytes)
+    fact(f"{prefix}innetwork_ns_{tag}", cmp.innetwork_ns)
+    fact(f"{prefix}host_ns_{tag}", cmp.host_ns)
+    fact(f"{prefix}speedup_time_{tag}", round(cmp.speedup_time, 3))
+    fact(f"{prefix}speedup_bytes_{tag}", round(cmp.speedup_bytes, 3))
+
+
+def test_gather_speedup_vs_replicas(fact):
     rows = []
     for n in (2, 4, 8, 16):
         cmp = compare_gather(
             SEED, num_racks=2, servers_per_rack=n // 2, num_calls=32
         )
         assert cmp.match, f"N={n}: merged replies diverged from host fan-out"
-        bench_metrics(f"speedup_time_n{n}", round(cmp.speedup_time, 3))
-        bench_metrics(f"speedup_bytes_n{n}", round(cmp.speedup_bytes, 3))
+        record(fact, f"n{n}", cmp)
         rows.append(
             [n, f"{cmp.speedup_time:.2f}x", f"{cmp.speedup_bytes:.2f}x",
              cmp.innetwork_bytes, cmp.host_bytes]
@@ -54,7 +63,7 @@ def test_gather_speedup_vs_replicas(bench_metrics):
     assert times[-1] > times[1], rows
 
 
-def test_gather_speedup_survives_loss(bench_metrics):
+def test_gather_speedup_survives_loss(fact):
     cmp = compare_gather(
         SEED,
         num_racks=2,
@@ -63,8 +72,7 @@ def test_gather_speedup_survives_loss(bench_metrics):
         faults=LinkFaults(loss=0.02),
     )
     assert cmp.match
-    bench_metrics("lossy_speedup_time_n8", round(cmp.speedup_time, 3))
-    bench_metrics("lossy_speedup_bytes_n8", round(cmp.speedup_bytes, 3))
+    record(fact, "n8", cmp, prefix="lossy_")
     # Loss costs the in-network path re-scatters (partially suppressed
     # by the spine's bitmap piggyback); it must still move fewer bytes
     # and finish no slower than the host fan-out under the same faults.
@@ -72,7 +80,7 @@ def test_gather_speedup_survives_loss(bench_metrics):
     assert cmp.speedup_time > 1.0
 
 
-def test_memo_hit_beats_server_roundtrip(bench_metrics):
+def test_memo_hit_beats_server_roundtrip(fact):
     cluster = build_rpc_cluster(
         scenario_schema(),
         scenario_handlers({}),
@@ -88,9 +96,9 @@ def test_memo_hit_beats_server_roundtrip(bench_metrics):
     assert miss.done and not miss.hit and hit.done and hit.hit
     miss_ns = miss.finished_ns - miss.sent_ns
     hit_ns = hit.finished_ns - hit.sent_ns
-    bench_metrics("unary_miss_ns", miss_ns)
-    bench_metrics("unary_memo_hit_ns", hit_ns)
-    bench_metrics("memo_latency_ratio", round(miss_ns / hit_ns, 3))
+    fact("unary_miss_ns", miss_ns)
+    fact("unary_memo_hit_ns", hit_ns)
+    fact("memo_latency_ratio", round(miss_ns / hit_ns, 3))
     print_table(
         "Unary latency: ToR memo hit vs server round trip",
         ["path", "ns"], [["server miss", miss_ns], ["memo hit", hit_ns]],

@@ -12,7 +12,9 @@ the control-plane numbers that make the "as-a-Service" claim concrete:
   admitted ones;
 * the fabric runs consolidated: reserved stages land on 2 of 4 switches.
 
-Results land in ``BENCH_service.json``.
+The results are pinned in ``BENCH_paper.json``.  ``cache_p99_us`` is the
+bound of the latency histogram bucket the p99 falls in, not a measured
+latency, so it moves only when a bucket boundary is crossed.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.service import default_service_plan, run_service_plan
 SEED = 7
 
 
-def test_shared_fabric_service_workload(bench_metrics):
+def test_shared_fabric_service_workload(fact):
     result = run_service_plan(default_service_plan(SEED))
     assert result.ok, result.errors
 
@@ -61,14 +63,13 @@ def test_shared_fabric_service_workload(bench_metrics):
     occupied = sum(1 for s in used if s > 0)
     assert occupied == 2  # consolidated, not smeared over all 4 switches
 
-    bench_metrics("seed", SEED)
-    bench_metrics("sim_ms", round(result.sim_ns / 1e6, 3))
-    bench_metrics("tenants_active", svc["tenants_active"])
-    bench_metrics("admission_rejects", svc["admission_rejects"])
-    bench_metrics("migrations", svc["migrations"])
-    bench_metrics("ops_replayed", svc["ops_replayed"])
-    bench_metrics("agg_completed", agg["completed"])
-    bench_metrics("cache_completed", cache["completed"])
-    bench_metrics("cache_p99_us", result.report["tenants"]["cache"]["slo"]["observed_p99_us"])
-    bench_metrics("occupied_switches", occupied)
-    bench_metrics("stages_reserved", sum(used))
+    fact("sim_ns", result.sim_ns)
+    fact("tenants_active", svc["tenants_active"])
+    fact("admission_rejects", svc["admission_rejects"])
+    fact("migrations", svc["migrations"])
+    fact("ops_replayed", svc["ops_replayed"])
+    fact("agg_completed", agg["completed"])
+    fact("cache_completed", cache["completed"])
+    fact("cache_p99_us", result.report["tenants"]["cache"]["slo"]["observed_p99_us"])
+    fact("occupied_switches", occupied)
+    fact("stages_reserved", sum(used))

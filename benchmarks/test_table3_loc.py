@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from benchmarks.conftest import print_table
-from repro.apps import NETCL_SOURCES, P4_SOURCES, netcl_source, p4_source
+from repro.apps import netcl_source, p4_source
 from repro.p4.loc import count_loc
 
 #: NetCL program -> handwritten P4 counterpart(s).  P4xos compares each
@@ -32,14 +32,19 @@ def loc_table() -> list[tuple[str, int, int, float]]:
     return rows
 
 
-def test_table3_loc_reduction(benchmark):
-    rows = benchmark(loc_table)
+def test_table3_loc_reduction(fact):
+    rows = loc_table()
+    for label, ncl, p4, r in rows:
+        fact(f"netcl_loc_{label}", ncl)
+        fact(f"p4_loc_{label}", p4)
+        fact(f"reduction_{label}", round(r, 2))
     print_table(
         "Table III: lines of code (NetCL vs handwritten P4)",
         ["app", "NetCL", "P4", "reduction"],
         [[a, n, p, f"{r:.2f}x"] for a, n, p, r in rows],
     )
     reductions = [r for *_ , r in rows]
+    # libm and a float sum: printed and bounded, never pinned
     geomean = math.exp(sum(math.log(r) for r in reductions) / len(reductions))
     print(f"  GEOMEAN reduction: {geomean:.2f}x (paper: 11.93x vs own P4-16)")
 
@@ -51,11 +56,12 @@ def test_table3_loc_reduction(benchmark):
     assert geomean >= 5.0
 
 
-def test_table3_per_paxos_role():
+def test_table3_per_paxos_role(fact):
     rows = []
     ncl_total = count_loc(netcl_source("paxos"))
     for role in ("paxos_acceptor", "paxos_learner", "paxos_leader"):
         p4 = count_loc(p4_source(role))
+        fact(f"p4_loc_{role}", p4)
         rows.append([role, p4])
         assert p4 > 100
     print_table("Table III (P4xos roles, handwritten P4)", ["role", "P4 LoC"], rows)

@@ -9,8 +9,6 @@ handwritten P4.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import print_table
 from repro.apps import compile_app, p4_source
 from repro.core import compile_netcl
@@ -24,11 +22,6 @@ HANDWRITTEN = [("agg", "AGG"), ("cache", "CACHE"), ("paxos_acceptor", "PACC"),
                ("paxos_learner", "PLRN"), ("paxos_leader", "PLDR"), ("calc", "CALC")]
 
 
-def _empty():
-    """The EMPTY column: the generated program with no kernel."""
-    return compile_netcl("", None).report
-
-
 def collect():
     gen, hand = {}, {}
     for app, dev, label in GENERATED:
@@ -37,13 +30,8 @@ def collect():
         prog = parse_p4(p4_source(name))
         spec = p4_to_pipeline_spec(prog, name=name)
         hand[label] = build_report(spec, local_fields=[p4_local_bits(prog)])
-    empty = _empty()
+    empty = compile_netcl("", None).report  # the generated program with no kernel
     return gen, hand, empty
-
-
-@pytest.fixture(scope="module")
-def reports():
-    return collect()
 
 
 def _rows(reports):
@@ -63,8 +51,8 @@ def _rows(reports):
     return rows
 
 
-def test_table5_resources(benchmark, reports):
-    benchmark(_empty)
+def test_table5_resources():
+    reports = collect()
     print_table(
         "Table V: Tofino resource utilization (pipe totals, % of chip)",
         ["program", "stages", "sram%", "tcam%", "salu%", "vliw%", "worst-sram%", "worst-salu%"],

@@ -9,8 +9,6 @@ by the base program).
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import print_table
 from repro.apps import compile_app, p4_source
 from repro.p4 import parse_p4, p4_to_pipeline_spec
@@ -23,8 +21,7 @@ PAIRS = [("agg", 1, "agg", "AGG"), ("cache", 1, "cache", "CACHE"),
          ("paxos", 1, "paxos_leader", "PLDR"), ("calc", 1, "calc", "CALC")]
 
 
-@pytest.fixture(scope="module")
-def phv_data():
+def measure_phv():
     out = []
     for app, dev, p4name, label in PAIRS:
         cp = compile_app(app, dev)
@@ -51,8 +48,8 @@ def phv_data():
     return out
 
 
-def test_table6_phv(benchmark, phv_data):
-    benchmark(lambda: phv_data)
+def test_table6_phv():
+    phv_data = measure_phv()
     rows = [
         [d["label"], d["gen_ir_allocas"], d["gen_locals"], d["gen_headers"],
          f"{d['gen_phv']:.1f}%", d["hand_locals"], f"{d['hand_phv']:.1f}%",

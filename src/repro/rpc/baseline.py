@@ -20,7 +20,7 @@ honestly:
 :func:`compare_gather` runs both sides over the same per-call requests
 and the same link-fault plan, cross-checks that the merged results are
 *identical*, and returns the byte/time ratios — the honesty check and
-the headline numbers for ``BENCH_rpc.json``.
+the headline numbers ``benchmarks/test_rpc.py`` pins in ``BENCH_paper.json``.
 """
 
 from __future__ import annotations

@@ -605,12 +605,14 @@ class INCService:
                         break
                 if new_sid is None:
                     # Can't pack this device anywhere: keep it (and charge
-                    # its current switch) rather than strand it.
+                    # its current switch, unless that one is down) rather
+                    # than strand it.
                     new_sid = tenant.placement[dev]
                 chosen[dev] = new_sid
-                free[new_sid][0] -= need.stages
-                free[new_sid][1] -= need.sram_pct
-                free[new_sid][2] -= need.salu_pct
+                if new_sid in free:
+                    free[new_sid][0] -= need.stages
+                    free[new_sid][1] -= need.sram_pct
+                    free[new_sid][2] -= need.salu_pct
             targets[tenant.tenant_id] = chosen
         total = 0
         for tenant in running:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import compile_netcl
 from repro.netsim import DEVICE, HOST, Link, Network, node_name
-from repro.runtime import NetCLDevice
+from repro.runtime import KernelSpec, Message, NetCLDevice
 from repro.runtime.message import NO_DEVICE, NetCLPacket
 
 IDLE = "_kernel(1) void idle(uint32_t x) { }"
@@ -168,3 +168,42 @@ def test_no_cached_table_survives_a_topology_change(case):
     change(net)
     assert net._routes == {}
     assert net.route_rebuilds == rebuilds  # rebuilt lazily, not here
+
+
+def test_route_churn_rebuild_count():
+    """Crash/restart/flap churn with live traffic: after each change only
+    the sources that forward again rebuild their tables."""
+    cp = compile_netcl("_kernel(1) void k(unsigned x) { }", 1)
+    cp2 = compile_netcl("_kernel(1) _at(2) void k(unsigned x) { }", 2)
+    net = Network(seed=7)
+    net.add_switch(NetCLDevice(1, cp.module, cp.kernels()))
+    net.add_switch(NetCLDevice(2, cp2.module, cp2.kernels()))
+    spec = KernelSpec.from_kernel(cp.kernels()[0])
+    hosts = []
+    for h in range(1, 9):
+        hosts.append(net.add_host(h))
+        net.link(HOST(h), DEVICE(1), Link(latency_ns=500))
+        net.link(HOST(h), DEVICE(2), Link(latency_ns=500))
+    net.link(DEVICE(1), DEVICE(2))
+
+    t = 0
+    for round_ in range(40):
+        for i, h in enumerate(hosts):
+            dst = (i + 1) % len(hosts) + 1
+            h.send_message(
+                Message(src=h.host_id, dst=dst, comp=1, to=1), spec, [round_],
+                delay_ns=t,
+            )
+        t += 50_000
+    # churn: flap one link, crash + restart the standby, every ~400 us
+    for k in range(5):
+        base = 200_000 + k * 400_000
+        net.sim.at(base, net.set_link_up, HOST(1), DEVICE(2), False)
+        net.sim.at(base + 100_000, net.set_link_up, HOST(1), DEVICE(2), True)
+        net.sim.at(base + 200_000, net.crash_switch, 2)
+        net.sim.at(base + 300_000, net.restart_switch, 2)
+    net.sim.run()
+
+    # 10 nodes: recomputing every source on each of the 20 churn events
+    # (plus the initial build) would be >= 21 * 10 = 210 rebuilds.
+    assert net.route_rebuilds == 171

@@ -340,6 +340,16 @@ class TestLiveMigration:
         assert svc.network.metrics.value("service.defrag_moves") == 1
         assert _echo_round_trip(svc, "b", cp_b, 2, 3) == [[3, 5]]
 
+    def test_defragment_keeps_a_device_stranded_on_a_down_switch(self):
+        svc = INCService(_fabric(num_switches=1), heartbeat_ns=50_000).start()
+        topo, _ = _topo(ECHO % 1)
+        t = svc.submit("t1", topo)
+        svc.crash_switch(1)
+        svc.network.sim.run(until_ns=svc.network.sim.now_ns + 300_000)
+        assert svc.defragment() == 0  # was KeyError: 1, the down switch
+        assert t.placement == {1: 1}
+        svc.stop()
+
     def test_headroom_shrink_migrates_victims(self):
         svc = INCService(_fabric(num_switches=2, host_links={1: [1, 2]},
                                  free_stages=3))

@@ -38,7 +38,11 @@ REPO = Path(__file__).resolve().parent.parent
 ALLOW = REPO / "tools" / "reach_allow.txt"
 
 #: copied into the scratch checkout; nothing else is needed to run the set
-_COPIED = ("src", "bench", "benchmarks", "examples", "tools", "pyproject.toml")
+_COPIED = ("src", "bench", "benchmarks", "examples", "tools", "pyproject.toml",
+           "BENCH_paper.json")
+
+#: lines of each output stream reported for a command that failed
+_TAIL = 10
 
 #: two subprocesses at a time: the set is CPU-bound and each run is small
 _WORKERS = 2
@@ -142,19 +146,18 @@ def run_set() -> list[list[list[str]]]:
     jobs.append([["tools/verify_all.py", "--target", "tna"]])
     jobs.append([["tools/verify_all.py", "--target", "v1model"]])
     jobs.append([["tools/lint_all.py"], ["tools/lint_all.py", "--json"]])
-    # --benchmark-disable: a timed benchmark round pauses every profiler
-    jobs.append([["-m", "pytest", "benchmarks", "-q", "-p", "no:cacheprovider",
-                  "--benchmark-disable"]])
+    jobs.append([["-m", "pytest", "benchmarks", "-q", "-p", "no:cacheprovider"]])
     return jobs
 
 
 def _run_job(job: list[list[str]], scratch: Path, env: dict) -> list[str]:
-    """Run one job's commands in order; return a line per command that
-    did not exit 0 (every run in the set is expected to pass)."""
+    """Run one job's commands in order; return a report per command that
+    did not exit 0 (every run in the set is expected to pass), with the
+    last lines of its stdout and stderr."""
     failures = []
     for argv in job:
         argv = [a.replace("{tmp}", str(scratch)) for a in argv]
-        out = subprocess.DEVNULL
+        out = subprocess.PIPE
         if len(argv) > 2 and argv[-2] == ">":
             out = open(argv[-1], "w")
             argv = argv[:-2]
@@ -162,11 +165,14 @@ def _run_job(job: list[list[str]], scratch: Path, env: dict) -> list[str]:
             proc = subprocess.run([sys.executable, *argv], cwd=scratch / "repo", env=env,
                                   stdout=out, stderr=subprocess.PIPE, text=True)
         finally:
-            if out is not subprocess.DEVNULL:
+            if out is not subprocess.PIPE:
                 out.close()
         if proc.returncode != 0:
-            tail = proc.stderr.strip().splitlines()[-1:] or [""]
-            failures.append(f"exit {proc.returncode}: {' '.join(argv)}: {tail[0]}")
+            tails = [f"{name}| {line}"
+                     for name, text in (("stdout", proc.stdout), ("stderr", proc.stderr))
+                     for line in (text or "").strip().splitlines()[-_TAIL:]]
+            failures.append(f"exit {proc.returncode}: {' '.join(argv)}\n    "
+                            + "\n    ".join(tails))
     return failures
 
 
